@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -144,3 +146,61 @@ class TestSweep:
         points = sweep_experts(cfg, [2], output_dir=str(tmp_path))
         assert points[0].degenerate
         assert points[0].ci_halfwidth == 0.0
+
+
+# One tiny 2-epoch run per driver branch. The hashes pin every CSV and
+# checkpoint byte, so a change that is meant to keep the output identical
+# must leave them alone. They depend on the platform and the BLAS (recorded
+# on x86-64 Linux with numpy's OpenBLAS); on another stack re-record them
+# from the code the change starts from.
+GOLDEN_BASE = """
+epochs = 2
+steps_per_epoch = 60
+eval_games = 5
+replay_min = 20
+seeds = 1
+"""
+
+GOLDEN_RUNS = {
+    "soccer-dqn": "environment = soccer\nagent = dqn\n",
+    "soccer-moe-action": "environment = soccer\nagent = dron_moe\nmultitask = action\n",
+    "soccer-concat-type-defensive": (
+        "environment = soccer\nagent = dron_concat\nmultitask = type\nopponent = defensive\n"
+    ),
+    "quiz-moe-type": "environment = quizbowl\nagent = dron_moe\nmultitask = type\n",
+    "quiz-concat-action": "environment = quizbowl\nagent = dron_concat\nmultitask = action\n",
+    "quiz-self-dqn": "environment = quizbowl\nagent = dqn\nopponent = self\n",
+}
+
+GOLDEN_HASHES = {
+    "soccer-dqn": "21cf5ea9a5b600f36e819d1ad5defd924bfb0df3133ef5ef0a92454548d82140",
+    "soccer-moe-action": "abbbaefc275daf76ad3484ea4a70f4a671a7f09f6bc7d3a620f96e3a3153ac00",
+    "soccer-concat-type-defensive": "91025dfced3c1d1f2123f6e29792ecc13193307df622f5a096212a8c0dc4b175",
+    "quiz-moe-type": "05d29ab00debf53e04dbb50734de5823645bf4f1b8190113a2dcd82f6c57ea32",
+    "quiz-concat-action": "ed28c30e228d4a11dc51260d824dbf5accd598bbaf23745751268d5bd0a2d172",
+    "quiz-self-dqn": "1f97d375241157e0bf469860c1efdde4fdb735962846018c5ecf65f1befecf8c",
+    "eval-soccer": "9bad19842d591f4fede3f7e684a736846c28c588bd20d7dc72fa2ad1d9ab4606",
+    "eval-quiz-traces": "348fac580cb9d2d38a5ad424cdd93f35414c5c4730d42b9d69f0c01ccf865e41",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_golden_hashes(tmp_path):
+    got = {}
+    for name, text in GOLDEN_RUNS.items():
+        (result,) = train(parse_config(GOLDEN_BASE + text), output_dir=str(tmp_path / name))
+        with open(result.curve_path, "rb") as fh:
+            data = fh.read()
+        with open(result.checkpoint_path, "rb") as fh:
+            data += fh.read()
+        got[name] = _sha256(data)
+    soccer = load_checkpoint(str(tmp_path / "soccer-dqn" / "checkpoint_seed1.ckpt"))
+    got["eval-soccer"] = _sha256(repr(evaluate(soccer, "mixed", 40, seed=4)).encode())
+    quiz = load_checkpoint(str(tmp_path / "quiz-moe-type" / "checkpoint_seed1.ckpt"))
+    rows = []
+    summary = evaluate(quiz, "mixed", 40, seed=4, trace_rows=rows)
+    got["eval-quiz-traces"] = _sha256(repr((summary, rows)).encode())
+    assert got == GOLDEN_HASHES
