@@ -1,6 +1,17 @@
 """Experiment driver: training epochs, periodic greedy evaluation, metric
 aggregation, checkpoints, and CSV emission.
 
+One driver per environment plays the episodes of both training and greedy
+evaluation: `SoccerDriver` against the rule-based opponent, `QuizDriver`
+against an opponent pool, and `SelfPlayDriver` for opponent-free quiz bowl.
+A driver holds the game state, the opponent history and the current
+observation `obs` (state features, opponent features). `step(action)` plays
+one move and returns `(reward, done, info)`. A driver never starts the next
+episode by itself: its owner calls `reset()`, so an evaluation game draws
+nothing from its random stream after the game ends. `train_run` builds each
+replay transition from `obs` before and after a step; the evaluators build
+one driver per game and step it greedily.
+
 Determinism contract: (config, seed) fully determine every CSV byte and
 checkpoint parameter. All random streams derive from the run seed via named
 integer sub-keys, and per-game evaluation streams derive from (eval seed,
@@ -10,8 +21,8 @@ game index) so results do not depend on scheduling.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -20,8 +31,8 @@ from . import rl, soccer
 from .agents import Agent, AgentSpec, quiz_agent_spec, soccer_agent_spec
 from .checkpoint import Checkpoint, rng_state_of, save_checkpoint
 from .config import ExperimentConfig
-from .errors import ConfigurationError, TrainingError, UsageError
-from .nn import AdaGradState, ParamSet
+from .errors import TrainingError, UsageError
+from .nn import AdaGradState
 from .stats import mean_confidence_halfwidth
 
 CSV_HEADER = "epoch,mean_reward,rush,miss,win,tie"
@@ -81,198 +92,186 @@ def agent_spec_for(config: ExperimentConfig) -> AgentSpec:
     )
 
 
-def quiz_config_for(config: ExperimentConfig) -> qb.QuizConfig:
+def env_params_for(config: ExperimentConfig) -> dict:
+    if config.environment != "quizbowl":
+        return {}
+    return {
+        "vocab": config.vocab, "question_min": config.question_min,
+        "question_max": config.question_max, "belief_alpha": config.belief_alpha,
+        "belief_kappa": config.belief_kappa,
+    }
+
+
+def quiz_config_for(env_params: dict) -> qb.QuizConfig:
+    """Quiz-bowl settings from a run's environment parameters (as made by
+    `env_params_for` and stored in checkpoints); a missing key keeps the
+    QuizConfig default."""
+    default = qb.DEFAULT_QUIZ_CONFIG
     return qb.QuizConfig(
-        vocab=config.vocab, min_length=config.question_min,
-        max_length=config.question_max, alpha=config.belief_alpha,
-        kappa=config.belief_kappa,
+        vocab=int(env_params.get("vocab", default.vocab)),
+        min_length=int(env_params.get("question_min", default.min_length)),
+        max_length=int(env_params.get("question_max", default.max_length)),
+        alpha=float(env_params.get("belief_alpha", default.alpha)),
+        kappa=float(env_params.get("belief_kappa", default.kappa)),
     )
 
 
 # -- environment drivers ------------------------------------------------------
 
 
+@dataclass
+class StepInfo:
+    """What one driver step shows besides the reward."""
+
+    supervision: Optional[Union[int, float]] = None  # multitask target of the move
+    opponent_won: bool = False  # the quiz opponent buzzed correctly
+
+
 class SoccerDriver:
-    """Runs the primary agent (player A) against the rule-based opponent."""
+    """The primary agent (player A) against the rule-based opponent."""
 
-    opponent_feature_dim = 16
+    bootstrap = True  # TD targets look past non-terminal steps
 
-    def __init__(self, config: ExperimentConfig, rng: np.random.Generator):
+    def __init__(self, rng: np.random.Generator, opponent: str = "mixed",
+                 multitask: str = "none"):
         self.cfg = soccer.DEFAULT_CONFIG
-        self.mode_policy = config.opponent
-        self.multitask = config.multitask
         self.rng = rng
-        self._begin_episode()
+        self.mode_policy = opponent
+        self.multitask = multitask
+        self.reset()
 
-    def _begin_episode(self) -> None:
+    def reset(self) -> None:
         self.state, self.mode = soccer.reset(self.cfg, self.rng, self.mode_policy)
         self.stats = soccer.OpponentStats()
+        self._observe()
 
-    def observe(self) -> Tuple[np.ndarray, np.ndarray]:
-        return (
-            soccer.featurize_state(self.state, self.cfg, "A"),
-            soccer.opponent_features(self.stats),
-        )
+    def _observe(self) -> None:
+        self.obs = (soccer.featurize_state(self.state, self.cfg, "A"),
+                    soccer.opponent_features(self.stats))
 
-    def step(self, action: int):
-        """Advance one joint step; returns (transition fields, done)."""
-        phi_s, phi_o = self.observe()
+    def step(self, action: int) -> Tuple[float, bool, StepInfo]:
         action_b = soccer.rule_agent_act(self.state, self.mode, self.rng, self.cfg, "B")
         category = soccer.classify_move(self.state, action_b, self.cfg, "B")
+        self.state, reward, done, events = soccer.step(self.state, action, action_b, self.cfg)
+        self.stats.observe(category, action_b, lost_ball=events.ball_taken_by == "B")
+        self._observe()
         supervision = None
         if self.multitask == "type":
             supervision = soccer.MODES.index(self.mode)
         elif self.multitask == "action":
             supervision = soccer.MOVE_CATEGORIES.index(category)
-        next_state, reward, done, events = soccer.step(self.state, action, action_b, self.cfg)
-        self.stats.observe(category, action_b, lost_ball=events.ball_taken_by == "B")
-        self.state = next_state
-        phi_s2 = soccer.featurize_state(next_state, self.cfg, "A")
-        phi_o2 = soccer.opponent_features(self.stats)
-        transition = rl.Transition(
-            state=phi_s, opponent=phi_o, action=action, reward=reward,
-            next_state=phi_s2, next_opponent=phi_o2, terminal=done,
-            supervision=supervision,
-        )
-        if done:
-            self._begin_episode()
-        return transition, reward, done
+        return reward, done, StepInfo(supervision)
 
 
 class QuizDriver:
-    """Runs the agent against sampled opponents from a persistent pool, or in
-    opponent-free self-play with shaped immediate rewards."""
+    """The agent against an opponent drawn per episode from a persistent
+    pool; each opponent's buzz history carries over between episodes."""
 
-    opponent_feature_dim = 3
+    bootstrap = True
 
-    def __init__(self, config: ExperimentConfig, rng: np.random.Generator,
-                 population: Optional[qb.Population] = None):
-        self.quiz_cfg = quiz_config_for(config)
-        self.self_play = config.opponent == "self"
-        self.multitask = config.multitask
+    def __init__(self, rng: np.random.Generator, quiz_cfg: qb.QuizConfig,
+                 population: qb.Population, multitask: str = "none"):
         self.rng = rng
-        if self.self_play:
-            self.population = None
-        elif population is not None:
-            self.population = population
-        else:
-            raise ConfigurationError("QuizDriver needs an opponent population")
-        self._begin_episode()
+        self.quiz_cfg = quiz_cfg
+        self.population = population
+        self.multitask = multitask
+        self.reset()
 
-    def _begin_episode(self) -> None:
-        if self.self_play:
-            # no opponent: draw a question only
-            solo = qb.Population([qb.OpponentProfile(1.0, 0.0, 0.0)])
-            self.state, _ = qb.sample_episode(self.quiz_cfg, solo, self.rng)
-            self.state.opponent_buzz_pos = self.state.length + 1  # never fires
-            self.profile = None
-            self.phi_o = np.zeros(3)
-        else:
-            self.state, self.profile = qb.sample_episode(self.quiz_cfg, self.population, self.rng)
-            self.phi_o = qb.opponent_features(self.profile)
+    def reset(self) -> None:
+        self.state, self.profile = qb.sample_episode(self.quiz_cfg, self.population, self.rng)
+        self.obs = (qb.featurize(self.state), qb.opponent_features(self.profile))
 
-    def observe(self) -> Tuple[np.ndarray, np.ndarray]:
-        return qb.featurize(self.state), self.phi_o
-
-    def _supervision(self) -> Optional[object]:
-        if self.self_play or self.multitask == "none":
-            return None
+    def _supervision(self) -> Optional[Union[int, float]]:
         if self.multitask == "type":
             return qb.opponent_type(self.profile) - 1
-        return qb.action_supervision_target(self.state.t, self.state.opponent_buzz_pos)
+        if self.multitask == "action":
+            return qb.action_supervision_target(self.state.t, self.state.opponent_buzz_pos)
+        return None
 
-    def step(self, action: int):
-        phi_s, phi_o = self.observe()
+    def step(self, action: int) -> Tuple[float, bool, StepInfo]:
         supervision = self._supervision()
-        if self.self_play:
-            reward = qb.dqnself_reward(action == qb.BUZZ, qb.belief_correct(self.state),
-                                       self.quiz_cfg)
-            if self.state.t >= self.state.length:
-                done = True
-            else:
-                self.state = qb.advance_belief(self.state, self.quiz_cfg, self.rng)
-                done = False
-            phi_s2 = qb.featurize(self.state)
-            transition = rl.Transition(
-                state=phi_s, opponent=phi_o, action=action, reward=reward,
-                next_state=phi_s2, next_opponent=phi_o, terminal=True,
-                supervision=None,
-            )
-            if done:
-                self._begin_episode()
-            return transition, reward, done
-
-        was_opp_locked = self.state.opponent_locked
-        next_state, reward, done, outcome = qb.step(self.state, action, self.quiz_cfg, self.rng)
-        buzzed_wrong = next_state.opponent_locked and not was_opp_locked
-        buzzed_right = outcome is not None and outcome.who == "opponent" and outcome.correct
-        if buzzed_wrong or buzzed_right:
+        before = self.state
+        self.state, reward, done, outcome = qb.step(before, action, self.quiz_cfg, self.rng)
+        buzzed_wrong = self.state.opponent_locked and not before.opponent_locked
+        opponent_won = outcome is not None and outcome.who == "opponent" and outcome.correct
+        phi_o = self.obs[1]
+        if buzzed_wrong or opponent_won:
             # history updates as soon as the buzz is observed, so a failed
             # opponent buzz becomes visible in the opponent features
-            self.profile.record_buzz(
-                self.state.opponent_buzz_pos / self.state.length, wrong=buzzed_wrong
-            )
-        self.state = next_state
-        phi_s2 = qb.featurize(next_state)
-        phi_o2 = qb.opponent_features(self.profile)
-        transition = rl.Transition(
-            state=phi_s, opponent=phi_o, action=action, reward=reward,
-            next_state=phi_s2, next_opponent=phi_o2, terminal=done,
-            supervision=supervision,
-        )
-        if done:
-            self._begin_episode()
-        else:
-            self.phi_o = phi_o2
-        return transition, reward, done
+            self.profile.record_buzz(before.opponent_buzz_pos / before.length,
+                                     wrong=buzzed_wrong)
+            phi_o = qb.opponent_features(self.profile)
+        self.obs = (qb.featurize(self.state), phi_o)
+        return reward, done, StepInfo(supervision, opponent_won)
+
+
+class SelfPlayDriver:
+    """Opponent-free quiz bowl with shaped immediate rewards for buzzing or
+    waiting on each word; every step is its own one-step TD episode."""
+
+    bootstrap = False
+
+    def __init__(self, rng: np.random.Generator, quiz_cfg: qb.QuizConfig):
+        self.rng = rng
+        self.quiz_cfg = quiz_cfg
+        # a question source only: this opponent never takes part
+        self._questions = qb.Population([qb.OpponentProfile(1.0, 0.0, 0.0)])
+        self.reset()
+
+    def reset(self) -> None:
+        self.state, _ = qb.sample_episode(self.quiz_cfg, self._questions, self.rng)
+        self.obs = (qb.featurize(self.state), np.zeros(3))
+
+    def step(self, action: int) -> Tuple[float, bool, StepInfo]:
+        reward = qb.dqnself_reward(action == qb.BUZZ, qb.belief_correct(self.state),
+                                   self.quiz_cfg)
+        done = self.state.t >= self.state.length
+        if not done:
+            self.state = qb.advance_belief(self.state, self.quiz_cfg, self.rng)
+        self.obs = (qb.featurize(self.state), self.obs[1])
+        return reward, done, StepInfo()
 
 
 def make_driver(config: ExperimentConfig, rng: np.random.Generator, seed: int):
     if config.environment == "soccer":
-        return SoccerDriver(config, rng)
-    population = None
-    if config.opponent != "self":
-        population = qb.make_population(
-            config.opponent, np.random.default_rng([seed, _STREAM_POPULATION]),
-            size=config.opponent_pool,
-        )
-    return QuizDriver(config, rng, population=population)
+        return SoccerDriver(rng, config.opponent, config.multitask)
+    quiz_cfg = quiz_config_for(env_params_for(config))
+    if config.opponent == "self":
+        return SelfPlayDriver(rng, quiz_cfg)
+    population = qb.make_population(
+        config.opponent, np.random.default_rng([seed, _STREAM_POPULATION]),
+        size=config.opponent_pool,
+    )
+    return QuizDriver(rng, quiz_cfg, population, config.multitask)
+
+
+def _q_values(agent: Agent, obs: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    phi_s, phi_o = obs
+    return agent.q_values(phi_s, phi_o if agent.spec.kind != "dqn" else None)
 
 
 # -- evaluation ---------------------------------------------------------------
 
 
-def _greedy(agent: Agent, phi_s: np.ndarray, phi_o: np.ndarray) -> int:
-    q = agent.q_values(phi_s, phi_o if agent.spec.kind != "dqn" else None)
-    return int(np.argmax(q))
+def _greedy(agent: Agent, obs: Tuple[np.ndarray, np.ndarray]) -> int:
+    return int(np.argmax(_q_values(agent, obs)))
 
 
 def evaluate_soccer(agent: Agent, opponent: str, n_games: int, seed: int,
                     render: bool = False) -> MetricsSummary:
-    cfg = soccer.DEFAULT_CONFIG
     rewards = []
-    wins = ties = 0
     for game in range(n_games):
-        rng = np.random.default_rng([seed, game])
-        state, mode = soccer.reset(cfg, rng, opponent)
-        stats = soccer.OpponentStats()
-        while True:
-            phi_s = soccer.featurize_state(state, cfg, "A")
-            phi_o = soccer.opponent_features(stats)
-            action = _greedy(agent, phi_s, phi_o)
-            action_b = soccer.rule_agent_act(state, mode, rng, cfg, "B")
-            category = soccer.classify_move(state, action_b, cfg, "B")
-            state, reward, done, events = soccer.step(state, action, action_b, cfg)
-            stats.observe(category, action_b, lost_ball=events.ball_taken_by == "B")
+        driver = SoccerDriver(np.random.default_rng([seed, game]), opponent)
+        done = False
+        while not done:
+            reward, done, _ = driver.step(_greedy(agent, driver.obs))
             if render:
-                print(soccer.render(state, cfg))
+                print(soccer.render(driver.state, driver.cfg))
                 print()
-            if done:
-                rewards.append(reward)
-                wins += reward > 0
-                ties += reward == 0
-                break
+        rewards.append(reward)
     n = len(rewards)
+    wins = sum(r > 0 for r in rewards)
+    ties = sum(r == 0 for r in rewards)
     return MetricsSummary(
         mean_reward=float(np.mean(rewards)), games=n,
         win_rate=wins / n, tie_rate=ties / n, loss_rate=(n - wins - ties) / n,
@@ -290,37 +289,25 @@ def evaluate_quiz(agent: Agent, opponent: str, n_games: int, seed: int,
     rewards = []
     rushes = misses = wins = losses = 0
     for game in range(n_games):
-        rng = np.random.default_rng([seed, game])
-        state, profile = qb.sample_episode(quiz_cfg, population, rng)
-        phi_o = qb.opponent_features(profile)
+        driver = QuizDriver(np.random.default_rng([seed, game]), quiz_cfg, population)
         trace = qb.EpisodeTrace()
-        agent_buzz_t = None
-        opponent_won = False
-        while True:
-            action = _greedy(agent, qb.featurize(state), phi_o)
-            trace.steps.append(qb.StepRecord(
+        agent_buzz_t = -1
+        opponent_won = done = False
+        while not done:
+            state = driver.state
+            action = _greedy(agent, driver.obs)
+            record = qb.StepRecord(
                 t=state.t, belief_was_correct=qb.belief_correct(state),
                 agent_action=action, agent_had_buzzed=state.agent_locked,
-            ))
-            was_opp_locked = state.opponent_locked
-            next_state, reward, done, outcome = qb.step(state, action, quiz_cfg, rng)
+            )
+            trace.steps.append(record)
+            reward, done, info = driver.step(action)
             trace.total_reward += reward
-            if outcome is not None and outcome.who == "agent":
+            opponent_won = opponent_won or info.opponent_won
+            if action == qb.BUZZ and not state.agent_locked and not info.opponent_won:
                 trace.agent_buzzed = True
-                trace.agent_buzz_correct = outcome.correct
-                agent_buzz_t = outcome.step
-            buzzed_wrong = next_state.opponent_locked and not was_opp_locked
-            buzzed_right = (outcome is not None and outcome.who == "opponent"
-                            and outcome.correct)
-            opponent_won = opponent_won or buzzed_right
-            if buzzed_wrong or buzzed_right:
-                profile.record_buzz(
-                    state.opponent_buzz_pos / state.length, wrong=buzzed_wrong
-                )
-                phi_o = qb.opponent_features(profile)
-            state = next_state
-            if done:
-                break
+                trace.agent_buzz_correct = record.belief_was_correct
+                agent_buzz_t = state.t
         trace.completed = True
         reward, rush, miss = qb.score_episode(trace)
         rewards.append(reward)
@@ -331,10 +318,10 @@ def evaluate_quiz(agent: Agent, opponent: str, n_games: int, seed: int,
         if trace_rows is not None:
             trace_rows.append({
                 "game": game,
-                "length": state.length,
-                "opponent_mean_buzz_frac": profile.mean_buzz_frac,
-                "opponent_buzz_pos": state.opponent_buzz_pos,
-                "agent_buzz_pos": -1 if agent_buzz_t is None else agent_buzz_t,
+                "length": driver.state.length,
+                "opponent_mean_buzz_frac": driver.profile.mean_buzz_frac,
+                "opponent_buzz_pos": driver.state.opponent_buzz_pos,
+                "agent_buzz_pos": agent_buzz_t,
                 "agent_buzz_correct": int(trace.agent_buzz_correct),
                 "reward": reward,
             })
@@ -354,16 +341,8 @@ def evaluate(checkpoint: Checkpoint, opponent: str, n_games: int, seed: int,
     agent = checkpoint.build_agent()
     if checkpoint.environment == "soccer":
         return evaluate_soccer(agent, opponent, n_games, seed, render=render)
-    env = checkpoint.env_params
-    quiz_cfg = qb.QuizConfig(
-        vocab=int(env.get("vocab", 50)),
-        min_length=int(env.get("question_min", 60)),
-        max_length=int(env.get("question_max", 120)),
-        alpha=float(env.get("belief_alpha", 8.0)),
-        kappa=float(env.get("belief_kappa", 1.0)),
-    )
-    return evaluate_quiz(agent, opponent, n_games, seed, quiz_cfg,
-                         trace_rows=trace_rows)
+    return evaluate_quiz(agent, opponent, n_games, seed,
+                         quiz_config_for(checkpoint.env_params), trace_rows=trace_rows)
 
 
 def _evaluate_during_training(agent: Agent, config: ExperimentConfig,
@@ -374,7 +353,8 @@ def _evaluate_during_training(agent: Agent, config: ExperimentConfig,
     if config.environment == "soccer":
         return evaluate_soccer(agent, opponent, config.eval_games, eval_seed)
     return evaluate_quiz(agent, opponent, config.eval_games, eval_seed,
-                         quiz_config_for(config), pool_size=config.opponent_pool)
+                         quiz_config_for(env_params_for(config)),
+                         pool_size=config.opponent_pool)
 
 
 # -- training -----------------------------------------------------------------
@@ -383,16 +363,6 @@ def _evaluate_during_training(agent: Agent, config: ExperimentConfig,
 def csv_row(epoch: int, m: MetricsSummary) -> str:
     return (f"{epoch},{m.mean_reward:.6f},{m.rush_rate:.6f},{m.miss_rate:.6f},"
             f"{m.win_rate:.6f},{m.tie_rate:.6f}")
-
-
-def env_params_for(config: ExperimentConfig) -> dict:
-    if config.environment != "quizbowl":
-        return {}
-    return {
-        "vocab": config.vocab, "question_min": config.question_min,
-        "question_max": config.question_max, "belief_alpha": config.belief_alpha,
-        "belief_kappa": config.belief_kappa,
-    }
 
 
 def train_run(config: ExperimentConfig, seed: int,
@@ -423,12 +393,18 @@ def train_run(config: ExperimentConfig, seed: int,
 
     for epoch in range(1, config.epochs + 1):
         for _ in range(config.steps_per_epoch):
-            phi_s, phi_o = driver.observe()
+            phi_s, phi_o = driver.obs
             eps = rl.epsilon_at(schedule, global_step)
-            q = agent.q_values(phi_s, phi_o if agent.spec.kind != "dqn" else None)
-            action = rl.act_epsilon_greedy(q, eps, explore_rng)
-            transition, _, _ = driver.step(action)
-            replay.push(transition)
+            action = rl.act_epsilon_greedy(_q_values(agent, driver.obs), eps, explore_rng)
+            reward, done, info = driver.step(action)
+            next_s, next_o = driver.obs
+            replay.push(rl.Transition(
+                state=phi_s, opponent=phi_o, action=action, reward=reward,
+                next_state=next_s, next_opponent=next_o,
+                terminal=done or not driver.bootstrap, supervision=info.supervision,
+            ))
+            if done:
+                driver.reset()
             global_step += 1
             if len(replay) >= config.replay_min:
                 batch = replay.sample(config.batch_size, replay_rng)
