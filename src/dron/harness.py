@@ -301,13 +301,16 @@ def evaluate_quiz(agent: Agent, opponent: str, n_games: int, seed: int,
                 agent_action=action, agent_had_buzzed=state.agent_locked,
             )
             trace.steps.append(record)
-            reward, done, info = driver.step(action)
-            trace.total_reward += reward
-            opponent_won = opponent_won or info.opponent_won
-            if action == qb.BUZZ and not state.agent_locked and not info.opponent_won:
+            if action == qb.BUZZ and not state.agent_locked:
+                # counted here, not from qb.step's outcome: when the opponent
+                # answers correctly on the same word, that outcome is the
+                # opponent's
                 trace.agent_buzzed = True
                 trace.agent_buzz_correct = record.belief_was_correct
                 agent_buzz_t = state.t
+            reward, done, info = driver.step(action)
+            trace.total_reward += reward
+            opponent_won = opponent_won or info.opponent_won
         trace.completed = True
         reward, rush, miss = qb.score_episode(trace)
         rewards.append(reward)

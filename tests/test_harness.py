@@ -1,9 +1,11 @@
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from dron import harness
+from dron import quizbowl as qb
 from dron.agents import Agent, soccer_agent_spec
 from dron.checkpoint import Checkpoint, load_checkpoint
 from dron.config import parse_config
@@ -117,6 +119,31 @@ class TestEvaluate:
         summary = evaluate(ckpt, "mixed", 60, seed=2)
         total = summary.win_rate + summary.tie_rate + summary.loss_rate
         assert total == pytest.approx(1.0)
+
+
+class BuzzAt:
+    """Scripted quiz agent: waits until more than a share of the question is
+    read, then buzzes."""
+
+    spec = SimpleNamespace(kind="dqn")
+
+    def __init__(self, fraction):
+        self.fraction = fraction
+
+    def q_values(self, phi_s, phi_o=None):
+        read = phi_s[-2]  # featurize: ..., t / length, agent locked
+        return np.array([0.0, 1.0]) if read > self.fraction else np.array([1.0, 0.0])
+
+
+class TestEvaluateQuiz:
+    def test_rush_counts_every_wrong_buzz(self):
+        # A wrong buzz scores -5, or -15 when the opponent also answers
+        # correctly, on the same word or later. Each such game is a rush.
+        rows = []
+        summary = harness.evaluate_quiz(BuzzAt(0.3), "mixed", 1000, 0,
+                                        qb.DEFAULT_QUIZ_CONFIG, trace_rows=rows)
+        wrong = sum(row["reward"] in (-5.0, -15.0) for row in rows)
+        assert summary.rush_rate == wrong / len(rows)
 
 
 class TestSweep:
