@@ -12,7 +12,7 @@ Component parameter names are stable (``state_tower.0.weight``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -84,17 +84,6 @@ class AgentSpec:
     @property
     def hs_size(self) -> int:
         return self.state_hidden[-1]
-
-
-@dataclass
-class TrainForward:
-    """Everything produced by one training-time forward pass."""
-
-    q: np.ndarray  # (B, A)
-    gate: Optional[np.ndarray]  # (B, K) for dron_moe
-    supervision: Optional[np.ndarray]  # head output, (B, C) or (B, 1)
-    expert_q: Optional[List[np.ndarray]]
-    caches: Dict[str, nn.ForwardCache]
 
 
 class Agent:

@@ -10,8 +10,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .checkpoint import load_checkpoint
 from .config import load_config

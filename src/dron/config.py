@@ -8,7 +8,7 @@ the offending line number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 from .errors import ConfigurationError
@@ -62,6 +62,13 @@ class ExperimentConfig:
             raise ConfigurationError(f"gamma must lie in [0, 1], got {self.gamma}")
         if not self.seeds:
             raise ConfigurationError("at least one seed is required")
+        if self.learning_rate <= 0.0:
+            raise ConfigurationError(
+                f"learning_rate must be positive, got {self.learning_rate}")
+        if self.replay_min > self.replay_capacity:
+            raise ConfigurationError(
+                f"replay_min ({self.replay_min}) exceeds replay_capacity "
+                f"({self.replay_capacity}), so no update would ever run")
         if not (self.epsilon_start >= self.epsilon_end >= 0.0):
             raise ConfigurationError("epsilon_start must be >= epsilon_end >= 0")
         if self.epochs < 1 or self.steps_per_epoch < 1 or self.eval_games < 1:

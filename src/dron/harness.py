@@ -1,16 +1,12 @@
 """Experiment driver: training epochs, periodic greedy evaluation, metric
 aggregation, checkpoints, and CSV emission.
 
-One driver per environment plays the episodes of both training and greedy
-evaluation: `SoccerDriver` against the rule-based opponent, `QuizDriver`
-against an opponent pool, and `SelfPlayDriver` for opponent-free quiz bowl.
-A driver holds the game state, the opponent history and the current
-observation `obs` (state features, opponent features). `step(action)` plays
-one move and returns `(reward, done, info)`. A driver never starts the next
-episode by itself: its owner calls `reset()`, so an evaluation game draws
-nothing from its random stream after the game ends. `train_run` builds each
-replay transition from `obs` before and after a step; the evaluators build
-one driver per game and step it greedily.
+Training and greedy evaluation play their episodes through one driver per
+environment (`SoccerDriver`, `QuizDriver`, `SelfPlayDriver`). A driver holds
+the game state, the opponent history and the current observation `obs`;
+`step(action)` plays one move and returns `(reward, done, info)`. A driver
+never starts the next episode by itself: its owner calls `reset()`, so an
+evaluation game draws nothing from its random stream after the game ends.
 
 Determinism contract: (config, seed) fully determine every CSV byte and
 checkpoint parameter. All random streams derive from the run seed via named
@@ -21,7 +17,7 @@ game index) so results do not depend on scheduling.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -253,10 +249,6 @@ def _q_values(agent: Agent, obs: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
 # -- evaluation ---------------------------------------------------------------
 
 
-def _greedy(agent: Agent, obs: Tuple[np.ndarray, np.ndarray]) -> int:
-    return int(np.argmax(_q_values(agent, obs)))
-
-
 def evaluate_soccer(agent: Agent, opponent: str, n_games: int, seed: int,
                     render: bool = False) -> MetricsSummary:
     rewards = []
@@ -264,7 +256,7 @@ def evaluate_soccer(agent: Agent, opponent: str, n_games: int, seed: int,
         driver = SoccerDriver(np.random.default_rng([seed, game]), opponent)
         done = False
         while not done:
-            reward, done, _ = driver.step(_greedy(agent, driver.obs))
+            reward, done, _ = driver.step(int(np.argmax(_q_values(agent, driver.obs))))
             if render:
                 print(soccer.render(driver.state, driver.cfg))
                 print()
@@ -295,16 +287,15 @@ def evaluate_quiz(agent: Agent, opponent: str, n_games: int, seed: int,
         opponent_won = done = False
         while not done:
             state = driver.state
-            action = _greedy(agent, driver.obs)
+            action = int(np.argmax(_q_values(agent, driver.obs)))
             record = qb.StepRecord(
                 t=state.t, belief_was_correct=qb.belief_correct(state),
                 agent_action=action, agent_had_buzzed=state.agent_locked,
             )
             trace.steps.append(record)
             if action == qb.BUZZ and not state.agent_locked:
-                # counted here, not from qb.step's outcome: when the opponent
-                # answers correctly on the same word, that outcome is the
-                # opponent's
+                # not taken from qb.step's outcome, which is the opponent's
+                # when it answers correctly on the same word
                 trace.agent_buzzed = True
                 trace.agent_buzz_correct = record.belief_was_correct
                 agent_buzz_t = state.t
@@ -474,13 +465,11 @@ def sweep_experts(config: ExperimentConfig, k_values: Sequence[int],
     confidence intervals over seed means."""
     if not k_values:
         raise UsageError("at least one expert count is required")
-    from dataclasses import replace as dc_replace
-
     points = []
     out = output_dir if output_dir is not None else config.output_dir
     os.makedirs(out, exist_ok=True)
     for k in k_values:
-        cfg_k = dc_replace(config, agent="dron_moe", experts=int(k))
+        cfg_k = replace(config, agent="dron_moe", experts=int(k))
         seed_means = []
         for seed in cfg_k.seeds:
             hook = None

@@ -10,7 +10,7 @@ Weight gradients returned for a batch are sums over the batch rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 

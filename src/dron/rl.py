@@ -3,14 +3,13 @@ TD-target computation, and the AdaGrad update step shared by all agents."""
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import List, Optional, Union
 
 import numpy as np
 
 from . import nn
-from .agents import Agent
+from .agents import Agent, combined_loss
 from .errors import ConfigurationError, TrainingError, UsageError
 from .nn import ParamSet
 
@@ -179,7 +178,7 @@ def td_update(
             sup_loss += loss_b / n
             dsup[b] = lam * grad_b / n
 
-    loss = q_loss + lam * sup_loss
+    loss = combined_loss(q_loss, sup_loss, lam)
     if not np.isfinite(loss):
         raise TrainingError(f"non-finite training loss {loss}")
 

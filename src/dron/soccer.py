@@ -13,6 +13,7 @@ hundred scoreless steps is a 0-0 tie.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -60,7 +61,7 @@ class SoccerConfig:
         mid = self.height // 2
         return (mid - 1, mid)
 
-    @property
+    @cached_property  # playable() asks for it several times per step
     def shaded(self) -> frozenset:
         rows = set(self._goal_rows())
         cells = set()

@@ -41,6 +41,17 @@ class TestValues:
         with pytest.raises(ConfigurationError, match="batch_size"):
             parse_config("batch_size=lots")
 
+    def test_learning_rate_must_be_positive(self):
+        # a negative rate would train by gradient ascent
+        for raw in ("-1", "0"):
+            with pytest.raises(ConfigurationError, match="learning_rate"):
+                parse_config(f"learning_rate={raw}")
+
+    def test_replay_min_within_capacity(self):
+        with pytest.raises(ConfigurationError, match="replay_min"):
+            parse_config("replay_capacity=100\nreplay_min=101")
+        assert parse_config("replay_capacity=100\nreplay_min=100").replay_min == 100
+
     def test_seed_list(self):
         assert parse_config("seeds=3, 5, 8").seeds == (3, 5, 8)
 
