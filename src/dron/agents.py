@@ -92,8 +92,21 @@ class Agent:
     def __init__(self, spec: AgentSpec, params: Optional[ParamSet] = None, seed: int = 0):
         self.spec = spec
         self._specs = _component_specs(spec)
-        self.params: ParamSet = params if params is not None else self._init(seed)
-        self._check_shapes()
+        self._layout = tuple(
+            entry for name, mlp in self._specs.items()
+            for entry in nn.mlp_layout(mlp, f"{name}.")
+        )
+        self.params = params if params is not None else self._init(seed)
+
+    @property
+    def params(self) -> nn.FlatParams:
+        """All parameters as views into one flat vector, in component order."""
+        return self._params
+
+    @params.setter
+    def params(self, params: ParamSet) -> None:
+        # copies, so the agent never shares arrays with the caller's dict
+        self._params = nn.FlatParams.of(params, self._layout)
 
     def _init(self, seed: int) -> ParamSet:
         params: ParamSet = {}
@@ -103,20 +116,6 @@ class Agent:
             rng = np.random.default_rng([seed, stream])
             params.update(nn.init_params(spec, rng, prefix=f"{name}."))
         return params
-
-    def _check_shapes(self) -> None:
-        expected = set()
-        for name, spec in self._specs.items():
-            for i in range(spec.layer_count):
-                expected.add(f"{name}.{i}.weight")
-                expected.add(f"{name}.{i}.bias")
-        if expected != set(self.params):
-            missing = expected - set(self.params)
-            extra = set(self.params) - expected
-            raise ConfigurationError(
-                f"parameter names do not match spec (missing {sorted(missing)}, "
-                f"extra {sorted(extra)})"
-            )
 
     # -- inference ---------------------------------------------------------
 
@@ -174,20 +173,21 @@ class Agent:
         fwd: "_Forward",
         dq: np.ndarray,
         dsupervision: Optional[np.ndarray] = None,
-    ) -> ParamSet:
+    ) -> nn.FlatParams:
         """Route gradients w.r.t. the Q output (and optionally the
-        supervision-head output) back to every parameter."""
+        supervision-head output) back to every parameter; the result is laid
+        out like ``params``."""
         p = fwd.params
         spec = self.spec
-        grads: ParamSet = {}
+        grads = nn.FlatParams(self._layout)  # a head that gets no gradient keeps zeros
         if spec.kind == "dqn":
-            g, _ = nn.mlp_backward(self._specs["q_net"], p, fwd.caches["q_net"], dq, "q_net.")
-            grads.update(g)
+            nn.mlp_backward(self._specs["q_net"], p, fwd.caches["q_net"], dq, "q_net.",
+                            out=grads, input_grad=False)
             return grads
 
         if spec.kind == "dron_concat":
-            g, dx = nn.mlp_backward(self._specs["q_head"], p, fwd.caches["q_head"], dq, "q_head.")
-            grads.update(g)
+            _, dx = nn.mlp_backward(self._specs["q_head"], p, fwd.caches["q_head"], dq,
+                                    "q_head.", out=grads)
             dhs = dx[..., : spec.hs_size]
             dho = dx[..., spec.hs_size :]
         else:  # dron_moe
@@ -195,43 +195,30 @@ class Agent:
             dw = np.empty_like(fwd.gate)
             for i in range(spec.experts):
                 expert_dq = fwd.gate[:, i : i + 1] * dq
-                g, dx = nn.mlp_backward(
+                _, dx = nn.mlp_backward(
                     self._specs[f"expert.{i}"], p, fwd.caches[f"expert.{i}"],
-                    expert_dq, f"expert.{i}.",
+                    expert_dq, f"expert.{i}.", out=grads,
                 )
-                grads.update(g)
                 dhs += dx
                 dw[:, i] = (fwd.expert_q[i] * dq).sum(axis=1)
             dgate_pre = nn.softmax_grad(fwd.gate, dw)
-            g, dho = nn.mlp_backward(
-                self._specs["gate"], p, fwd.caches["gate"], dgate_pre, "gate."
+            _, dho = nn.mlp_backward(
+                self._specs["gate"], p, fwd.caches["gate"], dgate_pre, "gate.", out=grads
             )
-            grads.update(g)
 
         if dsupervision is not None:
             if spec.multitask == "none":
                 raise UsageError("supervision gradient given but agent has no head")
-            g, dho_head = nn.mlp_backward(
+            _, dho_head = nn.mlp_backward(
                 self._specs["opponent_head"], p, fwd.caches["opponent_head"],
-                dsupervision, "opponent_head.",
+                dsupervision, "opponent_head.", out=grads,
             )
-            grads.update(g)
             dho = dho + dho_head
-        elif spec.multitask != "none":
-            # head exists but receives no gradient this step
-            head_spec = self._specs["opponent_head"]
-            for i in range(head_spec.layer_count):
-                grads[f"opponent_head.{i}.weight"] = np.zeros_like(p[f"opponent_head.{i}.weight"])
-                grads[f"opponent_head.{i}.bias"] = np.zeros_like(p[f"opponent_head.{i}.bias"])
 
-        g, _ = nn.mlp_backward(
-            self._specs["opponent_tower"], p, fwd.caches["opponent_tower"], dho, "opponent_tower."
-        )
-        grads.update(g)
-        g, _ = nn.mlp_backward(
-            self._specs["state_tower"], p, fwd.caches["state_tower"], dhs, "state_tower."
-        )
-        grads.update(g)
+        nn.mlp_backward(self._specs["opponent_tower"], p, fwd.caches["opponent_tower"], dho,
+                        "opponent_tower.", out=grads, input_grad=False)
+        nn.mlp_backward(self._specs["state_tower"], p, fwd.caches["state_tower"], dhs,
+                        "state_tower.", out=grads, input_grad=False)
         return grads
 
     # -- internals ----------------------------------------------------------

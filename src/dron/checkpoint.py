@@ -35,7 +35,7 @@ class Checkpoint:
             self.env_params = {}
 
     def build_agent(self) -> Agent:
-        return Agent(self.agent_spec, params={k: v.copy() for k, v in self.params.items()})
+        return Agent(self.agent_spec, params=self.params)
 
 
 def rng_state_of(rng: np.random.Generator) -> Tuple[int, int]:

@@ -5,18 +5,27 @@ dict mapping names like ``"state_tower.0.weight"`` to arrays; an MLP owns the
 names ``"{prefix}{i}.weight"`` / ``"{prefix}{i}.bias"`` for each of its layers.
 Forward/backward accept a single input vector ``(in,)`` or a batch ``(B, in)``.
 Weight gradients returned for a batch are sums over the batch rows.
+
+Flat-parameter rule: a model's parameters, its gradients and its AdaGrad
+accumulators are each a ``FlatParams``, a dict whose arrays are views into one
+contiguous vector ``flat``, all three laid out alike (same names, order and
+shapes). AdaGrad then clips, checks and updates the whole model as one
+vector. Writing ``params[name] = value`` copies into the view, so the views
+stay bound; an agent's ``params`` setter copies a plain dict into its layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple, Union
+from dataclasses import dataclass
+from math import prod
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import ConfigurationError, TrainingError, UsageError
 
 ParamSet = Dict[str, np.ndarray]
+Layout = Tuple[Tuple[str, Tuple[int, ...]], ...]  # (name, shape) in vector order
 
 EPS_NUM = 1e-8  # stabilizer for AdaGrad and log() in cross-entropy
 
@@ -63,6 +72,64 @@ def _as_batch(x: np.ndarray) -> Tuple[np.ndarray, bool]:
     if x.ndim == 2:
         return x, False
     raise ConfigurationError(f"expected a vector or a batch of vectors, got shape {x.shape}")
+
+
+def layout_of(arrays: Mapping[str, np.ndarray]) -> Layout:
+    return tuple((name, np.shape(value)) for name, value in arrays.items())
+
+
+class FlatParams(dict):
+    """Name -> array views into one contiguous float64 vector ``flat``, laid
+    out in ``layout`` order; ``flat`` starts at zero unless given. Assigning
+    a name copies into its view."""
+
+    def __init__(self, layout: Layout, flat: Optional[np.ndarray] = None):
+        super().__init__()
+        self.layout = layout
+        self.flat = np.zeros(sum(prod(shape) for _, shape in layout)) if flat is None else flat
+        offset = 0
+        for name, shape in layout:
+            n = prod(shape)
+            dict.__setitem__(self, name, self.flat[offset:offset + n].reshape(shape))
+            offset += n
+
+    @classmethod
+    def of(cls, arrays: Mapping[str, np.ndarray], layout: Optional[Layout] = None) -> "FlatParams":
+        """Copy ``arrays`` into a new flat set laid out as ``layout`` (by
+        default the arrays' own order and shapes)."""
+        if layout is None:
+            layout = layout_of(arrays)
+        names = [name for name, _ in layout]
+        if set(names) != set(arrays):
+            missing = set(names) - set(arrays)
+            extra = set(arrays) - set(names)
+            raise ConfigurationError(
+                f"parameter names do not match spec (missing {sorted(missing)}, "
+                f"extra {sorted(extra)})"
+            )
+        out = cls(layout)
+        for name in names:
+            out[name] = arrays[name]
+        return out
+
+    def __setitem__(self, name: str, value: np.ndarray) -> None:
+        view = self[name]
+        if np.shape(value) != view.shape:
+            raise ConfigurationError(
+                f"parameter {name!r} has shape {np.shape(value)}, expected {view.shape}"
+            )
+        view[...] = value
+
+    def copy(self) -> "FlatParams":
+        return FlatParams(self.layout, self.flat.copy())
+
+    def name_at(self, index: int) -> str:
+        """The parameter that holds element ``index`` of ``flat``."""
+        for name, view in self.items():
+            if index < view.size:
+                return name
+            index -= view.size
+        raise IndexError(index)
 
 
 def init_params(spec: MLPSpec, seed: Union[int, np.random.Generator], prefix: str = "") -> ParamSet:
@@ -120,11 +187,15 @@ def mlp_backward(
     cache: ForwardCache,
     output_gradient: np.ndarray,
     prefix: str = "",
-) -> Tuple[ParamSet, np.ndarray]:
+    out: Optional[FlatParams] = None,
+    input_grad: bool = True,
+) -> Tuple[ParamSet, Optional[np.ndarray]]:
     """Backpropagate d(loss)/d(output) through the cached forward pass.
 
     Returns (parameter gradients, gradient w.r.t. the input). Weight
-    gradients are summed over batch rows.
+    gradients are summed over batch rows and written into ``out`` when given
+    (a model-wide gradient set holding this MLP's names), else into a new
+    set. With ``input_grad=False`` the input gradient is skipped and None.
     """
     if len(cache.inputs) != spec.layer_count:
         raise ConfigurationError("cache does not match spec (layer count differs)")
@@ -134,7 +205,7 @@ def mlp_backward(
             f"output_gradient shape {dy.shape} does not match forward output "
             f"{cache.outputs[-1].shape}"
         )
-    grads: ParamSet = {}
+    grads = out if out is not None else FlatParams(mlp_layout(spec, prefix))
     last = spec.layer_count - 1
     for i in range(last, -1, -1):
         a = cache.outputs[i]
@@ -146,11 +217,21 @@ def mlp_backward(
             dz = dy * a * (1.0 - a)
         else:
             dz = dy
-        x_in = cache.inputs[i]
-        grads[f"{prefix}{i}.weight"] = x_in.T @ dz
-        grads[f"{prefix}{i}.bias"] = dz.sum(axis=0)
+        np.matmul(cache.inputs[i].T, dz, out=grads[f"{prefix}{i}.weight"])
+        np.sum(dz, axis=0, out=grads[f"{prefix}{i}.bias"])
+        if i == 0 and not input_grad:
+            return grads, None
         dy = dz @ params[f"{prefix}{i}.weight"].T
     return grads, (dy[0] if cache.squeeze else dy)
+
+
+def mlp_layout(spec: MLPSpec, prefix: str = "") -> Layout:
+    """Names and shapes of an MLP's parameters, layer by layer."""
+    layout = []
+    for i in range(spec.layer_count):
+        layout.append((f"{prefix}{i}.weight", (spec.sizes[i], spec.sizes[i + 1])))
+        layout.append((f"{prefix}{i}.bias", (spec.sizes[i + 1],)))
+    return tuple(layout)
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -209,28 +290,88 @@ def loss_and_grad(
     raise UsageError(f"unknown loss kind {kind!r}")
 
 
+def loss_and_grad_rows(
+    kind: str, predictions: np.ndarray, targets: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``loss_and_grad`` for each row of a batch with scalar targets
+    (``mean_squared`` on one output, or ``cross_entropy`` with class
+    indices): the per-row losses and the gradient w.r.t. every prediction
+    row. The gradient uses the same elementwise expressions, so it equals
+    the per-row results bit for bit."""
+    P = np.asarray(predictions, dtype=np.float64)
+    t = np.asarray(targets, dtype=np.float64)
+    width = P.shape[1]
+    if kind == "mean_squared":
+        if width != 1:
+            raise UsageError(f"prediction/target length mismatch: ({width},) vs (1,)")
+        diff = P - t[:, None]
+        return diff[:, 0] * diff[:, 0] / width, 2.0 * diff / width
+    if kind == "cross_entropy":
+        if np.any(P < 0.0) or np.any(np.abs(P.sum(axis=1) - 1.0) > 1e-6):
+            raise UsageError("cross_entropy expects a normalized probability vector")
+        idx = t.astype(np.intp)
+        bad = (idx < 0) | (idx >= width)
+        if bad.any():
+            raise UsageError(
+                f"class index {idx[bad][0]} out of range for {width} classes")
+        rows = np.arange(P.shape[0])
+        onehot = np.zeros_like(P)
+        onehot[rows, idx] = 1.0
+        denom = P + EPS_NUM
+        return -np.log(denom[rows, idx]), -onehot / denom
+    raise UsageError(f"unknown loss kind {kind!r}")
+
+
 @dataclass
 class AdaGradState:
-    """Per-parameter accumulator of squared gradients."""
+    """Squared-gradient accumulators, laid out like the parameters they serve."""
 
     learning_rate: float
-    accumulators: ParamSet = field(default_factory=dict)
+    accumulators: FlatParams
     eps: float = EPS_NUM
+
+    def __post_init__(self) -> None:
+        # two work vectors, so a step allocates nothing parameter-sized
+        self._work = np.empty((2, self.accumulators.flat.size))
 
     @classmethod
     def for_params(cls, params: ParamSet, learning_rate: float) -> "AdaGradState":
-        acc = {name: np.zeros_like(value) for name, value in params.items()}
-        return cls(learning_rate=learning_rate, accumulators=acc)
+        layout = params.layout if isinstance(params, FlatParams) else layout_of(params)
+        return cls(learning_rate=learning_rate, accumulators=FlatParams(layout))
 
 
-def adagrad_update(params: ParamSet, grads: ParamSet, state: AdaGradState) -> None:
-    """One AdaGrad step, in place: acc += g^2; p -= lr * g / (sqrt(acc) + eps)."""
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient for parameter {name!r}")
-        acc = state.accumulators.get(name)
-        if acc is None:
-            acc = np.zeros_like(g)
-            state.accumulators[name] = acc
-        acc += g * g
-        params[name] -= state.learning_rate * g / (np.sqrt(acc) + state.eps)
+def adagrad_update(params: ParamSet, grads: ParamSet, state: AdaGradState,
+                   clip: Optional[float] = None) -> None:
+    """One AdaGrad step over the whole parameter vector, in place: optional
+    per-coordinate clip of g to +-clip, then acc += g^2 and
+    p -= lr * g / (sqrt(acc) + eps).
+
+    ``params`` and ``grads`` are best ``FlatParams`` in the accumulators'
+    layout (an agent's are); a plain dict is copied into that layout first,
+    and a plain ``params`` dict has its names rebound to the updated arrays.
+    """
+    layout = state.accumulators.layout
+    p = params if _laid_out(params, layout) else FlatParams.of(params, layout)
+    g = (grads if _laid_out(grads, layout) else FlatParams.of(grads, layout)).flat
+    if clip is not None:
+        np.clip(g, -clip, clip, out=g)
+    finite = np.isfinite(g)
+    if not finite.all():
+        name = p.name_at(int(np.argmin(finite)))
+        raise TrainingError(f"non-finite gradient for parameter {name!r}")
+    acc = state.accumulators.flat
+    denom, step = state._work
+    np.multiply(g, g, out=denom)
+    acc += denom
+    np.sqrt(acc, out=denom)
+    denom += state.eps
+    np.multiply(state.learning_rate, g, out=step)
+    step /= denom
+    p.flat -= step
+    if p is not params:
+        params.update(p)
+
+
+def _laid_out(params: ParamSet, layout: Layout) -> bool:
+    return isinstance(params, FlatParams) and (
+        params.layout is layout or params.layout == layout)

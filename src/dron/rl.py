@@ -1,10 +1,19 @@
 """Generic Q-learning machinery: replay memory, exploration schedule,
-TD-target computation, and the AdaGrad update step shared by all agents."""
+TD-target computation, and the AdaGrad update step shared by all agents.
+
+Replay is one float64 ring matrix with a row per transition, laid out as
+``state | opponent | next_state | next_opponent | action | reward | terminal
+| has_supervision | supervision`` (the last five one column each). It is
+allocated uninitialised at the first push, when the widths are known, so
+rows are only touched as they fill. A sample is one gather of rows, returned
+as a ``Batch`` whose fields are column views; ``q_targets`` and ``td_update``
+run over those stacked columns, stacking a plain list of ``Transition``s once.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,6 +37,73 @@ class Transition:
     supervision: Optional[Union[int, float]] = None
 
 
+_SCALARS = 5  # action, reward, terminal, has_supervision, supervision
+
+
+def _empty_rows(count: int, state_dim: int, opponent_dim: int) -> np.ndarray:
+    return np.empty((count, 2 * (state_dim + opponent_dim) + _SCALARS))
+
+
+def _write_row(row: np.ndarray, t: Transition, state_dim: int, opponent_dim: int) -> None:
+    if (t.state.shape != (state_dim,) or t.next_state.shape != (state_dim,)
+            or t.opponent.shape != (opponent_dim,) or t.next_opponent.shape != (opponent_dim,)):
+        raise UsageError(
+            f"transition widths differ from the replay layout "
+            f"(state {state_dim}, opponent {opponent_dim})"
+        )
+    has = t.supervision is not None
+    np.concatenate((t.state, t.opponent, t.next_state, t.next_opponent,
+                    (t.action, t.reward, t.terminal, has, t.supervision if has else 0.0)),
+                   out=row)
+
+
+class Batch:
+    """Transitions stacked as rows of the replay layout. The fields are
+    column views of ``rows`` (``action`` as ints, ``terminal`` and
+    ``has_supervision`` as bools); indexing and iteration give ``Transition``s,
+    whose supervision comes back as a float."""
+
+    def __init__(self, rows: np.ndarray, state_dim: int, opponent_dim: int):
+        ds, do = state_dim, opponent_dim
+        self.rows = rows
+        self.state_dim, self.opponent_dim = ds, do
+        self.state = rows[:, :ds]
+        self.opponent = rows[:, ds : ds + do]
+        self.next_state = rows[:, ds + do : 2 * ds + do]
+        self.next_opponent = rows[:, 2 * ds + do : 2 * (ds + do)]
+        scalars = rows[:, 2 * (ds + do) :]
+        self.action = scalars[:, 0].astype(np.intp)
+        self.reward = scalars[:, 1]
+        self.terminal = scalars[:, 2] != 0.0
+        self.has_supervision = scalars[:, 3] != 0.0
+        self.supervision = scalars[:, 4]
+
+    @classmethod
+    def of(cls, transitions: Union["Batch", Sequence[Transition]]) -> "Batch":
+        """Stack a non-empty sequence of transitions; a Batch is returned as is."""
+        if isinstance(transitions, Batch):
+            return transitions
+        ds, do = np.size(transitions[0].state), np.size(transitions[0].opponent)
+        rows = _empty_rows(len(transitions), ds, do)
+        for row, t in zip(rows, transitions):
+            _write_row(row, t, ds, do)
+        return cls(rows, ds, do)
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+    def __getitem__(self, i: int) -> Transition:
+        row = self.rows[i]
+        ds, do = self.state_dim, self.opponent_dim
+        action, reward, terminal, has, supervision = row[2 * (ds + do) :]
+        return Transition(
+            state=row[:ds], opponent=row[ds : ds + do], action=int(action),
+            reward=float(reward), next_state=row[ds + do : 2 * ds + do],
+            next_opponent=row[2 * ds + do : 2 * (ds + do)], terminal=bool(terminal),
+            supervision=float(supervision) if has else None,
+        )
+
+
 class ReplayBuffer:
     """Fixed-capacity ring of transitions; oldest evicted first."""
 
@@ -35,28 +111,35 @@ class ReplayBuffer:
         if capacity < 1:
             raise ConfigurationError("replay capacity must be positive")
         self.capacity = capacity
-        self._storage: List[Transition] = []
+        self._rows: Optional[np.ndarray] = None
+        self._dims = (0, 0)  # state and opponent widths, fixed by the first push
+        self._size = 0
         self._next = 0
 
     def __len__(self) -> int:
-        return len(self._storage)
+        return self._size
 
     def push(self, transition: Transition) -> None:
-        if len(self._storage) < self.capacity:
-            self._storage.append(transition)
-        else:
-            self._storage[self._next] = transition
+        if self._rows is None:
+            self._dims = (np.size(transition.state), np.size(transition.opponent))
+            # np.empty, never filled: untouched rows cost no memory
+            self._rows = _empty_rows(self.capacity, *self._dims)
+        _write_row(self._rows[self._next], transition, *self._dims)
         self._next = (self._next + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
 
-    def sample(self, batch: int, rng: np.random.Generator) -> List[Transition]:
+    def sample(self, batch: int, rng: np.random.Generator) -> Batch:
         """Uniform draw with replacement."""
-        if not self._storage:
+        if not self._size:
             raise UsageError("cannot sample from an empty replay buffer")
-        idx = rng.integers(0, len(self._storage), size=batch)
-        return [self._storage[i] for i in idx]
+        idx = rng.integers(0, self._size, size=batch)
+        return Batch(self._rows.take(idx, axis=0), *self._dims)
 
     def items(self) -> List[Transition]:
-        return list(self._storage)
+        """Copies of the stored transitions, in slot order."""
+        if not self._size:
+            return []
+        return list(Batch(self._rows[: self._size].copy(), *self._dims))
 
 
 @dataclass(frozen=True)
@@ -110,36 +193,43 @@ def act_epsilon_greedy(q_values: np.ndarray, epsilon: float, rng: np.random.Gene
 
 def sync_target(agent: Agent) -> ParamSet:
     """Frozen deep copy of the agent's current parameters."""
-    return {name: value.copy() for name, value in agent.params.items()}
-
-
-def _stack(batch: List[Transition]):
-    S = np.stack([t.state for t in batch])
-    O = np.stack([t.opponent for t in batch])
-    NS = np.stack([t.next_state for t in batch])
-    NO = np.stack([t.next_opponent for t in batch])
-    r = np.array([t.reward for t in batch])
-    a = np.array([t.action for t in batch], dtype=np.intp)
-    term = np.array([t.terminal for t in batch], dtype=bool)
-    return S, O, NS, NO, r, a, term
+    return agent.params.copy()
 
 
 def q_targets(
-    agent: Agent, target_params: ParamSet, batch: List[Transition], discount: float
+    agent: Agent, target_params: ParamSet, batch: Union[Batch, Sequence[Transition]],
+    discount: float,
 ) -> np.ndarray:
     """Per-transition target: r, plus the discounted best next-state value
     under the frozen target parameters for non-terminal transitions."""
-    _, _, NS, NO, r, _, term = _stack(batch)
-    targets = r.copy()
-    if discount != 0.0 and not term.all():
-        next_q = agent.q_values(NS, NO, params=target_params)
-        targets = targets + discount * np.where(term, 0.0, next_q.max(axis=1))
+    batch = Batch.of(batch)
+    targets = batch.reward.copy()
+    if discount != 0.0 and not batch.terminal.all():
+        next_q = agent.q_values(batch.next_state, batch.next_opponent, params=target_params)
+        targets = targets + discount * np.where(batch.terminal, 0.0, next_q.max(axis=1))
     return targets
+
+
+def supervision_loss(
+    kind: str, predictions: np.ndarray, batch: Batch, weight: float
+) -> Tuple[float, np.ndarray]:
+    """Supervision loss averaged over the whole batch (rows without a target
+    add nothing) and its gradient w.r.t. the head output, scaled by
+    ``weight``. Each row equals what ``nn.loss_and_grad`` gives for it."""
+    n = len(batch)
+    dsup = np.zeros_like(predictions)
+    rows = np.flatnonzero(batch.has_supervision)
+    if not rows.size:
+        return 0.0, dsup
+    losses, grad = nn.loss_and_grad_rows(kind, predictions[rows], batch.supervision[rows])
+    dsup[rows] = weight * grad / n
+    # running sum in row order, as adding row by row would give
+    return float(np.cumsum(losses / n)[-1]), dsup
 
 
 def td_update(
     agent: Agent,
-    batch: List[Transition],
+    batch: Union[Batch, Sequence[Transition]],
     config: QLearningConfig,
     opt_state: nn.AdaGradState,
     target_params: ParamSet,
@@ -152,40 +242,28 @@ def td_update(
     """
     if not batch:
         raise UsageError("td_update needs a non-empty batch")
-    S, O, _, _, _, a, _ = _stack(batch)
+    batch = Batch.of(batch)
     n = len(batch)
     targets = q_targets(agent, target_params, batch, config.discount)
 
-    fwd = agent.forward_train(S, O if agent.spec.kind != "dqn" else None)
+    fwd = agent.forward_train(batch.state, batch.opponent if agent.spec.kind != "dqn" else None)
     rows = np.arange(n)
-    taken = fwd.q[rows, a]
+    taken = fwd.q[rows, batch.action]
     err = taken - targets
     q_loss = float(err @ err) / n
     dq = np.zeros_like(fwd.q)
-    dq[rows, a] = 2.0 * err / n
+    dq[rows, batch.action] = 2.0 * err / n
 
     dsup = None
     sup_loss = 0.0
     lam = agent.spec.multitask_weight
     if agent.spec.multitask != "none":
-        dsup = np.zeros_like(fwd.supervision)
-        for b, t in enumerate(batch):
-            if t.supervision is None:
-                continue
-            loss_b, grad_b = nn.loss_and_grad(
-                agent.spec.multitask_loss, fwd.supervision[b], t.supervision
-            )
-            sup_loss += loss_b / n
-            dsup[b] = lam * grad_b / n
+        sup_loss, dsup = supervision_loss(agent.spec.multitask_loss, fwd.supervision, batch, lam)
 
     loss = combined_loss(q_loss, sup_loss, lam)
     if not np.isfinite(loss):
         raise TrainingError(f"non-finite training loss {loss}")
 
     grads = agent.backward_train(fwd, dq, dsup)
-    if config.grad_clip is not None:
-        clip = config.grad_clip
-        for g in grads.values():
-            np.clip(g, -clip, clip, out=g)
-    nn.adagrad_update(agent.params, grads, opt_state)
+    nn.adagrad_update(agent.params, grads, opt_state, clip=config.grad_clip)
     return loss

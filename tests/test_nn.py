@@ -272,6 +272,58 @@ class TestAdaGrad:
             nn.adagrad_update(params, {"w": np.array([np.nan])}, state)
 
 
+def per_name_adagrad(params, grads, accumulators, lr, clip=None, eps=nn.EPS_NUM):
+    """The per-parameter AdaGrad loop the flat step replaced (reference)."""
+    for name, g in grads.items():
+        g = g.copy()
+        if clip is not None:
+            np.clip(g, -clip, clip, out=g)
+        accumulators[name] += g * g
+        params[name] -= lr * g / (np.sqrt(accumulators[name]) + eps)
+
+
+class TestFlatAdaGrad:
+    @pytest.mark.parametrize("clip", [None, 0.05])
+    def test_matches_per_name_update(self, clip):
+        rng = np.random.default_rng(41)
+        spec = nn.MLPSpec((6, 9, 3))
+        params = nn.FlatParams.of(nn.init_params(spec, 3))
+        ref_params = {k: v.copy() for k, v in params.items()}
+        ref_acc = {k: np.zeros_like(v) for k, v in params.items()}
+        state = nn.AdaGradState.for_params(params, 0.01)
+        for _ in range(6):
+            grads = {k: rng.normal(scale=0.1, size=v.shape) for k, v in params.items()}
+            per_name_adagrad(ref_params, grads, ref_acc, 0.01, clip)
+            nn.adagrad_update(params, nn.FlatParams.of(grads), state, clip=clip)
+        for name in params:
+            assert params[name].tobytes() == ref_params[name].tobytes(), name
+            assert state.accumulators[name].tobytes() == ref_acc[name].tobytes(), name
+
+    def test_views_share_the_flat_vector(self):
+        params = nn.FlatParams.of({"a": np.ones((2, 3)), "b": np.zeros(4)})
+        params["b"] = np.arange(4.0)
+        params["a"][0, 0] = 7.0
+        assert params.flat.tolist() == [7.0] + [1.0] * 5 + [0.0, 1.0, 2.0, 3.0]
+        copy = params.copy()
+        copy["a"][:] = 0.0
+        assert params["a"][0, 0] == 7.0
+
+    def test_shape_change_rejected(self):
+        params = nn.FlatParams.of({"w": np.zeros((2, 2))})
+        with pytest.raises(ConfigurationError, match="w"):
+            params["w"] = np.zeros(4)
+
+    def test_non_finite_names_first_bad_parameter(self):
+        params = nn.FlatParams.of({"a": np.zeros(3), "b": np.zeros((2, 2)), "c": np.zeros(2)})
+        state = nn.AdaGradState.for_params(params, 0.1)
+        grads = params.copy()
+        grads["b"][1, 0] = np.inf
+        grads["c"][0] = np.nan
+        with pytest.raises(TrainingError, match="'b'"):
+            nn.adagrad_update(params, grads, state)
+        assert not params.flat.any() and not state.accumulators.flat.any()
+
+
 class TestInit:
     def test_deterministic(self):
         spec = nn.MLPSpec((15, 50, 5))

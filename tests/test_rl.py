@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dron import nn, rl
 from dron.agents import Agent, AgentSpec
@@ -261,3 +263,143 @@ class TestTdUpdate:
     def test_discount_validated(self):
         with pytest.raises(ConfigurationError):
             rl.QLearningConfig(discount=1.5)
+
+
+# -- replay ring against the list-backed ring it replaced -----------------------
+
+_supervision = st.one_of(st.none(), st.integers(0, 3),
+                         st.floats(-2.0, 2.0, allow_nan=False))
+_pushes = st.lists(
+    st.tuples(st.floats(-5.0, 5.0, allow_nan=False), st.integers(0, 2),
+              st.floats(-10.0, 10.0, allow_nan=False), st.booleans(), _supervision),
+    min_size=1, max_size=25,
+)
+
+
+def _transition(k, value, action, reward, terminal, supervision):
+    # every field distinct per push, so a misplaced row shows
+    return rl.Transition(
+        state=value + np.arange(4.0), opponent=-value - np.arange(5.0), action=action,
+        reward=reward, next_state=value + k + np.arange(4.0),
+        next_opponent=value * k - np.arange(5.0), terminal=terminal,
+        supervision=supervision,
+    )
+
+
+def assert_same_transitions(got, expected):
+    got = list(got)
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        for field in ("state", "opponent", "next_state", "next_opponent"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+        assert (a.action, a.reward, a.terminal) == (b.action, b.reward, b.terminal)
+        assert a.supervision == b.supervision
+        assert (a.supervision is None) == (b.supervision is None)
+
+
+class TestReplayRingProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(capacity=st.integers(1, 7), pushes=_pushes, batch=st.integers(1, 9),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_list_reference(self, capacity, pushes, batch, seed):
+        buf = rl.ReplayBuffer(capacity)
+        reference, slot = [], 0
+        for k, args in enumerate(pushes):
+            t = _transition(k, *args)
+            buf.push(t)
+            if len(reference) < capacity:
+                reference.append(t)
+            else:
+                reference[slot] = t
+            slot = (slot + 1) % capacity
+        assert len(buf) == len(reference)
+        assert_same_transitions(buf.items(), reference)
+        idx = np.random.default_rng(seed).integers(0, len(reference), size=batch)
+        sampled = buf.sample(batch, np.random.default_rng(seed))
+        assert_same_transitions(sampled, [reference[i] for i in idx])
+
+    @settings(max_examples=40, deadline=None)
+    @given(pushes=_pushes)
+    def test_batch_round_trip(self, pushes):
+        transitions = [_transition(k, *args) for k, args in enumerate(pushes)]
+        batch = rl.Batch.of(transitions)
+        assert_same_transitions([batch[i] for i in range(len(batch))], transitions)
+        assert rl.Batch.of(batch) is batch
+
+    def test_items_are_copies(self):
+        buf = rl.ReplayBuffer(1)
+        buf.push(make_transition(1.0))
+        kept = buf.items()
+        buf.push(make_transition(2.0))
+        assert kept[0].state[0] == 1.0
+
+    def test_width_change_rejected(self):
+        buf = rl.ReplayBuffer(4)
+        buf.push(make_transition(state_dim=4))
+        with pytest.raises(UsageError):
+            buf.push(make_transition(state_dim=3))
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), multitask=st.sampled_from(["none", "type"]),
+           grad_clip=st.sampled_from([None, 0.05]))
+    def test_td_update_list_and_batch_identical(self, seed, multitask, grad_clip):
+        rng = np.random.default_rng(seed)
+        kind = "dqn" if multitask == "none" else "dron_moe"
+        buf = rl.ReplayBuffer(16)
+        for k in range(16):
+            sup = None if k % 3 == 0 else int(rng.integers(0, 2))
+            buf.push(_transition(k, float(rng.normal()), int(rng.integers(0, 3)),
+                                 float(rng.normal()), bool(rng.random() < 0.3), sup))
+        batch = buf.sample(8, rng)
+        cfg = rl.QLearningConfig(learning_rate=0.01, grad_clip=grad_clip)
+        agents = [mini_agent(kind, multitask, seed=11) for _ in range(2)]
+        opts = [nn.AdaGradState.for_params(a.params, cfg.learning_rate) for a in agents]
+        frozen = rl.sync_target(agents[0])
+        for _ in range(3):
+            rl.td_update(agents[0], list(batch), cfg, opts[0], frozen)
+            rl.td_update(agents[1], batch, cfg, opts[1], frozen)
+        assert agents[0].params.flat.tobytes() == agents[1].params.flat.tobytes()
+        assert opts[0].accumulators.flat.tobytes() == opts[1].accumulators.flat.tobytes()
+
+
+class TestSupervisionLoss:
+    @pytest.mark.parametrize("kind,width", [("cross_entropy", 4), ("mean_squared", 1)])
+    def test_matches_per_row_loss_and_grad(self, kind, width):
+        rng = np.random.default_rng(31)
+        n, lam = 16, 0.7
+        logits = rng.normal(size=(n, width))
+        if kind == "cross_entropy":
+            P = nn.softmax(logits)
+            targets = rng.integers(0, width, size=n).tolist()
+        else:
+            P = 1.0 / (1.0 + np.exp(-logits))
+            targets = rng.random(n).tolist()
+        transitions = [make_transition(supervision=None if b % 3 == 1 else targets[b])
+                       for b in range(n)]
+        loss, dsup = rl.supervision_loss(kind, P, rl.Batch.of(transitions), lam)
+
+        # the per-row loop the vectorised loss replaced
+        ref_loss, ref = 0.0, np.zeros_like(P)
+        for b, t in enumerate(transitions):
+            if t.supervision is None:
+                continue
+            loss_b, grad_b = nn.loss_and_grad(kind, P[b], t.supervision)
+            ref_loss += loss_b / n
+            ref[b] = lam * grad_b / n
+        assert dsup.tobytes() == ref.tobytes()  # bitwise, signed zeros included
+        assert loss == ref_loss
+
+    def test_no_targets_gives_zero(self):
+        batch = rl.Batch.of([make_transition(), make_transition()])
+        loss, dsup = rl.supervision_loss("cross_entropy", np.full((2, 2), 0.5), batch, 1.0)
+        assert loss == 0.0 and not dsup.any()
+
+    def test_unnormalised_probabilities_rejected(self):
+        batch = rl.Batch.of([make_transition(supervision=0)])
+        with pytest.raises(UsageError, match="normalized"):
+            rl.supervision_loss("cross_entropy", np.array([[0.5, 0.9]]), batch, 1.0)
+
+    def test_class_index_out_of_range_rejected(self):
+        batch = rl.Batch.of([make_transition(supervision=2)])
+        with pytest.raises(UsageError, match="out of range"):
+            rl.supervision_loss("cross_entropy", np.array([[0.5, 0.5]]), batch, 1.0)
