@@ -14,7 +14,7 @@ the opponent answers correctly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -186,12 +186,31 @@ def advance_belief(state: QuizState, config: QuizConfig, rng: np.random.Generato
         raise UsageError("cannot advance a finished episode")
     if state.t >= state.length:
         raise UsageError("cannot advance past the end of the question")
+    return _advanced(state, state.agent_locked, state.opponent_locked, config, rng)
+
+
+# The two successors below build QuizState directly rather than through
+# dataclasses.replace, which costs several times as much per word.
+
+
+def _advanced(state: QuizState, agent_locked: bool, opponent_locked: bool,
+              config: QuizConfig, rng: np.random.Generator) -> QuizState:
     t = state.t + 1
-    return replace(
-        state,
-        t=t,
-        prev_belief=state.belief,
+    return QuizState(
+        t=t, length=state.length, answer=state.answer,
         belief=_draw_belief(t, state.length, state.answer, config, rng),
+        prev_belief=state.belief, agent_locked=agent_locked,
+        opponent_locked=opponent_locked, opponent_buzz_pos=state.opponent_buzz_pos,
+        opponent_correct=state.opponent_correct,
+    )
+
+
+def _ended(state: QuizState, agent_locked: bool, opponent_locked: bool) -> QuizState:
+    return QuizState(
+        t=state.t, length=state.length, answer=state.answer, belief=state.belief,
+        prev_belief=state.prev_belief, agent_locked=agent_locked,
+        opponent_locked=opponent_locked, opponent_buzz_pos=state.opponent_buzz_pos,
+        opponent_correct=state.opponent_correct, done=True,
     )
 
 
@@ -208,31 +227,33 @@ def step(
     """One decision point. Within a step the agent's buzz resolves first,
     then the opponent's scheduled buzz, then the next word is revealed. A
     wrong buzz locks that side out and play continues; the question running
-    out with no correct buzz ends the episode with no further reward."""
+    out with no correct buzz ends the episode with no further reward. The
+    input state is never modified."""
     if state.done:
         raise UsageError("cannot step a finished episode")
     reward = 0.0
     outcome = None
+    agent_locked, opponent_locked = state.agent_locked, state.opponent_locked
 
-    if action == BUZZ and not state.agent_locked:
+    if action == BUZZ and not agent_locked:
         if belief_correct(state):
             reward = config.reward_correct
             outcome = BuzzOutcome("agent", True, state.t, reward)
-            return replace(state, done=True), reward, True, outcome
+            return _ended(state, agent_locked, opponent_locked), reward, True, outcome
         reward = config.reward_wrong
-        state = replace(state, agent_locked=True)
+        agent_locked = True
         outcome = BuzzOutcome("agent", False, state.t, reward)
 
-    if not state.opponent_locked and state.t == state.opponent_buzz_pos:
+    if not opponent_locked and state.t == state.opponent_buzz_pos:
         if state.opponent_correct:
             reward += config.reward_opponent_correct
             outcome = BuzzOutcome("opponent", True, state.t, config.reward_opponent_correct)
-            return replace(state, done=True), reward, True, outcome
-        state = replace(state, opponent_locked=True)
+            return _ended(state, agent_locked, opponent_locked), reward, True, outcome
+        opponent_locked = True
 
     if state.t >= state.length:
-        return replace(state, done=True), reward, True, outcome
-    return advance_belief(state, config, rng), reward, False, outcome
+        return _ended(state, agent_locked, opponent_locked), reward, True, outcome
+    return _advanced(state, agent_locked, opponent_locked, config, rng), reward, False, outcome
 
 
 def featurize(state: QuizState) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -162,6 +163,26 @@ class TestStep:
         _, reward, done, _ = step(state, WAIT, DEFAULT_QUIZ_CONFIG,
                                   np.random.default_rng(0))
         assert reward == 0.0 and done
+
+    @pytest.mark.parametrize("kw,action", [
+        (dict(correct_argmax=True, opponent_buzz_pos=90), BUZZ),
+        (dict(correct_argmax=False, opponent_buzz_pos=90), BUZZ),
+        (dict(t=30, opponent_buzz_pos=30, opponent_correct=True), WAIT),
+        (dict(t=30, opponent_buzz_pos=30, opponent_correct=False), BUZZ),
+        (dict(t=100, length=100, agent_locked=True, opponent_locked=True), WAIT),
+        (dict(opponent_buzz_pos=90), WAIT),
+    ])
+    def test_input_state_never_modified(self, kw, action):
+        state = forced_state(**kw)
+        before = {f.name: getattr(state, f.name) for f in fields(state)}
+        arrays = (state.belief.copy(), state.prev_belief.copy())
+        nxt, _, done, _ = step(state, action, DEFAULT_QUIZ_CONFIG, np.random.default_rng(0))
+        if not done:
+            advance_belief(state, DEFAULT_QUIZ_CONFIG, np.random.default_rng(0))
+        assert nxt is not state
+        assert all(getattr(state, name) is value for name, value in before.items())
+        assert np.array_equal(state.belief, arrays[0])
+        assert np.array_equal(state.prev_belief, arrays[1])
 
     def test_step_after_done_raises(self):
         state = forced_state(done=True)
