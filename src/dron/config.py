@@ -65,10 +65,24 @@ class ExperimentConfig:
         if self.learning_rate <= 0.0:
             raise ConfigurationError(
                 f"learning_rate must be positive, got {self.learning_rate}")
+        for key in ("batch_size", "target_sync", "replay_capacity", "opponent_pool"):
+            if getattr(self, key) < 1:
+                raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.replay_min > self.replay_capacity:
             raise ConfigurationError(
                 f"replay_min ({self.replay_min}) exceeds replay_capacity "
                 f"({self.replay_capacity}), so no update would ever run")
+        if self.vocab < 2:
+            raise ConfigurationError(f"vocab must be >= 2, got {self.vocab}")
+        if not 1 <= self.question_min <= self.question_max:
+            raise ConfigurationError(
+                f"question_min ({self.question_min}) and question_max ({self.question_max}) "
+                f"must satisfy 1 <= question_min <= question_max")
+        if self.agent == "dron_moe" and self.experts < 1:
+            raise ConfigurationError(f"experts must be >= 1 for dron_moe, got {self.experts}")
+        if self.agent == "dqn" and self.multitask != "none":
+            raise ConfigurationError(
+                f"multitask must be none for dqn (no opponent tower), got {self.multitask!r}")
         if not (self.epsilon_start >= self.epsilon_end >= 0.0):
             raise ConfigurationError("epsilon_start must be >= epsilon_end >= 0")
         if self.epochs < 1 or self.steps_per_epoch < 1 or self.eval_games < 1:

@@ -69,6 +69,33 @@ class TestValues:
         assert parse_config("grad_clip=2.0").grad_clip == 2.0
 
 
+class TestParseTimeRules:
+    # each of these used to pass parsing and fail (or, for opponent_pool,
+    # silently use a pool of 4) only once training had started
+    @pytest.mark.parametrize("text,key", [
+        ("batch_size=0", "batch_size"),
+        ("target_sync=0", "target_sync"),
+        ("replay_capacity=0", "replay_capacity"),
+        ("environment=quizbowl\nopponent_pool=0", "opponent_pool"),
+        ("environment=quizbowl\nvocab=1", "vocab"),
+        ("environment=quizbowl\nquestion_min=0", "question_min"),
+        ("environment=quizbowl\nquestion_min=90\nquestion_max=80", "question_max"),
+        ("agent=dron_moe\nexperts=0", "experts"),
+        ("agent=dqn\nmultitask=type", "multitask"),
+    ], ids=["batch_size", "target_sync", "replay_capacity", "opponent_pool", "vocab",
+            "question_min", "question_order", "experts", "dqn_multitask"])
+    def test_rejected_naming_the_key(self, text, key):
+        with pytest.raises(ConfigurationError, match=key):
+            parse_config(text)
+
+    def test_boundaries_accepted(self):
+        cfg = parse_config("environment=quizbowl\nbatch_size=1\ntarget_sync=1\n"
+                           "replay_capacity=1\nreplay_min=1\nopponent_pool=1\nvocab=2\n"
+                           "question_min=1\nquestion_max=1\nagent=dron_moe\nexperts=1\n"
+                           "multitask=type")
+        assert (cfg.opponent_pool, cfg.vocab, cfg.question_max, cfg.experts) == (1, 2, 1, 1)
+
+
 class TestConstruction:
     def test_invalid_direct_construction(self):
         with pytest.raises(ConfigurationError):
