@@ -331,8 +331,8 @@ class AdaGradState:
     eps: float = EPS_NUM
 
     def __post_init__(self) -> None:
-        # two work vectors, so a step allocates nothing parameter-sized
-        self._work = np.empty((2, self.accumulators.flat.size))
+        # the step's denominator, so a step allocates nothing parameter-sized
+        self._work = np.empty(self.accumulators.flat.size)
 
     @classmethod
     def for_params(cls, params: ParamSet, learning_rate: float) -> "AdaGradState":
@@ -347,8 +347,9 @@ def adagrad_update(params: ParamSet, grads: ParamSet, state: AdaGradState,
     p -= lr * g / (sqrt(acc) + eps).
 
     ``params`` and ``grads`` are best ``FlatParams`` in the accumulators'
-    layout (an agent's are); a plain dict is copied into that layout first,
-    and a plain ``params`` dict has its names rebound to the updated arrays.
+    layout (an agent's are), and such ``grads`` are used up: the step
+    overwrites them. A plain dict is copied into that layout first, and a
+    plain ``params`` dict has its names rebound to the updated arrays.
     """
     layout = state.accumulators.layout
     p = params if _laid_out(params, layout) else FlatParams.of(params, layout)
@@ -360,14 +361,14 @@ def adagrad_update(params: ParamSet, grads: ParamSet, state: AdaGradState,
         name = p.name_at(int(np.argmin(finite)))
         raise TrainingError(f"non-finite gradient for parameter {name!r}")
     acc = state.accumulators.flat
-    denom, step = state._work
+    denom = state._work
     np.multiply(g, g, out=denom)
     acc += denom
     np.sqrt(acc, out=denom)
     denom += state.eps
-    np.multiply(state.learning_rate, g, out=step)
-    step /= denom
-    p.flat -= step
+    np.multiply(state.learning_rate, g, out=g)
+    g /= denom
+    p.flat -= g
     if p is not params:
         params.update(p)
 
