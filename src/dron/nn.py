@@ -348,8 +348,8 @@ def adagrad_update(params: ParamSet, grads: ParamSet, state: AdaGradState,
 
     ``params`` and ``grads`` are best ``FlatParams`` in the accumulators'
     layout (an agent's are), and such ``grads`` are used up: the step
-    overwrites them. A plain dict is copied into that layout first, and a
-    plain ``params`` dict has its names rebound to the updated arrays.
+    overwrites them. Anything else is copied into that layout first, and
+    other ``params`` get the updated values written back into their arrays.
     """
     layout = state.accumulators.layout
     p = params if _laid_out(params, layout) else FlatParams.of(params, layout)
@@ -370,7 +370,8 @@ def adagrad_update(params: ParamSet, grads: ParamSet, state: AdaGradState,
     g /= denom
     p.flat -= g
     if p is not params:
-        params.update(p)
+        for name, value in p.items():
+            params[name][...] = value
 
 
 def _laid_out(params: ParamSet, layout: Layout) -> bool:

@@ -299,6 +299,14 @@ class TestFlatAdaGrad:
             assert params[name].tobytes() == ref_params[name].tobytes(), name
             assert state.accumulators[name].tobytes() == ref_acc[name].tobytes(), name
 
+    def test_plain_dict_updated_in_place(self):
+        params = {"w": np.zeros(2), "b": np.zeros(1)}
+        arrays = dict(params)
+        state = nn.AdaGradState.for_params(params, 0.1)
+        nn.adagrad_update(params, {"b": np.ones(1), "w": np.ones(2)}, state)
+        assert all(params[name] is arrays[name] for name in params)
+        assert params["w"].tolist() == params["b"].tolist() * 2 and params["b"][0] < 0.0
+
     def test_views_share_the_flat_vector(self):
         params = nn.FlatParams.of({"a": np.ones((2, 3)), "b": np.zeros(4)})
         params["b"] = np.arange(4.0)
