@@ -8,6 +8,15 @@ embedding.
 
 Component parameter names are stable (``state_tower.0.weight``,
 ``expert.2.1.bias``, ``gate.0.weight``, ...) so checkpoints can round-trip.
+
+Bound layers: an agent resolves every component network's layers in its
+parameters once (``nn.bind_mlp``), when its ``params`` are set, and runs them
+on every call without looking names up again. The layers are views into the
+agent's flat parameter vector, which AdaGrad and ``params[name] = value``
+write in place, so they stay current; assigning ``agent.params`` rebinds. An
+explicit ``params=`` argument is bound for that call only. Acting
+(``q_values``, ``q_and_gate``) never computes the multitask opponent head,
+which only training reads.
 """
 
 from __future__ import annotations
@@ -107,6 +116,20 @@ class Agent:
     def params(self, params: ParamSet) -> None:
         # copies, so the agent never shares arrays with the caller's dict
         self._params = nn.FlatParams.of(params, self._layout)
+        self._nets = self._bind(self._params)
+
+    def _bind(self, params: ParamSet) -> Dict[str, Tuple[nn.Layer, ...]]:
+        return {name: nn.bind_mlp(spec, params, f"{name}.") for name, spec in self._specs.items()}
+
+    def _bound(self, params: Optional[ParamSet]) -> Tuple[ParamSet, Dict[str, Tuple[nn.Layer, ...]]]:
+        """The parameter set a call runs on and its bound networks: the
+        agent's own, or ``params`` bound for this call (a plain dict is
+        first copied into the agent's layout)."""
+        if params is None:
+            return self._params, self._nets
+        if not isinstance(params, nn.FlatParams):
+            params = nn.FlatParams.of(params, self._layout)
+        return params, self._bind(params)
 
     def _init(self, seed: int) -> ParamSet:
         params: ParamSet = {}
@@ -126,9 +149,7 @@ class Agent:
         params: Optional[ParamSet] = None,
     ) -> np.ndarray:
         """Action values for one observation or a batch of observations."""
-        if self.spec.kind == "dron_moe":
-            return self.q_and_gate(phi_s, phi_o, params)[0]
-        return self._forward(phi_s, phi_o, params).q_squeezed
+        return self._forward(phi_s, phi_o, params, train=False).q_squeezed
 
     def q_and_gate(
         self,
@@ -136,7 +157,7 @@ class Agent:
         phi_o: Optional[np.ndarray] = None,
         params: Optional[ParamSet] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        out = self._forward(phi_s, phi_o, params)
+        out = self._forward(phi_s, phi_o, params, train=False)
         return out.q_squeezed, out.gate_squeezed
 
     def encode(
@@ -148,25 +169,24 @@ class Agent:
         """State and opponent embeddings (h_s, h_o)."""
         if self.spec.kind == "dqn":
             raise UsageError("dqn has no separate towers to encode with")
-        p = self.params if params is None else params
-        hs, _ = nn.mlp_forward(self._specs["state_tower"], p, phi_s, "state_tower.")
-        ho, _ = nn.mlp_forward(self._specs["opponent_tower"], p, phi_o, "opponent_tower.")
+        _, nets = self._bound(params)
+        hs, _ = nn.run_mlp(nets["state_tower"], phi_s)
+        ho, _ = nn.run_mlp(nets["opponent_tower"], phi_o)
         return hs, ho
 
     def predict_opponent(self, ho: np.ndarray, params: Optional[ParamSet] = None) -> np.ndarray:
         """Supervision-head prediction from the opponent embedding."""
         if self.spec.multitask == "none":
             raise UsageError("agent has no multitask head")
-        p = self.params if params is None else params
-        out, _ = nn.mlp_forward(self._specs["opponent_head"], p, ho, "opponent_head.")
-        return out
+        _, nets = self._bound(params)
+        return nn.run_mlp(nets["opponent_head"], ho)[0]
 
     # -- training ----------------------------------------------------------
 
     def forward_train(
         self, phi_s: np.ndarray, phi_o: Optional[np.ndarray], params: Optional[ParamSet] = None
     ) -> "_Forward":
-        return self._forward(phi_s, phi_o, params)
+        return self._forward(phi_s, phi_o, params, train=True)
 
     def backward_train(
         self,
@@ -224,51 +244,48 @@ class Agent:
     # -- internals ----------------------------------------------------------
 
     def _forward(
-        self, phi_s: np.ndarray, phi_o: Optional[np.ndarray], params: Optional[ParamSet]
+        self, phi_s: np.ndarray, phi_o: Optional[np.ndarray], params: Optional[ParamSet],
+        train: bool,
     ) -> "_Forward":
-        p = self.params if params is None else params
+        """One pass over the bound networks. ``train`` keeps the caches
+        ``backward_train`` needs and runs the opponent head; acting needs
+        neither."""
+        p, nets = self._bound(params)
         spec = self.spec
         phi_s = np.asarray(phi_s, dtype=np.float64)
         squeeze = phi_s.ndim == 1
         S = phi_s[None, :] if squeeze else phi_s
-        caches: Dict[str, nn.ForwardCache] = {}
+        caches: Dict[str, Optional[nn.ForwardCache]] = {}
 
         if spec.kind == "dqn":
-            q, caches["q_net"] = nn.mlp_forward(self._specs["q_net"], p, S, "q_net.")
+            q, caches["q_net"] = nn.run_mlp(nets["q_net"], S, train)
             return _Forward(self, p, q, None, None, None, None, None, caches, squeeze)
 
         if phi_o is None:
             raise ConfigurationError(f"{spec.kind} requires opponent features")
         phi_o = np.asarray(phi_o, dtype=np.float64)
         O = phi_o[None, :] if phi_o.ndim == 1 else phi_o
-        hs, caches["state_tower"] = nn.mlp_forward(self._specs["state_tower"], p, S, "state_tower.")
-        ho, caches["opponent_tower"] = nn.mlp_forward(
-            self._specs["opponent_tower"], p, O, "opponent_tower."
-        )
+        hs, caches["state_tower"] = nn.run_mlp(nets["state_tower"], S, train)
+        ho, caches["opponent_tower"] = nn.run_mlp(nets["opponent_tower"], O, train)
 
         gate = None
         expert_q = None
         if spec.kind == "dron_concat":
-            q, caches["q_head"] = nn.mlp_forward(
-                self._specs["q_head"], p, np.concatenate([hs, ho], axis=1), "q_head."
-            )
+            q, caches["q_head"] = nn.run_mlp(
+                nets["q_head"], np.concatenate([hs, ho], axis=1), train)
         else:
-            gate_pre, caches["gate"] = nn.mlp_forward(self._specs["gate"], p, ho, "gate.")
+            gate_pre, caches["gate"] = nn.run_mlp(nets["gate"], ho, train)
             gate = nn.softmax(gate_pre)
             expert_q = []
             q = np.zeros((S.shape[0], spec.action_count))
             for i in range(spec.experts):
-                qi, caches[f"expert.{i}"] = nn.mlp_forward(
-                    self._specs[f"expert.{i}"], p, hs, f"expert.{i}."
-                )
+                qi, caches[f"expert.{i}"] = nn.run_mlp(nets[f"expert.{i}"], hs, train)
                 expert_q.append(qi)
                 q += gate[:, i : i + 1] * qi
 
         supervision = None
-        if spec.multitask != "none":
-            supervision, caches["opponent_head"] = nn.mlp_forward(
-                self._specs["opponent_head"], p, ho, "opponent_head."
-            )
+        if train and spec.multitask != "none":
+            supervision, caches["opponent_head"] = nn.run_mlp(nets["opponent_head"], ho, True)
         return _Forward(self, p, q, gate, expert_q, hs, ho, supervision, caches, squeeze)
 
 
@@ -282,7 +299,7 @@ class _Forward:
     hs: Optional[np.ndarray]
     ho: Optional[np.ndarray]
     supervision: Optional[np.ndarray]
-    caches: Dict[str, nn.ForwardCache]
+    caches: Dict[str, Optional[nn.ForwardCache]]  # None outside training
     squeeze: bool
 
     @property

@@ -6,6 +6,12 @@ names ``"{prefix}{i}.weight"`` / ``"{prefix}{i}.bias"`` for each of its layers.
 Forward/backward accept a single input vector ``(in,)`` or a batch ``(B, in)``.
 Weight gradients returned for a batch are sums over the batch rows.
 
+Bound layers: ``bind_mlp`` resolves an MLP's names in a parameter set once,
+checks their shapes, and returns one ``(weight, bias, activation)`` tuple per
+layer; ``run_mlp`` runs the chain over them and keeps a ``ForwardCache`` only
+when asked. ``mlp_forward`` is the two in one call. A caller that runs an MLP
+many times (an agent) binds it once and runs the bound layers.
+
 Flat-parameter rule: a model's parameters, its gradients and its AdaGrad
 accumulators are each a ``FlatParams``, a dict whose arrays are views into one
 contiguous vector ``flat``, all three laid out alike (same names, order and
@@ -144,41 +150,65 @@ def init_params(spec: MLPSpec, seed: Union[int, np.random.Generator], prefix: st
     return params
 
 
-def mlp_forward(
-    spec: MLPSpec, params: ParamSet, x: np.ndarray, prefix: str = ""
-) -> Tuple[np.ndarray, ForwardCache]:
-    """Affine + activation chain. Returns the output and a reusable cache."""
+# One layer of an MLP bound to a parameter set: (weight view, bias view,
+# activation). Hidden layers are "relu"; the last uses the spec's output.
+Layer = Tuple[np.ndarray, np.ndarray, str]
+
+
+def bind_mlp(spec: MLPSpec, params: Mapping[str, np.ndarray], prefix: str = "") -> Tuple[Layer, ...]:
+    """Resolve an MLP's layers in ``params`` once, checking their shapes.
+
+    The layers hold the arrays themselves, so they follow any in-place write
+    to ``params`` (an agent's ``FlatParams`` are only ever written in place).
+    """
+    for name, shape in mlp_layout(spec, prefix):
+        if params[name].shape != shape:
+            raise ConfigurationError(
+                f"parameter {name} has shape {params[name].shape}, spec wants {shape}")
+    last = spec.layer_count - 1
+    return tuple(
+        (params[f"{prefix}{i}.weight"], params[f"{prefix}{i}.bias"],
+         "relu" if i < last else spec.output)
+        for i in range(spec.layer_count)
+    )
+
+
+def run_mlp(
+    layers: Tuple[Layer, ...], x: np.ndarray, keep_cache: bool = False
+) -> Tuple[np.ndarray, Optional[ForwardCache]]:
+    """Affine + activation chain over bound layers. Returns the output and,
+    with ``keep_cache``, the cache ``mlp_backward`` consumes (else None)."""
     a, squeeze = _as_batch(x)
-    if a.shape[1] != spec.sizes[0]:
+    if a.shape[1] != layers[0][0].shape[0]:
         raise ConfigurationError(
-            f"input width {a.shape[1]} does not match spec input size {spec.sizes[0]}"
+            f"input width {a.shape[1]} does not match spec input size {layers[0][0].shape[0]}"
         )
     inputs: List[np.ndarray] = []
     outputs: List[np.ndarray] = []
-    last = spec.layer_count - 1
-    for i in range(spec.layer_count):
-        w = params[f"{prefix}{i}.weight"]
-        b = params[f"{prefix}{i}.bias"]
-        if w.shape != (spec.sizes[i], spec.sizes[i + 1]):
-            raise ConfigurationError(
-                f"parameter {prefix}{i}.weight has shape {w.shape}, "
-                f"spec wants {(spec.sizes[i], spec.sizes[i + 1])}"
-            )
-        inputs.append(a)
+    for w, b, activation in layers:
+        if keep_cache:
+            inputs.append(a)
         z = a @ w + b
-        if i < last:
+        if activation == "relu":
             a = np.maximum(z, 0.0)
-        elif spec.output == "relu":
-            a = np.maximum(z, 0.0)
-        elif spec.output == "softmax":
+        elif activation == "softmax":
             a = _softmax_rows(z)
-        elif spec.output == "sigmoid":
+        elif activation == "sigmoid":
             a = 1.0 / (1.0 + np.exp(-z))
         else:
             a = z
-        outputs.append(a)
-    cache = ForwardCache(inputs=inputs, outputs=outputs, squeeze=squeeze)
+        if keep_cache:
+            outputs.append(a)
+    cache = ForwardCache(inputs=inputs, outputs=outputs, squeeze=squeeze) if keep_cache else None
     return (a[0] if squeeze else a), cache
+
+
+def mlp_forward(
+    spec: MLPSpec, params: ParamSet, x: np.ndarray, prefix: str = ""
+) -> Tuple[np.ndarray, ForwardCache]:
+    """Affine + activation chain by parameter name: ``bind_mlp`` then
+    ``run_mlp``. Returns the output and a reusable cache."""
+    return run_mlp(bind_mlp(spec, params, prefix), x, keep_cache=True)
 
 
 def mlp_backward(

@@ -213,6 +213,114 @@ class TestMultitask:
             mini_spec("dqn", multitask="type")
 
 
+VARIANTS = [("dqn", "none"), ("dron_concat", "none"), ("dron_concat", "type"),
+            ("dron_concat", "action"), ("dron_moe", "none"), ("dron_moe", "type"),
+            ("dron_moe", "action")]
+
+
+def by_name_q(agent, S, O):
+    """Q-values and gate through ``nn.mlp_forward`` by parameter name, with
+    the agent's arithmetic in its order: the reference the bound forward
+    must match bit for bit."""
+    p, specs = agent.params, agent._specs
+
+    def run(name, x):
+        return nn.mlp_forward(specs[name], p, x, f"{name}.")[0]
+
+    if agent.spec.kind == "dqn":
+        return run("q_net", S), None
+    hs, ho = run("state_tower", S), run("opponent_tower", O)
+    if agent.spec.kind == "dron_concat":
+        return run("q_head", np.concatenate([hs, ho], axis=1)), None
+    gate = nn.softmax(run("gate", ho))
+    q = np.zeros((S.shape[0], agent.spec.action_count))
+    for i in range(agent.spec.experts):
+        q += gate[:, i : i + 1] * run(f"expert.{i}", hs)
+    return q, gate
+
+
+class TestBoundForward:
+    @pytest.mark.parametrize("kind,multitask", VARIANTS)
+    @pytest.mark.parametrize("rows", [1, 64])
+    def test_act_matches_training_forward_bit_for_bit(self, kind, multitask, rows):
+        agent = Agent(mini_spec(kind, multitask), seed=40)
+        rng = np.random.default_rng(41)
+        S = rng.normal(size=(rows, 4))
+        O = None if kind == "dqn" else rng.normal(size=(rows, 5))
+        fwd = agent.forward_train(S, O)
+        ref_q, ref_gate = by_name_q(agent, S, O)
+        assert fwd.q.tobytes() == ref_q.tobytes()
+        one = (lambda a: a[0]) if rows == 1 else (lambda a: a)
+        phi_s = one(S)
+        phi_o = None if O is None else one(O)
+        assert agent.q_values(phi_s, phi_o).tobytes() == one(fwd.q).tobytes()
+        if kind == "dron_moe":
+            q, gate = agent.q_and_gate(phi_s, phi_o)
+            assert q.tobytes() == one(fwd.q).tobytes()
+            assert gate.tobytes() == one(fwd.gate).tobytes() == one(ref_gate).tobytes()
+
+    @pytest.mark.parametrize("kind,multitask", [v for v in VARIANTS if v[1] != "none"])
+    @pytest.mark.parametrize("fill", [np.nan, np.inf])
+    def test_acting_never_runs_the_opponent_head(self, kind, multitask, fill):
+        agent = Agent(mini_spec(kind, multitask), seed=42)
+        rng = np.random.default_rng(43)
+        x, o = rng.normal(size=4), rng.normal(size=5)
+        S, O = rng.normal(size=(64, 4)), rng.normal(size=(64, 5))
+        before = agent.q_values(x, o), agent.q_values(S, O)
+        for name in agent.params:
+            if name.startswith("opponent_head."):
+                agent.params[name][...] = fill
+        # an infinite head would make its softmax compute inf - inf
+        with np.errstate(invalid="raise"):
+            after = agent.q_values(x, o), agent.q_values(S, O)
+            if kind == "dron_moe":
+                assert np.all(np.isfinite(agent.q_and_gate(x, o)[0]))
+        for b, a in zip(before, after):
+            assert np.all(np.isfinite(a)) and a.tobytes() == b.tobytes()
+        # training still computes the head
+        with np.errstate(invalid="ignore"):
+            assert not np.any(np.isfinite(agent.forward_train(S, O).supervision))
+
+    def test_reassigned_params_rebind(self):
+        agent = Agent(mini_spec("dron_moe", "type"), seed=44)
+        other = Agent(mini_spec("dron_moe", "type"), seed=45)
+        x, o = np.ones(4), np.ones(5)
+        assert not np.array_equal(agent.q_values(x, o), other.q_values(x, o))
+        agent.params = {name: v.copy() for name, v in other.params.items()}
+        assert agent.q_values(x, o).tobytes() == other.q_values(x, o).tobytes()
+        # in-place writes reach the bound layers too
+        agent.params["expert.1.0.bias"] = np.full(7, 0.5)
+        other.params["expert.1.0.bias"][...] = 0.5
+        assert agent.q_values(x, o).tobytes() == other.q_values(x, o).tobytes()
+
+    def test_explicit_params_bound_per_call(self):
+        agent = Agent(mini_spec("dron_concat", "type"), seed=46)
+        other = Agent(mini_spec("dron_concat", "type"), seed=47)
+        S, O = np.ones((3, 4)), np.ones((3, 5))
+        expected = other.q_values(S, O).tobytes()
+        assert agent.q_values(S, O, params=other.params).tobytes() == expected
+        plain = {name: v.copy() for name, v in other.params.items()}
+        assert agent.q_values(S, O, params=plain).tobytes() == expected
+        assert agent.forward_train(S, O, params=plain).q.tobytes() == expected
+        # the agent's own binding is untouched
+        assert agent.q_values(S, O).tobytes() != expected
+
+    def test_wrong_shapes_raise(self):
+        agent = Agent(mini_spec("dron_moe"), seed=48)
+        bad = {name: v.copy() for name, v in agent.params.items()}
+        bad["gate.0.weight"] = np.zeros((8, 4))
+        with pytest.raises(ConfigurationError):
+            agent.params = bad
+        with pytest.raises(ConfigurationError):
+            agent.q_values(np.ones(4), np.ones(5), params=bad)
+        with pytest.raises(ConfigurationError):
+            agent.q_values(np.ones(4), np.ones(5), params=nn.FlatParams.of(bad))
+        with pytest.raises(ConfigurationError):
+            agent.q_values(np.ones(6), np.ones(5))
+        with pytest.raises(ConfigurationError):
+            agent.q_values(np.ones(4), np.ones(2))
+
+
 class TestCombinedLoss:
     def test_zero_weight(self):
         assert combined_loss(0.7, 123.0, 0.0) == 0.7

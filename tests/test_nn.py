@@ -94,6 +94,47 @@ class TestForward:
         assert np.array_equal(a, b)
 
 
+class TestBoundLayers:
+    @pytest.mark.parametrize("output", ["linear", "relu", "softmax", "sigmoid"])
+    def test_run_equals_mlp_forward(self, output):
+        spec = nn.MLPSpec((5, 7, 6, 3), output=output)
+        params = nn.init_params(spec, 4, prefix="net.")
+        layers = nn.bind_mlp(spec, params, "net.")
+        assert [act for _, _, act in layers] == ["relu", "relu", output]
+        for x in (np.random.default_rng(1).normal(size=5),
+                  np.random.default_rng(2).normal(size=(9, 5))):
+            ref, ref_cache = nn.mlp_forward(spec, params, x, "net.")
+            out, none = nn.run_mlp(layers, x)
+            assert none is None and out.tobytes() == ref.tobytes()
+            out, cache = nn.run_mlp(layers, x, keep_cache=True)
+            assert out.tobytes() == ref.tobytes() and cache.squeeze == ref_cache.squeeze
+            for got, want in zip(cache.inputs + cache.outputs,
+                                 ref_cache.inputs + ref_cache.outputs):
+                assert got.tobytes() == want.tobytes()
+
+    def test_layers_follow_in_place_writes(self):
+        spec = nn.MLPSpec((3, 2))
+        params = nn.FlatParams.of(nn.init_params(spec, 0))
+        layers = nn.bind_mlp(spec, params)
+        params["0.bias"] = np.array([5.0, -5.0])
+        params.flat[:6] = 0.0
+        assert np.array_equal(nn.run_mlp(layers, np.ones(3))[0], [5.0, -5.0])
+
+    def test_bind_checks_every_shape(self):
+        spec = nn.MLPSpec((3, 4, 2))
+        for name, shape in (("0.weight", (4, 3)), ("1.bias", (3,))):
+            params = nn.init_params(spec, 0)
+            params[name] = np.zeros(shape)
+            with pytest.raises(ConfigurationError, match=name):
+                nn.bind_mlp(spec, params)
+
+    def test_run_checks_input_width(self):
+        spec = nn.MLPSpec((3, 2))
+        layers = nn.bind_mlp(spec, nn.init_params(spec, 0))
+        with pytest.raises(ConfigurationError, match="input width 4"):
+            nn.run_mlp(layers, np.zeros((2, 4)))
+
+
 class TestBackward:
     def test_zero_output_gradient(self):
         spec = nn.MLPSpec((3, 4, 2))
