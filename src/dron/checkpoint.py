@@ -9,7 +9,7 @@ significant digits, which round-trips 64-bit reals exactly), closed by an
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -84,16 +84,24 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
         value = checkpoint.params[name]
         if value.ndim == 2:
             lines.append(f"matrix {name} {value.shape[0]} {value.shape[1]}")
-            for row in value:
-                lines.append(" ".join(f"{x:.17g}" for x in row))
+            lines.extend(value_lines(value))
         elif value.ndim == 1:
             lines.append(f"vector {name} {value.shape[0]}")
-            lines.append(" ".join(f"{x:.17g}" for x in value))
+            lines.extend(value_lines(value[None, :]))
         else:
             raise CheckpointError(f"parameter {name!r} has unsupported rank {value.ndim}")
     lines.append("end")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def value_lines(rows: np.ndarray) -> List[str]:
+    """One line per row: its values with 17 significant digits, space
+    separated. ``"%.17g"`` on a Python float gives the same text as
+    ``f"{x:.17g}"`` on the numpy scalar, and one template per row formats
+    about twice as fast as one f-string per value."""
+    template = " ".join(["%.17g"] * rows.shape[1])
+    return [template % tuple(row) for row in rows.tolist()]
 
 
 class _Reader:

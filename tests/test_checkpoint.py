@@ -8,6 +8,7 @@ from dron.checkpoint import (
     rng_from_state,
     rng_state_of,
     save_checkpoint,
+    value_lines,
 )
 from dron.errors import CheckpointError
 
@@ -69,6 +70,39 @@ class TestRoundTrip:
         assert loaded.environment == "quizbowl"
         assert loaded.env_params["belief_alpha"] == 8.0
         assert loaded.env_params["vocab"] == 50
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+               -1.7976931348623157e308, 0.1, 1.0 / 3.0, -2.5, 1e-5, 123456789.0,
+               1e16, 1e17, np.inf, -np.inf, np.nan]
+
+
+class TestValueText:
+    def test_rows_match_per_value_formatting(self):
+        rng = np.random.default_rng(8)
+        rows = np.concatenate([
+            np.array(EDGE_VALUES)[None, :],
+            rng.normal(size=(3, len(EDGE_VALUES))) * 10.0 ** rng.integers(-300, 300, size=(3, 1)),
+        ])
+        expected = [" ".join(f"{x:.17g}" for x in row) for row in rows]
+        assert value_lines(rows) == expected
+        assert value_lines(rows[:, :1]) == [f"{row[0]:.17g}" for row in rows]
+        assert value_lines(np.empty((1, 0))) == [""]
+
+    def test_file_holds_per_value_text(self, tmp_path):
+        vector = np.array(EDGE_VALUES[:-3])
+        ckpt, _ = make_checkpoint()
+        ckpt.params["gate.0.bias"] = vector[:3].copy()
+        save_checkpoint(ckpt, str(tmp_path / "edge.ckpt"))
+        lines = (tmp_path / "edge.ckpt").read_text().splitlines()
+        weight = ckpt.params["gate.0.weight"]
+        at = lines.index(f"matrix gate.0.weight {weight.shape[0]} {weight.shape[1]}")
+        for i, row in enumerate(weight):
+            assert lines[at + 1 + i] == " ".join(f"{x:.17g}" for x in row)
+        at = lines.index("vector gate.0.bias 3")
+        assert lines[at + 1] == " ".join(f"{x:.17g}" for x in vector[:3])
+        loaded = load_checkpoint(str(tmp_path / "edge.ckpt"))
+        assert loaded.params["gate.0.bias"].tobytes() == vector[:3].tobytes()
 
 
 class TestErrors:
