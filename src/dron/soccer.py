@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,12 +47,12 @@ class SoccerConfig:
         if self.width < 3 or self.height < 2 or self.horizon < 1:
             raise ConfigurationError("soccer field too small or horizon < 1")
 
-    @property
+    @cached_property  # the goals are asked for several times per step
     def left_goal(self) -> Tuple[Cell, ...]:
         rows = self._goal_rows()
         return tuple((0, r) for r in rows)
 
-    @property
+    @cached_property
     def right_goal(self) -> Tuple[Cell, ...]:
         rows = self._goal_rows()
         return tuple((self.width - 1, r) for r in rows)
@@ -74,6 +74,27 @@ class SoccerConfig:
     def playable(self, cell: Cell) -> bool:
         col, row = cell
         return 0 <= col < self.width and 0 <= row < self.height and cell not in self.shaded
+
+    @cached_property  # featurize_state reads it every step
+    def frame_features(self) -> Dict[bool, Tuple[float, ...]]:
+        """``featurize_state``'s scale factors and its 9 constant features
+        (both axis limits, the own and the opposing goal block), keyed by
+        whether the perspective is player A: ``(sx, sy, constants)``."""
+        sx = 1.0 / (self.width - 1)
+        sy = 1.0 / (self.height - 1)
+
+        def goal_block(goal: Tuple[Cell, ...]) -> List[float]:
+            rows = sorted(g[1] for g in goal)
+            return [goal[0][0] * sx, rows[0] * sy, rows[-1] * sy]
+
+        def constants(own: Tuple[Cell, ...], opposing: Tuple[Cell, ...]) -> Tuple[float, ...]:
+            return (0.0, (self.width - 1) * sx, 0.0, (self.height - 1) * sy,
+                    *goal_block(own), *goal_block(opposing))
+
+        return {
+            True: (sx, sy, constants(self.left_goal, self.right_goal)),
+            False: (sx, sy, constants(self.right_goal, self.left_goal)),
+        }
 
     def goal_for(self, player: str) -> Tuple[Cell, ...]:
         """The goal `player` attacks."""
@@ -194,25 +215,14 @@ def featurize_state(
     """15 features from one player's point of view: both positions, the axis
     limits, both goal areas, and ball possession. Coordinates are scaled to
     [0, 1] by the grid extents."""
-    sx = 1.0 / (config.width - 1)
-    sy = 1.0 / (config.height - 1)
+    sx, sy, constants = config.frame_features[perspective == "A"]
     me = state.position(perspective)
     other = state.position("B" if perspective == "A" else "A")
-    own = config.own_goal_of(perspective)
-    opposing = config.goal_for(perspective)
-
-    def goal_block(goal: Tuple[Cell, ...]) -> List[float]:
-        rows = sorted(g[1] for g in goal)
-        return [goal[0][0] * sx, rows[0] * sy, rows[-1] * sy]
-
     return np.array(
         [
             me[0] * sx, me[1] * sy,
             other[0] * sx, other[1] * sy,
-            0.0, (config.width - 1) * sx,
-            0.0, (config.height - 1) * sy,
-            *goal_block(own),
-            *goal_block(opposing),
+            *constants,
             1.0 if state.ball == perspective else 0.0,
         ]
     )

@@ -9,6 +9,7 @@ from dron.soccer import (
     ACTIONS,
     DEFAULT_CONFIG,
     OpponentStats,
+    SoccerConfig,
     SoccerState,
     classify_move,
     featurize_state,
@@ -186,6 +187,44 @@ class TestFeaturize:
         phi = featurize_state(state, perspective="B")
         assert phi[0] == 6 / 8 and phi[1] == 1 / 5
         assert phi[8] == 1.0  # B defends the right goal
+
+
+    def test_cached_frame_equals_per_call_expressions(self):
+        # the constant features were computed on every call; they must keep
+        # their bytes now that they are computed once per perspective
+        def per_call(state, config, perspective):
+            sx = 1.0 / (config.width - 1)
+            sy = 1.0 / (config.height - 1)
+            me = state.position(perspective)
+            other = state.position("B" if perspective == "A" else "A")
+
+            def goal_block(goal):
+                rows = sorted(g[1] for g in goal)
+                return [goal[0][0] * sx, rows[0] * sy, rows[-1] * sy]
+
+            return np.array([
+                me[0] * sx, me[1] * sy, other[0] * sx, other[1] * sy,
+                0.0, (config.width - 1) * sx, 0.0, (config.height - 1) * sy,
+                *goal_block(config.own_goal_of(perspective)),
+                *goal_block(config.goal_for(perspective)),
+                1.0 if state.ball == perspective else 0.0,
+            ])
+
+        configs = (DEFAULT_CONFIG, SoccerConfig(width=7, height=5), SoccerConfig(width=12, height=8))
+        for config in configs:
+            cells = [(c, r) for c in range(config.width) for r in range(config.height)
+                     if config.playable((c, r))]
+            for a, b in zip(cells, cells[::-1]):
+                for ball in ("A", "B"):
+                    state = SoccerState(a, b, ball)
+                    for perspective in ("A", "B"):
+                        got = featurize_state(state, config, perspective)
+                        assert got.tobytes() == per_call(state, config, perspective).tobytes()
+
+    def test_goals_are_cached(self):
+        config = SoccerConfig()
+        assert config.left_goal is config.left_goal
+        assert config.right_goal is config.right_goal
 
 
 class TestClassifyMove:
