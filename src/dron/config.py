@@ -52,49 +52,67 @@ class ExperimentConfig:
     opponent_pool: int = 40
 
     def __post_init__(self) -> None:
+        # every rule names the keys it found at fault, so that parse_config
+        # can point at the line that set the last of them
         if self.environment not in ENVIRONMENTS:
-            raise ConfigurationError(f"unknown environment {self.environment!r}")
+            raise ConfigurationError(f"unknown environment {self.environment!r}",
+                                     keys=("environment",))
         if self.agent not in AGENT_KINDS:
-            raise ConfigurationError(f"unknown agent kind {self.agent!r}")
+            raise ConfigurationError(f"unknown agent kind {self.agent!r}", keys=("agent",))
         if self.multitask not in MULTITASK:
-            raise ConfigurationError(f"unknown multitask mode {self.multitask!r}")
+            raise ConfigurationError(f"unknown multitask mode {self.multitask!r}",
+                                     keys=("multitask",))
         if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigurationError(f"gamma must lie in [0, 1], got {self.gamma}")
+            raise ConfigurationError(f"gamma must lie in [0, 1], got {self.gamma}",
+                                     keys=("gamma",))
         if not self.seeds:
-            raise ConfigurationError("at least one seed is required")
+            raise ConfigurationError("at least one seed is required", keys=("seeds",))
         if self.learning_rate <= 0.0:
             raise ConfigurationError(
-                f"learning_rate must be positive, got {self.learning_rate}")
+                f"learning_rate must be positive, got {self.learning_rate}",
+                keys=("learning_rate",))
         for key in ("batch_size", "target_sync", "replay_capacity", "opponent_pool"):
             if getattr(self, key) < 1:
-                raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")
+                raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}",
+                                         keys=(key,))
         if self.replay_min > self.replay_capacity:
             raise ConfigurationError(
                 f"replay_min ({self.replay_min}) exceeds replay_capacity "
-                f"({self.replay_capacity}), so no update would ever run")
+                f"({self.replay_capacity}), so no update would ever run",
+                keys=("replay_min", "replay_capacity"))
         if self.vocab < 2:
-            raise ConfigurationError(f"vocab must be >= 2, got {self.vocab}")
+            raise ConfigurationError(f"vocab must be >= 2, got {self.vocab}", keys=("vocab",))
         if not 1 <= self.question_min <= self.question_max:
             raise ConfigurationError(
                 f"question_min ({self.question_min}) and question_max ({self.question_max}) "
-                f"must satisfy 1 <= question_min <= question_max")
+                f"must satisfy 1 <= question_min <= question_max",
+                keys=("question_min",) if self.question_min < 1
+                else ("question_min", "question_max"))
         if self.agent == "dron_moe" and self.experts < 1:
-            raise ConfigurationError(f"experts must be >= 1 for dron_moe, got {self.experts}")
+            raise ConfigurationError(f"experts must be >= 1 for dron_moe, got {self.experts}",
+                                     keys=("agent", "experts"))
         if self.agent == "dqn" and self.multitask != "none":
             raise ConfigurationError(
-                f"multitask must be none for dqn (no opponent tower), got {self.multitask!r}")
+                f"multitask must be none for dqn (no opponent tower), got {self.multitask!r}",
+                keys=("agent", "multitask"))
         if not (self.epsilon_start >= self.epsilon_end >= 0.0):
-            raise ConfigurationError("epsilon_start must be >= epsilon_end >= 0")
-        if self.epochs < 1 or self.steps_per_epoch < 1 or self.eval_games < 1:
-            raise ConfigurationError("epochs, steps_per_epoch, eval_games must be >= 1")
+            raise ConfigurationError("epsilon_start must be >= epsilon_end >= 0",
+                                     keys=("epsilon_start", "epsilon_end"))
+        short = tuple(key for key in ("epochs", "steps_per_epoch", "eval_games")
+                      if getattr(self, key) < 1)
+        if short:
+            raise ConfigurationError("epochs, steps_per_epoch, eval_games must be >= 1",
+                                     keys=short)
         valid = SOCCER_OPPONENTS if self.environment == "soccer" else QUIZ_OPPONENTS
         if self.opponent not in valid:
             raise ConfigurationError(
                 f"opponent {self.opponent!r} is not valid for {self.environment} "
-                f"(choose from {valid})"
+                f"(choose from {valid})",
+                keys=("environment", "opponent"),
             )
         if self.opponent == "self" and self.agent != "dqn":
-            raise ConfigurationError("self-play training is only defined for the dqn agent")
+            raise ConfigurationError("self-play training is only defined for the dqn agent",
+                                     keys=("opponent", "agent"))
 
     @property
     def effective_grad_clip(self) -> Optional[float]:
@@ -137,6 +155,7 @@ def parse_config(text: str) -> ExperimentConfig:
         for f in fields(ExperimentConfig)
     }
     overrides = {}
+    line_of = {}  # key -> the line that last set it
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -148,10 +167,16 @@ def parse_config(text: str) -> ExperimentConfig:
         if key not in known:
             raise ConfigurationError(f"line {line_no}: unknown key {key!r}")
         overrides[key] = _parse_value(key, raw, type_map[key], line_no)
+        line_of[key] = line_no
     try:
         return ExperimentConfig(**overrides)
-    except ConfigurationError:
-        raise
+    except ConfigurationError as exc:
+        # a rule names the line of the last key at fault that the text set;
+        # a key left at its default has no line
+        lines = [line_of[key] for key in exc.keys if key in line_of]
+        if not lines:
+            raise
+        raise ConfigurationError(f"line {max(lines)}: {exc}", keys=exc.keys) from None
     except TypeError as exc:
         raise ConfigurationError(str(exc)) from None
 

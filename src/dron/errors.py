@@ -6,7 +6,12 @@ class DronError(Exception):
 
 
 class ConfigurationError(DronError):
-    """Invalid specs, shapes, or configuration values."""
+    """Invalid specs, shapes, or configuration values. ``keys`` names the
+    configuration keys a rule found at fault, when there are any."""
+
+    def __init__(self, *args: object, keys: tuple = ()):
+        super().__init__(*args)
+        self.keys = keys
 
 
 class UsageError(DronError):

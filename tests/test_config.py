@@ -72,21 +72,47 @@ class TestValues:
 class TestParseTimeRules:
     # each of these used to pass parsing and fail (or, for opponent_pool,
     # silently use a pool of 4) only once training had started
-    @pytest.mark.parametrize("text,key", [
-        ("batch_size=0", "batch_size"),
-        ("target_sync=0", "target_sync"),
-        ("replay_capacity=0", "replay_capacity"),
-        ("environment=quizbowl\nopponent_pool=0", "opponent_pool"),
-        ("environment=quizbowl\nvocab=1", "vocab"),
-        ("environment=quizbowl\nquestion_min=0", "question_min"),
-        ("environment=quizbowl\nquestion_min=90\nquestion_max=80", "question_max"),
-        ("agent=dron_moe\nexperts=0", "experts"),
-        ("agent=dqn\nmultitask=type", "multitask"),
+    @pytest.mark.parametrize("text,key,line", [
+        ("batch_size=0", "batch_size", 1),
+        ("target_sync=0", "target_sync", 1),
+        ("replay_capacity=0", "replay_capacity", 1),
+        ("environment=quizbowl\nopponent_pool=0", "opponent_pool", 2),
+        ("environment=quizbowl\nvocab=1", "vocab", 2),
+        ("environment=quizbowl\nquestion_min=0", "question_min", 2),
+        ("environment=quizbowl\nquestion_min=90\nquestion_max=80", "question_max", 3),
+        ("agent=dron_moe\nexperts=0", "experts", 2),
+        ("agent=dqn\nmultitask=type", "multitask", 2),
     ], ids=["batch_size", "target_sync", "replay_capacity", "opponent_pool", "vocab",
             "question_min", "question_order", "experts", "dqn_multitask"])
-    def test_rejected_naming_the_key(self, text, key):
-        with pytest.raises(ConfigurationError, match=key):
+    def test_rejected_naming_the_key(self, text, key, line):
+        with pytest.raises(ConfigurationError, match=rf"^line {line}: .*{key}"):
             parse_config(text)
+
+    def test_line_of_the_offending_key(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"^line 2: batch_size must be >= 1, got 0$"):
+            parse_config("epochs=2\nbatch_size=0")
+
+    @pytest.mark.parametrize("text,line", [
+        ("replay_capacity=10\nepochs=2\nreplay_min=50", 3),
+        ("replay_min=50\nepochs=2\nreplay_capacity=10", 3),
+        ("learning_rate=0.1\nenvironment=quizbowl\nvocab=3\nopponent=offensive", 4),
+        ("opponent=offensive\nvocab=3\nenvironment=quizbowl", 3),
+    ])
+    def test_two_key_rule_names_the_later_key(self, text, line):
+        with pytest.raises(ConfigurationError, match=rf"^line {line}: "):
+            parse_config(text)
+
+    def test_key_left_at_default_has_no_line(self):
+        # replay_min keeps its default of 1000, so only replay_capacity's line counts
+        with pytest.raises(ConfigurationError, match=r"^line 2: replay_min \(1000\)"):
+            parse_config("epochs=2\nreplay_capacity=10\nbatch_size=4")
+        with pytest.raises(ConfigurationError, match=r"^batch_size must"):
+            ExperimentConfig(batch_size=0)
+
+    def test_repeated_key_names_its_last_line(self):
+        with pytest.raises(ConfigurationError, match=r"^line 3: "):
+            parse_config("batch_size=8\nepochs=2\nbatch_size=0")
 
     def test_boundaries_accepted(self):
         cfg = parse_config("environment=quizbowl\nbatch_size=1\ntarget_sync=1\n"
