@@ -101,6 +101,7 @@ class Agent:
     def __init__(self, spec: AgentSpec, params: Optional[ParamSet] = None, seed: int = 0):
         self.spec = spec
         self._specs = _component_specs(spec)
+        self._experts = tuple(f"expert.{i}" for i in range(spec.experts))
         self._layout = tuple(
             entry for name, mlp in self._specs.items()
             for entry in nn.mlp_layout(mlp, f"{name}.")
@@ -170,16 +171,14 @@ class Agent:
         if self.spec.kind == "dqn":
             raise UsageError("dqn has no separate towers to encode with")
         _, nets = self._bound(params)
-        hs, _ = nn.run_mlp(nets["state_tower"], phi_s)
-        ho, _ = nn.run_mlp(nets["opponent_tower"], phi_o)
-        return hs, ho
+        return _run(nets["state_tower"], phi_s), _run(nets["opponent_tower"], phi_o)
 
     def predict_opponent(self, ho: np.ndarray, params: Optional[ParamSet] = None) -> np.ndarray:
         """Supervision-head prediction from the opponent embedding."""
         if self.spec.multitask == "none":
             raise UsageError("agent has no multitask head")
         _, nets = self._bound(params)
-        return nn.run_mlp(nets["opponent_head"], ho)[0]
+        return _run(nets["opponent_head"], ho)
 
     # -- training ----------------------------------------------------------
 
@@ -252,9 +251,7 @@ class Agent:
         neither."""
         p, nets = self._bound(params)
         spec = self.spec
-        phi_s = np.asarray(phi_s, dtype=np.float64)
-        squeeze = phi_s.ndim == 1
-        S = phi_s[None, :] if squeeze else phi_s
+        S, squeeze = nn.as_batch(phi_s)
         caches: Dict[str, Optional[nn.ForwardCache]] = {}
 
         if spec.kind == "dqn":
@@ -263,8 +260,7 @@ class Agent:
 
         if phi_o is None:
             raise ConfigurationError(f"{spec.kind} requires opponent features")
-        phi_o = np.asarray(phi_o, dtype=np.float64)
-        O = phi_o[None, :] if phi_o.ndim == 1 else phi_o
+        O, _ = nn.as_batch(phi_o)
         hs, caches["state_tower"] = nn.run_mlp(nets["state_tower"], S, train)
         ho, caches["opponent_tower"] = nn.run_mlp(nets["opponent_tower"], O, train)
 
@@ -278,8 +274,8 @@ class Agent:
             gate = nn.softmax(gate_pre)
             expert_q = []
             q = np.zeros((S.shape[0], spec.action_count))
-            for i in range(spec.experts):
-                qi, caches[f"expert.{i}"] = nn.run_mlp(nets[f"expert.{i}"], hs, train)
+            for i, name in enumerate(self._experts):
+                qi, caches[name] = nn.run_mlp(nets[name], hs, train)
                 expert_q.append(qi)
                 q += gate[:, i : i + 1] * qi
 
@@ -309,6 +305,13 @@ class _Forward:
     @property
     def gate_squeezed(self) -> np.ndarray:
         return self.gate[0] if self.squeeze else self.gate
+
+
+def _run(layers: Tuple[nn.Layer, ...], x: np.ndarray) -> np.ndarray:
+    """``nn.run_mlp`` on one vector or a batch, returned in the same form."""
+    a, squeeze = nn.as_batch(x)
+    out, _ = nn.run_mlp(layers, a)
+    return out[0] if squeeze else out
 
 
 def _component_specs(spec: AgentSpec) -> Dict[str, MLPSpec]:

@@ -3,8 +3,9 @@
 Everything operates on plain float64 numpy arrays. A parameter set is a flat
 dict mapping names like ``"state_tower.0.weight"`` to arrays; an MLP owns the
 names ``"{prefix}{i}.weight"`` / ``"{prefix}{i}.bias"`` for each of its layers.
-Forward/backward accept a single input vector ``(in,)`` or a batch ``(B, in)``.
-Weight gradients returned for a batch are sums over the batch rows.
+``mlp_forward``/``mlp_backward`` accept a single input vector ``(in,)`` or a
+batch ``(B, in)``; ``run_mlp`` takes a batch. Weight gradients returned for a
+batch are sums over the batch rows.
 
 Bound layers: ``bind_mlp`` resolves an MLP's names in a parameter set once,
 checks their shapes, and returns one ``(weight, bias, activation)`` tuple per
@@ -71,7 +72,8 @@ class ForwardCache:
     squeeze: bool  # input was 1-D; outputs were squeezed
 
 
-def _as_batch(x: np.ndarray) -> Tuple[np.ndarray, bool]:
+def as_batch(x: np.ndarray) -> Tuple[np.ndarray, bool]:
+    """``x`` as a float64 batch ``(B, in)``, and whether it was one vector."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         return x[None, :], True
@@ -174,11 +176,11 @@ def bind_mlp(spec: MLPSpec, params: Mapping[str, np.ndarray], prefix: str = "") 
 
 
 def run_mlp(
-    layers: Tuple[Layer, ...], x: np.ndarray, keep_cache: bool = False
+    layers: Tuple[Layer, ...], a: np.ndarray, keep_cache: bool = False
 ) -> Tuple[np.ndarray, Optional[ForwardCache]]:
-    """Affine + activation chain over bound layers. Returns the output and,
-    with ``keep_cache``, the cache ``mlp_backward`` consumes (else None)."""
-    a, squeeze = _as_batch(x)
+    """Affine + activation chain over bound layers for a float64 batch ``a``
+    of shape ``(B, in)``. Returns the output batch and, with ``keep_cache``,
+    the cache ``mlp_backward`` consumes (else None)."""
     if a.shape[1] != layers[0][0].shape[0]:
         raise ConfigurationError(
             f"input width {a.shape[1]} does not match spec input size {layers[0][0].shape[0]}"
@@ -199,16 +201,19 @@ def run_mlp(
             a = z
         if keep_cache:
             outputs.append(a)
-    cache = ForwardCache(inputs=inputs, outputs=outputs, squeeze=squeeze) if keep_cache else None
-    return (a[0] if squeeze else a), cache
+    return a, (ForwardCache(inputs=inputs, outputs=outputs, squeeze=False) if keep_cache else None)
 
 
 def mlp_forward(
     spec: MLPSpec, params: ParamSet, x: np.ndarray, prefix: str = ""
 ) -> Tuple[np.ndarray, ForwardCache]:
-    """Affine + activation chain by parameter name: ``bind_mlp`` then
-    ``run_mlp``. Returns the output and a reusable cache."""
-    return run_mlp(bind_mlp(spec, params, prefix), x, keep_cache=True)
+    """Affine + activation chain by parameter name, on one vector or a
+    batch: ``bind_mlp`` then ``run_mlp``. Returns the output, in the form of
+    ``x``, and a reusable cache."""
+    a, squeeze = as_batch(x)
+    out, cache = run_mlp(bind_mlp(spec, params, prefix), a, keep_cache=True)
+    cache.squeeze = squeeze
+    return (out[0] if squeeze else out), cache
 
 
 def mlp_backward(
@@ -229,7 +234,7 @@ def mlp_backward(
     """
     if len(cache.inputs) != spec.layer_count:
         raise ConfigurationError("cache does not match spec (layer count differs)")
-    dy, _ = _as_batch(output_gradient)
+    dy, _ = as_batch(output_gradient)
     if dy.shape != cache.outputs[-1].shape:
         raise ConfigurationError(
             f"output_gradient shape {dy.shape} does not match forward output "

@@ -101,16 +101,20 @@ class TestBoundLayers:
         params = nn.init_params(spec, 4, prefix="net.")
         layers = nn.bind_mlp(spec, params, "net.")
         assert [act for _, _, act in layers] == ["relu", "relu", output]
-        for x in (np.random.default_rng(1).normal(size=5),
+        for x in (np.random.default_rng(1).normal(size=(1, 5)),
                   np.random.default_rng(2).normal(size=(9, 5))):
             ref, ref_cache = nn.mlp_forward(spec, params, x, "net.")
             out, none = nn.run_mlp(layers, x)
             assert none is None and out.tobytes() == ref.tobytes()
             out, cache = nn.run_mlp(layers, x, keep_cache=True)
-            assert out.tobytes() == ref.tobytes() and cache.squeeze == ref_cache.squeeze
+            assert out.tobytes() == ref.tobytes() and not cache.squeeze
             for got, want in zip(cache.inputs + cache.outputs,
                                  ref_cache.inputs + ref_cache.outputs):
                 assert got.tobytes() == want.tobytes()
+            # a vector through mlp_forward is the one-row batch, squeezed
+            vec, vec_cache = nn.mlp_forward(spec, params, x[0], "net.")
+            assert vec.tobytes() == nn.run_mlp(layers, x[:1])[0][0].tobytes()
+            assert vec_cache.squeeze
 
     def test_layers_follow_in_place_writes(self):
         spec = nn.MLPSpec((3, 2))
@@ -118,7 +122,7 @@ class TestBoundLayers:
         layers = nn.bind_mlp(spec, params)
         params["0.bias"] = np.array([5.0, -5.0])
         params.flat[:6] = 0.0
-        assert np.array_equal(nn.run_mlp(layers, np.ones(3))[0], [5.0, -5.0])
+        assert np.array_equal(nn.run_mlp(layers, np.ones((1, 3)))[0], [[5.0, -5.0]])
 
     def test_bind_checks_every_shape(self):
         spec = nn.MLPSpec((3, 4, 2))
