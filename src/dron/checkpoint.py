@@ -101,7 +101,8 @@ def value_lines(rows: np.ndarray) -> List[str]:
     ``f"{x:.17g}"`` on the numpy scalar, and one template per row formats
     about twice as fast as one f-string per value."""
     template = " ".join(["%.17g"] * rows.shape[1])
-    return [template % tuple(row) for row in rows.tolist()]
+    # row by row, so the Python floats of a whole matrix never exist at once
+    return [template % tuple(row.tolist()) for row in rows]
 
 
 class _Reader:
