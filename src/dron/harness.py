@@ -8,6 +8,11 @@ the game state, the opponent history and the current observation `obs`;
 never starts the next episode by itself: its owner calls `reset()`, so an
 evaluation game draws nothing from its random stream after the game ends.
 
+A run's environment is one dict, `env_params_for(config)`, which its
+checkpoint stores. Greedy evaluation has one path, `_evaluate`, fed that dict:
+a run's per-epoch evaluation and a later `evaluate` of its checkpoint play the
+same games.
+
 Determinism contract: (config, seed) fully determine every CSV byte and
 checkpoint parameter. All random streams derive from the run seed via named
 integer sub-keys, and per-game evaluation streams derive from (eval seed,
@@ -89,12 +94,13 @@ def agent_spec_for(config: ExperimentConfig) -> AgentSpec:
 
 
 def env_params_for(config: ExperimentConfig) -> dict:
+    """The environment keys of a run: all a checkpoint needs to play its games."""
     if config.environment != "quizbowl":
         return {}
     return {
         "vocab": config.vocab, "question_min": config.question_min,
         "question_max": config.question_max, "belief_alpha": config.belief_alpha,
-        "belief_kappa": config.belief_kappa,
+        "belief_kappa": config.belief_kappa, "opponent_pool": config.opponent_pool,
     }
 
 
@@ -228,22 +234,20 @@ class SelfPlayDriver:
         return reward, done, StepInfo()
 
 
+def _population(opponent: str, seed: int, size: int) -> qb.Population:
+    return qb.make_population(opponent, np.random.default_rng([seed, _STREAM_POPULATION]),
+                              size=size)
+
+
 def make_driver(config: ExperimentConfig, rng: np.random.Generator, seed: int):
     if config.environment == "soccer":
         return SoccerDriver(rng, config.opponent, config.multitask)
-    quiz_cfg = quiz_config_for(env_params_for(config))
+    env_params = env_params_for(config)
+    quiz_cfg = quiz_config_for(env_params)
     if config.opponent == "self":
         return SelfPlayDriver(rng, quiz_cfg)
-    population = qb.make_population(
-        config.opponent, np.random.default_rng([seed, _STREAM_POPULATION]),
-        size=config.opponent_pool,
-    )
+    population = _population(config.opponent, seed, env_params["opponent_pool"])
     return QuizDriver(rng, quiz_cfg, population, config.multitask)
-
-
-def _q_values(agent: Agent, obs: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    phi_s, phi_o = obs
-    return agent.q_values(phi_s, phi_o if agent.spec.kind != "dqn" else None)
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -256,7 +260,7 @@ def evaluate_soccer(agent: Agent, opponent: str, n_games: int, seed: int,
         driver = SoccerDriver(np.random.default_rng([seed, game]), opponent)
         done = False
         while not done:
-            reward, done, _ = driver.step(int(np.argmax(_q_values(agent, driver.obs))))
+            reward, done, _ = driver.step(int(np.argmax(agent.q_values(*driver.obs))))
             if render:
                 print(soccer.render(driver.state, driver.cfg))
                 print()
@@ -271,13 +275,11 @@ def evaluate_soccer(agent: Agent, opponent: str, n_games: int, seed: int,
 
 
 def evaluate_quiz(agent: Agent, opponent: str, n_games: int, seed: int,
-                  quiz_cfg: qb.QuizConfig, pool_size: int = 40,
+                  quiz_cfg: qb.QuizConfig, pool_size: int = ExperimentConfig.opponent_pool,
                   trace_rows: Optional[list] = None) -> MetricsSummary:
     if opponent == "self":
         raise UsageError("evaluation always runs against a real opponent pool")
-    population = qb.make_population(
-        opponent, np.random.default_rng([seed, _STREAM_POPULATION]), size=pool_size
-    )
+    population = _population(opponent, seed, pool_size)
     rewards = []
     rushes = misses = wins = losses = 0
     for game in range(n_games):
@@ -287,7 +289,7 @@ def evaluate_quiz(agent: Agent, opponent: str, n_games: int, seed: int,
         opponent_won = done = False
         while not done:
             state = driver.state
-            action = int(np.argmax(_q_values(agent, driver.obs)))
+            action = int(np.argmax(agent.q_values(*driver.obs)))
             record = qb.StepRecord(
                 t=state.t, belief_was_correct=qb.belief_correct(state),
                 agent_action=action, agent_had_buzzed=state.agent_locked,
@@ -327,28 +329,29 @@ def evaluate_quiz(agent: Agent, opponent: str, n_games: int, seed: int,
     )
 
 
-def evaluate(checkpoint: Checkpoint, opponent: str, n_games: int, seed: int,
-             render: bool = False, trace_rows: Optional[list] = None) -> MetricsSummary:
-    """Greedy-policy evaluation of a checkpoint; deterministic given seed."""
+def _evaluate(agent: Agent, environment: str, env_params: dict, opponent: str,
+              n_games: int, seed: int, render: bool = False,
+              trace_rows: Optional[list] = None) -> MetricsSummary:
+    """Greedy-policy evaluation in a run's environment; deterministic given seed.
+    Checkpoints written before `opponent_pool` was stored get the default pool."""
     if n_games < 1:
         raise UsageError("n_games must be at least 1")
-    agent = checkpoint.build_agent()
-    if checkpoint.environment == "soccer":
+    if environment == "soccer":
+        if trace_rows is not None:
+            raise UsageError("buzz traces are recorded for quiz bowl only")
         return evaluate_soccer(agent, opponent, n_games, seed, render=render)
-    return evaluate_quiz(agent, opponent, n_games, seed,
-                         quiz_config_for(checkpoint.env_params), trace_rows=trace_rows)
+    if render:
+        raise UsageError("rendering is available for soccer only")
+    pool_size = int(env_params.get("opponent_pool", ExperimentConfig.opponent_pool))
+    return evaluate_quiz(agent, opponent, n_games, seed, quiz_config_for(env_params),
+                         pool_size=pool_size, trace_rows=trace_rows)
 
 
-def _evaluate_during_training(agent: Agent, config: ExperimentConfig,
-                              seed: int, epoch: int) -> MetricsSummary:
-    eval_seed_key = [seed, _STREAM_EVAL, epoch]
-    eval_seed = int(np.random.SeedSequence(eval_seed_key).generate_state(1)[0])
-    opponent = config.opponent if config.opponent != "self" else "mixed"
-    if config.environment == "soccer":
-        return evaluate_soccer(agent, opponent, config.eval_games, eval_seed)
-    return evaluate_quiz(agent, opponent, config.eval_games, eval_seed,
-                         quiz_config_for(env_params_for(config)),
-                         pool_size=config.opponent_pool)
+def evaluate(checkpoint: Checkpoint, opponent: str, n_games: int, seed: int,
+             render: bool = False, trace_rows: Optional[list] = None) -> MetricsSummary:
+    """Greedy-policy evaluation of a checkpoint in its run's environment."""
+    return _evaluate(checkpoint.build_agent(), checkpoint.environment, checkpoint.env_params,
+                     opponent, n_games, seed, render=render, trace_rows=trace_rows)
 
 
 # -- training -----------------------------------------------------------------
@@ -378,6 +381,8 @@ def train_run(config: ExperimentConfig, seed: int,
     explore_rng = np.random.default_rng([seed, _STREAM_EXPLORE])
     replay_rng = np.random.default_rng([seed, _STREAM_REPLAY])
     driver = make_driver(config, env_rng, seed)
+    env_params = env_params_for(config)
+    eval_opponent = config.opponent if config.opponent != "self" else "mixed"
     replay = rl.ReplayBuffer(config.replay_capacity)
     opt_state = AdaGradState.for_params(agent.params, config.learning_rate)
     target = rl.sync_target(agent)
@@ -389,7 +394,7 @@ def train_run(config: ExperimentConfig, seed: int,
         for _ in range(config.steps_per_epoch):
             phi_s, phi_o = driver.obs
             eps = rl.epsilon_at(schedule, global_step)
-            action = rl.act_epsilon_greedy(_q_values(agent, driver.obs), eps, explore_rng)
+            action = rl.act_epsilon_greedy(agent.q_values(*driver.obs), eps, explore_rng)
             reward, done, info = driver.step(action)
             next_s, next_o = driver.obs
             replay.push(rl.Transition(
@@ -409,7 +414,9 @@ def train_run(config: ExperimentConfig, seed: int,
                 updates += 1
                 if updates % config.target_sync == 0:
                     target = rl.sync_target(agent)
-        summary = _evaluate_during_training(agent, config, seed, epoch)
+        eval_seed = int(np.random.SeedSequence([seed, _STREAM_EVAL, epoch]).generate_state(1)[0])
+        summary = _evaluate(agent, config.environment, env_params, eval_opponent,
+                            config.eval_games, eval_seed)
         metrics.append(summary)
         if progress is not None:
             progress(epoch, summary)
@@ -417,7 +424,7 @@ def train_run(config: ExperimentConfig, seed: int,
     checkpoint = Checkpoint(
         agent_spec=agent.spec, params=agent.params,
         environment=config.environment, steps=global_step,
-        rng_state=rng_state_of(env_rng), env_params=env_params_for(config),
+        rng_state=rng_state_of(env_rng), env_params=env_params,
     )
     return RunResult(seed=seed, epoch_metrics=metrics, checkpoint=checkpoint)
 

@@ -246,7 +246,7 @@ def td_update(
     n = len(batch)
     targets = q_targets(agent, target_params, batch, config.discount)
 
-    fwd = agent.forward_train(batch.state, batch.opponent if agent.spec.kind != "dqn" else None)
+    fwd = agent.forward_train(batch.state, batch.opponent)
     rows = np.arange(n)
     taken = fwd.q[rows, batch.action]
     err = taken - targets

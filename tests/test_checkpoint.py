@@ -62,7 +62,7 @@ class TestRoundTrip:
         ckpt = Checkpoint(
             agent_spec=agent.spec, params=agent.params, environment="quizbowl",
             env_params={"vocab": 50, "question_min": 60, "question_max": 120,
-                        "belief_alpha": 8.0, "belief_kappa": 1.0},
+                        "belief_alpha": 8.0, "belief_kappa": 1.0, "opponent_pool": 3},
         )
         path = tmp_path / "quiz.ckpt"
         save_checkpoint(ckpt, str(path))
@@ -70,6 +70,8 @@ class TestRoundTrip:
         assert loaded.environment == "quizbowl"
         assert loaded.env_params["belief_alpha"] == 8.0
         assert loaded.env_params["vocab"] == 50
+        pool = loaded.env_params["opponent_pool"]
+        assert pool == 3 and type(pool) is int
 
 
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,

@@ -6,8 +6,8 @@ import pytest
 
 from dron import harness
 from dron import quizbowl as qb
-from dron.agents import Agent, soccer_agent_spec
-from dron.checkpoint import Checkpoint, load_checkpoint
+from dron.agents import Agent, quiz_agent_spec, soccer_agent_spec
+from dron.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from dron.config import parse_config
 from dron.errors import UsageError
 from dron.harness import evaluate, sweep_experts, train, train_run
@@ -120,6 +120,51 @@ class TestEvaluate:
         total = summary.win_rate + summary.tie_rate + summary.loss_rate
         assert total == pytest.approx(1.0)
 
+    def test_soccer_traces_rejected(self):
+        with pytest.raises(UsageError, match="quiz bowl only"):
+            evaluate(self.make_checkpoint(), "mixed", 1, seed=1, trace_rows=[])
+
+    def test_quiz_render_rejected(self):
+        agent = Agent(quiz_agent_spec("dqn"), seed=0)
+        ckpt = Checkpoint(agent_spec=agent.spec, params=agent.params, environment="quizbowl")
+        with pytest.raises(UsageError, match="soccer only"):
+            evaluate(ckpt, "mixed", 1, seed=1, render=True)
+
+    def test_checkpoint_without_pool_plays_the_default_pool(self, tmp_path):
+        # checkpoints written before the run's opponent_pool was stored
+        agent = Agent(quiz_agent_spec("dron_moe"), seed=3)
+        env_params = {"vocab": 50, "question_min": 60, "question_max": 120,
+                      "belief_alpha": 8.0, "belief_kappa": 1.0}
+        path = str(tmp_path / "old.ckpt")
+        save_checkpoint(Checkpoint(agent_spec=agent.spec, params=agent.params,
+                                   environment="quizbowl", env_params=env_params), path)
+        got = evaluate(load_checkpoint(path), "mixed", 20, seed=7)
+        want = harness.evaluate_quiz(agent, "mixed", 20, 7, harness.quiz_config_for(env_params),
+                                     pool_size=40)
+        assert got == want
+
+
+# A run's last per-epoch evaluation and an evaluation of its checkpoint with
+# the same eval seed play the same games: with the run's opponent pool, and
+# against mixed opponents after self-play.
+CHECKPOINT_EVAL_RUNS = {
+    "soccer-dqn": "environment = soccer\nagent = dqn\n",
+    "quiz-moe-pool3": "environment = quizbowl\nagent = dron_moe\nopponent_pool = 3\n",
+    "quiz-self-dqn": "environment = quizbowl\nagent = dqn\nopponent = self\n",
+}
+
+
+@pytest.mark.parametrize("name", list(CHECKPOINT_EVAL_RUNS))
+def test_checkpoint_evaluates_like_the_last_epoch(tmp_path, name):
+    config = parse_config(CHECKPOINT_EVAL_RUNS[name] + "epochs = 2\nsteps_per_epoch = 60\n"
+                          "eval_games = 30\nreplay_min = 20\nseeds = 1\n")
+    (result,) = train(config, output_dir=str(tmp_path))
+    eval_key = [1, harness._STREAM_EVAL, config.epochs]
+    eval_seed = int(np.random.SeedSequence(eval_key).generate_state(1)[0])
+    summary = evaluate(load_checkpoint(result.checkpoint_path), "mixed", config.eval_games,
+                       eval_seed)
+    assert summary == result.epoch_metrics[-1]
+
 
 class BuzzAt:
     """Scripted quiz agent: waits until more than a share of the question is
@@ -203,9 +248,9 @@ GOLDEN_HASHES = {
     "soccer-dqn": "21cf5ea9a5b600f36e819d1ad5defd924bfb0df3133ef5ef0a92454548d82140",
     "soccer-moe-action": "abbbaefc275daf76ad3484ea4a70f4a671a7f09f6bc7d3a620f96e3a3153ac00",
     "soccer-concat-type-defensive": "91025dfced3c1d1f2123f6e29792ecc13193307df622f5a096212a8c0dc4b175",
-    "quiz-moe-type": "05d29ab00debf53e04dbb50734de5823645bf4f1b8190113a2dcd82f6c57ea32",
-    "quiz-concat-action": "ed28c30e228d4a11dc51260d824dbf5accd598bbaf23745751268d5bd0a2d172",
-    "quiz-self-dqn": "1f97d375241157e0bf469860c1efdde4fdb735962846018c5ecf65f1befecf8c",
+    "quiz-moe-type": "22d7dd4555788251400b1214e1f58ef573fccba91538fe3f10acba99d1e03a63",
+    "quiz-concat-action": "5e9abf1d6306b4eaceb25d3d1a7b6ba02ea2815df2dd8ecedc3659eb5cc08aea",
+    "quiz-self-dqn": "71f8257adff203b8ea1ed195dfe228005a54e6877139afd53db8794c8cc5d7f4",
     "eval-soccer": "9bad19842d591f4fede3f7e684a736846c28c588bd20d7dc72fa2ad1d9ab4606",
     "eval-quiz-traces": "348fac580cb9d2d38a5ad424cdd93f35414c5c4730d42b9d69f0c01ccf865e41",
 }
