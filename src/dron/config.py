@@ -11,13 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
+from .agents import KINDS as AGENT_KINDS
+from .agents import MULTITASK_MODES as MULTITASK
 from .errors import ConfigurationError
+from .quizbowl import POPULATION_PRESETS
+from .soccer import MODE_POLICIES as SOCCER_OPPONENTS
 
 ENVIRONMENTS = ("soccer", "quizbowl")
-AGENT_KINDS = ("dqn", "dron_concat", "dron_moe")
-MULTITASK = ("none", "action", "type")
-SOCCER_OPPONENTS = ("mixed", "offensive", "defensive")
-QUIZ_OPPONENTS = ("mixed", "type1", "type2", "type3", "type4", "self")
+QUIZ_OPPONENTS = POPULATION_PRESETS + ("self",)
 
 
 @dataclass(frozen=True)
@@ -148,12 +149,9 @@ def _parse_value(key: str, raw: str, target_type, line_no: int):
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse key=value configuration text into an ExperimentConfig."""
-    known = {f.name: f.type for f in fields(ExperimentConfig)}
-    type_map = {
-        f.name: (type(getattr(ExperimentConfig(), f.name))
-                 if getattr(ExperimentConfig(), f.name) is not None else float)
-        for f in fields(ExperimentConfig)
-    }
+    # a field's parse type is its default's (grad_clip defaults to None)
+    types = {f.name: float if f.default is None else type(f.default)
+             for f in fields(ExperimentConfig)}
     overrides = {}
     line_of = {}  # key -> the line that last set it
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -164,9 +162,9 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigurationError(f"line {line_no}: expected key=value, got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in known:
+        if key not in types:
             raise ConfigurationError(f"line {line_no}: unknown key {key!r}")
-        overrides[key] = _parse_value(key, raw, type_map[key], line_no)
+        overrides[key] = _parse_value(key, raw, types[key], line_no)
         line_of[key] = line_no
     try:
         return ExperimentConfig(**overrides)
