@@ -256,7 +256,7 @@ class Agent:
 
         if spec.kind == "dqn":
             q, caches["q_net"] = nn.run_mlp(nets["q_net"], S, train)
-            return _Forward(self, p, q, None, None, None, None, None, caches, squeeze)
+            return _Forward(p, q, None, None, None, None, caches, squeeze)
 
         if phi_o is None:
             raise ConfigurationError(f"{spec.kind} requires opponent features")
@@ -282,18 +282,16 @@ class Agent:
         supervision = None
         if train and spec.multitask != "none":
             supervision, caches["opponent_head"] = nn.run_mlp(nets["opponent_head"], ho, True)
-        return _Forward(self, p, q, gate, expert_q, hs, ho, supervision, caches, squeeze)
+        return _Forward(p, q, gate, expert_q, hs, supervision, caches, squeeze)
 
 
 @dataclass
 class _Forward:
-    agent: Agent
     params: ParamSet
     q: np.ndarray
     gate: Optional[np.ndarray]
     expert_q: Optional[List[np.ndarray]]
     hs: Optional[np.ndarray]
-    ho: Optional[np.ndarray]
     supervision: Optional[np.ndarray]
     caches: Dict[str, Optional[nn.ForwardCache]]  # None outside training
     squeeze: bool

@@ -8,7 +8,7 @@ significant digits, which round-trips 64-bit reals exactly), closed by an
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -28,11 +28,7 @@ class Checkpoint:
     environment: str = "soccer"
     steps: int = 0
     rng_state: Optional[Tuple[int, int]] = None  # PCG64 (state, inc)
-    env_params: Dict[str, float] = None
-
-    def __post_init__(self) -> None:
-        if self.env_params is None:
-            self.env_params = {}
+    env_params: Dict[str, float] = field(default_factory=dict)
 
     def build_agent(self) -> Agent:
         return Agent(self.agent_spec, params=self.params)

@@ -22,7 +22,6 @@ import numpy as np
 from .errors import ConfigurationError, UsageError
 
 WAIT, BUZZ = 0, 1
-QUIZ_ACTIONS = ("wait", "buzz")
 
 POPULATION_PRESETS = ("mixed", "type1", "type2", "type3", "type4")
 
