@@ -134,7 +134,8 @@ def main(argv=None) -> int:
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint greedily")
     p_eval.add_argument("checkpoint")
     p_eval.add_argument("--opponent", default="mixed",
-                        help="soccer: mixed/offensive/defensive; quiz: mixed/type1..4")
+                        help="soccer: mixed/offensive/defensive; quiz: mixed/type1..4, drawn "
+                             "as a pool of the run's opponent_pool (stored in the checkpoint)")
     p_eval.add_argument("--games", type=int, default=1000)
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--render", action="store_true",
