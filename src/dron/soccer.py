@@ -75,6 +75,18 @@ class SoccerConfig:
         col, row = cell
         return 0 <= col < self.width and 0 <= row < self.height and cell not in self.shaded
 
+    @cached_property  # every step looks up eight move targets
+    def move_targets(self) -> Dict[Cell, Tuple[Cell, ...]]:
+        """Where each of the 5 actions leads from every cell of the grid: the
+        neighbour in the action's direction if it is playable, else the cell
+        itself."""
+        table = {}
+        for col in range(self.width):
+            for row in range(self.height):
+                targets = ((col + dc, row + dr) for dc, dr in ACTION_DELTAS)
+                table[col, row] = tuple(t if self.playable(t) else (col, row) for t in targets)
+        return table
+
     @cached_property  # featurize_state reads it every step
     def frame_features(self) -> Dict[bool, Tuple[float, ...]]:
         """``featurize_state``'s scale factors and its 9 constant features
@@ -170,12 +182,6 @@ def reset(
     return SoccerState(pos_a=pos_a, pos_b=pos_b, ball=ball), mode
 
 
-def _move_target(config: SoccerConfig, pos: Cell, action: int) -> Cell:
-    dc, dr = ACTION_DELTAS[action]
-    target = (pos[0] + dc, pos[1] + dr)
-    return target if config.playable(target) else pos
-
-
 def step(
     state: SoccerState, action_a: int, action_b: int, config: SoccerConfig = DEFAULT_CONFIG
 ) -> Tuple[SoccerState, float, bool, StepEvents]:
@@ -183,8 +189,8 @@ def step(
     if state.done:
         raise UsageError("cannot step a finished episode")
     events = StepEvents()
-    ta = _move_target(config, state.pos_a, action_a)
-    tb = _move_target(config, state.pos_b, action_b)
+    ta = config.move_targets[state.pos_a][action_a]
+    tb = config.move_targets[state.pos_b][action_b]
 
     swap = ta == state.pos_b and tb == state.pos_a
     if ta == tb or swap:
@@ -243,7 +249,7 @@ def classify_move(
     """
     agent = "A" if mover == "B" else "B"
     pos = state.position(mover)
-    target = _move_target(config, pos, action)
+    target = config.move_targets[pos][action]
     if target == pos:
         return "stand"
     agent_pos = state.position(agent)
@@ -319,7 +325,7 @@ def rule_agent_act(
     pos = state.position(player)
     other_pos = state.position(other)
     has_ball = state.ball == player
-    targets = [_move_target(config, pos, a) for a in range(len(ACTIONS))]
+    targets = config.move_targets[pos]
 
     if mode == "offensive":
         if has_ball:

@@ -16,16 +16,18 @@ HORIZON = 100
 DELTAS = [(0, -1), (0, 1), (1, 0), (-1, 0), (0, 0)]
 
 
+def reference_move(pos, action):
+    """Where one player ends up alone: off the grid or onto a shaded cell is a stand."""
+    t = (pos[0] + DELTAS[action][0], pos[1] + DELTAS[action][1])
+    if t[0] < 0 or t[0] >= WIDTH or t[1] < 0 or t[1] >= HEIGHT or t in SHADED:
+        return pos
+    return t
+
+
 def reference_step(pos_a, pos_b, ball, step_count, action_a, action_b):
     """Returns (pos_a', pos_b', ball', step', reward_a, done)."""
-    # validate A's move
-    ta = (pos_a[0] + DELTAS[action_a][0], pos_a[1] + DELTAS[action_a][1])
-    if ta[0] < 0 or ta[0] >= WIDTH or ta[1] < 0 or ta[1] >= HEIGHT or ta in SHADED:
-        ta = pos_a
-    # validate B's move
-    tb = (pos_b[0] + DELTAS[action_b][0], pos_b[1] + DELTAS[action_b][1])
-    if tb[0] < 0 or tb[0] >= WIDTH or tb[1] < 0 or tb[1] >= HEIGHT or tb in SHADED:
-        tb = pos_b
+    ta = reference_move(pos_a, action_a)
+    tb = reference_move(pos_b, action_b)
 
     # same destination (includes moving onto a standing player) or a swap:
     # neither moves and the pre-move holder loses the ball

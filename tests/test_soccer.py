@@ -19,7 +19,7 @@ from dron.soccer import (
     sample_mode,
     step,
 )
-from soccer_reference import reference_step
+from soccer_reference import reference_move, reference_step
 
 A_N, A_S, A_E, A_W, A_STAND = range(5)
 
@@ -158,6 +158,29 @@ class TestStep:
                     break
                 assert reward == 0.0
                 state = nxt
+
+
+class TestMoveTable:
+    def test_default_field_matches_reference(self):
+        table = DEFAULT_CONFIG.move_targets
+        cells = [(c, r) for c in range(DEFAULT_CONFIG.width) for r in range(DEFAULT_CONFIG.height)]
+        assert sorted(table) == sorted(cells)
+        for cell in cells:
+            assert table[cell] == tuple(reference_move(cell, a) for a in range(len(ACTIONS)))
+
+    @pytest.mark.parametrize("width,height", [(5, 4), (11, 8)])
+    def test_other_fields_match_delta_and_playable(self, width, height):
+        config = SoccerConfig(width=width, height=height)
+        for col in range(width):
+            for row in range(height):
+                for action, (dc, dr) in enumerate(soccer.ACTION_DELTAS):
+                    target = (col + dc, row + dr)
+                    want = target if config.playable(target) else (col, row)
+                    assert config.move_targets[col, row][action] == want
+
+    def test_table_is_cached(self):
+        config = SoccerConfig(width=7, height=4)
+        assert config.move_targets is config.move_targets
 
 
 class TestFeaturize:
@@ -300,7 +323,7 @@ class TestRuleAgent:
         state = SoccerState((3, 2), (5, 5), "A")
         rng = np.random.default_rng(1)
         action = rule_agent_act(state, "defensive", rng, player="B")
-        target = soccer._move_target(DEFAULT_CONFIG, (5, 5), action)
+        target = DEFAULT_CONFIG.move_targets[5, 5][action]
         assert soccer.manhattan(target, (7, 2)) < soccer.manhattan((5, 5), (7, 2))
 
     def test_defensive_never_enters_own_goal_with_ball(self):
@@ -308,7 +331,7 @@ class TestRuleAgent:
         state = SoccerState((6, 2), (7, 2), "B")
         for _ in range(50):
             action = rule_agent_act(state, "defensive", rng, player="B")
-            target = soccer._move_target(DEFAULT_CONFIG, (7, 2), action)
+            target = DEFAULT_CONFIG.move_targets[7, 2][action]
             assert target not in DEFAULT_CONFIG.right_goal
 
     def test_offensive_beats_random_smoke(self):
