@@ -11,7 +11,13 @@ evaluation game draws nothing from its random stream after the game ends.
 A run's environment is one dict, `env_params_for(config)`, which its
 checkpoint stores. Greedy evaluation has one path, `_evaluate`, fed that dict:
 a run's per-epoch evaluation and a later `evaluate` of its checkpoint play the
-same games.
+same games. Soccer games share nothing, so `evaluate_soccer` plays them in
+lockstep: one batched Q-value call per step for every game still running.
+Each game keeps its own random stream, so the games are those of one-by-one
+play; a batched forward can differ from a one-row forward by up to 1e-15
+(numpy uses gemm for a batch and gemv for one row), which has not been seen
+to change a greedy action. Quiz games see the buzz histories of the games
+before them and are played one at a time.
 
 Determinism contract: (config, seed) fully determine every CSV byte and
 checkpoint parameter. All random streams derive from the run seed via named
@@ -255,16 +261,37 @@ def make_driver(config: ExperimentConfig, rng: np.random.Generator, seed: int):
 
 def evaluate_soccer(agent: Agent, opponent: str, n_games: int, seed: int,
                     render: bool = False) -> MetricsSummary:
-    rewards = []
-    for game in range(n_games):
-        driver = SoccerDriver(np.random.default_rng([seed, game]), opponent)
-        done = False
-        while not done:
-            reward, done, _ = driver.step(int(np.argmax(agent.q_values(*driver.obs))))
+    """Greedy play of `n_games` games in lockstep. Game g draws from its own
+    stream `default_rng([seed, g])`; each step stacks the observations of the
+    games still running into one batch for one `agent.q_values` call, then
+    steps those games in game order. A batched forward differs from a one-row
+    forward by up to 1e-15 (gemm against gemv), which has not been seen to
+    move an argmax. `render` prints each game's boards, game by game,
+    once all games are over."""
+    drivers = [SoccerDriver(np.random.default_rng([seed, game]), opponent)
+               for game in range(n_games)]
+    frames: List[List[str]] = [[] for _ in drivers]
+    rewards = [0.0] * n_games
+    live = list(range(n_games))
+    while live:
+        phi_s = np.array([drivers[g].obs[0] for g in live])
+        phi_o = np.array([drivers[g].obs[1] for g in live])
+        actions = agent.q_values(phi_s, phi_o).argmax(axis=1).tolist()
+        running = []
+        for game, action in zip(live, actions):
+            driver = drivers[game]
+            reward, done, _ = driver.step(action)
             if render:
-                print(soccer.render(driver.state, driver.cfg))
-                print()
-        rewards.append(reward)
+                frames[game].append(soccer.render(driver.state, driver.cfg))
+            if done:
+                rewards[game] = reward
+            else:
+                running.append(game)
+        live = running
+    for game_frames in frames:
+        for frame in game_frames:
+            print(frame)
+            print()
     n = len(rewards)
     wins = sum(r > 0 for r in rewards)
     ties = sum(r == 0 for r in rewards)

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 from types import SimpleNamespace
 
@@ -6,8 +7,10 @@ import pytest
 
 from dron import harness
 from dron import quizbowl as qb
+from dron import soccer
 from dron.agents import Agent, quiz_agent_spec, soccer_agent_spec
 from dron.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from dron.cli import main
 from dron.config import parse_config
 from dron.errors import UsageError
 from dron.harness import evaluate, sweep_experts, train, train_run
@@ -142,6 +145,64 @@ class TestEvaluate:
         want = harness.evaluate_quiz(agent, "mixed", 20, 7, harness.quiz_config_for(env_params),
                                      pool_size=40)
         assert got == want
+
+
+def per_game_soccer(agent, opponent, n_games, seed, render=False):
+    """Reference for `evaluate_soccer`: the games one after another, one
+    one-row `q_values` call per move, each board printed as it is played."""
+    rewards = []
+    for game in range(n_games):
+        driver = harness.SoccerDriver(np.random.default_rng([seed, game]), opponent)
+        done = False
+        while not done:
+            reward, done, _ = driver.step(int(np.argmax(agent.q_values(*driver.obs))))
+            if render:
+                print(soccer.render(driver.state, driver.cfg))
+                print()
+        rewards.append(reward)
+    n = len(rewards)
+    wins = sum(r > 0 for r in rewards)
+    ties = sum(r == 0 for r in rewards)
+    return harness.MetricsSummary(
+        mean_reward=float(np.mean(rewards)), games=n,
+        win_rate=wins / n, tie_rate=ties / n, loss_rate=(n - wins - ties) / n,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def soccer_agent(kind, trained):
+    """Initial parameters, or the parameters after one short training epoch."""
+    if not trained:
+        return Agent(soccer_agent_spec(kind), seed=4)
+    config = parse_config(f"environment = soccer\nagent = {kind}\nepochs = 1\n"
+                          "steps_per_epoch = 150\neval_games = 1\nreplay_min = 20\n")
+    return train_run(config, seed=4).checkpoint.build_agent()
+
+
+class TestLockstepSoccer:
+    @pytest.mark.parametrize("trained", [False, True], ids=["initial", "trained"])
+    @pytest.mark.parametrize("n_games", [1, 2, 14, 60])
+    @pytest.mark.parametrize("kind", ["dqn", "dron_concat", "dron_moe"])
+    def test_equals_per_game_play(self, kind, n_games, trained):
+        agent = soccer_agent(kind, trained)
+        got = harness.evaluate_soccer(agent, "mixed", n_games, seed=8)
+        assert got == per_game_soccer(agent, "mixed", n_games, seed=8)
+        assert got.games == n_games
+
+    def test_render_prints_the_per_game_boards(self, tmp_path, capsys):
+        agent = soccer_agent("dron_moe", True)
+        path = str(tmp_path / "moe.ckpt")
+        save_checkpoint(Checkpoint(agent_spec=agent.spec, params=agent.params,
+                                   environment="soccer"), path)
+        assert main(["eval", path, "--games", "2", "--seed", "5", "--render"]) == 0
+        out = capsys.readouterr().out
+        want = per_game_soccer(agent, "mixed", 2, seed=5, render=True)
+        boards = capsys.readouterr().out
+        assert boards.count("\n\n") >= 2  # at least one board per game
+        assert out == boards + (
+            f"games 2 mean_reward {want.mean_reward:+.4f}\n"
+            f"win {want.win_rate:.4f} tie {want.tie_rate:.4f} loss {want.loss_rate:.4f}\n"
+        )
 
 
 # A run's last per-epoch evaluation and an evaluation of its checkpoint with
