@@ -13,7 +13,7 @@ import sys
 from . import __version__
 from .checkpoint import load_checkpoint
 from .config import load_config
-from .errors import DronError
+from .errors import DronError, UsageError
 from .harness import evaluate, sweep_experts, train
 from .stats import paired_ttest
 
@@ -59,10 +59,21 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _expert_counts(text: str) -> list:
+    """The `--experts` list: comma-separated integers such as ``2,3,4``."""
+    counts = []
+    for item in text.split(","):
+        try:
+            counts.append(int(item))
+        except ValueError:
+            raise UsageError(f"--experts {text!r}: {item!r} is not an integer") from None
+    return counts
+
+
 def cmd_sweep(args) -> int:
+    k_values = _expert_counts(args.experts)
     config = load_config(args.config)
     out = _output_dir(config.output_dir)
-    k_values = [int(k) for k in args.experts.split(",")]
 
     def progress(k, seed, epoch, m):
         print(f"K={k} seed {seed} epoch {epoch:3d}: reward {m.mean_reward:+.4f}",
@@ -79,14 +90,29 @@ def cmd_sweep(args) -> int:
 
 
 def _read_reward_column(path: str) -> list:
+    """The mean_reward column of a learning-curve CSV; blank lines are skipped
+    and every other line must have a number in that column."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    header = lines[0].split(",")
+        rows = [(n, line.strip()) for n, line in enumerate(fh, start=1) if line.strip()]
+    if not rows:
+        raise DronError(f"{path}: line 1: empty file, expected a header")
+    header_line, header = rows[0]
     try:
-        col = header.index("mean_reward")
+        col = header.split(",").index("mean_reward")
     except ValueError:
-        raise DronError(f"{path}: no mean_reward column") from None
-    return [float(ln.split(",")[col]) for ln in lines[1:]]
+        raise DronError(f"{path}: line {header_line}: no mean_reward column") from None
+    rewards = []
+    for n, line in rows[1:]:
+        cells = line.split(",")
+        if len(cells) <= col:
+            raise DronError(f"{path}: line {n}: {len(cells)} cells, "
+                            f"mean_reward is cell {col + 1}")
+        try:
+            rewards.append(float(cells[col]))
+        except ValueError:
+            raise DronError(f"{path}: line {n}: mean_reward {cells[col]!r} "
+                            "is not a number") from None
+    return rewards
 
 
 def cmd_ttest(args) -> int:

@@ -72,3 +72,40 @@ def test_bad_config_names_its_line(tmp_path, capsys):
 
 def test_gradcheck_one_trial():
     assert main(["gradcheck", "--trials", "1"]) == 0
+
+
+@pytest.mark.parametrize("text,line", [
+    ("", 1),
+    ("epoch,mean_reward\n1,abc\n", 2),
+    ("epoch,mean_reward\n1,0.5\n\n1\n", 4),
+], ids=["empty", "non_numeric", "short_row"])
+def test_ttest_bad_csv_names_its_line(tmp_path, capsys, text, line):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    good = tmp_path / "good.csv"
+    good.write_text("epoch,mean_reward\n1,0.5\n2,0.7\n")
+    assert main(["ttest", str(good), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: line {line}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("experts", ["2,x", "2,"])
+def test_sweep_bad_expert_list(tmp_path, capsys, experts):
+    config = tmp_path / "soccer.cfg"
+    config.write_text(TINY["soccer"] + TINY_BASE)
+    assert main(["sweep", str(config), "--experts", experts]) == 2
+    assert capsys.readouterr().err.startswith(f"error: --experts {experts!r}: ")
+
+
+def test_sweep_one_row_per_expert_count(tmp_path, monkeypatch, capsys):
+    config = tmp_path / "soccer.cfg"
+    config.write_text(TINY["soccer"] + TINY_BASE)
+    out = tmp_path / "out"
+    monkeypatch.setenv("DRON_OUTPUT_DIR", str(out))
+    assert main(["sweep", str(config), "--experts", "1,2"]) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[0] == "experts,mean_reward,ci_halfwidth,seeds,degenerate"
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
+    assert all(line.endswith(",1,1") for line in lines[1:])  # one seed: degenerate
+    assert capsys.readouterr().out.splitlines()[-1] == f"sweep CSV in {out}/sweep.csv"
