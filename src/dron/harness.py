@@ -17,7 +17,14 @@ Each game keeps its own random stream, so the games are those of one-by-one
 play; a batched forward can differ from a one-row forward by up to 1e-15
 (numpy uses gemm for a batch and gemv for one row), which has not been seen
 to change a greedy action. Quiz games see the buzz histories of the games
-before them and are played one at a time.
+before them and are played one at a time. A quiz game stops calling the
+agent at its lockout: once a wrong buzz has locked the agent out it has no
+decision left, so `QuizDriver.finish` settles the game from the opponent's
+pre-drawn buzz, with the reward and history update that word-by-word play
+would give. The words it skips would only draw beliefs from the game's own
+stream, which nothing reads after the game, so the summaries and trace rows
+are those of word-by-word play. Training still steps every word: it learns
+from the transitions after a lockout.
 
 Determinism contract: (config, seed) fully determine every CSV byte and
 checkpoint parameter. All random streams derive from the run seed via named
@@ -200,17 +207,31 @@ class QuizDriver:
         supervision = self._supervision()
         before = self.state
         self.state, reward, done, outcome = qb.step(before, action, self.quiz_cfg, self.rng)
-        buzzed_wrong = self.state.opponent_locked and not before.opponent_locked
-        opponent_won = outcome is not None and outcome.who == "opponent" and outcome.correct
-        phi_o = self.obs[1]
-        if buzzed_wrong or opponent_won:
-            # history updates as soon as the buzz is observed, so a failed
-            # opponent buzz becomes visible in the opponent features
-            self.profile.record_buzz(before.opponent_buzz_pos / before.length,
-                                     wrong=buzzed_wrong)
-            phi_o = qb.opponent_features(self.profile)
+        opponent_buzzed, opponent_won = self._record_opponent(before, outcome)
+        phi_o = qb.opponent_features(self.profile) if opponent_buzzed else self.obs[1]
         self.obs = (qb.featurize(self.state), phi_o)
         return reward, done, StepInfo(supervision, opponent_won)
+
+    def finish(self) -> Tuple[float, bool]:
+        """End a game whose agent is locked out without playing its words:
+        returns the reward and `opponent_won` that stepping to the end would
+        give, and records the opponent's buzz as stepping would. Nothing is
+        drawn from `rng`, and `obs` is left as it was."""
+        before = self.state
+        self.state, reward, outcome = qb.finish_locked_out(before, self.quiz_cfg)
+        return reward, self._record_opponent(before, outcome)[1]
+
+    def _record_opponent(self, before: qb.QuizState, outcome: Optional[qb.BuzzOutcome]
+                         ) -> Tuple[bool, bool]:
+        """Add the opponent's buzz, if it came between `before` and `state`, to
+        its history at once, so a failed buzz shows in the opponent features.
+        Returns (the opponent buzzed, it answered right)."""
+        buzzed_wrong = self.state.opponent_locked and not before.opponent_locked
+        opponent_won = outcome is not None and outcome.who == "opponent" and outcome.correct
+        if buzzed_wrong or opponent_won:
+            self.profile.record_buzz(before.opponent_buzz_pos / before.length,
+                                     wrong=buzzed_wrong)
+        return buzzed_wrong or opponent_won, opponent_won
 
 
 class SelfPlayDriver:
@@ -304,6 +325,16 @@ def evaluate_soccer(agent: Agent, opponent: str, n_games: int, seed: int,
 def evaluate_quiz(agent: Agent, opponent: str, n_games: int, seed: int,
                   quiz_cfg: qb.QuizConfig, pool_size: int = ExperimentConfig.opponent_pool,
                   trace_rows: Optional[list] = None) -> MetricsSummary:
+    """Greedy play of `n_games` games, one after another, against one pool
+    drawn from `seed`; game g draws from its own stream `default_rng([seed,
+    g])` and sees the buzz histories the games before it left. A game stops
+    at the agent's lockout: `QuizDriver.finish` settles the rest from the
+    opponent's pre-drawn buzz, with no more Q-value calls or belief draws.
+    The result is that of playing every word: a locked-out agent's buzz is
+    ignored, game g's stream is read by nothing after the game, the miss
+    indicator reads only decisions from before the lockout, and a trace row
+    reads only the question length, the opponent's buzz word and its μ.
+    `trace_rows`, when given, gets one dict per game."""
     if opponent == "self":
         raise UsageError("evaluation always runs against a real opponent pool")
     population = _population(opponent, seed, pool_size)
@@ -316,13 +347,17 @@ def evaluate_quiz(agent: Agent, opponent: str, n_games: int, seed: int,
         opponent_won = done = False
         while not done:
             state = driver.state
+            if state.agent_locked:
+                reward, opponent_won = driver.finish()
+                trace.total_reward += reward
+                break
             action = int(np.argmax(agent.q_values(*driver.obs)))
             record = qb.StepRecord(
                 t=state.t, belief_was_correct=qb.belief_correct(state),
-                agent_action=action, agent_had_buzzed=state.agent_locked,
+                agent_action=action, agent_had_buzzed=False,
             )
             trace.steps.append(record)
-            if action == qb.BUZZ and not state.agent_locked:
+            if action == qb.BUZZ:
                 # not taken from qb.step's outcome, which is the opponent's
                 # when it answers correctly on the same word
                 trace.agent_buzzed = True
@@ -330,7 +365,7 @@ def evaluate_quiz(agent: Agent, opponent: str, n_games: int, seed: int,
                 agent_buzz_t = state.t
             reward, done, info = driver.step(action)
             trace.total_reward += reward
-            opponent_won = opponent_won or info.opponent_won
+            opponent_won = info.opponent_won
         trace.completed = True
         reward, rush, miss = qb.score_episode(trace)
         rewards.append(reward)

@@ -243,16 +243,46 @@ def step(
         agent_locked = True
         outcome = BuzzOutcome("agent", False, state.t, reward)
 
-    if not opponent_locked and state.t == state.opponent_buzz_pos:
-        if state.opponent_correct:
-            reward += config.reward_opponent_correct
-            outcome = BuzzOutcome("opponent", True, state.t, config.reward_opponent_correct)
-            return _ended(state, agent_locked, opponent_locked), reward, True, outcome
+    opponent = opponent_buzz(state, config) if state.t == state.opponent_buzz_pos else None
+    if opponent is not None:
+        if opponent.correct:
+            reward += opponent.reward
+            return _ended(state, agent_locked, opponent_locked), reward, True, opponent
         opponent_locked = True
 
     if state.t >= state.length:
         return _ended(state, agent_locked, opponent_locked), reward, True, outcome
     return _advanced(state, agent_locked, opponent_locked, config, rng), reward, False, outcome
+
+
+def opponent_buzz(state: QuizState, config: QuizConfig) -> Optional[BuzzOutcome]:
+    """The opponent's pre-drawn buzz if it is still to come: on word
+    `opponent_buzz_pos`, between the current word and the last, with the
+    opponent not locked out. A right answer pays `reward_opponent_correct`
+    and ends the game; a wrong one pays nothing and locks the opponent out."""
+    if state.opponent_locked or not state.t <= state.opponent_buzz_pos <= state.length:
+        return None
+    reward = config.reward_opponent_correct if state.opponent_correct else 0.0
+    return BuzzOutcome("opponent", state.opponent_correct, state.opponent_buzz_pos, reward)
+
+
+def finish_locked_out(state: QuizState, config: QuizConfig
+                      ) -> Tuple[QuizState, float, Optional[BuzzOutcome]]:
+    """The rest of a game whose agent is locked out, settled at once: only
+    the opponent's buzz is left to happen. Gives the reward, the outcome and
+    the lockouts of stepping to the end (any action: a locked agent's buzz
+    is ignored) in an ended state, without drawing the beliefs of the words
+    in between."""
+    if state.done:
+        raise UsageError("cannot finish a finished episode")
+    if not state.agent_locked:
+        raise UsageError("only a locked-out agent's game can be finished early")
+    opponent = opponent_buzz(state, config)
+    if opponent is None:
+        return _ended(state, True, state.opponent_locked), 0.0, None
+    if opponent.correct:
+        return _ended(state, True, False), opponent.reward, opponent
+    return _ended(state, True, True), 0.0, None
 
 
 def featurize(state: QuizState) -> np.ndarray:

@@ -109,3 +109,27 @@ def test_sweep_one_row_per_expert_count(tmp_path, monkeypatch, capsys):
     assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
     assert all(line.endswith(",1,1") for line in lines[1:])  # one seed: degenerate
     assert capsys.readouterr().out.splitlines()[-1] == f"sweep CSV in {out}/sweep.csv"
+
+
+@pytest.mark.parametrize("argv,path", [
+    (["train", "nope.cfg"], "nope.cfg"),
+    (["eval", "nope.ckpt"], "nope.ckpt"),
+    (["sweep", "nope.cfg", "--experts", "2"], "nope.cfg"),
+    (["ttest", "a.csv", "b.csv"], "a.csv"),
+], ids=["train", "eval", "sweep", "ttest"])
+def test_missing_input_file(tmp_path, monkeypatch, capsys, argv, path):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_traces_into_missing_directory(tmp_path, monkeypatch, capsys):
+    checkpoint = _train(tmp_path, monkeypatch, "quizbowl")
+    traces = tmp_path / "nodir" / "x.csv"
+    capsys.readouterr()
+    assert main(["eval", checkpoint, "--games", "2", "--traces", str(traces)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {traces}: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dron import harness
 from dron import quizbowl as qb
@@ -11,7 +13,7 @@ from dron import soccer
 from dron.agents import Agent, quiz_agent_spec, soccer_agent_spec
 from dron.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from dron.cli import main
-from dron.config import parse_config
+from dron.config import ExperimentConfig, parse_config
 from dron.errors import UsageError
 from dron.harness import evaluate, sweep_experts, train, train_run
 
@@ -250,6 +252,157 @@ class TestEvaluateQuiz:
                                         qb.DEFAULT_QUIZ_CONFIG, trace_rows=rows)
         wrong = sum(row["reward"] in (-5.0, -15.0) for row in rows)
         assert summary.rush_rate == wrong / len(rows)
+
+
+def per_word_quiz(agent, opponent, n_games, seed, quiz_cfg,
+                  pool_size=ExperimentConfig.opponent_pool, trace_rows=None):
+    """Reference for `evaluate_quiz`: every game played word by word to its
+    end, one one-row `q_values` call per word, after a lockout too."""
+    if opponent == "self":
+        raise UsageError("evaluation always runs against a real opponent pool")
+    population = harness._population(opponent, seed, pool_size)
+    rewards = []
+    rushes = misses = wins = losses = 0
+    for game in range(n_games):
+        driver = harness.QuizDriver(np.random.default_rng([seed, game]), quiz_cfg, population)
+        trace = qb.EpisodeTrace()
+        agent_buzz_t = -1
+        opponent_won = done = False
+        while not done:
+            state = driver.state
+            action = int(np.argmax(agent.q_values(*driver.obs)))
+            record = qb.StepRecord(
+                t=state.t, belief_was_correct=qb.belief_correct(state),
+                agent_action=action, agent_had_buzzed=state.agent_locked,
+            )
+            trace.steps.append(record)
+            if action == qb.BUZZ and not state.agent_locked:
+                trace.agent_buzzed = True
+                trace.agent_buzz_correct = record.belief_was_correct
+                agent_buzz_t = state.t
+            reward, done, info = driver.step(action)
+            trace.total_reward += reward
+            opponent_won = opponent_won or info.opponent_won
+        trace.completed = True
+        reward, rush, miss = qb.score_episode(trace)
+        rewards.append(reward)
+        rushes += rush
+        misses += miss
+        wins += trace.agent_buzz_correct
+        losses += opponent_won
+        if trace_rows is not None:
+            trace_rows.append({
+                "game": game,
+                "length": driver.state.length,
+                "opponent_mean_buzz_frac": driver.profile.mean_buzz_frac,
+                "opponent_buzz_pos": driver.state.opponent_buzz_pos,
+                "agent_buzz_pos": agent_buzz_t,
+                "agent_buzz_correct": int(trace.agent_buzz_correct),
+                "reward": reward,
+            })
+    n = len(rewards)
+    return harness.MetricsSummary(
+        mean_reward=float(np.mean(rewards)), games=n,
+        win_rate=wins / n, tie_rate=(n - wins - losses) / n, loss_rate=losses / n,
+        rush_rate=rushes / n, miss_rate=misses / n,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def quiz_agent(name):
+    """A learned agent, `<kind>-initial` or `<kind>-trained` (one short
+    epoch), or a scripted one: buzz after 30% or 60% of the question, or
+    never."""
+    scripted = {"buzz-0.3": BuzzAt(0.3), "buzz-0.6": BuzzAt(0.6), "never": BuzzAt(1.0)}
+    if name in scripted:
+        return scripted[name]
+    kind, params = name.split("-")
+    if params == "initial":
+        return Agent(quiz_agent_spec(kind), seed=4)
+    config = parse_config(f"environment = quizbowl\nagent = {kind}\nepochs = 1\n"
+                          "steps_per_epoch = 150\neval_games = 1\nreplay_min = 20\n")
+    return train_run(config, seed=4).checkpoint.build_agent()
+
+
+QUIZ_AGENTS = [f"{kind}-{params}" for kind in ("dqn", "dron_concat", "dron_moe")
+               for params in ("initial", "trained")] + ["buzz-0.3", "buzz-0.6", "never"]
+
+
+class CountingAgent:
+    """Counts the Q-value calls of the agent it wraps."""
+
+    def __init__(self, agent):
+        self.agent = agent
+        self.calls = 0
+
+    def q_values(self, phi_s, phi_o=None):
+        self.calls += 1
+        return self.agent.q_values(phi_s, phi_o)
+
+
+class TestLockoutQuiz:
+    @pytest.mark.parametrize("n_games", [1, 40])
+    @pytest.mark.parametrize("opponent", ["mixed", "type1", "type4"])
+    @pytest.mark.parametrize("name", QUIZ_AGENTS)
+    def test_equals_per_word_play(self, name, opponent, n_games):
+        agent = quiz_agent(name)
+        got_rows, want_rows = [], []
+        got = harness.evaluate_quiz(agent, opponent, n_games, 6, qb.DEFAULT_QUIZ_CONFIG,
+                                    trace_rows=got_rows)
+        want = per_word_quiz(agent, opponent, n_games, 6, qb.DEFAULT_QUIZ_CONFIG,
+                             trace_rows=want_rows)
+        assert got == want
+        assert got_rows == want_rows
+
+    def test_scripted_agents_cover_lockouts(self):
+        def rush_rate(name):
+            agent = quiz_agent(name)
+            return harness.evaluate_quiz(agent, "mixed", 40, 6, qb.DEFAULT_QUIZ_CONFIG).rush_rate
+        assert rush_rate("buzz-0.3") > 0
+        assert rush_rate("never") == 0
+
+    def test_no_agent_call_after_a_lockout(self):
+        # buzzing on word 0 wins or locks the agent out: one call per game
+        agent = CountingAgent(BuzzAt(-1.0))
+        summary = harness.evaluate_quiz(agent, "mixed", 30, 2, qb.DEFAULT_QUIZ_CONFIG)
+        assert summary.rush_rate > 0
+        assert agent.calls == 30
+
+
+@settings(max_examples=200, deadline=None)
+@given(length=st.integers(1, 25), data=st.data(), opponent_correct=st.booleans(),
+       opponent_locked=st.booleans(), action=st.sampled_from([qb.WAIT, qb.BUZZ]),
+       history=st.tuples(st.integers(0, 5), st.floats(0.0, 5.0), st.floats(0.0, 5.0)))
+def test_finish_equals_stepping_to_the_end(length, data, opponent_correct, opponent_locked,
+                                           action, history):
+    lockout = data.draw(st.integers(0, length), label="lockout word")
+    buzz_pos = data.draw(st.integers(1, length), label="opponent buzz word")
+    cfg = qb.DEFAULT_QUIZ_CONFIG
+    uniform = np.full(cfg.vocab, -np.log(cfg.vocab))
+    drivers = []
+    for _ in range(2):
+        profile = qb.OpponentProfile(0.5, 0.1, 0.7, *history)
+        driver = harness.QuizDriver(np.random.default_rng(0), cfg, qb.Population([profile]))
+        driver.state = qb.QuizState(
+            t=lockout, length=length, answer=0, belief=uniform, prev_belief=uniform,
+            agent_locked=True, opponent_locked=opponent_locked,
+            opponent_buzz_pos=buzz_pos, opponent_correct=opponent_correct)
+        drivers.append(driver)
+    stepped, finished = drivers
+    total, won, done = 0.0, False, False
+    while not done:
+        reward, done, info = stepped.step(action)
+        total += reward
+        won = won or info.opponent_won
+    rng_state = finished.rng.bit_generator.state
+    assert finished.finish() == (total, won)
+    assert finished.rng.bit_generator.state == rng_state
+    for name in ("games", "frac_sum", "error_sum"):
+        assert getattr(finished.profile, name) == getattr(stepped.profile, name)
+    assert finished.state.done
+    assert finished.state.opponent_locked == stepped.state.opponent_locked
+    with pytest.raises(UsageError):
+        finished.step(qb.WAIT)
 
 
 class TestSweep:

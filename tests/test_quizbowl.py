@@ -189,6 +189,34 @@ class TestStep:
         with pytest.raises(UsageError):
             step(state, WAIT, DEFAULT_QUIZ_CONFIG, np.random.default_rng(0))
 
+
+class TestFinishLockedOut:
+    @pytest.mark.parametrize("kw,reward,opponent_locked", [
+        (dict(t=10, opponent_buzz_pos=30, opponent_correct=True), -10.0, False),
+        (dict(t=30, opponent_buzz_pos=30, opponent_correct=True), -10.0, False),
+        (dict(t=10, opponent_buzz_pos=30, opponent_correct=False), 0.0, True),
+        (dict(t=10, opponent_buzz_pos=30, opponent_correct=True, opponent_locked=True),
+         0.0, True),
+    ], ids=["opponent-right", "opponent-right-now", "opponent-wrong", "opponent-locked"])
+    def test_settles_the_opponent_buzz(self, kw, reward, opponent_locked):
+        state = forced_state(agent_locked=True, **kw)
+        end, got, outcome = qb.finish_locked_out(state, DEFAULT_QUIZ_CONFIG)
+        assert got == reward and end.done and end.agent_locked
+        assert end.opponent_locked == opponent_locked
+        assert (outcome is not None) == (reward != 0.0)
+
+    def test_passed_buzz_word_is_not_replayed(self):
+        state = forced_state(t=40, agent_locked=True, opponent_buzz_pos=30,
+                             opponent_correct=True)
+        assert qb.opponent_buzz(state, DEFAULT_QUIZ_CONFIG) is None
+        assert qb.finish_locked_out(state, DEFAULT_QUIZ_CONFIG)[1] == 0.0
+
+    @pytest.mark.parametrize("kw", [dict(agent_locked=False),
+                                    dict(agent_locked=True, done=True)])
+    def test_needs_a_running_locked_out_game(self, kw):
+        with pytest.raises(UsageError):
+            qb.finish_locked_out(forced_state(**kw), DEFAULT_QUIZ_CONFIG)
+
     def test_episode_invariants(self):
         cfg = DEFAULT_QUIZ_CONFIG
         rng = np.random.default_rng(8)
