@@ -189,6 +189,31 @@ class TestStep:
         with pytest.raises(UsageError):
             step(state, WAIT, DEFAULT_QUIZ_CONFIG, np.random.default_rng(0))
 
+    def test_episode_invariants(self):
+        cfg = DEFAULT_QUIZ_CONFIG
+        rng = np.random.default_rng(8)
+        pop = make_population("mixed", rng)
+        for _ in range(300):
+            state, _ = sample_episode(cfg, pop, rng)
+            total = 0.0
+            decisions = 0
+            buzzes = 0
+            while True:
+                action = BUZZ if rng.random() < 0.05 else WAIT
+                was_locked = state.agent_locked
+                state, reward, done, outcome = step(state, action, cfg, rng)
+                if outcome is not None and outcome.who == "agent":
+                    assert not was_locked
+                    buzzes += 1
+                assert reward in (10.0, -5.0, -10.0, 0.0, -15.0)
+                total += reward
+                decisions += 1
+                if done:
+                    break
+            assert -15.0 <= total <= 10.0
+            assert buzzes <= 1
+            assert decisions <= state.length + 1
+
 
 class TestFinishLockedOut:
     @pytest.mark.parametrize("kw,reward,opponent_locked", [
@@ -216,31 +241,6 @@ class TestFinishLockedOut:
     def test_needs_a_running_locked_out_game(self, kw):
         with pytest.raises(UsageError):
             qb.finish_locked_out(forced_state(**kw), DEFAULT_QUIZ_CONFIG)
-
-    def test_episode_invariants(self):
-        cfg = DEFAULT_QUIZ_CONFIG
-        rng = np.random.default_rng(8)
-        pop = make_population("mixed", rng)
-        for _ in range(300):
-            state, _ = sample_episode(cfg, pop, rng)
-            total = 0.0
-            decisions = 0
-            buzzes = 0
-            while True:
-                action = BUZZ if rng.random() < 0.05 else WAIT
-                was_locked = state.agent_locked
-                state, reward, done, outcome = step(state, action, cfg, rng)
-                if outcome is not None and outcome.who == "agent":
-                    assert not was_locked
-                    buzzes += 1
-                assert reward in (10.0, -5.0, -10.0, 0.0, -15.0)
-                total += reward
-                decisions += 1
-                if done:
-                    break
-            assert -15.0 <= total <= 10.0
-            assert buzzes <= 1
-            assert decisions <= state.length + 1
 
 
 class TestFeaturize:
