@@ -14,9 +14,18 @@ parameters once (``nn.bind_mlp``), when its ``params`` are set, and runs them
 on every call without looking names up again. The layers are views into the
 agent's flat parameter vector, which AdaGrad and ``params[name] = value``
 write in place, so they stay current; assigning ``agent.params`` rebinds. An
-explicit ``params=`` argument is bound for that call only. Acting
-(``q_values``, ``q_and_gate``) never computes the multitask opponent head,
-which only training reads.
+explicit ``params=`` ``FlatParams`` (the frozen target from
+``rl.sync_target``) is bound when it is first given and the binding is kept
+for as long as the same object keeps being given: one entry, keyed by
+identity, holding a reference so the id cannot be reused. A new target
+object is bound anew; in-place writes to a bound one show, as they do for
+the agent's own. A plain-dict ``params=`` is copied and bound for that call
+only. Acting (``q_values``, ``q_and_gate``) never computes the multitask
+opponent head, which only training reads.
+
+Gradients: ``backward_train`` returns a new zeroed gradient set, or with
+``out=`` writes into a given one (a training step passes its optimizer's
+``AdaGradState.grads``), zeroing every component the pass does not reach.
 """
 
 from __future__ import annotations
@@ -106,6 +115,7 @@ class Agent:
             entry for name, mlp in self._specs.items()
             for entry in nn.mlp_layout(mlp, f"{name}.")
         )
+        self._explicit: Optional[Tuple[nn.FlatParams, Dict[str, Tuple[nn.Layer, ...]]]] = None
         self.params = params if params is not None else self._init(seed)
 
     @property
@@ -124,13 +134,17 @@ class Agent:
 
     def _bound(self, params: Optional[ParamSet]) -> Tuple[ParamSet, Dict[str, Tuple[nn.Layer, ...]]]:
         """The parameter set a call runs on and its bound networks: the
-        agent's own, or ``params`` bound for this call (a plain dict is
-        first copied into the agent's layout)."""
+        agent's own; an explicit ``FlatParams``, bound once and kept until
+        another one is given; or a plain dict, copied into the agent's
+        layout and bound for this call."""
         if params is None:
             return self._params, self._nets
         if not isinstance(params, nn.FlatParams):
             params = nn.FlatParams.of(params, self._layout)
-        return params, self._bind(params)
+            return params, self._bind(params)
+        if self._explicit is None or self._explicit[0] is not params:
+            self._explicit = (params, self._bind(params))
+        return self._explicit
 
     def _init(self, seed: int) -> ParamSet:
         params: ParamSet = {}
@@ -192,13 +206,18 @@ class Agent:
         fwd: "_Forward",
         dq: np.ndarray,
         dsupervision: Optional[np.ndarray] = None,
+        out: Optional[nn.FlatParams] = None,
     ) -> nn.FlatParams:
         """Route gradients w.r.t. the Q output (and optionally the
         supervision-head output) back to every parameter; the result is laid
-        out like ``params``."""
+        out like ``params``. It is a new set, or ``out`` overwritten whole:
+        a head that gets no gradient is zeroed."""
         p = fwd.params
         spec = self.spec
-        grads = nn.FlatParams(self._layout)  # a head that gets no gradient keeps zeros
+        grads = nn.FlatParams(self._layout) if out is None else out
+        if dsupervision is None and spec.multitask != "none":
+            for name, _ in nn.mlp_layout(self._specs["opponent_head"], "opponent_head."):
+                grads[name].fill(0.0)
         if spec.kind == "dqn":
             nn.mlp_backward(self._specs["q_net"], p, fwd.caches["q_net"], dq, "q_net.",
                             out=grads, input_grad=False)
@@ -214,11 +233,11 @@ class Agent:
             dw = np.empty_like(fwd.gate)
             for i in range(spec.experts):
                 expert_dq = fwd.gate[:, i : i + 1] * dq
-                _, dx = nn.mlp_backward(
+                # added at once, so no expert's input gradient outlives its step
+                dhs += nn.mlp_backward(
                     self._specs[f"expert.{i}"], p, fwd.caches[f"expert.{i}"],
                     expert_dq, f"expert.{i}.", out=grads,
-                )
-                dhs += dx
+                )[1]
                 dw[:, i] = (fwd.expert_q[i] * dq).sum(axis=1)
             dgate_pre = nn.softmax_grad(fwd.gate, dw)
             _, dho = nn.mlp_backward(
@@ -234,10 +253,11 @@ class Agent:
             )
             dho = dho + dho_head
 
+        # dho and dhs are this pass's own, so the towers may mask them in place
         nn.mlp_backward(self._specs["opponent_tower"], p, fwd.caches["opponent_tower"], dho,
-                        "opponent_tower.", out=grads, input_grad=False)
+                        "opponent_tower.", out=grads, input_grad=False, overwrite_gradient=True)
         nn.mlp_backward(self._specs["state_tower"], p, fwd.caches["state_tower"], dhs,
-                        "state_tower.", out=grads, input_grad=False)
+                        "state_tower.", out=grads, input_grad=False, overwrite_gradient=True)
         return grads
 
     # -- internals ----------------------------------------------------------

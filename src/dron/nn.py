@@ -19,6 +19,9 @@ contiguous vector ``flat``, all three laid out alike (same names, order and
 shapes). AdaGrad then clips, checks and updates the whole model as one
 vector. Writing ``params[name] = value`` copies into the view, so the views
 stay bound; an agent's ``params`` setter copies a plain dict into its layout.
+The gradient of a training step lives in its ``AdaGradState`` (``grads``):
+``mlp_backward`` writes into it with ``out=`` and ``adagrad_update`` consumes
+it, so one vector serves every step.
 """
 
 from __future__ import annotations
@@ -224,6 +227,7 @@ def mlp_backward(
     prefix: str = "",
     out: Optional[FlatParams] = None,
     input_grad: bool = True,
+    overwrite_gradient: bool = False,
 ) -> Tuple[ParamSet, Optional[np.ndarray]]:
     """Backpropagate d(loss)/d(output) through the cached forward pass.
 
@@ -231,6 +235,9 @@ def mlp_backward(
     gradients are summed over batch rows and written into ``out`` when given
     (a model-wide gradient set holding this MLP's names), else into a new
     set. With ``input_grad=False`` the input gradient is skipped and None.
+    A ReLU layer masks its gradient in place, so a pass allocates no
+    gradient per hidden layer; ``overwrite_gradient`` lets it do the same to
+    ``output_gradient``, which the caller then no longer reads.
     """
     if len(cache.inputs) != spec.layer_count:
         raise ConfigurationError("cache does not match spec (layer count differs)")
@@ -245,7 +252,7 @@ def mlp_backward(
     for i in range(last, -1, -1):
         a = cache.outputs[i]
         if i < last or spec.output == "relu":
-            dz = dy * (a > 0.0)
+            dz = np.multiply(dy, a > 0.0, out=dy if i < last or overwrite_gradient else None)
         elif spec.output == "softmax":
             dz = softmax_grad(a, dy)
         elif spec.output == "sigmoid":
@@ -253,7 +260,8 @@ def mlp_backward(
         else:
             dz = dy
         np.matmul(cache.inputs[i].T, dz, out=grads[f"{prefix}{i}.weight"])
-        np.sum(dz, axis=0, out=grads[f"{prefix}{i}.bias"])
+        # the reduction np.sum makes, without its Python wrapper
+        np.add.reduce(dz, axis=0, out=grads[f"{prefix}{i}.bias"])
         if i == 0 and not input_grad:
             return grads, None
         dy = dz @ params[f"{prefix}{i}.weight"].T
@@ -359,15 +367,21 @@ def loss_and_grad_rows(
 
 @dataclass
 class AdaGradState:
-    """Squared-gradient accumulators, laid out like the parameters they serve."""
+    """Squared-gradient accumulators, laid out like the parameters they serve.
+
+    The state also owns the step's gradient vector ``grads``, laid out like
+    the accumulators: a training step has its backward pass write into it
+    (``Agent.backward_train(..., out=state.grads)``) and ``adagrad_update``
+    then uses it up, so a step allocates nothing parameter-sized.
+    """
 
     learning_rate: float
     accumulators: FlatParams
     eps: float = EPS_NUM
 
     def __post_init__(self) -> None:
-        # the step's denominator, so a step allocates nothing parameter-sized
-        self._work = np.empty(self.accumulators.flat.size)
+        self.grads = FlatParams(self.accumulators.layout)
+        self._work = np.empty(self.accumulators.flat.size)  # the step's denominator
 
     @classmethod
     def for_params(cls, params: ParamSet, learning_rate: float) -> "AdaGradState":

@@ -8,6 +8,11 @@ allocated uninitialised at the first push, when the widths are known, so
 rows are only touched as they fill. A sample is one gather of rows, returned
 as a ``Batch`` whose fields are column views; ``q_targets`` and ``td_update``
 run over those stacked columns, stacking a plain list of ``Transition``s once.
+
+A TD step does no per-call set-up: the frozen target from ``sync_target`` is
+bound once per sync (``Agent`` keeps the binding of the last explicit
+parameter set), and the gradient is written into the optimizer's own vector
+(``AdaGradState.grads``) rather than a new one.
 """
 
 from __future__ import annotations
@@ -191,8 +196,10 @@ def act_epsilon_greedy(q_values: np.ndarray, epsilon: float, rng: np.random.Gene
     return int(np.argmax(q_values))
 
 
-def sync_target(agent: Agent) -> ParamSet:
-    """Frozen deep copy of the agent's current parameters."""
+def sync_target(agent: Agent) -> nn.FlatParams:
+    """Frozen deep copy of the agent's current parameters. Passed to
+    ``q_targets`` update after update, it is bound to the agent's networks
+    once, at its first use."""
     return agent.params.copy()
 
 
@@ -238,7 +245,8 @@ def td_update(
 
     Gradient flows only through the Q-value of each taken action. When the
     agent has a multitask head, transitions carrying a supervision target add
-    the weighted supervision loss to the objective.
+    the weighted supervision loss to the objective. The gradient is written
+    into ``opt_state.grads`` and used up by the AdaGrad step.
     """
     if not batch:
         raise UsageError("td_update needs a non-empty batch")
@@ -264,6 +272,6 @@ def td_update(
     if not np.isfinite(loss):
         raise TrainingError(f"non-finite training loss {loss}")
 
-    grads = agent.backward_train(fwd, dq, dsup)
+    grads = agent.backward_train(fwd, dq, dsup, out=opt_state.grads)
     nn.adagrad_update(agent.params, grads, opt_state, clip=config.grad_clip)
     return loss

@@ -305,6 +305,20 @@ class TestBoundForward:
         # the agent's own binding is untouched
         assert agent.q_values(S, O).tobytes() != expected
 
+    def test_plain_dict_params_not_kept(self):
+        agent = Agent(mini_spec("dron_moe", "type"), seed=49)
+        rng = np.random.default_rng(50)
+        S, O = rng.normal(size=(5, 4)), rng.normal(size=(5, 5))
+        plain = {name: v.copy() for name, v in agent.params.items()}
+        first = agent.q_values(S, O, params=plain)
+        plain["expert.0.1.bias"] = plain["expert.0.1.bias"] + 1.0
+        second = agent.q_values(S, O, params=plain)
+        assert not np.array_equal(first, second)
+        plain["expert.1.1.bias"] += 1.0  # in place, in the caller's array
+        third = agent.q_values(S, O, params=plain)
+        assert not np.array_equal(second, third)
+        assert third.tobytes() == agent.q_values(S, O, params=nn.FlatParams.of(plain)).tobytes()
+
     def test_wrong_shapes_raise(self):
         agent = Agent(mini_spec("dron_moe"), seed=48)
         bad = {name: v.copy() for name, v in agent.params.items()}
@@ -319,6 +333,53 @@ class TestBoundForward:
             agent.q_values(np.ones(6), np.ones(5))
         with pytest.raises(ConfigurationError):
             agent.q_values(np.ones(4), np.ones(2))
+
+
+class TestGradientBuffer:
+    @staticmethod
+    def _inputs(kind, rows=6, seed=51):
+        rng = np.random.default_rng(seed)
+        S = rng.normal(size=(rows, 4))
+        O = None if kind == "dqn" else rng.normal(size=(rows, 5))
+        return S, O, rng.normal(size=(rows, 3)), rng.normal(size=(rows, 3))
+
+    @pytest.mark.parametrize("kind,multitask", VARIANTS)
+    def test_without_out_each_call_returns_a_new_set(self, kind, multitask):
+        agent = Agent(mini_spec(kind, multitask), seed=52)
+        S, O, dq, _ = self._inputs(kind)
+        first = agent.backward_train(agent.forward_train(S, O), dq)
+        kept = first.flat.copy()
+        S2, O2, dq2, _ = self._inputs(kind, seed=53)
+        second = agent.backward_train(agent.forward_train(S2, O2), dq2)
+        assert not np.shares_memory(first.flat, second.flat)
+        assert first.flat.tobytes() == kept.tobytes()
+        assert not np.array_equal(first.flat, second.flat)
+
+    @pytest.mark.parametrize("kind,multitask", VARIANTS)
+    def test_out_is_overwritten_whole(self, kind, multitask):
+        agent = Agent(mini_spec(kind, multitask), seed=54)
+        S, O, dq, dsup = self._inputs(kind)
+        fwd = agent.forward_train(S, O)
+        dsup = None if multitask == "none" else dsup[:, : agent.spec.multitask_outputs]
+        expected = agent.backward_train(fwd, dq, dsup).flat.tobytes()
+        buffer = nn.FlatParams(agent.params.layout)
+        buffer.flat[:] = np.nan  # stale values must not survive anywhere
+        assert agent.backward_train(fwd, dq, dsup, out=buffer) is buffer
+        assert buffer.flat.tobytes() == expected
+
+    @pytest.mark.parametrize("kind", ["dron_concat", "dron_moe"])
+    def test_out_zeroes_the_head_a_pass_does_not_reach(self, kind):
+        agent = Agent(mini_spec(kind, "type"), seed=55)
+        S, O, dq, dsup = self._inputs(kind)
+        dsup = dsup[:, :2]
+        fwd = agent.forward_train(S, O)
+        buffer = nn.FlatParams(agent.params.layout)
+        agent.backward_train(fwd, dq, dsup, out=buffer)
+        head = [name for name in buffer if name.startswith("opponent_head.")]
+        assert head and all(np.any(buffer[name] != 0.0) for name in head)
+        agent.backward_train(fwd, dq, out=buffer)
+        assert all(np.all(buffer[name] == 0.0) for name in head)
+        assert buffer.flat.tobytes() == agent.backward_train(fwd, dq).flat.tobytes()
 
 
 class TestCombinedLoss:

@@ -215,6 +215,52 @@ class TestBackward:
             assert abs(fd - dx[k]) <= 1e-4 * max(1.0, abs(fd))
 
 
+def out_of_place_backward(spec, params, cache, output_gradient):
+    """The backward pass as it was before ReLU gradients were masked in
+    place and biases summed with ``np.add.reduce``: the bit reference."""
+    dy, _ = nn.as_batch(output_gradient)
+    grads = {}
+    last = spec.layer_count - 1
+    for i in range(last, -1, -1):
+        a = cache.outputs[i]
+        if i < last or spec.output == "relu":
+            dz = dy * (a > 0.0)
+        elif spec.output == "softmax":
+            dz = nn.softmax_grad(a, dy)
+        elif spec.output == "sigmoid":
+            dz = dy * a * (1.0 - a)
+        else:
+            dz = dy
+        grads[f"{i}.weight"] = cache.inputs[i].T @ dz
+        grads[f"{i}.bias"] = np.sum(dz, axis=0)
+        dy = dz @ params[f"{i}.weight"].T
+    return grads, dy
+
+
+class TestInPlaceBackward:
+    @pytest.mark.parametrize("output", ["linear", "relu", "softmax", "sigmoid"])
+    def test_same_bits_as_out_of_place(self, output):
+        spec = nn.MLPSpec((5, 7, 6, 3), output=output)
+        params = nn.init_params(spec, 5)
+        rng = np.random.default_rng(6)
+        _, cache = nn.mlp_forward(spec, params, rng.normal(size=(9, 5)))
+        dy = rng.normal(size=(9, 3))
+        dy[0] = -0.0  # the sign of a masked zero must survive too
+        want_grads, want_dx = out_of_place_backward(spec, params, cache, dy)
+        kept = dy.copy()
+        for overwrite in (False, True):
+            gradient = dy.copy()
+            grads, dx = nn.mlp_backward(spec, params, cache, gradient,
+                                        overwrite_gradient=overwrite)
+            assert dx.tobytes() == want_dx.tobytes()
+            for name, value in want_grads.items():
+                assert grads[name].tobytes() == value.tobytes(), name
+            if not overwrite or output != "relu":
+                assert gradient.tobytes() == kept.tobytes()
+            else:  # masked where it was read
+                assert gradient.tobytes() == (kept * (cache.outputs[-1] > 0.0)).tobytes()
+
+
 class TestSoftmax:
     def test_symmetry(self):
         assert np.allclose(nn.softmax(np.array([0.0, 0.0])), [0.5, 0.5])
