@@ -121,6 +121,27 @@ class _Reader:
         return self.pos
 
 
+def _parsed(convert, text: str, line: int, what: str):
+    """``convert(text)`` (``int`` or ``float``), or a CheckpointError naming
+    the line."""
+    try:
+        return convert(text)
+    except ValueError:
+        kind = "an integer" if convert is int else "a number"
+        raise CheckpointError(f"line {line}: {what} {text!r} is not {kind}") from None
+
+
+def _values(texts: List[str], line: int, what: str) -> List[float]:
+    """One line of parameter values as floats, or a CheckpointError naming
+    the line and the first value that is not a number."""
+    try:
+        return [float(v) for v in texts]
+    except ValueError:
+        for text in texts:
+            _parsed(float, text, line, f"{what} value")
+        raise
+
+
 def load_checkpoint(path: str) -> Checkpoint:
     with open(path, "r", encoding="utf-8") as fh:
         reader = _Reader(fh.read())
@@ -135,12 +156,14 @@ def load_checkpoint(path: str) -> Checkpoint:
         )
 
     header: Dict[str, str] = {}
+    header_line: Dict[str, int] = {}
     line = reader.next("header")
     while not line.startswith("params "):
         key, _, value = line.partition(" ")
         if not value:
             raise CheckpointError(f"line {reader.line_no}: malformed header line {line!r}")
         header[key] = value
+        header_line[key] = reader.line_no
         line = reader.next("header")
 
     try:
@@ -175,8 +198,8 @@ def load_checkpoint(path: str) -> Checkpoint:
     if "rng" in header:
         parts = header["rng"].split()
         if len(parts) != 2:
-            raise CheckpointError("malformed rng state in header")
-        rng_state = (int(parts[0]), int(parts[1]))
+            raise CheckpointError(f"line {header_line['rng']}: malformed rng state in header")
+        rng_state = tuple(_parsed(int, part, header_line["rng"], "rng") for part in parts)
 
     env_params = {}
     for key, value in header.items():
@@ -190,7 +213,9 @@ def load_checkpoint(path: str) -> Checkpoint:
     for _ in range(param_count):
         block = reader.next("parameter block").split()
         if block[0] == "matrix" and len(block) == 4:
-            name, rows, cols = block[1], int(block[2]), int(block[3])
+            name = block[1]
+            rows = _parsed(int, block[2], reader.line_no, f"matrix {name!r} row count")
+            cols = _parsed(int, block[3], reader.line_no, f"matrix {name!r} column count")
             data = np.empty((rows, cols))
             for r in range(rows):
                 values = reader.next(f"matrix {name!r} row {r}").split()
@@ -199,17 +224,18 @@ def load_checkpoint(path: str) -> Checkpoint:
                         f"line {reader.line_no}: matrix {name!r} row {r} has "
                         f"{len(values)} values, expected {cols}"
                     )
-                data[r] = [float(v) for v in values]
+                data[r] = _values(values, reader.line_no, f"matrix {name!r} row {r}")
             params[name] = data
         elif block[0] == "vector" and len(block) == 3:
-            name, n = block[1], int(block[2])
+            name = block[1]
+            n = _parsed(int, block[2], reader.line_no, f"vector {name!r} length")
             values = reader.next(f"vector {name!r}").split()
             if len(values) != n:
                 raise CheckpointError(
                     f"line {reader.line_no}: vector {name!r} has {len(values)} "
                     f"values, expected {n}"
                 )
-            params[name] = np.array([float(v) for v in values])
+            params[name] = np.array(_values(values, reader.line_no, f"vector {name!r}"))
         else:
             raise CheckpointError(
                 f"line {reader.line_no}: expected a matrix/vector block, got "
@@ -226,7 +252,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         agent_spec=spec,
         params=params,
         environment=need("environment"),
-        steps=int(need("steps")),
+        steps=_parsed(int, need("steps"), header_line["steps"], "steps"),
         rng_state=rng_state,
         env_params=env_params,
     )

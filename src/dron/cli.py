@@ -7,6 +7,7 @@ honor the DRON_OUTPUT_DIR environment variable over the config value.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -42,19 +43,28 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
     trace_rows = [] if args.traces else None
-    summary = evaluate(checkpoint, args.opponent, args.games, args.seed,
-                       render=args.render, trace_rows=trace_rows)
-    print(f"games {summary.games} mean_reward {summary.mean_reward:+.4f}")
-    print(f"win {summary.win_rate:.4f} tie {summary.tie_rate:.4f} "
-          f"loss {summary.loss_rate:.4f}")
-    if checkpoint.environment == "quizbowl":
-        print(f"rush {summary.rush_rate:.4f} miss {summary.miss_rate:.4f}")
-    if args.traces:
-        keys = list(trace_rows[0].keys()) if trace_rows else []
-        with open(args.traces, "w", encoding="utf-8") as fh:
-            fh.write(",".join(keys) + "\n")
+    with contextlib.ExitStack() as stack:
+        traces = None
+        if args.traces and checkpoint.environment == "quizbowl":
+            # opened before any game is played, so a bad path costs nothing,
+            # and emptied only after them, so a failed evaluation leaves an
+            # old file as it was; soccer traces are refused by `evaluate`
+            # before a file exists
+            traces = stack.enter_context(open(args.traces, "a", encoding="utf-8"))
+        summary = evaluate(checkpoint, args.opponent, args.games, args.seed,
+                           render=args.render, trace_rows=trace_rows)
+        print(f"games {summary.games} mean_reward {summary.mean_reward:+.4f}")
+        print(f"win {summary.win_rate:.4f} tie {summary.tie_rate:.4f} "
+              f"loss {summary.loss_rate:.4f}")
+        if checkpoint.environment == "quizbowl":
+            print(f"rush {summary.rush_rate:.4f} miss {summary.miss_rate:.4f}")
+        if traces is not None:
+            keys = list(trace_rows[0].keys()) if trace_rows else []
+            traces.truncate(0)
+            traces.write(",".join(keys) + "\n")
             for row in trace_rows:
-                fh.write(",".join(str(row[k]) for k in keys) + "\n")
+                traces.write(",".join(str(row[k]) for k in keys) + "\n")
+    if traces is not None:
         print(f"traces: {args.traces}")
     return 0
 

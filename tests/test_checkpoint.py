@@ -143,3 +143,51 @@ class TestErrors:
         (tmp_path / "junk.txt").write_text("hello world\n")
         with pytest.raises(CheckpointError):
             load_checkpoint(str(tmp_path / "junk.txt"))
+
+
+def _set_token(line, index, text):
+    tokens = line.split()
+    tokens[index] = text
+    return " ".join(tokens)
+
+
+# (what, the line to edit, how) for each field that must be a number
+MALFORMED = {
+    "matrix_value": (lambda lines, i: lines[i - 1].startswith("matrix "),
+                     lambda line: _set_token(line, 1, "abc")),
+    "vector_value": (lambda lines, i: lines[i - 1].startswith("vector "),
+                     lambda line: _set_token(line, 0, "abc")),
+    "matrix_rows": (lambda lines, i: lines[i].startswith("matrix "),
+                    lambda line: _set_token(line, 2, "x")),
+    "matrix_cols": (lambda lines, i: lines[i].startswith("matrix "),
+                    lambda line: _set_token(line, 3, "2.5")),
+    "vector_length": (lambda lines, i: lines[i].startswith("vector "),
+                      lambda line: _set_token(line, 2, "x")),
+    "steps": (lambda lines, i: lines[i].startswith("steps "),
+              lambda line: "steps zz"),
+    "rng": (lambda lines, i: lines[i].startswith("rng "),
+            lambda line: _set_token(line, 2, "1e5")),
+}
+
+
+def write_malformed(tmp_path, field):
+    """A saved checkpoint with one field made non-numeric; returns its path
+    and the 1-based number of the edited line."""
+    ckpt, _ = make_checkpoint()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, str(path))
+    lines = path.read_text().splitlines()
+    found, edit = MALFORMED[field]
+    at = next(i for i in range(1, len(lines)) if found(lines, i))
+    lines[at] = edit(lines[at])
+    bad = tmp_path / f"{field}.ckpt"
+    bad.write_text("\n".join(lines) + "\n")
+    return str(bad), at + 1
+
+
+@pytest.mark.parametrize("field", list(MALFORMED))
+def test_non_numeric_field_names_its_line(tmp_path, field):
+    path, line = write_malformed(tmp_path, field)
+    with pytest.raises(CheckpointError,
+                       match=rf"^line {line}: .* is not (an integer|a number)$"):
+        load_checkpoint(path)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from dron import cli
 from dron.cli import main
 
 TINY = {
@@ -132,4 +133,37 @@ def test_traces_into_missing_directory(tmp_path, monkeypatch, capsys):
     assert main(["eval", checkpoint, "--games", "2", "--traces", str(traces)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {traces}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_traces_path_checked_before_any_game(tmp_path, monkeypatch, capsys):
+    checkpoint = _train(tmp_path, monkeypatch, "quizbowl")
+    played = []
+    monkeypatch.setattr(cli, "evaluate", lambda *args, **kwargs: played.append(args))
+    traces = tmp_path / "nodir" / "x.csv"
+    capsys.readouterr()
+    assert main(["eval", checkpoint, "--games", "2", "--traces", str(traces)]) == 2
+    out, err = capsys.readouterr()
+    assert played == [] and out == ""
+    assert err.startswith(f"error: {traces}: ")
+
+
+def test_failed_evaluation_keeps_an_old_trace_file(tmp_path, monkeypatch, capsys):
+    checkpoint = _train(tmp_path, monkeypatch, "quizbowl")
+    traces = tmp_path / "traces.csv"
+    traces.write_text("old\n")
+    assert main(["eval", checkpoint, "--opponent", "self", "--traces", str(traces)]) == 2
+    assert traces.read_text() == "old\n"
+    assert main(["eval", checkpoint, "--games", "2", "--traces", str(traces)]) == 0
+    assert traces.read_text().splitlines()[0].startswith("game,length,")
+    assert len(traces.read_text().splitlines()) == 3
+
+
+def test_malformed_checkpoint_exits_2(tmp_path, capsys):
+    from test_checkpoint import write_malformed
+
+    path, line = write_malformed(tmp_path, "matrix_value")
+    assert main(["eval", path, "--games", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
     assert "Traceback" not in err
