@@ -253,11 +253,10 @@ class Agent:
             )
             dho = dho + dho_head
 
-        # dho and dhs are this pass's own, so the towers may mask them in place
         nn.mlp_backward(self._specs["opponent_tower"], p, fwd.caches["opponent_tower"], dho,
-                        "opponent_tower.", out=grads, input_grad=False, overwrite_gradient=True)
+                        "opponent_tower.", out=grads, input_grad=False)
         nn.mlp_backward(self._specs["state_tower"], p, fwd.caches["state_tower"], dhs,
-                        "state_tower.", out=grads, input_grad=False, overwrite_gradient=True)
+                        "state_tower.", out=grads, input_grad=False)
         return grads
 
     # -- internals ----------------------------------------------------------

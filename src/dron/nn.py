@@ -227,7 +227,6 @@ def mlp_backward(
     prefix: str = "",
     out: Optional[FlatParams] = None,
     input_grad: bool = True,
-    overwrite_gradient: bool = False,
 ) -> Tuple[ParamSet, Optional[np.ndarray]]:
     """Backpropagate d(loss)/d(output) through the cached forward pass.
 
@@ -235,9 +234,9 @@ def mlp_backward(
     gradients are summed over batch rows and written into ``out`` when given
     (a model-wide gradient set holding this MLP's names), else into a new
     set. With ``input_grad=False`` the input gradient is skipped and None.
-    A ReLU layer masks its gradient in place, so a pass allocates no
-    gradient per hidden layer; ``overwrite_gradient`` lets it do the same to
-    ``output_gradient``, which the caller then no longer reads.
+    A hidden ReLU layer masks its gradient in place (the array is the
+    pass's own), so a pass allocates no gradient per hidden layer;
+    ``output_gradient`` is left as it was.
     """
     if len(cache.inputs) != spec.layer_count:
         raise ConfigurationError("cache does not match spec (layer count differs)")
@@ -252,7 +251,7 @@ def mlp_backward(
     for i in range(last, -1, -1):
         a = cache.outputs[i]
         if i < last or spec.output == "relu":
-            dz = np.multiply(dy, a > 0.0, out=dy if i < last or overwrite_gradient else None)
+            dz = np.multiply(dy, a > 0.0, out=dy if i < last else None)
         elif spec.output == "softmax":
             dz = softmax_grad(a, dy)
         elif spec.output == "sigmoid":

@@ -247,18 +247,12 @@ class TestInPlaceBackward:
         dy = rng.normal(size=(9, 3))
         dy[0] = -0.0  # the sign of a masked zero must survive too
         want_grads, want_dx = out_of_place_backward(spec, params, cache, dy)
-        kept = dy.copy()
-        for overwrite in (False, True):
-            gradient = dy.copy()
-            grads, dx = nn.mlp_backward(spec, params, cache, gradient,
-                                        overwrite_gradient=overwrite)
-            assert dx.tobytes() == want_dx.tobytes()
-            for name, value in want_grads.items():
-                assert grads[name].tobytes() == value.tobytes(), name
-            if not overwrite or output != "relu":
-                assert gradient.tobytes() == kept.tobytes()
-            else:  # masked where it was read
-                assert gradient.tobytes() == (kept * (cache.outputs[-1] > 0.0)).tobytes()
+        gradient = dy.copy()
+        grads, dx = nn.mlp_backward(spec, params, cache, gradient)
+        assert dx.tobytes() == want_dx.tobytes()
+        for name, value in want_grads.items():
+            assert grads[name].tobytes() == value.tobytes(), name
+        assert gradient.tobytes() == dy.tobytes()  # the caller's array is left as it was
 
 
 class TestSoftmax:

@@ -501,12 +501,13 @@ class TestNoPerCallSetUp:
         assert agents[0].params.flat.tobytes() == agents[1].params.flat.tobytes()
         assert opts[0].accumulators.flat.tobytes() == opts[1].accumulators.flat.tobytes()
 
-    def test_steady_state_update_allocates_less_than_a_parameter_vector(self):
-        """One warm quiz dron_moe update (type head, 64 rows) peaks below one
-        parameter vector (63,611 x 8 bytes), so no per-update model-sized
-        buffer such as a new gradient set can come back unseen. Measured
-        with numpy 2.4: about 495 KB, against 1.14 MB with a new gradient
-        set and a target bound per call."""
+    def test_steady_state_update_allocates_no_parameter_sized_set(self):
+        """A warm quiz dron_moe update (type head, 64 rows) peaks at least
+        0.9 parameter vectors (63,611 x 8 bytes) below ``per_call_td_update``
+        on the same agent and batch, so no per-update model-sized buffer such
+        as a new gradient set can come back unseen. The guard is relative:
+        the activation-sized temporaries both share, which vary with the
+        numpy build, cancel out."""
         agent = Agent(quiz_agent_spec("dron_moe", multitask="type"), seed=1)
         rng = np.random.default_rng(72)
         buf = rl.ReplayBuffer(256)
@@ -523,17 +524,22 @@ class TestNoPerCallSetUp:
         target = rl.sync_target(agent)
         for _ in range(3):
             rl.td_update(agent, buf.sample(64, rng), cfg, opt, target)
+            per_call_td_update(agent, buf.sample(64, rng), cfg, opt, target)
         batch = buf.sample(64, rng)
+
+        def peak(update):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            update(agent, batch, cfg, opt, target)
+            return tracemalloc.get_traced_memory()[1] - base
+
         started = not tracemalloc.is_tracing()
         if started:
             tracemalloc.start()
         try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            rl.td_update(agent, batch, cfg, opt, target)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            kept, per_call = peak(rl.td_update), peak(per_call_td_update)
         finally:
             if started:
                 tracemalloc.stop()
         assert agent.params.flat.size == 63_611
-        assert peak < agent.params.flat.nbytes, peak
+        assert per_call - kept >= 0.9 * agent.params.flat.nbytes, (kept, per_call)
