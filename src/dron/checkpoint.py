@@ -131,6 +131,15 @@ def _parsed(convert, text: str, line: int, what: str):
         raise CheckpointError(f"line {line}: {what} {text!r} is not {kind}") from None
 
 
+def _size(text: str, line: int, what: str) -> int:
+    """A block size: a non-negative integer, or a CheckpointError naming
+    the line."""
+    n = _parsed(int, text, line, what)
+    if n < 0:
+        raise CheckpointError(f"line {line}: {what} {text!r} is negative")
+    return n
+
+
 def _values(texts: List[str], line: int, what: str) -> List[float]:
     """One line of parameter values as floats, or a CheckpointError naming
     the line and the first value that is not a number."""
@@ -214,8 +223,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         block = reader.next("parameter block").split()
         if block[0] == "matrix" and len(block) == 4:
             name = block[1]
-            rows = _parsed(int, block[2], reader.line_no, f"matrix {name!r} row count")
-            cols = _parsed(int, block[3], reader.line_no, f"matrix {name!r} column count")
+            rows = _size(block[2], reader.line_no, f"matrix {name!r} row count")
+            cols = _size(block[3], reader.line_no, f"matrix {name!r} column count")
             data = np.empty((rows, cols))
             for r in range(rows):
                 values = reader.next(f"matrix {name!r} row {r}").split()
@@ -228,7 +237,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             params[name] = data
         elif block[0] == "vector" and len(block) == 3:
             name = block[1]
-            n = _parsed(int, block[2], reader.line_no, f"vector {name!r} length")
+            n = _size(block[2], reader.line_no, f"vector {name!r} length")
             values = reader.next(f"vector {name!r}").split()
             if len(values) != n:
                 raise CheckpointError(

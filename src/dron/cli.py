@@ -48,11 +48,18 @@ def cmd_eval(args) -> int:
         if args.traces and checkpoint.environment == "quizbowl":
             # opened before any game is played, so a bad path costs nothing,
             # and emptied only after them, so a failed evaluation leaves an
-            # old file as it was; soccer traces are refused by `evaluate`
-            # before a file exists
+            # old file as it was and removes a new one; soccer traces are
+            # refused by `evaluate` before a file exists
+            created = not os.path.exists(args.traces)
             traces = stack.enter_context(open(args.traces, "a", encoding="utf-8"))
-        summary = evaluate(checkpoint, args.opponent, args.games, args.seed,
-                           render=args.render, trace_rows=trace_rows)
+        try:
+            summary = evaluate(checkpoint, args.opponent, args.games, args.seed,
+                               render=args.render, trace_rows=trace_rows)
+        except BaseException:
+            if traces is not None and created:
+                traces.close()
+                os.remove(args.traces)
+            raise
         print(f"games {summary.games} mean_reward {summary.mean_reward:+.4f}")
         print(f"win {summary.win_rate:.4f} tie {summary.tie_rate:.4f} "
               f"loss {summary.loss_rate:.4f}")

@@ -151,7 +151,8 @@ def _set_token(line, index, text):
     return " ".join(tokens)
 
 
-# (what, the line to edit, how) for each field that must be a number
+# (what, the line to edit, how) for each field that must be a number, a
+# block size being a non-negative integer
 MALFORMED = {
     "matrix_value": (lambda lines, i: lines[i - 1].startswith("matrix "),
                      lambda line: _set_token(line, 1, "abc")),
@@ -163,6 +164,10 @@ MALFORMED = {
                     lambda line: _set_token(line, 3, "2.5")),
     "vector_length": (lambda lines, i: lines[i].startswith("vector "),
                       lambda line: _set_token(line, 2, "x")),
+    "matrix_rows_negative": (lambda lines, i: lines[i].startswith("matrix "),
+                             lambda line: _set_token(line, 2, "-1")),
+    "vector_length_negative": (lambda lines, i: lines[i].startswith("vector "),
+                               lambda line: _set_token(line, 2, "-2")),
     "steps": (lambda lines, i: lines[i].startswith("steps "),
               lambda line: "steps zz"),
     "rng": (lambda lines, i: lines[i].startswith("rng "),
@@ -171,7 +176,7 @@ MALFORMED = {
 
 
 def write_malformed(tmp_path, field):
-    """A saved checkpoint with one field made non-numeric; returns its path
+    """A saved checkpoint with one field made malformed; returns its path
     and the 1-based number of the edited line."""
     ckpt, _ = make_checkpoint()
     path = tmp_path / "model.ckpt"
@@ -189,5 +194,5 @@ def write_malformed(tmp_path, field):
 def test_non_numeric_field_names_its_line(tmp_path, field):
     path, line = write_malformed(tmp_path, field)
     with pytest.raises(CheckpointError,
-                       match=rf"^line {line}: .* is not (an integer|a number)$"):
+                       match=rf"^line {line}: .* is (not an integer|not a number|negative)$"):
         load_checkpoint(path)

@@ -159,6 +159,13 @@ def test_failed_evaluation_keeps_an_old_trace_file(tmp_path, monkeypatch, capsys
     assert len(traces.read_text().splitlines()) == 3
 
 
+def test_failed_evaluation_leaves_no_new_trace_file(tmp_path, monkeypatch, capsys):
+    checkpoint = _train(tmp_path, monkeypatch, "quizbowl")
+    traces = tmp_path / "traces.csv"
+    assert main(["eval", checkpoint, "--opponent", "self", "--traces", str(traces)]) == 2
+    assert not traces.exists()
+
+
 def test_malformed_checkpoint_exits_2(tmp_path, capsys):
     from test_checkpoint import write_malformed
 
