@@ -151,19 +151,14 @@ def test_traces_path_checked_before_any_game(tmp_path, monkeypatch, capsys):
 def test_failed_evaluation_keeps_an_old_trace_file(tmp_path, monkeypatch, capsys):
     checkpoint = _train(tmp_path, monkeypatch, "quizbowl")
     traces = tmp_path / "traces.csv"
+    assert main(["eval", checkpoint, "--opponent", "self", "--traces", str(traces)]) == 2
+    assert not traces.exists()  # a file the failed call created is removed
     traces.write_text("old\n")
     assert main(["eval", checkpoint, "--opponent", "self", "--traces", str(traces)]) == 2
     assert traces.read_text() == "old\n"
     assert main(["eval", checkpoint, "--games", "2", "--traces", str(traces)]) == 0
     assert traces.read_text().splitlines()[0].startswith("game,length,")
     assert len(traces.read_text().splitlines()) == 3
-
-
-def test_failed_evaluation_leaves_no_new_trace_file(tmp_path, monkeypatch, capsys):
-    checkpoint = _train(tmp_path, monkeypatch, "quizbowl")
-    traces = tmp_path / "traces.csv"
-    assert main(["eval", checkpoint, "--opponent", "self", "--traces", str(traces)]) == 2
-    assert not traces.exists()
 
 
 def test_malformed_checkpoint_exits_2(tmp_path, capsys):
