@@ -13,15 +13,11 @@ Bound layers: an agent resolves every component network's layers in its
 parameters once (``nn.bind_mlp``), when its ``params`` are set, and runs them
 on every call without looking names up again. The layers are views into the
 agent's flat parameter vector, which AdaGrad and ``params[name] = value``
-write in place, so they stay current; assigning ``agent.params`` rebinds. An
-explicit ``params=`` ``FlatParams`` (the frozen target from
-``rl.sync_target``) is bound when it is first given and the binding is kept
-for as long as the same object keeps being given: one entry, keyed by
-identity, holding a reference so the id cannot be reused. A new target
-object is bound anew; in-place writes to a bound one show, as they do for
-the agent's own. A plain-dict ``params=`` is copied and bound for that call
-only. Acting (``q_values``, ``q_and_gate``) never computes the multitask
-opponent head, which only training reads.
+write in place, so they stay current; assigning ``agent.params`` rebinds.
+Every pass runs on the agent's own parameters: the frozen target of a TD
+step is an ``Agent`` built at each sync (``rl.sync_target``). Acting
+(``q_values``, ``q_and_gate``) never computes the multitask opponent head,
+which only training reads.
 
 Gradients: ``backward_train`` returns a new zeroed gradient set, or with
 ``out=`` writes into a given one (a training step passes its optimizer's
@@ -115,7 +111,6 @@ class Agent:
             entry for name, mlp in self._specs.items()
             for entry in nn.mlp_layout(mlp, f"{name}.")
         )
-        self._explicit: Optional[Tuple[nn.FlatParams, Dict[str, Tuple[nn.Layer, ...]]]] = None
         self.params = params if params is not None else self._init(seed)
 
     @property
@@ -127,24 +122,8 @@ class Agent:
     def params(self, params: ParamSet) -> None:
         # copies, so the agent never shares arrays with the caller's dict
         self._params = nn.FlatParams.of(params, self._layout)
-        self._nets = self._bind(self._params)
-
-    def _bind(self, params: ParamSet) -> Dict[str, Tuple[nn.Layer, ...]]:
-        return {name: nn.bind_mlp(spec, params, f"{name}.") for name, spec in self._specs.items()}
-
-    def _bound(self, params: Optional[ParamSet]) -> Tuple[ParamSet, Dict[str, Tuple[nn.Layer, ...]]]:
-        """The parameter set a call runs on and its bound networks: the
-        agent's own; an explicit ``FlatParams``, bound once and kept until
-        another one is given; or a plain dict, copied into the agent's
-        layout and bound for this call."""
-        if params is None:
-            return self._params, self._nets
-        if not isinstance(params, nn.FlatParams):
-            params = nn.FlatParams.of(params, self._layout)
-            return params, self._bind(params)
-        if self._explicit is None or self._explicit[0] is not params:
-            self._explicit = (params, self._bind(params))
-        return self._explicit
+        self._nets = {name: nn.bind_mlp(spec, self._params, f"{name}.")
+                      for name, spec in self._specs.items()}
 
     def _init(self, seed: int) -> ParamSet:
         params: ParamSet = {}
@@ -157,49 +136,32 @@ class Agent:
 
     # -- inference ---------------------------------------------------------
 
-    def q_values(
-        self,
-        phi_s: np.ndarray,
-        phi_o: Optional[np.ndarray] = None,
-        params: Optional[ParamSet] = None,
-    ) -> np.ndarray:
+    def q_values(self, phi_s: np.ndarray, phi_o: Optional[np.ndarray] = None) -> np.ndarray:
         """Action values for one observation or a batch of observations."""
-        return self._forward(phi_s, phi_o, params, train=False).q_squeezed
+        return self._forward(phi_s, phi_o, train=False).q_squeezed
 
     def q_and_gate(
-        self,
-        phi_s: np.ndarray,
-        phi_o: Optional[np.ndarray] = None,
-        params: Optional[ParamSet] = None,
+        self, phi_s: np.ndarray, phi_o: Optional[np.ndarray] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
-        out = self._forward(phi_s, phi_o, params, train=False)
+        out = self._forward(phi_s, phi_o, train=False)
         return out.q_squeezed, out.gate_squeezed
 
-    def encode(
-        self,
-        phi_s: np.ndarray,
-        phi_o: np.ndarray,
-        params: Optional[ParamSet] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def encode(self, phi_s: np.ndarray, phi_o: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """State and opponent embeddings (h_s, h_o)."""
         if self.spec.kind == "dqn":
             raise UsageError("dqn has no separate towers to encode with")
-        _, nets = self._bound(params)
-        return _run(nets["state_tower"], phi_s), _run(nets["opponent_tower"], phi_o)
+        return _run(self._nets["state_tower"], phi_s), _run(self._nets["opponent_tower"], phi_o)
 
-    def predict_opponent(self, ho: np.ndarray, params: Optional[ParamSet] = None) -> np.ndarray:
+    def predict_opponent(self, ho: np.ndarray) -> np.ndarray:
         """Supervision-head prediction from the opponent embedding."""
         if self.spec.multitask == "none":
             raise UsageError("agent has no multitask head")
-        _, nets = self._bound(params)
-        return _run(nets["opponent_head"], ho)
+        return _run(self._nets["opponent_head"], ho)
 
     # -- training ----------------------------------------------------------
 
-    def forward_train(
-        self, phi_s: np.ndarray, phi_o: Optional[np.ndarray], params: Optional[ParamSet] = None
-    ) -> "_Forward":
-        return self._forward(phi_s, phi_o, params, train=True)
+    def forward_train(self, phi_s: np.ndarray, phi_o: Optional[np.ndarray]) -> "_Forward":
+        return self._forward(phi_s, phi_o, train=True)
 
     def backward_train(
         self,
@@ -212,7 +174,7 @@ class Agent:
         supervision-head output) back to every parameter; the result is laid
         out like ``params``. It is a new set, or ``out`` overwritten whole:
         a head that gets no gradient is zeroed."""
-        p = fwd.params
+        p = self._params
         spec = self.spec
         grads = nn.FlatParams(self._layout) if out is None else out
         if dsupervision is None and spec.multitask != "none":
@@ -261,21 +223,18 @@ class Agent:
 
     # -- internals ----------------------------------------------------------
 
-    def _forward(
-        self, phi_s: np.ndarray, phi_o: Optional[np.ndarray], params: Optional[ParamSet],
-        train: bool,
-    ) -> "_Forward":
+    def _forward(self, phi_s: np.ndarray, phi_o: Optional[np.ndarray], train: bool) -> "_Forward":
         """One pass over the bound networks. ``train`` keeps the caches
         ``backward_train`` needs and runs the opponent head; acting needs
         neither."""
-        p, nets = self._bound(params)
+        nets = self._nets
         spec = self.spec
         S, squeeze = nn.as_batch(phi_s)
         caches: Dict[str, Optional[nn.ForwardCache]] = {}
 
         if spec.kind == "dqn":
             q, caches["q_net"] = nn.run_mlp(nets["q_net"], S, train)
-            return _Forward(p, q, None, None, None, None, caches, squeeze)
+            return _Forward(q, None, None, None, None, caches, squeeze)
 
         if phi_o is None:
             raise ConfigurationError(f"{spec.kind} requires opponent features")
@@ -301,12 +260,11 @@ class Agent:
         supervision = None
         if train and spec.multitask != "none":
             supervision, caches["opponent_head"] = nn.run_mlp(nets["opponent_head"], ho, True)
-        return _Forward(p, q, gate, expert_q, hs, supervision, caches, squeeze)
+        return _Forward(q, gate, expert_q, hs, supervision, caches, squeeze)
 
 
 @dataclass
 class _Forward:
-    params: ParamSet
     q: np.ndarray
     gate: Optional[np.ndarray]
     expert_q: Optional[List[np.ndarray]]

@@ -122,13 +122,19 @@ class _Reader:
 
 
 def _parsed(convert, text: str, line: int, what: str):
-    """``convert(text)`` (``int`` or ``float``), or a CheckpointError naming
-    the line."""
+    """``convert(text)`` (``int``, ``float`` or ``_env_number``), or a
+    CheckpointError naming the line."""
     try:
         return convert(text)
     except ValueError:
         kind = "an integer" if convert is int else "a number"
         raise CheckpointError(f"line {line}: {what} {text!r} is not {kind}") from None
+
+
+def _env_number(text: str):
+    """An ``env.*`` header value: a float when written with a point or an
+    exponent, else an int."""
+    return float(text) if "." in text or "e" in text else int(text)
 
 
 def _size(text: str, line: int, what: str) -> int:
@@ -185,23 +191,26 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise CheckpointError(f"missing header field {key!r}")
         return header[key]
 
-    try:
-        spec = AgentSpec(
-            kind=need("kind"),
-            state_dim=int(need("state_dim")),
-            action_count=int(need("action_count")),
-            opponent_dim=int(need("opponent_dim")),
-            state_hidden=tuple(int(s) for s in need("state_hidden").split(",")),
-            head_hidden=tuple(int(s) for s in need("head_hidden").split(",")),
-            opponent_hidden=int(need("opponent_hidden")),
-            experts=int(need("experts")),
-            multitask=need("multitask"),
-            multitask_weight=float(need("multitask_weight")),
-            multitask_outputs=int(need("multitask_outputs")),
-            multitask_loss=need("multitask_loss"),
-        )
-    except ValueError as exc:
-        raise CheckpointError(f"malformed agent spec in header: {exc}") from None
+    def number(convert, key: str):
+        return _parsed(convert, need(key), header_line[key], key)
+
+    def sizes(key: str) -> Tuple[int, ...]:
+        return tuple(_parsed(int, s, header_line[key], key) for s in need(key).split(","))
+
+    spec = AgentSpec(
+        kind=need("kind"),
+        state_dim=number(int, "state_dim"),
+        action_count=number(int, "action_count"),
+        opponent_dim=number(int, "opponent_dim"),
+        state_hidden=sizes("state_hidden"),
+        head_hidden=sizes("head_hidden"),
+        opponent_hidden=number(int, "opponent_hidden"),
+        experts=number(int, "experts"),
+        multitask=need("multitask"),
+        multitask_weight=number(float, "multitask_weight"),
+        multitask_outputs=number(int, "multitask_outputs"),
+        multitask_loss=need("multitask_loss"),
+    )
 
     rng_state = None
     if "rng" in header:
@@ -210,13 +219,8 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise CheckpointError(f"line {header_line['rng']}: malformed rng state in header")
         rng_state = tuple(_parsed(int, part, header_line["rng"], "rng") for part in parts)
 
-    env_params = {}
-    for key, value in header.items():
-        if key.startswith("env."):
-            try:
-                env_params[key[4:]] = float(value) if "." in value or "e" in value else int(value)
-            except ValueError:
-                env_params[key[4:]] = value
+    env_params = {key[4:]: _parsed(_env_number, value, header_line[key], key)
+                  for key, value in header.items() if key.startswith("env.")}
 
     params: ParamSet = {}
     for _ in range(param_count):
@@ -261,7 +265,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         agent_spec=spec,
         params=params,
         environment=need("environment"),
-        steps=_parsed(int, need("steps"), header_line["steps"], "steps"),
+        steps=number(int, "steps"),
         rng_state=rng_state,
         env_params=env_params,
     )

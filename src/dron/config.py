@@ -72,7 +72,8 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"learning_rate must be positive, got {self.learning_rate}",
                 keys=("learning_rate",))
-        for key in ("batch_size", "target_sync", "replay_capacity", "opponent_pool"):
+        for key in ("batch_size", "target_sync", "replay_capacity", "opponent_pool",
+                    "epsilon_decay_steps"):
             if getattr(self, key) < 1:
                 raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}",
                                          keys=(key,))
@@ -99,6 +100,19 @@ class ExperimentConfig:
         if not (self.epsilon_start >= self.epsilon_end >= 0.0):
             raise ConfigurationError("epsilon_start must be >= epsilon_end >= 0",
                                      keys=("epsilon_start", "epsilon_end"))
+        if self.epsilon_start > 1.0:
+            raise ConfigurationError(f"epsilon_start must be <= 1, got {self.epsilon_start}",
+                                     keys=("epsilon_start",))
+        if not self.multitask_weight >= 0.0:
+            raise ConfigurationError(
+                f"multitask_weight must be >= 0, got {self.multitask_weight}",
+                keys=("multitask_weight",))
+        # np.clip with min > max returns max, so a negative clip would set
+        # every gradient to -grad_clip
+        if self.grad_clip is not None and not self.grad_clip > 0.0:
+            raise ConfigurationError(
+                f"grad_clip must be positive or none, got {self.grad_clip}",
+                keys=("grad_clip",))
         short = tuple(key for key in ("epochs", "steps_per_epoch", "eval_games")
                       if getattr(self, key) < 1)
         if short:

@@ -17,8 +17,9 @@ Flat-parameter rule: a model's parameters, its gradients and its AdaGrad
 accumulators are each a ``FlatParams``, a dict whose arrays are views into one
 contiguous vector ``flat``, all three laid out alike (same names, order and
 shapes). AdaGrad then clips, checks and updates the whole model as one
-vector. Writing ``params[name] = value`` copies into the view, so the views
-stay bound; an agent's ``params`` setter copies a plain dict into its layout.
+vector, and takes nothing else. Writing ``params[name] = value`` copies into
+the view, so the views stay bound; an agent's ``params`` setter, the one way
+in for a plain dict, copies it into the agent's layout.
 The gradient of a training step lives in its ``AdaGradState`` (``grads``):
 ``mlp_backward`` writes into it with ``out=`` and ``adagrad_update`` consumes
 it, so one vector serves every step.
@@ -383,30 +384,30 @@ class AdaGradState:
         self._work = np.empty(self.accumulators.flat.size)  # the step's denominator
 
     @classmethod
-    def for_params(cls, params: ParamSet, learning_rate: float) -> "AdaGradState":
-        layout = params.layout if isinstance(params, FlatParams) else layout_of(params)
-        return cls(learning_rate=learning_rate, accumulators=FlatParams(layout))
+    def for_params(cls, params: FlatParams, learning_rate: float) -> "AdaGradState":
+        return cls(learning_rate=learning_rate, accumulators=FlatParams(params.layout))
 
 
-def adagrad_update(params: ParamSet, grads: ParamSet, state: AdaGradState,
+def adagrad_update(params: FlatParams, grads: FlatParams, state: AdaGradState,
                    clip: Optional[float] = None) -> None:
     """One AdaGrad step over the whole parameter vector, in place: optional
     per-coordinate clip of g to +-clip, then acc += g^2 and
     p -= lr * g / (sqrt(acc) + eps).
 
-    ``params`` and ``grads`` are best ``FlatParams`` in the accumulators'
-    layout (an agent's are), and such ``grads`` are used up: the step
-    overwrites them. Anything else is copied into that layout first, and
-    other ``params`` get the updated values written back into their arrays.
+    ``params`` and ``grads`` are ``FlatParams`` in the accumulators' layout
+    (an agent's are), and ``grads`` are used up: the step overwrites them.
     """
     layout = state.accumulators.layout
-    p = params if _laid_out(params, layout) else FlatParams.of(params, layout)
-    g = (grads if _laid_out(grads, layout) else FlatParams.of(grads, layout)).flat
+    for what, given in (("params", params), ("grads", grads)):
+        if not (isinstance(given, FlatParams)
+                and (given.layout is layout or given.layout == layout)):
+            raise UsageError(f"{what} must be FlatParams laid out like the accumulators")
+    g = grads.flat
     if clip is not None:
         np.clip(g, -clip, clip, out=g)
     finite = np.isfinite(g)
     if not finite.all():
-        name = p.name_at(int(np.argmin(finite)))
+        name = params.name_at(int(np.argmin(finite)))
         raise TrainingError(f"non-finite gradient for parameter {name!r}")
     acc = state.accumulators.flat
     denom = state._work
@@ -416,12 +417,4 @@ def adagrad_update(params: ParamSet, grads: ParamSet, state: AdaGradState,
     denom += state.eps
     np.multiply(state.learning_rate, g, out=g)
     g /= denom
-    p.flat -= g
-    if p is not params:
-        for name, value in p.items():
-            params[name][...] = value
-
-
-def _laid_out(params: ParamSet, layout: Layout) -> bool:
-    return isinstance(params, FlatParams) and (
-        params.layout is layout or params.layout == layout)
+    params.flat -= g

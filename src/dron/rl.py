@@ -9,10 +9,10 @@ rows are only touched as they fill. A sample is one gather of rows, returned
 as a ``Batch`` whose fields are column views; ``q_targets`` and ``td_update``
 run over those stacked columns, stacking a plain list of ``Transition``s once.
 
-A TD step does no per-call set-up: the frozen target from ``sync_target`` is
-bound once per sync (``Agent`` keeps the binding of the last explicit
-parameter set), and the gradient is written into the optimizer's own vector
-(``AdaGradState.grads``) rather than a new one.
+A TD step does no per-call set-up: the target is an ``Agent`` built at each
+sync (``sync_target``), so its layers are bound once per sync, and the
+gradient is written into the optimizer's own vector (``AdaGradState.grads``)
+rather than a new one.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 from . import nn
 from .agents import Agent, combined_loss
 from .errors import ConfigurationError, TrainingError, UsageError
-from .nn import ParamSet
 
 
 @dataclass
@@ -196,23 +195,21 @@ def act_epsilon_greedy(q_values: np.ndarray, epsilon: float, rng: np.random.Gene
     return int(np.argmax(q_values))
 
 
-def sync_target(agent: Agent) -> nn.FlatParams:
-    """Frozen deep copy of the agent's current parameters. Passed to
-    ``q_targets`` update after update, it is bound to the agent's networks
-    once, at its first use."""
-    return agent.params.copy()
+def sync_target(agent: Agent) -> Agent:
+    """The frozen target: a new agent of the same spec holding a copy of the
+    agent's current parameters."""
+    return Agent(agent.spec, params=agent.params)
 
 
 def q_targets(
-    agent: Agent, target_params: ParamSet, batch: Union[Batch, Sequence[Transition]],
-    discount: float,
+    target: Agent, batch: Union[Batch, Sequence[Transition]], discount: float
 ) -> np.ndarray:
     """Per-transition target: r, plus the discounted best next-state value
-    under the frozen target parameters for non-terminal transitions."""
+    under the frozen target for non-terminal transitions."""
     batch = Batch.of(batch)
     targets = batch.reward.copy()
     if discount != 0.0 and not batch.terminal.all():
-        next_q = agent.q_values(batch.next_state, batch.next_opponent, params=target_params)
+        next_q = target.q_values(batch.next_state, batch.next_opponent)
         targets = targets + discount * np.where(batch.terminal, 0.0, next_q.max(axis=1))
     return targets
 
@@ -239,7 +236,7 @@ def td_update(
     batch: Union[Batch, Sequence[Transition]],
     config: QLearningConfig,
     opt_state: nn.AdaGradState,
-    target_params: ParamSet,
+    target: Agent,
 ) -> float:
     """One squared-TD-error AdaGrad step over a minibatch.
 
@@ -252,7 +249,7 @@ def td_update(
         raise UsageError("td_update needs a non-empty batch")
     batch = Batch.of(batch)
     n = len(batch)
-    targets = q_targets(agent, target_params, batch, config.discount)
+    targets = q_targets(target, batch, config.discount)
 
     fwd = agent.forward_train(batch.state, batch.opponent)
     rows = np.arange(n)

@@ -75,8 +75,8 @@ def gradient_check_all_kinds(trials: int = 20, tol: float = 1e-4,
             if multitask != "none":
                 sup_target = rng.integers(0, spec.multitask_outputs, size=batch)
 
-            def total_loss(params):
-                fwd = agent.forward_train(S, O, params=params)
+            def total_loss(_params):  # agent.params, perturbed in place
+                fwd = agent.forward_train(S, O)
                 value = float((wq * fwd.q).sum())
                 if sup_target is not None:
                     for b in range(batch):

@@ -293,42 +293,12 @@ class TestBoundForward:
         other.params["expert.1.0.bias"][...] = 0.5
         assert agent.q_values(x, o).tobytes() == other.q_values(x, o).tobytes()
 
-    def test_explicit_params_bound_per_call(self):
-        agent = Agent(mini_spec("dron_concat", "type"), seed=46)
-        other = Agent(mini_spec("dron_concat", "type"), seed=47)
-        S, O = np.ones((3, 4)), np.ones((3, 5))
-        expected = other.q_values(S, O).tobytes()
-        assert agent.q_values(S, O, params=other.params).tobytes() == expected
-        plain = {name: v.copy() for name, v in other.params.items()}
-        assert agent.q_values(S, O, params=plain).tobytes() == expected
-        assert agent.forward_train(S, O, params=plain).q.tobytes() == expected
-        # the agent's own binding is untouched
-        assert agent.q_values(S, O).tobytes() != expected
-
-    def test_plain_dict_params_not_kept(self):
-        agent = Agent(mini_spec("dron_moe", "type"), seed=49)
-        rng = np.random.default_rng(50)
-        S, O = rng.normal(size=(5, 4)), rng.normal(size=(5, 5))
-        plain = {name: v.copy() for name, v in agent.params.items()}
-        first = agent.q_values(S, O, params=plain)
-        plain["expert.0.1.bias"] = plain["expert.0.1.bias"] + 1.0
-        second = agent.q_values(S, O, params=plain)
-        assert not np.array_equal(first, second)
-        plain["expert.1.1.bias"] += 1.0  # in place, in the caller's array
-        third = agent.q_values(S, O, params=plain)
-        assert not np.array_equal(second, third)
-        assert third.tobytes() == agent.q_values(S, O, params=nn.FlatParams.of(plain)).tobytes()
-
     def test_wrong_shapes_raise(self):
         agent = Agent(mini_spec("dron_moe"), seed=48)
         bad = {name: v.copy() for name, v in agent.params.items()}
         bad["gate.0.weight"] = np.zeros((8, 4))
         with pytest.raises(ConfigurationError):
             agent.params = bad
-        with pytest.raises(ConfigurationError):
-            agent.q_values(np.ones(4), np.ones(5), params=bad)
-        with pytest.raises(ConfigurationError):
-            agent.q_values(np.ones(4), np.ones(5), params=nn.FlatParams.of(bad))
         with pytest.raises(ConfigurationError):
             agent.q_values(np.ones(6), np.ones(5))
         with pytest.raises(ConfigurationError):
@@ -394,9 +364,9 @@ class TestCombinedLoss:
             combined_loss(1.0, 1.0, -0.5)
 
 
-def full_model_loss(agent, params, S, O, wq, sup_target, lam):
+def full_model_loss(agent, S, O, wq, sup_target, lam):
     """Scalar objective: <wq, Q> plus weighted supervision loss."""
-    fwd = agent.forward_train(S, O, params=params)
+    fwd = agent.forward_train(S, O)
     total = float((wq * fwd.q).sum())
     if sup_target is not None:
         for b in range(S.shape[0]):
@@ -436,8 +406,8 @@ class TestFullModelGradients:
                 dsup[b] = lam * g
         analytic = agent.backward_train(fwd, wq, dsup)
 
-        def loss(p):
-            return full_model_loss(agent, p, S, O, wq, sup_target, lam)
+        def loss(_params):  # agent.params, perturbed in place
+            return full_model_loss(agent, S, O, wq, sup_target, lam)
 
         numeric = finite_difference_grads(loss, agent.params)
         assert max_relative_error(analytic, numeric) <= 1e-4

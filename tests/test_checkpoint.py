@@ -13,6 +13,15 @@ from dron.checkpoint import (
 from dron.errors import CheckpointError
 
 
+def make_quiz_checkpoint():
+    agent = Agent(quiz_agent_spec("dqn"), seed=0)
+    return Checkpoint(
+        agent_spec=agent.spec, params=agent.params, environment="quizbowl",
+        env_params={"vocab": 50, "question_min": 60, "question_max": 120,
+                    "belief_alpha": 8.0, "belief_kappa": 1.0, "opponent_pool": 3},
+    )
+
+
 def make_checkpoint(seed=3):
     agent = Agent(soccer_agent_spec("dron_moe"), seed=seed)
     rng = np.random.default_rng(5)
@@ -58,12 +67,7 @@ class TestRoundTrip:
         assert np.array_equal(a.random(10), b.random(10))
 
     def test_quiz_env_params_survive(self, tmp_path):
-        agent = Agent(quiz_agent_spec("dqn"), seed=0)
-        ckpt = Checkpoint(
-            agent_spec=agent.spec, params=agent.params, environment="quizbowl",
-            env_params={"vocab": 50, "question_min": 60, "question_max": 120,
-                        "belief_alpha": 8.0, "belief_kappa": 1.0, "opponent_pool": 3},
-        )
+        ckpt = make_quiz_checkpoint()
         path = tmp_path / "quiz.ckpt"
         save_checkpoint(ckpt, str(path))
         loaded = load_checkpoint(str(path))
@@ -172,13 +176,25 @@ MALFORMED = {
               lambda line: "steps zz"),
     "rng": (lambda lines, i: lines[i].startswith("rng "),
             lambda line: _set_token(line, 2, "1e5")),
+    "env_vocab": (lambda lines, i: lines[i].startswith("env.vocab "),
+                  lambda line: "env.vocab 5x"),
+    "env_belief_alpha": (lambda lines, i: lines[i].startswith("env.belief_alpha "),
+                         lambda line: "env.belief_alpha 8.0.1"),
 }
+# agent-spec header fields: an integer (a list of them for the hidden
+# sizes), or a real for multitask_weight
+for _key, _bad in [("state_dim", "10x"), ("action_count", "5.0"), ("opponent_dim", "z"),
+                   ("state_hidden", "50,x"), ("head_hidden", "5e1"),
+                   ("opponent_hidden", "50x"), ("experts", "three"),
+                   ("multitask_weight", "1,0"), ("multitask_outputs", "1.5")]:
+    MALFORMED[_key] = (lambda lines, i, key=_key: lines[i].startswith(f"{key} "),
+                       lambda line, key=_key, bad=_bad: f"{key} {bad}")
 
 
 def write_malformed(tmp_path, field):
     """A saved checkpoint with one field made malformed; returns its path
     and the 1-based number of the edited line."""
-    ckpt, _ = make_checkpoint()
+    ckpt = make_quiz_checkpoint() if field.startswith("env_") else make_checkpoint()[0]
     path = tmp_path / "model.ckpt"
     save_checkpoint(ckpt, str(path))
     lines = path.read_text().splitlines()

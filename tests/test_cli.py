@@ -164,8 +164,10 @@ def test_failed_evaluation_keeps_an_old_trace_file(tmp_path, monkeypatch, capsys
 def test_malformed_checkpoint_exits_2(tmp_path, capsys):
     from test_checkpoint import write_malformed
 
-    path, line = write_malformed(tmp_path, "matrix_value")
-    assert main(["eval", path, "--games", "1"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    # a parameter value, and a quiz env.* number that evaluation would read
+    for field in ("matrix_value", "env_vocab"):
+        path, line = write_malformed(tmp_path, field)
+        assert main(["eval", path, "--games", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
+        assert "Traceback" not in err

@@ -82,8 +82,14 @@ class TestParseTimeRules:
         ("environment=quizbowl\nquestion_min=90\nquestion_max=80", "question_max", 3),
         ("agent=dron_moe\nexperts=0", "experts", 2),
         ("agent=dqn\nmultitask=type", "multitask", 2),
+        ("epochs=2\ngrad_clip=-1", "grad_clip", 2),
+        ("grad_clip=0", "grad_clip", 1),
+        ("agent=dron_moe\nmultitask_weight=-1", "multitask_weight", 2),
+        ("epsilon_decay_steps=0", "epsilon_decay_steps", 1),
+        ("epochs=2\nepsilon_start=1.5", "epsilon_start", 2),
     ], ids=["batch_size", "target_sync", "replay_capacity", "opponent_pool", "vocab",
-            "question_min", "question_order", "experts", "dqn_multitask"])
+            "question_min", "question_order", "experts", "dqn_multitask", "grad_clip_negative",
+            "grad_clip_zero", "multitask_weight", "epsilon_decay_steps", "epsilon_start"])
     def test_rejected_naming_the_key(self, text, key, line):
         with pytest.raises(ConfigurationError, match=rf"^line {line}: .*{key}"):
             parse_config(text)

@@ -318,43 +318,54 @@ class TestLosses:
 
 class TestAdaGrad:
     def test_zero_gradient_no_change(self):
-        params = {"w": np.array([1.0, -2.0])}
+        params = nn.FlatParams.of({"w": np.array([1.0, -2.0])})
         state = nn.AdaGradState.for_params(params, 0.1)
-        nn.adagrad_update(params, {"w": np.zeros(2)}, state)
+        nn.adagrad_update(params, nn.FlatParams.of({"w": np.zeros(2)}), state)
         assert np.array_equal(params["w"], [1.0, -2.0])
 
     def test_first_step_is_lr_times_sign(self):
-        params = {"w": np.array([0.0])}
+        params = nn.FlatParams.of({"w": np.array([0.0])})
         state = nn.AdaGradState.for_params(params, 0.0005)
-        nn.adagrad_update(params, {"w": np.array([0.5])}, state)
+        nn.adagrad_update(params, nn.FlatParams.of({"w": np.array([0.5])}), state)
         assert abs(params["w"][0] - (-0.0005)) <= 1e-9
 
     def test_second_identical_step_shrinks_by_sqrt2(self):
-        params = {"w": np.array([0.0])}
+        params = nn.FlatParams.of({"w": np.array([0.0])})
         state = nn.AdaGradState.for_params(params, 0.0005)
-        g = {"w": np.array([0.5])}
-        nn.adagrad_update(params, g, state)
+        nn.adagrad_update(params, nn.FlatParams.of({"w": np.array([0.5])}), state)
         first = -params["w"][0]
         before = params["w"][0]
-        nn.adagrad_update(params, g, state)
+        nn.adagrad_update(params, nn.FlatParams.of({"w": np.array([0.5])}), state)
         second = before - params["w"][0]
         assert abs(second - first / math.sqrt(2)) <= 1e-9
 
     def test_accumulators_never_decrease(self):
         rng = np.random.default_rng(4)
-        params = {"w": rng.normal(size=(3, 2))}
+        params = nn.FlatParams.of({"w": rng.normal(size=(3, 2))})
         state = nn.AdaGradState.for_params(params, 0.01)
         prev = state.accumulators["w"].copy()
         for _ in range(20):
-            nn.adagrad_update(params, {"w": rng.normal(size=(3, 2))}, state)
+            nn.adagrad_update(params, nn.FlatParams.of({"w": rng.normal(size=(3, 2))}), state)
             assert np.all(state.accumulators["w"] >= prev)
             prev = state.accumulators["w"].copy()
 
     def test_non_finite_gradient_raises(self):
-        params = {"w": np.array([0.0])}
+        params = nn.FlatParams.of({"w": np.array([0.0])})
         state = nn.AdaGradState.for_params(params, 0.1)
         with pytest.raises(TrainingError, match="w"):
-            nn.adagrad_update(params, {"w": np.array([np.nan])}, state)
+            nn.adagrad_update(params, nn.FlatParams.of({"w": np.array([np.nan])}), state)
+
+    def test_only_flat_params_in_the_accumulators_layout(self):
+        params = nn.FlatParams.of({"w": np.zeros(2), "b": np.zeros(1)})
+        state = nn.AdaGradState.for_params(params, 0.1)
+        grads = nn.FlatParams.of({"w": np.ones(2), "b": np.ones(1)})
+        reordered = nn.FlatParams.of({"b": np.ones(1), "w": np.ones(2)})
+        for bad in ({"w": np.zeros(2), "b": np.zeros(1)}, reordered):
+            with pytest.raises(UsageError, match="params"):
+                nn.adagrad_update(bad, grads, state)
+            with pytest.raises(UsageError, match="grads"):
+                nn.adagrad_update(params, bad, state)
+        assert not params.flat.any() and not state.accumulators.flat.any()
 
 
 def per_name_adagrad(params, grads, accumulators, lr, clip=None, eps=nn.EPS_NUM):
@@ -383,14 +394,6 @@ class TestFlatAdaGrad:
         for name in params:
             assert params[name].tobytes() == ref_params[name].tobytes(), name
             assert state.accumulators[name].tobytes() == ref_acc[name].tobytes(), name
-
-    def test_plain_dict_updated_in_place(self):
-        params = {"w": np.zeros(2), "b": np.zeros(1)}
-        arrays = dict(params)
-        state = nn.AdaGradState.for_params(params, 0.1)
-        nn.adagrad_update(params, {"b": np.ones(1), "w": np.ones(2)}, state)
-        assert all(params[name] is arrays[name] for name in params)
-        assert params["w"].tolist() == params["b"].tolist() * 2 and params["b"][0] < 0.0
 
     def test_views_share_the_flat_vector(self):
         params = nn.FlatParams.of({"a": np.ones((2, 3)), "b": np.zeros(4)})

@@ -118,13 +118,13 @@ class TestQTargets:
     def test_terminal_is_reward(self):
         agent = mini_agent()
         t = make_transition(reward=1.0, terminal=True)
-        targets = rl.q_targets(agent, rl.sync_target(agent), [t], 0.9)
+        targets = rl.q_targets(rl.sync_target(agent), [t], 0.9)
         assert targets[0] == 1.0
 
     def test_zero_discount(self):
         agent = mini_agent()
         batch = [make_transition(reward=r, terminal=False) for r in (-1.0, 0.5, 2.0)]
-        targets = rl.q_targets(agent, rl.sync_target(agent), batch, 0.0)
+        targets = rl.q_targets(rl.sync_target(agent), batch, 0.0)
         assert np.array_equal(targets, [-1.0, 0.5, 2.0])
 
     def test_discounted_max(self):
@@ -135,7 +135,7 @@ class TestQTargets:
             agent.params[name][:] = 0.0
         agent.params["q_net.2.bias"][:] = [0.2, 0.5, -1.0]
         t = make_transition(reward=0.0, terminal=False)
-        targets = rl.q_targets(agent, rl.sync_target(agent), [t], 0.9)
+        targets = rl.q_targets(rl.sync_target(agent), [t], 0.9)
         assert targets[0] == pytest.approx(0.45)
 
 
@@ -167,15 +167,16 @@ class TestSyncTarget:
     def test_updates_do_not_leak(self):
         agent = mini_agent(seed=1)
         frozen = rl.sync_target(agent)
+        assert not np.shares_memory(frozen.params.flat, agent.params.flat)
         x = np.ones(4)
-        before = agent.q_values(x, params=frozen)
+        before = frozen.q_values(x)
         agent.params["q_net.0.weight"] += 0.5
-        assert np.array_equal(agent.q_values(x, params=frozen), before)
+        assert np.array_equal(frozen.q_values(x), before)
 
     def test_sync_twice_identical(self):
         agent = mini_agent(seed=2)
         a, b = rl.sync_target(agent), rl.sync_target(agent)
-        assert all(np.array_equal(a[k], b[k]) for k in a)
+        assert all(np.array_equal(a.params[k], b.params[k]) for k in a.params)
 
     def test_targets_change_after_updates(self):
         agent = mini_agent(seed=3)
@@ -184,12 +185,12 @@ class TestSyncTarget:
         frozen = rl.sync_target(agent)
         batch = [make_transition(value=0.3, reward=1.0, action=1, terminal=False)
                  for _ in range(4)]
-        before = rl.q_targets(agent, frozen, batch, 0.9)
+        before = rl.q_targets(frozen, batch, 0.9)
         for _ in range(5):
             rl.td_update(agent, batch, cfg, opt, frozen)
         # frozen targets unchanged; re-synced targets differ
-        assert np.array_equal(rl.q_targets(agent, frozen, batch, 0.9), before)
-        resynced = rl.q_targets(agent, rl.sync_target(agent), batch, 0.9)
+        assert np.array_equal(rl.q_targets(frozen, batch, 0.9), before)
+        resynced = rl.q_targets(rl.sync_target(agent), batch, 0.9)
         assert not np.array_equal(resynced, before)
 
     def test_in_place_write_to_a_bound_target_shows(self):
@@ -197,13 +198,13 @@ class TestSyncTarget:
         frozen = rl.sync_target(agent)
         batch = [make_transition(value=0.3, reward=1.0, action=1, terminal=False)
                  for _ in range(4)]
-        before = rl.q_targets(agent, frozen, batch, 0.9)  # binds frozen
+        before = rl.q_targets(frozen, batch, 0.9)
         for name in ("expert.0.1.bias", "expert.1.1.bias"):
-            frozen[name] = frozen[name] + 2.0
-        after = rl.q_targets(agent, frozen, batch, 0.9)
+            frozen.params[name] = frozen.params[name] + 2.0
+        after = rl.q_targets(frozen, batch, 0.9)
         assert not np.array_equal(after, before)
-        # a plain dict is copied and bound afresh
-        assert after.tobytes() == rl.q_targets(agent, dict(frozen), batch, 0.9).tobytes()
+        rebuilt = Agent(frozen.spec, params=dict(frozen.params))
+        assert after.tobytes() == rl.q_targets(rebuilt, batch, 0.9).tobytes()
 
     def test_a_new_target_is_bound_anew(self):
         agent = mini_agent("dron_moe", seed=13)
@@ -212,27 +213,26 @@ class TestSyncTarget:
         batch = [make_transition(value=0.3, reward=1.0, action=1, terminal=False)
                  for _ in range(4)]
         frozen = rl.sync_target(agent)
-        old = rl.q_targets(agent, frozen, batch, 0.9)
+        old = rl.q_targets(frozen, batch, 0.9)
         for _ in range(10):
             for _ in range(2):
                 rl.td_update(agent, batch, cfg, opt, frozen)
             del frozen
             frozen = rl.sync_target(agent)
-            got = rl.q_targets(agent, frozen, batch, 0.9)
+            got = rl.q_targets(frozen, batch, 0.9)
             assert not np.array_equal(got, old)
-            assert got.tobytes() == rl.q_targets(agent, dict(agent.params), batch, 0.9).tobytes()
+            assert got.tobytes() == rl.q_targets(agent, batch, 0.9).tobytes()
             old = got
 
-    def test_the_binding_keeps_one_target_alive(self):
-        # so a dropped target cannot lend a new one its id
+    def test_the_agent_keeps_no_reference_to_its_target(self):
         agent = mini_agent("dron_concat", seed=14)
+        cfg = rl.QLearningConfig()
+        opt = nn.AdaGradState.for_params(agent.params, cfg.learning_rate)
         batch = [make_transition(value=0.3, terminal=False) for _ in range(2)]
         frozen = rl.sync_target(agent)
-        rl.q_targets(agent, frozen, batch, 0.9)
+        rl.td_update(agent, batch, cfg, opt, frozen)
         held = weakref.ref(frozen)
         del frozen
-        assert held() is not None
-        rl.q_targets(agent, rl.sync_target(agent), batch, 0.9)
         assert held() is None
 
 
@@ -266,7 +266,7 @@ class TestTdUpdate:
     def test_gamma_zero_matches_rewards(self):
         agent = mini_agent(seed=6)
         batch = [make_transition(reward=r, terminal=False) for r in (1.0, -2.0)]
-        targets = rl.q_targets(agent, rl.sync_target(agent), batch, 0.0)
+        targets = rl.q_targets(rl.sync_target(agent), batch, 0.0)
         assert np.array_equal(targets, [1.0, -2.0])
 
     def test_multitask_lambda_zero_matches_plain(self):
@@ -453,13 +453,13 @@ class TestSupervisionLoss:
 # -- the TD step without per-call set-up ------------------------------------------
 
 
-def per_call_td_update(agent, batch, config, opt_state, target_params):
-    """``td_update`` with the set-up it used to repeat on every call: the
-    target copied and bound anew (a plain dict is never kept) and a new
+def per_call_td_update(agent, batch, config, opt_state, target):
+    """``td_update`` with the set-up it used to repeat on every call: a new
+    target agent built (and bound) from the target's parameters and a new
     gradient set from ``backward_train``. Same arithmetic in the same order."""
     batch = rl.Batch.of(batch)
     n = len(batch)
-    targets = rl.q_targets(agent, dict(target_params), batch, config.discount)
+    targets = rl.q_targets(Agent(target.spec, params=target.params), batch, config.discount)
     fwd = agent.forward_train(batch.state, batch.opponent)
     rows = np.arange(n)
     err = fwd.q[rows, batch.action] - targets
