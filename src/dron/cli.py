@@ -144,18 +144,18 @@ def cmd_ttest(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from .selfcheck import gradient_check_all_kinds
+    from .selfcheck import GRADCHECK_TOLERANCE, gradient_check_all_kinds
 
     worst = gradient_check_all_kinds(trials=args.trials, verbose=True)
     print(f"worst relative error: {worst:.3g}")
-    if worst > 1e-4:
-        print("FAIL: exceeds 1e-4")
+    if worst > GRADCHECK_TOLERANCE:
+        print(f"FAIL: exceeds {GRADCHECK_TOLERANCE:g}")
         return 1
     print("OK")
     return 0
 
 
-def cmd_selfcheck(args) -> int:
+def cmd_selfcheck(_args) -> int:
     from .selfcheck import run_selfcheck
 
     return 0 if run_selfcheck() else 1

@@ -8,6 +8,7 @@ the offending line number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
@@ -90,6 +91,14 @@ class ExperimentConfig:
                 f"must satisfy 1 <= question_min <= question_max",
                 keys=("question_min",) if self.question_min < 1
                 else ("question_min", "question_max"))
+        if not (math.isfinite(self.belief_alpha) and self.belief_alpha >= 0.0):
+            raise ConfigurationError(
+                f"belief_alpha must be finite and >= 0, got {self.belief_alpha}",
+                keys=("belief_alpha",))
+        if not (math.isfinite(self.belief_kappa) and self.belief_kappa > 0.0):
+            raise ConfigurationError(
+                f"belief_kappa must be finite and > 0, got {self.belief_kappa}",
+                keys=("belief_kappa",))
         if self.agent == "dron_moe" and self.experts < 1:
             raise ConfigurationError(f"experts must be >= 1 for dron_moe, got {self.experts}",
                                      keys=("agent", "experts"))

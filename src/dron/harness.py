@@ -218,7 +218,7 @@ class QuizDriver:
         give, and records the opponent's buzz as stepping would. Nothing is
         drawn from `rng`, and `obs` is left as it was."""
         before = self.state
-        self.state, reward, outcome = qb.finish_locked_out(before, self.quiz_cfg)
+        self.state, reward, outcome = qb.finish_locked_out(before)
         return reward, self._record_opponent(before, outcome)[1]
 
     def _record_opponent(self, before: qb.QuizState, outcome: Optional[qb.BuzzOutcome]
@@ -252,8 +252,7 @@ class SelfPlayDriver:
         self.obs = (qb.featurize(self.state), np.zeros(3))
 
     def step(self, action: int) -> Tuple[float, bool, StepInfo]:
-        reward = qb.dqnself_reward(action == qb.BUZZ, qb.belief_correct(self.state),
-                                   self.quiz_cfg)
+        reward = qb.dqnself_reward(action == qb.BUZZ, qb.belief_correct(self.state))
         done = self.state.t >= self.state.length
         if not done:
             self.state = qb.advance_belief(self.state, self.quiz_cfg, self.rng)
@@ -430,11 +429,7 @@ def train_run(config: ExperimentConfig, seed: int,
     one TD update per step (once the buffer is warm), greedy evaluation after
     every epoch."""
     agent = Agent(agent_spec_for(config), seed=seed)
-    qcfg = rl.QLearningConfig(
-        discount=config.gamma, batch_size=config.batch_size,
-        target_sync=config.target_sync, learning_rate=config.learning_rate,
-        grad_clip=config.effective_grad_clip,
-    )
+    grad_clip = config.effective_grad_clip
     schedule = rl.EpsilonSchedule(
         start=config.epsilon_start, end=config.epsilon_end,
         decay_steps=config.epsilon_decay_steps,
@@ -470,7 +465,7 @@ def train_run(config: ExperimentConfig, seed: int,
             if len(replay) >= config.replay_min:
                 batch = replay.sample(config.batch_size, replay_rng)
                 try:
-                    rl.td_update(agent, batch, qcfg, opt_state, target)
+                    rl.td_update(agent, batch, opt_state, target, config.gamma, grad_clip)
                 except TrainingError as exc:
                     raise TrainingError(f"epoch {epoch}: {exc}") from exc
                 updates += 1

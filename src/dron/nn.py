@@ -377,7 +377,6 @@ class AdaGradState:
 
     learning_rate: float
     accumulators: FlatParams
-    eps: float = EPS_NUM
 
     def __post_init__(self) -> None:
         self.grads = FlatParams(self.accumulators.layout)
@@ -392,7 +391,7 @@ def adagrad_update(params: FlatParams, grads: FlatParams, state: AdaGradState,
                    clip: Optional[float] = None) -> None:
     """One AdaGrad step over the whole parameter vector, in place: optional
     per-coordinate clip of g to +-clip, then acc += g^2 and
-    p -= lr * g / (sqrt(acc) + eps).
+    p -= lr * g / (sqrt(acc) + EPS_NUM).
 
     ``params`` and ``grads`` are ``FlatParams`` in the accumulators' layout
     (an agent's are), and ``grads`` are used up: the step overwrites them.
@@ -414,7 +413,7 @@ def adagrad_update(params: FlatParams, grads: FlatParams, state: AdaGradState,
     np.multiply(g, g, out=denom)
     acc += denom
     np.sqrt(acc, out=denom)
-    denom += state.eps
+    denom += EPS_NUM
     np.multiply(state.learning_rate, g, out=g)
     g /= denom
     params.flat -= g

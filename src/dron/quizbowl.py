@@ -7,8 +7,10 @@ argmax accuracy climbs from chance to near-certainty across the question.
 The agent chooses buzz/wait at every word; a simulated opponent buzzes at a
 position drawn from its profile and answers correctly with its
 characteristic accuracy. Payoffs follow quiz-bowl scoring: +10 for a
-correct buzz, -5 for a wrong one (the buzzer is then locked out), -10 when
-the opponent answers correctly.
+correct buzz (``REWARD_CORRECT``), -5 for a wrong one (``REWARD_WRONG``; the
+buzzer is then locked out), -10 when the opponent answers correctly
+(``REWARD_OPPONENT_CORRECT``). The opponent-free baseline is paid the shaped
+``SELF_REWARD_CORRECT`` and ``SELF_REWARD_WRONG`` instead (``dqnself_reward``).
 """
 
 from __future__ import annotations
@@ -29,6 +31,16 @@ POPULATION_PRESETS = ("mixed", "type1", "type2", "type3", "type4")
 _BUCKET_MU = (0.15, 0.38, 0.62, 0.88)
 _BUCKET_RHO = (0.6, 0.8, 0.85, 0.9)
 _BUCKET_WEIGHT = (4.8, 18.0, 0.7, 1.3)
+_BUCKET_SPREAD = 0.08  # every opponent's buzz-fraction spread (sigma)
+_MU_JITTER = 0.04  # each opponent's mean buzz fraction is its bucket's +- this
+
+REWARD_CORRECT = 10.0
+REWARD_WRONG = -5.0
+REWARD_OPPONENT_CORRECT = -10.0
+# shaped rewards for the opponent-free baseline: (buzz, wait) per
+# prediction-correct and prediction-wrong
+SELF_REWARD_CORRECT = (10.0, -10.0)
+SELF_REWARD_WRONG = (-15.0, 15.0)
 
 
 @dataclass(frozen=True)
@@ -38,19 +50,18 @@ class QuizConfig:
     max_length: int = 120
     alpha: float = 8.0  # belief sharpening scale
     kappa: float = 1.0  # belief sharpening exponent
-    reward_correct: float = 10.0
-    reward_wrong: float = -5.0
-    reward_opponent_correct: float = -10.0
-    # shaped rewards for the opponent-free baseline: (buzz, wait) per
-    # prediction-correct and prediction-wrong
-    self_reward_correct: Tuple[float, float] = (10.0, -10.0)
-    self_reward_wrong: Tuple[float, float] = (-15.0, 15.0)
 
     def __post_init__(self) -> None:
         if self.vocab < 2:
             raise ConfigurationError("vocab must be at least 2")
         if not 1 <= self.min_length <= self.max_length:
             raise ConfigurationError("bad question length range")
+        # a negative alpha pulls the belief away from the answer; kappa <= 0
+        # makes the first word's bonus alpha*(0/L)^kappa undefined or alpha
+        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
+            raise ConfigurationError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not (math.isfinite(self.kappa) and self.kappa > 0.0):
+            raise ConfigurationError(f"kappa must be finite and > 0, got {self.kappa}")
 
 
 DEFAULT_QUIZ_CONFIG = QuizConfig()
@@ -100,17 +111,15 @@ class Population:
         return self.profiles[int(rng.integers(0, len(self.profiles)))]
 
 
-def make_population(
-    preset: str,
-    rng: np.random.Generator,
-    size: int = 40,
-    spread: float = 0.08,
-    mu_jitter: float = 0.04,
-) -> Population:
+def make_population(preset: str, rng: np.random.Generator, size: int = 40) -> Population:
     """Built-in opponent pools: one per buzz-position bucket, plus a mixture
     weighted by the bucket episode counts."""
     if preset not in POPULATION_PRESETS:
         raise ConfigurationError(f"unknown population preset {preset!r}")
+    # the mixture gives every bucket at least one opponent, so size 0 would
+    # still make a pool
+    if size < 1:
+        raise ConfigurationError(f"population size must be >= 1, got {size}")
     if preset == "mixed":
         weights = np.array(_BUCKET_WEIGHT)
         counts = np.maximum(1, np.round(size * weights / weights.sum()).astype(int))
@@ -119,9 +128,9 @@ def make_population(
         buckets = [int(preset[-1]) - 1] * size
     profiles = []
     for b in buckets:
-        mu = _BUCKET_MU[b] + mu_jitter * (2.0 * rng.random() - 1.0)
+        mu = _BUCKET_MU[b] + _MU_JITTER * (2.0 * rng.random() - 1.0)
         mu = min(1.0, max(0.01, mu))
-        profiles.append(OpponentProfile(mean_buzz_frac=mu, spread=spread,
+        profiles.append(OpponentProfile(mean_buzz_frac=mu, spread=_BUCKET_SPREAD,
                                         accuracy=_BUCKET_RHO[b]))
     return Population(profiles)
 
@@ -236,14 +245,14 @@ def step(
 
     if action == BUZZ and not agent_locked:
         if belief_correct(state):
-            reward = config.reward_correct
+            reward = REWARD_CORRECT
             outcome = BuzzOutcome("agent", True, state.t, reward)
             return _ended(state, agent_locked, opponent_locked), reward, True, outcome
-        reward = config.reward_wrong
+        reward = REWARD_WRONG
         agent_locked = True
         outcome = BuzzOutcome("agent", False, state.t, reward)
 
-    opponent = opponent_buzz(state, config) if state.t == state.opponent_buzz_pos else None
+    opponent = opponent_buzz(state) if state.t == state.opponent_buzz_pos else None
     if opponent is not None:
         if opponent.correct:
             reward += opponent.reward
@@ -255,19 +264,18 @@ def step(
     return _advanced(state, agent_locked, opponent_locked, config, rng), reward, False, outcome
 
 
-def opponent_buzz(state: QuizState, config: QuizConfig) -> Optional[BuzzOutcome]:
+def opponent_buzz(state: QuizState) -> Optional[BuzzOutcome]:
     """The opponent's pre-drawn buzz if it is still to come: on word
     `opponent_buzz_pos`, between the current word and the last, with the
-    opponent not locked out. A right answer pays `reward_opponent_correct`
+    opponent not locked out. A right answer pays `REWARD_OPPONENT_CORRECT`
     and ends the game; a wrong one pays nothing and locks the opponent out."""
     if state.opponent_locked or not state.t <= state.opponent_buzz_pos <= state.length:
         return None
-    reward = config.reward_opponent_correct if state.opponent_correct else 0.0
+    reward = REWARD_OPPONENT_CORRECT if state.opponent_correct else 0.0
     return BuzzOutcome("opponent", state.opponent_correct, state.opponent_buzz_pos, reward)
 
 
-def finish_locked_out(state: QuizState, config: QuizConfig
-                      ) -> Tuple[QuizState, float, Optional[BuzzOutcome]]:
+def finish_locked_out(state: QuizState) -> Tuple[QuizState, float, Optional[BuzzOutcome]]:
     """The rest of a game whose agent is locked out, settled at once: only
     the opponent's buzz is left to happen. Gives the reward, the outcome and
     the lockouts of stepping to the end (any action: a locked agent's buzz
@@ -277,7 +285,7 @@ def finish_locked_out(state: QuizState, config: QuizConfig
         raise UsageError("cannot finish a finished episode")
     if not state.agent_locked:
         raise UsageError("only a locked-out agent's game can be finished early")
-    opponent = opponent_buzz(state, config)
+    opponent = opponent_buzz(state)
     if opponent is None:
         return _ended(state, True, state.opponent_locked), 0.0, None
     if opponent.correct:
@@ -319,9 +327,9 @@ def action_supervision_target(t: int, buzz_position: int) -> float:
     return min(1.0, t / buzz_position)
 
 
-def dqnself_reward(buzz: bool, prediction_correct: bool, config: QuizConfig = DEFAULT_QUIZ_CONFIG) -> float:
+def dqnself_reward(buzz: bool, prediction_correct: bool) -> float:
     """Shaped immediate reward for the opponent-free baseline."""
-    pair = config.self_reward_correct if prediction_correct else config.self_reward_wrong
+    pair = SELF_REWARD_CORRECT if prediction_correct else SELF_REWARD_WRONG
     return pair[0] if buzz else pair[1]
 
 

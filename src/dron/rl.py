@@ -9,10 +9,13 @@ rows are only touched as they fill. A sample is one gather of rows, returned
 as a ``Batch`` whose fields are column views; ``q_targets`` and ``td_update``
 run over those stacked columns, stacking a plain list of ``Transition``s once.
 
-A TD step does no per-call set-up: the target is an ``Agent`` built at each
-sync (``sync_target``), so its layers are bound once per sync, and the
-gradient is written into the optimizer's own vector (``AdaGradState.grads``)
-rather than a new one.
+``td_update(agent, batch, opt_state, target, discount, grad_clip)`` takes
+the run's discount and gradient clip as arguments, as ``q_targets`` and
+``nn.adagrad_update`` do; its step size is the optimizer's
+(``AdaGradState.learning_rate``). A TD step does no per-call set-up: the
+target is an ``Agent`` built at each sync (``sync_target``), so its layers
+are bound once per sync, and the gradient is written into the optimizer's
+own vector (``AdaGradState.grads``) rather than a new one.
 """
 
 from __future__ import annotations
@@ -167,21 +170,6 @@ def epsilon_at(schedule: EpsilonSchedule, step: int) -> float:
     return schedule.start + (schedule.end - schedule.start) * frac
 
 
-@dataclass
-class QLearningConfig:
-    discount: float = 0.9
-    batch_size: int = 64
-    target_sync: int = 500
-    learning_rate: float = 0.0005
-    grad_clip: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.discount <= 1.0:
-            raise ConfigurationError(f"discount must lie in [0, 1], got {self.discount}")
-        if self.batch_size < 1 or self.target_sync < 1:
-            raise ConfigurationError("batch_size and target_sync must be >= 1")
-
-
 def act_epsilon_greedy(q_values: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
     """Uniform random action with probability epsilon, else the lowest-index
     argmax."""
@@ -234,11 +222,14 @@ def supervision_loss(
 def td_update(
     agent: Agent,
     batch: Union[Batch, Sequence[Transition]],
-    config: QLearningConfig,
     opt_state: nn.AdaGradState,
     target: Agent,
+    discount: float,
+    grad_clip: Optional[float] = None,
 ) -> float:
-    """One squared-TD-error AdaGrad step over a minibatch.
+    """One squared-TD-error AdaGrad step over a minibatch: TD targets from
+    ``target`` with ``discount``, a step of ``opt_state.learning_rate``, and
+    each gradient coordinate clipped to +-``grad_clip`` when one is given.
 
     Gradient flows only through the Q-value of each taken action. When the
     agent has a multitask head, transitions carrying a supervision target add
@@ -249,7 +240,7 @@ def td_update(
         raise UsageError("td_update needs a non-empty batch")
     batch = Batch.of(batch)
     n = len(batch)
-    targets = q_targets(target, batch, config.discount)
+    targets = q_targets(target, batch, discount)
 
     fwd = agent.forward_train(batch.state, batch.opponent)
     rows = np.arange(n)
@@ -270,5 +261,5 @@ def td_update(
         raise TrainingError(f"non-finite training loss {loss}")
 
     grads = agent.backward_train(fwd, dq, dsup, out=opt_state.grads)
-    nn.adagrad_update(agent.params, grads, opt_state, clip=config.grad_clip)
+    nn.adagrad_update(agent.params, grads, opt_state, clip=grad_clip)
     return loss

@@ -12,6 +12,9 @@ import numpy as np
 from . import nn, rl, soccer
 from . import quizbowl as qb
 from .agents import Agent, AgentSpec
+from .errors import UsageError
+
+GRADCHECK_TOLERANCE = 1e-4  # worst accepted relative error, backprop vs finite differences
 
 
 def _finite_difference(loss: Callable[[nn.ParamSet], float], params: nn.ParamSet,
@@ -48,11 +51,12 @@ def _mini_spec(kind: str, multitask: str, rng: np.random.Generator) -> AgentSpec
     )
 
 
-def gradient_check_all_kinds(trials: int = 20, tol: float = 1e-4,
-                             verbose: bool = False,
+def gradient_check_all_kinds(trials: int = 20, verbose: bool = False,
                              rng: Optional[np.random.Generator] = None) -> float:
     """Backprop vs central finite differences on random miniature networks of
     every agent kind; returns the worst relative error seen."""
+    if trials < 1:
+        raise UsageError(f"a gradient check needs at least one trial, got {trials}")
     rng = rng if rng is not None else np.random.default_rng(12345)
     worst = 0.0
     variants = [("dqn", "none"), ("dron_concat", "none"),
@@ -141,7 +145,8 @@ def run_selfcheck(verbose: bool = True) -> bool:
         return True
 
     def gradcheck() -> bool:
-        return gradient_check_all_kinds(trials=3, rng=np.random.default_rng(5)) <= 1e-4
+        return (gradient_check_all_kinds(trials=3, rng=np.random.default_rng(5))
+                <= GRADCHECK_TOLERANCE)
 
     def softmax_simplex() -> bool:
         for _ in range(500):
@@ -165,7 +170,7 @@ def run_selfcheck(verbose: bool = True) -> bool:
                 if state.pos_a == state.pos_b or state.ball not in ("A", "B"):
                     return False
                 if done:
-                    if reward not in (-1.0, 0.0, 1.0) or state.step > 100:
+                    if reward not in (-1.0, 0.0, 1.0) or state.step > soccer.HORIZON:
                         return False
                     break
         return True

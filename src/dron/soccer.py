@@ -33,6 +33,8 @@ MOVE_CATEGORIES = (
     "stand",
 )
 
+HORIZON = 100  # scoreless steps before a game is a 0-0 tie
+
 MODES = ("offensive", "defensive")
 MODE_POLICIES = ("mixed", "offensive", "defensive")
 
@@ -41,11 +43,10 @@ MODE_POLICIES = ("mixed", "offensive", "defensive")
 class SoccerConfig:
     width: int = 9
     height: int = 6
-    horizon: int = 100
 
     def __post_init__(self) -> None:
-        if self.width < 3 or self.height < 2 or self.horizon < 1:
-            raise ConfigurationError("soccer field too small or horizon < 1")
+        if self.width < 3 or self.height < 2:
+            raise ConfigurationError("soccer field too small")
 
     @cached_property  # the goals are asked for several times per step
     def left_goal(self) -> Tuple[Cell, ...]:
@@ -209,7 +210,7 @@ def step(
         events.goal_by = new_ball
         reward = 1.0 if new_ball == "A" else -1.0
         return replace(next_state, done=True), reward, True, events
-    if next_state.step >= config.horizon:
+    if next_state.step >= HORIZON:
         events.timeout = True
         return replace(next_state, done=True), 0.0, True, events
     return next_state, 0.0, False, events

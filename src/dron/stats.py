@@ -15,6 +15,7 @@ from .errors import UsageError
 
 _MAX_ITER = 300
 _CF_EPS = 1e-15
+_Z_90 = 1.645  # two-sided 90% normal quantile
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -112,11 +113,11 @@ def paired_ttest(series_a: Sequence[float], series_b: Sequence[float]) -> TTestR
     return TTestResult(t=t, p=student_t_two_tailed(t, df), df=df)
 
 
-def mean_confidence_halfwidth(values: Sequence[float], z: float = 1.645) -> float:
-    """Normal-approximation CI half-width (default 90%) for a seed mean."""
+def mean_confidence_halfwidth(values: Sequence[float]) -> float:
+    """Normal-approximation 90% CI half-width for a seed mean."""
     n = len(values)
     if n < 2:
         return 0.0
     mean = sum(values) / n
     var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    return z * math.sqrt(var / n)
+    return _Z_90 * math.sqrt(var / n)

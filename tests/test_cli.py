@@ -75,6 +75,14 @@ def test_gradcheck_one_trial():
     assert main(["gradcheck", "--trials", "1"]) == 0
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_gradcheck_without_trials_exits_2(capsys, trials):
+    assert main(["gradcheck", "--trials", trials]) == 2
+    out, err = capsys.readouterr()
+    assert "OK" not in out
+    assert err.startswith("error: a gradient check needs at least one trial")
+
+
 @pytest.mark.parametrize("text,line", [
     ("", 1),
     ("epoch,mean_reward\n1,abc\n", 2),
@@ -162,7 +170,9 @@ def test_failed_evaluation_keeps_an_old_trace_file(tmp_path, monkeypatch, capsys
 
 
 def test_malformed_checkpoint_exits_2(tmp_path, capsys):
-    from test_checkpoint import write_malformed
+    from test_checkpoint import make_quiz_checkpoint, write_malformed
+
+    from dron.checkpoint import save_checkpoint
 
     # a parameter value, and a quiz env.* number that evaluation would read
     for field in ("matrix_value", "env_vocab"):
@@ -170,4 +180,21 @@ def test_malformed_checkpoint_exits_2(tmp_path, capsys):
         assert main(["eval", path, "--games", "1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    # env.* numbers that parse but that no run could have written
+    path = tmp_path / "quiz.ckpt"
+    save_checkpoint(make_quiz_checkpoint(), str(path))
+    saved = path.read_text()
+    for key, value, opponent, message in [
+        ("opponent_pool", "0", "mixed", "population size must be >= 1"),
+        ("opponent_pool", "0", "type1", "population size must be >= 1"),
+        ("belief_kappa", "-1.0", "mixed", "kappa must be finite and > 0"),
+    ]:
+        lines = [f"env.{key} {value}" if line.startswith(f"env.{key} ") else line
+                 for line in saved.splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["eval", str(path), "--games", "1", "--opponent", opponent]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {message}")
         assert "Traceback" not in err

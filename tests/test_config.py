@@ -87,9 +87,13 @@ class TestParseTimeRules:
         ("agent=dron_moe\nmultitask_weight=-1", "multitask_weight", 2),
         ("epsilon_decay_steps=0", "epsilon_decay_steps", 1),
         ("epochs=2\nepsilon_start=1.5", "epsilon_start", 2),
+        ("environment=quizbowl\nbelief_alpha=-5", "belief_alpha", 2),
+        ("environment=quizbowl\nbelief_kappa=-1", "belief_kappa", 2),
+        ("belief_kappa=0\nenvironment=quizbowl", "belief_kappa", 1),
     ], ids=["batch_size", "target_sync", "replay_capacity", "opponent_pool", "vocab",
             "question_min", "question_order", "experts", "dqn_multitask", "grad_clip_negative",
-            "grad_clip_zero", "multitask_weight", "epsilon_decay_steps", "epsilon_start"])
+            "grad_clip_zero", "multitask_weight", "epsilon_decay_steps", "epsilon_start",
+            "belief_alpha_negative", "belief_kappa_negative", "belief_kappa_zero"])
     def test_rejected_naming_the_key(self, text, key, line):
         with pytest.raises(ConfigurationError, match=rf"^line {line}: .*{key}"):
             parse_config(text)

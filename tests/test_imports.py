@@ -1,4 +1,5 @@
-"""Every name a module under src/dron imports is used in that module.
+"""Every name a module under src/dron imports is used in that module, and
+every parameter a function there takes is read in its body.
 
 Neither pyflakes nor ruff is a dependency, so this walks the syntax tree.
 """
@@ -34,3 +35,41 @@ def test_detects_an_unused_import():
     assert unused_imports("import os\nfrom typing import List, Optional\nx: List[int]\n") == [
         (1, "os"), (2, "Optional"),
     ]
+
+
+def unused_parameters(source: str):
+    """(line, "function(parameter)") for each parameter that its function's
+    body never reads. Names starting with ``_`` are exempt: they mark a
+    parameter a caller's protocol passes, such as argparse's ``args``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                  *(a for a in (args.vararg, args.kwarg) if a is not None)]
+        body = [node.body] if isinstance(node, ast.Lambda) else node.body
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        found += [(node.lineno, f"{name}({a.arg})") for a in params
+                  if not a.arg.startswith("_") and a.arg not in read]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_an_unused_parameter():
+    source = (
+        "def f(a, b, _c, *rest, d=1, **kw):\n"
+        "    x = b\n"
+        "    def g(e):\n"
+        "        return a + d\n"
+        "    return g, rest\n"
+        "h = lambda y, z: y\n"
+    )
+    # a is read only by the nested g, which counts; b's read is an assignment's value
+    assert unused_parameters(source) == [(1, "f(kw)"), (3, "g(e)"), (6, "<lambda>(z)")]

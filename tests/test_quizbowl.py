@@ -225,7 +225,7 @@ class TestFinishLockedOut:
     ], ids=["opponent-right", "opponent-right-now", "opponent-wrong", "opponent-locked"])
     def test_settles_the_opponent_buzz(self, kw, reward, opponent_locked):
         state = forced_state(agent_locked=True, **kw)
-        end, got, outcome = qb.finish_locked_out(state, DEFAULT_QUIZ_CONFIG)
+        end, got, outcome = qb.finish_locked_out(state)
         assert got == reward and end.done and end.agent_locked
         assert end.opponent_locked == opponent_locked
         assert (outcome is not None) == (reward != 0.0)
@@ -233,14 +233,14 @@ class TestFinishLockedOut:
     def test_passed_buzz_word_is_not_replayed(self):
         state = forced_state(t=40, agent_locked=True, opponent_buzz_pos=30,
                              opponent_correct=True)
-        assert qb.opponent_buzz(state, DEFAULT_QUIZ_CONFIG) is None
-        assert qb.finish_locked_out(state, DEFAULT_QUIZ_CONFIG)[1] == 0.0
+        assert qb.opponent_buzz(state) is None
+        assert qb.finish_locked_out(state)[1] == 0.0
 
     @pytest.mark.parametrize("kw", [dict(agent_locked=False),
                                     dict(agent_locked=True, done=True)])
     def test_needs_a_running_locked_out_game(self, kw):
         with pytest.raises(UsageError):
-            qb.finish_locked_out(forced_state(**kw), DEFAULT_QUIZ_CONFIG)
+            qb.finish_locked_out(forced_state(**kw))
 
 
 class TestFeaturize:
@@ -366,3 +366,23 @@ class TestPopulations:
     def test_unknown_preset(self):
         with pytest.raises(ConfigurationError):
             make_population("type9", np.random.default_rng(0))
+
+    @pytest.mark.parametrize("preset", ["mixed", "type1"])
+    def test_empty_pool_rejected(self, preset):
+        # the mixture would otherwise still put one opponent in every bucket
+        with pytest.raises(ConfigurationError, match="size must be >= 1"):
+            make_population(preset, np.random.default_rng(0), size=0)
+
+
+class TestQuizConfig:
+    @pytest.mark.parametrize("kw,name", [
+        (dict(kappa=-1.0), "kappa"), (dict(kappa=0.0), "kappa"),
+        (dict(kappa=math.inf), "kappa"), (dict(alpha=-5.0), "alpha"),
+        (dict(alpha=math.nan), "alpha"),
+    ], ids=["kappa_negative", "kappa_zero", "kappa_inf", "alpha_negative", "alpha_nan"])
+    def test_belief_shape_rejected(self, kw, name):
+        with pytest.raises(ConfigurationError, match=rf"^{name} must be finite"):
+            QuizConfig(**kw)
+
+    def test_zero_alpha_accepted(self):
+        assert QuizConfig(alpha=0.0).alpha == 0.0

@@ -180,14 +180,13 @@ class TestSyncTarget:
 
     def test_targets_change_after_updates(self):
         agent = mini_agent(seed=3)
-        cfg = rl.QLearningConfig(discount=0.9, batch_size=4, learning_rate=0.01)
-        opt = nn.AdaGradState.for_params(agent.params, cfg.learning_rate)
+        opt = nn.AdaGradState.for_params(agent.params, 0.01)
         frozen = rl.sync_target(agent)
         batch = [make_transition(value=0.3, reward=1.0, action=1, terminal=False)
                  for _ in range(4)]
         before = rl.q_targets(frozen, batch, 0.9)
         for _ in range(5):
-            rl.td_update(agent, batch, cfg, opt, frozen)
+            rl.td_update(agent, batch, opt, frozen, 0.9)
         # frozen targets unchanged; re-synced targets differ
         assert np.array_equal(rl.q_targets(frozen, batch, 0.9), before)
         resynced = rl.q_targets(rl.sync_target(agent), batch, 0.9)
@@ -208,15 +207,14 @@ class TestSyncTarget:
 
     def test_a_new_target_is_bound_anew(self):
         agent = mini_agent("dron_moe", seed=13)
-        cfg = rl.QLearningConfig(learning_rate=0.05)
-        opt = nn.AdaGradState.for_params(agent.params, cfg.learning_rate)
+        opt = nn.AdaGradState.for_params(agent.params, 0.05)
         batch = [make_transition(value=0.3, reward=1.0, action=1, terminal=False)
                  for _ in range(4)]
         frozen = rl.sync_target(agent)
         old = rl.q_targets(frozen, batch, 0.9)
         for _ in range(10):
             for _ in range(2):
-                rl.td_update(agent, batch, cfg, opt, frozen)
+                rl.td_update(agent, batch, opt, frozen, 0.9)
             del frozen
             frozen = rl.sync_target(agent)
             got = rl.q_targets(frozen, batch, 0.9)
@@ -226,11 +224,10 @@ class TestSyncTarget:
 
     def test_the_agent_keeps_no_reference_to_its_target(self):
         agent = mini_agent("dron_concat", seed=14)
-        cfg = rl.QLearningConfig()
-        opt = nn.AdaGradState.for_params(agent.params, cfg.learning_rate)
+        opt = nn.AdaGradState.for_params(agent.params, 0.0005)
         batch = [make_transition(value=0.3, terminal=False) for _ in range(2)]
         frozen = rl.sync_target(agent)
-        rl.td_update(agent, batch, cfg, opt, frozen)
+        rl.td_update(agent, batch, opt, frozen, 0.9)
         held = weakref.ref(frozen)
         del frozen
         assert held() is None
@@ -241,17 +238,15 @@ class TestTdUpdate:
         agent = mini_agent(seed=4)
         for name in agent.params:
             agent.params[name][:] = 0.0
-        cfg = rl.QLearningConfig()
-        opt = nn.AdaGradState.for_params(agent.params, cfg.learning_rate)
+        opt = nn.AdaGradState.for_params(agent.params, 0.0005)
         batch = [make_transition(reward=0.0, terminal=True) for _ in range(8)]
-        loss = rl.td_update(agent, batch, cfg, opt, rl.sync_target(agent))
+        loss = rl.td_update(agent, batch, opt, rl.sync_target(agent), 0.9)
         assert loss == 0.0
         assert all(np.all(v == 0.0) for v in agent.params.values())
 
     def test_loss_decreases_toward_target(self):
         agent = mini_agent(seed=5)
-        cfg = rl.QLearningConfig(learning_rate=0.01)
-        opt = nn.AdaGradState.for_params(agent.params, cfg.learning_rate)
+        opt = nn.AdaGradState.for_params(agent.params, 0.01)
         t = make_transition(value=0.5, reward=1.0, action=2, terminal=True)
         frozen = rl.sync_target(agent)
 
@@ -260,7 +255,7 @@ class TestTdUpdate:
             return (q[2] - 1.0) ** 2
 
         before = current_loss()
-        rl.td_update(agent, [t], cfg, opt, frozen)
+        rl.td_update(agent, [t], opt, frozen, 0.9)
         assert current_loss() < before
 
     def test_gamma_zero_matches_rewards(self):
@@ -277,22 +272,20 @@ class TestTdUpdate:
             multitask="type", multitask_outputs=2, multitask_weight=0.0,
         )
         multi = Agent(multi_spec, seed=7)
-        cfg = rl.QLearningConfig(learning_rate=0.01)
-        opt_a = nn.AdaGradState.for_params(plain.params, cfg.learning_rate)
-        opt_b = nn.AdaGradState.for_params(multi.params, cfg.learning_rate)
+        opt_a = nn.AdaGradState.for_params(plain.params, 0.01)
+        opt_b = nn.AdaGradState.for_params(multi.params, 0.01)
         batch = [make_transition(value=0.4, reward=1.0, action=1, supervision=1)]
-        rl.td_update(plain, batch, cfg, opt_a, rl.sync_target(plain))
-        rl.td_update(multi, batch, cfg, opt_b, rl.sync_target(multi))
+        rl.td_update(plain, batch, opt_a, rl.sync_target(plain), 0.9)
+        rl.td_update(multi, batch, opt_b, rl.sync_target(multi), 0.9)
         for name in plain.params:
             assert np.array_equal(plain.params[name], multi.params[name]), name
 
     def test_grad_clip_applies(self):
         agent = mini_agent(seed=8)
-        cfg = rl.QLearningConfig(learning_rate=0.1, grad_clip=1e-9)
-        opt = nn.AdaGradState.for_params(agent.params, cfg.learning_rate)
+        opt = nn.AdaGradState.for_params(agent.params, 0.1)
         batch = [make_transition(value=1.0, reward=100.0, action=0, terminal=True)]
         before = {k: v.copy() for k, v in agent.params.items()}
-        rl.td_update(agent, batch, cfg, opt, rl.sync_target(agent))
+        rl.td_update(agent, batch, opt, rl.sync_target(agent), 0.9, grad_clip=1e-9)
         # with per-coordinate clipping this tiny, accumulators are tiny and
         # each step is at most lr in magnitude
         for name in agent.params:
@@ -300,14 +293,9 @@ class TestTdUpdate:
 
     def test_empty_batch_raises(self):
         agent = mini_agent(seed=9)
-        cfg = rl.QLearningConfig()
-        opt = nn.AdaGradState.for_params(agent.params, cfg.learning_rate)
+        opt = nn.AdaGradState.for_params(agent.params, 0.0005)
         with pytest.raises(UsageError):
-            rl.td_update(agent, [], cfg, opt, rl.sync_target(agent))
-
-    def test_discount_validated(self):
-        with pytest.raises(ConfigurationError):
-            rl.QLearningConfig(discount=1.5)
+            rl.td_update(agent, [], opt, rl.sync_target(agent), 0.9)
 
 
 # -- replay ring against the list-backed ring it replaced -----------------------
@@ -396,13 +384,12 @@ class TestReplayRingProperties:
             buf.push(_transition(k, float(rng.normal()), int(rng.integers(0, 3)),
                                  float(rng.normal()), bool(rng.random() < 0.3), sup))
         batch = buf.sample(8, rng)
-        cfg = rl.QLearningConfig(learning_rate=0.01, grad_clip=grad_clip)
         agents = [mini_agent(kind, multitask, seed=11) for _ in range(2)]
-        opts = [nn.AdaGradState.for_params(a.params, cfg.learning_rate) for a in agents]
+        opts = [nn.AdaGradState.for_params(a.params, 0.01) for a in agents]
         frozen = rl.sync_target(agents[0])
         for _ in range(3):
-            rl.td_update(agents[0], list(batch), cfg, opts[0], frozen)
-            rl.td_update(agents[1], batch, cfg, opts[1], frozen)
+            rl.td_update(agents[0], list(batch), opts[0], frozen, 0.9, grad_clip)
+            rl.td_update(agents[1], batch, opts[1], frozen, 0.9, grad_clip)
         assert agents[0].params.flat.tobytes() == agents[1].params.flat.tobytes()
         assert opts[0].accumulators.flat.tobytes() == opts[1].accumulators.flat.tobytes()
 
@@ -453,13 +440,13 @@ class TestSupervisionLoss:
 # -- the TD step without per-call set-up ------------------------------------------
 
 
-def per_call_td_update(agent, batch, config, opt_state, target):
+def per_call_td_update(agent, batch, opt_state, target, discount, grad_clip=None):
     """``td_update`` with the set-up it used to repeat on every call: a new
     target agent built (and bound) from the target's parameters and a new
     gradient set from ``backward_train``. Same arithmetic in the same order."""
     batch = rl.Batch.of(batch)
     n = len(batch)
-    targets = rl.q_targets(Agent(target.spec, params=target.params), batch, config.discount)
+    targets = rl.q_targets(Agent(target.spec, params=target.params), batch, discount)
     fwd = agent.forward_train(batch.state, batch.opponent)
     rows = np.arange(n)
     err = fwd.q[rows, batch.action] - targets
@@ -472,7 +459,7 @@ def per_call_td_update(agent, batch, config, opt_state, target):
         sup_loss, dsup = rl.supervision_loss(agent.spec.multitask_loss, fwd.supervision,
                                              batch, lam)
     grads = agent.backward_train(fwd, dq, dsup)
-    nn.adagrad_update(agent.params, grads, opt_state, clip=config.grad_clip)
+    nn.adagrad_update(agent.params, grads, opt_state, clip=grad_clip)
     return combined_loss(q_loss, sup_loss, lam)
 
 
@@ -488,15 +475,15 @@ class TestNoPerCallSetUp:
             sup = None if k % 3 == 0 else int(rng.integers(0, 2))
             buf.push(_transition(k, float(rng.normal()), int(rng.integers(0, 3)),
                                  float(rng.normal()), bool(rng.random() < 0.3), sup))
-        cfg = rl.QLearningConfig(learning_rate=0.01, grad_clip=grad_clip, target_sync=4)
         agents = [mini_agent(kind, multitask, seed=71) for _ in range(2)]
-        opts = [nn.AdaGradState.for_params(a.params, cfg.learning_rate) for a in agents]
+        opts = [nn.AdaGradState.for_params(a.params, 0.01) for a in agents]
         targets = [rl.sync_target(a) for a in agents]
         for update in range(1, 23):
             batch = buf.sample(8, rng)
-            loss = rl.td_update(agents[0], batch, cfg, opts[0], targets[0])
-            assert loss == per_call_td_update(agents[1], batch, cfg, opts[1], targets[1])
-            if update % cfg.target_sync == 0:
+            loss = rl.td_update(agents[0], batch, opts[0], targets[0], 0.9, grad_clip)
+            assert loss == per_call_td_update(agents[1], batch, opts[1], targets[1], 0.9,
+                                              grad_clip)
+            if update % 4 == 0:
                 targets = [rl.sync_target(a) for a in agents]
         assert agents[0].params.flat.tobytes() == agents[1].params.flat.tobytes()
         assert opts[0].accumulators.flat.tobytes() == opts[1].accumulators.flat.tobytes()
@@ -519,18 +506,17 @@ class TestNoPerCallSetUp:
                 next_state=rng.normal(size=102), next_opponent=rng.random(3),
                 terminal=bool(rng.random() < 0.1), supervision=sup,
             ))
-        cfg = rl.QLearningConfig()
-        opt = nn.AdaGradState.for_params(agent.params, cfg.learning_rate)
+        opt = nn.AdaGradState.for_params(agent.params, 0.0005)
         target = rl.sync_target(agent)
         for _ in range(3):
-            rl.td_update(agent, buf.sample(64, rng), cfg, opt, target)
-            per_call_td_update(agent, buf.sample(64, rng), cfg, opt, target)
+            rl.td_update(agent, buf.sample(64, rng), opt, target, 0.9)
+            per_call_td_update(agent, buf.sample(64, rng), opt, target, 0.9)
         batch = buf.sample(64, rng)
 
         def peak(update):
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            update(agent, batch, cfg, opt, target)
+            update(agent, batch, opt, target, 0.9)
             return tracemalloc.get_traced_memory()[1] - base
 
         started = not tracemalloc.is_tracing()
