@@ -4,6 +4,11 @@ Layout: a version line, flat header keys, then one block per parameter
 ("matrix name rows cols" or "vector name n" followed by the values with 17
 significant digits, which round-trips 64-bit reals exactly), closed by an
 "end" line. Parse errors name the offending line.
+
+The ``environment`` and ``env.<key>`` header lines are config keys, parsed
+and checked by the config's own parser and rules (``config_from_lines``): a
+bad value fails at load naming its line, and a key an older checkpoint lacks
+takes its ``ExperimentConfig`` default.
 """
 
 from __future__ import annotations
@@ -13,8 +18,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .agents import Agent, AgentSpec
-from .errors import CheckpointError
+from .agents import Agent, AgentSpec, quiz_agent_spec
+from .config import config_from_lines, env_params_for
+from .errors import CheckpointError, ConfigurationError
 from .nn import ParamSet
 
 FORMAT_NAME = "dron-checkpoint"
@@ -122,19 +128,13 @@ class _Reader:
 
 
 def _parsed(convert, text: str, line: int, what: str):
-    """``convert(text)`` (``int``, ``float`` or ``_env_number``), or a
-    CheckpointError naming the line."""
+    """``convert(text)`` (``int`` or ``float``), or a CheckpointError naming
+    the line."""
     try:
         return convert(text)
     except ValueError:
         kind = "an integer" if convert is int else "a number"
         raise CheckpointError(f"line {line}: {what} {text!r} is not {kind}") from None
-
-
-def _env_number(text: str):
-    """An ``env.*`` header value: a float when written with a point or an
-    exponent, else an int."""
-    return float(text) if "." in text or "e" in text else int(text)
 
 
 def _size(text: str, line: int, what: str) -> int:
@@ -219,8 +219,19 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise CheckpointError(f"line {header_line['rng']}: malformed rng state in header")
         rng_state = tuple(_parsed(int, part, header_line["rng"], "rng") for part in parts)
 
-    env_params = {key[4:]: _parsed(_env_number, value, header_line[key], key)
-                  for key, value in header.items() if key.startswith("env.")}
+    need("environment")
+    try:
+        config = config_from_lines(
+            (header_line[key], key.removeprefix("env."), value)
+            for key, value in header.items()
+            if key == "environment" or key.startswith("env."))
+    except ConfigurationError as exc:
+        raise CheckpointError(str(exc)) from None
+    width = quiz_agent_spec(spec.kind, vocab=config.vocab).state_dim
+    if config.environment == "quizbowl" and spec.state_dim != width:
+        line = header_line.get("env.vocab", header_line["state_dim"])
+        raise CheckpointError(
+            f"line {line}: vocab {config.vocab} needs state_dim {width}, got {spec.state_dim}")
 
     params: ParamSet = {}
     for _ in range(param_count):
@@ -264,10 +275,10 @@ def load_checkpoint(path: str) -> Checkpoint:
     checkpoint = Checkpoint(
         agent_spec=spec,
         params=params,
-        environment=need("environment"),
+        environment=config.environment,
         steps=number(int, "steps"),
         rng_state=rng_state,
-        env_params=env_params,
+        env_params=env_params_for(config),
     )
     # shape validation happens when an Agent is built
     checkpoint.build_agent()

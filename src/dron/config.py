@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from .agents import KINDS as AGENT_KINDS
 from .agents import MULTITASK_MODES as MULTITASK
@@ -91,6 +91,8 @@ class ExperimentConfig:
                 f"must satisfy 1 <= question_min <= question_max",
                 keys=("question_min",) if self.question_min < 1
                 else ("question_min", "question_max"))
+        # a negative alpha pulls the belief away from the answer; kappa <= 0
+        # makes the first word's bonus alpha*(0/L)^kappa undefined or alpha
         if not (math.isfinite(self.belief_alpha) and self.belief_alpha >= 0.0):
             raise ConfigurationError(
                 f"belief_alpha must be finite and >= 0, got {self.belief_alpha}",
@@ -145,7 +147,22 @@ class ExperimentConfig:
         return 1.0 if self.environment == "quizbowl" else None
 
 
+def env_params_for(config: ExperimentConfig) -> dict:
+    """The environment keys of a run: all a checkpoint needs to play its
+    games, stored there as ``env.<key>`` lines."""
+    if config.environment != "quizbowl":
+        return {}
+    return {
+        "vocab": config.vocab, "question_min": config.question_min,
+        "question_max": config.question_max, "belief_alpha": config.belief_alpha,
+        "belief_kappa": config.belief_kappa, "opponent_pool": config.opponent_pool,
+    }
+
+
 _BOOL_NONE = {"none": None, "off": None}
+# a field's parse type is its default's (grad_clip defaults to None)
+_TYPES = {f.name: float if f.default is None else type(f.default)
+          for f in fields(ExperimentConfig)}
 
 
 def _parse_value(key: str, raw: str, target_type, line_no: int):
@@ -172,11 +189,11 @@ def _parse_value(key: str, raw: str, target_type, line_no: int):
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse key=value configuration text into an ExperimentConfig."""
-    # a field's parse type is its default's (grad_clip defaults to None)
-    types = {f.name: float if f.default is None else type(f.default)
-             for f in fields(ExperimentConfig)}
-    overrides = {}
-    line_of = {}  # key -> the line that last set it
+    return config_from_lines(_key_values(text))
+
+
+def _key_values(text: str) -> Iterator[Tuple[int, str, str]]:
+    """(line number, key, raw value) for each setting line of config text."""
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -184,22 +201,29 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in stripped:
             raise ConfigurationError(f"line {line_no}: expected key=value, got {stripped!r}")
         key, _, raw = stripped.partition("=")
-        key, raw = key.strip(), raw.strip()
-        if key not in types:
+        yield line_no, key.strip(), raw.strip()
+
+
+def config_from_lines(lines: Iterable[Tuple[int, str, str]]) -> ExperimentConfig:
+    """An ExperimentConfig from (line number, key, raw value) settings, in
+    file order; a later setting of a key overrides an earlier one. Every
+    error names the line at fault: an unknown key, a malformed value, or the
+    last line that set a key a rule found at fault."""
+    overrides = {}
+    line_of = {}  # key -> the line that last set it
+    for line_no, key, raw in lines:
+        if key not in _TYPES:
             raise ConfigurationError(f"line {line_no}: unknown key {key!r}")
-        overrides[key] = _parse_value(key, raw, types[key], line_no)
+        overrides[key] = _parse_value(key, raw, _TYPES[key], line_no)
         line_of[key] = line_no
     try:
         return ExperimentConfig(**overrides)
     except ConfigurationError as exc:
-        # a rule names the line of the last key at fault that the text set;
         # a key left at its default has no line
-        lines = [line_of[key] for key in exc.keys if key in line_of]
-        if not lines:
+        at = [line_of[key] for key in exc.keys if key in line_of]
+        if not at:
             raise
-        raise ConfigurationError(f"line {max(lines)}: {exc}", keys=exc.keys) from None
-    except TypeError as exc:
-        raise ConfigurationError(str(exc)) from None
+        raise ConfigurationError(f"line {max(at)}: {exc}", keys=exc.keys) from None
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -9,9 +9,11 @@ never starts the next episode by itself: its owner calls `reset()`, so an
 evaluation game draws nothing from its random stream after the game ends.
 
 A run's environment is one dict, `env_params_for(config)`, which its
-checkpoint stores. Greedy evaluation has one path, `_evaluate`, fed that dict:
-a run's per-epoch evaluation and a later `evaluate` of its checkpoint play the
-same games. Soccer games share nothing, so `evaluate_soccer` plays them in
+checkpoint stores as `env.<key>` lines; loading reads them back through the
+config's parser and rules, so a bad line fails there naming itself. Greedy
+evaluation has one path, `_evaluate`, fed that dict: a run's per-epoch
+evaluation and a later `evaluate` of its checkpoint play the same games.
+Soccer games share nothing, so `evaluate_soccer` plays them in
 lockstep: one batched Q-value call per step for every game still running.
 Each game keeps its own random stream, so the games are those of one-by-one
 play; a batched forward can differ from a one-row forward by up to 1e-15
@@ -44,7 +46,7 @@ from . import quizbowl as qb
 from . import rl, soccer
 from .agents import Agent, AgentSpec, quiz_agent_spec, soccer_agent_spec
 from .checkpoint import Checkpoint, rng_state_of, save_checkpoint
-from .config import ExperimentConfig
+from .config import ExperimentConfig, env_params_for
 from .errors import TrainingError, UsageError
 from .nn import AdaGradState
 from .stats import mean_confidence_halfwidth
@@ -106,28 +108,13 @@ def agent_spec_for(config: ExperimentConfig) -> AgentSpec:
     )
 
 
-def env_params_for(config: ExperimentConfig) -> dict:
-    """The environment keys of a run: all a checkpoint needs to play its games."""
-    if config.environment != "quizbowl":
-        return {}
-    return {
-        "vocab": config.vocab, "question_min": config.question_min,
-        "question_max": config.question_max, "belief_alpha": config.belief_alpha,
-        "belief_kappa": config.belief_kappa, "opponent_pool": config.opponent_pool,
-    }
-
-
 def quiz_config_for(env_params: dict) -> qb.QuizConfig:
-    """Quiz-bowl settings from a run's environment parameters (as made by
-    `env_params_for` and stored in checkpoints); a missing key keeps the
-    QuizConfig default."""
-    default = qb.DEFAULT_QUIZ_CONFIG
+    """Quiz-bowl settings from a run's environment parameters, as made by
+    `env_params_for` and as a loaded checkpoint holds them."""
     return qb.QuizConfig(
-        vocab=int(env_params.get("vocab", default.vocab)),
-        min_length=int(env_params.get("question_min", default.min_length)),
-        max_length=int(env_params.get("question_max", default.max_length)),
-        alpha=float(env_params.get("belief_alpha", default.alpha)),
-        kappa=float(env_params.get("belief_kappa", default.kappa)),
+        vocab=env_params["vocab"], min_length=env_params["question_min"],
+        max_length=env_params["question_max"], alpha=env_params["belief_alpha"],
+        kappa=env_params["belief_kappa"],
     )
 
 
@@ -393,8 +380,7 @@ def evaluate_quiz(agent: Agent, opponent: str, n_games: int, seed: int,
 def _evaluate(agent: Agent, environment: str, env_params: dict, opponent: str,
               n_games: int, seed: int, render: bool = False,
               trace_rows: Optional[list] = None) -> MetricsSummary:
-    """Greedy-policy evaluation in a run's environment; deterministic given seed.
-    Checkpoints written before `opponent_pool` was stored get the default pool."""
+    """Greedy-policy evaluation in a run's environment; deterministic given seed."""
     if n_games < 1:
         raise UsageError("n_games must be at least 1")
     if environment == "soccer":
@@ -403,9 +389,8 @@ def _evaluate(agent: Agent, environment: str, env_params: dict, opponent: str,
         return evaluate_soccer(agent, opponent, n_games, seed, render=render)
     if render:
         raise UsageError("rendering is available for soccer only")
-    pool_size = int(env_params.get("opponent_pool", ExperimentConfig.opponent_pool))
     return evaluate_quiz(agent, opponent, n_games, seed, quiz_config_for(env_params),
-                         pool_size=pool_size, trace_rows=trace_rows)
+                         pool_size=env_params["opponent_pool"], trace_rows=trace_rows)
 
 
 def evaluate(checkpoint: Checkpoint, opponent: str, n_games: int, seed: int,

@@ -3,15 +3,14 @@
 Everything operates on plain float64 numpy arrays. A parameter set is a flat
 dict mapping names like ``"state_tower.0.weight"`` to arrays; an MLP owns the
 names ``"{prefix}{i}.weight"`` / ``"{prefix}{i}.bias"`` for each of its layers.
-``mlp_forward``/``mlp_backward`` accept a single input vector ``(in,)`` or a
-batch ``(B, in)``; ``run_mlp`` takes a batch. Weight gradients returned for a
-batch are sums over the batch rows.
+``run_mlp`` and ``mlp_backward`` take a batch ``(B, in)``; weight gradients
+are sums over the batch rows.
 
 Bound layers: ``bind_mlp`` resolves an MLP's names in a parameter set once,
 checks their shapes, and returns one ``(weight, bias, activation)`` tuple per
 layer; ``run_mlp`` runs the chain over them and keeps a ``ForwardCache`` only
-when asked. ``mlp_forward`` is the two in one call. A caller that runs an MLP
-many times (an agent) binds it once and runs the bound layers.
+when asked. A caller that runs an MLP many times (an agent) binds it once and
+runs the bound layers.
 
 Flat-parameter rule: a model's parameters, its gradients and its AdaGrad
 accumulators are each a ``FlatParams``, a dict whose arrays are views into one
@@ -69,11 +68,10 @@ class MLPSpec:
 
 @dataclass
 class ForwardCache:
-    """Intermediates from one mlp_forward call, consumed by mlp_backward."""
+    """Intermediates from one run_mlp call, consumed by mlp_backward."""
 
     inputs: List[np.ndarray]  # input to each layer, shape (B, in_l)
     outputs: List[np.ndarray]  # post-activation output of each layer
-    squeeze: bool  # input was 1-D; outputs were squeezed
 
 
 def as_batch(x: np.ndarray) -> Tuple[np.ndarray, bool]:
@@ -205,19 +203,7 @@ def run_mlp(
             a = z
         if keep_cache:
             outputs.append(a)
-    return a, (ForwardCache(inputs=inputs, outputs=outputs, squeeze=False) if keep_cache else None)
-
-
-def mlp_forward(
-    spec: MLPSpec, params: ParamSet, x: np.ndarray, prefix: str = ""
-) -> Tuple[np.ndarray, ForwardCache]:
-    """Affine + activation chain by parameter name, on one vector or a
-    batch: ``bind_mlp`` then ``run_mlp``. Returns the output, in the form of
-    ``x``, and a reusable cache."""
-    a, squeeze = as_batch(x)
-    out, cache = run_mlp(bind_mlp(spec, params, prefix), a, keep_cache=True)
-    cache.squeeze = squeeze
-    return (out[0] if squeeze else out), cache
+    return a, (ForwardCache(inputs=inputs, outputs=outputs) if keep_cache else None)
 
 
 def mlp_backward(
@@ -229,7 +215,8 @@ def mlp_backward(
     out: Optional[FlatParams] = None,
     input_grad: bool = True,
 ) -> Tuple[ParamSet, Optional[np.ndarray]]:
-    """Backpropagate d(loss)/d(output) through the cached forward pass.
+    """Backpropagate d(loss)/d(output), a batch like the forward output,
+    through the cached forward pass.
 
     Returns (parameter gradients, gradient w.r.t. the input). Weight
     gradients are summed over batch rows and written into ``out`` when given
@@ -241,7 +228,7 @@ def mlp_backward(
     """
     if len(cache.inputs) != spec.layer_count:
         raise ConfigurationError("cache does not match spec (layer count differs)")
-    dy, _ = as_batch(output_gradient)
+    dy = output_gradient
     if dy.shape != cache.outputs[-1].shape:
         raise ConfigurationError(
             f"output_gradient shape {dy.shape} does not match forward output "
@@ -265,7 +252,7 @@ def mlp_backward(
         if i == 0 and not input_grad:
             return grads, None
         dy = dz @ params[f"{prefix}{i}.weight"].T
-    return grads, (dy[0] if cache.squeeze else dy)
+    return grads, dy
 
 
 def mlp_layout(spec: MLPSpec, prefix: str = "") -> Layout:

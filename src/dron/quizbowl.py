@@ -51,18 +51,6 @@ class QuizConfig:
     alpha: float = 8.0  # belief sharpening scale
     kappa: float = 1.0  # belief sharpening exponent
 
-    def __post_init__(self) -> None:
-        if self.vocab < 2:
-            raise ConfigurationError("vocab must be at least 2")
-        if not 1 <= self.min_length <= self.max_length:
-            raise ConfigurationError("bad question length range")
-        # a negative alpha pulls the belief away from the answer; kappa <= 0
-        # makes the first word's bonus alpha*(0/L)^kappa undefined or alpha
-        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
-            raise ConfigurationError(f"alpha must be finite and >= 0, got {self.alpha}")
-        if not (math.isfinite(self.kappa) and self.kappa > 0.0):
-            raise ConfigurationError(f"kappa must be finite and > 0, got {self.kappa}")
-
 
 DEFAULT_QUIZ_CONFIG = QuizConfig()
 

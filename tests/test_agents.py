@@ -78,8 +78,9 @@ class TestConcat:
         assert np.allclose(q1, q2)
         hs, _ = agent.encode(x, np.zeros(5))
         head_in = np.concatenate([hs, np.zeros(8)])
-        expected, _ = nn.mlp_forward(agent._specs["q_head"], agent.params, head_in, "q_head.")
-        assert np.allclose(q1, expected)
+        layers = nn.bind_mlp(agent._specs["q_head"], agent.params, "q_head.")
+        expected, _ = nn.run_mlp(layers, head_in[None, :])
+        assert np.allclose(q1, expected[0])
 
     def test_distinct_opponents_distinct_q(self):
         agent = Agent(mini_spec("dron_concat"), seed=6)
@@ -219,13 +220,13 @@ VARIANTS = [("dqn", "none"), ("dron_concat", "none"), ("dron_concat", "type"),
 
 
 def by_name_q(agent, S, O):
-    """Q-values and gate through ``nn.mlp_forward`` by parameter name, with
-    the agent's arithmetic in its order: the reference the bound forward
-    must match bit for bit."""
+    """Q-values and gate with each network bound anew by parameter name
+    (``nn.bind_mlp`` then ``nn.run_mlp``), with the agent's arithmetic in its
+    order: the reference the agent's bound forward must match bit for bit."""
     p, specs = agent.params, agent._specs
 
     def run(name, x):
-        return nn.mlp_forward(specs[name], p, x, f"{name}.")[0]
+        return nn.run_mlp(nn.bind_mlp(specs[name], p, f"{name}."), x)[0]
 
     if agent.spec.kind == "dqn":
         return run("q_net", S), None

@@ -10,7 +10,9 @@ from dron.checkpoint import (
     save_checkpoint,
     value_lines,
 )
+from dron.config import ExperimentConfig, env_params_for
 from dron.errors import CheckpointError
+from test_config import BAD_VALUES
 
 
 def make_quiz_checkpoint():
@@ -209,6 +211,52 @@ def write_malformed(tmp_path, field):
 @pytest.mark.parametrize("field", list(MALFORMED))
 def test_non_numeric_field_names_its_line(tmp_path, field):
     path, line = write_malformed(tmp_path, field)
+    # an env.* value goes through the config parser, which words it its own way
     with pytest.raises(CheckpointError,
-                       match=rf"^line {line}: .* is (not an integer|not a number|negative)$"):
+                       match=rf"^line {line}: (.* is (not an integer|not a number|negative)"
+                             rf"|malformed value for '\w+': .*)$"):
         load_checkpoint(path)
+
+
+def _env_lines(text):
+    """The settings of config text other than its environment, as env.* lines."""
+    return [f"env.{key} {value}" for key, _, value in
+            (line.partition("=") for line in text.splitlines()) if key != "environment"]
+
+
+# (header lines written over a quiz checkpoint's, a word its error names):
+# the quiz rows of the config's table of refused values, then values only a
+# checkpoint could hold wrongly typed or unknown, and a vocab that does not
+# fit the agent's state_dim
+BAD_ENV_LINES = [
+    pytest.param(_env_lines(row.values[0]), row.values[1], id=row.id)
+    for row in BAD_VALUES
+    if row.values[1] in env_params_for(ExperimentConfig(environment="quizbowl"))
+] + [
+    pytest.param(["env.opponent_pool 2.5"], "opponent_pool", id="pool_fraction"),
+    pytest.param(["env.vocab 50.7"], "vocab", id="vocab_fraction"),
+    pytest.param(["env.belief_alpha nan"], "belief_alpha must be finite", id="belief_alpha_nan"),
+    pytest.param(["env.vocabb 7"], "vocabb", id="unknown_key"),
+    pytest.param(["environment tennis"], "tennis", id="unknown_environment"),
+    pytest.param(["env.vocab 60"], "state_dim", id="vocab_misfits_state_dim"),
+]
+
+
+@pytest.mark.parametrize("edits,named", BAD_ENV_LINES)
+def test_bad_environment_line_fails_at_load(tmp_path, edits, named):
+    path = tmp_path / "quiz.ckpt"
+    save_checkpoint(make_quiz_checkpoint(), str(path))
+    lines = path.read_text().splitlines()
+    edited = []
+    for new in edits:
+        key = new.split()[0]
+        at = next((i for i, line in enumerate(lines) if line.split()[0] == key), None)
+        if at is None:  # a key the file lacks goes in as a new header line
+            at = next(i for i, line in enumerate(lines) if line.startswith("params "))
+            lines.insert(at, new)
+        else:
+            lines[at] = new
+        edited.append(at + 1)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CheckpointError, match=rf"^line {max(edited)}: .*{named}"):
+        load_checkpoint(str(path))

@@ -185,16 +185,17 @@ def test_malformed_checkpoint_exits_2(tmp_path, capsys):
     # env.* numbers that parse but that no run could have written
     path = tmp_path / "quiz.ckpt"
     save_checkpoint(make_quiz_checkpoint(), str(path))
-    saved = path.read_text()
+    saved = path.read_text().splitlines()
     for key, value, opponent, message in [
-        ("opponent_pool", "0", "mixed", "population size must be >= 1"),
-        ("opponent_pool", "0", "type1", "population size must be >= 1"),
-        ("belief_kappa", "-1.0", "mixed", "kappa must be finite and > 0"),
+        ("opponent_pool", "0", "mixed", "opponent_pool must be >= 1"),
+        ("opponent_pool", "0", "type1", "opponent_pool must be >= 1"),
+        ("belief_kappa", "-1.0", "mixed", "belief_kappa must be finite and > 0"),
     ]:
-        lines = [f"env.{key} {value}" if line.startswith(f"env.{key} ") else line
-                 for line in saved.splitlines()]
+        line = next(i for i, text in enumerate(saved, 1) if text.startswith(f"env.{key} "))
+        lines = list(saved)
+        lines[line - 1] = f"env.{key} {value}"
         path.write_text("\n".join(lines) + "\n")
         assert main(["eval", str(path), "--games", "1", "--opponent", opponent]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith(f"error: {message}")
-        assert "Traceback" not in err
+        assert out == "" and err.startswith(f"error: line {line}: {message}")
+        assert err.count("\n") == 1 and "Traceback" not in err

@@ -69,31 +69,40 @@ class TestValues:
         assert parse_config("grad_clip=2.0").grad_clip == 2.0
 
 
+# (config text, the key at fault, the line named) for values that parse but
+# that a rule refuses; each used to pass parsing and fail (or, for
+# opponent_pool, silently use a pool of 4) only once training had started.
+# tests/test_checkpoint.py replays the quiz rows as checkpoint env.* lines.
+BAD_VALUES = [
+    pytest.param("batch_size=0", "batch_size", 1, id="batch_size"),
+    pytest.param("target_sync=0", "target_sync", 1, id="target_sync"),
+    pytest.param("replay_capacity=0", "replay_capacity", 1, id="replay_capacity"),
+    pytest.param("environment=quizbowl\nopponent_pool=0", "opponent_pool", 2, id="opponent_pool"),
+    pytest.param("environment=quizbowl\nvocab=1", "vocab", 2, id="vocab"),
+    pytest.param("environment=quizbowl\nquestion_min=0", "question_min", 2, id="question_min"),
+    pytest.param("environment=quizbowl\nquestion_min=90\nquestion_max=80",
+                 "question_max", 3, id="question_order"),
+    pytest.param("agent=dron_moe\nexperts=0", "experts", 2, id="experts"),
+    pytest.param("agent=dqn\nmultitask=type", "multitask", 2, id="dqn_multitask"),
+    pytest.param("epochs=2\ngrad_clip=-1", "grad_clip", 2, id="grad_clip_negative"),
+    pytest.param("grad_clip=0", "grad_clip", 1, id="grad_clip_zero"),
+    pytest.param("agent=dron_moe\nmultitask_weight=-1",
+                 "multitask_weight", 2, id="multitask_weight"),
+    pytest.param("epsilon_decay_steps=0", "epsilon_decay_steps", 1, id="epsilon_decay_steps"),
+    pytest.param("epochs=2\nepsilon_start=1.5", "epsilon_start", 2, id="epsilon_start"),
+    pytest.param("environment=quizbowl\nbelief_alpha=-5",
+                 "belief_alpha", 2, id="belief_alpha_negative"),
+    pytest.param("environment=quizbowl\nbelief_kappa=-1",
+                 "belief_kappa", 2, id="belief_kappa_negative"),
+    pytest.param("belief_kappa=0\nenvironment=quizbowl",
+                 "belief_kappa", 1, id="belief_kappa_zero"),
+    pytest.param("environment=quizbowl\nbelief_kappa=inf",
+                 "belief_kappa", 2, id="belief_kappa_inf"),
+]
+
+
 class TestParseTimeRules:
-    # each of these used to pass parsing and fail (or, for opponent_pool,
-    # silently use a pool of 4) only once training had started
-    @pytest.mark.parametrize("text,key,line", [
-        ("batch_size=0", "batch_size", 1),
-        ("target_sync=0", "target_sync", 1),
-        ("replay_capacity=0", "replay_capacity", 1),
-        ("environment=quizbowl\nopponent_pool=0", "opponent_pool", 2),
-        ("environment=quizbowl\nvocab=1", "vocab", 2),
-        ("environment=quizbowl\nquestion_min=0", "question_min", 2),
-        ("environment=quizbowl\nquestion_min=90\nquestion_max=80", "question_max", 3),
-        ("agent=dron_moe\nexperts=0", "experts", 2),
-        ("agent=dqn\nmultitask=type", "multitask", 2),
-        ("epochs=2\ngrad_clip=-1", "grad_clip", 2),
-        ("grad_clip=0", "grad_clip", 1),
-        ("agent=dron_moe\nmultitask_weight=-1", "multitask_weight", 2),
-        ("epsilon_decay_steps=0", "epsilon_decay_steps", 1),
-        ("epochs=2\nepsilon_start=1.5", "epsilon_start", 2),
-        ("environment=quizbowl\nbelief_alpha=-5", "belief_alpha", 2),
-        ("environment=quizbowl\nbelief_kappa=-1", "belief_kappa", 2),
-        ("belief_kappa=0\nenvironment=quizbowl", "belief_kappa", 1),
-    ], ids=["batch_size", "target_sync", "replay_capacity", "opponent_pool", "vocab",
-            "question_min", "question_order", "experts", "dqn_multitask", "grad_clip_negative",
-            "grad_clip_zero", "multitask_weight", "epsilon_decay_steps", "epsilon_start",
-            "belief_alpha_negative", "belief_kappa_negative", "belief_kappa_zero"])
+    @pytest.mark.parametrize("text,key,line", BAD_VALUES)
     def test_rejected_naming_the_key(self, text, key, line):
         with pytest.raises(ConfigurationError, match=rf"^line {line}: .*{key}"):
             parse_config(text)
@@ -128,8 +137,9 @@ class TestParseTimeRules:
         cfg = parse_config("environment=quizbowl\nbatch_size=1\ntarget_sync=1\n"
                            "replay_capacity=1\nreplay_min=1\nopponent_pool=1\nvocab=2\n"
                            "question_min=1\nquestion_max=1\nagent=dron_moe\nexperts=1\n"
-                           "multitask=type")
+                           "multitask=type\nbelief_alpha=0")
         assert (cfg.opponent_pool, cfg.vocab, cfg.question_max, cfg.experts) == (1, 2, 1, 1)
+        assert cfg.belief_alpha == 0.0
 
 
 class TestConstruction:

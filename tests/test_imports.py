@@ -1,5 +1,6 @@
-"""Every name a module under src/dron imports is used in that module, and
-every parameter a function there takes is read in its body.
+"""Every name a module under src/dron imports is used in that module, every
+parameter a function there takes is read in its body, and every public
+function or class defined there is used by some module there.
 
 Neither pyflakes nor ruff is a dependency, so this walks the syntax tree.
 """
@@ -73,3 +74,45 @@ def test_detects_an_unused_parameter():
     )
     # a is read only by the nested g, which counts; b's read is an assignment's value
     assert unused_parameters(source) == [(1, "f(kw)"), (3, "g(e)"), (6, "<lambda>(z)")]
+
+
+def unused_definitions(sources):
+    """``module.name`` for each public top-level function or class in
+    ``sources`` (module name -> source text) whose name no source reads,
+    as a name or as an attribute (``module.name``)."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [f"{module}.{node.name}" for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(name for name in defined if name.partition(".")[2] not in read)
+
+
+# public names that nothing under src/dron uses, each kept for a reason
+KEEP_UNUSED = {
+    "agents.q_dqn": "the operation-style API, kept for callers of the package",
+    "agents.q_dron_concat": "the operation-style API, kept for callers of the package",
+    "agents.q_dron_moe": "the operation-style API, kept for callers of the package",
+    "checkpoint.rng_from_state": "restores a saved stream, which resuming a run needs",
+}
+
+
+def test_every_public_definition_is_used():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    assert unused_definitions(sources) == sorted(KEEP_UNUSED)
+
+
+def test_detects_an_unused_definition():
+    sources = {
+        "a": ("def used():\n    pass\ndef by_attribute():\n    pass\n"
+              "def unused():\n    pass\ndef _private():\n    pass\nclass Unused:\n    pass\n"),
+        "b": "from . import a\nfrom .a import used, Unused\nused()\na.by_attribute()\n",
+    }
+    # importing a name is not a use of it
+    assert unused_definitions(sources) == ["a.Unused", "a.unused"]

@@ -36,18 +36,44 @@ def max_relative_error(analytic, numeric):
     return worst
 
 
+def forward(spec, params, x, prefix=""):
+    """``bind_mlp`` then ``run_mlp`` on the batch ``x``: (output, cache)."""
+    return nn.run_mlp(nn.bind_mlp(spec, params, prefix), x, keep_cache=True)
+
+
+def mlp_forward(spec, params, x, prefix=""):
+    """The forward pass by parameter name, layer after layer, in run_mlp's
+    arithmetic: the bit reference for the bound layers. Returns the output
+    and each layer's input and output."""
+    inputs, outputs = [], []
+    for i in range(spec.layer_count):
+        inputs.append(x)
+        z = x @ params[f"{prefix}{i}.weight"] + params[f"{prefix}{i}.bias"]
+        activation = "relu" if i < spec.layer_count - 1 else spec.output
+        if activation == "relu":
+            x = np.maximum(z, 0.0)
+        elif activation == "softmax":
+            x = nn.softmax(z)
+        elif activation == "sigmoid":
+            x = 1.0 / (1.0 + np.exp(-z))
+        else:
+            x = z
+        outputs.append(x)
+    return x, inputs, outputs
+
+
 class TestForward:
     def test_zero_params_zero_output(self):
         spec = nn.MLPSpec((3, 4, 2))
         params = {name: np.zeros_like(v) for name, v in nn.init_params(spec, 0).items()}
-        out, _ = nn.mlp_forward(spec, params, np.array([1.0, -2.0, 3.0]))
+        out, _ = forward(spec, params, np.array([[1.0, -2.0, 3.0]]))
         assert np.all(out == 0.0)
 
     def test_identity_relu(self):
         spec = nn.MLPSpec((2, 2), output="relu")
         params = {"0.weight": np.eye(2), "0.bias": np.zeros(2)}
-        out, _ = nn.mlp_forward(spec, params, np.array([-1.0, 2.0]))
-        assert np.allclose(out, [0.0, 2.0])
+        out, _ = forward(spec, params, np.array([[-1.0, 2.0]]))
+        assert np.allclose(out, [[0.0, 2.0]])
 
     def test_matches_hand_evaluated_chain(self):
         # independent oracle: per-neuron loops over the same parameters
@@ -66,31 +92,31 @@ class TestForward:
             for i in range(3):
                 z += h[i] * params["1.weight"][i, j]
             expected.append(z)
-        out, _ = nn.mlp_forward(spec, params, x)
-        assert np.allclose(out, expected, rtol=0, atol=1e-12)
+        out, _ = forward(spec, params, x[None, :])
+        assert np.allclose(out[0], expected, rtol=0, atol=1e-12)
 
     def test_batch_matches_single(self):
         spec = nn.MLPSpec((4, 5, 3))
         params = nn.init_params(spec, 7)
         rng = np.random.default_rng(1)
         batch = rng.normal(size=(6, 4))
-        out_batch, _ = nn.mlp_forward(spec, params, batch)
+        out_batch, _ = forward(spec, params, batch)
         for row in range(6):
-            single, _ = nn.mlp_forward(spec, params, batch[row])
-            assert np.allclose(out_batch[row], single, rtol=0, atol=1e-12)
+            single, _ = forward(spec, params, batch[row : row + 1])
+            assert np.allclose(out_batch[row], single[0], rtol=0, atol=1e-12)
 
     def test_shape_mismatch_raises(self):
         spec = nn.MLPSpec((3, 2))
         params = nn.init_params(spec, 0)
         with pytest.raises(ConfigurationError):
-            nn.mlp_forward(spec, params, np.zeros(4))
+            forward(spec, params, np.zeros((1, 4)))
 
     def test_forward_is_pure(self):
         spec = nn.MLPSpec((3, 8, 2))
         params = nn.init_params(spec, 5)
-        x = np.array([0.1, 0.2, 0.3])
-        a, _ = nn.mlp_forward(spec, params, x)
-        b, _ = nn.mlp_forward(spec, params, x)
+        x = np.array([[0.1, 0.2, 0.3]])
+        a, _ = forward(spec, params, x)
+        b, _ = forward(spec, params, x)
         assert np.array_equal(a, b)
 
 
@@ -103,18 +129,13 @@ class TestBoundLayers:
         assert [act for _, _, act in layers] == ["relu", "relu", output]
         for x in (np.random.default_rng(1).normal(size=(1, 5)),
                   np.random.default_rng(2).normal(size=(9, 5))):
-            ref, ref_cache = nn.mlp_forward(spec, params, x, "net.")
+            ref, ref_inputs, ref_outputs = mlp_forward(spec, params, x, "net.")
             out, none = nn.run_mlp(layers, x)
             assert none is None and out.tobytes() == ref.tobytes()
             out, cache = nn.run_mlp(layers, x, keep_cache=True)
-            assert out.tobytes() == ref.tobytes() and not cache.squeeze
-            for got, want in zip(cache.inputs + cache.outputs,
-                                 ref_cache.inputs + ref_cache.outputs):
+            assert out.tobytes() == ref.tobytes()
+            for got, want in zip(cache.inputs + cache.outputs, ref_inputs + ref_outputs):
                 assert got.tobytes() == want.tobytes()
-            # a vector through mlp_forward is the one-row batch, squeezed
-            vec, vec_cache = nn.mlp_forward(spec, params, x[0], "net.")
-            assert vec.tobytes() == nn.run_mlp(layers, x[:1])[0][0].tobytes()
-            assert vec_cache.squeeze
 
     def test_layers_follow_in_place_writes(self):
         spec = nn.MLPSpec((3, 2))
@@ -143,7 +164,7 @@ class TestBackward:
     def test_zero_output_gradient(self):
         spec = nn.MLPSpec((3, 4, 2))
         params = nn.init_params(spec, 3)
-        out, cache = nn.mlp_forward(spec, params, np.ones(3))
+        out, cache = forward(spec, params, np.ones((1, 3)))
         grads, dx = nn.mlp_backward(spec, params, cache, np.zeros_like(out))
         assert all(np.all(g == 0.0) for g in grads.values())
         assert np.all(dx == 0.0)
@@ -153,24 +174,24 @@ class TestBackward:
         spec = nn.MLPSpec((3, 2))
         rng = np.random.default_rng(11)
         params = {"0.weight": rng.normal(size=(3, 2)), "0.bias": np.zeros(2)}
-        x = rng.normal(size=3)
-        t = rng.normal(size=2)
-        y, cache = nn.mlp_forward(spec, params, x)
+        x = rng.normal(size=(1, 3))
+        t = rng.normal(size=(1, 2))
+        y, cache = forward(spec, params, x)
         grads, _ = nn.mlp_backward(spec, params, cache, y - t)
         assert np.allclose(grads["0.weight"], np.outer(x, y - t))
-        assert np.allclose(grads["0.bias"], y - t)
+        assert np.allclose(grads["0.bias"], (y - t)[0])
 
     def test_finite_difference_4_8_3(self):
         spec = nn.MLPSpec((4, 8, 3))
         params = nn.init_params(spec, 99)
-        x = np.random.default_rng(2).normal(size=4)
-        t = np.array([0.3, -0.4, 1.1])
+        x = np.random.default_rng(2).normal(size=(1, 4))
+        t = np.array([[0.3, -0.4, 1.1]])
 
         def loss(p):
-            y, _ = nn.mlp_forward(spec, p, x)
+            y, _ = forward(spec, p, x)
             return float(np.sum((y - t) ** 2))
 
-        y, cache = nn.mlp_forward(spec, params, x)
+        y, cache = forward(spec, params, x)
         analytic, _ = nn.mlp_backward(spec, params, cache, 2.0 * (y - t))
         numeric = finite_difference_grads(loss, params)
         assert max_relative_error(analytic, numeric) <= 1e-4
@@ -184,14 +205,14 @@ class TestBackward:
             output = ["linear", "sigmoid", "softmax"][trial % 3]
             spec = nn.MLPSpec(sizes, output=output)
             params = nn.init_params(spec, int(rng.integers(1 << 30)))
-            x = rng.normal(size=sizes[0])
-            w = rng.normal(size=sizes[-1])  # random linear functional as loss
+            x = rng.normal(size=(1, sizes[0]))
+            w = rng.normal(size=(1, sizes[-1]))  # random linear functional as loss
 
             def loss(p):
-                y, _ = nn.mlp_forward(spec, p, x)
-                return float(w @ y)
+                y, _ = forward(spec, p, x)
+                return float(np.sum(w * y))
 
-            _, cache = nn.mlp_forward(spec, params, x)
+            _, cache = forward(spec, params, x)
             analytic, _ = nn.mlp_backward(spec, params, cache, w)
             numeric = finite_difference_grads(loss, params)
             assert max_relative_error(analytic, numeric) <= 1e-4
@@ -200,25 +221,25 @@ class TestBackward:
         spec = nn.MLPSpec((5, 6, 2))
         params = nn.init_params(spec, 17)
         rng = np.random.default_rng(3)
-        x = rng.normal(size=5)
-        w = rng.normal(size=2)
-        _, cache = nn.mlp_forward(spec, params, x)
+        x = rng.normal(size=(1, 5))
+        w = rng.normal(size=(1, 2))
+        _, cache = forward(spec, params, x)
         _, dx = nn.mlp_backward(spec, params, cache, w)
         step = 1e-6
         for k in range(5):
             xp, xm = x.copy(), x.copy()
-            xp[k] += step
-            xm[k] -= step
-            hi, _ = nn.mlp_forward(spec, params, xp)
-            lo, _ = nn.mlp_forward(spec, params, xm)
-            fd = (w @ hi - w @ lo) / (2 * step)
-            assert abs(fd - dx[k]) <= 1e-4 * max(1.0, abs(fd))
+            xp[0, k] += step
+            xm[0, k] -= step
+            hi, _ = forward(spec, params, xp)
+            lo, _ = forward(spec, params, xm)
+            fd = float(np.sum(w * hi) - np.sum(w * lo)) / (2 * step)
+            assert abs(fd - dx[0, k]) <= 1e-4 * max(1.0, abs(fd))
 
 
 def out_of_place_backward(spec, params, cache, output_gradient):
     """The backward pass as it was before ReLU gradients were masked in
     place and biases summed with ``np.add.reduce``: the bit reference."""
-    dy, _ = nn.as_batch(output_gradient)
+    dy = output_gradient
     grads = {}
     last = spec.layer_count - 1
     for i in range(last, -1, -1):
@@ -243,7 +264,7 @@ class TestInPlaceBackward:
         spec = nn.MLPSpec((5, 7, 6, 3), output=output)
         params = nn.init_params(spec, 5)
         rng = np.random.default_rng(6)
-        _, cache = nn.mlp_forward(spec, params, rng.normal(size=(9, 5)))
+        _, cache = forward(spec, params, rng.normal(size=(9, 5)))
         dy = rng.normal(size=(9, 3))
         dy[0] = -0.0  # the sign of a masked zero must survive too
         want_grads, want_dx = out_of_place_backward(spec, params, cache, dy)

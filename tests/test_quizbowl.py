@@ -373,16 +373,3 @@ class TestPopulations:
         with pytest.raises(ConfigurationError, match="size must be >= 1"):
             make_population(preset, np.random.default_rng(0), size=0)
 
-
-class TestQuizConfig:
-    @pytest.mark.parametrize("kw,name", [
-        (dict(kappa=-1.0), "kappa"), (dict(kappa=0.0), "kappa"),
-        (dict(kappa=math.inf), "kappa"), (dict(alpha=-5.0), "alpha"),
-        (dict(alpha=math.nan), "alpha"),
-    ], ids=["kappa_negative", "kappa_zero", "kappa_inf", "alpha_negative", "alpha_nan"])
-    def test_belief_shape_rejected(self, kw, name):
-        with pytest.raises(ConfigurationError, match=rf"^{name} must be finite"):
-            QuizConfig(**kw)
-
-    def test_zero_alpha_accepted(self):
-        assert QuizConfig(alpha=0.0).alpha == 0.0
