@@ -76,24 +76,34 @@ class AgentSpec:
     multitask_loss: str = "cross_entropy"
 
     def __post_init__(self) -> None:
+        # every rule names the fields it found at fault, so that a checkpoint
+        # load can name their lines
         if self.kind not in KINDS:
-            raise ConfigurationError(f"unknown agent kind {self.kind!r}")
+            raise ConfigurationError(f"unknown agent kind {self.kind!r}", keys=("kind",))
         if self.multitask not in MULTITASK_MODES:
-            raise ConfigurationError(f"unknown multitask mode {self.multitask!r}")
+            raise ConfigurationError(f"unknown multitask mode {self.multitask!r}",
+                                     keys=("multitask",))
         if self.state_dim < 1 or self.action_count < 1:
-            raise ConfigurationError("state_dim and action_count must be positive")
+            raise ConfigurationError("state_dim and action_count must be positive",
+                                     keys=("state_dim", "action_count"))
         if not self.state_hidden or not self.head_hidden:
-            raise ConfigurationError("state_hidden and head_hidden must be non-empty")
+            raise ConfigurationError("state_hidden and head_hidden must be non-empty",
+                                     keys=("state_hidden", "head_hidden"))
         if self.kind == "dron_moe" and self.experts < 1:
-            raise ConfigurationError("dron_moe needs at least one expert")
+            raise ConfigurationError("dron_moe needs at least one expert",
+                                     keys=("kind", "experts"))
         if self.kind != "dqn" and self.opponent_dim < 1:
-            raise ConfigurationError(f"{self.kind} requires opponent features")
+            raise ConfigurationError(f"{self.kind} requires opponent features",
+                                     keys=("kind", "opponent_dim"))
         if self.kind == "dqn" and self.multitask != "none":
-            raise ConfigurationError("multitask supervision needs an opponent tower")
+            raise ConfigurationError("multitask supervision needs an opponent tower",
+                                     keys=("kind", "multitask"))
         if self.multitask_weight < 0:
-            raise ConfigurationError("multitask_weight must be non-negative")
+            raise ConfigurationError("multitask_weight must be non-negative",
+                                     keys=("multitask_weight",))
         if self.multitask_loss not in ("cross_entropy", "mean_squared"):
-            raise ConfigurationError(f"unknown multitask loss {self.multitask_loss!r}")
+            raise ConfigurationError(f"unknown multitask loss {self.multitask_loss!r}",
+                                     keys=("multitask_loss",))
 
     @property
     def hs_size(self) -> int:

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .agents import Agent, AgentSpec, quiz_agent_spec
+from .agents import Agent, AgentSpec, quiz_agent_spec, soccer_agent_spec
 from .config import config_from_lines, env_params_for
 from .errors import CheckpointError, ConfigurationError
 from .nn import ParamSet
@@ -197,7 +197,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     def sizes(key: str) -> Tuple[int, ...]:
         return tuple(_parsed(int, s, header_line[key], key) for s in need(key).split(","))
 
-    spec = AgentSpec(
+    fields = dict(
         kind=need("kind"),
         state_dim=number(int, "state_dim"),
         action_count=number(int, "action_count"),
@@ -211,6 +211,10 @@ def load_checkpoint(path: str) -> Checkpoint:
         multitask_outputs=number(int, "multitask_outputs"),
         multitask_loss=need("multitask_loss"),
     )
+    try:
+        spec = AgentSpec(**fields)
+    except ConfigurationError as exc:
+        raise CheckpointError(f"line {max(header_line[key] for key in exc.keys)}: {exc}") from None
 
     rng_state = None
     if "rng" in header:
@@ -227,11 +231,19 @@ def load_checkpoint(path: str) -> Checkpoint:
             if key == "environment" or key.startswith("env."))
     except ConfigurationError as exc:
         raise CheckpointError(str(exc)) from None
-    width = quiz_agent_spec(spec.kind, vocab=config.vocab).state_dim
-    if config.environment == "quizbowl" and spec.state_dim != width:
-        line = header_line.get("env.vocab", header_line["state_dim"])
-        raise CheckpointError(
-            f"line {line}: vocab {config.vocab} needs state_dim {width}, got {spec.state_dim}")
+    if config.environment == "quizbowl":
+        width = quiz_agent_spec(spec.kind, vocab=config.vocab).state_dim
+        if spec.state_dim != width:
+            line = header_line.get("env.vocab", header_line["state_dim"])
+            raise CheckpointError(f"line {line}: vocab {config.vocab} needs state_dim {width}, "
+                                  f"got {spec.state_dim}")
+    else:
+        standard = soccer_agent_spec(spec.kind)
+        for key in ("state_dim",) if spec.kind == "dqn" else ("state_dim", "opponent_dim"):
+            want, got = getattr(standard, key), getattr(spec, key)
+            if got != want:
+                raise CheckpointError(f"line {header_line['environment']}: environment soccer "
+                                      f"needs {key} {want}, got {got}")
 
     params: ParamSet = {}
     for _ in range(param_count):

@@ -14,19 +14,26 @@ config's parser and rules, so a bad line fails there naming itself. Greedy
 evaluation has one path, `_evaluate`, fed that dict: a run's per-epoch
 evaluation and a later `evaluate` of its checkpoint play the same games.
 Soccer games share nothing, so `evaluate_soccer` plays them in
-lockstep: one batched Q-value call per step for every game still running.
-Each game keeps its own random stream, so the games are those of one-by-one
-play; a batched forward can differ from a one-row forward by up to 1e-15
-(numpy uses gemm for a batch and gemv for one row), which has not been seen
-to change a greedy action. Quiz games see the buzz histories of the games
-before them and are played one at a time. A quiz game stops calling the
-agent at its lockout: once a wrong buzz has locked the agent out it has no
-decision left, so `QuizDriver.finish` settles the game from the opponent's
-pre-drawn buzz, with the reward and history update that word-by-word play
-would give. The words it skips would only draw beliefs from the game's own
-stream, which nothing reads after the game, so the summaries and trace rows
-are those of word-by-word play. Training still steps every word: it learns
-from the transitions after a lockout.
+lockstep over integer arrays: the games still running are rows of cell
+indices, ball holder, opponent mode and opponent tallies, and each step is
+one batched Q-value call plus lookups into the rule tables of
+`soccer.SoccerConfig`, the same tables `SoccerDriver` reads one game at a
+time. Each game keeps its own random stream, and an opponent tie is broken
+by a draw from that stream, game by game in game order, so the games are
+those of one-by-one play; a batched forward can differ from a one-row
+forward by up to 1e-15 (numpy uses gemm for a batch and gemv for one row),
+which has not been seen to change a greedy action. Training keeps the
+one-game `SoccerDriver`: for a single game, the thirty-odd numpy calls of an
+array step cost more than a scalar step's table lookups. Quiz games see the
+buzz histories of the games before them and are played one at a time. A
+quiz game stops calling the agent at its lockout: once a wrong buzz has
+locked the agent out it has no decision left, so `QuizDriver.finish`
+settles the game from the opponent's pre-drawn buzz, with the reward and
+history update that word-by-word play would give. The words it skips would
+only draw beliefs from the game's own stream, which nothing reads after the
+game, so the summaries and trace rows are those of word-by-word play.
+Training still steps every word: it learns from the transitions after a
+lockout.
 
 Determinism contract: (config, seed) fully determine every CSV byte and
 checkpoint parameter. All random streams derive from the run seed via named
@@ -269,39 +276,63 @@ def make_driver(config: ExperimentConfig, rng: np.random.Generator, seed: int):
 def evaluate_soccer(agent: Agent, opponent: str, n_games: int, seed: int,
                     render: bool = False) -> MetricsSummary:
     """Greedy play of `n_games` games in lockstep. Game g draws from its own
-    stream `default_rng([seed, g])`; each step stacks the observations of the
-    games still running into one batch for one `agent.q_values` call, then
-    steps those games in game order. A batched forward differs from a one-row
-    forward by up to 1e-15 (gemm against gemv), which has not been seen to
-    move an argmax. `render` prints each game's boards, game by game,
-    once all games are over."""
-    drivers = [SoccerDriver(np.random.default_rng([seed, game]), opponent)
-               for game in range(n_games)]
-    frames: List[List[str]] = [[] for _ in drivers]
-    rewards = [0.0] * n_games
-    live = list(range(n_games))
-    while live:
-        phi_s = np.array([drivers[g].obs[0] for g in live])
-        phi_o = np.array([drivers[g].obs[1] for g in live])
-        actions = agent.q_values(phi_s, phi_o).argmax(axis=1).tolist()
-        running = []
-        for game, action in zip(live, actions):
-            driver = drivers[game]
-            reward, done, _ = driver.step(action)
-            if render:
-                frames[game].append(soccer.render(driver.state, driver.cfg))
-            if done:
-                rewards[game] = reward
-            else:
-                running.append(game)
-        live = running
+    stream `default_rng([seed, g])`: first its start (`soccer.reset`), then
+    one `integers(0, count)` each time its opponent has `count` > 1 best
+    moves. The games still running are held as integer arrays (both cells,
+    the ball holder, the opponent mode, and the opponent's tallies in
+    `soccer.OpponentTallies`). Each step gathers the state features from
+    `feature_rows`, makes one batched `agent.q_values` call, looks up the
+    opponent's moves (`soccer.rule_agent_many`, which draws the tie-breaks
+    game by game in game order) and their categories, and resolves the
+    moves, blocks and goals (`soccer.step_many`) as array operations on the
+    config's tables; finished games are dropped, and the games left after
+    `soccer.HORIZON` steps are ties. The
+    games and draws are those of one-by-one play with `SoccerDriver`; a
+    batched forward differs from a one-row forward by up to 1e-15 (gemm
+    against gemv), which has not been seen to move an argmax. `render`
+    rebuilds each game's `SoccerState` after every step and prints the
+    boards game by game once all games are over."""
+    cfg = soccer.DEFAULT_CONFIG
+    own_rows, other_rows = cfg.feature_rows
+    rngs = [np.random.default_rng([seed, game]) for game in range(n_games)]
+    starts = [soccer.reset(cfg, rng, opponent) for rng in rngs]
+    a = np.array([cfg.index(state.pos_a) for state, _ in starts])
+    b = np.array([cfg.index(state.pos_b) for state, _ in starts])
+    holder = np.array([soccer.PLAYERS.index(state.ball) for state, _ in starts])  # 0: A
+    mode = np.array([soccer.MODES.index(mode) for _, mode in starts])
+    games = np.arange(n_games)  # the games still running
+    tallies = soccer.OpponentTallies(n_games)
+    frames: List[List[str]] = [[] for _ in range(n_games)]
+    rewards = np.zeros(n_games)  # a game still running after HORIZON steps is a 0-0 tie
+    for _ in range(soccer.HORIZON):
+        phi_s = own_rows[0, a, 1 - holder] + other_rows[b]  # A's view: A holds if holder is 0
+        action_a = agent.q_values(phi_s, tallies.features()).argmax(axis=1)
+        action_b = soccer.rule_agent_many(cfg, mode, "B", b, a, holder, rngs)
+        category = cfg.categories[soccer.PLAYERS.index("B"), b, action_b, a]
+        a, b, holder, blocked, scored = soccer.step_many(cfg, a, b, holder, action_a, action_b)
+        tallies.observe(category, action_b, blocked & (holder == 1))
+        if render:
+            for game, cell_a, cell_b, ball in zip(games.tolist(), a.tolist(), b.tolist(),
+                                                  holder.tolist()):
+                state = soccer.SoccerState(cfg.cells[cell_a], cfg.cells[cell_b],
+                                           soccer.PLAYERS[ball])
+                frames[game].append(soccer.render(state, cfg))
+        if scored.any():
+            rewards[games[scored]] = np.where(holder[scored] == 0, 1.0, -1.0)
+            running = ~scored
+            games, a, b, holder, mode = (games[running], a[running], b[running],
+                                         holder[running], mode[running])
+            rngs = [rng for rng, keep in zip(rngs, running.tolist()) if keep]
+            tallies.keep(running)
+            if not len(games):
+                break
     for game_frames in frames:
         for frame in game_frames:
             print(frame)
             print()
-    n = len(rewards)
-    wins = sum(r > 0 for r in rewards)
-    ties = sum(r == 0 for r in rewards)
+    n = n_games
+    wins = int(np.count_nonzero(rewards > 0))
+    ties = int(np.count_nonzero(rewards == 0))
     return MetricsSummary(
         mean_reward=float(np.mean(rewards)), games=n,
         win_rate=wins / n, tie_rate=ties / n, loss_rate=(n - wins - ties) / n,

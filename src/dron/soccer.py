@@ -8,13 +8,27 @@ shaded cell or off the grid becomes a stand. When both players would end on
 the same cell, or they would swap cells, neither moves and the ball changes
 hands. Carrying the ball onto the opposing goal scores (+1 / -1); one
 hundred scoreless steps is a 0-0 tie.
+
+The rules live in tables over cell indices (cells are numbered column by
+column, ``col * height + row``), built once per `SoccerConfig` with
+vectorised numpy and cached on it: the 5 move targets of each cell, the
+goal each player attacks, the start cells, the state-feature rows of each
+cell, the move category of every (mover, mover cell, action, other cell)
+and the rule agent's tie set of every (mode, player, own cell, other cell,
+has ball). `reset`, `step`, `rule_agent_act`, `classify_move` and
+`featurize_state` look their answers up there for one game; `step_many`
+and `rule_agent_many` look up those of many games at once in the same
+tables, for the lockstep evaluation in `harness.evaluate_soccer`. When the
+rule agent has more than one best move, it draws one with
+``rng.integers(0, count)`` from its game's stream; a single best move draws
+nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,6 +38,7 @@ Cell = Tuple[int, int]  # (col, row)
 
 ACTIONS = ("N", "S", "E", "W", "stand")
 ACTION_DELTAS = ((0, -1), (0, 1), (1, 0), (-1, 0), (0, 0))  # row 0 is the top
+STAND = ACTIONS.index("stand")
 
 MOVE_CATEGORIES = (
     "approach_agent",
@@ -35,6 +50,7 @@ MOVE_CATEGORIES = (
 
 HORIZON = 100  # scoreless steps before a game is a 0-0 tie
 
+PLAYERS = ("A", "B")  # the player axis of the tables
 MODES = ("offensive", "defensive")
 MODE_POLICIES = ("mixed", "offensive", "defensive")
 
@@ -62,7 +78,7 @@ class SoccerConfig:
         mid = self.height // 2
         return (mid - 1, mid)
 
-    @cached_property  # playable() asks for it several times per step
+    @cached_property
     def shaded(self) -> frozenset:
         rows = set(self._goal_rows())
         cells = set()
@@ -76,45 +92,179 @@ class SoccerConfig:
         col, row = cell
         return 0 <= col < self.width and 0 <= row < self.height and cell not in self.shaded
 
-    @cached_property  # every step looks up eight move targets
-    def move_targets(self) -> Dict[Cell, Tuple[Cell, ...]]:
-        """Where each of the 5 actions leads from every cell of the grid: the
-        neighbour in the action's direction if it is playable, else the cell
-        itself."""
-        table = {}
-        for col in range(self.width):
-            for row in range(self.height):
-                targets = ((col + dc, row + dr) for dc, dr in ACTION_DELTAS)
-                table[col, row] = tuple(t if self.playable(t) else (col, row) for t in targets)
-        return table
-
-    @cached_property  # featurize_state reads it every step
-    def frame_features(self) -> Dict[bool, Tuple[float, ...]]:
-        """``featurize_state``'s scale factors and its 9 constant features
-        (both axis limits, the own and the opposing goal block), keyed by
-        whether the perspective is player A: ``(sx, sy, constants)``."""
-        sx = 1.0 / (self.width - 1)
-        sy = 1.0 / (self.height - 1)
-
-        def goal_block(goal: Tuple[Cell, ...]) -> List[float]:
-            rows = sorted(g[1] for g in goal)
-            return [goal[0][0] * sx, rows[0] * sy, rows[-1] * sy]
-
-        def constants(own: Tuple[Cell, ...], opposing: Tuple[Cell, ...]) -> Tuple[float, ...]:
-            return (0.0, (self.width - 1) * sx, 0.0, (self.height - 1) * sy,
-                    *goal_block(own), *goal_block(opposing))
-
-        return {
-            True: (sx, sy, constants(self.left_goal, self.right_goal)),
-            False: (sx, sy, constants(self.right_goal, self.left_goal)),
-        }
-
     def goal_for(self, player: str) -> Tuple[Cell, ...]:
         """The goal `player` attacks."""
         return self.right_goal if player == "A" else self.left_goal
 
     def own_goal_of(self, player: str) -> Tuple[Cell, ...]:
         return self.left_goal if player == "A" else self.right_goal
+
+    # -- the rule tables ------------------------------------------------------
+
+    def index(self, cell: Cell) -> int:
+        """The table index of a cell of the grid."""
+        return cell[0] * self.height + cell[1]
+
+    @cached_property
+    def cells(self) -> Tuple[Cell, ...]:
+        """Every cell of the grid, in index order."""
+        return tuple((c, r) for c in range(self.width) for r in range(self.height))
+
+    @cached_property
+    def _coords(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Column and row of every cell, in index order."""
+        cell = np.arange(self.width * self.height)
+        return cell // self.height, cell % self.height
+
+    def _mask(self, cells) -> np.ndarray:
+        mask = np.zeros(self.width * self.height, dtype=bool)
+        mask[[self.index(c) for c in cells]] = True
+        return mask
+
+    @cached_property
+    def move_table(self) -> np.ndarray:
+        """Where each of the 5 actions leads from every cell, as cell indices
+        (cells x 5): the neighbour in the action's direction if it is
+        playable, else the cell itself."""
+        col, row = self._coords
+        dcol, drow = np.array(ACTION_DELTAS).T
+        to_col, to_row = col[:, None] + dcol, row[:, None] + drow
+        inside = (to_col >= 0) & (to_col < self.width) & (to_row >= 0) & (to_row < self.height)
+        here = (col * self.height + row)[:, None]
+        target = np.where(inside, to_col * self.height + to_row, here)
+        return np.where(self._mask(self.shaded)[target], here, target)
+
+    @cached_property  # step looks up two move targets
+    def move_targets(self) -> Dict[Cell, Tuple[Cell, ...]]:
+        """`move_table` keyed by cell, for one game's step."""
+        cells = self.cells
+        return {cells[i]: tuple(cells[t] for t in row)
+                for i, row in enumerate(self.move_table.tolist())}
+
+    @cached_property
+    def goal_mask(self) -> np.ndarray:
+        """Whether a cell is on the goal each player attacks (players x cells)."""
+        return np.stack([self._mask(self.goal_for(p)) for p in PLAYERS])
+
+    @cached_property
+    def _distances(self) -> np.ndarray:
+        """Manhattan distance between every two cells (cells x cells), int16."""
+        col, row = self._coords
+        return (np.abs(col[:, None] - col) + np.abs(row[:, None] - row)).astype(np.int16)
+
+    @cached_property
+    def _goal_distances(self) -> np.ndarray:
+        """Distance from every cell to the nearest cell of the goal each
+        player attacks (players x cells)."""
+        return np.stack([self._distances[:, self.goal_mask[p]].min(axis=1)
+                         for p in range(len(PLAYERS))])
+
+    @cached_property
+    def start_cells(self) -> Tuple[Tuple[Cell, ...], Tuple[Cell, ...]]:
+        """Where `reset` may place A (playable non-goal cells of the left
+        half) and B (the right half), in index order."""
+        col, _ = self._coords
+        half = self.width // 2
+        free = ~(self._mask(self.shaded) | self.goal_mask.any(axis=0))
+        return tuple(tuple(self.cells[i] for i in np.flatnonzero(free & side))
+                     for side in (col < half, col >= self.width - half))
+
+    @cached_property
+    def feature_rows(self) -> Tuple[np.ndarray, np.ndarray]:
+        """`featurize_state` as the sum of two rows of 15. One is looked up
+        by (perspective: 0 for A, 1 for B; its cell; it holds the ball) and
+        holds its position, the 10 constant features (both axis limits, the
+        own and the opposing goal block) and the ball flag; the other, by the
+        other player's cell, holds that position. Each row is 0 where the
+        other has a value, so the sum is exact. Positions are scaled to
+        [0, 1] by the grid extents."""
+        col, row = self._coords
+        sx = 1.0 / (self.width - 1)
+        sy = 1.0 / (self.height - 1)
+        xy = np.stack([col * sx, row * sy], axis=1)
+
+        def goal_block(goal: Tuple[Cell, ...]) -> list:
+            rows = sorted(g[1] for g in goal)
+            return [goal[0][0] * sx, rows[0] * sy, rows[-1] * sy]
+
+        own = np.zeros((len(PLAYERS), len(xy), 2, 15))
+        own[..., 0:2] = xy[:, None, :]
+        for p, player in enumerate(PLAYERS):
+            own[p, ..., 4:14] = [0.0, (self.width - 1) * sx, 0.0, (self.height - 1) * sy,
+                                 *goal_block(self.own_goal_of(player)),
+                                 *goal_block(self.goal_for(player))]
+        own[..., 1, 14] = 1.0
+        other = np.zeros((len(xy), 15))
+        other[:, 2:4] = xy
+        return own, other
+
+    @cached_property
+    def categories(self) -> np.ndarray:
+        """`MOVE_CATEGORIES` index of every move, by (mover: 0 for A, 1 for
+        B; mover cell; action; the other player's cell), int8.
+
+        Priority on overlap: approach_agent, avoid_agent,
+        approach_agent_goal, approach_own_goal; a move that does not change
+        position is a stand. Distances are Manhattan, measured against the
+        other player's pre-move cell and the nearest cell of each goal."""
+        moves = self.move_table
+        before = self._distances[:, None, :]  # mover cell to the other player
+        after = self._distances[moves]
+        stands = (moves == np.arange(len(moves))[:, None])[:, :, None]
+        table = []
+        for mover in range(len(PLAYERS)):
+            # the other player's own goal is the one the mover attacks
+            closer = [(d[moves] < d[:, None])[:, :, None]
+                      for d in self._goal_distances[[mover, 1 - mover]]]
+            # the conditions in priority order, each with its MOVE_CATEGORIES index
+            table.append(np.select([stands, after < before, after > before, *closer],
+                                   [np.int8(c) for c in (4, 0, 1, 2, 3)], default=np.int8(4)))
+        return np.array(table)
+
+    @cached_property
+    def tie_sets(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The rule agent's best moves by (mode, player, own cell, other
+        cell, has ball): how many there are, and the moves in ascending
+        action order, padded to 5; both int8.
+
+        Offensive: carry the ball straight to the scoring goal, otherwise
+        chase the ball holder. Defensive: keep away from the other player
+        while holding the ball (never stepping into its own goal unless
+        every move does), otherwise guard the cell in front of its goal
+        nearest the ball holder, and stand once there."""
+        n = self.width * self.height
+        moves = self.move_table.T
+        _, row = self._coords
+        chase = self._distances[moves]  # action, own cell, other cell
+        unusable = self.width + self.height  # above any distance
+        stand_only = np.full((len(ACTIONS), 1, 1), unusable, dtype=np.int16)
+        stand_only[STAND] = 0
+        # each set of best moves is a 5-bit code; `ordered` lists each code's moves
+        sets = (np.arange(2 ** len(ACTIONS))[:, None] >> np.arange(len(ACTIONS))) & 1 == 1
+        ordered = np.argsort(~sets, axis=1, kind="stable").astype(np.int8)
+        counts = np.empty((len(MODES), len(PLAYERS), n, n, 2), dtype=np.int8)
+        choices = np.empty(counts.shape + (len(ACTIONS),), dtype=np.int8)
+        for p, player in enumerate(PLAYERS):
+            # actions first, so the best score is a minimum over whole planes
+            scores = np.empty((len(ACTIONS), len(MODES), n, n, 2), dtype=np.int16)
+            scores[:, 0, :, :, 1] = self._goal_distances[p][moves][:, :, None]
+            scores[:, 0, :, :, 0] = chase
+            usable = ~self.goal_mask[1 - p][moves]
+            usable |= ~usable.any(axis=0)
+            scores[:, 1, :, :, 1] = np.where(usable[:, :, None], -chase, unusable)
+            own_goal = self.own_goal_of(player)
+            rows = sorted(g[1] for g in own_goal)
+            guard_col = 1 if own_goal[0][0] == 0 else self.width - 2
+            guard = guard_col * self.height + np.clip(row, rows[0], rows[-1])
+            at_guard = np.arange(n)[:, None] == guard
+            scores[:, 1, :, :, 0] = np.where(at_guard, stand_only, chase[:, :, guard])
+            best = scores == np.minimum.reduce(scores, axis=0)
+            code = np.zeros(best.shape[1:], dtype=np.uint8)
+            for action, plane in enumerate(best):
+                code |= plane.view(np.uint8) << action
+            counts[:, p] = best.sum(axis=0, dtype=np.int8)
+            choices[:, p] = np.take(ordered, code, axis=0)
+        return counts, choices
 
 
 DEFAULT_CONFIG = SoccerConfig()
@@ -140,14 +290,6 @@ class StepEvents:
     timeout: bool = False
 
 
-def manhattan(a: Cell, b: Cell) -> int:
-    return abs(a[0] - b[0]) + abs(a[1] - b[1])
-
-
-def goal_distance(cell: Cell, goal: Tuple[Cell, ...]) -> int:
-    return min(manhattan(cell, g) for g in goal)
-
-
 def sample_mode(rng: np.random.Generator, policy: str = "mixed") -> str:
     """Opponent mode for a new game: uniform for ``mixed``, else fixed."""
     if policy == "mixed":
@@ -162,20 +304,7 @@ def reset(
 ) -> Tuple[SoccerState, str]:
     """Fresh game: A uniform over playable left-half non-goal cells, B over
     the right half, ball owner uniform, opponent mode per policy."""
-    half = config.width // 2
-    goals = set(config.left_goal) | set(config.right_goal)
-    left = [
-        (c, r)
-        for c in range(half)
-        for r in range(config.height)
-        if config.playable((c, r)) and (c, r) not in goals
-    ]
-    right = [
-        (c, r)
-        for c in range(config.width - half, config.width)
-        for r in range(config.height)
-        if config.playable((c, r)) and (c, r) not in goals
-    ]
+    left, right = config.start_cells
     pos_a = left[int(rng.integers(0, len(left)))]
     pos_b = right[int(rng.integers(0, len(right)))]
     ball = "A" if rng.random() < 0.5 else "B"
@@ -216,23 +345,31 @@ def step(
     return next_state, 0.0, False, events
 
 
+def step_many(config: SoccerConfig, a: np.ndarray, b: np.ndarray, holder: np.ndarray,
+              action_a: np.ndarray, action_b: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """`step` of many games at once, on cell indices and ball holders (0 for
+    A, 1 for B): returns A's cells, B's cells and the holders after the
+    joint moves, whether each move was blocked, and whether the holder
+    scored. The horizon is left to the caller."""
+    to_a = config.move_table[a, action_a]
+    to_b = config.move_table[b, action_b]
+    # blocked: nobody moves, and the pre-move holder loses the ball
+    blocked = (to_a == to_b) | ((to_a == b) & (to_b == a))
+    holder = holder ^ blocked
+    a = np.where(blocked, a, to_a)
+    b = np.where(blocked, b, to_b)
+    return a, b, holder, blocked, config.goal_mask[holder, np.where(holder, b, a)]
+
+
 def featurize_state(
     state: SoccerState, config: SoccerConfig = DEFAULT_CONFIG, perspective: str = "A"
 ) -> np.ndarray:
     """15 features from one player's point of view: both positions, the axis
-    limits, both goal areas, and ball possession. Coordinates are scaled to
-    [0, 1] by the grid extents."""
-    sx, sy, constants = config.frame_features[perspective == "A"]
-    me = state.position(perspective)
-    other = state.position("B" if perspective == "A" else "A")
-    return np.array(
-        [
-            me[0] * sx, me[1] * sy,
-            other[0] * sx, other[1] * sy,
-            *constants,
-            1.0 if state.ball == perspective else 0.0,
-        ]
-    )
+    limits, both goal areas, and ball possession (`SoccerConfig.feature_rows`)."""
+    own, other = config.feature_rows
+    me = config.index(state.position(perspective))
+    you = config.index(state.position("B" if perspective == "A" else "A"))
+    return own[PLAYERS.index(perspective), me, int(state.ball == perspective)] + other[you]
 
 
 def classify_move(
@@ -241,30 +378,12 @@ def classify_move(
     config: SoccerConfig = DEFAULT_CONFIG,
     mover: str = "B",
 ) -> str:
-    """Label one player's move relative to the primary agent.
-
-    Priority on overlap: approach_agent, avoid_agent, approach_agent_goal,
-    approach_own_goal; a move that does not change position is a stand.
-    Distances are Manhattan, measured against the agent's pre-move position
-    and the nearest cell of each goal.
-    """
+    """Label one player's move relative to the primary agent, as the
+    `SoccerConfig.categories` table has it."""
     agent = "A" if mover == "B" else "B"
-    pos = state.position(mover)
-    target = config.move_targets[pos][action]
-    if target == pos:
-        return "stand"
-    agent_pos = state.position(agent)
-    if manhattan(target, agent_pos) < manhattan(pos, agent_pos):
-        return "approach_agent"
-    if manhattan(target, agent_pos) > manhattan(pos, agent_pos):
-        return "avoid_agent"
-    agent_goal = config.own_goal_of(agent)
-    if goal_distance(target, agent_goal) < goal_distance(pos, agent_goal):
-        return "approach_agent_goal"
-    own_goal = config.own_goal_of(mover)
-    if goal_distance(target, own_goal) < goal_distance(pos, own_goal):
-        return "approach_own_goal"
-    return "stand"
+    category = config.categories[PLAYERS.index(mover), config.index(state.position(mover)),
+                                 action, config.index(state.position(agent))]
+    return MOVE_CATEGORIES[category]
 
 
 @dataclass
@@ -287,6 +406,40 @@ class OpponentStats:
         self.steps += 1
 
 
+class OpponentTallies:
+    """`OpponentStats` of many games that have all seen the same number of
+    opponent moves, one row per game. `sums` holds the category counts
+    (columns 0-4) and the ball losses (column 15) and is 0 elsewhere, so
+    `features` is `opponent_features` of each game, bit for bit."""
+
+    CATEGORY_ROWS = np.eye(len(MOVE_CATEGORIES), 16)  # a count, by category
+    # the one-hot last category and last action, by (category, action)
+    LAST_MOVE_ROWS = (np.eye(len(MOVE_CATEGORIES), 16, 5)[:, None]
+                      + np.eye(len(ACTIONS), 16, 10)[None, :])
+
+    def __init__(self, games: int):
+        self.sums = np.zeros((games, 16))
+        self.last_category = self.last_action = np.zeros(games, dtype=np.intp)
+        self.steps = 0
+
+    def observe(self, category: np.ndarray, action: np.ndarray, lost_ball: np.ndarray) -> None:
+        self.sums += self.CATEGORY_ROWS[category]
+        self.sums[:, 15] += lost_ball
+        self.last_category, self.last_action = category, action
+        self.steps += 1
+
+    def keep(self, games: np.ndarray) -> None:
+        """Drop every row but those `games` selects."""
+        self.sums = self.sums[games]
+        self.last_category = self.last_category[games]
+        self.last_action = self.last_action[games]
+
+    def features(self) -> np.ndarray:
+        if not self.steps:
+            return np.zeros_like(self.sums)
+        return self.sums / self.steps + self.LAST_MOVE_ROWS[self.last_category, self.last_action]
+
+
 def opponent_features(stats: OpponentStats) -> np.ndarray:
     """16 features: move-category frequencies, one-hot most recent category
     and raw action, and the rate of losing the ball to the opponent."""
@@ -301,11 +454,6 @@ def opponent_features(stats: OpponentStats) -> np.ndarray:
     return phi
 
 
-def _argmin_actions(scores: List[float]) -> List[int]:
-    best = min(scores)
-    return [i for i, s in enumerate(scores) if s == best]
-
-
 def rule_agent_act(
     state: SoccerState,
     mode: str,
@@ -313,48 +461,32 @@ def rule_agent_act(
     config: SoccerConfig = DEFAULT_CONFIG,
     player: str = "B",
 ) -> int:
-    """Hand-crafted two-mode policy.
-
-    Offensive: carry the ball straight to the scoring goal, otherwise chase
-    the ball holder. Defensive: keep away from the other player while holding
-    the ball (never stepping into its own goal), otherwise guard the cell in
-    front of its goal nearest the ball holder.
-    """
+    """Hand-crafted two-mode policy, as the `SoccerConfig.tie_sets` table
+    has it; a tie between best moves is broken by one draw from `rng`."""
     if mode not in MODES:
         raise ConfigurationError(f"unknown mode {mode!r}")
     other = "B" if player == "A" else "A"
-    pos = state.position(player)
-    other_pos = state.position(other)
-    has_ball = state.ball == player
-    targets = config.move_targets[pos]
+    key = (MODES.index(mode), PLAYERS.index(player), config.index(state.position(player)),
+           config.index(state.position(other)), int(state.ball == player))
+    counts, choices = config.tie_sets
+    count = counts.item(key)
+    return choices.item(*key, 0 if count == 1 else int(rng.integers(0, count)))
 
-    if mode == "offensive":
-        if has_ball:
-            goal = config.goal_for(player)
-            scores = [float(goal_distance(t, goal)) for t in targets]
-        else:
-            scores = [float(manhattan(t, other_pos)) for t in targets]
-        choices = _argmin_actions(scores)
-    else:
-        own_goal = config.own_goal_of(player)
-        if has_ball:
-            usable = [i for i, t in enumerate(targets) if t not in own_goal]
-            if not usable:
-                usable = list(range(len(ACTIONS)))
-            scores = [-float(manhattan(targets[i], other_pos)) for i in usable]
-            choices = [usable[i] for i in _argmin_actions(scores)]
-        else:
-            guard_col = 1 if own_goal[0][0] == 0 else config.width - 2
-            rows = sorted(g[1] for g in own_goal)
-            guard_row = min(max(other_pos[1], rows[0]), rows[-1])
-            guard = (guard_col, guard_row)
-            if pos == guard:
-                return ACTIONS.index("stand")
-            scores = [float(manhattan(t, guard)) for t in targets]
-            choices = _argmin_actions(scores)
-    if len(choices) == 1:
-        return choices[0]
-    return choices[int(rng.integers(0, len(choices)))]
+
+def rule_agent_many(config: SoccerConfig, modes: np.ndarray, player: str, own: np.ndarray,
+                    other: np.ndarray, has_ball: np.ndarray,
+                    rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """`rule_agent_act` of many games at once, on mode indices, cell indices
+    and ball flags: game i breaks a tie by one draw from ``rngs[i]``, in
+    game order."""
+    key = (modes, PLAYERS.index(player), own, other, has_ball)
+    counts, choices = config.tie_sets
+    count = counts[key]
+    choices = choices[key]
+    ties = np.flatnonzero(count > 1)
+    for i, n in zip(ties.tolist(), count[ties].tolist()):
+        choices[i, 0] = choices[i, rngs[i].integers(0, n)]
+    return choices[:, 0]
 
 
 def render(state: SoccerState, config: SoccerConfig = DEFAULT_CONFIG) -> str:

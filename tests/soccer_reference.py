@@ -1,9 +1,12 @@
-"""Straight-line reference implementation of the soccer movement rules.
+"""Straight-line reference implementation of the soccer rules.
 
-Written independently of dron.soccer (no shared helpers, hardcoded default
-geometry) so the two can be checked against each other. Only the default
-9x6 field is supported.
+The movement rules are written independently of dron.soccer (no shared
+helpers, hardcoded default geometry) so the two can be checked against each
+other; they support only the default 9x6 field. The scoring rules below them
+take any SoccerConfig.
 """
+
+import numpy as np
 
 WIDTH = 9
 HEIGHT = 6
@@ -46,3 +49,97 @@ def reference_step(pos_a, pos_b, ball, step_count, action_a, action_b):
     if step_count >= HORIZON:
         return ta, tb, ball, step_count, 0.0, True
     return ta, tb, ball, step_count, 0.0, False
+
+
+# -- the scalar scoring rules, for any SoccerConfig ----------------------------
+#
+# The rule agent, the move categories and the state features as they were
+# computed per call before the rules became tables; the table tests check
+# every table entry against them. Geometry (goals, shaded cells) comes from
+# the config.
+
+
+def manhattan(a, b):
+    return abs(a[0] - b[0]) + abs(a[1] - b[1])
+
+
+def goal_distance(cell, goal):
+    return min(manhattan(cell, g) for g in goal)
+
+
+def move_targets(config, cell):
+    """The cell each of the 5 actions leads to from `cell`."""
+    targets = []
+    for dc, dr in DELTAS:
+        t = (cell[0] + dc, cell[1] + dr)
+        targets.append(t if config.playable(t) else cell)
+    return targets
+
+
+def _argmin_actions(scores):
+    best = min(scores)
+    return [i for i, s in enumerate(scores) if s == best]
+
+
+def rule_choices(config, mode, player, pos, other_pos, has_ball):
+    """The moves the rule agent picks among, in ascending action order."""
+    targets = move_targets(config, pos)
+    if mode == "offensive":
+        if has_ball:
+            goal = config.goal_for(player)
+            return _argmin_actions([float(goal_distance(t, goal)) for t in targets])
+        return _argmin_actions([float(manhattan(t, other_pos)) for t in targets])
+    own_goal = config.own_goal_of(player)
+    if has_ball:
+        usable = [i for i, t in enumerate(targets) if t not in own_goal]
+        if not usable:
+            usable = list(range(len(DELTAS)))
+        scores = [-float(manhattan(targets[i], other_pos)) for i in usable]
+        return [usable[i] for i in _argmin_actions(scores)]
+    guard_col = 1 if own_goal[0][0] == 0 else config.width - 2
+    rows = sorted(g[1] for g in own_goal)
+    guard = (guard_col, min(max(other_pos[1], rows[0]), rows[-1]))
+    if pos == guard:
+        return [4]  # stand
+    return _argmin_actions([float(manhattan(t, guard)) for t in targets])
+
+
+CATEGORIES = ("approach_agent", "avoid_agent", "approach_agent_goal", "approach_own_goal",
+              "stand")
+
+
+def classify(config, mover, pos, action, agent_pos):
+    """The category of `mover`'s move from `pos`, the other player at
+    `agent_pos`."""
+    agent = "A" if mover == "B" else "B"
+    target = move_targets(config, pos)[action]
+    if target == pos:
+        return "stand"
+    if manhattan(target, agent_pos) < manhattan(pos, agent_pos):
+        return "approach_agent"
+    if manhattan(target, agent_pos) > manhattan(pos, agent_pos):
+        return "avoid_agent"
+    agent_goal = config.own_goal_of(agent)
+    if goal_distance(target, agent_goal) < goal_distance(pos, agent_goal):
+        return "approach_agent_goal"
+    own_goal = config.own_goal_of(mover)
+    if goal_distance(target, own_goal) < goal_distance(pos, own_goal):
+        return "approach_own_goal"
+    return "stand"
+
+
+def features(config, me, other, has_ball, own_goal, opposing_goal):
+    """The 15 state features of the player at `me`, computed per call."""
+    sx = 1.0 / (config.width - 1)
+    sy = 1.0 / (config.height - 1)
+
+    def goal_block(goal):
+        rows = sorted(g[1] for g in goal)
+        return [goal[0][0] * sx, rows[0] * sy, rows[-1] * sy]
+
+    return np.array([
+        me[0] * sx, me[1] * sy, other[0] * sx, other[1] * sy,
+        0.0, (config.width - 1) * sx, 0.0, (config.height - 1) * sy,
+        *goal_block(own_goal), *goal_block(opposing_goal),
+        1.0 if has_ball else 0.0,
+    ])

@@ -239,6 +239,8 @@ BAD_ENV_LINES = [
     pytest.param(["env.vocabb 7"], "vocabb", id="unknown_key"),
     pytest.param(["environment tennis"], "tennis", id="unknown_environment"),
     pytest.param(["env.vocab 60"], "state_dim", id="vocab_misfits_state_dim"),
+    pytest.param(["environment soccer"], "environment soccer needs state_dim 15, got 102",
+                 id="quiz_agent_on_soccer"),
 ]
 
 
@@ -259,4 +261,25 @@ def test_bad_environment_line_fails_at_load(tmp_path, edits, named):
         edited.append(at + 1)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CheckpointError, match=rf"^line {max(edited)}: .*{named}"):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("key,value,named", [
+    ("kind", "dqnx", "unknown agent kind 'dqnx'"),
+    ("multitask", "bogus", "unknown multitask mode 'bogus'"),
+    ("multitask_loss", "hinge", "unknown multitask loss 'hinge'"),
+    ("opponent_dim", "3", "environment soccer needs opponent_dim 16, got 3"),
+])
+def test_bad_agent_line_fails_at_load(tmp_path, key, value, named):
+    # a soccer dron_moe checkpoint; a wrong opponent width names the
+    # environment line, every other field its own
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(make_checkpoint()[0], str(path))
+    lines = path.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.split()[0] == key)
+    lines[at] = f"{key} {value}"
+    path.write_text("\n".join(lines) + "\n")
+    line = at + 1 if key != "opponent_dim" else next(
+        i for i, text in enumerate(lines, 1) if text.startswith("environment "))
+    with pytest.raises(CheckpointError, match=rf"^line {line}: {named}$"):
         load_checkpoint(str(path))

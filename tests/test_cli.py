@@ -199,3 +199,18 @@ def test_malformed_checkpoint_exits_2(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: line {line}: {message}")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    # agent fields that name no kind, mode or loss, and a quiz agent on the soccer field
+    for key, value, message in [
+        ("kind", "dqnx", "unknown agent kind 'dqnx'"),
+        ("multitask", "bogus", "unknown multitask mode 'bogus'"),
+        ("multitask_loss", "hinge", "unknown multitask loss 'hinge'"),
+        ("environment", "soccer", "environment soccer needs state_dim 15, got 102"),
+    ]:
+        line = next(i for i, text in enumerate(saved, 1) if text.split()[0] == key)
+        lines = list(saved)
+        lines[line - 1] = f"{key} {value}"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["eval", str(path), "--games", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: line {line}: {message}\n"

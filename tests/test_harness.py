@@ -171,6 +171,27 @@ def per_game_soccer(agent, opponent, n_games, seed, render=False):
     )
 
 
+class RecordingAgent:
+    """Scripted soccer agent: a fixed random linear map of every state and
+    opponent feature, so that each feature can change its move. It records
+    every (state, opponent) row it is shown, and scores a batch row by row,
+    so a row gets the same values alone or in a batch."""
+
+    spec = SimpleNamespace(kind="dron_concat")
+
+    def __init__(self):
+        rng = np.random.default_rng(0)
+        self.ws = rng.normal(size=(15, 5))
+        self.wo = rng.normal(size=(16, 5))
+        self.rows = []
+
+    def q_values(self, phi_s, phi_o):
+        rows = list(zip(np.atleast_2d(phi_s), np.atleast_2d(phi_o)))
+        self.rows += [s.tobytes() + o.tobytes() for s, o in rows]
+        q = np.array([s @ self.ws + o @ self.wo for s, o in rows])
+        return q if np.ndim(phi_s) == 2 else q[0]
+
+
 @functools.lru_cache(maxsize=None)
 def soccer_agent(kind, trained):
     """Initial parameters, or the parameters after one short training epoch."""
@@ -190,6 +211,22 @@ class TestLockstepSoccer:
         got = harness.evaluate_soccer(agent, "mixed", n_games, seed=8)
         assert got == per_game_soccer(agent, "mixed", n_games, seed=8)
         assert got.games == n_games
+
+    @pytest.mark.parametrize("opponent,n_games", [("offensive", 14), ("defensive", 14),
+                                                  ("mixed", 200)])
+    @pytest.mark.parametrize("kind", ["dqn", "dron_moe"])
+    def test_equals_per_game_play_against_each_opponent(self, kind, opponent, n_games):
+        agent = soccer_agent(kind, True)
+        got = harness.evaluate_soccer(agent, opponent, n_games, seed=3)
+        assert got == per_game_soccer(agent, opponent, n_games, seed=3)
+
+    @pytest.mark.parametrize("opponent", ["mixed", "offensive", "defensive"])
+    def test_shows_the_agent_the_per_game_features(self, opponent):
+        lockstep, one_by_one = RecordingAgent(), RecordingAgent()
+        got = harness.evaluate_soccer(lockstep, opponent, 60, seed=2)
+        assert got == per_game_soccer(one_by_one, opponent, 60, seed=2)
+        # the same rows, met in step order instead of game order
+        assert sorted(lockstep.rows) == sorted(one_by_one.rows)
 
     def test_render_prints_the_per_game_boards(self, tmp_path, capsys):
         agent = soccer_agent("dron_moe", True)

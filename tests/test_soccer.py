@@ -19,6 +19,7 @@ from dron.soccer import (
     sample_mode,
     step,
 )
+import soccer_reference as ref
 from soccer_reference import reference_move, reference_step
 
 A_N, A_S, A_E, A_W, A_STAND = range(5)
@@ -139,6 +140,25 @@ class TestStep:
                     assert (nxt.pos_a, nxt.pos_b, nxt.ball, nxt.step) == (ra, rb, ball, cnt)
                     assert reward == ref_reward and done == ref_done
 
+    def test_many_matches_reference(self):
+        # every joint move from 200 random states, as one batch
+        rng = np.random.default_rng(9)
+        states = [random_legal_state(rng) for _ in range(200)]
+        joint = [(state, aa, ab) for state in states for aa in range(5) for ab in range(5)]
+        index = DEFAULT_CONFIG.index
+        a, b, holder, blocked, scored = soccer.step_many(
+            DEFAULT_CONFIG, np.array([index(s.pos_a) for s, _, _ in joint]),
+            np.array([index(s.pos_b) for s, _, _ in joint]),
+            np.array([soccer.PLAYERS.index(s.ball) for s, _, _ in joint]),
+            np.array([aa for _, aa, _ in joint]), np.array([ab for _, _, ab in joint]))
+        for i, (state, aa, ab) in enumerate(joint):
+            ra, rb, ball, _, reward, _ = reference_step(
+                state.pos_a, state.pos_b, state.ball, state.step, aa, ab)
+            assert (DEFAULT_CONFIG.cells[a[i]], DEFAULT_CONFIG.cells[b[i]]) == (ra, rb)
+            assert soccer.PLAYERS[holder[i]] == ball
+            assert blocked[i] == (ball != state.ball)
+            assert scored[i] == (reward != 0.0)
+
     def test_invariants_over_random_rollouts(self):
         rng = np.random.default_rng(8)
         for _ in range(300):
@@ -181,6 +201,113 @@ class TestMoveTable:
     def test_table_is_cached(self):
         config = SoccerConfig(width=7, height=4)
         assert config.move_targets is config.move_targets
+
+
+FIELDS = [DEFAULT_CONFIG, SoccerConfig(width=5, height=4), SoccerConfig(width=11, height=8)]
+
+
+@pytest.mark.parametrize("config", FIELDS, ids=lambda c: f"{c.width}x{c.height}")
+class TestRuleTables:
+    """Every entry of the rule tables against the per-call scoring rules of
+    `soccer_reference`."""
+
+    def test_move_targets(self, config):
+        for cell in config.cells:
+            want = [config.index(t) for t in ref.move_targets(config, cell)]
+            assert config.move_table[config.index(cell)].tolist() == want
+            assert list(config.move_targets[cell]) == ref.move_targets(config, cell)
+
+    def test_tie_sets(self, config):
+        counts, choices = config.tie_sets
+        assert counts.dtype == choices.dtype == np.int8
+        for m, mode in enumerate(soccer.MODES):
+            for p, player in enumerate(soccer.PLAYERS):
+                for own in config.cells:
+                    for other in config.cells:
+                        for has_ball in (0, 1):
+                            key = (m, p, config.index(own), config.index(other), has_ball)
+                            want = ref.rule_choices(config, mode, player, own, other, has_ball)
+                            assert counts[key] == len(want)
+                            assert choices[key][:len(want)].tolist() == want
+
+    def test_categories(self, config):
+        assert config.categories.dtype == np.int8
+        for p, mover in enumerate(soccer.PLAYERS):
+            for pos in config.cells:
+                for action in range(len(ACTIONS)):
+                    for other in config.cells:
+                        got = config.categories[p, config.index(pos), action, config.index(other)]
+                        want = ref.classify(config, mover, pos, action, other)
+                        assert soccer.MOVE_CATEGORIES[got] == want
+
+    def test_features_bit_for_bit(self, config):
+        for pos, other in zip(config.cells, config.cells[::-1]):
+            for ball in ("A", "B"):
+                for perspective in soccer.PLAYERS:
+                    state = SoccerState(pos, other, ball)
+                    opposite = "B" if perspective == "A" else "A"
+                    want = ref.features(config, state.position(perspective),
+                                        state.position(opposite), ball == perspective,
+                                        config.own_goal_of(perspective),
+                                        config.goal_for(perspective))
+                    got = featurize_state(state, config, perspective)
+                    assert got.tobytes() == want.tobytes()
+
+    def test_start_cells(self, config):
+        half = config.width // 2
+        goals = set(config.left_goal) | set(config.right_goal)
+        for side, cols in zip(config.start_cells,
+                              (range(half), range(config.width - half, config.width))):
+            assert list(side) == [(c, r) for c in cols for r in range(config.height)
+                                  if config.playable((c, r)) and (c, r) not in goals]
+
+    def test_under_one_megabyte(self, config):
+        tables = (config.move_table, config.goal_mask, config.categories, *config.tie_sets,
+                  *config.feature_rows)
+        assert sum(t.nbytes for t in tables) < 2 ** 20
+
+
+class TestRuleAgentDraws:
+    def test_draws_only_on_a_tie(self):
+        # the same move and the same stream position as drawing among the
+        # reference's choices, and nothing drawn when there is one choice
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            state = random_legal_state(rng)
+            for mode in soccer.MODES:
+                for player in soccer.PLAYERS:
+                    other = "B" if player == "A" else "A"
+                    choices = ref.rule_choices(DEFAULT_CONFIG, mode, player,
+                                               state.position(player), state.position(other),
+                                               state.ball == player)
+                    seed = int(rng.integers(0, 2 ** 31))
+                    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                    got = rule_agent_act(state, mode, got_rng, player=player)
+                    want = choices[0] if len(choices) == 1 else choices[
+                        int(want_rng.integers(0, len(choices)))]
+                    assert got == want
+                    assert got_rng.random() == want_rng.random()
+
+
+class TestRuleAgentMany:
+    @pytest.mark.parametrize("player", soccer.PLAYERS)
+    def test_equals_one_game_at_a_time(self, player):
+        # the same moves, and each game's stream left where one-game play leaves it
+        rng = np.random.default_rng(12)
+        states = [random_legal_state(rng) for _ in range(400)]
+        modes = [soccer.MODES[int(rng.integers(0, 2))] for _ in states]
+        other = "B" if player == "A" else "A"
+        index = DEFAULT_CONFIG.index
+        many_rngs = [np.random.default_rng([5, i]) for i in range(len(states))]
+        got = soccer.rule_agent_many(
+            DEFAULT_CONFIG, np.array([soccer.MODES.index(m) for m in modes]), player,
+            np.array([index(s.position(player)) for s in states]),
+            np.array([index(s.position(other)) for s in states]),
+            np.array([int(s.ball == player) for s in states]), many_rngs)
+        for i, (state, mode) in enumerate(zip(states, modes)):
+            one = np.random.default_rng([5, i])
+            assert got[i] == rule_agent_act(state, mode, one, player=player)
+            assert many_rngs[i].random() == one.random()
 
 
 class TestFeaturize:
@@ -324,7 +451,7 @@ class TestRuleAgent:
         rng = np.random.default_rng(1)
         action = rule_agent_act(state, "defensive", rng, player="B")
         target = DEFAULT_CONFIG.move_targets[5, 5][action]
-        assert soccer.manhattan(target, (7, 2)) < soccer.manhattan((5, 5), (7, 2))
+        assert ref.manhattan(target, (7, 2)) < ref.manhattan((5, 5), (7, 2))
 
     def test_defensive_never_enters_own_goal_with_ball(self):
         rng = np.random.default_rng(2)
