@@ -69,9 +69,16 @@ class ExperimentConfig:
                                      keys=("gamma",))
         if not self.seeds:
             raise ConfigurationError("at least one seed is required", keys=("seeds",))
-        if self.learning_rate <= 0.0:
+        # a repeated seed is one run counted twice, which narrows the interval
+        repeated = sorted({seed for seed in self.seeds if self.seeds.count(seed) > 1})
+        if repeated:
             raise ConfigurationError(
-                f"learning_rate must be positive, got {self.learning_rate}",
+                f"seeds must be distinct, got {', '.join(map(str, repeated))} more than once",
+                keys=("seeds",))
+        # a nan or inf rate would make every update non-finite
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ConfigurationError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}",
                 keys=("learning_rate",))
         for key in ("batch_size", "target_sync", "replay_capacity", "opponent_pool",
                     "epsilon_decay_steps"):
@@ -114,9 +121,9 @@ class ExperimentConfig:
         if self.epsilon_start > 1.0:
             raise ConfigurationError(f"epsilon_start must be <= 1, got {self.epsilon_start}",
                                      keys=("epsilon_start",))
-        if not self.multitask_weight >= 0.0:
+        if not (math.isfinite(self.multitask_weight) and self.multitask_weight >= 0.0):
             raise ConfigurationError(
-                f"multitask_weight must be >= 0, got {self.multitask_weight}",
+                f"multitask_weight must be finite and >= 0, got {self.multitask_weight}",
                 keys=("multitask_weight",))
         # np.clip with min > max returns max, so a negative clip would set
         # every gradient to -grad_clip

@@ -13,27 +13,32 @@ checkpoint stores as `env.<key>` lines; loading reads them back through the
 config's parser and rules, so a bad line fails there naming itself. Greedy
 evaluation has one path, `_evaluate`, fed that dict: a run's per-epoch
 evaluation and a later `evaluate` of its checkpoint play the same games.
-Soccer games share nothing, so `evaluate_soccer` plays them in
-lockstep over integer arrays: the games still running are rows of cell
-indices, ball holder, opponent mode and opponent tallies, and each step is
-one batched Q-value call plus lookups into the rule tables of
+A soccer game has one state format everywhere: `soccer.SoccerState`'s
+cell indices and ball holder, with the opponent mode and move category as
+table indices, so `SoccerDriver` hands the mode or category index on as the
+multitask supervision as it comes. Soccer games share nothing, so
+`evaluate_soccer` plays them in lockstep: the games still running are
+arrays of those same fields plus the opponent tallies, and each step is one
+batched Q-value call plus lookups into the rule tables of
 `soccer.SoccerConfig`, the same tables `SoccerDriver` reads one game at a
 time. Each game keeps its own random stream, and an opponent tie is broken
 by a draw from that stream, game by game in game order, so the games are
 those of one-by-one play; a batched forward can differ from a one-row
 forward by up to 1e-15 (numpy uses gemm for a batch and gemv for one row),
-which has not been seen to change a greedy action. Training keeps the
-one-game `SoccerDriver`: for a single game, the thirty-odd numpy calls of an
-array step cost more than a scalar step's table lookups. Quiz games see the
-buzz histories of the games before them and are played one at a time. A
-quiz game stops calling the agent at its lockout: once a wrong buzz has
-locked the agent out it has no decision left, so `QuizDriver.finish`
-settles the game from the opponent's pre-drawn buzz, with the reward and
-history update that word-by-word play would give. The words it skips would
-only draw beliefs from the game's own stream, which nothing reads after the
-game, so the summaries and trace rows are those of word-by-word play.
-Training still steps every word: it learns from the transitions after a
-lockout.
+which has not been seen to change a greedy action. Training plays one game,
+so `SoccerDriver` keeps the scalar one-game functions: stepping one game
+through the array forms was measured at about 52 µs per step against 12 µs
+(the `soccer` module says what that leaves written twice).
+
+Quiz games see the buzz histories of the games before them and are played
+one at a time. A quiz game stops calling the agent at its lockout: once a
+wrong buzz has locked the agent out it has no decision left, so
+`QuizDriver.finish` settles the game from the opponent's pre-drawn buzz,
+with the reward and history update that word-by-word play would give. The
+words it skips would only draw beliefs from the game's own stream, which
+nothing reads after the game, so the summaries and trace rows are those of
+word-by-word play. Training still steps every word: it learns from the
+transitions after a lockout.
 
 Determinism contract: (config, seed) fully determine every CSV byte and
 checkpoint parameter. All random streams derive from the run seed via named
@@ -155,20 +160,20 @@ class SoccerDriver:
         self._observe()
 
     def _observe(self) -> None:
-        self.obs = (soccer.featurize_state(self.state, self.cfg, "A"),
+        self.obs = (soccer.featurize_state(self.state, self.cfg, 0),
                     soccer.opponent_features(self.stats))
 
     def step(self, action: int) -> Tuple[float, bool, StepInfo]:
-        action_b = soccer.rule_agent_act(self.state, self.mode, self.rng, self.cfg, "B")
-        category = soccer.classify_move(self.state, action_b, self.cfg, "B")
-        self.state, reward, done, events = soccer.step(self.state, action, action_b, self.cfg)
-        self.stats.observe(category, action_b, lost_ball=events.ball_taken_by == "B")
+        action_b = soccer.rule_agent_act(self.state, self.mode, self.rng, self.cfg, 1)
+        category = soccer.classify_move(self.state, action_b, self.cfg, 1)
+        self.state, reward, done, blocked = soccer.step(self.state, action, action_b, self.cfg)
+        self.stats.observe(category, action_b, lost_ball=blocked and self.state.holder == 1)
         self._observe()
         supervision = None
         if self.multitask == "type":
-            supervision = soccer.MODES.index(self.mode)
+            supervision = self.mode
         elif self.multitask == "action":
-            supervision = soccer.MOVE_CATEGORIES.index(category)
+            supervision = category
         return reward, done, StepInfo(supervision)
 
 
@@ -278,28 +283,28 @@ def evaluate_soccer(agent: Agent, opponent: str, n_games: int, seed: int,
     """Greedy play of `n_games` games in lockstep. Game g draws from its own
     stream `default_rng([seed, g])`: first its start (`soccer.reset`), then
     one `integers(0, count)` each time its opponent has `count` > 1 best
-    moves. The games still running are held as integer arrays (both cells,
-    the ball holder, the opponent mode, and the opponent's tallies in
-    `soccer.OpponentTallies`). Each step gathers the state features from
-    `feature_rows`, makes one batched `agent.q_values` call, looks up the
-    opponent's moves (`soccer.rule_agent_many`, which draws the tie-breaks
-    game by game in game order) and their categories, and resolves the
-    moves, blocks and goals (`soccer.step_many`) as array operations on the
-    config's tables; finished games are dropped, and the games left after
-    `soccer.HORIZON` steps are ties. The
-    games and draws are those of one-by-one play with `SoccerDriver`; a
-    batched forward differs from a one-row forward by up to 1e-15 (gemm
-    against gemv), which has not been seen to move an argmax. `render`
-    rebuilds each game's `SoccerState` after every step and prints the
-    boards game by game once all games are over."""
+    moves. The games still running are held as integer arrays of their
+    `SoccerState` fields (both cells and the ball holder), the opponent
+    mode, and the opponent's tallies in `soccer.OpponentTallies`. Each step
+    gathers the state features from `feature_rows`, makes one batched
+    `agent.q_values` call, looks up the opponent's moves
+    (`soccer.rule_agent_many`, which draws the tie-breaks game by game in
+    game order) and their categories, and resolves the moves, blocks and
+    goals (`soccer.step_many`) as array operations on the config's tables;
+    finished games are dropped, and the games left after `soccer.HORIZON`
+    steps are ties. The games and draws are those of one-by-one play with
+    `SoccerDriver`; a batched forward differs from a one-row forward by up
+    to 1e-15 (gemm against gemv), which has not been seen to move an argmax.
+    `render` rebuilds each game's `SoccerState` after every step and prints
+    the boards game by game once all games are over."""
     cfg = soccer.DEFAULT_CONFIG
     own_rows, other_rows = cfg.feature_rows
     rngs = [np.random.default_rng([seed, game]) for game in range(n_games)]
     starts = [soccer.reset(cfg, rng, opponent) for rng in rngs]
-    a = np.array([cfg.index(state.pos_a) for state, _ in starts])
-    b = np.array([cfg.index(state.pos_b) for state, _ in starts])
-    holder = np.array([soccer.PLAYERS.index(state.ball) for state, _ in starts])  # 0: A
-    mode = np.array([soccer.MODES.index(mode) for _, mode in starts])
+    a = np.array([state.cell_a for state, _ in starts])
+    b = np.array([state.cell_b for state, _ in starts])
+    holder = np.array([state.holder for state, _ in starts])  # 0: A
+    mode = np.array([mode for _, mode in starts])
     games = np.arange(n_games)  # the games still running
     tallies = soccer.OpponentTallies(n_games)
     frames: List[List[str]] = [[] for _ in range(n_games)]
@@ -307,16 +312,13 @@ def evaluate_soccer(agent: Agent, opponent: str, n_games: int, seed: int,
     for _ in range(soccer.HORIZON):
         phi_s = own_rows[0, a, 1 - holder] + other_rows[b]  # A's view: A holds if holder is 0
         action_a = agent.q_values(phi_s, tallies.features()).argmax(axis=1)
-        action_b = soccer.rule_agent_many(cfg, mode, "B", b, a, holder, rngs)
-        category = cfg.categories[soccer.PLAYERS.index("B"), b, action_b, a]
+        action_b = soccer.rule_agent_many(cfg, mode, 1, b, a, holder, rngs)
+        category = cfg.categories[1, b, action_b, a]
         a, b, holder, blocked, scored = soccer.step_many(cfg, a, b, holder, action_a, action_b)
         tallies.observe(category, action_b, blocked & (holder == 1))
         if render:
-            for game, cell_a, cell_b, ball in zip(games.tolist(), a.tolist(), b.tolist(),
-                                                  holder.tolist()):
-                state = soccer.SoccerState(cfg.cells[cell_a], cfg.cells[cell_b],
-                                           soccer.PLAYERS[ball])
-                frames[game].append(soccer.render(state, cfg))
+            for game, *state in zip(games.tolist(), a.tolist(), b.tolist(), holder.tolist()):
+                frames[game].append(soccer.render(soccer.SoccerState(*state), cfg))
         if scored.any():
             rewards[games[scored]] = np.where(holder[scored] == 0, 1.0, -1.0)
             running = ~scored
@@ -371,7 +373,7 @@ def evaluate_quiz(agent: Agent, opponent: str, n_games: int, seed: int,
             action = int(np.argmax(agent.q_values(*driver.obs)))
             record = qb.StepRecord(
                 t=state.t, belief_was_correct=qb.belief_correct(state),
-                agent_action=action, agent_had_buzzed=False,
+                agent_had_buzzed=False,
             )
             trace.steps.append(record)
             if action == qb.BUZZ:

@@ -325,7 +325,6 @@ def dqnself_reward(buzz: bool, prediction_correct: bool) -> float:
 class StepRecord:
     t: int
     belief_was_correct: bool
-    agent_action: int
     agent_had_buzzed: bool  # before this decision
 
 

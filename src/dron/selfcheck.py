@@ -167,7 +167,7 @@ def run_selfcheck(verbose: bool = True) -> bool:
                 state, reward, done, _ = soccer.step(
                     state, int(rng.integers(0, 5)), int(rng.integers(0, 5))
                 )
-                if state.pos_a == state.pos_b or state.ball not in ("A", "B"):
+                if state.cell_a == state.cell_b or state.holder not in (0, 1):
                     return False
                 if done:
                     if reward not in (-1.0, 0.0, 1.0) or state.step > soccer.HORIZON:

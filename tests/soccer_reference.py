@@ -67,12 +67,23 @@ def goal_distance(cell, goal):
     return min(manhattan(cell, g) for g in goal)
 
 
+def cells(config):
+    """Every cell of the grid, column by column."""
+    return [(c, r) for c in range(config.width) for r in range(config.height)]
+
+
+def playable(config, cell):
+    """On the grid and not shaded."""
+    col, row = cell
+    return 0 <= col < config.width and 0 <= row < config.height and cell not in config.shaded
+
+
 def move_targets(config, cell):
     """The cell each of the 5 actions leads to from `cell`."""
     targets = []
     for dc, dr in DELTAS:
         t = (cell[0] + dc, cell[1] + dr)
-        targets.append(t if config.playable(t) else cell)
+        targets.append(t if playable(config, t) else cell)
     return targets
 
 

@@ -55,6 +55,12 @@ class TestValues:
     def test_seed_list(self):
         assert parse_config("seeds=3, 5, 8").seeds == (3, 5, 8)
 
+    def test_repeated_seeds_named(self):
+        # one run counted twice would give a confidence interval it has not earned
+        with pytest.raises(ConfigurationError,
+                           match=r"^line 1: seeds must be distinct, got 1, 5 more than once$"):
+            parse_config("seeds=5, 1, 8, 1, 5")
+
     def test_opponent_env_cross_check(self):
         with pytest.raises(ConfigurationError):
             parse_config("environment=soccer\nopponent=type2")
@@ -88,6 +94,11 @@ BAD_VALUES = [
     pytest.param("grad_clip=0", "grad_clip", 1, id="grad_clip_zero"),
     pytest.param("agent=dron_moe\nmultitask_weight=-1",
                  "multitask_weight", 2, id="multitask_weight"),
+    pytest.param("agent=dron_moe\nmultitask_weight=inf",
+                 "multitask_weight", 2, id="multitask_weight_inf"),
+    pytest.param("epochs=2\nlearning_rate=nan", "learning_rate", 2, id="learning_rate_nan"),
+    pytest.param("learning_rate=inf", "learning_rate", 1, id="learning_rate_inf"),
+    pytest.param("epochs=2\nseeds=3,3,3", "seeds", 2, id="seeds_repeated"),
     pytest.param("epsilon_decay_steps=0", "epsilon_decay_steps", 1, id="epsilon_decay_steps"),
     pytest.param("epochs=2\nepsilon_start=1.5", "epsilon_start", 2, id="epsilon_start"),
     pytest.param("environment=quizbowl\nbelief_alpha=-5",

@@ -310,7 +310,7 @@ def per_word_quiz(agent, opponent, n_games, seed, quiz_cfg,
             action = int(np.argmax(agent.q_values(*driver.obs)))
             record = qb.StepRecord(
                 t=state.t, belief_was_correct=qb.belief_correct(state),
-                agent_action=action, agent_had_buzzed=state.agent_locked,
+                agent_had_buzzed=state.agent_locked,
             )
             trace.steps.append(record)
             if action == qb.BUZZ and not state.agent_locked:

@@ -1,6 +1,8 @@
 """Every name a module under src/dron imports is used in that module, every
-parameter a function there takes is read in its body, and every public
-function or class defined there is used by some module there.
+parameter a function there takes is read in its body, every public
+function or class defined there is used by some module there, and every
+public method, property or dataclass field of a class there is read by some
+module there.
 
 Neither pyflakes nor ruff is a dependency, so this walks the syntax tree.
 """
@@ -116,3 +118,63 @@ def test_detects_an_unused_definition():
     }
     # importing a name is not a use of it
     assert unused_definitions(sources) == ["a.Unused", "a.unused"]
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def unused_members(sources):
+    """``module.Class.name`` for each public method, property or dataclass
+    field of a class in ``sources`` (module name -> source text) whose name
+    no source reads. A read is a name or an attribute in a load; a store,
+    such as a keyword argument or an assignment, is not."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = node.name
+                elif (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                      and _is_dataclass(cls)):
+                    name = node.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    defined.append(f"{module}.{cls.name}.{name}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(name for name in defined if name.rpartition(".")[2] not in read)
+
+
+# public class members that nothing under src/dron reads, each kept for a reason
+KEEP_UNREAD_MEMBERS = {}
+
+
+def test_every_class_member_is_read():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    assert unused_members(sources) == sorted(KEEP_UNREAD_MEMBERS)
+
+
+def test_detects_an_unread_member():
+    sources = {
+        "a": ("from dataclasses import dataclass\n"
+              "@dataclass\nclass Record:\n    read: int\n    stored: int\n"
+              "    _private: int = 0\n"
+              "    def method(self):\n        return self.read\n"
+              "    @property\n    def unread(self):\n        return 1\n"
+              "class Plain:\n    annotated: int\n    def called(self):\n        pass\n"),
+        "b": ("from .a import Record, Plain\n"
+              "r = Record(read=1, stored=2)\nr.stored = 3\nr.method()\nPlain().called()\n"),
+    }
+    # a keyword argument and an assignment store a field without reading it;
+    # an annotation outside a dataclass is not a field
+    assert unused_members(sources) == ["a.Record.stored", "a.Record.unread"]

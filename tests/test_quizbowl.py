@@ -323,7 +323,7 @@ class TestDqnSelfReward:
 class TestScoreEpisode:
     def test_correct_buzz_clean(self):
         trace = EpisodeTrace(
-            steps=[StepRecord(5, True, BUZZ, False)],
+            steps=[StepRecord(5, True, False)],
             total_reward=10.0, agent_buzzed=True, agent_buzz_correct=True,
             completed=True,
         )
@@ -331,7 +331,7 @@ class TestScoreEpisode:
 
     def test_wrong_buzz_is_rush(self):
         trace = EpisodeTrace(
-            steps=[StepRecord(3, False, BUZZ, False)],
+            steps=[StepRecord(3, False, False)],
             total_reward=-5.0, agent_buzzed=True, agent_buzz_correct=False,
             completed=True,
         )
@@ -339,7 +339,7 @@ class TestScoreEpisode:
         assert rush
 
     def test_waiting_past_correct_belief_is_miss(self):
-        steps = [StepRecord(t, t >= 10, WAIT, False) for t in range(40)]
+        steps = [StepRecord(t, t >= 10, False) for t in range(40)]
         trace = EpisodeTrace(steps=steps, total_reward=-10.0,
                              agent_buzzed=False, agent_buzz_correct=False,
                              completed=True)

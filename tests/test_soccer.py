@@ -1,4 +1,5 @@
 import math
+from typing import NamedTuple, Tuple
 
 import numpy as np
 import pytest
@@ -23,28 +24,43 @@ import soccer_reference as ref
 from soccer_reference import reference_move, reference_step
 
 A_N, A_S, A_E, A_W, A_STAND = range(5)
+OFFENSIVE, DEFENSIVE = range(2)  # MODES indices
+index = DEFAULT_CONFIG.index
 
 
-def random_legal_state(rng, allow_near_goal=True):
-    cells = [
-        (c, r)
-        for c in range(DEFAULT_CONFIG.width)
-        for r in range(DEFAULT_CONFIG.height)
-        if DEFAULT_CONFIG.playable((c, r))
-    ]
+def state_at(pos_a, pos_b, ball, step=0, done=False, config=DEFAULT_CONFIG):
+    """The SoccerState of two (col, row) cells and a ball holder "A" or "B"."""
+    return SoccerState(config.index(pos_a), config.index(pos_b), "AB".index(ball), step, done)
+
+
+class Position(NamedTuple):
+    """A game in the reference's terms: (col, row) cells and "A" or "B"."""
+
+    pos_a: Tuple[int, int]
+    pos_b: Tuple[int, int]
+    ball: str
+    step: int = 0
+
+    def of(self, player):
+        return self.pos_a if player == "A" else self.pos_b
+
+    def state(self, config=DEFAULT_CONFIG):
+        return state_at(self.pos_a, self.pos_b, self.ball, self.step, config=config)
+
+
+def random_position(rng):
+    cells = [c for c in ref.cells(DEFAULT_CONFIG) if ref.playable(DEFAULT_CONFIG, c)]
     while True:
         pa = cells[int(rng.integers(0, len(cells)))]
         pb = cells[int(rng.integers(0, len(cells)))]
         if pa == pb:
             continue
         ball = "A" if rng.random() < 0.5 else "B"
-        state = SoccerState(pos_a=pa, pos_b=pb, ball=ball,
-                            step=int(rng.integers(0, 99)))
+        position = Position(pa, pb, ball, int(rng.integers(0, 99)))
         # skip states that are already terminal positions
-        holder_pos = state.position(ball)
-        if holder_pos in DEFAULT_CONFIG.goal_for(ball):
+        if position.of(ball) in DEFAULT_CONFIG.goal_for(ball):
             continue
-        return state
+        return position
 
 
 class TestGeometry:
@@ -60,20 +76,20 @@ class TestReset:
     def test_ball_owner_balanced(self):
         rng = np.random.default_rng(0)
         n = 10_000
-        to_a = sum(reset(DEFAULT_CONFIG, rng)[0].ball == "A" for _ in range(n))
+        to_a = sum(reset(DEFAULT_CONFIG, rng)[0].holder == 0 for _ in range(n))
         sigma = math.sqrt(n * 0.25)
         assert abs(to_a - n / 2) <= 3 * sigma
 
     def test_never_on_shaded_or_goal(self):
         rng = np.random.default_rng(1)
         goals = set(DEFAULT_CONFIG.left_goal) | set(DEFAULT_CONFIG.right_goal)
+        free = [c for c in ref.cells(DEFAULT_CONFIG)
+                if c not in DEFAULT_CONFIG.shaded and c not in goals]
+        left = {index(c) for c in free if c[0] <= 3}
+        right = {index(c) for c in free if c[0] >= 5}
         for _ in range(2000):
             state, _ = reset(DEFAULT_CONFIG, rng)
-            for pos in (state.pos_a, state.pos_b):
-                assert pos not in DEFAULT_CONFIG.shaded
-                assert pos not in goals
-            assert state.pos_a[0] <= 3 and state.pos_b[0] >= 5
-            assert state.pos_a != state.pos_b
+            assert state.cell_a in left and state.cell_b in right
 
     def test_deterministic(self):
         a = reset(DEFAULT_CONFIG, np.random.default_rng(42))
@@ -83,84 +99,87 @@ class TestReset:
 
 class TestStep:
     def test_both_stand(self):
-        state = SoccerState((2, 2), (6, 3), "A", step=5)
-        nxt, reward, done, _ = step(state, A_STAND, A_STAND)
-        assert (nxt.pos_a, nxt.pos_b) == ((2, 2), (6, 3))
-        assert nxt.step == 6 and reward == 0.0 and not done
+        state = state_at((2, 2), (6, 3), "A", step=5)
+        nxt, reward, done, blocked = step(state, A_STAND, A_STAND)
+        assert nxt == state_at((2, 2), (6, 3), "A", step=6)
+        assert reward == 0.0 and not done and not blocked
 
     def test_collision_transfers_ball(self):
-        state = SoccerState((3, 2), (5, 2), "A")
-        nxt, _, done, events = step(state, A_E, A_W)  # both into (4, 2)
-        assert (nxt.pos_a, nxt.pos_b) == ((3, 2), (5, 2))
-        assert nxt.ball == "B" and events.collision and not done
+        state = state_at((3, 2), (5, 2), "A")
+        nxt, _, done, blocked = step(state, A_E, A_W)  # both into (4, 2)
+        assert nxt == state_at((3, 2), (5, 2), "B", step=1)
+        assert blocked and not done
 
     def test_swap_blocked(self):
-        state = SoccerState((3, 2), (4, 2), "B")
-        nxt, _, _, events = step(state, A_E, A_W)
-        assert (nxt.pos_a, nxt.pos_b) == ((3, 2), (4, 2))
-        assert nxt.ball == "A" and events.collision
+        state = state_at((3, 2), (4, 2), "B")
+        nxt, _, _, blocked = step(state, A_E, A_W)
+        assert nxt == state_at((3, 2), (4, 2), "A", step=1)
+        assert blocked
 
     def test_move_onto_standing_player(self):
-        state = SoccerState((3, 2), (4, 2), "B")
-        nxt, _, _, events = step(state, A_E, A_STAND)
-        assert (nxt.pos_a, nxt.pos_b) == ((3, 2), (4, 2))
-        assert nxt.ball == "A" and events.collision
+        state = state_at((3, 2), (4, 2), "B")
+        nxt, _, _, blocked = step(state, A_E, A_STAND)
+        assert nxt == state_at((3, 2), (4, 2), "A", step=1)
+        assert blocked
 
     def test_goal_scores(self):
-        state = SoccerState((7, 2), (1, 5), "A")
-        nxt, reward, done, events = step(state, A_E, A_STAND)
-        assert reward == 1.0 and done and events.goal_by == "A"
-        assert nxt.pos_a == (8, 2)
+        state = state_at((7, 2), (1, 5), "A")
+        nxt, reward, done, blocked = step(state, A_E, A_STAND)
+        assert reward == 1.0 and done and not blocked
+        assert nxt == state_at((8, 2), (1, 5), "A", step=1, done=True)
+
+    def test_goal_after_a_block(self):
+        # B takes the ball by blocking while standing on the goal it attacks
+        state = state_at((1, 2), (0, 2), "A")
+        nxt, reward, done, blocked = step(state, A_W, A_STAND)
+        assert reward == -1.0 and done and blocked
+        assert nxt == state_at((1, 2), (0, 2), "B", step=1, done=True)
 
     def test_timeout_tie(self):
-        state = SoccerState((2, 2), (6, 3), "A", step=99)
-        _, reward, done, events = step(state, A_STAND, A_STAND)
-        assert reward == 0.0 and done and events.timeout
+        state = state_at((2, 2), (6, 3), "A", step=99)
+        nxt, reward, done, _ = step(state, A_STAND, A_STAND)
+        assert reward == 0.0 and done and nxt.done
 
     def test_invalid_move_becomes_stand(self):
-        state = SoccerState((1, 0), (6, 3), "A")
+        state = state_at((1, 0), (6, 3), "A")
         nxt, _, _, _ = step(state, A_N, A_STAND)  # off the top edge
-        assert nxt.pos_a == (1, 0)
+        assert nxt.cell_a == index((1, 0))
 
     def test_step_after_done_raises(self):
-        state = SoccerState((2, 2), (6, 3), "A", step=5, done=True)
+        state = state_at((2, 2), (6, 3), "A", step=5, done=True)
         with pytest.raises(UsageError):
             step(state, A_STAND, A_STAND)
 
     def test_matches_reference_on_random_states(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
-            state = random_legal_state(rng)
+            position = random_position(rng)
             for aa in range(5):
                 for ab in range(5):
-                    nxt, reward, done, _ = step(state, aa, ab)
-                    ra, rb, ball, cnt, ref_reward, ref_done = reference_step(
-                        state.pos_a, state.pos_b, state.ball, state.step, aa, ab
-                    )
-                    assert (nxt.pos_a, nxt.pos_b, nxt.ball, nxt.step) == (ra, rb, ball, cnt)
+                    nxt, reward, done, blocked = step(position.state(), aa, ab)
+                    ra, rb, ball, cnt, ref_reward, ref_done = reference_step(*position, aa, ab)
+                    assert nxt == state_at(ra, rb, ball, cnt, ref_done)
                     assert reward == ref_reward and done == ref_done
+                    assert blocked == (ball != position.ball)
 
     def test_many_matches_reference(self):
         # every joint move from 200 random states, as one batch
         rng = np.random.default_rng(9)
-        states = [random_legal_state(rng) for _ in range(200)]
-        joint = [(state, aa, ab) for state in states for aa in range(5) for ab in range(5)]
-        index = DEFAULT_CONFIG.index
+        positions = [random_position(rng) for _ in range(200)]
+        joint = [(p.state(), aa, ab) for p in positions for aa in range(5) for ab in range(5)]
         a, b, holder, blocked, scored = soccer.step_many(
-            DEFAULT_CONFIG, np.array([index(s.pos_a) for s, _, _ in joint]),
-            np.array([index(s.pos_b) for s, _, _ in joint]),
-            np.array([soccer.PLAYERS.index(s.ball) for s, _, _ in joint]),
-            np.array([aa for _, aa, _ in joint]), np.array([ab for _, _, ab in joint]))
-        for i, (state, aa, ab) in enumerate(joint):
-            ra, rb, ball, _, reward, _ = reference_step(
-                state.pos_a, state.pos_b, state.ball, state.step, aa, ab)
-            assert (DEFAULT_CONFIG.cells[a[i]], DEFAULT_CONFIG.cells[b[i]]) == (ra, rb)
-            assert soccer.PLAYERS[holder[i]] == ball
-            assert blocked[i] == (ball != state.ball)
+            DEFAULT_CONFIG, *(np.array(column) for column in zip(
+                *((s.cell_a, s.cell_b, s.holder, aa, ab) for s, aa, ab in joint))))
+        want = [reference_step(*p, aa, ab) for p in positions
+                for aa in range(5) for ab in range(5)]
+        for i, (ra, rb, ball, _, reward, _) in enumerate(want):
+            assert (a[i], b[i], holder[i]) == (index(ra), index(rb), "AB".index(ball))
+            assert blocked[i] == (ball != positions[i // 25].ball)
             assert scored[i] == (reward != 0.0)
 
     def test_invariants_over_random_rollouts(self):
         rng = np.random.default_rng(8)
+        shaded = {index(c) for c in DEFAULT_CONFIG.shaded}
         for _ in range(300):
             state, _ = reset(DEFAULT_CONFIG, rng)
             steps = 0
@@ -168,10 +187,9 @@ class TestStep:
                 nxt, reward, done, _ = step(state, int(rng.integers(0, 5)),
                                             int(rng.integers(0, 5)))
                 steps += 1
-                assert nxt.pos_a != nxt.pos_b
-                assert nxt.pos_a not in DEFAULT_CONFIG.shaded
-                assert nxt.pos_b not in DEFAULT_CONFIG.shaded
-                assert nxt.ball in ("A", "B")
+                assert nxt.cell_a != nxt.cell_b
+                assert nxt.cell_a not in shaded and nxt.cell_b not in shaded
+                assert nxt.holder in (0, 1)
                 if done:
                     assert reward in (-1.0, 0.0, 1.0)
                     assert steps <= 100
@@ -182,11 +200,12 @@ class TestStep:
 
 class TestMoveTable:
     def test_default_field_matches_reference(self):
-        table = DEFAULT_CONFIG.move_targets
-        cells = [(c, r) for c in range(DEFAULT_CONFIG.width) for r in range(DEFAULT_CONFIG.height)]
-        assert sorted(table) == sorted(cells)
+        table = DEFAULT_CONFIG.move_table
+        cells = ref.cells(DEFAULT_CONFIG)
+        assert table.shape == (len(cells), len(ACTIONS))
         for cell in cells:
-            assert table[cell] == tuple(reference_move(cell, a) for a in range(len(ACTIONS)))
+            assert table[index(cell)].tolist() == [index(reference_move(cell, a))
+                                                   for a in range(len(ACTIONS))]
 
     @pytest.mark.parametrize("width,height", [(5, 4), (11, 8)])
     def test_other_fields_match_delta_and_playable(self, width, height):
@@ -195,12 +214,12 @@ class TestMoveTable:
             for row in range(height):
                 for action, (dc, dr) in enumerate(soccer.ACTION_DELTAS):
                     target = (col + dc, row + dr)
-                    want = target if config.playable(target) else (col, row)
-                    assert config.move_targets[col, row][action] == want
+                    want = target if ref.playable(config, target) else (col, row)
+                    assert config.move_table[config.index((col, row)), action] == config.index(want)
 
     def test_table_is_cached(self):
         config = SoccerConfig(width=7, height=4)
-        assert config.move_targets is config.move_targets
+        assert config.move_table is config.move_table
 
 
 FIELDS = [DEFAULT_CONFIG, SoccerConfig(width=5, height=4), SoccerConfig(width=11, height=8)]
@@ -212,18 +231,17 @@ class TestRuleTables:
     `soccer_reference`."""
 
     def test_move_targets(self, config):
-        for cell in config.cells:
+        for cell in ref.cells(config):
             want = [config.index(t) for t in ref.move_targets(config, cell)]
             assert config.move_table[config.index(cell)].tolist() == want
-            assert list(config.move_targets[cell]) == ref.move_targets(config, cell)
 
     def test_tie_sets(self, config):
         counts, choices = config.tie_sets
         assert counts.dtype == choices.dtype == np.int8
         for m, mode in enumerate(soccer.MODES):
             for p, player in enumerate(soccer.PLAYERS):
-                for own in config.cells:
-                    for other in config.cells:
+                for own in ref.cells(config):
+                    for other in ref.cells(config):
                         for has_ball in (0, 1):
                             key = (m, p, config.index(own), config.index(other), has_ball)
                             want = ref.rule_choices(config, mode, player, own, other, has_ball)
@@ -233,24 +251,25 @@ class TestRuleTables:
     def test_categories(self, config):
         assert config.categories.dtype == np.int8
         for p, mover in enumerate(soccer.PLAYERS):
-            for pos in config.cells:
+            for pos in ref.cells(config):
                 for action in range(len(ACTIONS)):
-                    for other in config.cells:
+                    for other in ref.cells(config):
                         got = config.categories[p, config.index(pos), action, config.index(other)]
                         want = ref.classify(config, mover, pos, action, other)
                         assert soccer.MOVE_CATEGORIES[got] == want
 
     def test_features_bit_for_bit(self, config):
-        for pos, other in zip(config.cells, config.cells[::-1]):
+        cells = ref.cells(config)
+        for pos, other in zip(cells, cells[::-1]):
             for ball in ("A", "B"):
-                for perspective in soccer.PLAYERS:
-                    state = SoccerState(pos, other, ball)
+                position = Position(pos, other, ball)
+                for p, perspective in enumerate(soccer.PLAYERS):
                     opposite = "B" if perspective == "A" else "A"
-                    want = ref.features(config, state.position(perspective),
-                                        state.position(opposite), ball == perspective,
+                    want = ref.features(config, position.of(perspective),
+                                        position.of(opposite), ball == perspective,
                                         config.own_goal_of(perspective),
                                         config.goal_for(perspective))
-                    got = featurize_state(state, config, perspective)
+                    got = featurize_state(position.state(config), config, p)
                     assert got.tobytes() == want.tobytes()
 
     def test_start_cells(self, config):
@@ -258,8 +277,8 @@ class TestRuleTables:
         goals = set(config.left_goal) | set(config.right_goal)
         for side, cols in zip(config.start_cells,
                               (range(half), range(config.width - half, config.width))):
-            assert list(side) == [(c, r) for c in cols for r in range(config.height)
-                                  if config.playable((c, r)) and (c, r) not in goals]
+            assert list(side) == [config.index((c, r)) for c in cols for r in range(config.height)
+                                  if ref.playable(config, (c, r)) and (c, r) not in goals]
 
     def test_under_one_megabyte(self, config):
         tables = (config.move_table, config.goal_mask, config.categories, *config.tie_sets,
@@ -273,16 +292,16 @@ class TestRuleAgentDraws:
         # reference's choices, and nothing drawn when there is one choice
         rng = np.random.default_rng(11)
         for _ in range(300):
-            state = random_legal_state(rng)
-            for mode in soccer.MODES:
-                for player in soccer.PLAYERS:
+            position = random_position(rng)
+            for m, mode in enumerate(soccer.MODES):
+                for p, player in enumerate(soccer.PLAYERS):
                     other = "B" if player == "A" else "A"
                     choices = ref.rule_choices(DEFAULT_CONFIG, mode, player,
-                                               state.position(player), state.position(other),
-                                               state.ball == player)
+                                               position.of(player), position.of(other),
+                                               position.ball == player)
                     seed = int(rng.integers(0, 2 ** 31))
                     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                    got = rule_agent_act(state, mode, got_rng, player=player)
+                    got = rule_agent_act(position.state(), m, got_rng, player=p)
                     want = choices[0] if len(choices) == 1 else choices[
                         int(want_rng.integers(0, len(choices)))]
                     assert got == want
@@ -290,20 +309,17 @@ class TestRuleAgentDraws:
 
 
 class TestRuleAgentMany:
-    @pytest.mark.parametrize("player", soccer.PLAYERS)
+    @pytest.mark.parametrize("player", [0, 1], ids=soccer.PLAYERS)
     def test_equals_one_game_at_a_time(self, player):
         # the same moves, and each game's stream left where one-game play leaves it
         rng = np.random.default_rng(12)
-        states = [random_legal_state(rng) for _ in range(400)]
-        modes = [soccer.MODES[int(rng.integers(0, 2))] for _ in states]
-        other = "B" if player == "A" else "A"
-        index = DEFAULT_CONFIG.index
+        states = [random_position(rng).state() for _ in range(400)]
+        modes = [int(rng.integers(0, 2)) for _ in states]
+        cells = np.array([(s.cell_a, s.cell_b) for s in states])
         many_rngs = [np.random.default_rng([5, i]) for i in range(len(states))]
         got = soccer.rule_agent_many(
-            DEFAULT_CONFIG, np.array([soccer.MODES.index(m) for m in modes]), player,
-            np.array([index(s.position(player)) for s in states]),
-            np.array([index(s.position(other)) for s in states]),
-            np.array([int(s.ball == player) for s in states]), many_rngs)
+            DEFAULT_CONFIG, np.array(modes), player, cells[:, player], cells[:, 1 - player],
+            np.array([int(s.holder == player) for s in states]), many_rngs)
         for i, (state, mode) in enumerate(zip(states, modes)):
             one = np.random.default_rng([5, i])
             assert got[i] == rule_agent_act(state, mode, one, player=player)
@@ -312,16 +328,16 @@ class TestRuleAgentMany:
 
 class TestFeaturize:
     def test_length_and_ball_flag(self):
-        state = SoccerState((2, 2), (6, 3), "A")
-        phi = featurize_state(state, perspective="A")
+        state = state_at((2, 2), (6, 3), "A")
+        phi = featurize_state(state, perspective=0)
         assert phi.shape == (15,)
         assert phi[14] == 1.0
-        assert featurize_state(state, perspective="B")[14] == 0.0
+        assert featurize_state(state, perspective=1)[14] == 0.0
 
     def test_golden_vector(self):
         # A at (2,3), B at (6,1), A holds the ball, A's perspective
-        state = SoccerState((2, 3), (6, 1), "A")
-        phi = featurize_state(state, perspective="A")
+        state = state_at((2, 3), (6, 1), "A")
+        phi = featurize_state(state, perspective=0)
         expected = np.array([
             2 / 8, 3 / 5,          # self
             6 / 8, 1 / 5,          # opponent
@@ -333,8 +349,8 @@ class TestFeaturize:
         assert np.allclose(phi, expected)
 
     def test_perspective_swaps_positions(self):
-        state = SoccerState((2, 3), (6, 1), "B")
-        phi = featurize_state(state, perspective="B")
+        state = state_at((2, 3), (6, 1), "B")
+        phi = featurize_state(state, perspective=1)
         assert phi[0] == 6 / 8 and phi[1] == 1 / 5
         assert phi[8] == 1.0  # B defends the right goal
 
@@ -342,11 +358,11 @@ class TestFeaturize:
     def test_cached_frame_equals_per_call_expressions(self):
         # the constant features were computed on every call; they must keep
         # their bytes now that they are computed once per perspective
-        def per_call(state, config, perspective):
+        def per_call(position, config, perspective):
             sx = 1.0 / (config.width - 1)
             sy = 1.0 / (config.height - 1)
-            me = state.position(perspective)
-            other = state.position("B" if perspective == "A" else "A")
+            me = position.of(perspective)
+            other = position.of("B" if perspective == "A" else "A")
 
             def goal_block(goal):
                 rows = sorted(g[1] for g in goal)
@@ -357,19 +373,18 @@ class TestFeaturize:
                 0.0, (config.width - 1) * sx, 0.0, (config.height - 1) * sy,
                 *goal_block(config.own_goal_of(perspective)),
                 *goal_block(config.goal_for(perspective)),
-                1.0 if state.ball == perspective else 0.0,
+                1.0 if position.ball == perspective else 0.0,
             ])
 
         configs = (DEFAULT_CONFIG, SoccerConfig(width=7, height=5), SoccerConfig(width=12, height=8))
         for config in configs:
-            cells = [(c, r) for c in range(config.width) for r in range(config.height)
-                     if config.playable((c, r))]
+            cells = [c for c in ref.cells(config) if ref.playable(config, c)]
             for a, b in zip(cells, cells[::-1]):
                 for ball in ("A", "B"):
-                    state = SoccerState(a, b, ball)
-                    for perspective in ("A", "B"):
-                        got = featurize_state(state, config, perspective)
-                        assert got.tobytes() == per_call(state, config, perspective).tobytes()
+                    position = Position(a, b, ball)
+                    for p, perspective in enumerate(("A", "B")):
+                        got = featurize_state(position.state(config), config, p)
+                        assert got.tobytes() == per_call(position, config, perspective).tobytes()
 
     def test_goals_are_cached(self):
         config = SoccerConfig()
@@ -377,35 +392,39 @@ class TestFeaturize:
         assert config.right_goal is config.right_goal
 
 
+def category(state, action, mover=1):
+    return soccer.MOVE_CATEGORIES[classify_move(state, action, mover=mover)]
+
+
 class TestClassifyMove:
     def test_stand(self):
-        state = SoccerState((2, 2), (6, 3), "A")
-        assert classify_move(state, A_STAND, mover="B") == "stand"
+        state = state_at((2, 2), (6, 3), "A")
+        assert category(state, A_STAND) == "stand"
 
     def test_invalid_move_is_stand(self):
-        state = SoccerState((2, 2), (6, 0), "A")
-        assert classify_move(state, A_N, mover="B") == "stand"
+        state = state_at((2, 2), (6, 0), "A")
+        assert category(state, A_N) == "stand"
 
     def test_approach_agent(self):
-        state = SoccerState((2, 2), (5, 2), "A")
-        assert classify_move(state, A_W, mover="B") == "approach_agent"
+        state = state_at((2, 2), (5, 2), "A")
+        assert category(state, A_W) == "approach_agent"
 
     def test_priority_avoid_wins_over_goal(self):
         # golden case: B at (4,1), A at (2,1); moving W decreases distance to
         # A's goal (left) but increases... construct the reverse: B moves E,
         # away from A and toward B's own goal side; distance to A increases
         # so avoid_agent wins by priority over any goal category
-        state = SoccerState((2, 1), (4, 1), "A")
-        assert classify_move(state, A_E, mover="B") == "avoid_agent"
+        state = state_at((2, 1), (4, 1), "A")
+        assert category(state, A_E) == "avoid_agent"
 
     def test_total_over_random_states(self):
         rng = np.random.default_rng(3)
         for _ in range(500):
-            state = random_legal_state(rng)
+            state = random_position(rng).state()
             for action in range(5):
-                for mover in ("A", "B"):
+                for mover in (0, 1):
                     cat = classify_move(state, action, mover=mover)
-                    assert cat in soccer.MOVE_CATEGORIES
+                    assert type(cat) is int and 0 <= cat < len(soccer.MOVE_CATEGORIES)
 
 
 class TestOpponentFeatures:
@@ -415,7 +434,7 @@ class TestOpponentFeatures:
 
     def test_single_observation(self):
         stats = OpponentStats()
-        stats.observe("approach_agent", A_E, lost_ball=False)
+        stats.observe(soccer.MOVE_CATEGORIES.index("approach_agent"), A_E, lost_ball=False)
         phi = opponent_features(stats)
         assert np.allclose(phi[0:5], [1, 0, 0, 0, 0])
         assert np.allclose(phi[5:10], [1, 0, 0, 0, 0])
@@ -428,7 +447,7 @@ class TestOpponentFeatures:
         state, _ = reset(DEFAULT_CONFIG, rng)
         for _ in range(60):
             action = int(rng.integers(0, 5))
-            cat = classify_move(state, action, mover="B")
+            cat = classify_move(state, action, mover=1)
             stats.observe(cat, action, lost_ball=bool(rng.random() < 0.1))
             nxt, _, done, _ = step(state, int(rng.integers(0, 5)), action)
             state = nxt if not done else reset(DEFAULT_CONFIG, rng)[0]
@@ -441,25 +460,24 @@ class TestRuleAgent:
     def test_unique_goalward_move(self):
         # offensive with the ball at (6,2): E is the unique distance-
         # minimizing move toward the right goal
-        state = SoccerState((6, 2), (1, 5), "A")
-        action = rule_agent_act(state, "offensive", np.random.default_rng(0), player="A")
+        state = state_at((6, 2), (1, 5), "A")
+        action = rule_agent_act(state, OFFENSIVE, np.random.default_rng(0), player=0)
         assert action == A_E
 
     def test_defensive_guards_goal(self):
         # defensive B without the ball heads for the guard cell (7, row)
-        state = SoccerState((3, 2), (5, 5), "A")
+        state = state_at((3, 2), (5, 5), "A")
         rng = np.random.default_rng(1)
-        action = rule_agent_act(state, "defensive", rng, player="B")
-        target = DEFAULT_CONFIG.move_targets[5, 5][action]
+        action = rule_agent_act(state, DEFENSIVE, rng, player=1)
+        target = reference_move((5, 5), action)
         assert ref.manhattan(target, (7, 2)) < ref.manhattan((5, 5), (7, 2))
 
     def test_defensive_never_enters_own_goal_with_ball(self):
         rng = np.random.default_rng(2)
-        state = SoccerState((6, 2), (7, 2), "B")
+        state = state_at((6, 2), (7, 2), "B")
         for _ in range(50):
-            action = rule_agent_act(state, "defensive", rng, player="B")
-            target = DEFAULT_CONFIG.move_targets[7, 2][action]
-            assert target not in DEFAULT_CONFIG.right_goal
+            action = rule_agent_act(state, DEFENSIVE, rng, player=1)
+            assert reference_move((7, 2), action) not in DEFAULT_CONFIG.right_goal
 
     def test_offensive_beats_random_smoke(self):
         # small-sample version of the acceptance run
@@ -469,7 +487,7 @@ class TestRuleAgent:
         for _ in range(games):
             state, _ = reset(DEFAULT_CONFIG, rng)
             while True:
-                a_b = rule_agent_act(state, "offensive", rng, player="B")
+                a_b = rule_agent_act(state, OFFENSIVE, rng, player=1)
                 a_a = int(rng.integers(0, 5))
                 state, reward, done, _ = step(state, a_a, a_b)
                 if done:
@@ -486,7 +504,7 @@ class TestRuleAgent:
         for _ in range(games):
             state, _ = reset(DEFAULT_CONFIG, rng)
             while True:
-                a_b = rule_agent_act(state, "defensive", rng, player="B")
+                a_b = rule_agent_act(state, DEFENSIVE, rng, player=1)
                 a_a = int(rng.integers(0, 5))
                 state, reward, done, _ = step(state, a_a, a_b)
                 if done:
@@ -501,13 +519,14 @@ class TestSampleMode:
     def test_balanced(self):
         rng = np.random.default_rng(5)
         n = 10_000
-        off = sum(sample_mode(rng) == "offensive" for _ in range(n))
+        off = sum(sample_mode(rng) == OFFENSIVE for _ in range(n))
         assert abs(off - n / 2) <= 3 * math.sqrt(n * 0.25)
 
     def test_fixed_policies(self):
         rng = np.random.default_rng(6)
-        assert all(sample_mode(rng, "offensive") == "offensive" for _ in range(20))
-        assert all(sample_mode(rng, "defensive") == "defensive" for _ in range(20))
+        assert soccer.MODES == ("offensive", "defensive")
+        assert all(sample_mode(rng, "offensive") == OFFENSIVE for _ in range(20))
+        assert all(sample_mode(rng, "defensive") == DEFENSIVE for _ in range(20))
 
     def test_reproducible(self):
         seq_a = [sample_mode(np.random.default_rng(7)) for _ in range(1)]
@@ -517,7 +536,18 @@ class TestSampleMode:
 
 class TestRender:
     def test_marks_players_and_ball(self):
-        state = SoccerState((2, 2), (6, 3), "A")
+        state = state_at((2, 2), (6, 3), "A")
         text = soccer.render(state)
         assert "A*" in text and "B " in text
         assert len(text.splitlines()) == 6
+
+    def test_golden_board(self):
+        # B holds the ball on its goal's top cell, A stands on the right goal's lower cell
+        assert soccer.render(state_at((8, 3), (0, 2), "B")).splitlines() == [
+            "# . . . . . . . # ",
+            "# . . . . . . . # ",
+            "B*. . . . . . . = ",
+            "= . . . . . . . A ",
+            "# . . . . . . . # ",
+            "# . . . . . . . # ",
+        ]
