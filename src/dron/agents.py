@@ -11,23 +11,33 @@ Component parameter names are stable (``state_tower.0.weight``,
 
 Bound layers: an agent resolves every component network's layers in its
 parameters once (``nn.bind_mlp``), when its ``params`` are set, and runs them
-on every call without looking names up again. The layers are views into the
-agent's flat parameter vector, which AdaGrad and ``params[name] = value``
-write in place, so they stay current; assigning ``agent.params`` rebinds.
-Every pass runs on the agent's own parameters: the frozen target of a TD
-step is an ``Agent`` built at each sync (``rl.sync_target``). Acting
-(``q_values``, ``q_and_gate``) never computes the multitask opponent head,
-which only training reads.
+on every call without looking names up again. The K experts of DRON-MoE are
+bound as one stacked network (``nn.bind_stacked_mlp``): their parameters are
+consecutive, equal-sized blocks of the flat vector, so each layer is one
+``(K, in, out)`` weight view and one ``(K, 1, out)`` bias view, and a pass
+makes one batched matmul per layer instead of K. The names, their order and
+the vector's layout stay per expert. The layers are views into the agent's
+flat parameter vector, which AdaGrad and ``params[name] = value`` write in
+place, so they stay current; assigning ``agent.params`` rebinds. Every pass
+runs on the agent's own parameters: the frozen target of a TD step is an
+``Agent`` built at each sync (``rl.sync_target``). Acting (``q_values``,
+``q_and_gate``) never computes the multitask opponent head, which only
+training reads. The gate-weighted expert Q-values, and in the backward pass
+the experts' input gradients, are added from zero in expert order, as
+running one expert at a time would, so the stacked pass gives the same bits.
 
 Gradients: ``backward_train`` returns a new zeroed gradient set, or with
 ``out=`` writes into a given one (a training step passes its optimizer's
-``AdaGradState.grads``), zeroing every component the pass does not reach.
+``AdaGradState.grads``), zeroing every component the pass does not reach. It
+binds the networks on a gradient set as on the parameters, and keeps that
+binding while it is given the same set (a training step always passes its
+optimizer's); ``nn.mlp_backward`` writes into those views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -116,11 +126,11 @@ class Agent:
     def __init__(self, spec: AgentSpec, params: Optional[ParamSet] = None, seed: int = 0):
         self.spec = spec
         self._specs = _component_specs(spec)
-        self._experts = tuple(f"expert.{i}" for i in range(spec.experts))
         self._layout = tuple(
             entry for name, mlp in self._specs.items()
             for entry in nn.mlp_layout(mlp, f"{name}.")
         )
+        self._grads: Optional[nn.FlatParams] = None  # the set _grad_nets views
         self.params = params if params is not None else self._init(seed)
 
     @property
@@ -132,8 +142,19 @@ class Agent:
     def params(self, params: ParamSet) -> None:
         # copies, so the agent never shares arrays with the caller's dict
         self._params = nn.FlatParams.of(params, self._layout)
-        self._nets = {name: nn.bind_mlp(spec, self._params, f"{name}.")
-                      for name, spec in self._specs.items()}
+        self._nets = self._bind(self._params)
+
+    def _bind(self, flat: nn.FlatParams) -> Dict[str, Tuple[nn.Layer, ...]]:
+        """Every component network bound on ``flat``, the parameters or a
+        gradient set laid out like them; DRON-MoE's experts as one stacked
+        network, ``experts``."""
+        nets = {name: nn.bind_mlp(spec, flat, f"{name}.")
+                for name, spec in self._specs.items() if not name.startswith("expert.")}
+        if self.spec.kind == "dron_moe":
+            nets["experts"] = nn.bind_stacked_mlp(
+                self._specs["expert.0"], flat,
+                [f"expert.{i}." for i in range(self.spec.experts)])
+        return nets
 
     def _init(self, seed: int) -> ParamSet:
         params: ParamSet = {}
@@ -184,51 +205,44 @@ class Agent:
         supervision-head output) back to every parameter; the result is laid
         out like ``params``. It is a new set, or ``out`` overwritten whole:
         a head that gets no gradient is zeroed."""
-        p = self._params
         spec = self.spec
         grads = nn.FlatParams(self._layout) if out is None else out
+        if grads is not self._grads:
+            self._grads, self._grad_nets = grads, self._bind(grads)
+        nets, grad_nets, caches = self._nets, self._grad_nets, fwd.caches
         if dsupervision is None and spec.multitask != "none":
-            for name, _ in nn.mlp_layout(self._specs["opponent_head"], "opponent_head."):
-                grads[name].fill(0.0)
+            for weight, bias, _ in grad_nets["opponent_head"]:
+                weight.fill(0.0)
+                bias.fill(0.0)
         if spec.kind == "dqn":
-            nn.mlp_backward(self._specs["q_net"], p, fwd.caches["q_net"], dq, "q_net.",
-                            out=grads, input_grad=False)
+            nn.mlp_backward(nets["q_net"], grad_nets["q_net"], caches["q_net"], dq,
+                            input_grad=False)
             return grads
 
         if spec.kind == "dron_concat":
-            _, dx = nn.mlp_backward(self._specs["q_head"], p, fwd.caches["q_head"], dq,
-                                    "q_head.", out=grads)
+            dx = nn.mlp_backward(nets["q_head"], grad_nets["q_head"], caches["q_head"], dq)
             dhs = dx[..., : spec.hs_size]
             dho = dx[..., spec.hs_size :]
         else:  # dron_moe
-            dhs = np.zeros_like(fwd.hs)
+            gate_by_expert = fwd.gate.T[:, :, None]  # (K, B, 1)
+            dx = nn.mlp_backward(nets["experts"], grad_nets["experts"], caches["experts"],
+                                 gate_by_expert * dq)
+            dhs = np.add.reduce(dx, axis=0, initial=0.0)  # as in the forward pass
             dw = np.empty_like(fwd.gate)
-            for i in range(spec.experts):
-                expert_dq = fwd.gate[:, i : i + 1] * dq
-                # added at once, so no expert's input gradient outlives its step
-                dhs += nn.mlp_backward(
-                    self._specs[f"expert.{i}"], p, fwd.caches[f"expert.{i}"],
-                    expert_dq, f"expert.{i}.", out=grads,
-                )[1]
-                dw[:, i] = (fwd.expert_q[i] * dq).sum(axis=1)
+            np.add.reduce(fwd.expert_q * dq, axis=-1, out=dw.T)
             dgate_pre = nn.softmax_grad(fwd.gate, dw)
-            _, dho = nn.mlp_backward(
-                self._specs["gate"], p, fwd.caches["gate"], dgate_pre, "gate.", out=grads
-            )
+            dho = nn.mlp_backward(nets["gate"], grad_nets["gate"], caches["gate"], dgate_pre)
 
         if dsupervision is not None:
             if spec.multitask == "none":
                 raise UsageError("supervision gradient given but agent has no head")
-            _, dho_head = nn.mlp_backward(
-                self._specs["opponent_head"], p, fwd.caches["opponent_head"],
-                dsupervision, "opponent_head.", out=grads,
-            )
-            dho = dho + dho_head
+            dho = dho + nn.mlp_backward(nets["opponent_head"], grad_nets["opponent_head"],
+                                        caches["opponent_head"], dsupervision)
 
-        nn.mlp_backward(self._specs["opponent_tower"], p, fwd.caches["opponent_tower"], dho,
-                        "opponent_tower.", out=grads, input_grad=False)
-        nn.mlp_backward(self._specs["state_tower"], p, fwd.caches["state_tower"], dhs,
-                        "state_tower.", out=grads, input_grad=False)
+        nn.mlp_backward(nets["opponent_tower"], grad_nets["opponent_tower"],
+                        caches["opponent_tower"], dho, input_grad=False)
+        nn.mlp_backward(nets["state_tower"], grad_nets["state_tower"],
+                        caches["state_tower"], dhs, input_grad=False)
         return grads
 
     # -- internals ----------------------------------------------------------
@@ -244,7 +258,7 @@ class Agent:
 
         if spec.kind == "dqn":
             q, caches["q_net"] = nn.run_mlp(nets["q_net"], S, train)
-            return _Forward(q, None, None, None, None, caches, squeeze)
+            return _Forward(q, None, None, None, caches, squeeze)
 
         if phi_o is None:
             raise ConfigurationError(f"{spec.kind} requires opponent features")
@@ -260,25 +274,21 @@ class Agent:
         else:
             gate_pre, caches["gate"] = nn.run_mlp(nets["gate"], ho, train)
             gate = nn.softmax(gate_pre)
-            expert_q = []
-            q = np.zeros((S.shape[0], spec.action_count))
-            for i, name in enumerate(self._experts):
-                qi, caches[name] = nn.run_mlp(nets[name], hs, train)
-                expert_q.append(qi)
-                q += gate[:, i : i + 1] * qi
+            expert_q, caches["experts"] = nn.run_mlp(nets["experts"], hs, train)
+            # from zero, in expert order: the sum one expert at a time makes
+            q = np.add.reduce(gate.T[:, :, None] * expert_q, axis=0, initial=0.0)
 
         supervision = None
         if train and spec.multitask != "none":
             supervision, caches["opponent_head"] = nn.run_mlp(nets["opponent_head"], ho, True)
-        return _Forward(q, gate, expert_q, hs, supervision, caches, squeeze)
+        return _Forward(q, gate, expert_q, supervision, caches, squeeze)
 
 
 @dataclass
 class _Forward:
     q: np.ndarray
     gate: Optional[np.ndarray]
-    expert_q: Optional[List[np.ndarray]]
-    hs: Optional[np.ndarray]
+    expert_q: Optional[np.ndarray]  # (K, B, actions), one row block per expert
     supervision: Optional[np.ndarray]
     caches: Dict[str, Optional[nn.ForwardCache]]  # None outside training
     squeeze: bool

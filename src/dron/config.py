@@ -69,6 +69,10 @@ class ExperimentConfig:
                                      keys=("gamma",))
         if not self.seeds:
             raise ConfigurationError("at least one seed is required", keys=("seeds",))
+        # numpy's generators take no negative seed
+        if min(self.seeds) < 0:
+            raise ConfigurationError(f"seeds must be >= 0, got {min(self.seeds)}",
+                                     keys=("seeds",))
         # a repeated seed is one run counted twice, which narrows the interval
         repeated = sorted({seed for seed in self.seeds if self.seeds.count(seed) > 1})
         if repeated:

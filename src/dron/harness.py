@@ -416,6 +416,8 @@ def _evaluate(agent: Agent, environment: str, env_params: dict, opponent: str,
     """Greedy-policy evaluation in a run's environment; deterministic given seed."""
     if n_games < 1:
         raise UsageError("n_games must be at least 1")
+    if seed < 0:  # numpy's generators take no negative seed
+        raise UsageError(f"seed must be >= 0, got {seed}")
     if environment == "soccer":
         if trace_rows is not None:
             raise UsageError("buzz traces are recorded for quiz bowl only")

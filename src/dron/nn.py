@@ -8,9 +8,15 @@ are sums over the batch rows.
 
 Bound layers: ``bind_mlp`` resolves an MLP's names in a parameter set once,
 checks their shapes, and returns one ``(weight, bias, activation)`` tuple per
-layer; ``run_mlp`` runs the chain over them and keeps a ``ForwardCache`` only
-when asked. A caller that runs an MLP many times (an agent) binds it once and
-runs the bound layers.
+layer, the weight an ``(in, out)`` view and the bias a ``(1, out)`` view.
+``bind_stacked_mlp`` binds K MLPs of one spec that lie one after another in a
+``FlatParams`` as one stacked MLP, each weight a ``(K, in, out)`` view and
+each bias a ``(K, 1, out)`` view, so one batched ``np.matmul`` per layer runs
+all K; a stacked pass gives each MLP the bits its own pass would. ``run_mlp``
+runs the chain over bound layers and keeps a ``ForwardCache`` only when
+asked; ``mlp_backward`` runs it back, writing the weight gradients into bound
+gradient views (the same binding made on the gradient set). A caller that
+runs an MLP many times (an agent) binds it once and runs the bound layers.
 
 Flat-parameter rule: a model's parameters, its gradients and its AdaGrad
 accumulators are each a ``FlatParams``, a dict whose arrays are views into one
@@ -20,15 +26,15 @@ vector, and takes nothing else. Writing ``params[name] = value`` copies into
 the view, so the views stay bound; an agent's ``params`` setter, the one way
 in for a plain dict, copies it into the agent's layout.
 The gradient of a training step lives in its ``AdaGradState`` (``grads``):
-``mlp_backward`` writes into it with ``out=`` and ``adagrad_update`` consumes
-it, so one vector serves every step.
+``mlp_backward`` writes into views of it and ``adagrad_update`` consumes it,
+so one vector serves every step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -155,46 +161,80 @@ def init_params(spec: MLPSpec, seed: Union[int, np.random.Generator], prefix: st
 
 
 # One layer of an MLP bound to a parameter set: (weight view, bias view,
-# activation). Hidden layers are "relu"; the last uses the spec's output.
+# activation). Hidden layers are "relu"; the last uses the spec's output. A
+# plain layer's views are (in, out) and (1, out); a stacked layer's are
+# (K, in, out) and (K, 1, out).
 Layer = Tuple[np.ndarray, np.ndarray, str]
+
+
+def _activations(spec: MLPSpec) -> Tuple[str, ...]:
+    return ("relu",) * (spec.layer_count - 1) + (spec.output,)
 
 
 def bind_mlp(spec: MLPSpec, params: Mapping[str, np.ndarray], prefix: str = "") -> Tuple[Layer, ...]:
     """Resolve an MLP's layers in ``params`` once, checking their shapes.
 
-    The layers hold the arrays themselves, so they follow any in-place write
-    to ``params`` (an agent's ``FlatParams`` are only ever written in place).
+    The layers hold views of the arrays themselves, so they follow any
+    in-place write to ``params`` (an agent's ``FlatParams`` are only ever
+    written in place).
     """
     for name, shape in mlp_layout(spec, prefix):
         if params[name].shape != shape:
             raise ConfigurationError(
                 f"parameter {name} has shape {params[name].shape}, spec wants {shape}")
-    last = spec.layer_count - 1
     return tuple(
-        (params[f"{prefix}{i}.weight"], params[f"{prefix}{i}.bias"],
-         "relu" if i < last else spec.output)
-        for i in range(spec.layer_count)
+        (params[f"{prefix}{i}.weight"], params[f"{prefix}{i}.bias"][None, :], activation)
+        for i, activation in enumerate(_activations(spec))
     )
+
+
+def bind_stacked_mlp(spec: MLPSpec, params: FlatParams, prefixes: Sequence[str]) -> Tuple[Layer, ...]:
+    """Bind the MLPs named by ``prefixes``, all of ``spec`` and laid out one
+    after another in ``params`` in that order, as one stacked MLP whose
+    layers are views into ``params.flat``: no copy and no change of layout.
+    ``run_mlp`` and ``mlp_backward`` then run all of them at once."""
+    layout = params.layout
+    want = tuple(entry for prefix in prefixes for entry in mlp_layout(spec, prefix))
+    first = layout.index(want[0]) if want[0] in layout else len(layout)
+    if layout[first:first + len(want)] != want:
+        raise ConfigurationError(
+            f"parameters of {', '.join(prefixes)} are not laid out one after another "
+            f"as the spec wants")
+    start = sum(prod(shape) for _, shape in layout[:first])
+    block = params.flat[start:start + sum(prod(shape) for _, shape in want)]
+    block = block.reshape(len(prefixes), -1)  # one row per MLP, a view
+    layers = []
+    at = 0
+    for i, activation in enumerate(_activations(spec)):
+        n_in, n_out = spec.sizes[i], spec.sizes[i + 1]
+        weight = block[:, at:at + n_in * n_out].reshape(len(prefixes), n_in, n_out)
+        at += n_in * n_out
+        bias = block[:, at:at + n_out].reshape(len(prefixes), 1, n_out)
+        at += n_out
+        layers.append((weight, bias, activation))
+    return tuple(layers)
 
 
 def run_mlp(
     layers: Tuple[Layer, ...], a: np.ndarray, keep_cache: bool = False
 ) -> Tuple[np.ndarray, Optional[ForwardCache]]:
     """Affine + activation chain over bound layers for a float64 batch ``a``
-    of shape ``(B, in)``. Returns the output batch and, with ``keep_cache``,
-    the cache ``mlp_backward`` consumes (else None)."""
-    if a.shape[1] != layers[0][0].shape[0]:
+    of shape ``(B, in)``; stacked layers give ``(K, B, out)``. Returns the
+    output and, with ``keep_cache``, the cache ``mlp_backward`` consumes
+    (else None)."""
+    if a.shape[-1] != layers[0][0].shape[-2]:
         raise ConfigurationError(
-            f"input width {a.shape[1]} does not match spec input size {layers[0][0].shape[0]}"
+            f"input width {a.shape[-1]} does not match spec input size {layers[0][0].shape[-2]}"
         )
     inputs: List[np.ndarray] = []
     outputs: List[np.ndarray] = []
     for w, b, activation in layers:
         if keep_cache:
             inputs.append(a)
-        z = a @ w + b
+        z = np.matmul(a, w)
+        z += b  # the pass's own array, so the bias and ReLU go in place
         if activation == "relu":
-            a = np.maximum(z, 0.0)
+            a = np.maximum(z, 0.0, out=z)
         elif activation == "softmax":
             a = _softmax_rows(z)
         elif activation == "sigmoid":
@@ -207,52 +247,51 @@ def run_mlp(
 
 
 def mlp_backward(
-    spec: MLPSpec,
-    params: ParamSet,
+    layers: Tuple[Layer, ...],
+    grads: Tuple[Layer, ...],
     cache: ForwardCache,
     output_gradient: np.ndarray,
-    prefix: str = "",
-    out: Optional[FlatParams] = None,
     input_grad: bool = True,
-) -> Tuple[ParamSet, Optional[np.ndarray]]:
+) -> Optional[np.ndarray]:
     """Backpropagate d(loss)/d(output), a batch like the forward output,
-    through the cached forward pass.
+    through the cached forward pass of the bound ``layers``.
 
-    Returns (parameter gradients, gradient w.r.t. the input). Weight
-    gradients are summed over batch rows and written into ``out`` when given
-    (a model-wide gradient set holding this MLP's names), else into a new
-    set. With ``input_grad=False`` the input gradient is skipped and None.
-    A hidden ReLU layer masks its gradient in place (the array is the
-    pass's own), so a pass allocates no gradient per hidden layer;
+    ``grads`` are the same MLP bound on a gradient set; each layer's weight
+    and bias gradients, summed over the batch rows, overwrite its views.
+    Returns the gradient w.r.t. the input, or None with ``input_grad=False``.
+    For stacked layers the input gradient is one per MLP, ``(K, B, in)``.
+    A hidden ReLU layer masks its gradient in place (the array is the pass's
+    own), so a pass allocates no gradient per hidden layer;
     ``output_gradient`` is left as it was.
     """
-    if len(cache.inputs) != spec.layer_count:
-        raise ConfigurationError("cache does not match spec (layer count differs)")
+    if len(cache.inputs) != len(layers):
+        raise ConfigurationError("cache does not match the layers (layer count differs)")
     dy = output_gradient
     if dy.shape != cache.outputs[-1].shape:
         raise ConfigurationError(
             f"output_gradient shape {dy.shape} does not match forward output "
             f"{cache.outputs[-1].shape}"
         )
-    grads = out if out is not None else FlatParams(mlp_layout(spec, prefix))
-    last = spec.layer_count - 1
+    last = len(layers) - 1
     for i in range(last, -1, -1):
+        w, _, activation = layers[i]
+        weight_grad, bias_grad, _ = grads[i]
         a = cache.outputs[i]
-        if i < last or spec.output == "relu":
+        if activation == "relu":
             dz = np.multiply(dy, a > 0.0, out=dy if i < last else None)
-        elif spec.output == "softmax":
+        elif activation == "softmax":
             dz = softmax_grad(a, dy)
-        elif spec.output == "sigmoid":
+        elif activation == "sigmoid":
             dz = dy * a * (1.0 - a)
         else:
             dz = dy
-        np.matmul(cache.inputs[i].T, dz, out=grads[f"{prefix}{i}.weight"])
+        np.matmul(cache.inputs[i].swapaxes(-1, -2), dz, out=weight_grad)
         # the reduction np.sum makes, without its Python wrapper
-        np.add.reduce(dz, axis=0, out=grads[f"{prefix}{i}.bias"])
+        np.add.reduce(dz, axis=-2, out=bias_grad, keepdims=True)
         if i == 0 and not input_grad:
-            return grads, None
-        dy = dz @ params[f"{prefix}{i}.weight"].T
-    return grads, dy
+            return None
+        dy = np.matmul(dz, w.swapaxes(-1, -2))
+    return dy
 
 
 def mlp_layout(spec: MLPSpec, prefix: str = "") -> Layout:
@@ -397,7 +436,7 @@ def adagrad_update(params: FlatParams, grads: FlatParams, state: AdaGradState,
         raise TrainingError(f"non-finite gradient for parameter {name!r}")
     acc = state.accumulators.flat
     denom = state._work
-    np.multiply(g, g, out=denom)
+    np.square(g, out=denom)
     acc += denom
     np.sqrt(acc, out=denom)
     denom += EPS_NUM

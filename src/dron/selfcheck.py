@@ -137,7 +137,7 @@ def run_selfcheck(verbose: bool = True) -> bool:
             gate = fwd.gate[0]
             if not (np.all(gate >= 0.0) and abs(gate.sum() - 1.0) <= 1e-6):
                 return False
-            stacked = np.stack([q[0] for q in fwd.expert_q])
+            stacked = fwd.expert_q[:, 0]
             if np.any(fwd.q[0] < stacked.min(axis=0) - 1e-12):
                 return False
             if np.any(fwd.q[0] > stacked.max(axis=0) + 1e-12):

@@ -306,6 +306,114 @@ class TestBoundForward:
             agent.q_values(np.ones(4), np.ones(2))
 
 
+def by_name_moe(agent, S, O, dq, dsup):
+    """DRON-MoE's forward and backward with every network bound anew by
+    parameter name, each expert run and backpropagated on its own, its
+    gate-weighted Q-values and its input gradient added in expert order: the
+    reference the stacked experts must match bit for bit. Returns the Q-values,
+    the gate, each expert's Q-values and a new gradient set."""
+    p, specs = agent.params, agent._specs
+    grads = nn.FlatParams(p.layout)
+
+    def bind(name, on):
+        return nn.bind_mlp(specs[name], on, f"{name}.")
+
+    def run(name, x):
+        return nn.run_mlp(bind(name, p), x, keep_cache=True)
+
+    def back(name, cache, dy, input_grad=True):
+        return nn.mlp_backward(bind(name, p), bind(name, grads), cache, dy, input_grad)
+
+    hs, state_cache = run("state_tower", S)
+    ho, opponent_cache = run("opponent_tower", O)
+    gate_pre, gate_cache = run("gate", ho)
+    gate = nn.softmax(gate_pre)
+    q = np.zeros((S.shape[0], agent.spec.action_count))
+    expert_q, expert_caches = [], []
+    for i in range(agent.spec.experts):
+        qi, cache = run(f"expert.{i}", hs)
+        expert_q.append(qi)
+        expert_caches.append(cache)
+        q += gate[:, i : i + 1] * qi
+    dhs = np.zeros_like(hs)
+    dw = np.empty_like(gate)
+    for i in range(agent.spec.experts):
+        dhs += back(f"expert.{i}", expert_caches[i], gate[:, i : i + 1] * dq)
+        dw[:, i] = (expert_q[i] * dq).sum(axis=1)
+    dho = back("gate", gate_cache, nn.softmax_grad(gate, dw))
+    if dsup is not None:
+        _, head_cache = run("opponent_head", ho)
+        dho = dho + back("opponent_head", head_cache, dsup)
+    back("opponent_tower", opponent_cache, dho, input_grad=False)
+    back("state_tower", state_cache, dhs, input_grad=False)
+    return q, gate, expert_q, grads
+
+
+class TestStackedExperts:
+    @pytest.mark.parametrize("experts", [1, 2, 3, 4])
+    @pytest.mark.parametrize("rows", [1, 64])
+    @pytest.mark.parametrize("multitask", ["none", "type", "action"])
+    def test_match_each_expert_run_by_name(self, experts, rows, multitask):
+        agent = Agent(mini_spec("dron_moe", multitask, experts), seed=60 + experts)
+        rng = np.random.default_rng(61)
+        S, O = rng.normal(size=(rows, 4)), rng.normal(size=(rows, 5))
+        dq = rng.normal(size=(rows, 3))
+        dq[0] = -0.0  # the sign of a zero must come through the sums too
+        dsup = None
+        if multitask != "none":
+            dsup = rng.normal(size=(rows, agent.spec.multitask_outputs))
+        q, gate, expert_q, grads = by_name_moe(agent, S, O, dq, dsup)
+        fwd = agent.forward_train(S, O)
+        assert fwd.q.tobytes() == q.tobytes()
+        assert fwd.gate.tobytes() == gate.tobytes()
+        assert fwd.expert_q.tobytes() == np.stack(expert_q).tobytes()
+        buffer = nn.FlatParams(agent.params.layout)
+        for out in (None, buffer, buffer):  # a new set, then a given one twice
+            got = agent.backward_train(fwd, dq, dsup, out=out)
+            assert got.flat.tobytes() == grads.flat.tobytes()
+        one = (lambda a: a[0]) if rows == 1 else (lambda a: a)
+        q_act, gate_act = agent.q_and_gate(one(S), one(O))
+        assert q_act.tobytes() == one(q).tobytes()
+        assert gate_act.tobytes() == one(gate).tobytes()
+
+    def test_stacked_views_share_the_flat_vectors(self):
+        agent = Agent(mini_spec("dron_moe", "type", experts=3), seed=62)
+        rng = np.random.default_rng(63)
+        S, O = rng.normal(size=(8, 4)), rng.normal(size=(8, 5))
+        opt = nn.AdaGradState.for_params(agent.params, 0.01)
+        agent.backward_train(agent.forward_train(S, O), rng.normal(size=(8, 3)),
+                             out=opt.grads)
+        for layers, named in ((agent._nets["experts"], agent.params),
+                              (agent._grad_nets["experts"], opt.grads)):
+            for i, (weight, bias, _) in enumerate(layers):
+                for k in range(3):
+                    for view, name in ((weight[k], f"expert.{k}.{i}.weight"),
+                                       (bias[k, 0], f"expert.{k}.{i}.bias")):
+                        assert np.shares_memory(view, named.flat), name
+                        # the very array the name holds: same address, shape and strides
+                        assert view.__array_interface__ == named[name].__array_interface__
+
+    @pytest.mark.parametrize("kind,multitask", VARIANTS)
+    def test_params_iterate_in_component_order(self, kind, multitask):
+        # gradient checks and checkpoints walk the parameters in this order
+        def names(component, layers):
+            return [f"{component}.{i}.{part}" for i in range(layers)
+                    for part in ("weight", "bias")]
+
+        towers = names("state_tower", 1) + names("opponent_tower", 1)
+        expected = {
+            "dqn": names("q_net", 3),
+            "dron_concat": towers + names("q_head", 2),
+            "dron_moe": towers + [name for k in range(4) for name in names(f"expert.{k}", 2)]
+            + names("gate", 1),
+        }[kind]
+        if multitask != "none":
+            expected += names("opponent_head", 1)
+        agent = Agent(mini_spec(kind, multitask, experts=4), seed=64)
+        assert list(agent.params) == expected
+        assert [name for name, _ in agent.params.layout] == expected
+
+
 class TestGradientBuffer:
     @staticmethod
     def _inputs(kind, rows=6, seed=51):

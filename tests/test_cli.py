@@ -71,8 +71,34 @@ def test_bad_config_names_its_line(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 2: batch_size must be >= 1, got 0\n"
 
 
+def test_negative_seed_exits_2(tmp_path, monkeypatch, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text("epochs = 1\nseeds = -1\n")
+    assert main(["train", str(config)]) == 2
+    assert capsys.readouterr().err == "error: line 2: seeds must be >= 0, got -1\n"
+    checkpoint = _train(tmp_path, monkeypatch, "soccer")
+    capsys.readouterr()
+    assert main(["eval", checkpoint, "--games", "2", "--seed", "-3"]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -3\n"
+
+
 def test_gradcheck_one_trial():
     assert main(["gradcheck", "--trials", "1"]) == 0
+
+
+def test_gradcheck_text_is_unchanged(capsys):
+    # the text printed before DRON-MoE's experts ran as one stacked network;
+    # the check draws its perturbations in parameter-name order, so a change
+    # of that order or of any gradient bit moves these digits
+    assert main(["gradcheck", "--trials", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "  dqn          max rel err 1.63e-06\n"
+        "  dron_concat          max rel err 1.4e-09\n"
+        "  dron_moe          max rel err 6.27e-10\n"
+        "  dron_moe+type     max rel err 3.39e-08\n"
+        "worst relative error: 1.63e-06\n"
+        "OK\n"
+    )
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

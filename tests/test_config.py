@@ -99,6 +99,7 @@ BAD_VALUES = [
     pytest.param("epochs=2\nlearning_rate=nan", "learning_rate", 2, id="learning_rate_nan"),
     pytest.param("learning_rate=inf", "learning_rate", 1, id="learning_rate_inf"),
     pytest.param("epochs=2\nseeds=3,3,3", "seeds", 2, id="seeds_repeated"),
+    pytest.param("epochs=2\nseeds=1,-1", "seeds", 2, id="seeds_negative"),
     pytest.param("epsilon_decay_steps=0", "epsilon_decay_steps", 1, id="epsilon_decay_steps"),
     pytest.param("epochs=2\nepsilon_start=1.5", "epsilon_start", 2, id="epsilon_start"),
     pytest.param("environment=quizbowl\nbelief_alpha=-5",

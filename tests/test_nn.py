@@ -41,6 +41,15 @@ def forward(spec, params, x, prefix=""):
     return nn.run_mlp(nn.bind_mlp(spec, params, prefix), x, keep_cache=True)
 
 
+def backward(spec, params, cache, output_gradient, prefix=""):
+    """``mlp_backward`` over ``spec`` bound on ``params`` and on a new
+    gradient set: (the gradient set, the input gradient)."""
+    grads = nn.FlatParams(nn.mlp_layout(spec, prefix))
+    dx = nn.mlp_backward(nn.bind_mlp(spec, params, prefix), nn.bind_mlp(spec, grads, prefix),
+                         cache, output_gradient)
+    return grads, dx
+
+
 def mlp_forward(spec, params, x, prefix=""):
     """The forward pass by parameter name, layer after layer, in run_mlp's
     arithmetic: the bit reference for the bound layers. Returns the output
@@ -160,12 +169,58 @@ class TestBoundLayers:
             nn.run_mlp(layers, np.zeros((2, 4)))
 
 
+class TestStackedLayers:
+    PREFIXES = ("m.0.", "m.1.", "m.2.")
+
+    @staticmethod
+    def _params(spec, prefixes):
+        arrays = {"before.weight": np.ones((2, 2))}  # the stack need not start the vector
+        for k, prefix in enumerate(prefixes):
+            arrays.update(nn.init_params(spec, 10 + k, prefix))
+        return nn.FlatParams.of(arrays)
+
+    @pytest.mark.parametrize("output", ["linear", "relu", "softmax", "sigmoid"])
+    @pytest.mark.parametrize("rows", [1, 9])
+    def test_each_mlp_gets_the_bits_of_its_own_pass(self, output, rows):
+        spec = nn.MLPSpec((5, 7, 6, 3), output=output)
+        params = self._params(spec, self.PREFIXES)
+        grads = nn.FlatParams(params.layout)
+        rng = np.random.default_rng(8)
+        x, dy = rng.normal(size=(rows, 5)), rng.normal(size=(3, rows, 3))
+        layers = nn.bind_stacked_mlp(spec, params, self.PREFIXES)
+        out, cache = nn.run_mlp(layers, x, keep_cache=True)
+        dx = nn.mlp_backward(layers, nn.bind_stacked_mlp(spec, grads, self.PREFIXES), cache, dy)
+        for k, prefix in enumerate(self.PREFIXES):
+            want, want_cache = forward(spec, params, x, prefix)
+            assert out[k].tobytes() == want.tobytes()
+            want_grads, want_dx = backward(spec, params, want_cache, dy[k].copy(), prefix)
+            assert dx[k].tobytes() == want_dx.tobytes()
+            for name, value in want_grads.items():
+                assert grads[name].tobytes() == value.tobytes(), name
+
+    def test_layers_are_views_of_the_flat_vector(self):
+        spec = nn.MLPSpec((3, 4, 2))
+        params = self._params(spec, self.PREFIXES)
+        layers = nn.bind_stacked_mlp(spec, params, self.PREFIXES)
+        for weight, bias, _ in layers:
+            assert np.shares_memory(weight, params.flat) and np.shares_memory(bias, params.flat)
+        params["m.2.1.bias"] = np.array([4.0, -4.0])  # a write by name reaches the stack
+        assert np.array_equal(layers[1][1][2], [[4.0, -4.0]])
+
+    @pytest.mark.parametrize("prefixes", [("m.0.", "m.2."), ("m.1.", "m.0."), ("m.3.",)])
+    def test_rejects_mlps_not_laid_out_one_after_another(self, prefixes):
+        spec = nn.MLPSpec((3, 4, 2))
+        params = self._params(spec, self.PREFIXES)
+        with pytest.raises(ConfigurationError, match="not laid out one after another"):
+            nn.bind_stacked_mlp(spec, params, prefixes)
+
+
 class TestBackward:
     def test_zero_output_gradient(self):
         spec = nn.MLPSpec((3, 4, 2))
         params = nn.init_params(spec, 3)
         out, cache = forward(spec, params, np.ones((1, 3)))
-        grads, dx = nn.mlp_backward(spec, params, cache, np.zeros_like(out))
+        grads, dx = backward(spec, params, cache, np.zeros_like(out))
         assert all(np.all(g == 0.0) for g in grads.values())
         assert np.all(dx == 0.0)
 
@@ -177,7 +232,7 @@ class TestBackward:
         x = rng.normal(size=(1, 3))
         t = rng.normal(size=(1, 2))
         y, cache = forward(spec, params, x)
-        grads, _ = nn.mlp_backward(spec, params, cache, y - t)
+        grads, _ = backward(spec, params, cache, y - t)
         assert np.allclose(grads["0.weight"], np.outer(x, y - t))
         assert np.allclose(grads["0.bias"], (y - t)[0])
 
@@ -192,7 +247,7 @@ class TestBackward:
             return float(np.sum((y - t) ** 2))
 
         y, cache = forward(spec, params, x)
-        analytic, _ = nn.mlp_backward(spec, params, cache, 2.0 * (y - t))
+        analytic, _ = backward(spec, params, cache, 2.0 * (y - t))
         numeric = finite_difference_grads(loss, params)
         assert max_relative_error(analytic, numeric) <= 1e-4
 
@@ -213,7 +268,7 @@ class TestBackward:
                 return float(np.sum(w * y))
 
             _, cache = forward(spec, params, x)
-            analytic, _ = nn.mlp_backward(spec, params, cache, w)
+            analytic, _ = backward(spec, params, cache, w)
             numeric = finite_difference_grads(loss, params)
             assert max_relative_error(analytic, numeric) <= 1e-4
 
@@ -224,7 +279,7 @@ class TestBackward:
         x = rng.normal(size=(1, 5))
         w = rng.normal(size=(1, 2))
         _, cache = forward(spec, params, x)
-        _, dx = nn.mlp_backward(spec, params, cache, w)
+        _, dx = backward(spec, params, cache, w)
         step = 1e-6
         for k in range(5):
             xp, xm = x.copy(), x.copy()
@@ -269,7 +324,7 @@ class TestInPlaceBackward:
         dy[0] = -0.0  # the sign of a masked zero must survive too
         want_grads, want_dx = out_of_place_backward(spec, params, cache, dy)
         gradient = dy.copy()
-        grads, dx = nn.mlp_backward(spec, params, cache, gradient)
+        grads, dx = backward(spec, params, cache, gradient)
         assert dx.tobytes() == want_dx.tobytes()
         for name, value in want_grads.items():
             assert grads[name].tobytes() == value.tobytes(), name
