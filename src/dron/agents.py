@@ -93,12 +93,15 @@ class AgentSpec:
         if self.multitask not in MULTITASK_MODES:
             raise ConfigurationError(f"unknown multitask mode {self.multitask!r}",
                                      keys=("multitask",))
-        if self.state_dim < 1 or self.action_count < 1:
-            raise ConfigurationError("state_dim and action_count must be positive",
-                                     keys=("state_dim", "action_count"))
-        if not self.state_hidden or not self.head_hidden:
-            raise ConfigurationError("state_hidden and head_hidden must be non-empty",
-                                     keys=("state_hidden", "head_hidden"))
+        for key in ("state_dim", "action_count", "opponent_hidden", "multitask_outputs"):
+            if getattr(self, key) < 1:
+                raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}",
+                                         keys=(key,))
+        for key in ("state_hidden", "head_hidden"):
+            sizes = getattr(self, key)
+            if not sizes or min(sizes) < 1:
+                raise ConfigurationError(f"{key} must be one or more sizes >= 1, got {sizes}",
+                                         keys=(key,))
         if self.kind == "dron_moe" and self.experts < 1:
             raise ConfigurationError("dron_moe needs at least one expert",
                                      keys=("kind", "experts"))
@@ -126,10 +129,7 @@ class Agent:
     def __init__(self, spec: AgentSpec, params: Optional[ParamSet] = None, seed: int = 0):
         self.spec = spec
         self._specs = _component_specs(spec)
-        self._layout = tuple(
-            entry for name, mlp in self._specs.items()
-            for entry in nn.mlp_layout(mlp, f"{name}.")
-        )
+        self._layout = param_layout(spec)
         self._grads: Optional[nn.FlatParams] = None  # the set _grad_nets views
         self.params = params if params is not None else self._init(seed)
 
@@ -307,6 +307,12 @@ def _run(layers: Tuple[nn.Layer, ...], x: np.ndarray) -> np.ndarray:
     a, squeeze = nn.as_batch(x)
     out, _ = nn.run_mlp(layers, a)
     return out[0] if squeeze else out
+
+
+def param_layout(spec: AgentSpec) -> nn.Layout:
+    """Names and shapes of an agent's parameters, in flat-vector order."""
+    return tuple(entry for name, mlp in _component_specs(spec).items()
+                 for entry in nn.mlp_layout(mlp, f"{name}."))
 
 
 def _component_specs(spec: AgentSpec) -> Dict[str, MLPSpec]:

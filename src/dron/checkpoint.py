@@ -3,7 +3,9 @@
 Layout: a version line, flat header keys, then one block per parameter
 ("matrix name rows cols" or "vector name n" followed by the values with 17
 significant digits, which round-trips 64-bit reals exactly), closed by an
-"end" line. Parse errors name the offending line.
+"end" line. Parse errors name the offending line. A header key that
+``save_checkpoint`` does not write is refused, and each parameter block must
+be one of the header's agent, in its shape.
 
 The ``environment`` and ``env.<key>`` header lines are config keys, parsed
 and checked by the config's own parser and rules (``config_from_lines``): a
@@ -13,18 +15,20 @@ takes its ``ExperimentConfig`` default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .agents import Agent, AgentSpec, quiz_agent_spec, soccer_agent_spec
+from .agents import Agent, AgentSpec, param_layout, quiz_agent_spec, soccer_agent_spec
 from .config import config_from_lines, env_params_for
 from .errors import CheckpointError, ConfigurationError
 from .nn import ParamSet
 
 FORMAT_NAME = "dron-checkpoint"
 FORMAT_VERSION = 1
+# the header keys `save_checkpoint` writes, besides the env.<key> lines
+_HEADER_KEYS = frozenset({"environment", "steps", "rng", *(f.name for f in fields(AgentSpec))})
 
 
 @dataclass
@@ -177,6 +181,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         key, _, value = line.partition(" ")
         if not value:
             raise CheckpointError(f"line {reader.line_no}: malformed header line {line!r}")
+        if key not in _HEADER_KEYS and not key.startswith("env."):
+            raise CheckpointError(f"line {reader.line_no}: unknown header key {key!r}")
         header[key] = value
         header_line[key] = reader.line_no
         line = reader.next("header")
@@ -185,6 +191,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         param_count = int(line.split()[1])
     except (IndexError, ValueError):
         raise CheckpointError(f"line {reader.line_no}: malformed params count {line!r}") from None
+    params_line = reader.line_no
 
     def need(key: str) -> str:
         if key not in header:
@@ -245,46 +252,59 @@ def load_checkpoint(path: str) -> Checkpoint:
                 raise CheckpointError(f"line {header_line['environment']}: environment soccer "
                                       f"needs {key} {want}, got {got}")
 
+    # every block must be one the header's agent has, in its shape
+    layout = dict(param_layout(spec))
     params: ParamSet = {}
     for _ in range(param_count):
         block = reader.next("parameter block").split()
+        at = reader.line_no
         if block[0] == "matrix" and len(block) == 4:
-            name = block[1]
-            rows = _size(block[2], reader.line_no, f"matrix {name!r} row count")
-            cols = _size(block[3], reader.line_no, f"matrix {name!r} column count")
-            data = np.empty((rows, cols))
-            for r in range(rows):
-                values = reader.next(f"matrix {name!r} row {r}").split()
-                if len(values) != cols:
-                    raise CheckpointError(
-                        f"line {reader.line_no}: matrix {name!r} row {r} has "
-                        f"{len(values)} values, expected {cols}"
-                    )
-                data[r] = _values(values, reader.line_no, f"matrix {name!r} row {r}")
-            params[name] = data
+            shape = (_size(block[2], at, f"matrix {block[1]!r} row count"),
+                     _size(block[3], at, f"matrix {block[1]!r} column count"))
         elif block[0] == "vector" and len(block) == 3:
-            name = block[1]
-            n = _size(block[2], reader.line_no, f"vector {name!r} length")
-            values = reader.next(f"vector {name!r}").split()
-            if len(values) != n:
-                raise CheckpointError(
-                    f"line {reader.line_no}: vector {name!r} has {len(values)} "
-                    f"values, expected {n}"
-                )
-            params[name] = np.array(_values(values, reader.line_no, f"vector {name!r}"))
+            shape = (_size(block[2], at, f"vector {block[1]!r} length"),)
         else:
             raise CheckpointError(
-                f"line {reader.line_no}: expected a matrix/vector block, got "
-                f"{' '.join(block)!r}"
+                f"line {at}: expected a matrix/vector block, got {' '.join(block)!r}"
             )
-        if not np.all(np.isfinite(params[name])):
+        name = block[1]
+        if name not in layout:
+            raise CheckpointError(f"line {at}: parameter {name!r} does not belong to "
+                                  f"the header's {spec.kind} agent")
+        if shape != layout[name]:
+            raise CheckpointError(f"line {at}: parameter {name!r} has shape {shape}, "
+                                  f"the header's agent needs {layout[name]}")
+        if len(shape) == 2:
+            data = np.empty(shape)
+            for r in range(shape[0]):
+                values = reader.next(f"matrix {name!r} row {r}").split()
+                if len(values) != shape[1]:
+                    raise CheckpointError(
+                        f"line {reader.line_no}: matrix {name!r} row {r} has "
+                        f"{len(values)} values, expected {shape[1]}"
+                    )
+                data[r] = _values(values, reader.line_no, f"matrix {name!r} row {r}")
+        else:
+            values = reader.next(f"vector {name!r}").split()
+            if len(values) != shape[0]:
+                raise CheckpointError(
+                    f"line {reader.line_no}: vector {name!r} has {len(values)} "
+                    f"values, expected {shape[0]}"
+                )
+            data = np.array(_values(values, reader.line_no, f"vector {name!r}"))
+        if not np.all(np.isfinite(data)):
             raise CheckpointError(f"parameter {name!r} contains non-finite values")
+        params[name] = data
+    missing = [name for name in layout if name not in params]
+    if missing:
+        raise CheckpointError(f"line {params_line}: no block for parameter {missing[0]!r}, "
+                              f"which the header's agent needs")
 
     closing = reader.next("end marker")
     if closing != "end":
         raise CheckpointError(f"line {reader.line_no}: expected 'end', got {closing!r}")
 
-    checkpoint = Checkpoint(
+    return Checkpoint(
         agent_spec=spec,
         params=params,
         environment=config.environment,
@@ -292,6 +312,3 @@ def load_checkpoint(path: str) -> Checkpoint:
         rng_state=rng_state,
         env_params=env_params_for(config),
     )
-    # shape validation happens when an Agent is built
-    checkpoint.build_agent()
-    return checkpoint

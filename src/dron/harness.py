@@ -138,7 +138,7 @@ class StepInfo:
     """What one driver step shows besides the reward."""
 
     supervision: Optional[Union[int, float]] = None  # multitask target of the move
-    opponent_won: bool = False  # the quiz opponent buzzed correctly
+    opponent_won: bool = False  # the quiz opponent answered right on this word
 
 
 class SoccerDriver:
@@ -205,11 +205,11 @@ class QuizDriver:
     def step(self, action: int) -> Tuple[float, bool, StepInfo]:
         supervision = self._supervision()
         before = self.state
-        self.state, reward, done, outcome = qb.step(before, action, self.quiz_cfg, self.rng)
-        opponent_buzzed, opponent_won = self._record_opponent(before, outcome)
-        phi_o = qb.opponent_features(self.profile) if opponent_buzzed else self.obs[1]
+        self.state, reward, done, opponent = qb.step(before, action, self.quiz_cfg, self.rng)
+        self._record_opponent(before, opponent)
+        phi_o = qb.opponent_features(self.profile) if opponent is not None else self.obs[1]
         self.obs = (qb.featurize(self.state), phi_o)
-        return reward, done, StepInfo(supervision, opponent_won)
+        return reward, done, StepInfo(supervision, bool(opponent))
 
     def finish(self) -> Tuple[float, bool]:
         """End a game whose agent is locked out without playing its words:
@@ -217,20 +217,17 @@ class QuizDriver:
         give, and records the opponent's buzz as stepping would. Nothing is
         drawn from `rng`, and `obs` is left as it was."""
         before = self.state
-        self.state, reward, outcome = qb.finish_locked_out(before)
-        return reward, self._record_opponent(before, outcome)[1]
+        self.state, reward, opponent = qb.finish_locked_out(before)
+        self._record_opponent(before, opponent)
+        return reward, bool(opponent)
 
-    def _record_opponent(self, before: qb.QuizState, outcome: Optional[qb.BuzzOutcome]
-                         ) -> Tuple[bool, bool]:
-        """Add the opponent's buzz, if it came between `before` and `state`, to
-        its history at once, so a failed buzz shows in the opponent features.
-        Returns (the opponent buzzed, it answered right)."""
-        buzzed_wrong = self.state.opponent_locked and not before.opponent_locked
-        opponent_won = outcome is not None and outcome.who == "opponent" and outcome.correct
-        if buzzed_wrong or opponent_won:
+    def _record_opponent(self, before: qb.QuizState, opponent: Optional[bool]) -> None:
+        """Add the opponent's buzz (`qb.step`'s last value), if it buzzed
+        since `before`, to its history at once, so a failed buzz shows in the
+        opponent features."""
+        if opponent is not None:
             self.profile.record_buzz(before.opponent_buzz_pos / before.length,
-                                     wrong=buzzed_wrong)
-        return buzzed_wrong or opponent_won, opponent_won
+                                     wrong=not opponent)
 
 
 class SelfPlayDriver:
@@ -353,7 +350,12 @@ def evaluate_quiz(agent: Agent, opponent: str, n_games: int, seed: int,
     ignored, game g's stream is read by nothing after the game, the miss
     indicator reads only decisions from before the lockout, and a trace row
     reads only the question length, the opponent's buzz word and its μ.
-    `trace_rows`, when given, gets one dict per game."""
+    A game is tallied in four counters: its total reward, the agent's buzz
+    word (-1 if it never buzzed), whether that buzz was right, and whether
+    the belief was right at any decision the agent made. The game is a rush
+    if the agent buzzed wrong, and a miss if the belief was right at one of
+    its decisions but the agent never buzzed right. `trace_rows`, when
+    given, gets one dict per game."""
     if opponent == "self":
         raise UsageError("evaluation always runs against a real opponent pool")
     population = _population(opponent, seed, pool_size)
@@ -361,36 +363,27 @@ def evaluate_quiz(agent: Agent, opponent: str, n_games: int, seed: int,
     rushes = misses = wins = losses = 0
     for game in range(n_games):
         driver = QuizDriver(np.random.default_rng([seed, game]), quiz_cfg, population)
-        trace = qb.EpisodeTrace()
-        agent_buzz_t = -1
-        opponent_won = done = False
+        total = 0.0
+        buzz_t = -1
+        buzz_correct = saw_answer = opponent_won = done = False
         while not done:
             state = driver.state
             if state.agent_locked:
                 reward, opponent_won = driver.finish()
-                trace.total_reward += reward
+                total += reward
                 break
             action = int(np.argmax(agent.q_values(*driver.obs)))
-            record = qb.StepRecord(
-                t=state.t, belief_was_correct=qb.belief_correct(state),
-                agent_had_buzzed=False,
-            )
-            trace.steps.append(record)
+            right = qb.belief_correct(state)
+            saw_answer = saw_answer or right
             if action == qb.BUZZ:
-                # not taken from qb.step's outcome, which is the opponent's
-                # when it answers correctly on the same word
-                trace.agent_buzzed = True
-                trace.agent_buzz_correct = record.belief_was_correct
-                agent_buzz_t = state.t
+                buzz_t, buzz_correct = state.t, right
             reward, done, info = driver.step(action)
-            trace.total_reward += reward
+            total += reward
             opponent_won = info.opponent_won
-        trace.completed = True
-        reward, rush, miss = qb.score_episode(trace)
-        rewards.append(reward)
-        rushes += rush
-        misses += miss
-        wins += trace.agent_buzz_correct
+        rewards.append(total)
+        rushes += buzz_t >= 0 and not buzz_correct
+        misses += saw_answer and not buzz_correct
+        wins += buzz_correct
         losses += opponent_won
         if trace_rows is not None:
             trace_rows.append({
@@ -398,9 +391,9 @@ def evaluate_quiz(agent: Agent, opponent: str, n_games: int, seed: int,
                 "length": driver.state.length,
                 "opponent_mean_buzz_frac": driver.profile.mean_buzz_frac,
                 "opponent_buzz_pos": driver.state.opponent_buzz_pos,
-                "agent_buzz_pos": agent_buzz_t,
-                "agent_buzz_correct": int(trace.agent_buzz_correct),
-                "reward": reward,
+                "agent_buzz_pos": buzz_t,
+                "agent_buzz_correct": int(buzz_correct),
+                "reward": total,
             })
     n = len(rewards)
     return MetricsSummary(
@@ -549,11 +542,12 @@ def sweep_experts(config: ExperimentConfig, k_values: Sequence[int],
     confidence intervals over seed means."""
     if not k_values:
         raise UsageError("at least one expert count is required")
+    # every count is checked before the first run, so a bad one costs no training
+    configs = [replace(config, agent="dron_moe", experts=int(k)) for k in k_values]
     points = []
     out = output_dir if output_dir is not None else config.output_dir
     os.makedirs(out, exist_ok=True)
-    for k in k_values:
-        cfg_k = replace(config, agent="dron_moe", experts=int(k))
+    for k, cfg_k in zip(k_values, configs):
         seed_means = []
         for seed in cfg_k.seeds:
             hook = None

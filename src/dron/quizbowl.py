@@ -11,12 +11,19 @@ correct buzz (``REWARD_CORRECT``), -5 for a wrong one (``REWARD_WRONG``; the
 buzzer is then locked out), -10 when the opponent answers correctly
 (``REWARD_OPPONENT_CORRECT``). The opponent-free baseline is paid the shaped
 ``SELF_REWARD_CORRECT`` and ``SELF_REWARD_WRONG`` instead (``dqnself_reward``).
+
+The one event per word that callers must see is the opponent's buzz, since
+the opponent features are built from the buzzes each opponent has made.
+``step`` and ``finish_locked_out`` report it as their last value: ``None``
+when the opponent did not buzz, else whether it answered right. The agent's
+own buzz needs no report: its caller chose the action and can read
+``belief_correct`` before stepping.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -137,14 +144,6 @@ class QuizState:
     done: bool = False
 
 
-@dataclass
-class BuzzOutcome:
-    who: str  # "agent" | "opponent"
-    correct: bool
-    step: int
-    reward: float
-
-
 def _draw_belief(t: int, length: int, answer: int, config: QuizConfig,
                  rng: np.random.Generator) -> np.ndarray:
     logits = rng.standard_normal(config.vocab)
@@ -219,54 +218,53 @@ def step(
     action: int,
     config: QuizConfig,
     rng: np.random.Generator,
-) -> Tuple[QuizState, float, bool, Optional[BuzzOutcome]]:
+) -> Tuple[QuizState, float, bool, Optional[bool]]:
     """One decision point. Within a step the agent's buzz resolves first,
     then the opponent's scheduled buzz, then the next word is revealed. A
     wrong buzz locks that side out and play continues; the question running
     out with no correct buzz ends the episode with no further reward. The
-    input state is never modified."""
+    last value is the opponent's buzz on this word: ``None`` if it did not
+    buzz (also when the agent's correct buzz ended the game first), else
+    whether it answered right. The input state is never modified."""
     if state.done:
         raise UsageError("cannot step a finished episode")
     reward = 0.0
-    outcome = None
     agent_locked, opponent_locked = state.agent_locked, state.opponent_locked
 
     if action == BUZZ and not agent_locked:
         if belief_correct(state):
-            reward = REWARD_CORRECT
-            outcome = BuzzOutcome("agent", True, state.t, reward)
-            return _ended(state, agent_locked, opponent_locked), reward, True, outcome
+            return _ended(state, agent_locked, opponent_locked), REWARD_CORRECT, True, None
         reward = REWARD_WRONG
         agent_locked = True
-        outcome = BuzzOutcome("agent", False, state.t, reward)
 
     opponent = opponent_buzz(state) if state.t == state.opponent_buzz_pos else None
-    if opponent is not None:
-        if opponent.correct:
-            reward += opponent.reward
-            return _ended(state, agent_locked, opponent_locked), reward, True, opponent
+    if opponent:
+        reward += REWARD_OPPONENT_CORRECT
+        return _ended(state, agent_locked, opponent_locked), reward, True, True
+    if opponent is not None:  # a wrong answer: the opponent is locked out
         opponent_locked = True
 
     if state.t >= state.length:
-        return _ended(state, agent_locked, opponent_locked), reward, True, outcome
-    return _advanced(state, agent_locked, opponent_locked, config, rng), reward, False, outcome
+        return _ended(state, agent_locked, opponent_locked), reward, True, opponent
+    return _advanced(state, agent_locked, opponent_locked, config, rng), reward, False, opponent
 
 
-def opponent_buzz(state: QuizState) -> Optional[BuzzOutcome]:
-    """The opponent's pre-drawn buzz if it is still to come: on word
+def opponent_buzz(state: QuizState) -> Optional[bool]:
+    """The opponent's pre-drawn buzz if it is still to come, on word
     `opponent_buzz_pos`, between the current word and the last, with the
-    opponent not locked out. A right answer pays `REWARD_OPPONENT_CORRECT`
-    and ends the game; a wrong one pays nothing and locks the opponent out."""
+    opponent not locked out: whether it answers right, or ``None`` if no buzz
+    is left. A right answer pays `REWARD_OPPONENT_CORRECT` and ends the game;
+    a wrong one pays nothing and locks the opponent out."""
     if state.opponent_locked or not state.t <= state.opponent_buzz_pos <= state.length:
         return None
-    reward = REWARD_OPPONENT_CORRECT if state.opponent_correct else 0.0
-    return BuzzOutcome("opponent", state.opponent_correct, state.opponent_buzz_pos, reward)
+    return state.opponent_correct
 
 
-def finish_locked_out(state: QuizState) -> Tuple[QuizState, float, Optional[BuzzOutcome]]:
+def finish_locked_out(state: QuizState) -> Tuple[QuizState, float, Optional[bool]]:
     """The rest of a game whose agent is locked out, settled at once: only
-    the opponent's buzz is left to happen. Gives the reward, the outcome and
-    the lockouts of stepping to the end (any action: a locked agent's buzz
+    the opponent's buzz is left to happen. Gives the reward, the lockouts
+    and the opponent's buzz (``None`` if none is left, else whether it
+    answered right) of stepping to the end (any action: a locked agent's buzz
     is ignored) in an ended state, without drawing the beliefs of the words
     in between."""
     if state.done:
@@ -276,9 +274,9 @@ def finish_locked_out(state: QuizState) -> Tuple[QuizState, float, Optional[Buzz
     opponent = opponent_buzz(state)
     if opponent is None:
         return _ended(state, True, state.opponent_locked), 0.0, None
-    if opponent.correct:
-        return _ended(state, True, False), opponent.reward, opponent
-    return _ended(state, True, True), 0.0, None
+    if opponent:
+        return _ended(state, True, False), REWARD_OPPONENT_CORRECT, True
+    return _ended(state, True, True), 0.0, False
 
 
 def featurize(state: QuizState) -> np.ndarray:
@@ -319,33 +317,3 @@ def dqnself_reward(buzz: bool, prediction_correct: bool) -> float:
     """Shaped immediate reward for the opponent-free baseline."""
     pair = SELF_REWARD_CORRECT if prediction_correct else SELF_REWARD_WRONG
     return pair[0] if buzz else pair[1]
-
-
-@dataclass
-class StepRecord:
-    t: int
-    belief_was_correct: bool
-    agent_had_buzzed: bool  # before this decision
-
-
-@dataclass
-class EpisodeTrace:
-    steps: List[StepRecord] = field(default_factory=list)
-    total_reward: float = 0.0
-    agent_buzzed: bool = False
-    agent_buzz_correct: bool = False
-    completed: bool = False
-
-
-def score_episode(trace: EpisodeTrace) -> Tuple[float, bool, bool]:
-    """Episode reward plus the two error indicators: rush (buzzed and was
-    wrong) and miss (never buzzed correctly although, at some decision before
-    the deciding event, the belief argmax was already the true answer and
-    the agent had not yet buzzed)."""
-    if not trace.completed:
-        raise UsageError("cannot score an incomplete episode trace")
-    rush = trace.agent_buzzed and not trace.agent_buzz_correct
-    miss = False
-    if not trace.agent_buzz_correct:
-        miss = any(r.belief_was_correct and not r.agent_had_buzzed for r in trace.steps)
-    return trace.total_reward, rush, miss

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -24,8 +26,8 @@ def make_quiz_checkpoint():
     )
 
 
-def make_checkpoint(seed=3):
-    agent = Agent(soccer_agent_spec("dron_moe"), seed=seed)
+def make_checkpoint(seed=3, multitask="none"):
+    agent = Agent(soccer_agent_spec("dron_moe", multitask=multitask), seed=seed)
     rng = np.random.default_rng(5)
     rng.random(7)  # advance the stream so the state is non-trivial
     return Checkpoint(
@@ -282,4 +284,55 @@ def test_bad_agent_line_fails_at_load(tmp_path, key, value, named):
     line = at + 1 if key != "opponent_dim" else next(
         i for i, text in enumerate(lines, 1) if text.startswith("environment "))
     with pytest.raises(CheckpointError, match=rf"^line {line}: {named}$"):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("line", ["stepz 3", "foo 1", "env 1", "params_count 30"])
+def test_unknown_header_key_names_its_line(tmp_path, line):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(make_checkpoint()[0], str(path))
+    lines = path.read_text().splitlines()
+    at = next(i for i, text in enumerate(lines) if text.startswith("steps "))
+    lines.insert(at, line)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CheckpointError,
+                       match=rf"^line {at + 1}: unknown header key '{line.split()[0]}'$"):
+        load_checkpoint(str(path))
+
+
+# (header key, value, what the error names): a size below 1 names its own
+# line; a size the saved parameters do not fit names the first block that
+# does not fit it (blocks are saved in name order)
+@pytest.mark.parametrize("key,value,named", [
+    ("multitask_outputs", "0", "multitask_outputs"),
+    ("opponent_hidden", "0", "opponent_hidden"),
+    ("state_hidden", "0", "state_hidden"),
+    ("head_hidden", "-3", "head_hidden"),
+    ("multitask_outputs", "3", "opponent_head.0.bias"),
+    ("action_count", "4", "expert.0.1.bias"),
+    ("experts", "2", "expert.2.0.bias"),
+])
+def test_size_that_misfits_names_a_line(tmp_path, key, value, named):
+    # a soccer dron_moe checkpoint with a five-way action head
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(make_checkpoint(multitask="action")[0], str(path))
+    lines = path.read_text().splitlines()
+    at = next(i for i, text in enumerate(lines) if text.split()[0] == key)
+    lines[at] = f"{key} {value}"
+    path.write_text("\n".join(lines) + "\n")
+    line = next(i for i, text in enumerate(lines, 1) if named in text.split()[:2])
+    with pytest.raises(CheckpointError, match=rf"^line {line}: .*{re.escape(named)}"):
+        load_checkpoint(str(path))
+
+
+def test_missing_block_names_the_params_line(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(make_checkpoint()[0], str(path))
+    lines = path.read_text().splitlines()
+    at = lines.index("vector gate.0.bias 3")
+    del lines[at:at + 2]
+    params = next(i for i, text in enumerate(lines) if text.startswith("params "))
+    lines[params] = f"params {int(lines[params].split()[1]) - 1}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CheckpointError, match=rf"^line {params + 1}: no block for .*'gate.0.bias'"):
         load_checkpoint(str(path))

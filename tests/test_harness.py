@@ -14,7 +14,7 @@ from dron.agents import Agent, quiz_agent_spec, soccer_agent_spec
 from dron.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from dron.cli import main
 from dron.config import ExperimentConfig, parse_config
-from dron.errors import UsageError
+from dron.errors import ConfigurationError, UsageError
 from dron.harness import evaluate, sweep_experts, train, train_run
 
 TINY_SOCCER = """
@@ -290,6 +290,24 @@ class TestEvaluateQuiz:
         wrong = sum(row["reward"] in (-5.0, -15.0) for row in rows)
         assert summary.rush_rate == wrong / len(rows)
 
+    # With alpha = +-1000 the answer's logit moves by at least 1000/120 from
+    # word 1 on, so from there the belief is always right (alpha > 0) or
+    # never right (alpha < 0). BuzzAt(0.0) buzzes on word 1, before any
+    # opponent can, and BuzzAt(1.0) never buzzes.
+
+    def test_correct_buzz_is_neither_rush_nor_miss(self):
+        summary = harness.evaluate_quiz(BuzzAt(0.0), "mixed", 30, 0, qb.QuizConfig(alpha=1000.0))
+        assert summary == harness.MetricsSummary(mean_reward=10.0, games=30, win_rate=1.0)
+
+    def test_wrong_buzz_is_rush(self):
+        summary = harness.evaluate_quiz(BuzzAt(0.0), "mixed", 30, 0,
+                                        qb.QuizConfig(alpha=-1000.0))
+        assert summary.rush_rate == 1.0 and summary.win_rate == 0.0
+
+    def test_waiting_past_correct_belief_is_miss(self):
+        summary = harness.evaluate_quiz(BuzzAt(1.0), "mixed", 30, 0, qb.QuizConfig(alpha=1000.0))
+        assert summary.miss_rate == 1.0 and summary.rush_rate == 0.0
+
 
 def per_word_quiz(agent, opponent, n_games, seed, quiz_cfg,
                   pool_size=ExperimentConfig.opponent_pool, trace_rows=None):
@@ -302,30 +320,24 @@ def per_word_quiz(agent, opponent, n_games, seed, quiz_cfg,
     rushes = misses = wins = losses = 0
     for game in range(n_games):
         driver = harness.QuizDriver(np.random.default_rng([seed, game]), quiz_cfg, population)
-        trace = qb.EpisodeTrace()
-        agent_buzz_t = -1
-        opponent_won = done = False
+        total = 0.0
+        buzz_t = -1
+        buzz_correct = saw_answer = opponent_won = done = False
         while not done:
             state = driver.state
             action = int(np.argmax(agent.q_values(*driver.obs)))
-            record = qb.StepRecord(
-                t=state.t, belief_was_correct=qb.belief_correct(state),
-                agent_had_buzzed=state.agent_locked,
-            )
-            trace.steps.append(record)
-            if action == qb.BUZZ and not state.agent_locked:
-                trace.agent_buzzed = True
-                trace.agent_buzz_correct = record.belief_was_correct
-                agent_buzz_t = state.t
+            right = qb.belief_correct(state)
+            if not state.agent_locked:  # a locked-out agent's decisions count for nothing
+                saw_answer = saw_answer or right
+                if action == qb.BUZZ:
+                    buzz_t, buzz_correct = state.t, right
             reward, done, info = driver.step(action)
-            trace.total_reward += reward
+            total += reward
             opponent_won = opponent_won or info.opponent_won
-        trace.completed = True
-        reward, rush, miss = qb.score_episode(trace)
-        rewards.append(reward)
-        rushes += rush
-        misses += miss
-        wins += trace.agent_buzz_correct
+        rewards.append(total)
+        rushes += buzz_t >= 0 and not buzz_correct
+        misses += saw_answer and not buzz_correct
+        wins += buzz_correct
         losses += opponent_won
         if trace_rows is not None:
             trace_rows.append({
@@ -333,9 +345,9 @@ def per_word_quiz(agent, opponent, n_games, seed, quiz_cfg,
                 "length": driver.state.length,
                 "opponent_mean_buzz_frac": driver.profile.mean_buzz_frac,
                 "opponent_buzz_pos": driver.state.opponent_buzz_pos,
-                "agent_buzz_pos": agent_buzz_t,
-                "agent_buzz_correct": int(trace.agent_buzz_correct),
-                "reward": reward,
+                "agent_buzz_pos": buzz_t,
+                "agent_buzz_correct": int(buzz_correct),
+                "reward": total,
             })
     n = len(rewards)
     return harness.MetricsSummary(
@@ -469,6 +481,15 @@ class TestSweep:
         points = sweep_experts(cfg, [2], output_dir=str(tmp_path))
         assert points[0].degenerate
         assert points[0].ci_halfwidth == 0.0
+
+    def test_bad_count_fails_before_any_run(self, tmp_path, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train_run called")
+        monkeypatch.setattr(harness, "train_run", no_training)
+        cfg = parse_config("environment = soccer\nagent = dron_moe\nseeds = 1\n")
+        with pytest.raises(ConfigurationError, match="experts must be >= 1 for dron_moe, got 0"):
+            sweep_experts(cfg, [2, 0], output_dir=str(tmp_path))
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 # One tiny 2-epoch run per driver branch. The hashes pin every CSV and

@@ -10,12 +10,10 @@ from dron.quizbowl import (
     BUZZ,
     WAIT,
     DEFAULT_QUIZ_CONFIG,
-    EpisodeTrace,
     OpponentProfile,
     Population,
     QuizConfig,
     QuizState,
-    StepRecord,
     action_supervision_target,
     advance_belief,
     dqnself_reward,
@@ -24,7 +22,6 @@ from dron.quizbowl import (
     opponent_features,
     opponent_type,
     sample_episode,
-    score_episode,
     step,
 )
 
@@ -125,37 +122,36 @@ class TestAdvanceBelief:
 class TestStep:
     def test_correct_buzz_ends_with_plus_ten(self):
         state = forced_state(correct_argmax=True, opponent_buzz_pos=90)
-        nxt, reward, done, outcome = step(state, BUZZ, DEFAULT_QUIZ_CONFIG,
-                                          np.random.default_rng(0))
-        assert reward == 10.0 and done
-        assert outcome.who == "agent" and outcome.correct
+        nxt, reward, done, opponent = step(state, BUZZ, DEFAULT_QUIZ_CONFIG,
+                                           np.random.default_rng(0))
+        assert reward == 10.0 and done and opponent is None
 
     def test_wrong_buzz_locks_and_continues(self):
         state = forced_state(correct_argmax=False, opponent_buzz_pos=90)
-        nxt, reward, done, outcome = step(state, BUZZ, DEFAULT_QUIZ_CONFIG,
-                                          np.random.default_rng(0))
+        nxt, reward, done, opponent = step(state, BUZZ, DEFAULT_QUIZ_CONFIG,
+                                           np.random.default_rng(0))
         assert reward == -5.0 and not done
-        assert nxt.agent_locked and not outcome.correct
+        assert nxt.agent_locked and opponent is None
         assert nxt.t == state.t + 1
 
     def test_locked_agent_cannot_buzz(self):
         state = forced_state(correct_argmax=True, agent_locked=True, opponent_buzz_pos=90)
-        _, reward, done, outcome = step(state, BUZZ, DEFAULT_QUIZ_CONFIG,
-                                        np.random.default_rng(0))
-        assert reward == 0.0 and not done and outcome is None
+        _, reward, done, opponent = step(state, BUZZ, DEFAULT_QUIZ_CONFIG,
+                                         np.random.default_rng(0))
+        assert reward == 0.0 and not done and opponent is None
 
     def test_opponent_correct_costs_ten(self):
         state = forced_state(t=30, opponent_buzz_pos=30, opponent_correct=True)
-        _, reward, done, outcome = step(state, WAIT, DEFAULT_QUIZ_CONFIG,
-                                        np.random.default_rng(0))
-        assert reward == -10.0 and done
-        assert outcome.who == "opponent" and outcome.correct
+        _, reward, done, opponent = step(state, WAIT, DEFAULT_QUIZ_CONFIG,
+                                         np.random.default_rng(0))
+        assert reward == -10.0 and done and opponent is True
 
     def test_opponent_wrong_locks_opponent(self):
         state = forced_state(t=30, opponent_buzz_pos=30, opponent_correct=False)
-        nxt, reward, done, _ = step(state, WAIT, DEFAULT_QUIZ_CONFIG,
-                                    np.random.default_rng(0))
+        nxt, reward, done, opponent = step(state, WAIT, DEFAULT_QUIZ_CONFIG,
+                                           np.random.default_rng(0))
         assert reward == 0.0 and not done and nxt.opponent_locked
+        assert opponent is False
 
     def test_exhaustion_zero_reward(self):
         state = forced_state(t=100, length=100, correct_argmax=False,
@@ -200,11 +196,17 @@ class TestStep:
             buzzes = 0
             while True:
                 action = BUZZ if rng.random() < 0.05 else WAIT
-                was_locked = state.agent_locked
-                state, reward, done, outcome = step(state, action, cfg, rng)
-                if outcome is not None and outcome.who == "agent":
-                    assert not was_locked
+                before = state
+                state, reward, done, opponent = step(state, action, cfg, rng)
+                agent_won = reward == qb.REWARD_CORRECT
+                if agent_won or state.agent_locked and not before.agent_locked:
+                    assert action == BUZZ and not before.agent_locked
                     buzzes += 1
+                # the opponent buzzes on its word unless it is locked out or
+                # the agent's correct buzz has ended the game first
+                opponent_buzzed = (before.t == before.opponent_buzz_pos
+                                   and not before.opponent_locked and not agent_won)
+                assert (opponent is not None) == opponent_buzzed
                 assert reward in (10.0, -5.0, -10.0, 0.0, -15.0)
                 total += reward
                 decisions += 1
@@ -216,19 +218,19 @@ class TestStep:
 
 
 class TestFinishLockedOut:
-    @pytest.mark.parametrize("kw,reward,opponent_locked", [
-        (dict(t=10, opponent_buzz_pos=30, opponent_correct=True), -10.0, False),
-        (dict(t=30, opponent_buzz_pos=30, opponent_correct=True), -10.0, False),
-        (dict(t=10, opponent_buzz_pos=30, opponent_correct=False), 0.0, True),
+    @pytest.mark.parametrize("kw,reward,opponent_locked,opponent", [
+        (dict(t=10, opponent_buzz_pos=30, opponent_correct=True), -10.0, False, True),
+        (dict(t=30, opponent_buzz_pos=30, opponent_correct=True), -10.0, False, True),
+        (dict(t=10, opponent_buzz_pos=30, opponent_correct=False), 0.0, True, False),
         (dict(t=10, opponent_buzz_pos=30, opponent_correct=True, opponent_locked=True),
-         0.0, True),
+         0.0, True, None),
     ], ids=["opponent-right", "opponent-right-now", "opponent-wrong", "opponent-locked"])
-    def test_settles_the_opponent_buzz(self, kw, reward, opponent_locked):
+    def test_settles_the_opponent_buzz(self, kw, reward, opponent_locked, opponent):
         state = forced_state(agent_locked=True, **kw)
-        end, got, outcome = qb.finish_locked_out(state)
+        end, got, buzz = qb.finish_locked_out(state)
         assert got == reward and end.done and end.agent_locked
         assert end.opponent_locked == opponent_locked
-        assert (outcome is not None) == (reward != 0.0)
+        assert buzz is opponent
 
     def test_passed_buzz_word_is_not_replayed(self):
         state = forced_state(t=40, agent_locked=True, opponent_buzz_pos=30,
@@ -318,37 +320,6 @@ class TestDqnSelfReward:
     ])
     def test_table(self, buzz, correct, expected):
         assert dqnself_reward(buzz, correct) == expected
-
-
-class TestScoreEpisode:
-    def test_correct_buzz_clean(self):
-        trace = EpisodeTrace(
-            steps=[StepRecord(5, True, False)],
-            total_reward=10.0, agent_buzzed=True, agent_buzz_correct=True,
-            completed=True,
-        )
-        assert score_episode(trace) == (10.0, False, False)
-
-    def test_wrong_buzz_is_rush(self):
-        trace = EpisodeTrace(
-            steps=[StepRecord(3, False, False)],
-            total_reward=-5.0, agent_buzzed=True, agent_buzz_correct=False,
-            completed=True,
-        )
-        _, rush, _ = score_episode(trace)
-        assert rush
-
-    def test_waiting_past_correct_belief_is_miss(self):
-        steps = [StepRecord(t, t >= 10, False) for t in range(40)]
-        trace = EpisodeTrace(steps=steps, total_reward=-10.0,
-                             agent_buzzed=False, agent_buzz_correct=False,
-                             completed=True)
-        _, rush, miss = score_episode(trace)
-        assert miss and not rush
-
-    def test_incomplete_raises(self):
-        with pytest.raises(UsageError):
-            score_episode(EpisodeTrace())
 
 
 class TestPopulations:
