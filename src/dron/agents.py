@@ -61,6 +61,12 @@ _COMPONENT_STREAMS = {
 }
 
 
+def has_opponent_tower(kind: str) -> bool:
+    """Whether an agent of `kind` reads opponent features: `dqn` sees only
+    the state."""
+    return kind != "dqn"
+
+
 @dataclass(frozen=True)
 class AgentSpec:
     """Architecture description shared by all agent kinds.
@@ -105,12 +111,16 @@ class AgentSpec:
         if self.kind == "dron_moe" and self.experts < 1:
             raise ConfigurationError("dron_moe needs at least one expert",
                                      keys=("kind", "experts"))
-        if self.kind != "dqn" and self.opponent_dim < 1:
+        if has_opponent_tower(self.kind) and self.opponent_dim < 1:
             raise ConfigurationError(f"{self.kind} requires opponent features",
                                      keys=("kind", "opponent_dim"))
-        if self.kind == "dqn" and self.multitask != "none":
+        if not has_opponent_tower(self.kind) and self.multitask != "none":
             raise ConfigurationError("multitask supervision needs an opponent tower",
                                      keys=("kind", "multitask"))
+        if self.multitask == "none" and self.multitask_outputs != 1:
+            raise ConfigurationError(
+                f"multitask_outputs must be 1 without a multitask head, "
+                f"got {self.multitask_outputs}", keys=("multitask", "multitask_outputs"))
         if self.multitask_weight < 0:
             raise ConfigurationError("multitask_weight must be non-negative",
                                      keys=("multitask_weight",))

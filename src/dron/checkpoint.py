@@ -4,8 +4,9 @@ Layout: a version line, flat header keys, then one block per parameter
 ("matrix name rows cols" or "vector name n" followed by the values with 17
 significant digits, which round-trips 64-bit reals exactly), closed by an
 "end" line. Parse errors name the offending line. A header key that
-``save_checkpoint`` does not write is refused, and each parameter block must
-be one of the header's agent, in its shape.
+``save_checkpoint`` does not write is refused, as is a second line for a
+key already read, and each parameter block must be one of the header's
+agent, in its shape.
 
 The ``environment`` and ``env.<key>`` header lines are config keys, parsed
 and checked by the config's own parser and rules (``config_from_lines``): a
@@ -183,6 +184,8 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise CheckpointError(f"line {reader.line_no}: malformed header line {line!r}")
         if key not in _HEADER_KEYS and not key.startswith("env."):
             raise CheckpointError(f"line {reader.line_no}: unknown header key {key!r}")
+        if key in header:
+            raise CheckpointError(f"line {reader.line_no}: repeated header key {key!r}")
         header[key] = value
         header_line[key] = reader.line_no
         line = reader.next("header")

@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Optional, Tuple
 
 from .agents import KINDS as AGENT_KINDS
+from .agents import has_opponent_tower
 from .agents import MULTITASK_MODES as MULTITASK
 from .errors import ConfigurationError
 from .quizbowl import POPULATION_PRESETS
@@ -115,7 +116,7 @@ class ExperimentConfig:
         if self.agent == "dron_moe" and self.experts < 1:
             raise ConfigurationError(f"experts must be >= 1 for dron_moe, got {self.experts}",
                                      keys=("agent", "experts"))
-        if self.agent == "dqn" and self.multitask != "none":
+        if not has_opponent_tower(self.agent) and self.multitask != "none":
             raise ConfigurationError(
                 f"multitask must be none for dqn (no opponent tower), got {self.multitask!r}",
                 keys=("agent", "multitask"))

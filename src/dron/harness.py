@@ -8,6 +8,18 @@ the game state, the opponent history and the current observation `obs`;
 never starts the next episode by itself: its owner calls `reset()`, so an
 evaluation game draws nothing from its random stream after the game ends.
 
+Nothing is computed that the agent does not read. A `dqn` agent has no
+opponent tower (`agents.has_opponent_tower`), so it is shown no opponent:
+its drivers' `obs[1]` is the empty `NO_OPPONENT`, and its replay rows hold
+no opponent columns (35 floats per soccer row where a DRON agent's hold
+67). The soccer driver then neither classifies nor tallies the opponent's
+moves, lockstep evaluation keeps no `soccer.OpponentTallies` and looks up
+no move categories, and the quiz driver builds no opponent features but
+still records every buzz, since the buzz histories are the pool's state.
+Training draws its exploration first (`rl.act_epsilon_greedy`), so an
+exploratory move runs no Q-value forward. None of this changes a draw or an
+output byte.
+
 A run's environment is one dict, `env_params_for(config)`, which its
 checkpoint stores as `env.<key>` lines; loading reads them back through the
 config's parser and rules, so a bad line fails there naming itself. Greedy
@@ -56,7 +68,7 @@ import numpy as np
 
 from . import quizbowl as qb
 from . import rl, soccer
-from .agents import Agent, AgentSpec, quiz_agent_spec, soccer_agent_spec
+from .agents import Agent, AgentSpec, has_opponent_tower, quiz_agent_spec, soccer_agent_spec
 from .checkpoint import Checkpoint, rng_state_of, save_checkpoint
 from .config import ExperimentConfig, env_params_for
 from .errors import TrainingError, UsageError
@@ -132,6 +144,8 @@ def quiz_config_for(env_params: dict) -> qb.QuizConfig:
 
 # -- environment drivers ------------------------------------------------------
 
+NO_OPPONENT = np.zeros(0)  # obs[1] for an agent without an opponent tower
+
 
 @dataclass
 class StepInfo:
@@ -142,29 +156,36 @@ class StepInfo:
 
 
 class SoccerDriver:
-    """The primary agent (player A) against the rule-based opponent."""
+    """The primary agent (player A) against the rule-based opponent. With
+    `sees_opponent` false (a `dqn` agent) the opponent's moves are neither
+    classified nor tallied, and `obs[1]` is `NO_OPPONENT`."""
 
     bootstrap = True  # TD targets look past non-terminal steps
 
     def __init__(self, rng: np.random.Generator, opponent: str = "mixed",
-                 multitask: str = "none"):
+                 multitask: str = "none", sees_opponent: bool = True):
         self.cfg = soccer.DEFAULT_CONFIG
         self.rng = rng
         self.mode_policy = opponent
         self.multitask = multitask
+        self.sees_opponent = sees_opponent
         self.reset()
 
     def reset(self) -> None:
         self.state, self.mode = soccer.reset(self.cfg, self.rng, self.mode_policy)
-        self.stats = soccer.OpponentStats()
+        self.stats = soccer.OpponentStats() if self.sees_opponent else None
         self._observe()
 
     def _observe(self) -> None:
-        self.obs = (soccer.featurize_state(self.state, self.cfg, 0),
-                    soccer.opponent_features(self.stats))
+        phi_o = soccer.opponent_features(self.stats) if self.sees_opponent else NO_OPPONENT
+        self.obs = (soccer.featurize_state(self.state, self.cfg, 0), phi_o)
 
     def step(self, action: int) -> Tuple[float, bool, StepInfo]:
         action_b = soccer.rule_agent_act(self.state, self.mode, self.rng, self.cfg, 1)
+        if not self.sees_opponent:
+            self.state, reward, done, _ = soccer.step(self.state, action, action_b, self.cfg)
+            self._observe()
+            return reward, done, StepInfo()
         category = soccer.classify_move(self.state, action_b, self.cfg, 1)
         self.state, reward, done, blocked = soccer.step(self.state, action, action_b, self.cfg)
         self.stats.observe(category, action_b, lost_ball=blocked and self.state.holder == 1)
@@ -179,21 +200,28 @@ class SoccerDriver:
 
 class QuizDriver:
     """The agent against an opponent drawn per episode from a persistent
-    pool; each opponent's buzz history carries over between episodes."""
+    pool; each opponent's buzz history carries over between episodes. With
+    `sees_opponent` false (a `dqn` agent) `obs[1]` is `NO_OPPONENT`, but every
+    buzz is still recorded: the histories are the pool's state."""
 
     bootstrap = True
 
     def __init__(self, rng: np.random.Generator, quiz_cfg: qb.QuizConfig,
-                 population: qb.Population, multitask: str = "none"):
+                 population: qb.Population, multitask: str = "none",
+                 sees_opponent: bool = True):
         self.rng = rng
         self.quiz_cfg = quiz_cfg
         self.population = population
         self.multitask = multitask
+        self.sees_opponent = sees_opponent
         self.reset()
 
     def reset(self) -> None:
         self.state, self.profile = qb.sample_episode(self.quiz_cfg, self.population, self.rng)
-        self.obs = (qb.featurize(self.state), qb.opponent_features(self.profile))
+        self.obs = (qb.featurize(self.state), self._opponent_features())
+
+    def _opponent_features(self) -> np.ndarray:
+        return qb.opponent_features(self.profile) if self.sees_opponent else NO_OPPONENT
 
     def _supervision(self) -> Optional[Union[int, float]]:
         if self.multitask == "type":
@@ -207,7 +235,7 @@ class QuizDriver:
         before = self.state
         self.state, reward, done, opponent = qb.step(before, action, self.quiz_cfg, self.rng)
         self._record_opponent(before, opponent)
-        phi_o = qb.opponent_features(self.profile) if opponent is not None else self.obs[1]
+        phi_o = self._opponent_features() if opponent is not None else self.obs[1]
         self.obs = (qb.featurize(self.state), phi_o)
         return reward, done, StepInfo(supervision, bool(opponent))
 
@@ -232,7 +260,8 @@ class QuizDriver:
 
 class SelfPlayDriver:
     """Opponent-free quiz bowl with shaped immediate rewards for buzzing or
-    waiting on each word; every step is its own one-step TD episode."""
+    waiting on each word; every step is its own one-step TD episode. Only a
+    `dqn` agent trains here, so `obs[1]` is `NO_OPPONENT`."""
 
     bootstrap = False
 
@@ -245,14 +274,14 @@ class SelfPlayDriver:
 
     def reset(self) -> None:
         self.state, _ = qb.sample_episode(self.quiz_cfg, self._questions, self.rng)
-        self.obs = (qb.featurize(self.state), np.zeros(3))
+        self.obs = (qb.featurize(self.state), NO_OPPONENT)
 
     def step(self, action: int) -> Tuple[float, bool, StepInfo]:
         reward = qb.dqnself_reward(action == qb.BUZZ, qb.belief_correct(self.state))
         done = self.state.t >= self.state.length
         if not done:
             self.state = qb.advance_belief(self.state, self.quiz_cfg, self.rng)
-        self.obs = (qb.featurize(self.state), self.obs[1])
+        self.obs = (qb.featurize(self.state), NO_OPPONENT)
         return reward, done, StepInfo()
 
 
@@ -262,14 +291,15 @@ def _population(opponent: str, seed: int, size: int) -> qb.Population:
 
 
 def make_driver(config: ExperimentConfig, rng: np.random.Generator, seed: int):
+    sees = has_opponent_tower(config.agent)
     if config.environment == "soccer":
-        return SoccerDriver(rng, config.opponent, config.multitask)
+        return SoccerDriver(rng, config.opponent, config.multitask, sees)
     env_params = env_params_for(config)
     quiz_cfg = quiz_config_for(env_params)
     if config.opponent == "self":
         return SelfPlayDriver(rng, quiz_cfg)
     population = _population(config.opponent, seed, env_params["opponent_pool"])
-    return QuizDriver(rng, quiz_cfg, population, config.multitask)
+    return QuizDriver(rng, quiz_cfg, population, config.multitask, sees)
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -282,12 +312,14 @@ def evaluate_soccer(agent: Agent, opponent: str, n_games: int, seed: int,
     one `integers(0, count)` each time its opponent has `count` > 1 best
     moves. The games still running are held as integer arrays of their
     `SoccerState` fields (both cells and the ball holder), the opponent
-    mode, and the opponent's tallies in `soccer.OpponentTallies`. Each step
-    gathers the state features from `feature_rows`, makes one batched
-    `agent.q_values` call, looks up the opponent's moves
-    (`soccer.rule_agent_many`, which draws the tie-breaks game by game in
-    game order) and their categories, and resolves the moves, blocks and
-    goals (`soccer.step_many`) as array operations on the config's tables;
+    mode, and, for an agent with an opponent tower, the opponent's tallies
+    in `soccer.OpponentTallies`. Each step gathers the state features from
+    `feature_rows`, makes one batched `agent.q_values` call, looks up the
+    opponent's moves (`soccer.rule_agent_many`, which draws the tie-breaks
+    game by game in game order) and, for the tallies, their categories, and
+    resolves the moves, blocks and goals (`soccer.step_many`) as array
+    operations on the config's tables. A `dqn` agent is shown the state
+    features alone, so its games keep no tallies and look up no categories;
     finished games are dropped, and the games left after `soccer.HORIZON`
     steps are ties. The games and draws are those of one-by-one play with
     `SoccerDriver`; a batched forward differs from a one-row forward by up
@@ -303,16 +335,18 @@ def evaluate_soccer(agent: Agent, opponent: str, n_games: int, seed: int,
     holder = np.array([state.holder for state, _ in starts])  # 0: A
     mode = np.array([mode for _, mode in starts])
     games = np.arange(n_games)  # the games still running
-    tallies = soccer.OpponentTallies(n_games)
+    tallies = soccer.OpponentTallies(n_games) if has_opponent_tower(agent.spec.kind) else None
     frames: List[List[str]] = [[] for _ in range(n_games)]
     rewards = np.zeros(n_games)  # a game still running after HORIZON steps is a 0-0 tie
     for _ in range(soccer.HORIZON):
         phi_s = own_rows[0, a, 1 - holder] + other_rows[b]  # A's view: A holds if holder is 0
-        action_a = agent.q_values(phi_s, tallies.features()).argmax(axis=1)
+        observation = (phi_s,) if tallies is None else (phi_s, tallies.features())
+        action_a = agent.q_values(*observation).argmax(axis=1)
         action_b = soccer.rule_agent_many(cfg, mode, 1, b, a, holder, rngs)
-        category = cfg.categories[1, b, action_b, a]
+        category = None if tallies is None else cfg.categories[1, b, action_b, a]
         a, b, holder, blocked, scored = soccer.step_many(cfg, a, b, holder, action_a, action_b)
-        tallies.observe(category, action_b, blocked & (holder == 1))
+        if tallies is not None:
+            tallies.observe(category, action_b, blocked & (holder == 1))
         if render:
             for game, *state in zip(games.tolist(), a.tolist(), b.tolist(), holder.tolist()):
                 frames[game].append(soccer.render(soccer.SoccerState(*state), cfg))
@@ -322,7 +356,8 @@ def evaluate_soccer(agent: Agent, opponent: str, n_games: int, seed: int,
             games, a, b, holder, mode = (games[running], a[running], b[running],
                                          holder[running], mode[running])
             rngs = [rng for rng, keep in zip(rngs, running.tolist()) if keep]
-            tallies.keep(running)
+            if tallies is not None:
+                tallies.keep(running)
             if not len(games):
                 break
     for game_frames in frames:
@@ -359,10 +394,12 @@ def evaluate_quiz(agent: Agent, opponent: str, n_games: int, seed: int,
     if opponent == "self":
         raise UsageError("evaluation always runs against a real opponent pool")
     population = _population(opponent, seed, pool_size)
+    sees = has_opponent_tower(agent.spec.kind)
     rewards = []
     rushes = misses = wins = losses = 0
     for game in range(n_games):
-        driver = QuizDriver(np.random.default_rng([seed, game]), quiz_cfg, population)
+        driver = QuizDriver(np.random.default_rng([seed, game]), quiz_cfg, population,
+                            sees_opponent=sees)
         total = 0.0
         buzz_t = -1
         buzz_correct = saw_answer = opponent_won = done = False
@@ -464,7 +501,7 @@ def train_run(config: ExperimentConfig, seed: int,
         for _ in range(config.steps_per_epoch):
             phi_s, phi_o = driver.obs
             eps = rl.epsilon_at(schedule, global_step)
-            action = rl.act_epsilon_greedy(agent.q_values(*driver.obs), eps, explore_rng)
+            action = rl.act_epsilon_greedy(agent, driver.obs, eps, explore_rng)
             reward, done, info = driver.step(action)
             next_s, next_o = driver.obs
             replay.push(rl.Transition(

@@ -170,16 +170,22 @@ def epsilon_at(schedule: EpsilonSchedule, step: int) -> float:
     return schedule.start + (schedule.end - schedule.start) * frac
 
 
-def act_epsilon_greedy(q_values: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
+def act_epsilon_greedy(agent: Agent, observation: Tuple[np.ndarray, ...], epsilon: float,
+                       rng: np.random.Generator) -> int:
     """Uniform random action with probability epsilon, else the lowest-index
-    argmax."""
-    q_values = np.asarray(q_values)
-    if q_values.size == 0:
-        raise UsageError("empty action-value vector")
+    argmax of ``agent.q_values(*observation)``.
+
+    The draw comes first: when epsilon > 0, one ``rng.random()``; a random
+    move then draws ``rng.integers(0, agent.spec.action_count)`` and makes no
+    Q-value call, and only a greedy move runs the agent. With epsilon 0
+    nothing is drawn."""
     if not 0.0 <= epsilon <= 1.0:
         raise UsageError(f"epsilon must lie in [0, 1], got {epsilon}")
     if epsilon > 0.0 and rng.random() < epsilon:
-        return int(rng.integers(0, q_values.size))
+        return int(rng.integers(0, agent.spec.action_count))
+    q_values = np.asarray(agent.q_values(*observation))
+    if q_values.size == 0:
+        raise UsageError("empty action-value vector")
     return int(np.argmax(q_values))
 
 

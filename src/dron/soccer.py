@@ -38,7 +38,10 @@ Merging them was measured and rejected (2 shared cores, numpy 2.4.6): one
 game stepped through the array forms costs about 52 µs per driver step
 against 12 µs for the scalar forms, which would cost soccer training
 roughly 15% of its steps per second, and `step_many` called on Python ints
-costs about 10 µs against 2.6 µs for `step`.
+costs about 10 µs against 2.6 µs for `step`. Only an agent with an opponent
+tower reads the opponent's moves: a `dqn` game, trained or evaluated in
+lockstep, uses none of `classify_move`, `OpponentStats`,
+`opponent_features`, `OpponentTallies` or the `categories` table.
 """
 
 from __future__ import annotations

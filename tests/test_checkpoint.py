@@ -271,6 +271,7 @@ def test_bad_environment_line_fails_at_load(tmp_path, edits, named):
     ("multitask", "bogus", "unknown multitask mode 'bogus'"),
     ("multitask_loss", "hinge", "unknown multitask loss 'hinge'"),
     ("opponent_dim", "3", "environment soccer needs opponent_dim 16, got 3"),
+    ("multitask_outputs", "3", "multitask_outputs must be 1 without a multitask head, got 3"),
 ])
 def test_bad_agent_line_fails_at_load(tmp_path, key, value, named):
     # a soccer dron_moe checkpoint; a wrong opponent width names the
@@ -297,6 +298,24 @@ def test_unknown_header_key_names_its_line(tmp_path, line):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CheckpointError,
                        match=rf"^line {at + 1}: unknown header key '{line.split()[0]}'$"):
+        load_checkpoint(str(path))
+
+
+# a second line for a key already read, placed after the first one: the
+# agent's fields, the run's counters and the environment's lines
+@pytest.mark.parametrize("key,value", [
+    ("steps", "999"), ("kind", "dqn"), ("multitask_outputs", "3"), ("rng", "1 2"),
+    ("environment", "soccer"), ("env.vocab", "50"),
+])
+def test_repeated_header_key_names_its_second_line(tmp_path, key, value):
+    checkpoint = make_quiz_checkpoint() if key.startswith("env.") else make_checkpoint()[0]
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(checkpoint, str(path))
+    lines = path.read_text().splitlines()
+    at = next(i for i, text in enumerate(lines) if text.split()[0] == key) + 1
+    lines.insert(at, f"{key} {value}")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CheckpointError, match=rf"^line {at + 1}: repeated header key '{key}'$"):
         load_checkpoint(str(path))
 
 

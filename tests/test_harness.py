@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dron import harness
 from dron import quizbowl as qb
-from dron import soccer
+from dron import rl, soccer
 from dron.agents import Agent, quiz_agent_spec, soccer_agent_spec
 from dron.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from dron.cli import main
@@ -244,6 +244,134 @@ class TestLockstepSoccer:
         )
 
 
+class Watched:
+    """A rule table that calls `hit` on every lookup."""
+
+    def __init__(self, table, hit):
+        self.table, self.hit = table, hit
+
+    def __getitem__(self, key):
+        self.hit()
+        return self.table[key]
+
+    def item(self, *key):
+        self.hit()
+        return self.table.item(*key)
+
+
+def watch_opponent_work(monkeypatch, forbidden):
+    """The names of the soccer opponent work used: move classification,
+    opponent features, the lockstep tallies and the category table. With
+    `forbidden`, any of them raises."""
+    used = set()
+
+    def hit(name):
+        if forbidden:
+            raise AssertionError(f"{name} computed for an agent without an opponent tower")
+        used.add(name)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            hit(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("classify_move", "opponent_features", "OpponentTallies"):
+        monkeypatch.setattr(soccer, name, counted(name, getattr(soccer, name)))
+    cfg = soccer.DEFAULT_CONFIG
+    monkeypatch.setitem(cfg.__dict__, "categories",
+                        Watched(cfg.categories, lambda: hit("categories")))
+    return used
+
+
+class TestOpponentWorkFollowsTheAgentKind:
+    """A `dqn` agent has no opponent tower, so nothing computes what it would
+    read there; the DRON kinds still get every opponent feature."""
+
+    @pytest.mark.parametrize("kind", ["dqn", "dron_concat"])
+    def test_soccer_training(self, monkeypatch, kind):
+        config = parse_config(f"environment = soccer\nagent = {kind}\nepochs = 1\n"
+                              "steps_per_epoch = 120\neval_games = 3\nreplay_min = 20\n")
+        used = watch_opponent_work(monkeypatch, forbidden=kind == "dqn")
+        train_run(config, seed=1)
+        if kind != "dqn":
+            assert used == {"classify_move", "opponent_features", "OpponentTallies",
+                            "categories"}
+
+    @pytest.mark.parametrize("kind", ["dqn", "dron_concat"])
+    def test_soccer_evaluation(self, monkeypatch, kind):
+        agent = soccer_agent(kind, False)
+        used = watch_opponent_work(monkeypatch, forbidden=kind == "dqn")
+        harness.evaluate_soccer(agent, "mixed", 14, seed=2)
+        if kind != "dqn":
+            assert used == {"OpponentTallies", "categories"}
+
+    @pytest.mark.parametrize("kind", ["dqn", "dron_concat"])
+    def test_quiz_training_and_evaluation(self, monkeypatch, kind):
+        config = parse_config(f"environment = quizbowl\nagent = {kind}\nepochs = 1\n"
+                              "steps_per_epoch = 120\neval_games = 3\nreplay_min = 20\n")
+        calls = []
+
+        def opponent_features(profile, original=qb.opponent_features):
+            assert kind != "dqn", "opponent features computed for a dqn agent"
+            calls.append(profile)
+            return original(profile)
+
+        monkeypatch.setattr(qb, "opponent_features", opponent_features)
+        train_run(config, seed=1)
+        assert bool(calls) == (kind != "dqn")
+
+    # (config, opponent columns of each replay row): the state, opponent,
+    # next state and next opponent, then five scalars per row
+    REPLAY_RUNS = {
+        "soccer-dqn": ("environment = soccer\nagent = dqn\n", 15, 0),
+        "soccer-concat": ("environment = soccer\nagent = dron_concat\n", 15, 16),
+        "quiz-dqn": ("environment = quizbowl\nagent = dqn\n", 102, 0),
+        "quiz-self-dqn": ("environment = quizbowl\nagent = dqn\nopponent = self\n", 102, 0),
+        "quiz-moe": ("environment = quizbowl\nagent = dron_moe\n", 102, 3),
+    }
+
+    @pytest.mark.parametrize("name", list(REPLAY_RUNS))
+    def test_replay_rows_hold_opponent_columns_for_dron_only(self, monkeypatch, name):
+        text, state_dim, opponent_dim = self.REPLAY_RUNS[name]
+        buffers = []
+
+        class Recorded(rl.ReplayBuffer):
+            def __init__(self, capacity):
+                super().__init__(capacity)
+                buffers.append(self)
+
+        monkeypatch.setattr(rl, "ReplayBuffer", Recorded)
+        train_run(parse_config(text + "epochs = 1\nsteps_per_epoch = 40\neval_games = 1\n"
+                                      "replay_min = 20\n"), seed=1)
+        (buffer,) = buffers
+        assert len(buffer) == 40
+        assert {t.opponent.shape + t.next_opponent.shape for t in buffer.items()} == {
+            (opponent_dim, opponent_dim)}
+        width = buffer.sample(1, np.random.default_rng(0)).rows.shape[1]
+        assert width == 2 * (state_dim + opponent_dim) + 5  # soccer dqn 35, concat 67
+
+    def test_quiz_driver_records_every_buzz_without_features(self):
+        # the same game with and without opponent features: the same steps,
+        # states and buzz histories, and an empty opponent observation
+        drivers = [harness.QuizDriver(np.random.default_rng(1), qb.DEFAULT_QUIZ_CONFIG,
+                                      harness._population("mixed", 3, 5), sees_opponent=sees)
+                   for sees in (True, False)]
+        buzz = np.random.default_rng(2).random(3000) < 0.02
+        for action in np.where(buzz, qb.BUZZ, qb.WAIT).tolist():
+            seen, blind = (driver.step(action) for driver in drivers)
+            assert seen == blind
+            assert np.array_equal(drivers[0].obs[0], drivers[1].obs[0])
+            assert drivers[0].obs[1].shape == (3,) and drivers[1].obs[1].shape == (0,)
+            if seen[1]:
+                for driver in drivers:
+                    driver.reset()
+        histories = [[(p.games, p.frac_sum, p.error_sum) for p in driver.population.profiles]
+                     for driver in drivers]
+        assert histories[0] == histories[1]
+        assert sum(games for games, _, _ in histories[0]) > 10
+
+
 # A run's last per-epoch evaluation and an evaluation of its checkpoint with
 # the same eval seed play the same games: with the run's opponent pool, and
 # against mixed opponents after self-play.
@@ -382,6 +510,7 @@ class CountingAgent:
 
     def __init__(self, agent):
         self.agent = agent
+        self.spec = agent.spec
         self.calls = 0
 
     def q_values(self, phi_s, phi_o=None):

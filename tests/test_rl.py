@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -139,28 +140,85 @@ class TestQTargets:
         assert targets[0] == pytest.approx(0.45)
 
 
+class FixedQ:
+    """An agent whose Q-values are a fixed vector."""
+
+    def __init__(self, q, action_count=None):
+        self.q = np.asarray(q, dtype=float)
+        self.spec = SimpleNamespace(action_count=action_count or self.q.size)
+
+    def q_values(self, phi_s, phi_o=None):
+        return self.q
+
+
+class CountingAgent:
+    """Counts the Q-value calls of the agent it wraps."""
+
+    def __init__(self, agent):
+        self.agent = agent
+        self.spec = agent.spec
+        self.calls = 0
+
+    def q_values(self, phi_s, phi_o=None):
+        self.calls += 1
+        return self.agent.q_values(phi_s, phi_o)
+
+
+def epsilon_greedy_reference(q_values, epsilon, rng):
+    """The rule with the Q-values computed first: (a uniform random action
+    with probability epsilon, else the lowest-index argmax; whether the move
+    was greedy)."""
+    if epsilon > 0.0 and rng.random() < epsilon:
+        return int(rng.integers(0, q_values.size)), False
+    return int(np.argmax(q_values)), True
+
+
 class TestActEpsilonGreedy:
     def test_greedy_argmax(self):
         rng = np.random.default_rng(0)
-        assert rl.act_epsilon_greedy(np.array([0.1, 0.9, 0.3]), 0.0, rng) == 1
+        assert rl.act_epsilon_greedy(FixedQ([0.1, 0.9, 0.3]), (np.zeros(4),), 0.0, rng) == 1
 
     def test_tie_breaks_low(self):
         rng = np.random.default_rng(0)
-        assert rl.act_epsilon_greedy(np.array([1.0, 1.0]), 0.0, rng) == 0
+        assert rl.act_epsilon_greedy(FixedQ([1.0, 1.0]), (np.zeros(4),), 0.0, rng) == 0
 
     def test_uniform_when_epsilon_one(self):
         rng = np.random.default_rng(3)
         counts = np.zeros(5)
         draws = 10_000
-        q = np.array([9.0, 0.0, 0.0, 0.0, 0.0])
+        agent = FixedQ([9.0, 0.0, 0.0, 0.0, 0.0])
         for _ in range(draws):
-            counts[rl.act_epsilon_greedy(q, 1.0, rng)] += 1
+            counts[rl.act_epsilon_greedy(agent, (np.zeros(4),), 1.0, rng)] += 1
         sigma = math.sqrt(draws * 0.2 * 0.8)
         assert np.all(np.abs(counts - draws * 0.2) <= 3 * sigma)
 
     def test_empty_raises(self):
         with pytest.raises(UsageError):
-            rl.act_epsilon_greedy(np.array([]), 0.0, np.random.default_rng(0))
+            rl.act_epsilon_greedy(FixedQ([], action_count=1), (np.zeros(4),), 0.0,
+                                  np.random.default_rng(0))
+
+    @pytest.mark.parametrize("epsilon", [-0.1, 1.5])
+    def test_epsilon_outside_unit_interval_raises(self, epsilon):
+        with pytest.raises(UsageError, match="epsilon must lie in"):
+            rl.act_epsilon_greedy(FixedQ([1.0]), (np.zeros(4),), epsilon,
+                                  np.random.default_rng(0))
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
+    def test_same_draws_as_computing_q_first(self, epsilon):
+        # the actions and the stream's final state equal the rule applied to
+        # Q-values computed on every step, and only greedy moves run the agent
+        real = mini_agent(kind="dron_concat", seed=2)
+        agent = CountingAgent(real)
+        inputs = np.random.default_rng(9).normal(size=(2000, 9))
+        got_rng, want_rng = np.random.default_rng(4), np.random.default_rng(4)
+        got = [rl.act_epsilon_greedy(agent, (x[:4], x[4:]), epsilon, got_rng) for x in inputs]
+        want = [epsilon_greedy_reference(real.q_values(x[:4], x[4:]), epsilon, want_rng)
+                for x in inputs]
+        assert got == [action for action, _ in want]
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert agent.calls == sum(greedy for _, greedy in want)
+        assert agent.calls == {0.0: len(inputs), 1.0: 0}.get(epsilon, agent.calls)
+        assert 0 < agent.calls < len(inputs) or epsilon in (0.0, 1.0)
 
 
 class TestSyncTarget:
