@@ -36,6 +36,7 @@ optimizer's); ``nn.mlp_backward`` writes into those views.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -121,9 +122,11 @@ class AgentSpec:
             raise ConfigurationError(
                 f"multitask_outputs must be 1 without a multitask head, "
                 f"got {self.multitask_outputs}", keys=("multitask", "multitask_outputs"))
-        if self.multitask_weight < 0:
-            raise ConfigurationError("multitask_weight must be non-negative",
-                                     keys=("multitask_weight",))
+        # ExperimentConfig's rule: a nan or inf weight makes every update non-finite
+        if not (math.isfinite(self.multitask_weight) and self.multitask_weight >= 0.0):
+            raise ConfigurationError(
+                f"multitask_weight must be finite and >= 0, got {self.multitask_weight}",
+                keys=("multitask_weight",))
         if self.multitask_loss not in ("cross_entropy", "mean_squared"):
             raise ConfigurationError(f"unknown multitask loss {self.multitask_loss!r}",
                                      keys=("multitask_loss",))

@@ -90,6 +90,9 @@ class ExperimentConfig:
             if getattr(self, key) < 1:
                 raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}",
                                          keys=(key,))
+        if self.replay_min < 0:
+            raise ConfigurationError(f"replay_min must be >= 0, got {self.replay_min}",
+                                     keys=("replay_min",))
         if self.replay_min > self.replay_capacity:
             raise ConfigurationError(
                 f"replay_min ({self.replay_min}) exceeds replay_capacity "

@@ -12,10 +12,10 @@ Nothing is computed that the agent does not read. A `dqn` agent has no
 opponent tower (`agents.has_opponent_tower`), so it is shown no opponent:
 its drivers' `obs[1]` is the empty `NO_OPPONENT`, and its replay rows hold
 no opponent columns (35 floats per soccer row where a DRON agent's hold
-67). The soccer driver then neither classifies nor tallies the opponent's
-moves, lockstep evaluation keeps no `soccer.OpponentTallies` and looks up
-no move categories, and the quiz driver builds no opponent features but
-still records every buzz, since the buzz histories are the pool's state.
+67). The soccer driver and lockstep evaluation then neither classify nor
+tally the opponent's moves, and the quiz driver builds no opponent
+features but still records every buzz, since the buzz histories are the
+pool's state.
 Training draws its exploration first (`rl.act_epsilon_greedy`), so an
 exploratory move runs no Q-value forward. None of this changes a draw or an
 output byte.
@@ -30,17 +30,18 @@ cell indices and ball holder, with the opponent mode and move category as
 table indices, so `SoccerDriver` hands the mode or category index on as the
 multitask supervision as it comes. Soccer games share nothing, so
 `evaluate_soccer` plays them in lockstep: the games still running are
-arrays of those same fields plus the opponent tallies, and each step is one
-batched Q-value call plus lookups into the rule tables of
-`soccer.SoccerConfig`, the same tables `SoccerDriver` reads one game at a
-time. Each game keeps its own random stream, and an opponent tie is broken
-by a draw from that stream, game by game in game order, so the games are
-those of one-by-one play; a batched forward can differ from a one-row
-forward by up to 1e-15 (numpy uses gemm for a batch and gemv for one row),
-which has not been seen to change a greedy action. Training plays one game,
-so `SoccerDriver` keeps the scalar one-game functions: stepping one game
-through the array forms was measured at about 52 µs per step against 12 µs
-(the `soccer` module says what that leaves written twice).
+arrays of those same fields, and each step is one batched Q-value call
+plus lookups into the rule tables of `soccer.SoccerConfig`, the same tables
+`SoccerDriver` reads one game at a time. Each game keeps its own random
+stream, and an opponent tie is broken by a draw from that stream, game by
+game in game order, so the games are those of one-by-one play; a batched
+forward can differ from a one-row forward by up to 1e-15 (numpy uses gemm
+for a batch and gemv for one row), which has not been seen to change a
+greedy action. Training plays one game, so `SoccerDriver` keeps the scalar
+one-game functions: stepping one game through the array forms was measured
+at about 52 µs per step against 12 µs (the `soccer` module says what that
+leaves written twice). Both keep the opponent's moves in one
+`soccer.OpponentTallies`, a row per game: the driver's has one row.
 
 Quiz games see the buzz histories of the games before them and are played
 one at a time. A quiz game stops calling the agent at its lockout: once a
@@ -156,8 +157,9 @@ class StepInfo:
 
 
 class SoccerDriver:
-    """The primary agent (player A) against the rule-based opponent. With
-    `sees_opponent` false (a `dqn` agent) the opponent's moves are neither
+    """The primary agent (player A) against the rule-based opponent (player
+    B). `obs[1]` is the one row of B's `soccer.OpponentTallies` for this
+    game; with `sees_opponent` false (a `dqn` agent) B's moves are neither
     classified nor tallied, and `obs[1]` is `NO_OPPONENT`."""
 
     bootstrap = True  # TD targets look past non-terminal steps
@@ -173,22 +175,22 @@ class SoccerDriver:
 
     def reset(self) -> None:
         self.state, self.mode = soccer.reset(self.cfg, self.rng, self.mode_policy)
-        self.stats = soccer.OpponentStats() if self.sees_opponent else None
+        self.tallies = soccer.OpponentTallies(1) if self.sees_opponent else None
         self._observe()
 
     def _observe(self) -> None:
-        phi_o = soccer.opponent_features(self.stats) if self.sees_opponent else NO_OPPONENT
-        self.obs = (soccer.featurize_state(self.state, self.cfg, 0), phi_o)
+        phi_o = self.tallies.features()[0] if self.sees_opponent else NO_OPPONENT
+        self.obs = (soccer.featurize_state(self.state, self.cfg), phi_o)
 
     def step(self, action: int) -> Tuple[float, bool, StepInfo]:
-        action_b = soccer.rule_agent_act(self.state, self.mode, self.rng, self.cfg, 1)
+        action_b = soccer.rule_agent_act(self.state, self.mode, self.rng, self.cfg)
         if not self.sees_opponent:
             self.state, reward, done, _ = soccer.step(self.state, action, action_b, self.cfg)
             self._observe()
             return reward, done, StepInfo()
-        category = soccer.classify_move(self.state, action_b, self.cfg, 1)
+        category = soccer.classify_move(self.state, action_b, self.cfg)
         self.state, reward, done, blocked = soccer.step(self.state, action, action_b, self.cfg)
-        self.stats.observe(category, action_b, lost_ball=blocked and self.state.holder == 1)
+        self.tallies.observe(category, action_b, blocked and self.state.holder == 1)
         self._observe()
         supervision = None
         if self.multitask == "type":
@@ -322,10 +324,9 @@ def evaluate_soccer(agent: Agent, opponent: str, n_games: int, seed: int,
     features alone, so its games keep no tallies and look up no categories;
     finished games are dropped, and the games left after `soccer.HORIZON`
     steps are ties. The games and draws are those of one-by-one play with
-    `SoccerDriver`; a batched forward differs from a one-row forward by up
-    to 1e-15 (gemm against gemv), which has not been seen to move an argmax.
-    `render` rebuilds each game's `SoccerState` after every step and prints
-    the boards game by game once all games are over."""
+    `SoccerDriver` (the module docstring says how near a batched forward is
+    to a one-row one). `render` rebuilds each game's `SoccerState` after
+    every step and prints the boards game by game once all games are over."""
     cfg = soccer.DEFAULT_CONFIG
     own_rows, other_rows = cfg.feature_rows
     rngs = [np.random.default_rng([seed, game]) for game in range(n_games)]
@@ -339,11 +340,11 @@ def evaluate_soccer(agent: Agent, opponent: str, n_games: int, seed: int,
     frames: List[List[str]] = [[] for _ in range(n_games)]
     rewards = np.zeros(n_games)  # a game still running after HORIZON steps is a 0-0 tie
     for _ in range(soccer.HORIZON):
-        phi_s = own_rows[0, a, 1 - holder] + other_rows[b]  # A's view: A holds if holder is 0
+        phi_s = own_rows[a, 1 - holder] + other_rows[b]  # A holds if holder is 0
         observation = (phi_s,) if tallies is None else (phi_s, tallies.features())
         action_a = agent.q_values(*observation).argmax(axis=1)
-        action_b = soccer.rule_agent_many(cfg, mode, 1, b, a, holder, rngs)
-        category = None if tallies is None else cfg.categories[1, b, action_b, a]
+        action_b = soccer.rule_agent_many(cfg, mode, b, a, holder, rngs)
+        category = None if tallies is None else cfg.categories[b, action_b, a]
         a, b, holder, blocked, scored = soccer.step_many(cfg, a, b, holder, action_a, action_b)
         if tallies is not None:
             tallies.observe(category, action_b, blocked & (holder == 1))

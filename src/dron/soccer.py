@@ -2,53 +2,53 @@
 
 The field is a 9x6 grid (columns 0-8, rows 0-5). The two middle rows of the
 leftmost and rightmost columns are the goal areas; the remaining edge cells
-of those columns are shaded and unplayable. Player A attacks the right goal,
-player B the left goal. Both players move simultaneously; a move into a
-shaded cell or off the grid becomes a stand. When both players would end on
-the same cell, or they would swap cells, neither moves and the ball changes
-hands. Carrying the ball onto the opposing goal scores (+1 / -1); one
-hundred scoreless steps is a 0-0 tie.
+of those columns are shaded and unplayable. Player A, the learner, attacks
+the right goal; player B, the rule agent, attacks the left goal. Both
+players move simultaneously; a move into a shaded cell or off the grid
+becomes a stand. When both players would end on the same cell, or they
+would swap cells, neither moves and the ball changes hands. Carrying the
+ball onto the opposing goal scores (+1 / -1); one hundred scoreless steps
+is a 0-0 tie.
 
 The rules live in tables over cell indices (cells are numbered column by
 column, ``col * height + row``), built once per `SoccerConfig` with
 vectorised numpy and cached on it: the 5 move targets of each cell, the
-goal each player attacks, the start cells, the state-feature rows of each
-cell, the move category of every (mover, mover cell, action, other cell)
-and the rule agent's tie set of every (mode, player, own cell, other cell,
-has ball). A game's state is in the tables' terms from `reset` to `render`:
-`SoccerState` holds the two cell indices and the ball holder (0 for A, 1
-for B), a player is 0 or 1, an opponent mode is a `MODES` index and a move
-category a `MOVE_CATEGORIES` index, so every lookup indexes a table as it
-comes. The (col, row) cells of the goals and of the shaded cells are read
-only to build the tables and `render`'s board.
+goal each player attacks, the start cells, the rows of A's state features,
+the category of every move of B (B's cell, action, A's cell) and B's tie
+set in every (mode, B's cell, A's cell, B has the ball). The tables hold
+only what the game reads: the learner's view of the state and the rule
+agent's moves. A game's state is in the tables' terms from `reset` to
+`render`: `SoccerState` holds the two cell indices and the ball holder (0
+for A, 1 for B), an opponent mode is a `MODES` index and a move category a
+`MOVE_CATEGORIES` index, so every lookup indexes a table as it comes. The
+(col, row) cells of the goals and of the shaded cells are read only to
+build the tables and `render`'s board.
 
 When the rule agent has more than one best move, it draws one with
 ``rng.integers(0, count)`` from its game's stream; a single best move draws
 nothing.
 
-One game against many. `reset`, `step`, `rule_agent_act`, `classify_move`,
-`featurize_state`, `OpponentStats` and `opponent_features` play one game,
-as training does; `step_many`, `rule_agent_many` and `OpponentTallies` play
-many in lockstep over arrays of the same fields, as
-`harness.evaluate_soccer` does. So three rules are still written twice: the
-block and goal rule (`step`, `step_many`), the tie draw (`rule_agent_act`,
-`rule_agent_many`) and the opponent tally (`OpponentStats` with
-`opponent_features`, `OpponentTallies`); the tests hold each pair equal.
-Merging them was measured and rejected (2 shared cores, numpy 2.4.6): one
-game stepped through the array forms costs about 52 µs per driver step
-against 12 µs for the scalar forms, which would cost soccer training
-roughly 15% of its steps per second, and `step_many` called on Python ints
-costs about 10 µs against 2.6 µs for `step`. Only an agent with an opponent
-tower reads the opponent's moves: a `dqn` game, trained or evaluated in
-lockstep, uses none of `classify_move`, `OpponentStats`,
-`opponent_features`, `OpponentTallies` or the `categories` table.
+One game against many. `reset`, `step`, `rule_agent_act`, `classify_move`
+and `featurize_state` play one game, as training does; `step_many` and
+`rule_agent_many` play many in lockstep over arrays of the same fields, as
+`harness.evaluate_soccer` does. `OpponentTallies` serves both: one game is
+a tally of one row. So two rules are still written twice, the block and
+goal rule (`step`, `step_many`) and the tie draw (`rule_agent_act`,
+`rule_agent_many`); the tests hold each pair equal. Merging them was
+measured and rejected (2 shared cores, numpy 2.4.6): one game stepped
+through the array forms costs about 52 µs per driver step against 12 µs
+for the scalar forms, which would cost soccer training roughly 15% of its
+steps per second, and `step_many` called on Python ints costs about 10 µs
+against 2.6 µs for `step`. Only an agent with an opponent tower reads the
+opponent's moves: a `dqn` game, trained or evaluated in lockstep, uses
+none of `classify_move`, `OpponentTallies` or the `categories` table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -70,7 +70,7 @@ MOVE_CATEGORIES = (
 
 HORIZON = 100  # scoreless steps before a game is a 0-0 tie
 
-PLAYERS = ("A", "B")  # the player axis of the tables
+PLAYERS = ("A", "B")  # the player axis of the goal tables
 MODES = ("offensive", "defensive")
 MODE_POLICIES = ("mixed", "offensive", "defensive")
 
@@ -173,12 +173,11 @@ class SoccerConfig:
     @cached_property
     def feature_rows(self) -> Tuple[np.ndarray, np.ndarray]:
         """`featurize_state` as the sum of two rows of 15. One is looked up
-        by (perspective: 0 for A, 1 for B; its cell; it holds the ball) and
-        holds its position, the 10 constant features (both axis limits, the
-        own and the opposing goal block) and the ball flag; the other, by the
-        other player's cell, holds that position. Each row is 0 where the
-        other has a value, so the sum is exact. Positions are scaled to
-        [0, 1] by the grid extents."""
+        by (A's cell, A holds the ball) and holds A's position, the 10
+        constant features (both axis limits, A's own and A's opposing goal
+        block) and the ball flag; the other, by B's cell, holds B's
+        position. Each row is 0 where the other has a value, so the sum is
+        exact. Positions are scaled to [0, 1] by the grid extents."""
         col, row = self._coords
         sx = 1.0 / (self.width - 1)
         sy = 1.0 / (self.height - 1)
@@ -188,21 +187,19 @@ class SoccerConfig:
             rows = sorted(g[1] for g in goal)
             return [goal[0][0] * sx, rows[0] * sy, rows[-1] * sy]
 
-        own = np.zeros((len(PLAYERS), len(xy), 2, 15))
+        own = np.zeros((len(xy), 2, 15))
         own[..., 0:2] = xy[:, None, :]
-        for p, player in enumerate(PLAYERS):
-            own[p, ..., 4:14] = [0.0, (self.width - 1) * sx, 0.0, (self.height - 1) * sy,
-                                 *goal_block(self.own_goal_of(player)),
-                                 *goal_block(self.goal_for(player))]
-        own[..., 1, 14] = 1.0
+        own[..., 4:14] = [0.0, (self.width - 1) * sx, 0.0, (self.height - 1) * sy,
+                          *goal_block(self.own_goal_of("A")), *goal_block(self.goal_for("A"))]
+        own[:, 1, 14] = 1.0
         other = np.zeros((len(xy), 15))
         other[:, 2:4] = xy
         return own, other
 
     @cached_property
     def categories(self) -> np.ndarray:
-        """`MOVE_CATEGORIES` index of every move, by (mover: 0 for A, 1 for
-        B; mover cell; action; the other player's cell), int8.
+        """`MOVE_CATEGORIES` index of every move of B, by (B's cell,
+        action, A's cell), int8.
 
         Priority on overlap: approach_agent, avoid_agent,
         approach_agent_goal, approach_own_goal; a move that does not change
@@ -216,24 +213,20 @@ class SoccerConfig:
         therefore always 0, and ``multitask = action`` trains 3 of its 5
         classes."""
         moves = self.move_table
-        before = self._distances[:, None, :]  # mover cell to the other player
+        before = self._distances[:, None, :]  # B's cell to A's
         after = self._distances[moves]
         stands = (moves == np.arange(len(moves))[:, None])[:, :, None]
-        table = []
-        for mover in range(len(PLAYERS)):
-            # the other player's own goal is the one the mover attacks
-            closer = [(d[moves] < d[:, None])[:, :, None]
-                      for d in self._goal_distances[[mover, 1 - mover]]]
-            # the conditions in priority order, each with its MOVE_CATEGORIES index
-            table.append(np.select([stands, after < before, after > before, *closer],
-                                   [np.int8(c) for c in (4, 0, 1, 2, 3)], default=np.int8(4)))
-        return np.array(table)
+        # A's own goal is the one B attacks, and B's own goal the one A attacks
+        closer = [(d[moves] < d[:, None])[:, :, None] for d in self._goal_distances[::-1]]
+        # the conditions in priority order, each with its MOVE_CATEGORIES index
+        return np.select([stands, after < before, after > before, *closer],
+                         [np.int8(c) for c in (4, 0, 1, 2, 3)], default=np.int8(4))
 
     @cached_property
     def tie_sets(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The rule agent's best moves by (mode, player, own cell, other
-        cell, has ball): how many there are, and the moves in ascending
-        action order, padded to 5; both int8.
+        """B's best moves by (mode, B's cell, A's cell, B has the ball): how
+        many there are, and the moves in ascending action order, padded to
+        5; both int8.
 
         Offensive: carry the ball straight to the scoring goal, otherwise
         chase the ball holder. Defensive: keep away from the other player
@@ -250,29 +243,22 @@ class SoccerConfig:
         # each set of best moves is a 5-bit code; `ordered` lists each code's moves
         sets = (np.arange(2 ** len(ACTIONS))[:, None] >> np.arange(len(ACTIONS))) & 1 == 1
         ordered = np.argsort(~sets, axis=1, kind="stable").astype(np.int8)
-        counts = np.empty((len(MODES), len(PLAYERS), n, n, 2), dtype=np.int8)
-        choices = np.empty(counts.shape + (len(ACTIONS),), dtype=np.int8)
-        for p, player in enumerate(PLAYERS):
-            # actions first, so the best score is a minimum over whole planes
-            scores = np.empty((len(ACTIONS), len(MODES), n, n, 2), dtype=np.int16)
-            scores[:, 0, :, :, 1] = self._goal_distances[p][moves][:, :, None]
-            scores[:, 0, :, :, 0] = chase
-            usable = ~self.goal_mask[1 - p][moves]
-            usable |= ~usable.any(axis=0)
-            scores[:, 1, :, :, 1] = np.where(usable[:, :, None], -chase, unusable)
-            own_goal = self.own_goal_of(player)
-            rows = sorted(g[1] for g in own_goal)
-            guard_col = 1 if own_goal[0][0] == 0 else self.width - 2
-            guard = guard_col * self.height + np.clip(row, rows[0], rows[-1])
-            at_guard = np.arange(n)[:, None] == guard
-            scores[:, 1, :, :, 0] = np.where(at_guard, stand_only, chase[:, :, guard])
-            best = scores == np.minimum.reduce(scores, axis=0)
-            code = np.zeros(best.shape[1:], dtype=np.uint8)
-            for action, plane in enumerate(best):
-                code |= plane.view(np.uint8) << action
-            counts[:, p] = best.sum(axis=0, dtype=np.int8)
-            choices[:, p] = np.take(ordered, code, axis=0)
-        return counts, choices
+        # actions first, so the best score is a minimum over whole planes
+        scores = np.empty((len(ACTIONS), len(MODES), n, n, 2), dtype=np.int16)
+        scores[:, 0, :, :, 1] = self._goal_distances[1][moves][:, :, None]
+        scores[:, 0, :, :, 0] = chase
+        usable = ~self.goal_mask[0][moves]  # B's own goal is the one A attacks
+        usable |= ~usable.any(axis=0)
+        scores[:, 1, :, :, 1] = np.where(usable[:, :, None], -chase, unusable)
+        # B guards the column in front of its goal, level with A within the goal's rows
+        guard = (self.width - 2) * self.height + np.clip(row, *self._goal_rows())
+        at_guard = np.arange(n)[:, None] == guard
+        scores[:, 1, :, :, 0] = np.where(at_guard, stand_only, chase[:, :, guard])
+        best = scores == np.minimum.reduce(scores, axis=0)
+        code = np.zeros(best.shape[1:], dtype=np.uint8)
+        for action, plane in enumerate(best):
+            code |= plane.view(np.uint8) << action
+        return best.sum(axis=0, dtype=np.int8), np.take(ordered, code, axis=0)
 
 
 DEFAULT_CONFIG = SoccerConfig()
@@ -288,11 +274,6 @@ class SoccerState:
     holder: int
     step: int = 0
     done: bool = False
-
-
-def _own_and_other(state: SoccerState, player: int) -> Tuple[int, int]:
-    """The cell of `player` (0 for A, 1 for B) and that of the other player."""
-    return (state.cell_b, state.cell_a) if player else (state.cell_a, state.cell_b)
 
 
 def sample_mode(rng: np.random.Generator, policy: str = "mixed") -> int:
@@ -358,55 +339,27 @@ def step_many(config: SoccerConfig, a: np.ndarray, b: np.ndarray, holder: np.nda
     return a, b, holder, blocked, config.goal_mask[holder, np.where(holder, b, a)]
 
 
-def featurize_state(
-    state: SoccerState, config: SoccerConfig = DEFAULT_CONFIG, perspective: int = 0
-) -> np.ndarray:
-    """15 features from the point of view of `perspective` (0 for A, 1 for
-    B): both positions, the axis limits, both goal areas, and ball possession
-    (`SoccerConfig.feature_rows`)."""
+def featurize_state(state: SoccerState, config: SoccerConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """A's 15 features: both positions, the axis limits, both goal areas,
+    and whether A holds the ball (`SoccerConfig.feature_rows`)."""
     own, other = config.feature_rows
-    me, you = _own_and_other(state, perspective)
-    return own[perspective, me, int(state.holder == perspective)] + other[you]
+    return own[state.cell_a, 1 - state.holder] + other[state.cell_b]
 
 
-def classify_move(
-    state: SoccerState,
-    action: int,
-    config: SoccerConfig = DEFAULT_CONFIG,
-    mover: int = 1,
-) -> int:
-    """The `MOVE_CATEGORIES` index of the move of `mover` (0 for A, 1 for B)
-    relative to the other player, as the `SoccerConfig.categories` table has
-    it."""
-    own, other = _own_and_other(state, mover)
-    return config.categories.item(mover, own, action, other)
-
-
-@dataclass
-class OpponentStats:
-    """Observed behavior of the opposing player, reset every episode."""
-
-    category_counts: np.ndarray = field(default_factory=lambda: np.zeros(5))
-    last_category: Optional[int] = None
-    last_action: Optional[int] = None
-    ball_losses: int = 0  # times the opponent took the ball from us
-    steps: int = 0
-
-    def observe(self, category: int, action: int, lost_ball: bool) -> None:
-        """Count one move of `MOVE_CATEGORIES` index `category`."""
-        self.category_counts[category] += 1
-        self.last_category = category
-        self.last_action = action
-        if lost_ball:
-            self.ball_losses += 1
-        self.steps += 1
+def classify_move(state: SoccerState, action: int, config: SoccerConfig = DEFAULT_CONFIG) -> int:
+    """The `MOVE_CATEGORIES` index of B's move `action` relative to A, as
+    the `SoccerConfig.categories` table has it."""
+    return config.categories.item(state.cell_b, action, state.cell_a)
 
 
 class OpponentTallies:
-    """`OpponentStats` of many games that have all seen the same number of
-    opponent moves, one row per game. `sums` holds the category counts
-    (columns 0-4) and the ball losses (column 15) and is 0 elsewhere, so
-    `features` is `opponent_features` of each game, bit for bit."""
+    """The opponent's moves so far in each of many games that have all seen
+    the same number of them, one row per game; training keeps one row.
+    `features` gives each game's 16 opponent features: the frequency of each
+    move category (0-4), the one-hot most recent category (5-9) and raw
+    action (10-14), and the rate of losing the ball to the opponent (15);
+    all 0 before the first move. `sums` holds the category counts (columns
+    0-4) and the ball losses (column 15) and is 0 elsewhere."""
 
     CATEGORY_ROWS = np.eye(len(MOVE_CATEGORIES), 16)  # a count, by category
     # the one-hot last category and last action, by (category, action)
@@ -436,44 +389,23 @@ class OpponentTallies:
         return self.sums / self.steps + self.LAST_MOVE_ROWS[self.last_category, self.last_action]
 
 
-def opponent_features(stats: OpponentStats) -> np.ndarray:
-    """16 features: move-category frequencies, one-hot most recent category
-    and raw action, and the rate of losing the ball to the opponent."""
-    phi = np.zeros(16)
-    if stats.steps > 0:
-        phi[0:5] = stats.category_counts / stats.steps
-    if stats.last_category is not None:
-        phi[5 + stats.last_category] = 1.0
-    if stats.last_action is not None:
-        phi[10 + stats.last_action] = 1.0
-    phi[15] = stats.ball_losses / max(1, stats.steps)
-    return phi
-
-
-def rule_agent_act(
-    state: SoccerState,
-    mode: int,
-    rng: np.random.Generator,
-    config: SoccerConfig = DEFAULT_CONFIG,
-    player: int = 1,
-) -> int:
-    """Hand-crafted two-mode policy of `player` (0 for A, 1 for B) in the
-    mode of `MODES` index `mode`, as the `SoccerConfig.tie_sets` table has
-    it; a tie between best moves is broken by one draw from `rng`."""
-    own, other = _own_and_other(state, player)
-    key = (mode, player, own, other, int(state.holder == player))
+def rule_agent_act(state: SoccerState, mode: int, rng: np.random.Generator,
+                   config: SoccerConfig = DEFAULT_CONFIG) -> int:
+    """B's hand-crafted two-mode policy in the mode of `MODES` index `mode`,
+    as the `SoccerConfig.tie_sets` table has it; a tie between best moves is
+    broken by one draw from `rng`."""
+    key = (mode, state.cell_b, state.cell_a, state.holder)
     counts, choices = config.tie_sets
     count = counts.item(key)
     return choices.item(*key, 0 if count == 1 else int(rng.integers(0, count)))
 
 
-def rule_agent_many(config: SoccerConfig, modes: np.ndarray, player: int, own: np.ndarray,
-                    other: np.ndarray, has_ball: np.ndarray,
-                    rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """`rule_agent_act` of many games at once, on mode indices, cell indices
-    and ball flags: game i breaks a tie by one draw from ``rngs[i]``, in
-    game order."""
-    key = (modes, player, own, other, has_ball)
+def rule_agent_many(config: SoccerConfig, modes: np.ndarray, b: np.ndarray, a: np.ndarray,
+                    holder: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """`rule_agent_act` of many games at once, on arrays of the mode indices
+    and the `SoccerState` fields: game i breaks a tie by one draw from
+    ``rngs[i]``, in game order."""
+    key = (modes, b, a, holder)
     counts, choices = config.tie_sets
     count = counts[key]
     choices = choices[key]

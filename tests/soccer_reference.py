@@ -154,3 +154,20 @@ def features(config, me, other, has_ball, own_goal, opposing_goal):
         *goal_block(own_goal), *goal_block(opposing_goal),
         1.0 if has_ball else 0.0,
     ])
+
+
+def opponent_features(moves):
+    """The 16 opponent features after `moves`, the (category name, action,
+    lost ball) of each of B's moves so far in one game: the frequency of
+    each category, the one-hot last category and last action, and the rate
+    of losing the ball to B."""
+    phi = np.zeros(16)
+    if not moves:
+        return phi
+    for i, name in enumerate(CATEGORIES):
+        phi[i] = sum(1 for category, _, _ in moves if category == name) / len(moves)
+    last_category, last_action, _ = moves[-1]
+    phi[5 + CATEGORIES.index(last_category)] = 1.0
+    phi[10 + last_action] = 1.0
+    phi[15] = sum(1 for _, _, lost in moves if lost) / len(moves)
+    return phi

@@ -272,6 +272,9 @@ def test_bad_environment_line_fails_at_load(tmp_path, edits, named):
     ("multitask_loss", "hinge", "unknown multitask loss 'hinge'"),
     ("opponent_dim", "3", "environment soccer needs opponent_dim 16, got 3"),
     ("multitask_outputs", "3", "multitask_outputs must be 1 without a multitask head, got 3"),
+    ("multitask_weight", "nan", "multitask_weight must be finite and >= 0, got nan"),
+    ("multitask_weight", "inf", "multitask_weight must be finite and >= 0, got inf"),
+    ("multitask_weight", "-1", r"multitask_weight must be finite and >= 0, got -1\.0"),
 ])
 def test_bad_agent_line_fails_at_load(tmp_path, key, value, named):
     # a soccer dron_moe checkpoint; a wrong opponent width names the

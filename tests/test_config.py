@@ -83,6 +83,8 @@ BAD_VALUES = [
     pytest.param("batch_size=0", "batch_size", 1, id="batch_size"),
     pytest.param("target_sync=0", "target_sync", 1, id="target_sync"),
     pytest.param("replay_capacity=0", "replay_capacity", 1, id="replay_capacity"),
+    pytest.param("epochs=2\nreplay_min=-3", "replay_min must be >= 0", 2,
+                 id="replay_min_negative"),
     pytest.param("environment=quizbowl\nopponent_pool=0", "opponent_pool", 2, id="opponent_pool"),
     pytest.param("environment=quizbowl\nvocab=1", "vocab", 2, id="vocab"),
     pytest.param("environment=quizbowl\nquestion_min=0", "question_min", 2, id="question_min"),

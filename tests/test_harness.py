@@ -16,6 +16,7 @@ from dron.cli import main
 from dron.config import ExperimentConfig, parse_config
 from dron.errors import ConfigurationError, UsageError
 from dron.harness import evaluate, sweep_experts, train, train_run
+import soccer_reference as ref
 
 TINY_SOCCER = """
 environment = soccer
@@ -202,6 +203,45 @@ def soccer_agent(kind, trained):
     return train_run(config, seed=4).checkpoint.build_agent()
 
 
+class TestSoccerDriverOpponentFeatures:
+    """`SoccerDriver`'s opponent features against the straight-line
+    reference in `soccer_reference`, at every step of random-action play."""
+
+    @pytest.mark.parametrize("multitask", ["action", "type"])
+    @pytest.mark.parametrize("opponent", ["offensive", "defensive", "mixed"])
+    def test_equal_the_reference_bit_for_bit(self, monkeypatch, opponent, multitask):
+        moves_b = []
+
+        def recorded(*args, original=soccer.rule_agent_act):
+            moves_b.append(original(*args))
+            return moves_b[-1]
+
+        monkeypatch.setattr(soccer, "rule_agent_act", recorded)
+        cfg = soccer.DEFAULT_CONFIG
+        driver = harness.SoccerDriver(np.random.default_rng(3), opponent, multitask)
+        seen = []  # (category, action, lost ball) of B's moves this game
+        games = 0
+        for action in np.random.default_rng(4).integers(0, 5, size=1500).tolist():
+            before = driver.state
+            _, done, info = driver.step(action)
+            pos_a, pos_b = divmod(before.cell_a, cfg.height), divmod(before.cell_b, cfg.height)
+            ball = "AB"[before.holder]
+            category = ref.classify(cfg, "B", pos_b, moves_b[-1], pos_a)
+            next_ball = ref.reference_step(pos_a, pos_b, ball, before.step, action,
+                                           moves_b[-1])[2]
+            seen.append((category, moves_b[-1], ball == "A" and next_ball == "B"))
+            assert driver.obs[1].tobytes() == ref.opponent_features(seen).tobytes()
+            if multitask == "action":
+                assert info.supervision == ref.CATEGORIES.index(category)
+            else:
+                assert info.supervision == driver.mode
+            if done:
+                driver.reset()
+                seen, games = [], games + 1
+                assert driver.obs[1].tobytes() == ref.opponent_features(seen).tobytes()
+        assert games >= 10
+
+
 class TestLockstepSoccer:
     @pytest.mark.parametrize("trained", [False, True], ids=["initial", "trained"])
     @pytest.mark.parametrize("n_games", [1, 2, 14, 60])
@@ -260,9 +300,9 @@ class Watched:
 
 
 def watch_opponent_work(monkeypatch, forbidden):
-    """The names of the soccer opponent work used: move classification,
-    opponent features, the lockstep tallies and the category table. With
-    `forbidden`, any of them raises."""
+    """The names of the soccer opponent work used: move classification, the
+    opponent tallies and the category table. With `forbidden`, any of them
+    raises."""
     used = set()
 
     def hit(name):
@@ -276,7 +316,7 @@ def watch_opponent_work(monkeypatch, forbidden):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("classify_move", "opponent_features", "OpponentTallies"):
+    for name in ("classify_move", "OpponentTallies"):
         monkeypatch.setattr(soccer, name, counted(name, getattr(soccer, name)))
     cfg = soccer.DEFAULT_CONFIG
     monkeypatch.setitem(cfg.__dict__, "categories",
@@ -295,8 +335,7 @@ class TestOpponentWorkFollowsTheAgentKind:
         used = watch_opponent_work(monkeypatch, forbidden=kind == "dqn")
         train_run(config, seed=1)
         if kind != "dqn":
-            assert used == {"classify_move", "opponent_features", "OpponentTallies",
-                            "categories"}
+            assert used == {"classify_move", "OpponentTallies", "categories"}
 
     @pytest.mark.parametrize("kind", ["dqn", "dron_concat"])
     def test_soccer_evaluation(self, monkeypatch, kind):

@@ -1,8 +1,9 @@
-"""Every name a module under src/dron imports is used in that module, every
-parameter a function there takes is read in its body, every public
-function or class defined there is used by some module there, and every
-public method, property or dataclass field of a class there is read by some
-module there.
+"""Every name a module under src/dron imports is used in that module; every
+parameter a function there takes is read in its body; every public
+function or class defined there is used by some module there; every public
+method, property or dataclass field of a class there is read by some module
+there; and no parameter of a function there is passed the same literal by
+every call there.
 
 Neither pyflakes nor ruff is a dependency, so this walks the syntax tree.
 """
@@ -178,3 +179,111 @@ def test_detects_an_unread_member():
     # a keyword argument and an assignment store a field without reading it;
     # an annotation outside a dataclass is not a field
     assert unused_members(sources) == ["a.Record.stored", "a.Record.unread"]
+
+
+def _literal(node):
+    """(type, value) of a constant argument such as ``1``, ``-0.5`` or
+    ``"mixed"``, else None."""
+    if isinstance(node, ast.Constant) or (
+            isinstance(node, ast.UnaryOp) and isinstance(node.operand, ast.Constant)):
+        value = ast.literal_eval(node)
+        return type(value).__name__, value
+    return None
+
+
+UNKNOWN = object()  # an argument that is not a literal, or not known at all
+
+
+def constant_arguments(sources):
+    """``module.function(parameter)`` for each parameter of a top-level
+    function in ``sources`` (module name -> source text) that every call
+    there passes the same literal, a call that leaves it out passing its
+    default; a parameter no call names is not counted. A call is resolved
+    through the module's own functions and through ``from .module import
+    name`` and ``from . import module``, wherever in the module they stand.
+    A call that unpacks ``*`` or ``**`` passes an unknown value for every
+    parameter."""
+    signatures = {}
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = [*args.posonlyargs, *args.args]
+                defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+                kwonly = list(zip(args.kwonlyargs, args.kw_defaults))
+                signatures[f"{module}.{node.name}"] = (
+                    [a.arg for a in positional],
+                    {a.arg: (UNKNOWN if d is None else _literal(d) or UNKNOWN)
+                     for a, d in [*zip(positional, defaults), *kwonly]})
+    passed = {}  # function -> parameter -> (value, named by the call) of each call
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        names = {node.name: f"{module}.{node.name}" for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        modules[alias.asname or alias.name] = alias.name
+                    else:
+                        names[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
+            func = call.func
+            if isinstance(func, ast.Name):
+                target = names.get(func.id)
+            elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
+                    and func.value.id in modules:
+                target = f"{modules[func.value.id]}.{func.attr}"
+            else:
+                target = None
+            if target not in signatures:
+                continue
+            order, defaults = signatures[target]
+            values = {name: (value, False) for name, value in defaults.items()}
+            starred = any(isinstance(a, ast.Starred) for a in call.args) or any(
+                k.arg is None for k in call.keywords)
+            if starred:
+                values = dict.fromkeys(values, (UNKNOWN, True))
+            else:
+                for name, arg in zip(order, call.args):
+                    values[name] = (_literal(arg) or UNKNOWN, True)
+                for keyword in call.keywords:
+                    values[keyword.arg] = (_literal(keyword.value) or UNKNOWN, True)
+            for name, value in values.items():
+                passed.setdefault(target, {}).setdefault(name, []).append(value)
+    return sorted(f"{function}({name})" for function, parameters in passed.items()
+                  for name, calls in parameters.items()
+                  if calls[0][0] is not UNKNOWN and all(v == calls[0][0] for v, _ in calls)
+                  and any(named for _, named in calls))
+
+
+# parameters that every call under src/dron passes one literal, each kept for a reason
+KEEP_CONSTANT_ARGUMENTS = {
+    "stats.regularized_incomplete_beta(b)":
+        "the incomplete beta function I_x(a, b); the t CDF uses b = 0.5",
+}
+
+
+def test_no_parameter_is_always_passed_one_literal():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    assert constant_arguments(sources) == sorted(KEEP_CONSTANT_ARGUMENTS)
+
+
+def test_detects_a_constant_argument():
+    sources = {
+        "a": ("def f(x, flag, mode='a', *, scale=1.0, other=None):\n    pass\n"
+              "def g(v, w=2):\n    pass\n"
+              "f(1, True, scale=-1.0)\n"),
+        "b": ("from .a import f\nfrom . import a as alias\n"
+              "def h(args):\n"
+              "    from .a import g\n"
+              "    g(args)\n"
+              "    g(*args)\n"
+              "    alias.g(3, w=2)\n"
+              "    f(2, True, 'a', scale=-1.0)\n"),
+    }
+    # x varies; flag is always True and scale always -1.0; mode is 'a' once
+    # passed and once by default; no call names other; g's w is 2 by
+    # default, unknown when unpacked
+    assert constant_arguments(sources) == ["a.f(flag)", "a.f(mode)", "a.f(scale)"]

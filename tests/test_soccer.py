@@ -9,12 +9,11 @@ from dron.errors import UsageError
 from dron.soccer import (
     ACTIONS,
     DEFAULT_CONFIG,
-    OpponentStats,
+    OpponentTallies,
     SoccerConfig,
     SoccerState,
     classify_move,
     featurize_state,
-    opponent_features,
     reset,
     rule_agent_act,
     sample_mode,
@@ -41,9 +40,6 @@ class Position(NamedTuple):
     ball: str
     step: int = 0
 
-    def of(self, player):
-        return self.pos_a if player == "A" else self.pos_b
-
     def state(self, config=DEFAULT_CONFIG):
         return state_at(self.pos_a, self.pos_b, self.ball, self.step, config=config)
 
@@ -58,7 +54,7 @@ def random_position(rng):
         ball = "A" if rng.random() < 0.5 else "B"
         position = Position(pa, pb, ball, int(rng.integers(0, 99)))
         # skip states that are already terminal positions
-        if position.of(ball) in DEFAULT_CONFIG.goal_for(ball):
+        if (pa if ball == "A" else pb) in DEFAULT_CONFIG.goal_for(ball):
             continue
         return position
 
@@ -227,8 +223,8 @@ FIELDS = [DEFAULT_CONFIG, SoccerConfig(width=5, height=4), SoccerConfig(width=11
 
 @pytest.mark.parametrize("config", FIELDS, ids=lambda c: f"{c.width}x{c.height}")
 class TestRuleTables:
-    """Every entry of the rule tables against the per-call scoring rules of
-    `soccer_reference`."""
+    """Every entry of the rule tables, B's moves and A's view, against the
+    per-call scoring rules of `soccer_reference`."""
 
     def test_move_targets(self, config):
         for cell in ref.cells(config):
@@ -239,38 +235,31 @@ class TestRuleTables:
         counts, choices = config.tie_sets
         assert counts.dtype == choices.dtype == np.int8
         for m, mode in enumerate(soccer.MODES):
-            for p, player in enumerate(soccer.PLAYERS):
-                for own in ref.cells(config):
-                    for other in ref.cells(config):
-                        for has_ball in (0, 1):
-                            key = (m, p, config.index(own), config.index(other), has_ball)
-                            want = ref.rule_choices(config, mode, player, own, other, has_ball)
-                            assert counts[key] == len(want)
-                            assert choices[key][:len(want)].tolist() == want
+            for own in ref.cells(config):
+                for other in ref.cells(config):
+                    for has_ball in (0, 1):
+                        key = (m, config.index(own), config.index(other), has_ball)
+                        want = ref.rule_choices(config, mode, "B", own, other, has_ball)
+                        assert counts[key] == len(want)
+                        assert choices[key][:len(want)].tolist() == want
 
     def test_categories(self, config):
         assert config.categories.dtype == np.int8
-        for p, mover in enumerate(soccer.PLAYERS):
-            for pos in ref.cells(config):
-                for action in range(len(ACTIONS)):
-                    for other in ref.cells(config):
-                        got = config.categories[p, config.index(pos), action, config.index(other)]
-                        want = ref.classify(config, mover, pos, action, other)
-                        assert soccer.MOVE_CATEGORIES[got] == want
+        for pos in ref.cells(config):
+            for action in range(len(ACTIONS)):
+                for other in ref.cells(config):
+                    got = config.categories[config.index(pos), action, config.index(other)]
+                    want = ref.classify(config, "B", pos, action, other)
+                    assert soccer.MOVE_CATEGORIES[got] == want
 
     def test_features_bit_for_bit(self, config):
         cells = ref.cells(config)
         for pos, other in zip(cells, cells[::-1]):
             for ball in ("A", "B"):
-                position = Position(pos, other, ball)
-                for p, perspective in enumerate(soccer.PLAYERS):
-                    opposite = "B" if perspective == "A" else "A"
-                    want = ref.features(config, position.of(perspective),
-                                        position.of(opposite), ball == perspective,
-                                        config.own_goal_of(perspective),
-                                        config.goal_for(perspective))
-                    got = featurize_state(position.state(config), config, p)
-                    assert got.tobytes() == want.tobytes()
+                want = ref.features(config, pos, other, ball == "A", config.own_goal_of("A"),
+                                    config.goal_for("A"))
+                got = featurize_state(Position(pos, other, ball).state(config), config)
+                assert got.tobytes() == want.tobytes()
 
     def test_start_cells(self, config):
         half = config.width // 2
@@ -294,50 +283,44 @@ class TestRuleAgentDraws:
         for _ in range(300):
             position = random_position(rng)
             for m, mode in enumerate(soccer.MODES):
-                for p, player in enumerate(soccer.PLAYERS):
-                    other = "B" if player == "A" else "A"
-                    choices = ref.rule_choices(DEFAULT_CONFIG, mode, player,
-                                               position.of(player), position.of(other),
-                                               position.ball == player)
-                    seed = int(rng.integers(0, 2 ** 31))
-                    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                    got = rule_agent_act(position.state(), m, got_rng, player=p)
-                    want = choices[0] if len(choices) == 1 else choices[
-                        int(want_rng.integers(0, len(choices)))]
-                    assert got == want
-                    assert got_rng.random() == want_rng.random()
+                choices = ref.rule_choices(DEFAULT_CONFIG, mode, "B", position.pos_b,
+                                           position.pos_a, position.ball == "B")
+                seed = int(rng.integers(0, 2 ** 31))
+                got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = rule_agent_act(position.state(), m, got_rng)
+                want = choices[0] if len(choices) == 1 else choices[
+                    int(want_rng.integers(0, len(choices)))]
+                assert got == want
+                assert got_rng.random() == want_rng.random()
 
 
 class TestRuleAgentMany:
-    @pytest.mark.parametrize("player", [0, 1], ids=soccer.PLAYERS)
-    def test_equals_one_game_at_a_time(self, player):
+    def test_equals_one_game_at_a_time(self):
         # the same moves, and each game's stream left where one-game play leaves it
         rng = np.random.default_rng(12)
         states = [random_position(rng).state() for _ in range(400)]
         modes = [int(rng.integers(0, 2)) for _ in states]
-        cells = np.array([(s.cell_a, s.cell_b) for s in states])
+        a, b, holder = (np.array(column) for column in zip(
+            *((s.cell_a, s.cell_b, s.holder) for s in states)))
         many_rngs = [np.random.default_rng([5, i]) for i in range(len(states))]
-        got = soccer.rule_agent_many(
-            DEFAULT_CONFIG, np.array(modes), player, cells[:, player], cells[:, 1 - player],
-            np.array([int(s.holder == player) for s in states]), many_rngs)
+        got = soccer.rule_agent_many(DEFAULT_CONFIG, np.array(modes), b, a, holder, many_rngs)
         for i, (state, mode) in enumerate(zip(states, modes)):
             one = np.random.default_rng([5, i])
-            assert got[i] == rule_agent_act(state, mode, one, player=player)
+            assert got[i] == rule_agent_act(state, mode, one)
             assert many_rngs[i].random() == one.random()
 
 
 class TestFeaturize:
     def test_length_and_ball_flag(self):
-        state = state_at((2, 2), (6, 3), "A")
-        phi = featurize_state(state, perspective=0)
+        phi = featurize_state(state_at((2, 2), (6, 3), "A"))
         assert phi.shape == (15,)
         assert phi[14] == 1.0
-        assert featurize_state(state, perspective=1)[14] == 0.0
+        assert featurize_state(state_at((2, 2), (6, 3), "B"))[14] == 0.0
 
     def test_golden_vector(self):
-        # A at (2,3), B at (6,1), A holds the ball, A's perspective
+        # A at (2,3), B at (6,1), A holds the ball
         state = state_at((2, 3), (6, 1), "A")
-        phi = featurize_state(state, perspective=0)
+        phi = featurize_state(state)
         expected = np.array([
             2 / 8, 3 / 5,          # self
             6 / 8, 1 / 5,          # opponent
@@ -348,21 +331,13 @@ class TestFeaturize:
         ])
         assert np.allclose(phi, expected)
 
-    def test_perspective_swaps_positions(self):
-        state = state_at((2, 3), (6, 1), "B")
-        phi = featurize_state(state, perspective=1)
-        assert phi[0] == 6 / 8 and phi[1] == 1 / 5
-        assert phi[8] == 1.0  # B defends the right goal
-
-
     def test_cached_frame_equals_per_call_expressions(self):
         # the constant features were computed on every call; they must keep
-        # their bytes now that they are computed once per perspective
-        def per_call(position, config, perspective):
+        # their bytes now that they are computed once per field
+        def per_call(position, config):
             sx = 1.0 / (config.width - 1)
             sy = 1.0 / (config.height - 1)
-            me = position.of(perspective)
-            other = position.of("B" if perspective == "A" else "A")
+            me, other = position.pos_a, position.pos_b
 
             def goal_block(goal):
                 rows = sorted(g[1] for g in goal)
@@ -371,9 +346,9 @@ class TestFeaturize:
             return np.array([
                 me[0] * sx, me[1] * sy, other[0] * sx, other[1] * sy,
                 0.0, (config.width - 1) * sx, 0.0, (config.height - 1) * sy,
-                *goal_block(config.own_goal_of(perspective)),
-                *goal_block(config.goal_for(perspective)),
-                1.0 if position.ball == perspective else 0.0,
+                *goal_block(config.own_goal_of("A")),
+                *goal_block(config.goal_for("A")),
+                1.0 if position.ball == "A" else 0.0,
             ])
 
         configs = (DEFAULT_CONFIG, SoccerConfig(width=7, height=5), SoccerConfig(width=12, height=8))
@@ -382,9 +357,8 @@ class TestFeaturize:
             for a, b in zip(cells, cells[::-1]):
                 for ball in ("A", "B"):
                     position = Position(a, b, ball)
-                    for p, perspective in enumerate(("A", "B")):
-                        got = featurize_state(position.state(config), config, p)
-                        assert got.tobytes() == per_call(position, config, perspective).tobytes()
+                    got = featurize_state(position.state(config), config)
+                    assert got.tobytes() == per_call(position, config).tobytes()
 
     def test_goals_are_cached(self):
         config = SoccerConfig()
@@ -392,8 +366,8 @@ class TestFeaturize:
         assert config.right_goal is config.right_goal
 
 
-def category(state, action, mover=1):
-    return soccer.MOVE_CATEGORIES[classify_move(state, action, mover=mover)]
+def category(state, action):
+    return soccer.MOVE_CATEGORIES[classify_move(state, action)]
 
 
 class TestClassifyMove:
@@ -422,20 +396,21 @@ class TestClassifyMove:
         for _ in range(500):
             state = random_position(rng).state()
             for action in range(5):
-                for mover in (0, 1):
-                    cat = classify_move(state, action, mover=mover)
-                    assert type(cat) is int and 0 <= cat < len(soccer.MOVE_CATEGORIES)
+                cat = classify_move(state, action)
+                assert type(cat) is int and 0 <= cat < len(soccer.MOVE_CATEGORIES)
 
 
 class TestOpponentFeatures:
+    """The one-row tally a training game keeps."""
+
     def test_fresh_episode_all_zero(self):
-        assert np.all(opponent_features(OpponentStats()) == 0.0)
-        assert opponent_features(OpponentStats()).shape == (16,)
+        assert np.all(OpponentTallies(1).features()[0] == 0.0)
+        assert OpponentTallies(1).features()[0].shape == (16,)
 
     def test_single_observation(self):
-        stats = OpponentStats()
-        stats.observe(soccer.MOVE_CATEGORIES.index("approach_agent"), A_E, lost_ball=False)
-        phi = opponent_features(stats)
+        tallies = OpponentTallies(1)
+        tallies.observe(soccer.MOVE_CATEGORIES.index("approach_agent"), A_E, lost_ball=False)
+        phi = tallies.features()[0]
         assert np.allclose(phi[0:5], [1, 0, 0, 0, 0])
         assert np.allclose(phi[5:10], [1, 0, 0, 0, 0])
         assert phi[10 + A_E] == 1.0
@@ -443,32 +418,32 @@ class TestOpponentFeatures:
 
     def test_frequencies_sum_to_one(self):
         rng = np.random.default_rng(5)
-        stats = OpponentStats()
+        tallies = OpponentTallies(1)
         state, _ = reset(DEFAULT_CONFIG, rng)
         for _ in range(60):
             action = int(rng.integers(0, 5))
-            cat = classify_move(state, action, mover=1)
-            stats.observe(cat, action, lost_ball=bool(rng.random() < 0.1))
+            cat = classify_move(state, action)
+            tallies.observe(cat, action, lost_ball=bool(rng.random() < 0.1))
             nxt, _, done, _ = step(state, int(rng.integers(0, 5)), action)
             state = nxt if not done else reset(DEFAULT_CONFIG, rng)[0]
-            phi = opponent_features(stats)
+            phi = tallies.features()[0]
             assert abs(phi[0:5].sum() - 1.0) <= 1e-12
             assert 0.0 <= phi[15] <= 1.0
 
 
 class TestRuleAgent:
     def test_unique_goalward_move(self):
-        # offensive with the ball at (6,2): E is the unique distance-
-        # minimizing move toward the right goal
-        state = state_at((6, 2), (1, 5), "A")
-        action = rule_agent_act(state, OFFENSIVE, np.random.default_rng(0), player=0)
-        assert action == A_E
+        # offensive B with the ball at (2,2): W is the unique distance-
+        # minimizing move toward the left goal
+        state = state_at((7, 5), (2, 2), "B")
+        action = rule_agent_act(state, OFFENSIVE, np.random.default_rng(0))
+        assert action == A_W
 
     def test_defensive_guards_goal(self):
         # defensive B without the ball heads for the guard cell (7, row)
         state = state_at((3, 2), (5, 5), "A")
         rng = np.random.default_rng(1)
-        action = rule_agent_act(state, DEFENSIVE, rng, player=1)
+        action = rule_agent_act(state, DEFENSIVE, rng)
         target = reference_move((5, 5), action)
         assert ref.manhattan(target, (7, 2)) < ref.manhattan((5, 5), (7, 2))
 
@@ -476,7 +451,7 @@ class TestRuleAgent:
         rng = np.random.default_rng(2)
         state = state_at((6, 2), (7, 2), "B")
         for _ in range(50):
-            action = rule_agent_act(state, DEFENSIVE, rng, player=1)
+            action = rule_agent_act(state, DEFENSIVE, rng)
             assert reference_move((7, 2), action) not in DEFAULT_CONFIG.right_goal
 
     def test_offensive_beats_random_smoke(self):
@@ -487,7 +462,7 @@ class TestRuleAgent:
         for _ in range(games):
             state, _ = reset(DEFAULT_CONFIG, rng)
             while True:
-                a_b = rule_agent_act(state, OFFENSIVE, rng, player=1)
+                a_b = rule_agent_act(state, OFFENSIVE, rng)
                 a_a = int(rng.integers(0, 5))
                 state, reward, done, _ = step(state, a_a, a_b)
                 if done:
@@ -504,7 +479,7 @@ class TestRuleAgent:
         for _ in range(games):
             state, _ = reset(DEFAULT_CONFIG, rng)
             while True:
-                a_b = rule_agent_act(state, DEFENSIVE, rng, player=1)
+                a_b = rule_agent_act(state, DEFENSIVE, rng)
                 a_a = int(rng.integers(0, 5))
                 state, reward, done, _ = step(state, a_a, a_b)
                 if done:
