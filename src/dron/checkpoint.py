@@ -1,12 +1,21 @@
 """Versioned plain-text checkpoints.
 
-Layout: a version line, flat header keys, then one block per parameter
-("matrix name rows cols" or "vector name n" followed by the values with 17
-significant digits, which round-trips 64-bit reals exactly), closed by an
-"end" line. Parse errors name the offending line. A header key that
-``save_checkpoint`` does not write is refused, as is a second line for a
-key already read, and each parameter block must be one of the header's
-agent, in its shape.
+Layout: a version line, flat header keys, a ``params`` count, then one block
+per parameter ("matrix name rows cols" or "vector name n" followed by one
+line per row), closed by an "end" line. Parse errors name the offending
+line. A header key that ``save_checkpoint`` does not write is refused, as is
+a second line for a key already read, a second block for a parameter, a
+non-finite value and any text after "end"; each parameter block must be one
+of the header's agent, in its shape.
+
+Only the row encoding depends on the version. Version 2, the one written,
+stores a row as its float64 values' little-endian IEEE-754 bytes in hex, 16
+digits per value (1.0 is ``000000000000f03f``). The bytes are the float, so
+every value, -0.0 and subnormals included, round-trips exactly by
+construction, and neither side runs a binary-decimal conversion, which cost
+about 0.5 µs per value each way. Version 1 stored each value as 17
+significant decimal digits; it is still read, so older checkpoints load, but
+never written.
 
 The ``environment`` and ``env.<key>`` header lines are config keys, parsed
 and checked by the config's own parser and rules (``config_from_lines``): a
@@ -16,8 +25,9 @@ takes its ``ExperimentConfig`` default.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -27,7 +37,7 @@ from .errors import CheckpointError, ConfigurationError
 from .nn import ParamSet
 
 FORMAT_NAME = "dron-checkpoint"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 # the header keys `save_checkpoint` writes, besides the env.<key> lines
 _HEADER_KEYS = frozenset({"environment", "steps", "rng", *(f.name for f in fields(AgentSpec))})
 
@@ -91,25 +101,16 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
         value = checkpoint.params[name]
         if value.ndim == 2:
             lines.append(f"matrix {name} {value.shape[0]} {value.shape[1]}")
-            lines.extend(value_lines(value))
+            rows = value
         elif value.ndim == 1:
             lines.append(f"vector {name} {value.shape[0]}")
-            lines.extend(value_lines(value[None, :]))
+            rows = value[None, :]
         else:
             raise CheckpointError(f"parameter {name!r} has unsupported rank {value.ndim}")
+        lines.extend(row.tobytes().hex() for row in np.ascontiguousarray(rows, dtype="<f8"))
     lines.append("end")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def value_lines(rows: np.ndarray) -> List[str]:
-    """One line per row: its values with 17 significant digits, space
-    separated. ``"%.17g"`` on a Python float gives the same text as
-    ``f"{x:.17g}"`` on the numpy scalar, and one template per row formats
-    about twice as fast as one f-string per value."""
-    template = " ".join(["%.17g"] * rows.shape[1])
-    # row by row, so the Python floats of a whole matrix never exist at once
-    return [template % tuple(row.tolist()) for row in rows]
 
 
 class _Reader:
@@ -117,15 +118,22 @@ class _Reader:
         self.lines = text.splitlines()
         self.pos = 0
 
-    def next(self, context: str) -> str:
+    def next_or_none(self) -> Optional[str]:
+        """The next non-blank line, stripped, or None at the end of the file."""
         while self.pos < len(self.lines):
             line = self.lines[self.pos].strip()
             self.pos += 1
             if line:
                 return line
-        raise CheckpointError(
-            f"unexpected end of file while reading {context} (line {self.pos})"
-        )
+        return None
+
+    def next(self, context: str) -> str:
+        line = self.next_or_none()
+        if line is None:
+            raise CheckpointError(
+                f"unexpected end of file while reading {context} (line {self.pos})"
+            )
+        return line
 
     @property
     def line_no(self) -> int:
@@ -151,15 +159,40 @@ def _size(text: str, line: int, what: str) -> int:
     return n
 
 
-def _values(texts: List[str], line: int, what: str) -> List[float]:
-    """One line of parameter values as floats, or a CheckpointError naming
-    the line and the first value that is not a number."""
+def _decimal_row(text: str, n: int, line: int, what: str) -> np.ndarray:
+    """A version 1 row: ``n`` decimal numbers, space separated, or a
+    CheckpointError naming the line and the first value that is not a
+    number."""
+    texts = text.split()
+    if len(texts) != n:
+        raise CheckpointError(f"line {line}: {what} has {len(texts)} values, expected {n}")
     try:
-        return [float(v) for v in texts]
+        return np.array([float(v) for v in texts])
     except ValueError:
-        for text in texts:
-            _parsed(float, text, line, f"{what} value")
+        for value in texts:
+            _parsed(float, value, line, f"{what} value")
         raise
+
+
+def _hex_row(text: str, n: int, line: int, what: str) -> np.ndarray:
+    """A version 2 row: ``n`` float64 values as little-endian bytes in hex,
+    or a CheckpointError naming the line."""
+    if len(text) != 16 * n:
+        raise CheckpointError(f"line {line}: {what} has {len(text)} characters, "
+                              f"expected {16 * n} hex digits")
+    try:
+        raw = bytes.fromhex(text)
+    except ValueError:
+        raw = b""
+    # fromhex skips whitespace, so a row of the right length can decode short
+    if len(raw) != 8 * n:
+        bad = next(c for c in text if c not in string.hexdigits)
+        raise CheckpointError(f"line {line}: {what} holds {bad!r}, which is not a hex digit")
+    return np.frombuffer(raw, "<f8")
+
+
+# the row decoder of each version `load_checkpoint` reads
+_ROW_DECODERS = {"1": _decimal_row, "2": _hex_row}
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -169,10 +202,11 @@ def load_checkpoint(path: str) -> Checkpoint:
     head = reader.next("format header").split()
     if len(head) != 2 or head[0] != FORMAT_NAME:
         raise CheckpointError(f"line {reader.line_no}: not a {FORMAT_NAME} file")
-    if head[1] != str(FORMAT_VERSION):
+    decode = _ROW_DECODERS.get(head[1])
+    if decode is None:
         raise CheckpointError(
             f"line {reader.line_no}: unsupported checkpoint version {head[1]} "
-            f"(supported: {FORMAT_VERSION})"
+            f"(supported: {', '.join(_ROW_DECODERS)})"
         )
 
     header: Dict[str, str] = {}
@@ -271,33 +305,28 @@ def load_checkpoint(path: str) -> Checkpoint:
                 f"line {at}: expected a matrix/vector block, got {' '.join(block)!r}"
             )
         name = block[1]
+        if name in params:
+            raise CheckpointError(f"line {at}: repeated parameter block {name!r}")
         if name not in layout:
             raise CheckpointError(f"line {at}: parameter {name!r} does not belong to "
                                   f"the header's {spec.kind} agent")
         if shape != layout[name]:
             raise CheckpointError(f"line {at}: parameter {name!r} has shape {shape}, "
                                   f"the header's agent needs {layout[name]}")
-        if len(shape) == 2:
-            data = np.empty(shape)
-            for r in range(shape[0]):
-                values = reader.next(f"matrix {name!r} row {r}").split()
-                if len(values) != shape[1]:
-                    raise CheckpointError(
-                        f"line {reader.line_no}: matrix {name!r} row {r} has "
-                        f"{len(values)} values, expected {shape[1]}"
-                    )
-                data[r] = _values(values, reader.line_no, f"matrix {name!r} row {r}")
-        else:
-            values = reader.next(f"vector {name!r}").split()
-            if len(values) != shape[0]:
-                raise CheckpointError(
-                    f"line {reader.line_no}: vector {name!r} has {len(values)} "
-                    f"values, expected {shape[0]}"
-                )
-            data = np.array(_values(values, reader.line_no, f"vector {name!r}"))
-        if not np.all(np.isfinite(data)):
-            raise CheckpointError(f"parameter {name!r} contains non-finite values")
-        params[name] = data
+        # a vector is read as a matrix of one row
+        rows, cols = shape if len(shape) == 2 else (1, shape[0])
+        data = np.empty((rows, cols))
+        row_lines = []
+        for r in range(rows):
+            what = f"matrix {name!r} row {r}" if len(shape) == 2 else f"vector {name!r}"
+            data[r] = decode(reader.next(what), cols, reader.line_no, what)
+            row_lines.append(reader.line_no)
+        finite = np.isfinite(data)
+        if not finite.all():
+            first = int(np.argmin(finite)) // cols
+            raise CheckpointError(f"line {row_lines[first]}: parameter {name!r} "
+                                  f"contains non-finite values")
+        params[name] = data.reshape(shape)
     missing = [name for name in layout if name not in params]
     if missing:
         raise CheckpointError(f"line {params_line}: no block for parameter {missing[0]!r}, "
@@ -306,6 +335,9 @@ def load_checkpoint(path: str) -> Checkpoint:
     closing = reader.next("end marker")
     if closing != "end":
         raise CheckpointError(f"line {reader.line_no}: expected 'end', got {closing!r}")
+    extra = reader.next_or_none()
+    if extra is not None:
+        raise CheckpointError(f"line {reader.line_no}: text after 'end': {extra!r}")
 
     return Checkpoint(
         agent_spec=spec,

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from checkpoint_v1 import save_v1, v1_text, value_lines
 from dron.agents import Agent, quiz_agent_spec, soccer_agent_spec
 from dron.checkpoint import (
     Checkpoint,
@@ -10,7 +11,6 @@ from dron.checkpoint import (
     rng_from_state,
     rng_state_of,
     save_checkpoint,
-    value_lines,
 )
 from dron.config import ExperimentConfig, env_params_for
 from dron.errors import CheckpointError
@@ -88,6 +88,8 @@ EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
 
 
 class TestValueText:
+    """Version 1 files, from the reference writer: decimal value text."""
+
     def test_rows_match_per_value_formatting(self):
         rng = np.random.default_rng(8)
         rows = np.concatenate([
@@ -103,8 +105,9 @@ class TestValueText:
         vector = np.array(EDGE_VALUES[:-3])
         ckpt, _ = make_checkpoint()
         ckpt.params["gate.0.bias"] = vector[:3].copy()
-        save_checkpoint(ckpt, str(tmp_path / "edge.ckpt"))
+        save_v1(ckpt, str(tmp_path / "edge.ckpt"))
         lines = (tmp_path / "edge.ckpt").read_text().splitlines()
+        assert lines[0] == "dron-checkpoint 1"
         weight = ckpt.params["gate.0.weight"]
         at = lines.index(f"matrix gate.0.weight {weight.shape[0]} {weight.shape[1]}")
         for i, row in enumerate(weight):
@@ -113,6 +116,68 @@ class TestValueText:
         assert lines[at + 1] == " ".join(f"{x:.17g}" for x in vector[:3])
         loaded = load_checkpoint(str(tmp_path / "edge.ckpt"))
         assert loaded.params["gate.0.bias"].tobytes() == vector[:3].tobytes()
+
+    def test_v1_and_v2_load_to_the_same_bytes(self, tmp_path):
+        ckpt, _ = make_checkpoint(multitask="type")
+        save_v1(ckpt, str(tmp_path / "v1.ckpt"))
+        save_checkpoint(ckpt, str(tmp_path / "v2.ckpt"))
+        old, new = (load_checkpoint(str(tmp_path / f"{v}.ckpt")) for v in ("v1", "v2"))
+        assert (old.agent_spec, old.steps, old.rng_state) == (new.agent_spec, new.steps,
+                                                              new.rng_state)
+        assert list(old.params) == list(new.params) == sorted(ckpt.params)
+        for name, value in ckpt.params.items():
+            assert old.params[name].tobytes() == new.params[name].tobytes() == value.tobytes()
+        # the reference text of the reloaded v2 file is the v1 file
+        assert v1_text(new) == (tmp_path / "v1.ckpt").read_text()
+
+
+def _hex(values):
+    return np.asarray(values, dtype="<f8").tobytes().hex()
+
+
+SAVERS = [pytest.param(save_checkpoint, id="v2"), pytest.param(save_v1, id="v1")]
+
+
+class TestHexRows:
+    """Version 2, the format written: rows as little-endian float64 bytes in hex."""
+
+    def test_file_holds_hex_rows(self, tmp_path):
+        ckpt, _ = make_checkpoint()
+        ckpt.params["gate.0.bias"] = np.array([1.0, -2.5, 0.0])
+        save_checkpoint(ckpt, str(tmp_path / "model.ckpt"))
+        lines = (tmp_path / "model.ckpt").read_text().splitlines()
+        assert lines[0] == "dron-checkpoint 2"
+        at = lines.index("vector gate.0.bias 3")
+        # little-endian: 1.0 is 000000000000f03f
+        assert lines[at + 1] == "000000000000f03f00000000000004c00000000000000000"
+        weight = ckpt.params["gate.0.weight"]
+        at = lines.index(f"matrix gate.0.weight {weight.shape[0]} {weight.shape[1]}")
+        assert lines[at + 1:at + 1 + len(weight)] == [_hex(row) for row in weight]
+        assert lines[at + 1 + len(weight)].split()[0] in ("matrix", "vector")
+
+    def test_edge_values_round_trip(self, tmp_path):
+        # every finite edge value and its negation, in a matrix and a vector;
+        # the non-finite ones are refused at load
+        finite = np.array(EDGE_VALUES[:-3])
+        edge = np.concatenate([finite, -finite])
+        agent = Agent(soccer_agent_spec("dqn"), seed=0)
+        params = dict(agent.params)
+        for name in ("q_net.0.weight", "q_net.0.bias"):
+            params[name] = np.resize(edge, params[name].shape)
+        path = tmp_path / "edge.ckpt"
+        save_checkpoint(Checkpoint(agent_spec=agent.spec, params=params), str(path))
+        loaded = load_checkpoint(str(path)).params
+        for name, value in params.items():
+            assert loaded[name].shape == value.shape, name
+            assert loaded[name].tobytes() == value.tobytes(), name
+
+    @pytest.mark.parametrize("save", SAVERS)
+    def test_loaded_arrays_are_writable(self, tmp_path, save):
+        ckpt, _ = make_checkpoint()
+        save(ckpt, str(tmp_path / "model.ckpt"))
+        for name, value in load_checkpoint(str(tmp_path / "model.ckpt")).params.items():
+            assert value.dtype == np.float64 and value.flags.writeable, name
+            value += 1.0
 
 
 class TestErrors:
@@ -129,10 +194,11 @@ class TestErrors:
         ckpt, _ = make_checkpoint()
         path = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, str(path))
-        text = path.read_text().replace("dron-checkpoint 1", "dron-checkpoint 2", 1)
-        (tmp_path / "v2.ckpt").write_text(text)
-        with pytest.raises(CheckpointError, match="unsupported checkpoint version"):
-            load_checkpoint(str(tmp_path / "v2.ckpt"))
+        text = path.read_text().replace("dron-checkpoint 2", "dron-checkpoint 3", 1)
+        (tmp_path / "v3.ckpt").write_text(text)
+        with pytest.raises(CheckpointError,
+                           match=r"^line 1: unsupported checkpoint version 3 \(supported: 1, 2\)$"):
+            load_checkpoint(str(tmp_path / "v3.ckpt"))
 
     def test_corrupt_value_names_line(self, tmp_path):
         ckpt, _ = make_checkpoint()
@@ -160,7 +226,7 @@ def _set_token(line, index, text):
 
 
 # (what, the line to edit, how) for each field that must be a number, a
-# block size being a non-negative integer
+# block size being a non-negative integer; the values are version 1 text
 MALFORMED = {
     "matrix_value": (lambda lines, i: lines[i - 1].startswith("matrix "),
                      lambda line: _set_token(line, 1, "abc")),
@@ -195,14 +261,36 @@ for _key, _bad in [("state_dim", "10x"), ("action_count", "5.0"), ("opponent_dim
                        lambda line, key=_key, bad=_bad: f"{key} {bad}")
 
 
+# fields of MALFORMED that are decimal value text, which only a version 1
+# file holds
+DECIMAL_FIELDS = ("matrix_value", "vector_value")
+
+
+def _set_char(line, index, char):
+    return line[:index] + char + line[index + 1:]
+
+
+# (the line to edit, how) for each way a version 2 hex row can be malformed
+MALFORMED_HEX = {
+    "hex_row_short": (lambda lines, i: lines[i - 1].startswith("matrix "),
+                      lambda line: line[:-1]),
+    "hex_row_long": (lambda lines, i: lines[i - 1].startswith("vector "),
+                     lambda line: line + "00"),
+    "hex_row_digit": (lambda lines, i: lines[i - 1].startswith("matrix "),
+                      lambda line: _set_char(line, 21, "g")),
+    "hex_vector_space": (lambda lines, i: lines[i - 1].startswith("vector "),
+                         lambda line: _set_char(line, 16, " ")),
+}
+
+
 def write_malformed(tmp_path, field):
-    """A saved checkpoint with one field made malformed; returns its path
-    and the 1-based number of the edited line."""
+    """A saved checkpoint with one field of MALFORMED or MALFORMED_HEX made
+    malformed; returns its path and the 1-based number of the edited line."""
     ckpt = make_quiz_checkpoint() if field.startswith("env_") else make_checkpoint()[0]
     path = tmp_path / "model.ckpt"
-    save_checkpoint(ckpt, str(path))
+    (save_v1 if field in DECIMAL_FIELDS else save_checkpoint)(ckpt, str(path))
     lines = path.read_text().splitlines()
-    found, edit = MALFORMED[field]
+    found, edit = {**MALFORMED, **MALFORMED_HEX}[field]
     at = next(i for i in range(1, len(lines)) if found(lines, i))
     lines[at] = edit(lines[at])
     bad = tmp_path / f"{field}.ckpt"
@@ -217,6 +305,21 @@ def test_non_numeric_field_names_its_line(tmp_path, field):
     with pytest.raises(CheckpointError,
                        match=rf"^line {line}: (.* is (not an integer|not a number|negative)"
                              rf"|malformed value for '\w+': .*)$"):
+        load_checkpoint(path)
+
+
+# the first matrix block of make_checkpoint's file is expert.0.0.weight
+# (50 x 50), and its first vector block expert.0.0.bias (50)
+@pytest.mark.parametrize("field,named", [
+    ("hex_row_short", "matrix 'expert.0.0.weight' row 0 has 799 characters, "
+                      "expected 800 hex digits"),
+    ("hex_row_long", "vector 'expert.0.0.bias' has 802 characters, expected 800 hex digits"),
+    ("hex_row_digit", "matrix 'expert.0.0.weight' row 0 holds 'g', which is not a hex digit"),
+    ("hex_vector_space", "vector 'expert.0.0.bias' holds ' ', which is not a hex digit"),
+])
+def test_malformed_hex_row_names_its_line(tmp_path, field, named):
+    path, line = write_malformed(tmp_path, field)
+    with pytest.raises(CheckpointError, match=rf"^line {line}: {re.escape(named)}$"):
         load_checkpoint(path)
 
 
@@ -357,4 +460,68 @@ def test_missing_block_names_the_params_line(tmp_path):
     lines[params] = f"params {int(lines[params].split()[1]) - 1}"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CheckpointError, match=rf"^line {params + 1}: no block for .*'gate.0.bias'"):
+        load_checkpoint(str(path))
+
+
+def _dqn_checkpoint():
+    agent = Agent(soccer_agent_spec("dqn"), seed=1)
+    return Checkpoint(agent_spec=agent.spec, params=agent.params)
+
+
+WRITERS = [pytest.param(save_checkpoint, _hex, id="v2"),
+           pytest.param(save_v1, lambda values: " ".join(map(repr, values)), id="v1")]
+
+
+@pytest.mark.parametrize("save,row_text", WRITERS)
+def test_repeated_parameter_block_names_its_second_line(tmp_path, save, row_text):
+    path = tmp_path / "model.ckpt"
+    save(_dqn_checkpoint(), str(path))
+    lines = path.read_text().splitlines()
+    params = next(i for i, text in enumerate(lines) if text.startswith("params "))
+    lines[params] = f"params {int(lines[params].split()[1]) + 1}"
+    at = lines.index("end")
+    lines[at:at] = ["vector q_net.2.bias 5", row_text([9.0] * 5)]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CheckpointError,
+                       match=rf"^line {at + 1}: repeated parameter block 'q_net.2.bias'$"):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("save", SAVERS)
+def test_text_after_end_names_its_line(tmp_path, save):
+    path = tmp_path / "model.ckpt"
+    save(_dqn_checkpoint(), str(path))
+    text = path.read_text()
+    # blank lines after the end marker are skipped, as everywhere
+    path.write_text(text + "\n  \n")
+    load_checkpoint(str(path))
+    path.write_text(text + "\ngarbage here\n")
+    line = len(text.splitlines()) + 2
+    with pytest.raises(CheckpointError, match=rf"^line {line}: text after 'end': 'garbage here'$"):
+        load_checkpoint(str(path))
+
+
+# (writer, parameter, row, the value's text): a non-finite value in place of
+# the fourth value of a matrix's third row or of a vector
+@pytest.mark.parametrize("save,name,row,value", [
+    (save_v1, "q_net.1.weight", 2, "nan"),
+    (save_v1, "q_net.0.bias", 0, "-inf"),
+    (save_checkpoint, "q_net.1.weight", 2, _hex([np.nan])),
+    (save_checkpoint, "q_net.1.weight", 2, _hex([np.inf])),
+    (save_checkpoint, "q_net.1.weight", 2, _hex([-np.inf])),
+    (save_checkpoint, "q_net.0.bias", 0, "010000000000f07f"),  # a signalling NaN
+], ids=["v1-nan", "v1-vector-neg-inf", "v2-nan", "v2-inf", "v2-neg-inf", "v2-vector-snan"])
+def test_non_finite_value_names_its_line(tmp_path, save, name, row, value):
+    path = tmp_path / "model.ckpt"
+    save(_dqn_checkpoint(), str(path))
+    lines = path.read_text().splitlines()
+    at = next(i for i, text in enumerate(lines) if text.split()[1:2] == [name]) + 1 + row
+    if save is save_v1:
+        lines[at] = _set_token(lines[at], 3, value)
+    else:
+        lines[at] = lines[at][:48] + value + lines[at][64:]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CheckpointError,
+                       match=rf"^line {at + 1}: parameter '{re.escape(name)}' "
+                             rf"contains non-finite values$"):
         load_checkpoint(str(path))

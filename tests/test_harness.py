@@ -17,6 +17,7 @@ from dron.config import ExperimentConfig, parse_config
 from dron.errors import ConfigurationError, UsageError
 from dron.harness import evaluate, sweep_experts, train, train_run
 import soccer_reference as ref
+from checkpoint_v1 import v1_text
 
 TINY_SOCCER = """
 environment = soccer
@@ -700,14 +701,30 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+# The checkpoint file bytes of each run, as version 2 writes them.
+GOLDEN_V2_HASHES = {
+    "soccer-dqn": "67679c4ea762620f8149cd37115af11e070f8621ae6068a400a4848fd79511e0",
+    "soccer-moe-action": "e28cdddfcc242ade436cfcd1def7702df36817a62f3d80612b724cbb811a27ae",
+    "soccer-concat-type-defensive": "1285de088382e05a8411c7b9596330fa5f275f9e4e23cbfa0bf7560b87d6d69b",
+    "quiz-moe-type": "e871872e69257a57af431e706d258b2eb0172d030d0501c9cf7b18f0116c2931",
+    "quiz-concat-action": "de7a1df361aca36c61aa1b25829f4dacd892817cec3c77139440b4e305dfd4b0",
+    "quiz-self-dqn": "f4d9c8a70df03a3c03a2fdceb90a42e40fab35e9c597ed3fae63a8a729e9f395",
+}
+
+
 def test_golden_hashes(tmp_path):
-    got = {}
+    # GOLDEN_HASHES pin the CSV and the version 1 checkpoint text, which the
+    # reference writer rebuilds from the reloaded version 2 file: so the
+    # parameters are bit-identical across the formats. GOLDEN_V2_HASHES pin
+    # the version 2 file itself.
+    got, got_v2 = {}, {}
     for name, text in GOLDEN_RUNS.items():
         (result,) = train(parse_config(GOLDEN_BASE + text), output_dir=str(tmp_path / name))
         with open(result.curve_path, "rb") as fh:
             data = fh.read()
         with open(result.checkpoint_path, "rb") as fh:
-            data += fh.read()
+            got_v2[name] = _sha256(fh.read())
+        data += v1_text(load_checkpoint(result.checkpoint_path)).encode()
         got[name] = _sha256(data)
     soccer = load_checkpoint(str(tmp_path / "soccer-dqn" / "checkpoint_seed1.ckpt"))
     got["eval-soccer"] = _sha256(repr(evaluate(soccer, "mixed", 40, seed=4)).encode())
@@ -716,3 +733,4 @@ def test_golden_hashes(tmp_path):
     summary = evaluate(quiz, "mixed", 40, seed=4, trace_rows=rows)
     got["eval-quiz-traces"] = _sha256(repr((summary, rows)).encode())
     assert got == GOLDEN_HASHES
+    assert got_v2 == GOLDEN_V2_HASHES
