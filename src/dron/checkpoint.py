@@ -31,7 +31,9 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .agents import Agent, AgentSpec, param_layout, quiz_agent_spec, soccer_agent_spec
+from .agents import (
+    Agent, AgentSpec, has_opponent_tower, param_layout, quiz_agent_spec, soccer_agent_spec,
+)
 from .config import config_from_lines, env_params_for
 from .errors import CheckpointError, ConfigurationError
 from .nn import ParamSet
@@ -130,9 +132,8 @@ class _Reader:
     def next(self, context: str) -> str:
         line = self.next_or_none()
         if line is None:
-            raise CheckpointError(
-                f"unexpected end of file while reading {context} (line {self.pos})"
-            )
+            raise CheckpointError(f"line {max(self.pos, 1)}: unexpected end of file "
+                                  f"while reading {context}")
         return line
 
     @property
@@ -231,8 +232,8 @@ def load_checkpoint(path: str) -> Checkpoint:
     params_line = reader.line_no
 
     def need(key: str) -> str:
-        if key not in header:
-            raise CheckpointError(f"missing header field {key!r}")
+        if key not in header:  # the header ends at the params line
+            raise CheckpointError(f"line {params_line}: missing header field {key!r}")
         return header[key]
 
     def number(convert, key: str):
@@ -275,19 +276,27 @@ def load_checkpoint(path: str) -> Checkpoint:
             if key == "environment" or key.startswith("env."))
     except ConfigurationError as exc:
         raise CheckpointError(str(exc)) from None
+    # the agent's widths must be the environment's; a mismatch names the line
+    # that sets the environment's width
     if config.environment == "quizbowl":
-        width = quiz_agent_spec(spec.kind, vocab=config.vocab).state_dim
-        if spec.state_dim != width:
-            line = header_line.get("env.vocab", header_line["state_dim"])
-            raise CheckpointError(f"line {line}: vocab {config.vocab} needs state_dim {width}, "
-                                  f"got {spec.state_dim}")
+        standard = quiz_agent_spec(spec.kind, vocab=config.vocab)
     else:
         standard = soccer_agent_spec(spec.kind)
-        for key in ("state_dim",) if spec.kind == "dqn" else ("state_dim", "opponent_dim"):
+
+    def check_widths(*keys: str) -> None:
+        for key in keys:
             want, got = getattr(standard, key), getattr(spec, key)
-            if got != want:
-                raise CheckpointError(f"line {header_line['environment']}: environment soccer "
-                                      f"needs {key} {want}, got {got}")
+            if got == want:
+                continue
+            if key == "state_dim" and config.environment == "quizbowl":  # 2 * vocab + 2
+                line = header_line.get("env.vocab", header_line["state_dim"])
+                setting = f"vocab {config.vocab}"
+            else:
+                line, setting = header_line["environment"], f"environment {config.environment}"
+            raise CheckpointError(f"line {line}: {setting} needs {key} {want}, got {got}")
+
+    # the widths of the features the agent is fed, before the blocks
+    check_widths("state_dim", *(("opponent_dim",) if has_opponent_tower(spec.kind) else ()))
 
     # every block must be one the header's agent has, in its shape
     layout = dict(param_layout(spec))
@@ -331,6 +340,9 @@ def load_checkpoint(path: str) -> Checkpoint:
     if missing:
         raise CheckpointError(f"line {params_line}: no block for parameter {missing[0]!r}, "
                               f"which the header's agent needs")
+    # the action count after them, so a count the saved blocks contradict
+    # names the first block that does not fit it
+    check_widths("action_count")
 
     closing = reader.next("end marker")
     if closing != "end":

@@ -31,7 +31,7 @@ table indices, so `SoccerDriver` hands the mode or category index on as the
 multitask supervision as it comes. Soccer games share nothing, so
 `evaluate_soccer` plays them in lockstep: the games still running are
 arrays of those same fields, and each step is one batched Q-value call
-plus lookups into the rule tables of `soccer.SoccerConfig`, the same tables
+plus lookups into the `soccer` module's rule tables, the same tables
 `SoccerDriver` reads one game at a time. Each game keeps its own random
 stream, and an opponent tie is broken by a draw from that stream, game by
 game in game order, so the games are those of one-by-one play; a batched
@@ -166,7 +166,6 @@ class SoccerDriver:
 
     def __init__(self, rng: np.random.Generator, opponent: str = "mixed",
                  multitask: str = "none", sees_opponent: bool = True):
-        self.cfg = soccer.DEFAULT_CONFIG
         self.rng = rng
         self.mode_policy = opponent
         self.multitask = multitask
@@ -174,22 +173,22 @@ class SoccerDriver:
         self.reset()
 
     def reset(self) -> None:
-        self.state, self.mode = soccer.reset(self.cfg, self.rng, self.mode_policy)
+        self.state, self.mode = soccer.reset(self.rng, self.mode_policy)
         self.tallies = soccer.OpponentTallies(1) if self.sees_opponent else None
         self._observe()
 
     def _observe(self) -> None:
         phi_o = self.tallies.features()[0] if self.sees_opponent else NO_OPPONENT
-        self.obs = (soccer.featurize_state(self.state, self.cfg), phi_o)
+        self.obs = (soccer.featurize_state(self.state), phi_o)
 
     def step(self, action: int) -> Tuple[float, bool, StepInfo]:
-        action_b = soccer.rule_agent_act(self.state, self.mode, self.rng, self.cfg)
+        action_b = soccer.rule_agent_act(self.state, self.mode, self.rng)
         if not self.sees_opponent:
-            self.state, reward, done, _ = soccer.step(self.state, action, action_b, self.cfg)
+            self.state, reward, done, _ = soccer.step(self.state, action, action_b)
             self._observe()
             return reward, done, StepInfo()
-        category = soccer.classify_move(self.state, action_b, self.cfg)
-        self.state, reward, done, blocked = soccer.step(self.state, action, action_b, self.cfg)
+        category = soccer.classify_move(self.state, action_b)
+        self.state, reward, done, blocked = soccer.step(self.state, action, action_b)
         self.tallies.observe(category, action_b, blocked and self.state.holder == 1)
         self._observe()
         supervision = None
@@ -316,21 +315,20 @@ def evaluate_soccer(agent: Agent, opponent: str, n_games: int, seed: int,
     `SoccerState` fields (both cells and the ball holder), the opponent
     mode, and, for an agent with an opponent tower, the opponent's tallies
     in `soccer.OpponentTallies`. Each step gathers the state features from
-    `feature_rows`, makes one batched `agent.q_values` call, looks up the
+    `soccer.FEATURE_ROWS`, makes one batched `agent.q_values` call, looks up the
     opponent's moves (`soccer.rule_agent_many`, which draws the tie-breaks
     game by game in game order) and, for the tallies, their categories, and
     resolves the moves, blocks and goals (`soccer.step_many`) as array
-    operations on the config's tables. A `dqn` agent is shown the state
+    operations on the module's tables. A `dqn` agent is shown the state
     features alone, so its games keep no tallies and look up no categories;
     finished games are dropped, and the games left after `soccer.HORIZON`
     steps are ties. The games and draws are those of one-by-one play with
     `SoccerDriver` (the module docstring says how near a batched forward is
     to a one-row one). `render` rebuilds each game's `SoccerState` after
     every step and prints the boards game by game once all games are over."""
-    cfg = soccer.DEFAULT_CONFIG
-    own_rows, other_rows = cfg.feature_rows
+    own_rows, other_rows = soccer.FEATURE_ROWS
     rngs = [np.random.default_rng([seed, game]) for game in range(n_games)]
-    starts = [soccer.reset(cfg, rng, opponent) for rng in rngs]
+    starts = [soccer.reset(rng, opponent) for rng in rngs]
     a = np.array([state.cell_a for state, _ in starts])
     b = np.array([state.cell_b for state, _ in starts])
     holder = np.array([state.holder for state, _ in starts])  # 0: A
@@ -343,14 +341,14 @@ def evaluate_soccer(agent: Agent, opponent: str, n_games: int, seed: int,
         phi_s = own_rows[a, 1 - holder] + other_rows[b]  # A holds if holder is 0
         observation = (phi_s,) if tallies is None else (phi_s, tallies.features())
         action_a = agent.q_values(*observation).argmax(axis=1)
-        action_b = soccer.rule_agent_many(cfg, mode, b, a, holder, rngs)
-        category = None if tallies is None else cfg.categories[b, action_b, a]
-        a, b, holder, blocked, scored = soccer.step_many(cfg, a, b, holder, action_a, action_b)
+        action_b = soccer.rule_agent_many(mode, b, a, holder, rngs)
+        category = None if tallies is None else soccer.CATEGORIES[b, action_b, a]
+        a, b, holder, blocked, scored = soccer.step_many(a, b, holder, action_a, action_b)
         if tallies is not None:
             tallies.observe(category, action_b, blocked & (holder == 1))
         if render:
             for game, *state in zip(games.tolist(), a.tolist(), b.tolist(), holder.tolist()):
-                frames[game].append(soccer.render(soccer.SoccerState(*state), cfg))
+                frames[game].append(soccer.render(soccer.SoccerState(*state)))
         if scored.any():
             rewards[games[scored]] = np.where(holder[scored] == 0, 1.0, -1.0)
             running = ~scored

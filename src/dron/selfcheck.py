@@ -162,7 +162,7 @@ def run_selfcheck(verbose: bool = True) -> bool:
 
     def soccer_invariants() -> bool:
         for _ in range(300):
-            state, _ = soccer.reset(soccer.DEFAULT_CONFIG, rng)
+            state, _ = soccer.reset(rng)
             while True:
                 state, reward, done, _ = soccer.step(
                     state, int(rng.integers(0, 5)), int(rng.integers(0, 5))

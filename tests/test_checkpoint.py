@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -187,8 +188,26 @@ class TestErrors:
         save_checkpoint(ckpt, str(path))
         text = path.read_text().splitlines()
         (tmp_path / "cut.ckpt").write_text("\n".join(text[: len(text) // 2]))
-        with pytest.raises(CheckpointError, match="unexpected end of file"):
+        # the error names the file's last line, where it ran out
+        with pytest.raises(CheckpointError, match=rf"^line {len(text) // 2}: unexpected end of "
+                                                  rf"file while reading matrix '[\w.]+' row \d+$"):
             load_checkpoint(str(tmp_path / "cut.ckpt"))
+        # an empty file runs out on its first line
+        (tmp_path / "empty.ckpt").write_text("")
+        with pytest.raises(CheckpointError, match=r"^line 1: unexpected end of file while "
+                                                  r"reading format header$"):
+            load_checkpoint(str(tmp_path / "empty.ckpt"))
+
+    @pytest.mark.parametrize("key", ["kind", "environment", "steps"])
+    def test_missing_header_field_names_the_params_line(self, tmp_path, key):
+        ckpt, _ = make_checkpoint()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, str(path))
+        lines = [line for line in path.read_text().splitlines() if line.split()[0] != key]
+        path.write_text("\n".join(lines) + "\n")
+        line = next(i for i, text in enumerate(lines, 1) if text.startswith("params "))
+        with pytest.raises(CheckpointError, match=rf"^line {line}: missing header field '{key}'$"):
+            load_checkpoint(str(path))
 
     def test_version_bump_rejected(self, tmp_path):
         ckpt, _ = make_checkpoint()
@@ -390,6 +409,37 @@ def test_bad_agent_line_fails_at_load(tmp_path, key, value, named):
     path.write_text("\n".join(lines) + "\n")
     line = at + 1 if key != "opponent_dim" else next(
         i for i, text in enumerate(lines, 1) if text.startswith("environment "))
+    with pytest.raises(CheckpointError, match=rf"^line {line}: {named}$"):
+        load_checkpoint(str(path))
+
+
+def misfit_checkpoint(environment, kind, key, value):
+    """A checkpoint of the environment's standard `kind` agent with its
+    `key` width set to `value`: it builds and saves, but it does not fit the
+    environment's states, moves or opponent features."""
+    standard = soccer_agent_spec(kind) if environment == "soccer" else quiz_agent_spec(kind)
+    agent = Agent(replace(standard, **{key: value}), seed=0)
+    return Checkpoint(agent_spec=agent.spec, params=agent.params, environment=environment)
+
+
+# (environment, kind, width, value, the error); a width the agent does not
+# fit names the environment line
+MISFITS = [
+    ("soccer", "dqn", "action_count", 7, "environment soccer needs action_count 5, got 7"),
+    ("soccer", "dron_concat", "state_dim", 14, "environment soccer needs state_dim 15, got 14"),
+    ("quizbowl", "dqn", "action_count", 3, "environment quizbowl needs action_count 2, got 3"),
+    ("quizbowl", "dron_moe", "opponent_dim", 4,
+     "environment quizbowl needs opponent_dim 3, got 4"),
+]
+
+
+@pytest.mark.parametrize("environment,kind,key,value,named", MISFITS)
+def test_agent_that_misfits_its_environment_fails_at_load(tmp_path, environment, kind, key,
+                                                          value, named):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(misfit_checkpoint(environment, kind, key, value), str(path))
+    line = next(i for i, text in enumerate(path.read_text().splitlines(), 1)
+                if text.startswith("environment "))
     with pytest.raises(CheckpointError, match=rf"^line {line}: {named}$"):
         load_checkpoint(str(path))
 

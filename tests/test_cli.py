@@ -242,3 +242,19 @@ def test_malformed_checkpoint_exits_2(tmp_path, capsys):
         assert main(["eval", str(path), "--games", "1"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: line {line}: {message}\n"
+
+
+def test_checkpoint_that_misfits_its_environment_exits_2(tmp_path, capsys):
+    # refused at load, before any game, however many games are asked for
+    from test_checkpoint import MISFITS, misfit_checkpoint
+
+    from dron.checkpoint import save_checkpoint
+
+    for environment, kind, key, value, message in MISFITS:
+        path = tmp_path / f"{environment}-{kind}-{key}.ckpt"
+        save_checkpoint(misfit_checkpoint(environment, kind, key, value), str(path))
+        line = next(i for i, text in enumerate(path.read_text().splitlines(), 1)
+                    if text.startswith("environment "))
+        assert main(["eval", str(path), "--games", "20"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: line {line}: {message}\n"

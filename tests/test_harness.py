@@ -161,7 +161,7 @@ def per_game_soccer(agent, opponent, n_games, seed, render=False):
         while not done:
             reward, done, _ = driver.step(int(np.argmax(agent.q_values(*driver.obs))))
             if render:
-                print(soccer.render(driver.state, driver.cfg))
+                print(soccer.render(driver.state))
                 print()
         rewards.append(reward)
     n = len(rewards)
@@ -218,16 +218,15 @@ class TestSoccerDriverOpponentFeatures:
             return moves_b[-1]
 
         monkeypatch.setattr(soccer, "rule_agent_act", recorded)
-        cfg = soccer.DEFAULT_CONFIG
         driver = harness.SoccerDriver(np.random.default_rng(3), opponent, multitask)
         seen = []  # (category, action, lost ball) of B's moves this game
         games = 0
         for action in np.random.default_rng(4).integers(0, 5, size=1500).tolist():
             before = driver.state
             _, done, info = driver.step(action)
-            pos_a, pos_b = divmod(before.cell_a, cfg.height), divmod(before.cell_b, cfg.height)
+            pos_a, pos_b = divmod(before.cell_a, ref.HEIGHT), divmod(before.cell_b, ref.HEIGHT)
             ball = "AB"[before.holder]
-            category = ref.classify(cfg, "B", pos_b, moves_b[-1], pos_a)
+            category = ref.classify("B", pos_b, moves_b[-1], pos_a)
             next_ball = ref.reference_step(pos_a, pos_b, ball, before.step, action,
                                            moves_b[-1])[2]
             seen.append((category, moves_b[-1], ball == "A" and next_ball == "B"))
@@ -319,9 +318,8 @@ def watch_opponent_work(monkeypatch, forbidden):
 
     for name in ("classify_move", "OpponentTallies"):
         monkeypatch.setattr(soccer, name, counted(name, getattr(soccer, name)))
-    cfg = soccer.DEFAULT_CONFIG
-    monkeypatch.setitem(cfg.__dict__, "categories",
-                        Watched(cfg.categories, lambda: hit("categories")))
+    monkeypatch.setattr(soccer, "CATEGORIES",
+                        Watched(soccer.CATEGORIES, lambda: hit("categories")))
     return used
 
 

@@ -8,9 +8,7 @@ from dron import soccer
 from dron.errors import UsageError
 from dron.soccer import (
     ACTIONS,
-    DEFAULT_CONFIG,
     OpponentTallies,
-    SoccerConfig,
     SoccerState,
     classify_move,
     featurize_state,
@@ -24,12 +22,12 @@ from soccer_reference import reference_move, reference_step
 
 A_N, A_S, A_E, A_W, A_STAND = range(5)
 OFFENSIVE, DEFENSIVE = range(2)  # MODES indices
-index = DEFAULT_CONFIG.index
+index = soccer.index
 
 
-def state_at(pos_a, pos_b, ball, step=0, done=False, config=DEFAULT_CONFIG):
+def state_at(pos_a, pos_b, ball, step=0, done=False):
     """The SoccerState of two (col, row) cells and a ball holder "A" or "B"."""
-    return SoccerState(config.index(pos_a), config.index(pos_b), "AB".index(ball), step, done)
+    return SoccerState(index(pos_a), index(pos_b), "AB".index(ball), step, done)
 
 
 class Position(NamedTuple):
@@ -40,12 +38,12 @@ class Position(NamedTuple):
     ball: str
     step: int = 0
 
-    def state(self, config=DEFAULT_CONFIG):
-        return state_at(self.pos_a, self.pos_b, self.ball, self.step, config=config)
+    def state(self):
+        return state_at(self.pos_a, self.pos_b, self.ball, self.step)
 
 
 def random_position(rng):
-    cells = [c for c in ref.cells(DEFAULT_CONFIG) if ref.playable(DEFAULT_CONFIG, c)]
+    cells = [c for c in ref.cells() if ref.playable(c)]
     while True:
         pa = cells[int(rng.integers(0, len(cells)))]
         pb = cells[int(rng.integers(0, len(cells)))]
@@ -54,42 +52,41 @@ def random_position(rng):
         ball = "A" if rng.random() < 0.5 else "B"
         position = Position(pa, pb, ball, int(rng.integers(0, 99)))
         # skip states that are already terminal positions
-        if (pa if ball == "A" else pb) in DEFAULT_CONFIG.goal_for(ball):
+        if (pa if ball == "A" else pb) in ref.GOAL_OF[ball]:
             continue
         return position
 
 
 class TestGeometry:
     def test_goals_and_shaded_disjoint(self):
-        goals = set(DEFAULT_CONFIG.left_goal) | set(DEFAULT_CONFIG.right_goal)
-        assert not goals & DEFAULT_CONFIG.shaded
-        assert DEFAULT_CONFIG.left_goal == ((0, 2), (0, 3))
-        assert DEFAULT_CONFIG.right_goal == ((8, 2), (8, 3))
-        assert len(DEFAULT_CONFIG.shaded) == 8
+        goals = set(soccer.LEFT_GOAL) | set(soccer.RIGHT_GOAL)
+        assert not goals & soccer.SHADED
+        assert soccer.LEFT_GOAL == ((0, 2), (0, 3))
+        assert soccer.RIGHT_GOAL == ((8, 2), (8, 3))
+        assert soccer.SHADED == ref.SHADED
 
 
 class TestReset:
     def test_ball_owner_balanced(self):
         rng = np.random.default_rng(0)
         n = 10_000
-        to_a = sum(reset(DEFAULT_CONFIG, rng)[0].holder == 0 for _ in range(n))
+        to_a = sum(reset(rng)[0].holder == 0 for _ in range(n))
         sigma = math.sqrt(n * 0.25)
         assert abs(to_a - n / 2) <= 3 * sigma
 
     def test_never_on_shaded_or_goal(self):
         rng = np.random.default_rng(1)
-        goals = set(DEFAULT_CONFIG.left_goal) | set(DEFAULT_CONFIG.right_goal)
-        free = [c for c in ref.cells(DEFAULT_CONFIG)
-                if c not in DEFAULT_CONFIG.shaded and c not in goals]
+        goals = ref.LEFT_GOAL | ref.RIGHT_GOAL
+        free = [c for c in ref.cells() if c not in ref.SHADED and c not in goals]
         left = {index(c) for c in free if c[0] <= 3}
         right = {index(c) for c in free if c[0] >= 5}
         for _ in range(2000):
-            state, _ = reset(DEFAULT_CONFIG, rng)
+            state, _ = reset(rng)
             assert state.cell_a in left and state.cell_b in right
 
     def test_deterministic(self):
-        a = reset(DEFAULT_CONFIG, np.random.default_rng(42))
-        b = reset(DEFAULT_CONFIG, np.random.default_rng(42))
+        a = reset(np.random.default_rng(42))
+        b = reset(np.random.default_rng(42))
         assert a == b
 
 
@@ -164,7 +161,7 @@ class TestStep:
         positions = [random_position(rng) for _ in range(200)]
         joint = [(p.state(), aa, ab) for p in positions for aa in range(5) for ab in range(5)]
         a, b, holder, blocked, scored = soccer.step_many(
-            DEFAULT_CONFIG, *(np.array(column) for column in zip(
+            *(np.array(column) for column in zip(
                 *((s.cell_a, s.cell_b, s.holder, aa, ab) for s, aa, ab in joint))))
         want = [reference_step(*p, aa, ab) for p in positions
                 for aa in range(5) for ab in range(5)]
@@ -175,9 +172,9 @@ class TestStep:
 
     def test_invariants_over_random_rollouts(self):
         rng = np.random.default_rng(8)
-        shaded = {index(c) for c in DEFAULT_CONFIG.shaded}
+        shaded = {index(c) for c in ref.SHADED}
         for _ in range(300):
-            state, _ = reset(DEFAULT_CONFIG, rng)
+            state, _ = reset(rng)
             steps = 0
             while True:
                 nxt, reward, done, _ = step(state, int(rng.integers(0, 5)),
@@ -196,83 +193,72 @@ class TestStep:
 
 class TestMoveTable:
     def test_default_field_matches_reference(self):
-        table = DEFAULT_CONFIG.move_table
-        cells = ref.cells(DEFAULT_CONFIG)
+        table = soccer.MOVE_TABLE
+        cells = ref.cells()
         assert table.shape == (len(cells), len(ACTIONS))
         for cell in cells:
             assert table[index(cell)].tolist() == [index(reference_move(cell, a))
                                                    for a in range(len(ACTIONS))]
 
-    @pytest.mark.parametrize("width,height", [(5, 4), (11, 8)])
-    def test_other_fields_match_delta_and_playable(self, width, height):
-        config = SoccerConfig(width=width, height=height)
-        for col in range(width):
-            for row in range(height):
-                for action, (dc, dr) in enumerate(soccer.ACTION_DELTAS):
-                    target = (col + dc, row + dr)
-                    want = target if ref.playable(config, target) else (col, row)
-                    assert config.move_table[config.index((col, row)), action] == config.index(want)
 
-    def test_table_is_cached(self):
-        config = SoccerConfig(width=7, height=4)
-        assert config.move_table is config.move_table
+# every rule table, and the tally rows of OpponentTallies
+TABLES = (soccer.MOVE_TABLE, soccer.GOAL_MASK, *soccer.FEATURE_ROWS, soccer.CATEGORIES,
+          *soccer.TIE_SETS, OpponentTallies.CATEGORY_ROWS, OpponentTallies.LAST_MOVE_ROWS)
 
 
-FIELDS = [DEFAULT_CONFIG, SoccerConfig(width=5, height=4), SoccerConfig(width=11, height=8)]
-
-
-@pytest.mark.parametrize("config", FIELDS, ids=lambda c: f"{c.width}x{c.height}")
 class TestRuleTables:
     """Every entry of the rule tables, B's moves and A's view, against the
     per-call scoring rules of `soccer_reference`."""
 
-    def test_move_targets(self, config):
-        for cell in ref.cells(config):
-            want = [config.index(t) for t in ref.move_targets(config, cell)]
-            assert config.move_table[config.index(cell)].tolist() == want
+    def test_move_targets(self):
+        for cell in ref.cells():
+            want = [index(t) for t in ref.move_targets(cell)]
+            assert soccer.MOVE_TABLE[index(cell)].tolist() == want
 
-    def test_tie_sets(self, config):
-        counts, choices = config.tie_sets
+    def test_tie_sets(self):
+        counts, choices = soccer.TIE_SETS
         assert counts.dtype == choices.dtype == np.int8
         for m, mode in enumerate(soccer.MODES):
-            for own in ref.cells(config):
-                for other in ref.cells(config):
+            for own in ref.cells():
+                for other in ref.cells():
                     for has_ball in (0, 1):
-                        key = (m, config.index(own), config.index(other), has_ball)
-                        want = ref.rule_choices(config, mode, "B", own, other, has_ball)
+                        key = (m, index(own), index(other), has_ball)
+                        want = ref.rule_choices(mode, "B", own, other, has_ball)
                         assert counts[key] == len(want)
                         assert choices[key][:len(want)].tolist() == want
 
-    def test_categories(self, config):
-        assert config.categories.dtype == np.int8
-        for pos in ref.cells(config):
+    def test_categories(self):
+        assert soccer.CATEGORIES.dtype == np.int8
+        for pos in ref.cells():
             for action in range(len(ACTIONS)):
-                for other in ref.cells(config):
-                    got = config.categories[config.index(pos), action, config.index(other)]
-                    want = ref.classify(config, "B", pos, action, other)
+                for other in ref.cells():
+                    got = soccer.CATEGORIES[index(pos), action, index(other)]
+                    want = ref.classify("B", pos, action, other)
                     assert soccer.MOVE_CATEGORIES[got] == want
 
-    def test_features_bit_for_bit(self, config):
-        cells = ref.cells(config)
+    def test_features_bit_for_bit(self):
+        cells = ref.cells()
         for pos, other in zip(cells, cells[::-1]):
             for ball in ("A", "B"):
-                want = ref.features(config, pos, other, ball == "A", config.own_goal_of("A"),
-                                    config.goal_for("A"))
-                got = featurize_state(Position(pos, other, ball).state(config), config)
+                want = ref.features(pos, other, ball == "A", ref.LEFT_GOAL, ref.RIGHT_GOAL)
+                got = featurize_state(Position(pos, other, ball).state())
                 assert got.tobytes() == want.tobytes()
 
-    def test_start_cells(self, config):
-        half = config.width // 2
-        goals = set(config.left_goal) | set(config.right_goal)
-        for side, cols in zip(config.start_cells,
-                              (range(half), range(config.width - half, config.width))):
-            assert list(side) == [config.index((c, r)) for c in cols for r in range(config.height)
-                                  if ref.playable(config, (c, r)) and (c, r) not in goals]
+    def test_start_cells(self):
+        half = ref.WIDTH // 2
+        goals = ref.LEFT_GOAL | ref.RIGHT_GOAL
+        for side, cols in zip(soccer.START_CELLS,
+                              (range(half), range(ref.WIDTH - half, ref.WIDTH))):
+            assert list(side) == [index((c, r)) for c in cols for r in range(ref.HEIGHT)
+                                  if ref.playable((c, r)) and (c, r) not in goals]
 
-    def test_under_one_megabyte(self, config):
-        tables = (config.move_table, config.goal_mask, config.categories, *config.tie_sets,
-                  *config.feature_rows)
-        assert sum(t.nbytes for t in tables) < 2 ** 20
+    def test_under_one_megabyte(self):
+        assert sum(t.nbytes for t in TABLES) < 2 ** 20
+
+    def test_writing_a_table_raises(self):
+        for table in TABLES:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1
 
 
 class TestRuleAgentDraws:
@@ -283,8 +269,8 @@ class TestRuleAgentDraws:
         for _ in range(300):
             position = random_position(rng)
             for m, mode in enumerate(soccer.MODES):
-                choices = ref.rule_choices(DEFAULT_CONFIG, mode, "B", position.pos_b,
-                                           position.pos_a, position.ball == "B")
+                choices = ref.rule_choices(mode, "B", position.pos_b, position.pos_a,
+                                           position.ball == "B")
                 seed = int(rng.integers(0, 2 ** 31))
                 got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
                 got = rule_agent_act(position.state(), m, got_rng)
@@ -303,7 +289,7 @@ class TestRuleAgentMany:
         a, b, holder = (np.array(column) for column in zip(
             *((s.cell_a, s.cell_b, s.holder) for s in states)))
         many_rngs = [np.random.default_rng([5, i]) for i in range(len(states))]
-        got = soccer.rule_agent_many(DEFAULT_CONFIG, np.array(modes), b, a, holder, many_rngs)
+        got = soccer.rule_agent_many(np.array(modes), b, a, holder, many_rngs)
         for i, (state, mode) in enumerate(zip(states, modes)):
             one = np.random.default_rng([5, i])
             assert got[i] == rule_agent_act(state, mode, one)
@@ -333,10 +319,10 @@ class TestFeaturize:
 
     def test_cached_frame_equals_per_call_expressions(self):
         # the constant features were computed on every call; they must keep
-        # their bytes now that they are computed once per field
-        def per_call(position, config):
-            sx = 1.0 / (config.width - 1)
-            sy = 1.0 / (config.height - 1)
+        # their bytes now that they are computed once
+        def per_call(position):
+            sx = 1.0 / (soccer.WIDTH - 1)
+            sy = 1.0 / (soccer.HEIGHT - 1)
             me, other = position.pos_a, position.pos_b
 
             def goal_block(goal):
@@ -345,25 +331,18 @@ class TestFeaturize:
 
             return np.array([
                 me[0] * sx, me[1] * sy, other[0] * sx, other[1] * sy,
-                0.0, (config.width - 1) * sx, 0.0, (config.height - 1) * sy,
-                *goal_block(config.own_goal_of("A")),
-                *goal_block(config.goal_for("A")),
+                0.0, (soccer.WIDTH - 1) * sx, 0.0, (soccer.HEIGHT - 1) * sy,
+                *goal_block(soccer.LEFT_GOAL),
+                *goal_block(soccer.RIGHT_GOAL),
                 1.0 if position.ball == "A" else 0.0,
             ])
 
-        configs = (DEFAULT_CONFIG, SoccerConfig(width=7, height=5), SoccerConfig(width=12, height=8))
-        for config in configs:
-            cells = [c for c in ref.cells(config) if ref.playable(config, c)]
-            for a, b in zip(cells, cells[::-1]):
-                for ball in ("A", "B"):
-                    position = Position(a, b, ball)
-                    got = featurize_state(position.state(config), config)
-                    assert got.tobytes() == per_call(position, config).tobytes()
-
-    def test_goals_are_cached(self):
-        config = SoccerConfig()
-        assert config.left_goal is config.left_goal
-        assert config.right_goal is config.right_goal
+        cells = [c for c in ref.cells() if ref.playable(c)]
+        for a, b in zip(cells, cells[::-1]):
+            for ball in ("A", "B"):
+                position = Position(a, b, ball)
+                got = featurize_state(position.state())
+                assert got.tobytes() == per_call(position).tobytes()
 
 
 def category(state, action):
@@ -419,13 +398,13 @@ class TestOpponentFeatures:
     def test_frequencies_sum_to_one(self):
         rng = np.random.default_rng(5)
         tallies = OpponentTallies(1)
-        state, _ = reset(DEFAULT_CONFIG, rng)
+        state, _ = reset(rng)
         for _ in range(60):
             action = int(rng.integers(0, 5))
             cat = classify_move(state, action)
             tallies.observe(cat, action, lost_ball=bool(rng.random() < 0.1))
             nxt, _, done, _ = step(state, int(rng.integers(0, 5)), action)
-            state = nxt if not done else reset(DEFAULT_CONFIG, rng)[0]
+            state = nxt if not done else reset(rng)[0]
             phi = tallies.features()[0]
             assert abs(phi[0:5].sum() - 1.0) <= 1e-12
             assert 0.0 <= phi[15] <= 1.0
@@ -452,7 +431,7 @@ class TestRuleAgent:
         state = state_at((6, 2), (7, 2), "B")
         for _ in range(50):
             action = rule_agent_act(state, DEFENSIVE, rng)
-            assert reference_move((7, 2), action) not in DEFAULT_CONFIG.right_goal
+            assert reference_move((7, 2), action) not in ref.RIGHT_GOAL
 
     def test_offensive_beats_random_smoke(self):
         # small-sample version of the acceptance run
@@ -460,7 +439,7 @@ class TestRuleAgent:
         wins = lengths = 0
         games = 300
         for _ in range(games):
-            state, _ = reset(DEFAULT_CONFIG, rng)
+            state, _ = reset(rng)
             while True:
                 a_b = rule_agent_act(state, OFFENSIVE, rng)
                 a_a = int(rng.integers(0, 5))
@@ -477,7 +456,7 @@ class TestRuleAgent:
         ties = lengths = 0
         games = 200
         for _ in range(games):
-            state, _ = reset(DEFAULT_CONFIG, rng)
+            state, _ = reset(rng)
             while True:
                 a_b = rule_agent_act(state, DEFENSIVE, rng)
                 a_a = int(rng.integers(0, 5))
