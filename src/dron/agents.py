@@ -93,43 +93,33 @@ class AgentSpec:
     multitask_loss: str = "cross_entropy"
 
     def __post_init__(self) -> None:
-        # every rule names the fields it found at fault, so that a checkpoint
-        # load can name their lines
         if self.kind not in KINDS:
-            raise ConfigurationError(f"unknown agent kind {self.kind!r}", keys=("kind",))
+            raise ConfigurationError(f"unknown agent kind {self.kind!r}")
         if self.multitask not in MULTITASK_MODES:
-            raise ConfigurationError(f"unknown multitask mode {self.multitask!r}",
-                                     keys=("multitask",))
+            raise ConfigurationError(f"unknown multitask mode {self.multitask!r}")
         for key in ("state_dim", "action_count", "opponent_hidden", "multitask_outputs"):
             if getattr(self, key) < 1:
-                raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}",
-                                         keys=(key,))
+                raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")
         for key in ("state_hidden", "head_hidden"):
             sizes = getattr(self, key)
             if not sizes or min(sizes) < 1:
-                raise ConfigurationError(f"{key} must be one or more sizes >= 1, got {sizes}",
-                                         keys=(key,))
+                raise ConfigurationError(f"{key} must be one or more sizes >= 1, got {sizes}")
         if self.kind == "dron_moe" and self.experts < 1:
-            raise ConfigurationError("dron_moe needs at least one expert",
-                                     keys=("kind", "experts"))
+            raise ConfigurationError("dron_moe needs at least one expert")
         if has_opponent_tower(self.kind) and self.opponent_dim < 1:
-            raise ConfigurationError(f"{self.kind} requires opponent features",
-                                     keys=("kind", "opponent_dim"))
+            raise ConfigurationError(f"{self.kind} requires opponent features")
         if not has_opponent_tower(self.kind) and self.multitask != "none":
-            raise ConfigurationError("multitask supervision needs an opponent tower",
-                                     keys=("kind", "multitask"))
+            raise ConfigurationError("multitask supervision needs an opponent tower")
         if self.multitask == "none" and self.multitask_outputs != 1:
             raise ConfigurationError(
                 f"multitask_outputs must be 1 without a multitask head, "
-                f"got {self.multitask_outputs}", keys=("multitask", "multitask_outputs"))
+                f"got {self.multitask_outputs}")
         # ExperimentConfig's rule: a nan or inf weight makes every update non-finite
         if not (math.isfinite(self.multitask_weight) and self.multitask_weight >= 0.0):
             raise ConfigurationError(
-                f"multitask_weight must be finite and >= 0, got {self.multitask_weight}",
-                keys=("multitask_weight",))
+                f"multitask_weight must be finite and >= 0, got {self.multitask_weight}")
         if self.multitask_loss not in ("cross_entropy", "mean_squared"):
-            raise ConfigurationError(f"unknown multitask loss {self.multitask_loss!r}",
-                                     keys=("multitask_loss",))
+            raise ConfigurationError(f"unknown multitask loss {self.multitask_loss!r}")
 
     @property
     def hs_size(self) -> int:

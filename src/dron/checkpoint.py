@@ -17,10 +17,18 @@ about 0.5 µs per value each way. Version 1 stored each value as 17
 significant decimal digits; it is still read, so older checkpoints load, but
 never written.
 
-The ``environment`` and ``env.<key>`` header lines are config keys, parsed
-and checked by the config's own parser and rules (``config_from_lines``): a
-bad value fails at load naming its line, and a key an older checkpoint lacks
-takes its ``ExperimentConfig`` default.
+The header's agent follows from its run's config, as ``config.agent_spec_for``
+derives it. The lines that are config keys, ``environment``, the
+``env.<key>`` lines and the agent's ``kind`` (the config's ``agent``),
+``experts``, ``multitask`` and ``multitask_weight``, are parsed and checked
+by the config's own parser and rules (``config_from_lines``): a bad value
+fails at load naming its line, and an ``env.<key>`` an older checkpoint lacks
+takes its ``ExperimentConfig`` default. The agent is the spec derived from
+that config. The other eight agent lines, ``state_dim``, ``action_count``,
+``opponent_dim``, ``state_hidden``, ``head_hidden``, ``opponent_hidden``,
+``multitask_outputs`` and ``multitask_loss``, hold derived values: they are
+written for a reader of the file, and loading fails naming the first whose
+text is not that of the derived value.
 """
 
 from __future__ import annotations
@@ -31,17 +39,22 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .agents import (
-    Agent, AgentSpec, has_opponent_tower, param_layout, quiz_agent_spec, soccer_agent_spec,
-)
-from .config import config_from_lines, env_params_for
+from .agents import Agent, AgentSpec, param_layout
+from .config import ExperimentConfig, agent_spec_for, config_from_lines, env_params_for
 from .errors import CheckpointError, ConfigurationError
 from .nn import ParamSet
 
 FORMAT_NAME = "dron-checkpoint"
 FORMAT_VERSION = 2
-# the header keys `save_checkpoint` writes, besides the env.<key> lines
-_HEADER_KEYS = frozenset({"environment", "steps", "rng", *(f.name for f in fields(AgentSpec))})
+# the header lines that are config keys, each with its config name
+_CONFIG_KEYS = {"environment": "environment", "kind": "agent", "experts": "experts",
+                "multitask": "multitask", "multitask_weight": "multitask_weight"}
+_ENV_KEYS = tuple(f"env.{key}" for key in env_params_for(ExperimentConfig(environment="quizbowl")))
+# the header lines every file holds, in the order `save_checkpoint` writes them
+_REQUIRED_KEYS = ("environment", *(f.name for f in fields(AgentSpec)), "steps")
+# the agent lines whose values are derived from the config keys
+_DERIVED_KEYS = tuple(f.name for f in fields(AgentSpec) if f.name not in _CONFIG_KEYS)
+_HEADER_KEYS = frozenset({*_REQUIRED_KEYS, *_ENV_KEYS, "rng"})
 
 
 @dataclass
@@ -73,31 +86,27 @@ def rng_from_state(state: Tuple[int, int]) -> np.random.Generator:
     return gen
 
 
+def _text(value) -> str:
+    """A header value as the file holds it: a float as its repr, a tuple of
+    sizes comma separated."""
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
     spec = checkpoint.agent_spec
     lines = [f"{FORMAT_NAME} {FORMAT_VERSION}"]
     header = {
         "environment": checkpoint.environment,
-        "kind": spec.kind,
-        "state_dim": spec.state_dim,
-        "action_count": spec.action_count,
-        "opponent_dim": spec.opponent_dim,
-        "state_hidden": ",".join(map(str, spec.state_hidden)),
-        "head_hidden": ",".join(map(str, spec.head_hidden)),
-        "opponent_hidden": spec.opponent_hidden,
-        "experts": spec.experts,
-        "multitask": spec.multitask,
-        "multitask_weight": repr(spec.multitask_weight),
-        "multitask_outputs": spec.multitask_outputs,
-        "multitask_loss": spec.multitask_loss,
+        **{f.name: getattr(spec, f.name) for f in fields(AgentSpec)},
         "steps": checkpoint.steps,
+        **{f"env.{key}": value for key, value in checkpoint.env_params.items()},
     }
-    for key, value in checkpoint.env_params.items():
-        header[f"env.{key}"] = repr(value) if isinstance(value, float) else value
     if checkpoint.rng_state is not None:
         header["rng"] = f"{checkpoint.rng_state[0]} {checkpoint.rng_state[1]}"
     for key, value in header.items():
-        lines.append(f"{key} {value}")
+        lines.append(f"{key} {_text(value)}")
     lines.append(f"params {len(checkpoint.params)}")
     for name in sorted(checkpoint.params):
         value = checkpoint.params[name]
@@ -217,7 +226,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         key, _, value = line.partition(" ")
         if not value:
             raise CheckpointError(f"line {reader.line_no}: malformed header line {line!r}")
-        if key not in _HEADER_KEYS and not key.startswith("env."):
+        if key not in _HEADER_KEYS:
             raise CheckpointError(f"line {reader.line_no}: unknown header key {key!r}")
         if key in header:
             raise CheckpointError(f"line {reader.line_no}: repeated header key {key!r}")
@@ -231,35 +240,25 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CheckpointError(f"line {reader.line_no}: malformed params count {line!r}") from None
     params_line = reader.line_no
 
-    def need(key: str) -> str:
-        if key not in header:  # the header ends at the params line
-            raise CheckpointError(f"line {params_line}: missing header field {key!r}")
-        return header[key]
+    missing = next((key for key in _REQUIRED_KEYS if key not in header), None)
+    if missing is not None:  # the header ends at the params line
+        raise CheckpointError(f"line {params_line}: missing header field {missing!r}")
 
-    def number(convert, key: str):
-        return _parsed(convert, need(key), header_line[key], key)
-
-    def sizes(key: str) -> Tuple[int, ...]:
-        return tuple(_parsed(int, s, header_line[key], key) for s in need(key).split(","))
-
-    fields = dict(
-        kind=need("kind"),
-        state_dim=number(int, "state_dim"),
-        action_count=number(int, "action_count"),
-        opponent_dim=number(int, "opponent_dim"),
-        state_hidden=sizes("state_hidden"),
-        head_hidden=sizes("head_hidden"),
-        opponent_hidden=number(int, "opponent_hidden"),
-        experts=number(int, "experts"),
-        multitask=need("multitask"),
-        multitask_weight=number(float, "multitask_weight"),
-        multitask_outputs=number(int, "multitask_outputs"),
-        multitask_loss=need("multitask_loss"),
-    )
+    # the config keys go through the config's parser and rules, and the agent
+    # is derived from the config as a run derives it
     try:
-        spec = AgentSpec(**fields)
+        config = config_from_lines(
+            (header_line[key], _CONFIG_KEYS.get(key, key.removeprefix("env.")), value)
+            for key, value in header.items() if key in _CONFIG_KEYS or key in _ENV_KEYS)
     except ConfigurationError as exc:
-        raise CheckpointError(f"line {max(header_line[key] for key in exc.keys)}: {exc}") from None
+        raise CheckpointError(str(exc)) from None
+    spec = agent_spec_for(config)
+    for name in _DERIVED_KEYS:
+        want = _text(getattr(spec, name))
+        if header[name] != want:
+            raise CheckpointError(
+                f"line {header_line[name]}: {name} {header[name]} does not fit the header's "
+                f"{config.environment} {config.agent} agent, which has {want}")
 
     rng_state = None
     if "rng" in header:
@@ -267,36 +266,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         if len(parts) != 2:
             raise CheckpointError(f"line {header_line['rng']}: malformed rng state in header")
         rng_state = tuple(_parsed(int, part, header_line["rng"], "rng") for part in parts)
-
-    need("environment")
-    try:
-        config = config_from_lines(
-            (header_line[key], key.removeprefix("env."), value)
-            for key, value in header.items()
-            if key == "environment" or key.startswith("env."))
-    except ConfigurationError as exc:
-        raise CheckpointError(str(exc)) from None
-    # the agent's widths must be the environment's; a mismatch names the line
-    # that sets the environment's width
-    if config.environment == "quizbowl":
-        standard = quiz_agent_spec(spec.kind, vocab=config.vocab)
-    else:
-        standard = soccer_agent_spec(spec.kind)
-
-    def check_widths(*keys: str) -> None:
-        for key in keys:
-            want, got = getattr(standard, key), getattr(spec, key)
-            if got == want:
-                continue
-            if key == "state_dim" and config.environment == "quizbowl":  # 2 * vocab + 2
-                line = header_line.get("env.vocab", header_line["state_dim"])
-                setting = f"vocab {config.vocab}"
-            else:
-                line, setting = header_line["environment"], f"environment {config.environment}"
-            raise CheckpointError(f"line {line}: {setting} needs {key} {want}, got {got}")
-
-    # the widths of the features the agent is fed, before the blocks
-    check_widths("state_dim", *(("opponent_dim",) if has_opponent_tower(spec.kind) else ()))
+    steps = _parsed(int, header["steps"], header_line["steps"], "steps")
 
     # every block must be one the header's agent has, in its shape
     layout = dict(param_layout(spec))
@@ -340,9 +310,6 @@ def load_checkpoint(path: str) -> Checkpoint:
     if missing:
         raise CheckpointError(f"line {params_line}: no block for parameter {missing[0]!r}, "
                               f"which the header's agent needs")
-    # the action count after them, so a count the saved blocks contradict
-    # names the first block that does not fit it
-    check_widths("action_count")
 
     closing = reader.next("end marker")
     if closing != "end":
@@ -355,7 +322,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         agent_spec=spec,
         params=params,
         environment=config.environment,
-        steps=number(int, "steps"),
+        steps=steps,
         rng_state=rng_state,
         env_params=env_params_for(config),
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Optional, Tuple
 
 from .agents import KINDS as AGENT_KINDS
-from .agents import has_opponent_tower
+from .agents import AgentSpec, has_opponent_tower, quiz_agent_spec, soccer_agent_spec
 from .agents import MULTITASK_MODES as MULTITASK
 from .errors import ConfigurationError
 from .quizbowl import POPULATION_PRESETS
@@ -160,6 +160,22 @@ class ExperimentConfig:
         if self.grad_clip is not None:
             return self.grad_clip
         return 1.0 if self.environment == "quizbowl" else None
+
+
+def agent_spec_for(config: ExperimentConfig) -> AgentSpec:
+    """The Q-network of a run: its variant (``agent``, ``experts``,
+    ``multitask``, ``multitask_weight``) on its game's standard sizes. A
+    run builds its agent from this, and a checkpoint load derives the same
+    spec from the header's config lines."""
+    if config.environment == "soccer":
+        return soccer_agent_spec(
+            config.agent, multitask=config.multitask, experts=config.experts,
+            multitask_weight=config.multitask_weight,
+        )
+    return quiz_agent_spec(
+        config.agent, vocab=config.vocab, multitask=config.multitask,
+        experts=config.experts, multitask_weight=config.multitask_weight,
+    )
 
 
 def env_params_for(config: ExperimentConfig) -> dict:

@@ -21,8 +21,10 @@ exploratory move runs no Q-value forward. None of this changes a draw or an
 output byte.
 
 A run's environment is one dict, `env_params_for(config)`, which its
-checkpoint stores as `env.<key>` lines; loading reads them back through the
-config's parser and rules, so a bad line fails there naming itself. Greedy
+checkpoint stores as `env.<key>` lines, and its agent is
+`config.agent_spec_for(config)`; loading reads those lines and the agent's
+config lines back through the config's parser and rules, so a bad line
+fails there naming itself, and derives the agent the same way. Greedy
 evaluation has one path, `_evaluate`, fed that dict: a run's per-epoch
 evaluation and a later `evaluate` of its checkpoint play the same games.
 A soccer game has one state format everywhere: `soccer.SoccerState`'s
@@ -69,9 +71,9 @@ import numpy as np
 
 from . import quizbowl as qb
 from . import rl, soccer
-from .agents import Agent, AgentSpec, has_opponent_tower, quiz_agent_spec, soccer_agent_spec
+from .agents import Agent, has_opponent_tower
 from .checkpoint import Checkpoint, rng_state_of, save_checkpoint
-from .config import ExperimentConfig, env_params_for
+from .config import ExperimentConfig, agent_spec_for, env_params_for
 from .errors import TrainingError, UsageError
 from .nn import AdaGradState
 from .stats import mean_confidence_halfwidth
@@ -119,18 +121,6 @@ class RunResult:
     @property
     def max_r(self) -> float:
         return float(np.max(self.epoch_rewards))
-
-
-def agent_spec_for(config: ExperimentConfig) -> AgentSpec:
-    if config.environment == "soccer":
-        return soccer_agent_spec(
-            config.agent, multitask=config.multitask, experts=config.experts,
-            multitask_weight=config.multitask_weight,
-        )
-    return quiz_agent_spec(
-        config.agent, vocab=config.vocab, multitask=config.multitask,
-        experts=config.experts, multitask_weight=config.multitask_weight,
-    )
 
 
 def quiz_config_for(env_params: dict) -> qb.QuizConfig:
@@ -578,12 +568,18 @@ def sweep_experts(config: ExperimentConfig, k_values: Sequence[int],
     confidence intervals over seed means."""
     if not k_values:
         raise UsageError("at least one expert count is required")
+    counts = [int(k) for k in k_values]
+    # a repeated count trains the same runs again and writes the same row twice
+    repeated = sorted({k for k in counts if counts.count(k) > 1})
+    if repeated:
+        raise UsageError(f"expert counts must be distinct, got "
+                         f"{', '.join(map(str, repeated))} more than once")
     # every count is checked before the first run, so a bad one costs no training
-    configs = [replace(config, agent="dron_moe", experts=int(k)) for k in k_values]
+    configs = [replace(config, agent="dron_moe", experts=k) for k in counts]
     points = []
     out = output_dir if output_dir is not None else config.output_dir
     os.makedirs(out, exist_ok=True)
-    for k, cfg_k in zip(k_values, configs):
+    for k, cfg_k in zip(counts, configs):
         seed_means = []
         for seed in cfg_k.seeds:
             hook = None
@@ -592,7 +588,7 @@ def sweep_experts(config: ExperimentConfig, k_values: Sequence[int],
             result = train_run(cfg_k, seed, progress=hook)
             seed_means.append(result.mean_r)
         points.append(SweepPoint(
-            experts=int(k), seed_means=seed_means,
+            experts=k, seed_means=seed_means,
             mean=float(np.mean(seed_means)),
             ci_halfwidth=mean_confidence_halfwidth(seed_means),
             degenerate=len(seed_means) < 2,

@@ -136,9 +136,6 @@ class FlatParams(dict):
             )
         view[...] = value
 
-    def copy(self) -> "FlatParams":
-        return FlatParams(self.layout, self.flat.copy())
-
     def name_at(self, index: int) -> str:
         """The parameter that holds element ``index`` of ``flat``."""
         for name, view in self.items():

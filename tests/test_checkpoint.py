@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from checkpoint_v1 import save_v1, v1_text, value_lines
-from dron.agents import Agent, quiz_agent_spec, soccer_agent_spec
+from dron.agents import (
+    KINDS, MULTITASK_MODES, Agent, has_opponent_tower, quiz_agent_spec, soccer_agent_spec,
+)
 from dron.checkpoint import (
     Checkpoint,
     load_checkpoint,
@@ -13,7 +15,7 @@ from dron.checkpoint import (
     rng_state_of,
     save_checkpoint,
 )
-from dron.config import ExperimentConfig, env_params_for
+from dron.config import ENVIRONMENTS, ExperimentConfig, agent_spec_for, env_params_for
 from dron.errors import CheckpointError
 from test_config import BAD_VALUES
 
@@ -270,8 +272,9 @@ MALFORMED = {
     "env_belief_alpha": (lambda lines, i: lines[i].startswith("env.belief_alpha "),
                          lambda line: "env.belief_alpha 8.0.1"),
 }
-# agent-spec header fields: an integer (a list of them for the hidden
-# sizes), or a real for multitask_weight
+# agent header lines: the config keys experts (an integer) and
+# multitask_weight (a real), and the derived sizes, which hold the derived
+# value's text
 for _key, _bad in [("state_dim", "10x"), ("action_count", "5.0"), ("opponent_dim", "z"),
                    ("state_hidden", "50,x"), ("head_hidden", "5e1"),
                    ("opponent_hidden", "50x"), ("experts", "three"),
@@ -320,10 +323,13 @@ def write_malformed(tmp_path, field):
 @pytest.mark.parametrize("field", list(MALFORMED))
 def test_non_numeric_field_names_its_line(tmp_path, field):
     path, line = write_malformed(tmp_path, field)
-    # an env.* value goes through the config parser, which words it its own way
+    # a config key (env.*, experts, multitask_weight) goes through the config
+    # parser, which words it its own way; a derived size does not fit the agent
     with pytest.raises(CheckpointError,
                        match=rf"^line {line}: (.* is (not an integer|not a number|negative)"
-                             rf"|malformed value for '\w+': .*)$"):
+                             rf"|malformed value for '\w+': .*"
+                             rf"|{field} \S+ does not fit the header's soccer dron_moe agent, "
+                             rf"which has .*)$"):
         load_checkpoint(path)
 
 
@@ -348,28 +354,31 @@ def _env_lines(text):
             (line.partition("=") for line in text.splitlines()) if key != "environment"]
 
 
-# (header lines written over a quiz checkpoint's, a word its error names):
+# (header lines written over a quiz checkpoint's, a word its error names,
+# the header key of the line it names, or None for the last edited line):
 # the quiz rows of the config's table of refused values, then values only a
-# checkpoint could hold wrongly typed or unknown, and a vocab that does not
-# fit the agent's state_dim
+# checkpoint could hold wrongly typed or unknown, and environments the
+# agent's state_dim does not fit, which name the state_dim line
 BAD_ENV_LINES = [
-    pytest.param(_env_lines(row.values[0]), row.values[1], id=row.id)
+    pytest.param(_env_lines(row.values[0]), row.values[1], None, id=row.id)
     for row in BAD_VALUES
     if row.values[1] in env_params_for(ExperimentConfig(environment="quizbowl"))
 ] + [
-    pytest.param(["env.opponent_pool 2.5"], "opponent_pool", id="pool_fraction"),
-    pytest.param(["env.vocab 50.7"], "vocab", id="vocab_fraction"),
-    pytest.param(["env.belief_alpha nan"], "belief_alpha must be finite", id="belief_alpha_nan"),
-    pytest.param(["env.vocabb 7"], "vocabb", id="unknown_key"),
-    pytest.param(["environment tennis"], "tennis", id="unknown_environment"),
-    pytest.param(["env.vocab 60"], "state_dim", id="vocab_misfits_state_dim"),
-    pytest.param(["environment soccer"], "environment soccer needs state_dim 15, got 102",
-                 id="quiz_agent_on_soccer"),
+    pytest.param(["env.opponent_pool 2.5"], "opponent_pool", None, id="pool_fraction"),
+    pytest.param(["env.vocab 50.7"], "vocab", None, id="vocab_fraction"),
+    pytest.param(["env.belief_alpha nan"], "belief_alpha must be finite", None,
+                 id="belief_alpha_nan"),
+    pytest.param(["env.vocabb 7"], "vocabb", None, id="unknown_key"),
+    pytest.param(["environment tennis"], "tennis", None, id="unknown_environment"),
+    pytest.param(["env.vocab 60"], "state_dim 102 does not fit the header's quizbowl dqn agent, "
+                 "which has 122", "state_dim", id="vocab_misfits_state_dim"),
+    pytest.param(["environment soccer"], "state_dim 102 does not fit the header's soccer dqn "
+                 "agent, which has 15", "state_dim", id="quiz_agent_on_soccer"),
 ]
 
 
-@pytest.mark.parametrize("edits,named", BAD_ENV_LINES)
-def test_bad_environment_line_fails_at_load(tmp_path, edits, named):
+@pytest.mark.parametrize("edits,named,named_key", BAD_ENV_LINES)
+def test_bad_environment_line_fails_at_load(tmp_path, edits, named, named_key):
     path = tmp_path / "quiz.ckpt"
     save_checkpoint(make_quiz_checkpoint(), str(path))
     lines = path.read_text().splitlines()
@@ -384,32 +393,41 @@ def test_bad_environment_line_fails_at_load(tmp_path, edits, named):
             lines[at] = new
         edited.append(at + 1)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CheckpointError, match=rf"^line {max(edited)}: .*{named}"):
+    line = max(edited) if named_key is None else next(
+        i for i, text in enumerate(lines, 1) if text.split()[0] == named_key)
+    with pytest.raises(CheckpointError, match=rf"^line {line}: .*{named}"):
         load_checkpoint(str(path))
 
 
+def _misfit(key, value, has):
+    """The error of a derived agent line that a soccer dron_moe agent does not fit."""
+    return f"{key} {value} does not fit the header's soccer dron_moe agent, which has {has}"
+
+
+# an explicit id keeps a case's name where the error's wording has changed
 @pytest.mark.parametrize("key,value,named", [
     ("kind", "dqnx", "unknown agent kind 'dqnx'"),
     ("multitask", "bogus", "unknown multitask mode 'bogus'"),
-    ("multitask_loss", "hinge", "unknown multitask loss 'hinge'"),
-    ("opponent_dim", "3", "environment soccer needs opponent_dim 16, got 3"),
-    ("multitask_outputs", "3", "multitask_outputs must be 1 without a multitask head, got 3"),
+    pytest.param("multitask_loss", "hinge", _misfit("multitask_loss", "hinge", "cross_entropy"),
+                 id="multitask_loss-hinge-unknown multitask loss 'hinge'"),
+    pytest.param("opponent_dim", "3", _misfit("opponent_dim", 3, 16),
+                 id="opponent_dim-3-environment soccer needs opponent_dim 16, got 3"),
+    pytest.param("multitask_outputs", "3", _misfit("multitask_outputs", 3, 1),
+                 id="multitask_outputs-3-multitask_outputs must be 1 without a multitask head, "
+                    "got 3"),
     ("multitask_weight", "nan", "multitask_weight must be finite and >= 0, got nan"),
     ("multitask_weight", "inf", "multitask_weight must be finite and >= 0, got inf"),
     ("multitask_weight", "-1", r"multitask_weight must be finite and >= 0, got -1\.0"),
 ])
 def test_bad_agent_line_fails_at_load(tmp_path, key, value, named):
-    # a soccer dron_moe checkpoint; a wrong opponent width names the
-    # environment line, every other field its own
+    # a soccer dron_moe checkpoint; each bad line is named
     path = tmp_path / "model.ckpt"
     save_checkpoint(make_checkpoint()[0], str(path))
     lines = path.read_text().splitlines()
     at = next(i for i, line in enumerate(lines) if line.split()[0] == key)
     lines[at] = f"{key} {value}"
     path.write_text("\n".join(lines) + "\n")
-    line = at + 1 if key != "opponent_dim" else next(
-        i for i, text in enumerate(lines, 1) if text.startswith("environment "))
-    with pytest.raises(CheckpointError, match=rf"^line {line}: {named}$"):
+    with pytest.raises(CheckpointError, match=rf"^line {at + 1}: {named}$"):
         load_checkpoint(str(path))
 
 
@@ -423,13 +441,28 @@ def misfit_checkpoint(environment, kind, key, value):
 
 
 # (environment, kind, width, value, the error); a width the agent does not
-# fit names the environment line
+# fit names its own line. An explicit id keeps a case's name where the
+# error's wording has changed.
 MISFITS = [
-    ("soccer", "dqn", "action_count", 7, "environment soccer needs action_count 5, got 7"),
-    ("soccer", "dron_concat", "state_dim", 14, "environment soccer needs state_dim 15, got 14"),
-    ("quizbowl", "dqn", "action_count", 3, "environment quizbowl needs action_count 2, got 3"),
-    ("quizbowl", "dron_moe", "opponent_dim", 4,
-     "environment quizbowl needs opponent_dim 3, got 4"),
+    pytest.param("soccer", "dqn", "action_count", 7,
+                 "action_count 7 does not fit the header's soccer dqn agent, which has 5",
+                 id="soccer-dqn-action_count-7-environment soccer needs action_count 5, got 7"),
+    pytest.param("soccer", "dron_concat", "state_dim", 14,
+                 "state_dim 14 does not fit the header's soccer dron_concat agent, which has 15",
+                 id="soccer-dron_concat-state_dim-14-environment soccer needs state_dim 15, "
+                    "got 14"),
+    pytest.param("quizbowl", "dqn", "action_count", 3,
+                 "action_count 3 does not fit the header's quizbowl dqn agent, which has 2",
+                 id="quizbowl-dqn-action_count-3-environment quizbowl needs action_count 2, "
+                    "got 3"),
+    pytest.param("quizbowl", "dron_moe", "opponent_dim", 4,
+                 "opponent_dim 4 does not fit the header's quizbowl dron_moe agent, which has 3",
+                 id="quizbowl-dron_moe-opponent_dim-4-environment quizbowl needs opponent_dim 3, "
+                    "got 4"),
+    # a dqn agent reads no opponent features, and no run writes a width for them
+    pytest.param("soccer", "dqn", "opponent_dim", 4,
+                 "opponent_dim 4 does not fit the header's soccer dqn agent, which has 0",
+                 id="soccer-dqn-opponent_dim-4"),
 ]
 
 
@@ -439,12 +472,14 @@ def test_agent_that_misfits_its_environment_fails_at_load(tmp_path, environment,
     path = tmp_path / "model.ckpt"
     save_checkpoint(misfit_checkpoint(environment, kind, key, value), str(path))
     line = next(i for i, text in enumerate(path.read_text().splitlines(), 1)
-                if text.startswith("environment "))
+                if text.split()[0] == key)
     with pytest.raises(CheckpointError, match=rf"^line {line}: {named}$"):
         load_checkpoint(str(path))
 
 
-@pytest.mark.parametrize("line", ["stepz 3", "foo 1", "env 1", "params_count 30"])
+# an env.<key> line is one of the environment's keys, never another config key
+@pytest.mark.parametrize("line", ["stepz 3", "foo 1", "env 1", "params_count 30",
+                                  "env.agent dron_moe", "env.gamma 0.5"])
 def test_unknown_header_key_names_its_line(tmp_path, line):
     path = tmp_path / "model.ckpt"
     save_checkpoint(make_checkpoint()[0], str(path))
@@ -475,16 +510,18 @@ def test_repeated_header_key_names_its_second_line(tmp_path, key, value):
         load_checkpoint(str(path))
 
 
-# (header key, value, what the error names): a size below 1 names its own
-# line; a size the saved parameters do not fit names the first block that
-# does not fit it (blocks are saved in name order)
+# (header key, value, what the error names): a derived size other than the
+# agent's names its own line; an expert count the saved parameters do not
+# fit names the first block that does not fit it (blocks are saved in name
+# order). An explicit id keeps a case's name where the named line changed.
 @pytest.mark.parametrize("key,value,named", [
     ("multitask_outputs", "0", "multitask_outputs"),
     ("opponent_hidden", "0", "opponent_hidden"),
     ("state_hidden", "0", "state_hidden"),
     ("head_hidden", "-3", "head_hidden"),
-    ("multitask_outputs", "3", "opponent_head.0.bias"),
-    ("action_count", "4", "expert.0.1.bias"),
+    pytest.param("multitask_outputs", "3", "multitask_outputs",
+                 id="multitask_outputs-3-opponent_head.0.bias"),
+    pytest.param("action_count", "4", "action_count", id="action_count-4-expert.0.1.bias"),
     ("experts", "2", "expert.2.0.bias"),
 ])
 def test_size_that_misfits_names_a_line(tmp_path, key, value, named):
@@ -574,4 +611,57 @@ def test_non_finite_value_names_its_line(tmp_path, save, name, row, value):
     with pytest.raises(CheckpointError,
                        match=rf"^line {at + 1}: parameter '{re.escape(name)}' "
                              rf"contains non-finite values$"):
+        load_checkpoint(str(path))
+
+
+# every agent a run can build: each environment, kind and multitask head,
+# and a quiz agent with other config values for its derived sizes
+RUN_CONFIGS = [
+    pytest.param({"environment": env, "agent": kind, "multitask": mode}, id=f"{env}-{kind}-{mode}")
+    for env in ENVIRONMENTS for kind in KINDS for mode in MULTITASK_MODES
+    if mode == "none" or has_opponent_tower(kind)
+] + [pytest.param({"environment": "quizbowl", "agent": "dron_moe", "multitask": "action",
+                   "vocab": 7, "experts": 4, "multitask_weight": 0.25},
+                  id="quizbowl-vocab7-experts4-weight0.25")]
+
+
+def run_checkpoint(settings):
+    """The checkpoint a run of ``settings`` would save, and its config."""
+    config = ExperimentConfig(**settings)
+    agent = Agent(agent_spec_for(config), seed=4)
+    return Checkpoint(agent_spec=agent.spec, params=agent.params, environment=config.environment,
+                      steps=7, env_params=env_params_for(config)), config
+
+
+@pytest.mark.parametrize("settings", RUN_CONFIGS)
+def test_loaded_agent_is_derived_from_the_config(tmp_path, settings):
+    ckpt, config = run_checkpoint(settings)
+    save_checkpoint(ckpt, str(tmp_path / "v2.ckpt"))
+    save_v1(ckpt, str(tmp_path / "v1.ckpt"))
+    for version in ("v1", "v2"):
+        loaded = load_checkpoint(str(tmp_path / f"{version}.ckpt"))
+        assert loaded.agent_spec == agent_spec_for(config), version
+        assert (loaded.environment, loaded.env_params) == (config.environment,
+                                                           env_params_for(config))
+        assert loaded.params.keys() == ckpt.params.keys()
+
+
+# a value other than the soccer dron_moe agent's for each derived agent line
+WRONG_DERIVED = {"state_dim": "16", "action_count": "6", "opponent_dim": "15",
+                 "state_hidden": "50,50", "head_hidden": "49", "opponent_hidden": "10",
+                 "multitask_outputs": "2", "multitask_loss": "mean_squared"}
+
+
+@pytest.mark.parametrize("save", SAVERS)
+@pytest.mark.parametrize("key", list(WRONG_DERIVED))
+def test_derived_line_that_disagrees_names_its_line(tmp_path, key, save):
+    path = tmp_path / "model.ckpt"
+    save(make_checkpoint()[0], str(path))
+    lines = path.read_text().splitlines()
+    at = next(i for i, text in enumerate(lines) if text.split()[0] == key)
+    has = lines[at].split()[1]
+    lines[at] = f"{key} {WRONG_DERIVED[key]}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CheckpointError, match=rf"^line {at + 1}: "
+                                              rf"{re.escape(_misfit(key, WRONG_DERIVED[key], has))}$"):
         load_checkpoint(str(path))

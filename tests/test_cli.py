@@ -2,7 +2,7 @@
 
 import pytest
 
-from dron import cli
+from dron import cli, harness
 from dron.cli import main
 
 TINY = {
@@ -146,6 +146,22 @@ def test_sweep_one_row_per_expert_count(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == f"sweep CSV in {out}/sweep.csv"
 
 
+def test_sweep_repeated_expert_count_exits_2(tmp_path, monkeypatch, capsys):
+    # refused before any training: no run, no output directory, no CSV
+    def no_training(*args, **kwargs):
+        raise AssertionError("train_run called")
+    monkeypatch.setattr(harness, "train_run", no_training)
+    config = tmp_path / "soccer.cfg"
+    config.write_text(TINY["soccer"] + TINY_BASE)
+    out = tmp_path / "out"
+    monkeypatch.setenv("DRON_OUTPUT_DIR", str(out))
+    assert main(["sweep", str(config), "--experts", "2,3,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expert counts must be distinct, got 2 more than once\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv,path", [
     (["train", "nope.cfg"], "nope.cfg"),
     (["eval", "nope.ckpt"], "nope.ckpt"),
@@ -228,17 +244,20 @@ def test_malformed_checkpoint_exits_2(tmp_path, capsys):
         assert out == "" and err.startswith(f"error: line {line}: {message}")
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    # agent fields that name no kind, mode or loss, and a quiz agent on the soccer field
-    for key, value, message in [
-        ("kind", "dqnx", "unknown agent kind 'dqnx'"),
-        ("multitask", "bogus", "unknown multitask mode 'bogus'"),
-        ("multitask_loss", "hinge", "unknown multitask loss 'hinge'"),
-        ("environment", "soccer", "environment soccer needs state_dim 15, got 102"),
+    # agent fields that name no kind, mode or loss, and a quiz agent on the
+    # soccer field, which names the agent line that does not fit it
+    for key, value, named, message in [
+        ("kind", "dqnx", "kind", "unknown agent kind 'dqnx'"),
+        ("multitask", "bogus", "multitask", "unknown multitask mode 'bogus'"),
+        ("multitask_loss", "hinge", "multitask_loss",
+         "multitask_loss hinge does not fit the header's quizbowl dqn agent, which has "
+         "cross_entropy"),
+        ("environment", "soccer", "state_dim",
+         "state_dim 102 does not fit the header's soccer dqn agent, which has 15"),
     ]:
-        line = next(i for i, text in enumerate(saved, 1) if text.split()[0] == key)
-        lines = list(saved)
-        lines[line - 1] = f"{key} {value}"
+        lines = [f"{key} {value}" if text.split()[0] == key else text for text in saved]
         path.write_text("\n".join(lines) + "\n")
+        line = next(i for i, text in enumerate(lines, 1) if text.split()[0] == named)
         assert main(["eval", str(path), "--games", "1"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: line {line}: {message}\n"
@@ -250,11 +269,12 @@ def test_checkpoint_that_misfits_its_environment_exits_2(tmp_path, capsys):
 
     from dron.checkpoint import save_checkpoint
 
-    for environment, kind, key, value, message in MISFITS:
-        path = tmp_path / f"{environment}-{kind}-{key}.ckpt"
+    for n, case in enumerate(MISFITS):
+        environment, kind, key, value, message = case.values
+        path = tmp_path / f"misfit{n}.ckpt"
         save_checkpoint(misfit_checkpoint(environment, kind, key, value), str(path))
         line = next(i for i, text in enumerate(path.read_text().splitlines(), 1)
-                    if text.startswith("environment "))
+                    if text.split()[0] == key)
         assert main(["eval", str(path), "--games", "20"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: line {line}: {message}\n"

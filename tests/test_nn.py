@@ -476,9 +476,6 @@ class TestFlatAdaGrad:
         params["b"] = np.arange(4.0)
         params["a"][0, 0] = 7.0
         assert params.flat.tolist() == [7.0] + [1.0] * 5 + [0.0, 1.0, 2.0, 3.0]
-        copy = params.copy()
-        copy["a"][:] = 0.0
-        assert params["a"][0, 0] == 7.0
 
     def test_shape_change_rejected(self):
         params = nn.FlatParams.of({"w": np.zeros((2, 2))})
@@ -488,7 +485,7 @@ class TestFlatAdaGrad:
     def test_non_finite_names_first_bad_parameter(self):
         params = nn.FlatParams.of({"a": np.zeros(3), "b": np.zeros((2, 2)), "c": np.zeros(2)})
         state = nn.AdaGradState.for_params(params, 0.1)
-        grads = params.copy()
+        grads = nn.FlatParams(params.layout, params.flat.copy())
         grads["b"][1, 0] = np.inf
         grads["c"][0] = np.nan
         with pytest.raises(TrainingError, match="'b'"):
