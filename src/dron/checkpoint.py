@@ -23,7 +23,9 @@ derives it. The lines that are config keys, ``environment``, the
 ``experts``, ``multitask`` and ``multitask_weight``, are parsed and checked
 by the config's own parser and rules (``config_from_lines``): a bad value
 fails at load naming its line, and an ``env.<key>`` an older checkpoint lacks
-takes its ``ExperimentConfig`` default. The agent is the spec derived from
+takes its ``ExperimentConfig`` default. An ``env.<key>`` line that is not a
+key of the header's environment (any in a soccer checkpoint) is refused,
+naming its line. The agent is the spec derived from
 that config. The other eight agent lines, ``state_dim``, ``action_count``,
 ``opponent_dim``, ``state_hidden``, ``head_hidden``, ``opponent_hidden``,
 ``multitask_outputs`` and ``multitask_loss``, hold derived values: they are
@@ -259,6 +261,11 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise CheckpointError(
                 f"line {header_line[name]}: {name} {header[name]} does not fit the header's "
                 f"{config.environment} {config.agent} agent, which has {want}")
+    env_params = env_params_for(config)
+    for key in _ENV_KEYS:
+        if key in header and key.removeprefix("env.") not in env_params:
+            raise CheckpointError(f"line {header_line[key]}: a {config.environment} "
+                                  f"checkpoint has no {key} line")
 
     rng_state = None
     if "rng" in header:
@@ -324,5 +331,5 @@ def load_checkpoint(path: str) -> Checkpoint:
         environment=config.environment,
         steps=steps,
         rng_state=rng_state,
-        env_params=env_params_for(config),
+        env_params=env_params,
     )

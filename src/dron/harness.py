@@ -28,22 +28,20 @@ fails there naming itself, and derives the agent the same way. Greedy
 evaluation has one path, `_evaluate`, fed that dict: a run's per-epoch
 evaluation and a later `evaluate` of its checkpoint play the same games.
 A soccer game has one state format everywhere: `soccer.SoccerState`'s
-cell indices and ball holder, with the opponent mode and move category as
-table indices, so `SoccerDriver` hands the mode or category index on as the
-multitask supervision as it comes. Soccer games share nothing, so
-`evaluate_soccer` plays them in lockstep: the games still running are
-arrays of those same fields, and each step is one batched Q-value call
-plus lookups into the `soccer` module's rule tables, the same tables
-`SoccerDriver` reads one game at a time. Each game keeps its own random
-stream, and an opponent tie is broken by a draw from that stream, game by
-game in game order, so the games are those of one-by-one play; a batched
-forward can differ from a one-row forward by up to 1e-15 (numpy uses gemm
-for a batch and gemv for one row), which has not been seen to change a
-greedy action. Training plays one game, so `SoccerDriver` keeps the scalar
-one-game functions: stepping one game through the array forms was measured
-at about 52 µs per step against 12 µs (the `soccer` module says what that
-leaves written twice). Both keep the opponent's moves in one
-`soccer.OpponentTallies`, a row per game: the driver's has one row.
+joint state, an index of the `soccer` module's tables, with the opponent
+mode and move category as table indices, so `SoccerDriver` hands the mode
+or category index on as the multitask supervision as it comes. Soccer
+games share nothing, so `evaluate_soccer` plays them in lockstep: the
+games still running are an array of joint states, and each step is one
+batched Q-value call plus lookups into the same tables `SoccerDriver`
+reads one game at a time. Each game keeps its own random stream, and
+`soccer.TieDraws` breaks the ties of all games in one vectorised step
+from words drawn from those streams, as one-by-one play's draws would
+give them, so the games are those of one-by-one play; a batched forward
+can differ from a one-row forward by up to 1e-15 (numpy uses gemm for a
+batch and gemv for one row), which has not been seen to change a greedy
+action. Both keep the opponent's moves in one `soccer.OpponentTallies`, a
+row per game: the driver's has one row.
 
 Quiz games see the buzz histories of the games before them and are played
 one at a time. A quiz game stops calling the agent at its lockout: once a
@@ -179,7 +177,8 @@ class SoccerDriver:
             return reward, done, StepInfo()
         category = soccer.classify_move(self.state, action_b)
         self.state, reward, done, blocked = soccer.step(self.state, action, action_b)
-        self.tallies.observe(category, action_b, blocked and self.state.holder == 1)
+        lost_ball = blocked and soccer.STATE_FIELDS.item(2, self.state.joint) == 1
+        self.tallies.observe(category, action_b, lost_ball)
         self._observe()
         supervision = None
         if self.multitask == "type":
@@ -299,52 +298,43 @@ def make_driver(config: ExperimentConfig, rng: np.random.Generator, seed: int):
 def evaluate_soccer(agent: Agent, opponent: str, n_games: int, seed: int,
                     render: bool = False) -> MetricsSummary:
     """Greedy play of `n_games` games in lockstep. Game g draws from its own
-    stream `default_rng([seed, g])`: first its start (`soccer.reset`), then
-    one `integers(0, count)` each time its opponent has `count` > 1 best
-    moves. The games still running are held as integer arrays of their
-    `SoccerState` fields (both cells and the ball holder), the opponent
-    mode, and, for an agent with an opponent tower, the opponent's tallies
-    in `soccer.OpponentTallies`. Each step gathers the state features from
-    `soccer.FEATURE_ROWS`, makes one batched `agent.q_values` call, looks up the
-    opponent's moves (`soccer.rule_agent_many`, which draws the tie-breaks
-    game by game in game order) and, for the tallies, their categories, and
-    resolves the moves, blocks and goals (`soccer.step_many`) as array
-    operations on the module's tables. A `dqn` agent is shown the state
-    features alone, so its games keep no tallies and look up no categories;
-    finished games are dropped, and the games left after `soccer.HORIZON`
+    stream `default_rng([seed, g])`: its start (`soccer.reset`), then words
+    from which `soccer.TieDraws` gives each tie-break as `integers(0,
+    count)` calls would while nothing else reads the stream (`soccer` says
+    why; `TestTieDraws` checks it). The games still running are arrays of
+    joint states, modes and, for an agent with an opponent tower, rows of
+    `soccer.OpponentTallies`; each step is one batched `agent.q_values` call
+    and lookups into the `soccer` tables; games left after `soccer.HORIZON`
     steps are ties. The games and draws are those of one-by-one play with
     `SoccerDriver` (the module docstring says how near a batched forward is
-    to a one-row one). `render` rebuilds each game's `SoccerState` after
-    every step and prints the boards game by game once all games are over."""
-    own_rows, other_rows = soccer.FEATURE_ROWS
+    to a one-row one). `render` prints each game's boards at the end."""
     rngs = [np.random.default_rng([seed, game]) for game in range(n_games)]
     starts = [soccer.reset(rng, opponent) for rng in rngs]
-    a = np.array([state.cell_a for state, _ in starts])
-    b = np.array([state.cell_b for state, _ in starts])
-    holder = np.array([state.holder for state, _ in starts])  # 0: A
+    state = np.array([start.joint for start, _ in starts])
     mode = np.array([mode for _, mode in starts])
+    draws = soccer.TieDraws(rngs)
     games = np.arange(n_games)  # the games still running
     tallies = soccer.OpponentTallies(n_games) if has_opponent_tower(agent.spec.kind) else None
     frames: List[List[str]] = [[] for _ in range(n_games)]
     rewards = np.zeros(n_games)  # a game still running after HORIZON steps is a 0-0 tie
     for _ in range(soccer.HORIZON):
-        phi_s = own_rows[a, 1 - holder] + other_rows[b]  # A holds if holder is 0
+        phi_s = soccer.FEATURES.take(state, axis=0)
         observation = (phi_s,) if tallies is None else (phi_s, tallies.features())
         action_a = agent.q_values(*observation).argmax(axis=1)
-        action_b = soccer.rule_agent_many(mode, b, a, holder, rngs)
-        category = None if tallies is None else soccer.CATEGORIES[b, action_b, a]
-        a, b, holder, blocked, scored = soccer.step_many(a, b, holder, action_a, action_b)
+        action_b = soccer.rule_agent_many(mode, state, draws)
+        category = None if tallies is None else soccer.MOVE_CATEGORY[state, action_b]
+        state, blocked, outcome = soccer.step_many(state, action_a, action_b)
         if tallies is not None:
-            tallies.observe(category, action_b, blocked & (holder == 1))
+            tallies.observe(category, action_b, blocked & (soccer.STATE_FIELDS[2, state] == 1))
         if render:
-            for game, *state in zip(games.tolist(), a.tolist(), b.tolist(), holder.tolist()):
-                frames[game].append(soccer.render(soccer.SoccerState(*state)))
+            for game, joint in zip(games.tolist(), state.tolist()):
+                frames[game].append(soccer.render(soccer.SoccerState(joint)))
+        scored = outcome != 0
         if scored.any():
-            rewards[games[scored]] = np.where(holder[scored] == 0, 1.0, -1.0)
+            rewards[games[scored]] = outcome[scored]
             running = ~scored
-            games, a, b, holder, mode = (games[running], a[running], b[running],
-                                         holder[running], mode[running])
-            rngs = [rng for rng, keep in zip(rngs, running.tolist()) if keep]
+            games, state, mode = games[running], state[running], mode[running]
+            draws.keep(running)
             if tallies is not None:
                 tallies.keep(running)
             if not len(games):

@@ -167,7 +167,8 @@ def run_selfcheck(verbose: bool = True) -> bool:
                 state, reward, done, _ = soccer.step(
                     state, int(rng.integers(0, 5)), int(rng.integers(0, 5))
                 )
-                if state.cell_a == state.cell_b or state.holder not in (0, 1):
+                cell_a, cell_b, holder = soccer.STATE_FIELDS[:, state.joint].tolist()
+                if cell_a == cell_b or holder not in (0, 1):
                     return False
                 if done:
                     if reward not in (-1.0, 0.0, 1.0) or state.step > soccer.HORIZON:

@@ -12,45 +12,32 @@ is a 0-0 tie.
 
 The game is played on this one field, so the field is module constants
 (`WIDTH`, `HEIGHT`, `LEFT_GOAL`, `RIGHT_GOAL`, `SHADED`) and the rules are
-read-only module tables over cell indices (cells are numbered column by
-column, ``col * HEIGHT + row``), each built once at import with vectorised
-numpy: the 5 move targets of each cell (`MOVE_TABLE`), the goal each player
-attacks (`GOAL_MASK`), the start cells (`START_CELLS`), the rows of A's
-state features (`FEATURE_ROWS`), the category of every move of B by (B's
-cell, action, A's cell) (`CATEGORIES`) and B's tie set in every (mode, B's
-cell, A's cell, B has the ball) (`TIE_SETS`). The tables hold only what the
-game reads: the learner's view of the state and the rule agent's moves. A
-game's state is in the tables' terms from `reset` to `render`:
-`SoccerState` holds the two cell indices and the ball holder (0 for A, 1
-for B), an opponent mode is a `MODES` index and a move category a
-`MOVE_CATEGORIES` index, so every lookup indexes a table as it comes. The
-(col, row) cells of the goals and of the shaded cells are read only to
-build the tables and `render`'s board.
-
-When the rule agent has more than one best move, it draws one with
-``rng.integers(0, count)`` from its game's stream; a single best move draws
-nothing.
+read-only tables, built once at import with vectorised numpy. Cells are
+numbered column by column (``col * HEIGHT + row``). A position is one joint
+state, an index over the 4140 (A's cell, B's cell, ball holder) with two
+distinct playable cells (`STATE_FIELDS`, `STATE_INDEX`; holder 0 is A).
+Over it: `NEXT_STATE`, `BLOCKED` and `OUTCOME` by (state, A's move, B's
+move), `FEATURES` (A's view), `TIE_COUNTS` and `TIE_MOVES` (B's best moves,
+by mode and state) and `MOVE_CATEGORY` (by state and B's move). Each rule
+is written once, in the builder of its table. Modes and move categories
+are `MODES` and `MOVE_CATEGORIES` indices.
 
 One game against many. `reset`, `step`, `rule_agent_act`, `classify_move`
 and `featurize_state` play one game, as training does; `step_many` and
-`rule_agent_many` play many in lockstep over arrays of the same fields, as
-`harness.evaluate_soccer` does. `OpponentTallies` serves both: one game is
-a tally of one row. So two rules are still written twice, the block and
-goal rule (`step`, `step_many`) and the tie draw (`rule_agent_act`,
-`rule_agent_many`); the tests hold each pair equal. Merging them was
-measured and rejected (2 shared cores, numpy 2.4.6): one game stepped
-through the array forms costs about 52 µs per driver step against 12 µs
-for the scalar forms, which would cost soccer training roughly 15% of its
-steps per second, and `step_many` called on Python ints costs about 10 µs
-against 2.6 µs for `step`. Only an agent with an opponent tower reads the
-opponent's moves: a `dqn` game, trained or evaluated in lockstep, uses
-none of `classify_move`, `OpponentTallies` or the `CATEGORIES` table.
+`rule_agent_many` play many, as `harness.evaluate_soccer` does, by the same
+lookups. B breaks a tie among n best moves with ``rng.integers(0, n)`` on
+its game's stream; many games do it in one vectorised step (`TieDraws`).
+Each draws a block of raw 32-bit words, and a tie maps its next word w to
+``(w * n) >> 32``, skipping a zero word when n is odd: Lemire's rule
+(Lemire, ACM TOMACS 2019) as `Generator.integers(0, n)` applies it to the
+same words. So the draws are one-game play's while nothing else reads the
+stream after `reset` (`TestTieDraws` in `tests/test_soccer.py`). A `dqn`
+game reads none of `classify_move`, `OpponentTallies` or `MOVE_CATEGORY`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -62,17 +49,11 @@ ACTIONS = ("N", "S", "E", "W", "stand")
 ACTION_DELTAS = ((0, -1), (0, 1), (1, 0), (-1, 0), (0, 0))  # row 0 is the top
 STAND = ACTIONS.index("stand")
 
-MOVE_CATEGORIES = (
-    "approach_agent",
-    "avoid_agent",
-    "approach_agent_goal",
-    "approach_own_goal",
-    "stand",
-)
+MOVE_CATEGORIES = ("approach_agent", "avoid_agent", "approach_agent_goal",
+                   "approach_own_goal", "stand")
 
 HORIZON = 100  # scoreless steps before a game is a 0-0 tie
 
-PLAYERS = ("A", "B")  # the player axis of the goal tables
 MODES = ("offensive", "defensive")
 MODE_POLICIES = ("mixed", "offensive", "defensive")
 
@@ -121,8 +102,8 @@ def _move_table() -> np.ndarray:
     return np.where(_mask(SHADED)[target], here, target)
 
 
-MOVE_TABLE = _read_only(_move_table())
-# whether a cell is on the goal each player attacks (players x cells)
+MOVE_TABLE = _read_only(_move_table().astype(np.int16))
+# whether a cell is on the goal each player attacks (players A, B x cells)
 GOAL_MASK = _read_only(np.stack([_mask(RIGHT_GOAL), _mask(LEFT_GOAL)]))
 
 
@@ -131,8 +112,7 @@ _DISTANCES = _read_only((np.abs(_COL[:, None] - _COL)
                          + np.abs(_ROW[:, None] - _ROW)).astype(np.int16))
 # distance from every cell to the nearest cell of the goal each player
 # attacks (players x cells)
-_GOAL_DISTANCES = _read_only(np.stack([_DISTANCES[:, GOAL_MASK[p]].min(axis=1)
-                                       for p in range(len(PLAYERS))]))
+_GOAL_DISTANCES = _read_only(np.stack([_DISTANCES[:, goal].min(axis=1) for goal in GOAL_MASK]))
 
 
 def _start_cells() -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -147,117 +127,134 @@ def _start_cells() -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
 START_CELLS = _start_cells()
 
 
-def _feature_rows() -> Tuple[np.ndarray, np.ndarray]:
-    """`featurize_state` as the sum of two rows of 15. One is looked up by
-    (A's cell, A holds the ball) and holds A's position, the 10 constant
-    features (both axis limits, A's own and A's opposing goal block) and
-    the ball flag; the other, by B's cell, holds B's position. Each row is 0
-    where the other has a value, so the sum is exact. Positions are scaled
-    to [0, 1] by the grid extents."""
-    sx = 1.0 / (WIDTH - 1)
-    sy = 1.0 / (HEIGHT - 1)
+def _states() -> Tuple[np.ndarray, np.ndarray]:
+    """The (A's cell, B's cell, holder) of every joint state (3 x states,
+    int8), and the joint state of every (A's cell, B's cell, holder), -1 if
+    there is none (int16)."""
+    playable = np.flatnonzero(~_mask(SHADED))
+    a, b = np.meshgrid(playable, playable, indexing="ij")
+    a, b = a[a != b], b[a != b]
+    fields = np.stack([a.repeat(2), b.repeat(2), np.tile([0, 1], len(a))]).astype(np.int8)
+    lookup = np.full((WIDTH * HEIGHT, WIDTH * HEIGHT, 2), -1, dtype=np.int16)
+    lookup[tuple(fields)] = np.arange(fields.shape[1])
+    return fields, lookup
+
+
+STATE_FIELDS, STATE_INDEX = map(_read_only, _states())
+
+
+def _joint_moves() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every joint move, by (state, A's action, B's action): the next state
+    (int16), whether it was blocked (nobody moves, and the ball changes
+    hands), and the outcome (int8: 1 if A scored, -1 if B scored, else 0).
+    The holder scores on the goal it attacks, after a block too."""
+    a, b = STATE_FIELDS[:2, ::2]  # each pair of cells once
+    # by (A's action, B's action, pair), so each operation runs along the pairs
+    to_a, to_b = MOVE_TABLE[a].T[:, None], MOVE_TABLE[b].T
+    blocked = (to_a == to_b) | ((to_a == b) & (to_b == a))
+    a, b = np.where(blocked, a, to_a), np.where(blocked, b, to_b)
+    holder = np.arange(2, dtype=np.int8)[:, None, None, None] ^ blocked  # by the holder before
+    goals = GOAL_MASK * np.array([[1], [-1]], dtype=np.int8)  # each holder's score there
+    outcome = np.where(holder, goals[1][b], goals[0][a])
+    # a state's index is its pair's, then its holder's
+    order, shape = (3, 0, 1, 2), (-1, len(ACTIONS), len(ACTIONS))
+    return ((STATE_INDEX[a, b, 0] + holder).transpose(order).reshape(shape),
+            np.repeat(blocked.transpose(2, 0, 1), 2, axis=0),
+            outcome.transpose(order).reshape(shape))
+
+
+NEXT_STATE, BLOCKED, OUTCOME = map(_read_only, _joint_moves())
+
+
+def _features() -> np.ndarray:
+    """A's 15 features in every state (states x 15): A's position, B's
+    position, both axis limits, A's own and A's opposing goal block (its
+    column, top and bottom row), and whether A holds the ball. Positions are
+    scaled to [0, 1] by the grid extents."""
+    sx, sy = 1.0 / (WIDTH - 1), 1.0 / (HEIGHT - 1)
     xy = np.stack([_COL * sx, _ROW * sy], axis=1)
-
-    def goal_block(goal: Tuple[Cell, ...]) -> list:
-        rows = sorted(g[1] for g in goal)
-        return [goal[0][0] * sx, rows[0] * sy, rows[-1] * sy]
-
-    own = np.zeros((len(xy), 2, 15))
-    own[..., 0:2] = xy[:, None, :]
-    own[..., 4:14] = [0.0, (WIDTH - 1) * sx, 0.0, (HEIGHT - 1) * sy,
-                      *goal_block(LEFT_GOAL), *goal_block(RIGHT_GOAL)]
-    own[:, 1, 14] = 1.0
-    other = np.zeros((len(xy), 15))
-    other[:, 2:4] = xy
-    return own, other
+    a, b, holder = STATE_FIELDS
+    features = np.empty((len(a), 15))
+    features[:, 0:2], features[:, 2:4] = xy[a], xy[b]
+    features[:, 4:8] = [0.0, (WIDTH - 1) * sx, 0.0, (HEIGHT - 1) * sy]
+    for at, goal in ((8, LEFT_GOAL), (11, RIGHT_GOAL)):  # a goal's cells run down one column
+        features[:, at:at + 3] = [*xy[index(goal[0])], xy[index(goal[-1]), 1]]
+    features[:, 14] = holder == 0
+    return features
 
 
-FEATURE_ROWS = tuple(map(_read_only, _feature_rows()))
+FEATURES = _read_only(_features())
 
 
 def _categories() -> np.ndarray:
-    """`MOVE_CATEGORIES` index of every move of B, by (B's cell, action, A's
-    cell), int8.
-
+    """`MOVE_CATEGORIES` index of every move of B, by (state, action), int8.
     Priority on overlap: approach_agent, avoid_agent, approach_agent_goal,
     approach_own_goal; a move that does not change position is a stand.
-    Distances are Manhattan, measured against the other player's pre-move
-    cell and the nearest cell of each goal.
+    Distances are Manhattan, to A's pre-move cell and the nearest goal cell.
 
-    The two goal categories never occur: a move that changes the mover's
-    cell changes its distance to the other player's pre-move cell by exactly
-    1, so it is approach_agent or avoid_agent before the goals are looked
-    at. Opponent features 2, 3, 7 and 8 are therefore always 0, and
-    ``multitask = action`` trains 3 of its 5 classes."""
-    moves = MOVE_TABLE
-    before = _DISTANCES[:, None, :]  # B's cell to A's
-    after = _DISTANCES[moves]
-    stands = (moves == np.arange(len(moves))[:, None])[:, :, None]
-    # A's own goal is the one B attacks, and B's own goal the one A attacks
-    closer = [(d[moves] < d[:, None])[:, :, None] for d in _GOAL_DISTANCES[::-1]]
+    The two goal categories never occur: a move that changes B's cell
+    changes its distance to A's pre-move cell by exactly 1. Opponent
+    features 2, 3, 7 and 8 are therefore always 0, and ``multitask =
+    action`` trains 3 of its 5 classes."""
+    a, b = STATE_FIELDS[:2, ::2, None]  # a move's category does not read the holder
+    moves = MOVE_TABLE[b, np.arange(len(ACTIONS))]
+    before, after = _DISTANCES[b, a], _DISTANCES[moves, a]
+    closer = [d[moves] < d[b] for d in _GOAL_DISTANCES[::-1]]  # A's own goal, then B's own
     # the conditions in priority order, each with its MOVE_CATEGORIES index
-    return np.select([stands, after < before, after > before, *closer],
-                     [np.int8(c) for c in (4, 0, 1, 2, 3)], default=np.int8(4))
+    return np.repeat(np.select([moves == b, after < before, after > before, *closer],
+                               [np.int8(c) for c in (4, 0, 1, 2, 3)], default=np.int8(4)),
+                     2, axis=0)
 
 
-CATEGORIES = _read_only(_categories())
+MOVE_CATEGORY = _read_only(_categories())
 
 
 def _tie_sets() -> Tuple[np.ndarray, np.ndarray]:
-    """B's best moves by (mode, B's cell, A's cell, B has the ball): how
-    many there are, and the moves in ascending action order, padded to 5;
-    both int8.
+    """B's best moves by (mode, state): how many there are, and the moves in
+    ascending action order, padded to 5; both int8.
 
     Offensive: carry the ball straight to the scoring goal, otherwise chase
     the ball holder. Defensive: keep away from the other player while
     holding the ball (never stepping into its own goal unless every move
     does), otherwise guard the cell in front of its goal nearest the ball
     holder, and stand once there."""
-    n = WIDTH * HEIGHT
-    moves = MOVE_TABLE.T
-    chase = _DISTANCES[moves]  # action, own cell, other cell
+    a, b = STATE_FIELDS[:2, ::2]  # each pair of cells once; the holder is a state's last axis
+    moves = MOVE_TABLE[b].T  # B's cell after each action (actions x pairs)
+    chase = _DISTANCES[moves, a]
     unusable = WIDTH + HEIGHT  # above any distance
-    stand_only = np.full((len(ACTIONS), 1, 1), unusable, dtype=np.int16)
-    stand_only[STAND] = 0
+    stand_only = np.where(np.arange(len(ACTIONS)) == STAND, 0, unusable)[:, None]
+    usable = ~GOAL_MASK[0][moves]  # B's own goal is the one A attacks
+    usable |= ~usable.any(axis=0)
+    # B guards the column in front of its goal, level with A within the goal's rows
+    guard = (WIDTH - 2) * HEIGHT + np.clip(_ROW[a], *_GOAL_ROWS)
+    # by (action, mode, pair, B has the ball); the best moves score the least
+    scores = np.empty((len(ACTIONS), len(MODES), len(a), 2), dtype=np.int16)
+    scores[:, 0, :, 0] = chase
+    scores[:, 0, :, 1] = _GOAL_DISTANCES[1][moves]
+    scores[:, 1, :, 0] = np.where(b == guard, stand_only, _DISTANCES[moves, guard])
+    scores[:, 1, :, 1] = np.where(usable, -chase, unusable)
+    scores = scores.reshape(len(ACTIONS), len(MODES), -1)
+    best = scores == scores.min(axis=0)
     # each set of best moves is a 5-bit code; `ordered` lists each code's moves
     sets = (np.arange(2 ** len(ACTIONS))[:, None] >> np.arange(len(ACTIONS))) & 1 == 1
     ordered = np.argsort(~sets, axis=1, kind="stable").astype(np.int8)
-    # actions first, so the best score is a minimum over whole planes
-    scores = np.empty((len(ACTIONS), len(MODES), n, n, 2), dtype=np.int16)
-    scores[:, 0, :, :, 1] = _GOAL_DISTANCES[1][moves][:, :, None]
-    scores[:, 0, :, :, 0] = chase
-    usable = ~GOAL_MASK[0][moves]  # B's own goal is the one A attacks
-    usable |= ~usable.any(axis=0)
-    scores[:, 1, :, :, 1] = np.where(usable[:, :, None], -chase, unusable)
-    # B guards the column in front of its goal, level with A within the goal's rows
-    guard = (WIDTH - 2) * HEIGHT + np.clip(_ROW, *_GOAL_ROWS)
-    at_guard = np.arange(n)[:, None] == guard
-    scores[:, 1, :, :, 0] = np.where(at_guard, stand_only, chase[:, :, guard])
-    best = scores == np.minimum.reduce(scores, axis=0)
-    code = np.zeros(best.shape[1:], dtype=np.uint8)
-    for action, plane in enumerate(best):
-        code |= plane.view(np.uint8) << action
-    return best.sum(axis=0, dtype=np.int8), np.take(ordered, code, axis=0)
+    code = np.packbits(best, axis=0, bitorder="little")[0]
+    return best.sum(axis=0, dtype=np.int8), ordered[code]
 
 
-TIE_SETS = tuple(map(_read_only, _tie_sets()))
+TIE_COUNTS, TIE_MOVES = map(_read_only, _tie_sets())
 
 
-@dataclass(frozen=True)
-class SoccerState:
-    """One game in the tables' terms: the cell index of each player, the
-    ball holder (0 for A, 1 for B) and the steps played."""
+class SoccerState(NamedTuple):
+    """One game: its joint state, the steps played, and whether it is over."""
 
-    cell_a: int
-    cell_b: int
-    holder: int
+    joint: int
     step: int = 0
     done: bool = False
 
 
 def sample_mode(rng: np.random.Generator, policy: str = "mixed") -> int:
-    """The `MODES` index of the opponent's mode for a new game: uniform for
-    ``mixed``, else fixed."""
+    """The `MODES` index of a new game's opponent mode: uniform for ``mixed``, else fixed."""
     if policy == "mixed":
         return int(rng.integers(0, 2))
     if policy in MODES:
@@ -266,65 +263,43 @@ def sample_mode(rng: np.random.Generator, policy: str = "mixed") -> int:
 
 
 def reset(rng: np.random.Generator, mode_policy: str = "mixed") -> Tuple[SoccerState, int]:
-    """Fresh game: A uniform over playable left-half non-goal cells, B over
-    the right half, ball holder uniform, opponent mode (a `MODES` index) per
-    policy."""
+    """A new game: A and B uniform over their `START_CELLS`, the ball holder
+    uniform, and the `MODES` index of B's mode."""
     left, right = START_CELLS
     cell_a = left[int(rng.integers(0, len(left)))]
     cell_b = right[int(rng.integers(0, len(right)))]
     holder = 0 if rng.random() < 0.5 else 1
-    return SoccerState(cell_a, cell_b, holder), sample_mode(rng, mode_policy)
+    return SoccerState(STATE_INDEX.item(cell_a, cell_b, holder)), sample_mode(rng, mode_policy)
 
 
 def step(state: SoccerState, action_a: int, action_b: int) -> Tuple[SoccerState, float, bool, bool]:
-    """Resolve one simultaneous joint move. Returns the next state, the
-    reward from A's side, whether the game is over, and whether the move was
-    blocked (the ball then changed hands)."""
+    """One simultaneous joint move: the next state, A's reward, whether the
+    game is over, and whether the move was blocked."""
     if state.done:
         raise UsageError("cannot step a finished episode")
-    a, b, holder = state.cell_a, state.cell_b, state.holder
-    to_a = MOVE_TABLE.item(a, action_a)
-    to_b = MOVE_TABLE.item(b, action_b)
-    # blocked: nobody moves, and the pre-move holder loses the ball
-    blocked = to_a == to_b or (to_a == b and to_b == a)
-    if blocked:
-        holder = 1 - holder
-    else:
-        a, b = to_a, to_b
+    key = (state.joint, action_a, action_b)
+    outcome = OUTCOME.item(key)
     count = state.step + 1
-    if GOAL_MASK.item(holder, b if holder else a):
-        return SoccerState(a, b, holder, count, True), -1.0 if holder else 1.0, True, blocked
-    done = count >= HORIZON
-    return SoccerState(a, b, holder, count, done), 0.0, done, blocked
+    done = outcome != 0 or count >= HORIZON
+    return SoccerState(NEXT_STATE.item(key), count, done), float(outcome), done, BLOCKED.item(key)
 
 
-def step_many(a: np.ndarray, b: np.ndarray, holder: np.ndarray,
-              action_a: np.ndarray, action_b: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """`step` of many games at once, on arrays of the `SoccerState` fields:
-    returns A's cells, B's cells and the holders after the joint moves,
-    whether each move was blocked, and whether the holder scored. The
-    horizon is left to the caller."""
-    to_a = MOVE_TABLE[a, action_a]
-    to_b = MOVE_TABLE[b, action_b]
-    # blocked: nobody moves, and the pre-move holder loses the ball
-    blocked = (to_a == to_b) | ((to_a == b) & (to_b == a))
-    holder = holder ^ blocked
-    a = np.where(blocked, a, to_a)
-    b = np.where(blocked, b, to_b)
-    return a, b, holder, blocked, GOAL_MASK[holder, np.where(holder, b, a)]
+def step_many(states: np.ndarray, action_a: np.ndarray,
+              action_b: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """`step` of many games, on an array of joint states: the next states,
+    `BLOCKED` and `OUTCOME` of each move. The horizon is left to the caller."""
+    key = np.ravel_multi_index((states, action_a, action_b), NEXT_STATE.shape)
+    return NEXT_STATE.take(key), BLOCKED.take(key), OUTCOME.take(key)
 
 
 def featurize_state(state: SoccerState) -> np.ndarray:
-    """A's 15 features: both positions, the axis limits, both goal areas,
-    and whether A holds the ball (`FEATURE_ROWS`)."""
-    own, other = FEATURE_ROWS
-    return own[state.cell_a, 1 - state.holder] + other[state.cell_b]
+    """A's 15 features, a read-only row of `FEATURES`."""
+    return FEATURES[state.joint]
 
 
 def classify_move(state: SoccerState, action: int) -> int:
-    """The `MOVE_CATEGORIES` index of B's move `action` relative to A, as
-    the `CATEGORIES` table has it."""
-    return CATEGORIES.item(state.cell_b, action, state.cell_a)
+    """The `MOVE_CATEGORIES` index of B's move `action` (`MOVE_CATEGORY`)."""
+    return MOVE_CATEGORY.item(state.joint, action)
 
 
 class OpponentTallies:
@@ -354,9 +329,8 @@ class OpponentTallies:
 
     def keep(self, games: np.ndarray) -> None:
         """Drop every row but those `games` selects."""
-        self.sums = self.sums[games]
-        self.last_category = self.last_category[games]
-        self.last_action = self.last_action[games]
+        self.sums, self.last_category, self.last_action = (
+            self.sums[games], self.last_category[games], self.last_action[games])
 
     def features(self) -> np.ndarray:
         if not self.steps:
@@ -365,36 +339,71 @@ class OpponentTallies:
 
 
 def rule_agent_act(state: SoccerState, mode: int, rng: np.random.Generator) -> int:
-    """B's hand-crafted two-mode policy in the mode of `MODES` index `mode`,
-    as the `TIE_SETS` table has it; a tie between best moves is broken by
-    one draw from `rng`."""
-    key = (mode, state.cell_b, state.cell_a, state.holder)
-    counts, choices = TIE_SETS
-    count = counts.item(key)
-    return choices.item(*key, 0 if count == 1 else int(rng.integers(0, count)))
+    """B's move in the mode of `MODES` index `mode` (`TIE_MOVES`); a tie
+    between best moves is broken by one draw from `rng`."""
+    count = TIE_COUNTS.item(mode, state.joint)
+    return TIE_MOVES.item(mode, state.joint, 0 if count == 1 else int(rng.integers(0, count)))
 
 
-def rule_agent_many(modes: np.ndarray, b: np.ndarray, a: np.ndarray, holder: np.ndarray,
-                    rngs: Sequence[np.random.Generator]) -> np.ndarray:
+class TieDraws:
+    """The tie-breaks of many games, as successive ``rng.integers(0, n)`` on
+    each game's stream draw them (the module docstring says how): a game
+    takes its stream's words `BLOCK` at a time, and `at` flat-indexes its next."""
+
+    BLOCK = HORIZON  # a game breaks at most one tie a step
+
+    def __init__(self, rngs: Sequence[np.random.Generator]):
+        self.rngs = list(rngs)
+        self.words = np.empty((len(self.rngs), self.BLOCK), dtype=np.int64)
+        self.at = np.arange(1, len(self.rngs) + 1) * self.BLOCK  # no game has words yet
+        self.zeros = False  # whether a block holds a zero word, which numpy rejects for an odd n
+        self._refill()
+
+    def _refill(self) -> None:
+        """A new block for each game that has used all of its words."""
+        used = self.at - np.arange(len(self.rngs)) * self.BLOCK
+        for game in (used == self.BLOCK).nonzero()[0].tolist():
+            self.words[game] = self.rngs[game].integers(0, 2 ** 32, self.BLOCK, np.uint32)
+            self.zeros |= not self.words[game].all()
+            self.at[game], used[game] = game * self.BLOCK, 0
+        self.left = self.BLOCK - int(used.max())  # draws that every game has words for
+
+    def draw(self, n: np.ndarray) -> np.ndarray:
+        """One ``integers(0, n[i])`` from the stream of each game i with
+        n[i] > 1, in game order; 0, drawing nothing, where n[i] is 1."""
+        word = self.words.take(self.at)
+        self.at += n > 1
+        self.left -= 1
+        if not self.left:
+            self._refill()
+        out = (word * n) >> 32
+        if self.zeros:
+            skip = (word == 0) & (n % 2 == 1) & (n > 1)
+            if skip.any():
+                out[skip] = self.draw(np.where(skip, n, 1))[skip]
+        return out
+
+    def keep(self, games: np.ndarray) -> None:
+        """Drop every game but those `games` selects."""
+        used = self.at - np.arange(len(self.rngs)) * self.BLOCK
+        self.rngs = [rng for rng, kept in zip(self.rngs, games.tolist()) if kept]
+        self.words = self.words[games]
+        self.at = np.arange(len(self.rngs)) * self.BLOCK + used[games]
+
+
+def rule_agent_many(modes: np.ndarray, states: np.ndarray, draws: TieDraws) -> np.ndarray:
     """`rule_agent_act` of many games at once, on arrays of the mode indices
-    and the `SoccerState` fields: game i breaks a tie by one draw from
-    ``rngs[i]``, in game order."""
-    key = (modes, b, a, holder)
-    counts, choices = TIE_SETS
-    count = counts[key]
-    choices = choices[key]
-    ties = np.flatnonzero(count > 1)
-    for i, n in zip(ties.tolist(), count[ties].tolist()):
-        choices[i, 0] = choices[i, rngs[i].integers(0, n)]
-    return choices[:, 0]
+    and joint states: game i breaks a tie by its next draw in ``draws``."""
+    key = np.ravel_multi_index((modes, states), TIE_COUNTS.shape)
+    return TIE_MOVES.take(key * len(ACTIONS) + draws.draw(TIE_COUNTS.take(key)))
 
 
 def render(state: SoccerState) -> str:
-    """Two characters per cell: players as A/B (holder starred), '#' shaded,
-    '=' goal cells."""
+    """Two characters per cell: A and B (the holder starred), '#' shaded, '=' goal."""
+    cell_a, cell_b, holder = STATE_FIELDS[:, state.joint].tolist()
     marks = np.where(GOAL_MASK.any(axis=0), "= ", ". ")
     marks[_mask(SHADED)] = "# "
-    marks[state.cell_b] = "B*" if state.holder else "B "
-    marks[state.cell_a] = "A " if state.holder else "A*"
+    marks[cell_b] = "B*" if holder else "B "
+    marks[cell_a] = "A " if holder else "A*"
     # cells are numbered column by column: row r is every height-th cell from r
     return "\n".join("".join(marks[r::HEIGHT]) for r in range(HEIGHT))

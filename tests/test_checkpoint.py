@@ -492,6 +492,21 @@ def test_unknown_header_key_names_its_line(tmp_path, line):
         load_checkpoint(str(path))
 
 
+@pytest.mark.parametrize("line", ["env.vocab 60", "env.opponent_pool 3", "env.belief_alpha 8.0"])
+def test_env_line_in_a_soccer_checkpoint_names_its_line(tmp_path, line):
+    # a soccer game reads no env.<key>, so a line for one is refused, not dropped
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(make_checkpoint()[0], str(path))
+    lines = path.read_text().splitlines()
+    at = next(i for i, text in enumerate(lines) if text.startswith("steps "))
+    lines.insert(at, line)
+    path.write_text("\n".join(lines) + "\n")
+    key = line.split()[0]
+    with pytest.raises(CheckpointError,
+                       match=rf"^line {at + 1}: a soccer checkpoint has no {key} line$"):
+        load_checkpoint(str(path))
+
+
 # a second line for a key already read, placed after the first one: the
 # agent's fields, the run's counters and the environment's lines
 @pytest.mark.parametrize("key,value", [

@@ -194,6 +194,18 @@ class RecordingAgent:
         return q if np.ndim(phi_s) == 2 else q[0]
 
 
+class Shown:
+    """An agent that records every (state, opponent) row it is shown."""
+
+    def __init__(self, agent):
+        self.agent, self.spec, self.rows = agent, agent.spec, []
+
+    def q_values(self, phi_s, phi_o):
+        rows = zip(np.atleast_2d(phi_s), np.atleast_2d(phi_o))
+        self.rows += [s.tobytes() + o.tobytes() for s, o in rows]
+        return self.agent.q_values(phi_s, phi_o)
+
+
 @functools.lru_cache(maxsize=None)
 def soccer_agent(kind, trained):
     """Initial parameters, or the parameters after one short training epoch."""
@@ -224,8 +236,9 @@ class TestSoccerDriverOpponentFeatures:
         for action in np.random.default_rng(4).integers(0, 5, size=1500).tolist():
             before = driver.state
             _, done, info = driver.step(action)
-            pos_a, pos_b = divmod(before.cell_a, ref.HEIGHT), divmod(before.cell_b, ref.HEIGHT)
-            ball = "AB"[before.holder]
+            cell_a, cell_b, holder = soccer.STATE_FIELDS[:, before.joint].tolist()
+            pos_a, pos_b = divmod(cell_a, ref.HEIGHT), divmod(cell_b, ref.HEIGHT)
+            ball = "AB"[holder]
             category = ref.classify("B", pos_b, moves_b[-1], pos_a)
             next_ball = ref.reference_step(pos_a, pos_b, ball, before.step, action,
                                            moves_b[-1])[2]
@@ -259,6 +272,17 @@ class TestLockstepSoccer:
         agent = soccer_agent(kind, True)
         got = harness.evaluate_soccer(agent, opponent, n_games, seed=3)
         assert got == per_game_soccer(agent, opponent, n_games, seed=3)
+
+    def test_equals_per_game_play_over_many_trained_games(self):
+        # enough games of a trained agent that they end both ways, so that
+        # every tie-break path of the vectorised draws shows; games of
+        # initial parameters mostly time out
+        agent = soccer_agent("dron_moe", True)
+        lockstep, one_by_one = Shown(agent), Shown(agent)
+        got = harness.evaluate_soccer(lockstep, "mixed", 500, seed=6)
+        assert got == per_game_soccer(one_by_one, "mixed", 500, seed=6)
+        assert got.loss_rate > 0.25 and got.tie_rate > 0.25
+        assert sorted(lockstep.rows) == sorted(one_by_one.rows)
 
     @pytest.mark.parametrize("opponent", ["mixed", "offensive", "defensive"])
     def test_shows_the_agent_the_per_game_features(self, opponent):
@@ -318,8 +342,8 @@ def watch_opponent_work(monkeypatch, forbidden):
 
     for name in ("classify_move", "OpponentTallies"):
         monkeypatch.setattr(soccer, name, counted(name, getattr(soccer, name)))
-    monkeypatch.setattr(soccer, "CATEGORIES",
-                        Watched(soccer.CATEGORIES, lambda: hit("categories")))
+    monkeypatch.setattr(soccer, "MOVE_CATEGORY",
+                        Watched(soccer.MOVE_CATEGORY, lambda: hit("categories")))
     return used
 
 

@@ -27,7 +27,19 @@ index = soccer.index
 
 def state_at(pos_a, pos_b, ball, step=0, done=False):
     """The SoccerState of two (col, row) cells and a ball holder "A" or "B"."""
-    return SoccerState(index(pos_a), index(pos_b), "AB".index(ball), step, done)
+    joint = soccer.STATE_INDEX.item(index(pos_a), index(pos_b), "AB".index(ball))
+    return SoccerState(joint, step, done)
+
+
+def fields(state):
+    """A's cell index, B's cell index and the ball holder of a SoccerState."""
+    return tuple(soccer.STATE_FIELDS[:, state.joint].tolist())
+
+
+def reference_position(joint):
+    """The (A's cell, B's cell, ball) of a joint state in the reference's terms."""
+    cell_a, cell_b, holder = soccer.STATE_FIELDS[:, joint].tolist()
+    return divmod(cell_a, ref.HEIGHT), divmod(cell_b, ref.HEIGHT), "AB"[holder]
 
 
 class Position(NamedTuple):
@@ -70,7 +82,7 @@ class TestReset:
     def test_ball_owner_balanced(self):
         rng = np.random.default_rng(0)
         n = 10_000
-        to_a = sum(reset(rng)[0].holder == 0 for _ in range(n))
+        to_a = sum(fields(reset(rng)[0])[2] == 0 for _ in range(n))
         sigma = math.sqrt(n * 0.25)
         assert abs(to_a - n / 2) <= 3 * sigma
 
@@ -81,8 +93,8 @@ class TestReset:
         left = {index(c) for c in free if c[0] <= 3}
         right = {index(c) for c in free if c[0] >= 5}
         for _ in range(2000):
-            state, _ = reset(rng)
-            assert state.cell_a in left and state.cell_b in right
+            cell_a, cell_b, _ = fields(reset(rng)[0])
+            assert cell_a in left and cell_b in right
 
     def test_deterministic(self):
         a = reset(np.random.default_rng(42))
@@ -136,7 +148,7 @@ class TestStep:
     def test_invalid_move_becomes_stand(self):
         state = state_at((1, 0), (6, 3), "A")
         nxt, _, _, _ = step(state, A_N, A_STAND)  # off the top edge
-        assert nxt.cell_a == index((1, 0))
+        assert fields(nxt)[0] == index((1, 0))
 
     def test_step_after_done_raises(self):
         state = state_at((2, 2), (6, 3), "A", step=5, done=True)
@@ -159,16 +171,15 @@ class TestStep:
         # every joint move from 200 random states, as one batch
         rng = np.random.default_rng(9)
         positions = [random_position(rng) for _ in range(200)]
-        joint = [(p.state(), aa, ab) for p in positions for aa in range(5) for ab in range(5)]
-        a, b, holder, blocked, scored = soccer.step_many(
-            *(np.array(column) for column in zip(
-                *((s.cell_a, s.cell_b, s.holder, aa, ab) for s, aa, ab in joint))))
+        joint = [(p.state().joint, aa, ab) for p in positions
+                 for aa in range(5) for ab in range(5)]
+        states, blocked, outcome = soccer.step_many(*map(np.array, zip(*joint)))
         want = [reference_step(*p, aa, ab) for p in positions
                 for aa in range(5) for ab in range(5)]
         for i, (ra, rb, ball, _, reward, _) in enumerate(want):
-            assert (a[i], b[i], holder[i]) == (index(ra), index(rb), "AB".index(ball))
+            assert reference_position(states[i]) == (ra, rb, ball)
             assert blocked[i] == (ball != positions[i // 25].ball)
-            assert scored[i] == (reward != 0.0)
+            assert outcome[i] == reward
 
     def test_invariants_over_random_rollouts(self):
         rng = np.random.default_rng(8)
@@ -180,9 +191,10 @@ class TestStep:
                 nxt, reward, done, _ = step(state, int(rng.integers(0, 5)),
                                             int(rng.integers(0, 5)))
                 steps += 1
-                assert nxt.cell_a != nxt.cell_b
-                assert nxt.cell_a not in shaded and nxt.cell_b not in shaded
-                assert nxt.holder in (0, 1)
+                cell_a, cell_b, holder = fields(nxt)
+                assert cell_a != cell_b
+                assert cell_a not in shaded and cell_b not in shaded
+                assert holder in (0, 1)
                 if done:
                     assert reward in (-1.0, 0.0, 1.0)
                     assert steps <= 100
@@ -202,8 +214,11 @@ class TestMoveTable:
 
 
 # every rule table, and the tally rows of OpponentTallies
-TABLES = (soccer.MOVE_TABLE, soccer.GOAL_MASK, *soccer.FEATURE_ROWS, soccer.CATEGORIES,
-          *soccer.TIE_SETS, OpponentTallies.CATEGORY_ROWS, OpponentTallies.LAST_MOVE_ROWS)
+TABLES = (soccer.MOVE_TABLE, soccer.GOAL_MASK, soccer.STATE_FIELDS, soccer.STATE_INDEX,
+          soccer.NEXT_STATE, soccer.BLOCKED, soccer.OUTCOME, soccer.FEATURES,
+          soccer.MOVE_CATEGORY, soccer.TIE_COUNTS, soccer.TIE_MOVES,
+          OpponentTallies.CATEGORY_ROWS, OpponentTallies.LAST_MOVE_ROWS)
+STATES = range(soccer.STATE_FIELDS.shape[1])
 
 
 class TestRuleTables:
@@ -215,34 +230,56 @@ class TestRuleTables:
             want = [index(t) for t in ref.move_targets(cell)]
             assert soccer.MOVE_TABLE[index(cell)].tolist() == want
 
+    def test_states(self):
+        # every pair of distinct playable cells with either holder, once
+        playable = [index(c) for c in ref.cells() if ref.playable(c)]
+        want = {(a, b, h) for a in playable for b in playable if a != b for h in (0, 1)}
+        got = [fields(SoccerState(joint)) for joint in STATES]
+        assert len(got) == len(want) == 4140 and set(got) == want
+        for joint, key in enumerate(got):
+            assert soccer.STATE_INDEX[key] == joint
+        assert np.count_nonzero(soccer.STATE_INDEX >= 0) == len(want)
+
+    def test_joint_moves(self):
+        # next cells, holder, reward, done and blocked of every (state, A's
+        # move, B's move), from a state one step before the horizon
+        for joint in STATES:
+            pos_a, pos_b, ball = reference_position(joint)
+            for aa in range(len(ACTIONS)):
+                for ab in range(len(ACTIONS)):
+                    ra, rb, next_ball, _, reward, done = reference_step(
+                        pos_a, pos_b, ball, 0, aa, ab)
+                    key = (joint, aa, ab)
+                    assert reference_position(soccer.NEXT_STATE[key]) == (ra, rb, next_ball)
+                    assert soccer.OUTCOME[key] == reward
+                    assert (soccer.OUTCOME[key] != 0) == done
+                    assert soccer.BLOCKED[key] == (next_ball != ball)
+                    got = step(SoccerState(joint, ref.HORIZON - 2), aa, ab)
+                    assert got[1:] == (reward, done, next_ball != ball)
+        assert soccer.NEXT_STATE.dtype == np.int16 and soccer.OUTCOME.dtype == np.int8
+
     def test_tie_sets(self):
-        counts, choices = soccer.TIE_SETS
-        assert counts.dtype == choices.dtype == np.int8
+        assert soccer.TIE_COUNTS.dtype == soccer.TIE_MOVES.dtype == np.int8
         for m, mode in enumerate(soccer.MODES):
-            for own in ref.cells():
-                for other in ref.cells():
-                    for has_ball in (0, 1):
-                        key = (m, index(own), index(other), has_ball)
-                        want = ref.rule_choices(mode, "B", own, other, has_ball)
-                        assert counts[key] == len(want)
-                        assert choices[key][:len(want)].tolist() == want
+            for joint in STATES:
+                pos_a, pos_b, ball = reference_position(joint)
+                want = ref.rule_choices(mode, "B", pos_b, pos_a, ball == "B")
+                assert soccer.TIE_COUNTS[m, joint] == len(want)
+                assert soccer.TIE_MOVES[m, joint, :len(want)].tolist() == want
 
     def test_categories(self):
-        assert soccer.CATEGORIES.dtype == np.int8
-        for pos in ref.cells():
+        assert soccer.MOVE_CATEGORY.dtype == np.int8
+        for joint in STATES:
+            pos_a, pos_b, _ = reference_position(joint)
             for action in range(len(ACTIONS)):
-                for other in ref.cells():
-                    got = soccer.CATEGORIES[index(pos), action, index(other)]
-                    want = ref.classify("B", pos, action, other)
-                    assert soccer.MOVE_CATEGORIES[got] == want
+                want = ref.classify("B", pos_b, action, pos_a)
+                assert soccer.MOVE_CATEGORIES[soccer.MOVE_CATEGORY[joint, action]] == want
 
     def test_features_bit_for_bit(self):
-        cells = ref.cells()
-        for pos, other in zip(cells, cells[::-1]):
-            for ball in ("A", "B"):
-                want = ref.features(pos, other, ball == "A", ref.LEFT_GOAL, ref.RIGHT_GOAL)
-                got = featurize_state(Position(pos, other, ball).state())
-                assert got.tobytes() == want.tobytes()
+        for joint in STATES:
+            pos_a, pos_b, ball = reference_position(joint)
+            want = ref.features(pos_a, pos_b, ball == "A", ref.LEFT_GOAL, ref.RIGHT_GOAL)
+            assert featurize_state(SoccerState(joint)).tobytes() == want.tobytes()
 
     def test_start_cells(self):
         half = ref.WIDTH // 2
@@ -282,18 +319,93 @@ class TestRuleAgentDraws:
 
 class TestRuleAgentMany:
     def test_equals_one_game_at_a_time(self):
-        # the same moves, and each game's stream left where one-game play leaves it
+        # the same moves, and the same draws as one-game play
         rng = np.random.default_rng(12)
         states = [random_position(rng).state() for _ in range(400)]
         modes = [int(rng.integers(0, 2)) for _ in states]
-        a, b, holder = (np.array(column) for column in zip(
-            *((s.cell_a, s.cell_b, s.holder) for s in states)))
-        many_rngs = [np.random.default_rng([5, i]) for i in range(len(states))]
-        got = soccer.rule_agent_many(np.array(modes), b, a, holder, many_rngs)
-        for i, (state, mode) in enumerate(zip(states, modes)):
-            one = np.random.default_rng([5, i])
-            assert got[i] == rule_agent_act(state, mode, one)
-            assert many_rngs[i].random() == one.random()
+        draws = soccer.TieDraws([np.random.default_rng([5, i]) for i in range(len(states))])
+        got = soccer.rule_agent_many(np.array(modes), np.array([s.joint for s in states]), draws)
+        ones = [np.random.default_rng([5, i]) for i in range(len(states))]
+        assert got.tolist() == [rule_agent_act(state, mode, one)
+                                for state, mode, one in zip(states, modes, ones)]
+        # each game's next draw is the one one-game play makes next
+        assert draws.draw(np.full(len(states), 5)).tolist() == [one.integers(0, 5) for one in ones]
+
+
+def lemire(words, n):
+    """`Generator.integers(0, n)` for 1 < n < 2**32 on a stream of 32-bit
+    words, transcribed from numpy's bounded Lemire draw: the draw and the
+    number of words it used."""
+    threshold = (2 ** 32 - n) % n
+    for used, word in enumerate(words, 1):
+        product = word * n
+        if product % 2 ** 32 >= threshold:
+            return product >> 32, used
+    raise AssertionError("ran out of words")
+
+
+class ScriptedWords:
+    """A stand-in stream whose 32-bit words are given."""
+
+    def __init__(self, words):
+        self.words = list(words)
+
+    def integers(self, low, high, size, dtype):
+        assert (low, high, dtype) == (0, 2 ** 32, np.uint32)
+        block, self.words = self.words[:size], self.words[size:]
+        return np.array(block, dtype=dtype)
+
+
+class TestTieDraws:
+    """`TieDraws` against the draws it stands in for: successive
+    `Generator.integers(0, n)` calls on each game's stream."""
+
+    def test_equal_successive_integers_calls(self):
+        # twin streams taken just after a reset, n in 2..5 or no tie; every
+        # game runs out of its first block, and the streams stay aligned
+        rng = np.random.default_rng(21)
+        twins = [np.random.default_rng([21, g]) for g in range(1000)]
+        blocks = [np.random.default_rng([21, g]) for g in range(1000)]
+        for one, many in zip(twins, blocks):
+            assert reset(one) == reset(many)
+        draws = soccer.TieDraws(blocks)
+        drawn = np.zeros(len(twins), dtype=int)
+        for _ in range(2 * soccer.TieDraws.BLOCK):
+            n = np.where(rng.random(len(twins)) < 0.8, rng.integers(2, 6, size=len(twins)), 1)
+            want = [twins[g].integers(0, k) if k > 1 else 0 for g, k in enumerate(n.tolist())]
+            assert draws.draw(n).tolist() == want
+            drawn += n > 1
+        assert (drawn > soccer.TieDraws.BLOCK).all()
+        for g, one in enumerate(twins):
+            left = draws.words.ravel()[draws.at[g]:(g + 1) * soccer.TieDraws.BLOCK]
+            assert left.tolist() == one.integers(0, 2 ** 32, size=len(left),
+                                                 dtype=np.uint32).tolist()
+            assert blocks[g].random() == one.random()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_zero_word_follows_lemire(self, n):
+        # PCG64 cannot be made to give a zero word, so the stream is
+        # scripted; zeros stand inside a block and at both ends of one
+        block = soccer.TieDraws.BLOCK
+        words = [0, 7, 2 ** 31, 0, 0, 2 ** 32 - 1, *range(1, block - 7), 0, 0, 5, 3, 0, 9]
+        stream = list(words)
+        draws = soccer.TieDraws([ScriptedWords(words + [1] * 2 * block)])
+        assert draws.zeros
+        while len(stream) > 2:
+            want, used = lemire(stream, n)
+            stream = stream[used:]
+            assert draws.draw(np.array([n])).tolist() == [want]
+        assert draws.at[0] == len(words) - len(stream) - block
+
+    def test_keep_drops_finished_games(self):
+        twins = [np.random.default_rng([22, g]) for g in range(6)]
+        draws = soccer.TieDraws([np.random.default_rng([22, g]) for g in range(6)])
+        draws.draw(np.array([3, 1, 3, 3, 2, 4]))
+        draws.keep(np.array([True, False, True, False, False, True]))
+        got = draws.draw(np.full(3, 5))
+        kept = [twins[0], twins[2], twins[5]]
+        want = [(one.integers(0, k), one.integers(0, 5))[1] for one, k in zip(kept, (3, 3, 4))]
+        assert got.tolist() == want
 
 
 class TestFeaturize:
