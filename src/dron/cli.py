@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 
@@ -108,7 +109,7 @@ def cmd_sweep(args) -> int:
 
 def _read_reward_column(path: str) -> list:
     """The mean_reward column of a learning-curve CSV; blank lines are skipped
-    and every other line must have a number in that column."""
+    and every other line must have a finite number in that column."""
     with open(path, "r", encoding="utf-8") as fh:
         rows = [(n, line.strip()) for n, line in enumerate(fh, start=1) if line.strip()]
     if not rows:
@@ -125,10 +126,13 @@ def _read_reward_column(path: str) -> list:
             raise DronError(f"{path}: line {n}: {len(cells)} cells, "
                             f"mean_reward is cell {col + 1}")
         try:
-            rewards.append(float(cells[col]))
+            reward = float(cells[col])
         except ValueError:
             raise DronError(f"{path}: line {n}: mean_reward {cells[col]!r} "
                             "is not a number") from None
+        if not math.isfinite(reward):
+            raise DronError(f"{path}: line {n}: mean_reward {cells[col]!r} is not finite")
+        rewards.append(reward)
     return rewards
 
 

@@ -43,15 +43,28 @@ batch and gemv for one row), which has not been seen to change a greedy
 action. Both keep the opponent's moves in one `soccer.OpponentTallies`, a
 row per game: the driver's has one row.
 
-Quiz games see the buzz histories of the games before them and are played
-one at a time. A quiz game stops calling the agent at its lockout: once a
-wrong buzz has locked the agent out it has no decision left, so
-`QuizDriver.finish` settles the game from the opponent's pre-drawn buzz,
-with the reward and history update that word-by-word play would give. The
-words it skips would only draw beliefs from the game's own stream, which
-nothing reads after the game, so the summaries and trace rows are those of
-word-by-word play. Training still steps every word: it learns from the
-transitions after a lockout.
+Quiz games share the opponent pool's buzz histories, and only the opponent
+features read them: drawing an episode (`qb.sample_episode`) reads the
+game's own stream and no history. So `evaluate_quiz` draws every game's
+episode up front and plays the games in lockstep, one batched Q-value call
+per step, each game stepping through its own `QuizDriver`, under one
+ordering rule: a game reads its opponent's features when it starts, and for
+an agent with an opponent tower it starts once the previous game against
+the same opponent has ended, so each opponent's games run in game order and
+see the histories one-at-a-time play would show them. A `dqn` agent reads
+no history and plays all its games at once. `tests/test_harness.py`
+(`TestLockstepQuizOrder`, `TestLockoutQuiz`) holds lockstep play to a
+word-by-word, game-by-game reference. As in soccer, a batched forward
+differs from a one-row one: by at most 7e-15 over 300-game evaluations of
+the three agent kinds, whose smallest gap between the two actions' values
+was 9e-5, so no greedy action changed. A quiz game stops calling the agent
+at its lockout: once a wrong buzz has locked the agent out it has no
+decision left, so `QuizDriver.finish` settles the game from the opponent's
+pre-drawn buzz, with the reward and history update that word-by-word play
+would give. The words it skips would only draw beliefs from the game's own
+stream, which nothing reads after the game, so the summaries and trace
+rows are those of word-by-word play. Training still steps every word: it
+learns from the transitions after a lockout.
 
 Determinism contract: (config, seed) fully determine every CSV byte and
 checkpoint parameter. All random streams derive from the run seed via named
@@ -192,22 +205,38 @@ class QuizDriver:
     """The agent against an opponent drawn per episode from a persistent
     pool; each opponent's buzz history carries over between episodes. With
     `sees_opponent` false (a `dqn` agent) `obs[1]` is `NO_OPPONENT`, but every
-    buzz is still recorded: the histories are the pool's state."""
+    buzz is still recorded: the histories are the pool's state.
+
+    `reset()` is `draw()` then `observe()`. Drawing the episode reads only
+    the driver's own stream, never a buzz history; the observation reads the
+    opponent's history as it stands when `observe()` runs. Lockstep
+    evaluation leans on that split: with `observed` false the first episode
+    is drawn but `obs` is left for `observe()`, called when the game starts."""
 
     bootstrap = True
 
     def __init__(self, rng: np.random.Generator, quiz_cfg: qb.QuizConfig,
                  population: qb.Population, multitask: str = "none",
-                 sees_opponent: bool = True):
+                 sees_opponent: bool = True, observed: bool = True):
         self.rng = rng
         self.quiz_cfg = quiz_cfg
         self.population = population
         self.multitask = multitask
         self.sees_opponent = sees_opponent
-        self.reset()
+        self.draw()
+        if observed:
+            self.observe()
 
     def reset(self) -> None:
+        self.draw()
+        self.observe()
+
+    def draw(self) -> None:
+        """Draw the next episode: question, answer, opponent and its buzz."""
         self.state, self.profile = qb.sample_episode(self.quiz_cfg, self.population, self.rng)
+
+    def observe(self) -> None:
+        """Build `obs` from the state and the opponent's history as it is now."""
         self.obs = (qb.featurize(self.state), self._opponent_features())
 
     def _opponent_features(self) -> np.ndarray:
@@ -295,6 +324,14 @@ def make_driver(config: ExperimentConfig, rng: np.random.Generator, seed: int):
 # -- evaluation ---------------------------------------------------------------
 
 
+def _check_games_and_seed(n_games: int, seed: int) -> None:
+    """Reject a game count or a seed that no evaluation can play."""
+    if n_games < 1:
+        raise UsageError("n_games must be at least 1")
+    if seed < 0:  # numpy's generators take no negative seed
+        raise UsageError(f"seed must be >= 0, got {seed}")
+
+
 def evaluate_soccer(agent: Agent, opponent: str, n_games: int, seed: int,
                     render: bool = False) -> MetricsSummary:
     """Greedy play of `n_games` games in lockstep. Game g draws from its own
@@ -308,6 +345,7 @@ def evaluate_soccer(agent: Agent, opponent: str, n_games: int, seed: int,
     steps are ties. The games and draws are those of one-by-one play with
     `SoccerDriver` (the module docstring says how near a batched forward is
     to a one-row one). `render` prints each game's boards at the end."""
+    _check_games_and_seed(n_games, seed)
     rngs = [np.random.default_rng([seed, game]) for game in range(n_games)]
     starts = [soccer.reset(rng, opponent) for rng in rngs]
     state = np.array([start.joint for start, _ in starts])
@@ -355,65 +393,98 @@ def evaluate_soccer(agent: Agent, opponent: str, n_games: int, seed: int,
 def evaluate_quiz(agent: Agent, opponent: str, n_games: int, seed: int,
                   quiz_cfg: qb.QuizConfig, pool_size: int = ExperimentConfig.opponent_pool,
                   trace_rows: Optional[list] = None) -> MetricsSummary:
-    """Greedy play of `n_games` games, one after another, against one pool
-    drawn from `seed`; game g draws from its own stream `default_rng([seed,
-    g])` and sees the buzz histories the games before it left. A game stops
+    """Greedy play of `n_games` games in lockstep against one pool drawn
+    from `seed`. Game g draws its episode up front from its own stream
+    `default_rng([seed, g])`, which only the game reads, and sees the buzz
+    histories the games before it left. Only the opponent features read a
+    history, so for an agent with an opponent tower a game starts (reads its
+    opponent's features) once the previous game against the same opponent
+    has ended; a `dqn` agent reads none and plays all its games at once.
+    Each lockstep step is one batched `agent.q_values` call over the running
+    games; each game then steps through its own `QuizDriver`. A game stops
     at the agent's lockout: `QuizDriver.finish` settles the rest from the
     opponent's pre-drawn buzz, with no more Q-value calls or belief draws.
-    The result is that of playing every word: a locked-out agent's buzz is
-    ignored, game g's stream is read by nothing after the game, the miss
-    indicator reads only decisions from before the lockout, and a trace row
-    reads only the question length, the opponent's buzz word and its μ.
-    A game is tallied in four counters: its total reward, the agent's buzz
-    word (-1 if it never buzzed), whether that buzz was right, and whether
-    the belief was right at any decision the agent made. The game is a rush
-    if the agent buzzed wrong, and a miss if the belief was right at one of
-    its decisions but the agent never buzzed right. `trace_rows`, when
-    given, gets one dict per game."""
+    The result is that of playing every word of one game after another
+    (`TestLockoutQuiz` and `TestLockstepQuizOrder` in `tests/test_harness.py`
+    check it): a locked-out agent's buzz is ignored, game g's stream is read
+    by nothing after the game, the miss indicator reads only decisions from
+    before the lockout, and a trace row reads only the question length, the
+    opponent's buzz word and its μ (the module docstring says how near a
+    batched forward is to a one-row one). A game is tallied in four counters: its total reward, the
+    agent's buzz word (-1 if it never buzzed), whether that buzz was right,
+    and whether the belief was right at any decision the agent made. The
+    game is a rush if the agent buzzed wrong, and a miss if the belief was
+    right at one of its decisions but the agent never buzzed right.
+    `trace_rows`, when given, gets one dict per game, in game order."""
+    _check_games_and_seed(n_games, seed)
     if opponent == "self":
         raise UsageError("evaluation always runs against a real opponent pool")
     population = _population(opponent, seed, pool_size)
     sees = has_opponent_tower(agent.spec.kind)
-    rewards = []
-    rushes = misses = wins = losses = 0
-    for game in range(n_games):
-        driver = QuizDriver(np.random.default_rng([seed, game]), quiz_cfg, population,
-                            sees_opponent=sees)
-        total = 0.0
-        buzz_t = -1
-        buzz_correct = saw_answer = opponent_won = done = False
-        while not done:
+    drivers = [QuizDriver(np.random.default_rng([seed, game]), quiz_cfg, population,
+                          sees_opponent=sees, observed=False) for game in range(n_games)]
+    # chains of games played one after another: each opponent's games, or
+    # for an agent that reads no history each game on its own
+    running, successor, last = [], {}, {}
+    for game, driver in enumerate(drivers):
+        chain = id(driver.profile) if sees else game
+        if chain in last:
+            successor[last[chain]] = game
+        else:
+            running.append(game)
+        last[chain] = game
+    for game in running:
+        drivers[game].observe()
+    totals = [0.0] * n_games
+    buzz_t = [-1] * n_games
+    buzz_correct = [False] * n_games
+    saw_answer = [False] * n_games
+    opponent_won = [False] * n_games
+    while running:
+        phi_s = np.stack([drivers[game].obs[0] for game in running])
+        if sees:
+            q = agent.q_values(phi_s, np.stack([drivers[game].obs[1] for game in running]))
+        else:
+            q = agent.q_values(phi_s)
+        still_running = []
+        for game, action in zip(running, q.argmax(axis=1).tolist()):
+            driver = drivers[game]
             state = driver.state
-            if state.agent_locked:
-                reward, opponent_won = driver.finish()
-                total += reward
-                break
-            action = int(np.argmax(agent.q_values(*driver.obs)))
             right = qb.belief_correct(state)
-            saw_answer = saw_answer or right
+            saw_answer[game] = saw_answer[game] or right
             if action == qb.BUZZ:
-                buzz_t, buzz_correct = state.t, right
+                buzz_t[game], buzz_correct[game] = state.t, right
             reward, done, info = driver.step(action)
-            total += reward
-            opponent_won = info.opponent_won
-        rewards.append(total)
-        rushes += buzz_t >= 0 and not buzz_correct
-        misses += saw_answer and not buzz_correct
-        wins += buzz_correct
-        losses += opponent_won
-        if trace_rows is not None:
+            totals[game] += reward
+            opponent_won[game] = info.opponent_won
+            if not done and driver.state.agent_locked:
+                reward, opponent_won[game] = driver.finish()
+                totals[game] += reward
+                done = True
+            if not done:
+                still_running.append(game)
+            elif game in successor:
+                drivers[successor[game]].observe()
+                still_running.append(successor[game])
+        running = still_running
+    if trace_rows is not None:
+        for game, driver in enumerate(drivers):
             trace_rows.append({
                 "game": game,
                 "length": driver.state.length,
                 "opponent_mean_buzz_frac": driver.profile.mean_buzz_frac,
                 "opponent_buzz_pos": driver.state.opponent_buzz_pos,
-                "agent_buzz_pos": buzz_t,
-                "agent_buzz_correct": int(buzz_correct),
-                "reward": total,
+                "agent_buzz_pos": buzz_t[game],
+                "agent_buzz_correct": int(buzz_correct[game]),
+                "reward": totals[game],
             })
-    n = len(rewards)
+    n = n_games
+    wins = sum(buzz_correct)
+    losses = sum(opponent_won)
+    rushes = sum(t >= 0 and not c for t, c in zip(buzz_t, buzz_correct))
+    misses = sum(s and not c for s, c in zip(saw_answer, buzz_correct))
     return MetricsSummary(
-        mean_reward=float(np.mean(rewards)), games=n,
+        mean_reward=float(np.mean(totals)), games=n,
         win_rate=wins / n, tie_rate=(n - wins - losses) / n, loss_rate=losses / n,
         rush_rate=rushes / n, miss_rate=misses / n,
     )
@@ -423,10 +494,6 @@ def _evaluate(agent: Agent, environment: str, env_params: dict, opponent: str,
               n_games: int, seed: int, render: bool = False,
               trace_rows: Optional[list] = None) -> MetricsSummary:
     """Greedy-policy evaluation in a run's environment; deterministic given seed."""
-    if n_games < 1:
-        raise UsageError("n_games must be at least 1")
-    if seed < 0:  # numpy's generators take no negative seed
-        raise UsageError(f"seed must be >= 0, got {seed}")
     if environment == "soccer":
         if trace_rows is not None:
             raise UsageError("buzz traces are recorded for quiz bowl only")

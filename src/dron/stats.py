@@ -101,6 +101,9 @@ def paired_ttest(series_a: Sequence[float], series_b: Sequence[float]) -> TTestR
     n = len(series_a)
     if n < 2:
         raise UsageError("need at least two pairs")
+    for pair, (a, b) in enumerate(zip(series_a, series_b), start=1):
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise UsageError(f"paired values must be finite, pair {pair} is ({a}, {b})")
     diffs = [float(a) - float(b) for a, b in zip(series_a, series_b)]
     mean = sum(diffs) / n
     var = sum((d - mean) ** 2 for d in diffs) / (n - 1)

@@ -113,7 +113,10 @@ def test_gradcheck_without_trials_exits_2(capsys, trials):
     ("", 1),
     ("epoch,mean_reward\n1,abc\n", 2),
     ("epoch,mean_reward\n1,0.5\n\n1\n", 4),
-], ids=["empty", "non_numeric", "short_row"])
+    ("epoch,mean_reward\n1,0.5\n2,nan\n", 3),
+    ("epoch,mean_reward\n1,inf\n2,0.5\n", 2),
+    ("epoch,mean_reward\n1,0.5\n2,-Infinity\n", 3),
+], ids=["empty", "non_numeric", "short_row", "nan", "inf", "minus_inf"])
 def test_ttest_bad_csv_names_its_line(tmp_path, capsys, text, line):
     bad = tmp_path / "bad.csv"
     bad.write_text(text)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dron import harness
 from dron import quizbowl as qb
 from dron import rl, soccer
-from dron.agents import Agent, quiz_agent_spec, soccer_agent_spec
+from dron.agents import Agent, has_opponent_tower, quiz_agent_spec, soccer_agent_spec
 from dron.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from dron.cli import main
 from dron.config import ExperimentConfig, parse_config
@@ -121,6 +121,20 @@ class TestEvaluate:
         with pytest.raises(UsageError):
             evaluate(self.make_checkpoint(), "mixed", 0, seed=1)
 
+    @pytest.mark.parametrize("n_games,seed,message", [
+        (0, 1, "n_games must be at least 1"), (-3, 1, "n_games must be at least 1"),
+        (5, -1, "seed must be >= 0, got -1")])
+    @pytest.mark.parametrize("environment", ["soccer", "quizbowl"])
+    def test_evaluation_functions_check_their_arguments(self, environment, n_games, seed,
+                                                        message):
+        with pytest.raises(UsageError, match=message):
+            if environment == "soccer":
+                agent = Agent(soccer_agent_spec("dqn"), seed=0)
+                harness.evaluate_soccer(agent, "mixed", n_games, seed)
+            else:
+                agent = Agent(quiz_agent_spec("dron_moe"), seed=0)
+                harness.evaluate_quiz(agent, "mixed", n_games, seed, qb.DEFAULT_QUIZ_CONFIG)
+
     def test_rates_sum_to_one(self):
         ckpt = self.make_checkpoint(seed=5)
         summary = evaluate(ckpt, "mixed", 60, seed=2)
@@ -195,14 +209,16 @@ class RecordingAgent:
 
 
 class Shown:
-    """An agent that records every (state, opponent) row it is shown."""
+    """An agent that records every (state, opponent) row it is shown; a call
+    without opponent features records the state rows alone."""
 
     def __init__(self, agent):
         self.agent, self.spec, self.rows = agent, agent.spec, []
 
-    def q_values(self, phi_s, phi_o):
-        rows = zip(np.atleast_2d(phi_s), np.atleast_2d(phi_o))
-        self.rows += [s.tobytes() + o.tobytes() for s, o in rows]
+    def q_values(self, phi_s, phi_o=None):
+        states = np.atleast_2d(phi_s)
+        opponents = np.zeros((len(states), 0)) if phi_o is None else np.atleast_2d(phi_o)
+        self.rows += [s.tobytes() + o.tobytes() for s, o in zip(states, opponents)]
         return self.agent.q_values(phi_s, phi_o)
 
 
@@ -458,7 +474,7 @@ def test_checkpoint_evaluates_like_the_last_epoch(tmp_path, name):
 
 class BuzzAt:
     """Scripted quiz agent: waits until more than a share of the question is
-    read, then buzzes."""
+    read, then buzzes. It scores one observation or a batch, row by row."""
 
     spec = SimpleNamespace(kind="dqn")
 
@@ -466,8 +482,8 @@ class BuzzAt:
         self.fraction = fraction
 
     def q_values(self, phi_s, phi_o=None):
-        read = phi_s[-2]  # featurize: ..., t / length, agent locked
-        return np.array([0.0, 1.0]) if read > self.fraction else np.array([1.0, 0.0])
+        read = np.asarray(phi_s)[..., -2:-1]  # featurize: ..., t / length, agent locked
+        return np.where(read > self.fraction, [0.0, 1.0], [1.0, 0.0])
 
 
 class TestEvaluateQuiz:
@@ -500,9 +516,12 @@ class TestEvaluateQuiz:
 
 
 def per_word_quiz(agent, opponent, n_games, seed, quiz_cfg,
-                  pool_size=ExperimentConfig.opponent_pool, trace_rows=None):
+                  pool_size=ExperimentConfig.opponent_pool, trace_rows=None, shown=None):
     """Reference for `evaluate_quiz`: every game played word by word to its
-    end, one one-row `q_values` call per word, after a lockout too."""
+    end, one after another, one one-row `q_values` call per word, after a
+    lockout too. `shown`, when given, gets the (state, opponent) row of each
+    decision before a lockout, the opponent part only for an agent with an
+    opponent tower."""
     if opponent == "self":
         raise UsageError("evaluation always runs against a real opponent pool")
     population = harness._population(opponent, seed, pool_size)
@@ -518,6 +537,10 @@ def per_word_quiz(agent, opponent, n_games, seed, quiz_cfg,
             action = int(np.argmax(agent.q_values(*driver.obs)))
             right = qb.belief_correct(state)
             if not state.agent_locked:  # a locked-out agent's decisions count for nothing
+                if shown is not None:
+                    sees = has_opponent_tower(agent.spec.kind)
+                    phi_o = driver.obs[1] if sees else harness.NO_OPPONENT
+                    shown.append(driver.obs[0].tobytes() + phi_o.tobytes())
                 saw_answer = saw_answer or right
                 if action == qb.BUZZ:
                     buzz_t, buzz_correct = state.t, right
@@ -568,15 +591,16 @@ QUIZ_AGENTS = [f"{kind}-{params}" for kind in ("dqn", "dron_concat", "dron_moe")
 
 
 class CountingAgent:
-    """Counts the Q-value calls of the agent it wraps."""
+    """Counts the Q-value calls of the agent it wraps and the rows they score."""
 
     def __init__(self, agent):
         self.agent = agent
         self.spec = agent.spec
-        self.calls = 0
+        self.calls = self.rows = 0
 
     def q_values(self, phi_s, phi_o=None):
         self.calls += 1
+        self.rows += len(np.atleast_2d(phi_s))
         return self.agent.q_values(phi_s, phi_o)
 
 
@@ -602,11 +626,46 @@ class TestLockoutQuiz:
         assert rush_rate("never") == 0
 
     def test_no_agent_call_after_a_lockout(self):
-        # buzzing on word 0 wins or locks the agent out: one call per game
+        # buzzing on word 0 wins or locks the agent out: one row per game; a
+        # dqn agent reads no history, so every game is in the first call
         agent = CountingAgent(BuzzAt(-1.0))
         summary = harness.evaluate_quiz(agent, "mixed", 30, 2, qb.DEFAULT_QUIZ_CONFIG)
         assert summary.rush_rate > 0
-        assert agent.calls == 30
+        assert (agent.calls, agent.rows) == (1, 30)
+
+
+class TestLockstepQuizOrder:
+    """Lockstep quiz evaluation keeps each opponent's games in game order:
+    only the opponent features read a buzz history, so a game of an agent
+    with an opponent tower starts once the previous game against the same
+    opponent has ended. Small pools make long chains of such games; a pool of
+    one opponent plays its games one after another. A one-bucket preset
+    makes a pool of exactly `pool_size` opponents (`mixed` gives every bucket
+    at least one)."""
+
+    @pytest.mark.parametrize("pool_size", [1, 2, 3])
+    @pytest.mark.parametrize("name", QUIZ_AGENTS)
+    def test_equals_per_word_play_on_small_pools(self, name, pool_size):
+        agent = quiz_agent(name)
+        lockstep = Shown(agent)
+        got_rows, want_rows, want_shown = [], [], []
+        got = harness.evaluate_quiz(lockstep, "type2", 200, 3, qb.DEFAULT_QUIZ_CONFIG,
+                                    pool_size=pool_size, trace_rows=got_rows)
+        want = per_word_quiz(agent, "type2", 200, 3, qb.DEFAULT_QUIZ_CONFIG,
+                             pool_size=pool_size, trace_rows=want_rows, shown=want_shown)
+        assert got == want
+        assert got_rows == want_rows
+        # the same (state, opponent) rows, met in lockstep order
+        assert sorted(lockstep.rows) == sorted(want_shown)
+
+    def test_one_opponent_plays_one_game_at_a_time(self):
+        agent = CountingAgent(quiz_agent("dron_moe-trained"))
+        decisions = []
+        got = harness.evaluate_quiz(agent, "type2", 20, 4, qb.DEFAULT_QUIZ_CONFIG, pool_size=1)
+        want = per_word_quiz(agent.agent, "type2", 20, 4, qb.DEFAULT_QUIZ_CONFIG,
+                             pool_size=1, shown=decisions)
+        assert got == want
+        assert agent.calls == agent.rows == len(decisions) > 20
 
 
 @settings(max_examples=200, deadline=None)

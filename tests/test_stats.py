@@ -102,6 +102,13 @@ class TestPairedTTest:
         with pytest.raises(UsageError):
             paired_ttest([1.0], [2.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value(self, bad):
+        with pytest.raises(UsageError, match=r"must be finite, pair 2 is"):
+            paired_ttest([1.0, bad, 3.0], [0.5, 1.0, 2.5])
+        with pytest.raises(UsageError, match=r"must be finite, pair 3 is"):
+            paired_ttest([1.0, 2.0, 3.0], [0.5, 1.0, bad])
+
 
 class TestConfidenceHalfwidth:
     def test_hand_computed_triple(self):
