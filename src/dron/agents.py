@@ -45,6 +45,7 @@ import numpy as np
 from . import nn
 from .errors import ConfigurationError, UsageError
 from .nn import MLPSpec, ParamSet
+from .quizbowl import QuizConfig
 
 KINDS = ("dqn", "dron_concat", "dron_moe")
 MULTITASK_MODES = ("none", "action", "type")
@@ -395,8 +396,8 @@ def soccer_agent_spec(kind: str, multitask: str = "none", experts: int = 3,
     )
 
 
-def quiz_agent_spec(kind: str, vocab: int = 50, multitask: str = "none", experts: int = 3,
-                    multitask_weight: float = 1.0) -> AgentSpec:
+def quiz_agent_spec(kind: str, vocab: int = QuizConfig.vocab, multitask: str = "none",
+                    experts: int = 3, multitask_weight: float = 1.0) -> AgentSpec:
     """Standard quiz-bowl sizes: 2V+2 state features, 3 opponent features,
     2 actions, 128-unit hidden layers, 10-unit opponent embedding."""
     outputs = {"none": 1, "type": 4, "action": 1}[multitask]

@@ -22,11 +22,12 @@ derives it. The lines that are config keys, ``environment``, the
 ``env.<key>`` lines and the agent's ``kind`` (the config's ``agent``),
 ``experts``, ``multitask`` and ``multitask_weight``, are parsed and checked
 by the config's own parser and rules (``config_from_lines``): a bad value
-fails at load naming its line, and an ``env.<key>`` an older checkpoint lacks
-takes its ``ExperimentConfig`` default. An ``env.<key>`` line that is not a
+fails at load naming its line. The ``env.<key>`` lines are the fields of
+``quizbowl.QuizConfig``, in its order, and one that an older checkpoint
+lacks takes its ``QuizConfig`` default. An ``env.<key>`` line that is not a
 key of the header's environment (any in a soccer checkpoint) is refused,
-naming its line. The agent is the spec derived from
-that config. The other eight agent lines, ``state_dim``, ``action_count``,
+naming its line. The agent is the spec derived from that config. The other
+eight agent lines, ``state_dim``, ``action_count``,
 ``opponent_dim``, ``state_hidden``, ``head_hidden``, ``opponent_hidden``,
 ``multitask_outputs`` and ``multitask_loss``, hold derived values: they are
 written for a reader of the file, and loading fails naming the first whose
@@ -42,16 +43,17 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .agents import Agent, AgentSpec, param_layout
-from .config import ExperimentConfig, agent_spec_for, config_from_lines, env_params_for
+from .config import agent_spec_for, config_from_lines, env_params_for
 from .errors import CheckpointError, ConfigurationError
 from .nn import ParamSet
+from .quizbowl import QuizConfig
 
 FORMAT_NAME = "dron-checkpoint"
 FORMAT_VERSION = 2
 # the header lines that are config keys, each with its config name
 _CONFIG_KEYS = {"environment": "environment", "kind": "agent", "experts": "experts",
                 "multitask": "multitask", "multitask_weight": "multitask_weight"}
-_ENV_KEYS = tuple(f"env.{key}" for key in env_params_for(ExperimentConfig(environment="quizbowl")))
+_ENV_KEYS = tuple(f"env.{f.name}" for f in fields(QuizConfig))
 # the header lines every file holds, in the order `save_checkpoint` writes them
 _REQUIRED_KEYS = ("environment", *(f.name for f in fields(AgentSpec)), "steps")
 # the agent lines whose values are derived from the config keys

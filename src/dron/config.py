@@ -4,6 +4,10 @@ Defaults follow the shared training setup (discount 0.9, AdaGrad at 0.0005,
 batch 64, exploration 0.3 -> 0.1 over 500k steps, fifty epochs); anything can
 be overridden per run. Unknown keys and malformed values are rejected with
 the offending line number.
+
+The quiz game's keys are ``quizbowl.QuizConfig``'s fields, with its defaults,
+and the exploration keys go straight to ``rl.epsilon_at``; only
+``ExperimentConfig`` checks the rules of either.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from .agents import KINDS as AGENT_KINDS
 from .agents import AgentSpec, has_opponent_tower, quiz_agent_spec, soccer_agent_spec
 from .agents import MULTITASK_MODES as MULTITASK
 from .errors import ConfigurationError
-from .quizbowl import POPULATION_PRESETS
+from .quizbowl import POPULATION_PRESETS, QuizConfig
 from .soccer import MODE_POLICIES as SOCCER_OPPONENTS
 
 ENVIRONMENTS = ("soccer", "quizbowl")
@@ -46,13 +50,13 @@ class ExperimentConfig:
     seeds: Tuple[int, ...] = (1,)
     opponent: str = "mixed"
     output_dir: str = "runs"
-    # quizbowl environment knobs
-    vocab: int = 50
-    question_min: int = 60
-    question_max: int = 120
-    belief_alpha: float = 8.0
-    belief_kappa: float = 1.0
-    opponent_pool: int = 40
+    # the quiz game's settings: `QuizConfig`'s fields, in its order
+    vocab: int = QuizConfig.vocab
+    question_min: int = QuizConfig.question_min
+    question_max: int = QuizConfig.question_max
+    belief_alpha: float = QuizConfig.belief_alpha
+    belief_kappa: float = QuizConfig.belief_kappa
+    opponent_pool: int = QuizConfig.opponent_pool
 
     def __post_init__(self) -> None:
         # every rule names the keys it found at fault, so that parse_config
@@ -179,15 +183,13 @@ def agent_spec_for(config: ExperimentConfig) -> AgentSpec:
 
 
 def env_params_for(config: ExperimentConfig) -> dict:
-    """The environment keys of a run: all a checkpoint needs to play its
-    games, stored there as ``env.<key>`` lines."""
+    """The environment keys of a run, the fields of `QuizConfig` in its
+    order (none for soccer): all a checkpoint needs to play its games,
+    stored there as ``env.<key>`` lines. ``QuizConfig(**env_params)`` is
+    the game they set."""
     if config.environment != "quizbowl":
         return {}
-    return {
-        "vocab": config.vocab, "question_min": config.question_min,
-        "question_max": config.question_max, "belief_alpha": config.belief_alpha,
-        "belief_kappa": config.belief_kappa, "opponent_pool": config.opponent_pool,
-    }
+    return {f.name: getattr(config, f.name) for f in fields(QuizConfig)}
 
 
 _BOOL_NONE = {"none": None, "off": None}

@@ -27,6 +27,8 @@ config lines back through the config's parser and rules, so a bad line
 fails there naming itself, and derives the agent the same way. Greedy
 evaluation has one path, `_evaluate`, fed that dict: a run's per-epoch
 evaluation and a later `evaluate` of its checkpoint play the same games.
+The quiz game is `qb.QuizConfig(**env_params)`, so a key an in-memory
+`Checkpoint` lacks takes the default a load gives it.
 A soccer game has one state format everywhere: `soccer.SoccerState`'s
 joint state, an index of the `soccer` module's tables, with the opponent
 mode and move category as table indices, so `SoccerDriver` hands the mode
@@ -132,16 +134,6 @@ class RunResult:
     @property
     def max_r(self) -> float:
         return float(np.max(self.epoch_rewards))
-
-
-def quiz_config_for(env_params: dict) -> qb.QuizConfig:
-    """Quiz-bowl settings from a run's environment parameters, as made by
-    `env_params_for` and as a loaded checkpoint holds them."""
-    return qb.QuizConfig(
-        vocab=env_params["vocab"], min_length=env_params["question_min"],
-        max_length=env_params["question_max"], alpha=env_params["belief_alpha"],
-        kappa=env_params["belief_kappa"],
-    )
 
 
 # -- environment drivers ------------------------------------------------------
@@ -313,11 +305,10 @@ def make_driver(config: ExperimentConfig, rng: np.random.Generator, seed: int):
     sees = has_opponent_tower(config.agent)
     if config.environment == "soccer":
         return SoccerDriver(rng, config.opponent, config.multitask, sees)
-    env_params = env_params_for(config)
-    quiz_cfg = quiz_config_for(env_params)
+    quiz_cfg = qb.QuizConfig(**env_params_for(config))
     if config.opponent == "self":
         return SelfPlayDriver(rng, quiz_cfg)
-    population = _population(config.opponent, seed, env_params["opponent_pool"])
+    population = _population(config.opponent, seed, quiz_cfg.opponent_pool)
     return QuizDriver(rng, quiz_cfg, population, config.multitask, sees)
 
 
@@ -391,15 +382,15 @@ def evaluate_soccer(agent: Agent, opponent: str, n_games: int, seed: int,
 
 
 def evaluate_quiz(agent: Agent, opponent: str, n_games: int, seed: int,
-                  quiz_cfg: qb.QuizConfig, pool_size: int = ExperimentConfig.opponent_pool,
-                  trace_rows: Optional[list] = None) -> MetricsSummary:
-    """Greedy play of `n_games` games in lockstep against one pool drawn
-    from `seed`. Game g draws its episode up front from its own stream
-    `default_rng([seed, g])`, which only the game reads, and sees the buzz
-    histories the games before it left. Only the opponent features read a
-    history, so for an agent with an opponent tower a game starts (reads its
-    opponent's features) once the previous game against the same opponent
-    has ended; a `dqn` agent reads none and plays all its games at once.
+                  quiz_cfg: qb.QuizConfig, trace_rows: Optional[list] = None) -> MetricsSummary:
+    """Greedy play of `n_games` games in lockstep against one pool of
+    `quiz_cfg.opponent_pool` opponents drawn from `seed`. Game g draws its
+    episode up front from its own stream `default_rng([seed, g])`, which
+    only the game reads, and sees the buzz histories the games before it
+    left. Only the opponent features read a history, so for an agent with an
+    opponent tower a game starts (reads its opponent's features) once the
+    previous game against the same opponent has ended; a `dqn` agent reads
+    none and plays all its games at once.
     Each lockstep step is one batched `agent.q_values` call over the running
     games; each game then steps through its own `QuizDriver`. A game stops
     at the agent's lockout: `QuizDriver.finish` settles the rest from the
@@ -419,7 +410,7 @@ def evaluate_quiz(agent: Agent, opponent: str, n_games: int, seed: int,
     _check_games_and_seed(n_games, seed)
     if opponent == "self":
         raise UsageError("evaluation always runs against a real opponent pool")
-    population = _population(opponent, seed, pool_size)
+    population = _population(opponent, seed, quiz_cfg.opponent_pool)
     sees = has_opponent_tower(agent.spec.kind)
     drivers = [QuizDriver(np.random.default_rng([seed, game]), quiz_cfg, population,
                           sees_opponent=sees, observed=False) for game in range(n_games)]
@@ -500,8 +491,8 @@ def _evaluate(agent: Agent, environment: str, env_params: dict, opponent: str,
         return evaluate_soccer(agent, opponent, n_games, seed, render=render)
     if render:
         raise UsageError("rendering is available for soccer only")
-    return evaluate_quiz(agent, opponent, n_games, seed, quiz_config_for(env_params),
-                         pool_size=env_params["opponent_pool"], trace_rows=trace_rows)
+    return evaluate_quiz(agent, opponent, n_games, seed, qb.QuizConfig(**env_params),
+                         trace_rows=trace_rows)
 
 
 def evaluate(checkpoint: Checkpoint, opponent: str, n_games: int, seed: int,
@@ -526,10 +517,6 @@ def train_run(config: ExperimentConfig, seed: int,
     every epoch."""
     agent = Agent(agent_spec_for(config), seed=seed)
     grad_clip = config.effective_grad_clip
-    schedule = rl.EpsilonSchedule(
-        start=config.epsilon_start, end=config.epsilon_end,
-        decay_steps=config.epsilon_decay_steps,
-    )
     env_rng = np.random.default_rng([seed, _STREAM_ENV])
     explore_rng = np.random.default_rng([seed, _STREAM_EXPLORE])
     replay_rng = np.random.default_rng([seed, _STREAM_REPLAY])
@@ -546,7 +533,8 @@ def train_run(config: ExperimentConfig, seed: int,
     for epoch in range(1, config.epochs + 1):
         for _ in range(config.steps_per_epoch):
             phi_s, phi_o = driver.obs
-            eps = rl.epsilon_at(schedule, global_step)
+            eps = rl.epsilon_at(global_step, config.epsilon_start, config.epsilon_end,
+                                config.epsilon_decay_steps)
             action = rl.act_epsilon_greedy(agent, driver.obs, eps, explore_rng)
             reward, done, info = driver.step(action)
             next_s, next_o = driver.obs

@@ -52,11 +52,17 @@ SELF_REWARD_WRONG = (-15.0, 15.0)
 
 @dataclass(frozen=True)
 class QuizConfig:
+    """The quiz game's settings as the run config's keys, in the order a
+    checkpoint writes its ``env.<key>`` lines. ``ExperimentConfig`` takes
+    these defaults and checks the rules. Only the harness reads
+    ``opponent_pool``, the size of the pool it draws."""
+
     vocab: int = 50
-    min_length: int = 60
-    max_length: int = 120
-    alpha: float = 8.0  # belief sharpening scale
-    kappa: float = 1.0  # belief sharpening exponent
+    question_min: int = 60  # shortest question, in words
+    question_max: int = 120
+    belief_alpha: float = 8.0  # belief sharpening scale
+    belief_kappa: float = 1.0  # belief sharpening exponent
+    opponent_pool: int = 40
 
 
 DEFAULT_QUIZ_CONFIG = QuizConfig()
@@ -106,28 +112,28 @@ class Population:
         return self.profiles[int(rng.integers(0, len(self.profiles)))]
 
 
-def make_population(preset: str, rng: np.random.Generator, size: int = 40) -> Population:
-    """Built-in opponent pools: one per buzz-position bucket, plus a mixture
-    weighted by the bucket episode counts."""
+def make_population(preset: str, rng: np.random.Generator,
+                    size: int = QuizConfig.opponent_pool) -> Population:
+    """Built-in opponent pools of `size` opponents: one per buzz-position
+    bucket, plus a mixture that splits `size` over the buckets by the bucket
+    episode counts (largest remainder, ties to the lower bucket)."""
     if preset not in POPULATION_PRESETS:
         raise ConfigurationError(f"unknown population preset {preset!r}")
-    # the mixture gives every bucket at least one opponent, so size 0 would
-    # still make a pool
     if size < 1:
         raise ConfigurationError(f"population size must be >= 1, got {size}")
     if preset == "mixed":
-        weights = np.array(_BUCKET_WEIGHT)
-        counts = np.maximum(1, np.round(size * weights / weights.sum()).astype(int))
-        buckets = [b for b, c in enumerate(counts) for _ in range(c)]
+        quotas = size * np.array(_BUCKET_WEIGHT) / sum(_BUCKET_WEIGHT)
+        counts = np.floor(quotas).astype(int)
+        # a stable sort keeps equal remainders in bucket order
+        counts[np.argsort(counts - quotas, kind="stable")[: size - counts.sum()]] += 1
+        buckets = np.repeat(np.arange(len(counts)), counts)
     else:
-        buckets = [int(preset[-1]) - 1] * size
-    profiles = []
-    for b in buckets:
-        mu = _BUCKET_MU[b] + _MU_JITTER * (2.0 * rng.random() - 1.0)
-        mu = min(1.0, max(0.01, mu))
-        profiles.append(OpponentProfile(mean_buzz_frac=mu, spread=_BUCKET_SPREAD,
-                                        accuracy=_BUCKET_RHO[b]))
-    return Population(profiles)
+        buckets = np.full(size, int(preset[-1]) - 1)
+    # the same doubles as one rng.random() per opponent, in pool order
+    mus = np.array(_BUCKET_MU)[buckets] + _MU_JITTER * (2.0 * rng.random(size) - 1.0)
+    return Population([
+        OpponentProfile(mean_buzz_frac=mu, spread=_BUCKET_SPREAD, accuracy=_BUCKET_RHO[b])
+        for b, mu in zip(buckets.tolist(), np.clip(mus, 0.01, 1.0).tolist())])
 
 
 @dataclass
@@ -147,7 +153,7 @@ class QuizState:
 def _draw_belief(t: int, length: int, answer: int, config: QuizConfig,
                  rng: np.random.Generator) -> np.ndarray:
     logits = rng.standard_normal(config.vocab)
-    logits[answer] += config.alpha * (t / length) ** config.kappa
+    logits[answer] += config.belief_alpha * (t / length) ** config.belief_kappa
     shifted = logits - logits.max()
     return shifted - math.log(np.exp(shifted).sum())
 
@@ -157,7 +163,7 @@ def sample_episode(
 ) -> Tuple[QuizState, OpponentProfile]:
     """Draw a question, an answer, and an opponent; pre-draw the opponent's
     buzz position (clamped to [1, L]) and its correctness."""
-    length = int(rng.integers(config.min_length, config.max_length + 1))
+    length = int(rng.integers(config.question_min, config.question_max + 1))
     answer = int(rng.integers(0, config.vocab))
     profile = population.sample(rng)
     z = rng.standard_normal()

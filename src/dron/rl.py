@@ -11,7 +11,8 @@ run over those stacked columns, stacking a plain list of ``Transition``s once.
 
 ``td_update(agent, batch, opt_state, target, discount, grad_clip)`` takes
 the run's discount and gradient clip as arguments, as ``q_targets`` and
-``nn.adagrad_update`` do; its step size is the optimizer's
+``nn.adagrad_update`` do, and ``epsilon_at(step, start, end, decay_steps)``
+the run's three exploration values; its step size is the optimizer's
 (``AdaGradState.learning_rate``). A TD step does no per-call set-up: the
 target is an ``Agent`` built at each sync (``sync_target``), so its layers
 are bound once per sync, and the gradient is written into the optimizer's
@@ -149,25 +150,14 @@ class ReplayBuffer:
         return list(Batch(self._rows[: self._size].copy(), *self._dims))
 
 
-@dataclass(frozen=True)
-class EpsilonSchedule:
-    start: float = 0.3
-    end: float = 0.1
-    decay_steps: int = 500_000
-
-    def __post_init__(self) -> None:
-        if not (self.start >= self.end >= 0.0):
-            raise ConfigurationError("epsilon schedule needs start >= end >= 0")
-        if self.decay_steps < 1:
-            raise ConfigurationError("decay_steps must be positive")
-
-
-def epsilon_at(schedule: EpsilonSchedule, step: int) -> float:
-    """Linear interpolation from start to end, clamped after decay_steps."""
+def epsilon_at(step: int, start: float, end: float, decay_steps: int) -> float:
+    """Linear interpolation from ``start`` to ``end``, clamped after
+    ``decay_steps``: a run's ``epsilon_start``, ``epsilon_end`` and
+    ``epsilon_decay_steps``, whose rules the config checks."""
     if step < 0:
         raise UsageError("step must be non-negative")
-    frac = min(1.0, step / schedule.decay_steps)
-    return schedule.start + (schedule.end - schedule.start) * frac
+    frac = min(1.0, step / decay_steps)
+    return start + (end - start) * frac
 
 
 def act_epsilon_greedy(agent: Agent, observation: Tuple[np.ndarray, ...], epsilon: float,

@@ -12,6 +12,7 @@ import numpy as np
 from . import nn, rl, soccer
 from . import quizbowl as qb
 from .agents import Agent, AgentSpec
+from .config import ExperimentConfig
 from .errors import UsageError
 
 GRADCHECK_TOLERANCE = 1e-4  # worst accepted relative error, backprop vs finite differences
@@ -156,8 +157,9 @@ def run_selfcheck(verbose: bool = True) -> bool:
         return True
 
     def epsilon_monotone() -> bool:
-        sched = rl.EpsilonSchedule()
-        values = [rl.epsilon_at(sched, s) for s in range(0, 700_000, 5_000)]
+        cfg = ExperimentConfig()
+        values = [rl.epsilon_at(s, cfg.epsilon_start, cfg.epsilon_end, cfg.epsilon_decay_steps)
+                  for s in range(0, 700_000, 5_000)]
         return all(a >= b for a, b in zip(values, values[1:]))
 
     def soccer_invariants() -> bool:

@@ -1,7 +1,12 @@
+from dataclasses import fields
+
 import pytest
 
-from dron.config import ExperimentConfig, parse_config
+from dron.agents import Agent
+from dron.checkpoint import Checkpoint, save_checkpoint
+from dron.config import ExperimentConfig, agent_spec_for, env_params_for, parse_config
 from dron.errors import ConfigurationError
+from dron.quizbowl import QuizConfig
 
 
 class TestDefaults:
@@ -23,6 +28,36 @@ class TestDefaults:
         assert parse_config("environment=quizbowl").effective_grad_clip == 1.0
         assert parse_config("").effective_grad_clip is None
         assert parse_config("environment=quizbowl\ngrad_clip=0.5").effective_grad_clip == 0.5
+
+
+class TestQuizKeys:
+    """The quiz game's settings are written once, as `QuizConfig`'s fields:
+    the config's keys of the same names take their defaults from it, and a
+    run's environment keys and a checkpoint's ``env.*`` lines follow its
+    field order."""
+
+    NAMES = [f.name for f in fields(QuizConfig)]
+
+    def test_fields_are_config_keys_in_order_with_equal_defaults(self):
+        def named(cls):
+            return [(f.name, f.default, type(f.default)) for f in fields(cls)
+                    if f.name in self.NAMES]
+
+        assert len(self.NAMES) == 6
+        assert named(ExperimentConfig) == named(QuizConfig)
+
+    def test_env_params_and_checkpoint_lines_follow_the_field_order(self, tmp_path):
+        config = ExperimentConfig(environment="quizbowl", vocab=7, opponent_pool=3)
+        env_params = env_params_for(config)
+        assert list(env_params) == self.NAMES
+        assert QuizConfig(**env_params) == QuizConfig(vocab=7, opponent_pool=3)
+        agent = Agent(agent_spec_for(config), seed=0)
+        path = tmp_path / "quiz.ckpt"
+        save_checkpoint(Checkpoint(agent_spec=agent.spec, params=agent.params,
+                                   environment="quizbowl", env_params=env_params), str(path))
+        lines = [line.split()[0] for line in path.read_text().splitlines()
+                 if line.startswith("env.")]
+        assert lines == [f"env.{name}" for name in self.NAMES]
 
 
 class TestValues:
@@ -104,6 +139,7 @@ BAD_VALUES = [
     pytest.param("epochs=2\nseeds=1,-1", "seeds", 2, id="seeds_negative"),
     pytest.param("epsilon_decay_steps=0", "epsilon_decay_steps", 1, id="epsilon_decay_steps"),
     pytest.param("epochs=2\nepsilon_start=1.5", "epsilon_start", 2, id="epsilon_start"),
+    pytest.param("epsilon_start=0.1\nepsilon_end=0.3", "epsilon_end", 2, id="epsilon_order"),
     pytest.param("environment=quizbowl\nbelief_alpha=-5",
                  "belief_alpha", 2, id="belief_alpha_negative"),
     pytest.param("environment=quizbowl\nbelief_kappa=-1",

@@ -160,9 +160,25 @@ class TestEvaluate:
         save_checkpoint(Checkpoint(agent_spec=agent.spec, params=agent.params,
                                    environment="quizbowl", env_params=env_params), path)
         got = evaluate(load_checkpoint(path), "mixed", 20, seed=7)
-        want = harness.evaluate_quiz(agent, "mixed", 20, 7, harness.quiz_config_for(env_params),
-                                     pool_size=40)
+        want = harness.evaluate_quiz(agent, "mixed", 20, 7, qb.QuizConfig(**env_params))
+        assert qb.QuizConfig(**env_params).opponent_pool == 40
         assert got == want
+
+    @pytest.mark.parametrize("keys", [0, 5], ids=["no_env_keys", "pre_pool_keys"])
+    def test_in_memory_checkpoint_plays_as_saved_and_reloaded(self, tmp_path, keys):
+        # a quiz key the dict lacks takes the default a load gives it
+        agent = Agent(quiz_agent_spec("dron_moe"), seed=3)
+        env_params = dict(list(harness.env_params_for(
+            ExperimentConfig(environment="quizbowl", question_max=90)).items())[:keys])
+        ckpt = Checkpoint(agent_spec=agent.spec, params=agent.params, environment="quizbowl",
+                          env_params=env_params)
+        path = str(tmp_path / "memory.ckpt")
+        save_checkpoint(ckpt, path)
+        got_rows, want_rows = [], []
+        got = evaluate(ckpt, "mixed", 20, seed=7, trace_rows=got_rows)
+        want = evaluate(load_checkpoint(path), "mixed", 20, seed=7, trace_rows=want_rows)
+        assert got == want
+        assert got_rows == want_rows
 
 
 def per_game_soccer(agent, opponent, n_games, seed, render=False):
@@ -496,27 +512,26 @@ class TestEvaluateQuiz:
         wrong = sum(row["reward"] in (-5.0, -15.0) for row in rows)
         assert summary.rush_rate == wrong / len(rows)
 
-    # With alpha = +-1000 the answer's logit moves by at least 1000/120 from
-    # word 1 on, so from there the belief is always right (alpha > 0) or
+    # With belief_alpha = +-1000 the answer's logit moves by at least 1000/120
+    # from word 1 on, so from there the belief is always right (alpha > 0) or
     # never right (alpha < 0). BuzzAt(0.0) buzzes on word 1, before any
     # opponent can, and BuzzAt(1.0) never buzzes.
 
     def test_correct_buzz_is_neither_rush_nor_miss(self):
-        summary = harness.evaluate_quiz(BuzzAt(0.0), "mixed", 30, 0, qb.QuizConfig(alpha=1000.0))
+        summary = harness.evaluate_quiz(BuzzAt(0.0), "mixed", 30, 0, qb.QuizConfig(belief_alpha=1000.0))
         assert summary == harness.MetricsSummary(mean_reward=10.0, games=30, win_rate=1.0)
 
     def test_wrong_buzz_is_rush(self):
         summary = harness.evaluate_quiz(BuzzAt(0.0), "mixed", 30, 0,
-                                        qb.QuizConfig(alpha=-1000.0))
+                                        qb.QuizConfig(belief_alpha=-1000.0))
         assert summary.rush_rate == 1.0 and summary.win_rate == 0.0
 
     def test_waiting_past_correct_belief_is_miss(self):
-        summary = harness.evaluate_quiz(BuzzAt(1.0), "mixed", 30, 0, qb.QuizConfig(alpha=1000.0))
+        summary = harness.evaluate_quiz(BuzzAt(1.0), "mixed", 30, 0, qb.QuizConfig(belief_alpha=1000.0))
         assert summary.miss_rate == 1.0 and summary.rush_rate == 0.0
 
 
-def per_word_quiz(agent, opponent, n_games, seed, quiz_cfg,
-                  pool_size=ExperimentConfig.opponent_pool, trace_rows=None, shown=None):
+def per_word_quiz(agent, opponent, n_games, seed, quiz_cfg, trace_rows=None, shown=None):
     """Reference for `evaluate_quiz`: every game played word by word to its
     end, one after another, one one-row `q_values` call per word, after a
     lockout too. `shown`, when given, gets the (state, opponent) row of each
@@ -524,7 +539,7 @@ def per_word_quiz(agent, opponent, n_games, seed, quiz_cfg,
     opponent tower."""
     if opponent == "self":
         raise UsageError("evaluation always runs against a real opponent pool")
-    population = harness._population(opponent, seed, pool_size)
+    population = harness._population(opponent, seed, quiz_cfg.opponent_pool)
     rewards = []
     rushes = misses = wins = losses = 0
     for game in range(n_games):
@@ -639,9 +654,7 @@ class TestLockstepQuizOrder:
     only the opponent features read a buzz history, so a game of an agent
     with an opponent tower starts once the previous game against the same
     opponent has ended. Small pools make long chains of such games; a pool of
-    one opponent plays its games one after another. A one-bucket preset
-    makes a pool of exactly `pool_size` opponents (`mixed` gives every bucket
-    at least one)."""
+    one opponent plays its games one after another."""
 
     @pytest.mark.parametrize("pool_size", [1, 2, 3])
     @pytest.mark.parametrize("name", QUIZ_AGENTS)
@@ -649,10 +662,10 @@ class TestLockstepQuizOrder:
         agent = quiz_agent(name)
         lockstep = Shown(agent)
         got_rows, want_rows, want_shown = [], [], []
-        got = harness.evaluate_quiz(lockstep, "type2", 200, 3, qb.DEFAULT_QUIZ_CONFIG,
-                                    pool_size=pool_size, trace_rows=got_rows)
-        want = per_word_quiz(agent, "type2", 200, 3, qb.DEFAULT_QUIZ_CONFIG,
-                             pool_size=pool_size, trace_rows=want_rows, shown=want_shown)
+        quiz_cfg = qb.QuizConfig(opponent_pool=pool_size)
+        got = harness.evaluate_quiz(lockstep, "type2", 200, 3, quiz_cfg, trace_rows=got_rows)
+        want = per_word_quiz(agent, "type2", 200, 3, quiz_cfg, trace_rows=want_rows,
+                             shown=want_shown)
         assert got == want
         assert got_rows == want_rows
         # the same (state, opponent) rows, met in lockstep order
@@ -661,9 +674,9 @@ class TestLockstepQuizOrder:
     def test_one_opponent_plays_one_game_at_a_time(self):
         agent = CountingAgent(quiz_agent("dron_moe-trained"))
         decisions = []
-        got = harness.evaluate_quiz(agent, "type2", 20, 4, qb.DEFAULT_QUIZ_CONFIG, pool_size=1)
-        want = per_word_quiz(agent.agent, "type2", 20, 4, qb.DEFAULT_QUIZ_CONFIG,
-                             pool_size=1, shown=decisions)
+        quiz_cfg = qb.QuizConfig(opponent_pool=1)
+        got = harness.evaluate_quiz(agent, "type2", 20, 4, quiz_cfg)
+        want = per_word_quiz(agent.agent, "type2", 20, 4, quiz_cfg, shown=decisions)
         assert got == want
         assert agent.calls == agent.rows == len(decisions) > 20
 
@@ -702,6 +715,49 @@ def test_finish_equals_stepping_to_the_end(length, data, opponent_correct, oppon
     assert finished.state.opponent_locked == stepped.state.opponent_locked
     with pytest.raises(UsageError):
         finished.step(qb.WAIT)
+
+
+class TestSelfPlayDriver:
+    """Opponent-free quiz bowl: every word is a one-step episode paid the
+    shaped reward, and the question running out ends the game."""
+
+    def test_steps_pay_the_shaped_reward_until_the_last_word(self):
+        driver = harness.SelfPlayDriver(np.random.default_rng(4), qb.DEFAULT_QUIZ_CONFIG)
+        actions = np.where(np.random.default_rng(5).random(400) < 0.3, qb.BUZZ, qb.WAIT)
+        episodes = 0
+        for action in actions.tolist():
+            state = driver.state
+            assert np.array_equal(driver.obs[0], qb.featurize(state))
+            assert driver.obs[1].shape == (0,)
+            reward, done, info = driver.step(action)
+            assert reward == qb.dqnself_reward(action == qb.BUZZ, qb.belief_correct(state))
+            assert done == (state.t == state.length)
+            assert info == harness.StepInfo()
+            assert driver.obs[1].shape == (0,)
+            if done:
+                episodes += 1
+                driver.reset()
+                assert driver.state.t == 0
+            else:  # a buzz, right or wrong, does not end the game
+                assert driver.state.t == state.t + 1
+        assert episodes >= 3
+
+    def test_every_transition_is_terminal(self, monkeypatch):
+        assert harness.SelfPlayDriver.bootstrap is False
+        buffers = []
+
+        class Recorded(rl.ReplayBuffer):
+            def __init__(self, capacity):
+                super().__init__(capacity)
+                buffers.append(self)
+
+        monkeypatch.setattr(rl, "ReplayBuffer", Recorded)
+        train_run(parse_config("environment = quizbowl\nagent = dqn\nopponent = self\n"
+                               "epochs = 1\nsteps_per_epoch = 150\neval_games = 1\n"
+                               "replay_min = 200\n"), seed=1)
+        (buffer,) = buffers
+        assert len(buffer) == 150
+        assert all(t.terminal for t in buffer.items())
 
 
 class TestSweep:

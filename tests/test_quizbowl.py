@@ -59,7 +59,7 @@ class TestSampleEpisode:
             assert 1 <= state.opponent_buzz_pos <= state.length
 
     def test_zero_spread_buzzes_at_mu(self):
-        cfg = QuizConfig(min_length=100, max_length=100)
+        cfg = QuizConfig(question_min=100, question_max=100)
         pop = single_population(mu=0.5, sigma=0.0)
         state, _ = sample_episode(cfg, pop, np.random.default_rng(2))
         assert state.opponent_buzz_pos == 50
@@ -91,7 +91,7 @@ class TestAdvanceBelief:
         assert abs(hits / n - 1 / cfg.vocab) <= 0.01
 
     def test_high_accuracy_at_end_alpha10(self):
-        cfg = QuizConfig(alpha=10.0, kappa=1.0, min_length=100, max_length=100)
+        cfg = QuizConfig(belief_alpha=10.0, belief_kappa=1.0, question_min=100, question_max=100)
         rng = np.random.default_rng(6)
         hits = 0
         n = 2000
@@ -322,6 +322,29 @@ class TestDqnSelfReward:
         assert dqnself_reward(buzz, correct) == expected
 
 
+def profile_values(pool):
+    return [(p.mean_buzz_frac, type(p.mean_buzz_frac), p.spread, p.accuracy)
+            for p in pool.profiles]
+
+
+def rounded_pool(preset, rng, size):
+    """The profile values of the pool `make_population` drew before it split
+    a mixture by largest remainder: each bucket's share rounded, at least one
+    opponent per bucket, one `rng.random()` per opponent."""
+    if preset == "mixed":
+        weights = np.array(qb._BUCKET_WEIGHT)
+        counts = np.maximum(1, np.round(size * weights / weights.sum()).astype(int))
+        buckets = [b for b, c in enumerate(counts) for _ in range(c)]
+    else:
+        buckets = [int(preset[-1]) - 1] * size
+    values = []
+    for b in buckets:
+        mu = qb._BUCKET_MU[b] + qb._MU_JITTER * (2.0 * rng.random() - 1.0)
+        mu = min(1.0, max(0.01, mu))
+        values.append((mu, float, qb._BUCKET_SPREAD, qb._BUCKET_RHO[b]))
+    return values
+
+
 class TestPopulations:
     def test_presets_exist(self):
         rng = np.random.default_rng(12)
@@ -333,6 +356,25 @@ class TestPopulations:
         pop = make_population("mixed", np.random.default_rng(13), size=40)
         type2 = sum(1 for p in pop.profiles if 0.25 < p.mean_buzz_frac <= 0.5)
         assert type2 > len(pop.profiles) / 2
+
+    @pytest.mark.parametrize("preset", qb.POPULATION_PRESETS)
+    def test_pool_has_size_opponents(self, preset):
+        # where the rounding rule's pool had the right size, it is kept
+        for size in range(1, 101):
+            pool = profile_values(make_population(preset, np.random.default_rng([size, 2]), size))
+            assert len(pool) == size
+            before = rounded_pool(preset, np.random.default_rng([size, 2]), size)
+            if len(before) == size:
+                assert pool == before
+
+    @pytest.mark.parametrize("size,counts", [(1, [0, 1, 0, 0]), (10, [2, 7, 0, 1]),
+                                             (40, [8, 29, 1, 2])])
+    def test_mixture_splits_by_largest_remainder(self, size, counts):
+        # size 10: quotas 1.94, 7.26, 0.28 and 0.52; the two seats left after
+        # the whole parts go to the remainders 0.94 and 0.52
+        pool = make_population("mixed", np.random.default_rng(0), size=size)
+        assert [sum(p.accuracy == rho for p in pool.profiles)
+                for rho in qb._BUCKET_RHO] == counts
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigurationError):

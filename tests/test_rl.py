@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from dron import nn, rl
 from dron.agents import Agent, AgentSpec, combined_loss, quiz_agent_spec
-from dron.errors import ConfigurationError, UsageError
+from dron.config import ExperimentConfig
+from dron.errors import UsageError
 
 
 def make_transition(value=0.0, action=0, reward=0.0, terminal=True, supervision=None,
@@ -95,24 +96,25 @@ class TestReplayBuffer:
 
 
 class TestEpsilonSchedule:
+    # the config's defaults: 0.3 -> 0.1 over 500k steps
+    PAPER = tuple(getattr(ExperimentConfig(), key)
+                  for key in ("epsilon_start", "epsilon_end", "epsilon_decay_steps"))
+
     def test_paper_endpoints(self):
-        sched = rl.EpsilonSchedule()
-        assert rl.epsilon_at(sched, 0) == pytest.approx(0.3)
-        assert rl.epsilon_at(sched, 500_000) == pytest.approx(0.1)
+        assert rl.epsilon_at(0, *self.PAPER) == pytest.approx(0.3)
+        assert rl.epsilon_at(500_000, *self.PAPER) == pytest.approx(0.1)
 
     def test_midpoint_and_clamp(self):
-        sched = rl.EpsilonSchedule()
-        assert rl.epsilon_at(sched, 250_000) == pytest.approx(0.2)
-        assert rl.epsilon_at(sched, 800_000) == pytest.approx(0.1)
+        assert rl.epsilon_at(250_000, *self.PAPER) == pytest.approx(0.2)
+        assert rl.epsilon_at(800_000, *self.PAPER) == pytest.approx(0.1)
 
     def test_non_increasing(self):
-        sched = rl.EpsilonSchedule()
-        values = [rl.epsilon_at(sched, s) for s in range(0, 700_000, 10_000)]
+        values = [rl.epsilon_at(s, *self.PAPER) for s in range(0, 700_000, 10_000)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
-    def test_invalid_schedule(self):
-        with pytest.raises(ConfigurationError):
-            rl.EpsilonSchedule(start=0.1, end=0.3)
+    def test_negative_step_raises(self):
+        with pytest.raises(UsageError, match="non-negative"):
+            rl.epsilon_at(-1, *self.PAPER)
 
 
 class TestQTargets:
