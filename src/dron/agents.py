@@ -6,6 +6,10 @@ distribution, and either DRON variant can carry a multitask head that
 predicts the opponent's strategy type or next action from the opponent
 embedding.
 
+``AgentSpec`` holds the only copy of the variant's defaults and rules (the
+config keys ``agent``, ``experts``, ``multitask``, ``multitask_weight``);
+each rule names the config keys it found at fault.
+
 Component parameter names are stable (``state_tower.0.weight``,
 ``expert.2.1.bias``, ``gate.0.weight``, ...) so checkpoints can round-trip.
 
@@ -42,7 +46,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from . import nn
+from . import nn, soccer
 from .errors import ConfigurationError, UsageError
 from .nn import MLPSpec, ParamSet
 from .quizbowl import QuizConfig
@@ -94,10 +98,24 @@ class AgentSpec:
     multitask_loss: str = "cross_entropy"
 
     def __post_init__(self) -> None:
+        # the variant's rules, named by config key so a config file names a line
         if self.kind not in KINDS:
-            raise ConfigurationError(f"unknown agent kind {self.kind!r}")
+            raise ConfigurationError(f"unknown agent kind {self.kind!r}", keys=("agent",))
         if self.multitask not in MULTITASK_MODES:
-            raise ConfigurationError(f"unknown multitask mode {self.multitask!r}")
+            raise ConfigurationError(f"unknown multitask mode {self.multitask!r}",
+                                     keys=("multitask",))
+        if self.kind == "dron_moe" and self.experts < 1:
+            raise ConfigurationError(f"experts must be >= 1 for dron_moe, got {self.experts}",
+                                     keys=("agent", "experts"))
+        if not has_opponent_tower(self.kind) and self.multitask != "none":
+            raise ConfigurationError(
+                f"multitask must be none for dqn (no opponent tower), got {self.multitask!r}",
+                keys=("agent", "multitask"))
+        # a nan or inf weight makes every update non-finite
+        if not (math.isfinite(self.multitask_weight) and self.multitask_weight >= 0.0):
+            raise ConfigurationError(
+                f"multitask_weight must be finite and >= 0, got {self.multitask_weight}",
+                keys=("multitask_weight",))
         for key in ("state_dim", "action_count", "opponent_hidden", "multitask_outputs"):
             if getattr(self, key) < 1:
                 raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")
@@ -105,20 +123,12 @@ class AgentSpec:
             sizes = getattr(self, key)
             if not sizes or min(sizes) < 1:
                 raise ConfigurationError(f"{key} must be one or more sizes >= 1, got {sizes}")
-        if self.kind == "dron_moe" and self.experts < 1:
-            raise ConfigurationError("dron_moe needs at least one expert")
         if has_opponent_tower(self.kind) and self.opponent_dim < 1:
             raise ConfigurationError(f"{self.kind} requires opponent features")
-        if not has_opponent_tower(self.kind) and self.multitask != "none":
-            raise ConfigurationError("multitask supervision needs an opponent tower")
         if self.multitask == "none" and self.multitask_outputs != 1:
             raise ConfigurationError(
                 f"multitask_outputs must be 1 without a multitask head, "
                 f"got {self.multitask_outputs}")
-        # ExperimentConfig's rule: a nan or inf weight makes every update non-finite
-        if not (math.isfinite(self.multitask_weight) and self.multitask_weight >= 0.0):
-            raise ConfigurationError(
-                f"multitask_weight must be finite and >= 0, got {self.multitask_weight}")
         if self.multitask_loss not in ("cross_entropy", "mean_squared"):
             raise ConfigurationError(f"unknown multitask loss {self.multitask_loss!r}")
 
@@ -382,30 +392,29 @@ def combined_loss(q_loss: float, supervision_loss: float, weight: float) -> floa
     return q_loss + weight * supervision_loss
 
 
-def soccer_agent_spec(kind: str, multitask: str = "none", experts: int = 3,
-                      multitask_weight: float = 1.0) -> AgentSpec:
-    """Standard soccer sizes: 15 state features, 16 opponent features,
-    5 actions, 50-unit hidden layers everywhere."""
-    outputs = {"none": 1, "type": 2, "action": 5}[multitask]
+def soccer_agent_spec(kind: str, multitask: str = AgentSpec.multitask, **variant) -> AgentSpec:
+    """Standard soccer sizes, read from the `soccer` module: 15 state
+    features, 16 opponent features, 5 actions, 50-unit hidden layers
+    everywhere. ``variant`` is ``experts`` and ``multitask_weight``."""
+    classes = {"type": len(soccer.MODES), "action": len(soccer.MOVE_CATEGORIES)}
     return AgentSpec(
-        kind=kind, state_dim=15, action_count=5,
-        opponent_dim=0 if kind == "dqn" else 16,
+        kind=kind, state_dim=soccer.FEATURES.shape[1], action_count=len(soccer.ACTIONS),
+        opponent_dim=0 if kind == "dqn" else soccer.OPPONENT_DIM,
         state_hidden=(50,), head_hidden=(50,), opponent_hidden=50,
-        experts=experts, multitask=multitask, multitask_weight=multitask_weight,
-        multitask_outputs=outputs, multitask_loss="cross_entropy",
+        multitask=multitask, multitask_outputs=classes.get(multitask, 1),
+        multitask_loss="cross_entropy", **variant,
     )
 
 
-def quiz_agent_spec(kind: str, vocab: int = QuizConfig.vocab, multitask: str = "none",
-                    experts: int = 3, multitask_weight: float = 1.0) -> AgentSpec:
+def quiz_agent_spec(kind: str, vocab: int = QuizConfig.vocab,
+                    multitask: str = AgentSpec.multitask, **variant) -> AgentSpec:
     """Standard quiz-bowl sizes: 2V+2 state features, 3 opponent features,
     2 actions, 128-unit hidden layers, 10-unit opponent embedding."""
-    outputs = {"none": 1, "type": 4, "action": 1}[multitask]
+    outputs = {"type": 4}.get(multitask, 1)
     loss = "mean_squared" if multitask == "action" else "cross_entropy"
     return AgentSpec(
         kind=kind, state_dim=2 * vocab + 2, action_count=2,
         opponent_dim=0 if kind == "dqn" else 3,
         state_hidden=(128,), head_hidden=(128,), opponent_hidden=10,
-        experts=experts, multitask=multitask, multitask_weight=multitask_weight,
-        multitask_outputs=outputs, multitask_loss=loss,
+        multitask=multitask, multitask_outputs=outputs, multitask_loss=loss, **variant,
     )

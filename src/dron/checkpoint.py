@@ -43,7 +43,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .agents import Agent, AgentSpec, param_layout
-from .config import agent_spec_for, config_from_lines, env_params_for
+from .config import ExperimentConfig, agent_spec_for, config_from_lines, env_params_for
 from .errors import CheckpointError, ConfigurationError
 from .nn import ParamSet
 from .quizbowl import QuizConfig
@@ -65,7 +65,7 @@ _HEADER_KEYS = frozenset({*_REQUIRED_KEYS, *_ENV_KEYS, "rng"})
 class Checkpoint:
     agent_spec: AgentSpec
     params: ParamSet
-    environment: str = "soccer"
+    environment: str = ExperimentConfig.environment
     steps: int = 0
     rng_state: Optional[Tuple[int, int]] = None  # PCG64 (state, inc)
     env_params: Dict[str, float] = field(default_factory=dict)
@@ -239,8 +239,9 @@ def load_checkpoint(path: str) -> Checkpoint:
         line = reader.next("header")
 
     try:
-        param_count = int(line.split()[1])
-    except (IndexError, ValueError):
+        _, count = line.split()  # "params" and the count, nothing after
+        param_count = int(count)
+    except ValueError:
         raise CheckpointError(f"line {reader.line_no}: malformed params count {line!r}") from None
     params_line = reader.line_no
 

@@ -7,7 +7,9 @@ the offending line number.
 
 The quiz game's keys are ``quizbowl.QuizConfig``'s fields, with its defaults,
 and the exploration keys go straight to ``rl.epsilon_at``; only
-``ExperimentConfig`` checks the rules of either.
+``ExperimentConfig`` checks the rules of either. The agent's variant keys
+take ``agents.AgentSpec``'s defaults and rules: the config checks them by
+deriving its agent (``agent_spec_for``).
 """
 
 from __future__ import annotations
@@ -16,9 +18,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Optional, Tuple
 
-from .agents import KINDS as AGENT_KINDS
-from .agents import AgentSpec, has_opponent_tower, quiz_agent_spec, soccer_agent_spec
-from .agents import MULTITASK_MODES as MULTITASK
+from .agents import AgentSpec, quiz_agent_spec, soccer_agent_spec
 from .errors import ConfigurationError
 from .quizbowl import POPULATION_PRESETS, QuizConfig
 from .soccer import MODE_POLICIES as SOCCER_OPPONENTS
@@ -31,9 +31,10 @@ QUIZ_OPPONENTS = POPULATION_PRESETS + ("self",)
 class ExperimentConfig:
     environment: str = "soccer"
     agent: str = "dqn"
-    experts: int = 3
-    multitask: str = "none"
-    multitask_weight: float = 1.0
+    # the agent's variant: `AgentSpec`'s kind and fields, with its defaults
+    experts: int = AgentSpec.experts
+    multitask: str = AgentSpec.multitask
+    multitask_weight: float = AgentSpec.multitask_weight
     gamma: float = 0.9
     learning_rate: float = 0.0005
     batch_size: int = 64
@@ -64,11 +65,9 @@ class ExperimentConfig:
         if self.environment not in ENVIRONMENTS:
             raise ConfigurationError(f"unknown environment {self.environment!r}",
                                      keys=("environment",))
-        if self.agent not in AGENT_KINDS:
-            raise ConfigurationError(f"unknown agent kind {self.agent!r}", keys=("agent",))
-        if self.multitask not in MULTITASK:
-            raise ConfigurationError(f"unknown multitask mode {self.multitask!r}",
-                                     keys=("multitask",))
+        if self.vocab < 2:
+            raise ConfigurationError(f"vocab must be >= 2, got {self.vocab}", keys=("vocab",))
+        agent_spec_for(self)  # `AgentSpec` checks the variant, on the sizes set above
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigurationError(f"gamma must lie in [0, 1], got {self.gamma}",
                                      keys=("gamma",))
@@ -102,8 +101,6 @@ class ExperimentConfig:
                 f"replay_min ({self.replay_min}) exceeds replay_capacity "
                 f"({self.replay_capacity}), so no update would ever run",
                 keys=("replay_min", "replay_capacity"))
-        if self.vocab < 2:
-            raise ConfigurationError(f"vocab must be >= 2, got {self.vocab}", keys=("vocab",))
         if not 1 <= self.question_min <= self.question_max:
             raise ConfigurationError(
                 f"question_min ({self.question_min}) and question_max ({self.question_max}) "
@@ -120,23 +117,12 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"belief_kappa must be finite and > 0, got {self.belief_kappa}",
                 keys=("belief_kappa",))
-        if self.agent == "dron_moe" and self.experts < 1:
-            raise ConfigurationError(f"experts must be >= 1 for dron_moe, got {self.experts}",
-                                     keys=("agent", "experts"))
-        if not has_opponent_tower(self.agent) and self.multitask != "none":
-            raise ConfigurationError(
-                f"multitask must be none for dqn (no opponent tower), got {self.multitask!r}",
-                keys=("agent", "multitask"))
         if not (self.epsilon_start >= self.epsilon_end >= 0.0):
             raise ConfigurationError("epsilon_start must be >= epsilon_end >= 0",
                                      keys=("epsilon_start", "epsilon_end"))
         if self.epsilon_start > 1.0:
             raise ConfigurationError(f"epsilon_start must be <= 1, got {self.epsilon_start}",
                                      keys=("epsilon_start",))
-        if not (math.isfinite(self.multitask_weight) and self.multitask_weight >= 0.0):
-            raise ConfigurationError(
-                f"multitask_weight must be finite and >= 0, got {self.multitask_weight}",
-                keys=("multitask_weight",))
         # np.clip with min > max returns max, so a negative clip would set
         # every gradient to -grad_clip
         if self.grad_clip is not None and not self.grad_clip > 0.0:
@@ -171,15 +157,11 @@ def agent_spec_for(config: ExperimentConfig) -> AgentSpec:
     ``multitask``, ``multitask_weight``) on its game's standard sizes. A
     run builds its agent from this, and a checkpoint load derives the same
     spec from the header's config lines."""
+    variant = dict(multitask=config.multitask, experts=config.experts,
+                   multitask_weight=config.multitask_weight)
     if config.environment == "soccer":
-        return soccer_agent_spec(
-            config.agent, multitask=config.multitask, experts=config.experts,
-            multitask_weight=config.multitask_weight,
-        )
-    return quiz_agent_spec(
-        config.agent, vocab=config.vocab, multitask=config.multitask,
-        experts=config.experts, multitask_weight=config.multitask_weight,
-    )
+        return soccer_agent_spec(config.agent, **variant)
+    return quiz_agent_spec(config.agent, vocab=config.vocab, **variant)
 
 
 def env_params_for(config: ExperimentConfig) -> dict:

@@ -1,9 +1,10 @@
 """Experiment driver: training epochs, periodic greedy evaluation, metric
 aggregation, checkpoints, and CSV emission.
 
-Training and greedy evaluation play their episodes through one driver per
-environment (`SoccerDriver`, `QuizDriver`, `SelfPlayDriver`). A driver holds
-the game state, the opponent history and the current observation `obs`;
+Training and quiz evaluation play their episodes through one driver per
+environment (`SoccerDriver`, `QuizDriver`, `SelfPlayDriver`); soccer
+evaluation plays without one, in lockstep (below). A driver holds the game
+state, the opponent history and the current observation `obs`;
 `step(action)` plays one move and returns `(reward, done, info)`. A driver
 never starts the next episode by itself: its owner calls `reset()`, so an
 evaluation game draws nothing from its random stream after the game ends.
@@ -84,7 +85,7 @@ import numpy as np
 
 from . import quizbowl as qb
 from . import rl, soccer
-from .agents import Agent, has_opponent_tower
+from .agents import Agent, AgentSpec, has_opponent_tower
 from .checkpoint import Checkpoint, rng_state_of, save_checkpoint
 from .config import ExperimentConfig, agent_spec_for, env_params_for
 from .errors import TrainingError, UsageError
@@ -157,8 +158,8 @@ class SoccerDriver:
 
     bootstrap = True  # TD targets look past non-terminal steps
 
-    def __init__(self, rng: np.random.Generator, opponent: str = "mixed",
-                 multitask: str = "none", sees_opponent: bool = True):
+    def __init__(self, rng: np.random.Generator, opponent: str,
+                 multitask: str = AgentSpec.multitask, sees_opponent: bool = True):
         self.rng = rng
         self.mode_policy = opponent
         self.multitask = multitask
@@ -208,7 +209,7 @@ class QuizDriver:
     bootstrap = True
 
     def __init__(self, rng: np.random.Generator, quiz_cfg: qb.QuizConfig,
-                 population: qb.Population, multitask: str = "none",
+                 population: qb.Population, multitask: str = AgentSpec.multitask,
                  sees_opponent: bool = True, observed: bool = True):
         self.rng = rng
         self.quiz_cfg = quiz_cfg

@@ -56,6 +56,7 @@ HORIZON = 100  # scoreless steps before a game is a 0-0 tie
 
 MODES = ("offensive", "defensive")
 MODE_POLICIES = ("mixed", "offensive", "defensive")
+OPPONENT_DIM = 2 * len(MOVE_CATEGORIES) + len(ACTIONS) + 1  # `OpponentTallies` width, 16
 
 
 WIDTH, HEIGHT = 9, 6  # columns 0-8, rows 0-5
@@ -311,13 +312,13 @@ class OpponentTallies:
     all 0 before the first move. `sums` holds the category counts (columns
     0-4) and the ball losses (column 15) and is 0 elsewhere."""
 
-    CATEGORY_ROWS = _read_only(np.eye(len(MOVE_CATEGORIES), 16))  # a count, by category
+    CATEGORY_ROWS = _read_only(np.eye(len(MOVE_CATEGORIES), OPPONENT_DIM))  # a count, by category
     # the one-hot last category and last action, by (category, action)
-    LAST_MOVE_ROWS = _read_only(np.eye(len(MOVE_CATEGORIES), 16, 5)[:, None]
-                                + np.eye(len(ACTIONS), 16, 10)[None, :])
+    LAST_MOVE_ROWS = _read_only(np.eye(len(MOVE_CATEGORIES), OPPONENT_DIM, 5)[:, None]
+                                + np.eye(len(ACTIONS), OPPONENT_DIM, 10)[None, :])
 
     def __init__(self, games: int):
-        self.sums = np.zeros((games, 16))
+        self.sums = np.zeros((games, OPPONENT_DIM))
         self.last_category = self.last_action = np.zeros(games, dtype=np.intp)
         self.steps = 0
 

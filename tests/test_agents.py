@@ -535,6 +535,19 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError):
             AgentSpec(kind="dueling", state_dim=4, action_count=2)
 
+    # the helpers leave the mode to AgentSpec's rule, which names the config key
+    @pytest.mark.parametrize("build", [
+        lambda mode: AgentSpec(kind="dron_concat", state_dim=4, action_count=2,
+                               opponent_dim=3, multitask=mode),
+        lambda mode: soccer_agent_spec("dqn", multitask=mode),
+        lambda mode: quiz_agent_spec("dqn", multitask=mode),
+    ], ids=["AgentSpec", "soccer_agent_spec", "quiz_agent_spec"])
+    def test_unknown_multitask_mode(self, build):
+        with pytest.raises(ConfigurationError,
+                           match=r"^unknown multitask mode 'bogus'$") as raised:
+            build("bogus")
+        assert raised.value.keys == ("multitask",)
+
     def test_shared_init_independent_of_head(self):
         plain = Agent(mini_spec("dron_moe"), seed=30)
         multi = Agent(mini_spec("dron_moe", multitask="type"), seed=30)

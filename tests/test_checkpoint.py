@@ -271,6 +271,10 @@ MALFORMED = {
                   lambda line: "env.vocab 5x"),
     "env_belief_alpha": (lambda lines, i: lines[i].startswith("env.belief_alpha "),
                          lambda line: "env.belief_alpha 8.0.1"),
+    "params_count": (lambda lines, i: lines[i].startswith("params "),
+                     lambda line: "params six"),
+    "params_count_trailing": (lambda lines, i: lines[i].startswith("params "),
+                              lambda line: line + " junk"),
 }
 # agent header lines: the config keys experts (an integer) and
 # multitask_weight (a real), and the derived sizes, which hold the derived
@@ -324,10 +328,12 @@ def write_malformed(tmp_path, field):
 def test_non_numeric_field_names_its_line(tmp_path, field):
     path, line = write_malformed(tmp_path, field)
     # a config key (env.*, experts, multitask_weight) goes through the config
-    # parser, which words it its own way; a derived size does not fit the agent
+    # parser, which words it its own way, and the params count has its own
+    # wording; a derived size does not fit the agent
     with pytest.raises(CheckpointError,
                        match=rf"^line {line}: (.* is (not an integer|not a number|negative)"
                              rf"|malformed value for '\w+': .*"
+                             rf"|malformed params count 'params .*'"
                              rf"|{field} \S+ does not fit the header's soccer dron_moe agent, "
                              rf"which has .*)$"):
         load_checkpoint(path)

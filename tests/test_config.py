@@ -2,7 +2,7 @@ from dataclasses import fields
 
 import pytest
 
-from dron.agents import Agent
+from dron.agents import Agent, AgentSpec, quiz_agent_spec, soccer_agent_spec
 from dron.checkpoint import Checkpoint, save_checkpoint
 from dron.config import ExperimentConfig, agent_spec_for, env_params_for, parse_config
 from dron.errors import ConfigurationError
@@ -58,6 +58,28 @@ class TestQuizKeys:
         lines = [line.split()[0] for line in path.read_text().splitlines()
                  if line.startswith("env.")]
         assert lines == [f"env.{name}" for name in self.NAMES]
+
+
+class TestAgentKeys:
+    """The agent's variant is written once, as `AgentSpec`'s fields: the
+    config's keys of the same names take their defaults from it, and the
+    spec helpers pass them through to it."""
+
+    NAMES = ["experts", "multitask", "multitask_weight"]
+
+    def test_fields_are_config_keys_with_equal_defaults(self):
+        def named(cls):
+            return [(f.name, f.default, type(f.default)) for f in fields(cls)
+                    if f.name in self.NAMES]
+
+        assert [name for name, _, _ in named(AgentSpec)] == self.NAMES
+        assert named(ExperimentConfig) == named(AgentSpec)
+
+    @pytest.mark.parametrize("helper", [soccer_agent_spec, quiz_agent_spec])
+    def test_helpers_take_the_spec_defaults(self, helper):
+        spec = helper("dron_moe")
+        assert [getattr(spec, name) for name in self.NAMES] == [
+            getattr(AgentSpec, name) for name in self.NAMES]
 
 
 class TestValues:
@@ -125,6 +147,9 @@ BAD_VALUES = [
     pytest.param("environment=quizbowl\nquestion_min=0", "question_min", 2, id="question_min"),
     pytest.param("environment=quizbowl\nquestion_min=90\nquestion_max=80",
                  "question_max", 3, id="question_order"),
+    pytest.param("epochs=2\nagent=dqnx", "unknown agent kind 'dqnx'", 2, id="agent"),
+    pytest.param("epochs=2\nmultitask=bogus", "unknown multitask mode 'bogus'", 2,
+                 id="multitask"),
     pytest.param("agent=dron_moe\nexperts=0", "experts", 2, id="experts"),
     pytest.param("agent=dqn\nmultitask=type", "multitask", 2, id="dqn_multitask"),
     pytest.param("epochs=2\ngrad_clip=-1", "grad_clip", 2, id="grad_clip_negative"),

@@ -2,16 +2,21 @@
 parameter a function there takes is read in its body; every public
 function or class defined there is used by some module there; every public
 method, property or dataclass field of a class there is read by some module
-there; and no parameter of a function there is passed the same literal by
-every call there.
+there; no parameter of a function there is passed the same literal by
+every call there; and no parameter or class field there named after a
+config key writes its default as a literal, outside the records that hold
+the config's defaults.
 
 Neither pyflakes nor ruff is a dependency, so this walks the syntax tree.
 """
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from dron.config import ExperimentConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dron"
 
@@ -287,3 +292,70 @@ def test_detects_a_constant_argument():
     # passed and once by default; no call names other; g's w is 2 by
     # default, unknown when unpacked
     assert constant_arguments(sources) == ["a.f(flag)", "a.f(mode)", "a.f(scale)"]
+
+
+# the records that hold the config's defaults: the config and the two whose
+# fields are config keys (the quiz game's settings and the agent's variant)
+DEFAULT_RECORDS = frozenset({"ExperimentConfig", "QuizConfig", "AgentSpec"})
+
+
+def _is_literal(node) -> bool:
+    try:
+        return ast.literal_eval(node) is not None
+    except (ValueError, TypeError, SyntaxError):
+        return False
+
+
+def copied_defaults(source: str, keys):
+    """(line, "owner(name)") for each parameter of a function, or annotated
+    field of a class, whose name is one of ``keys`` and whose default is a
+    literal other than ``None``; the fields of `DEFAULT_RECORDS` are
+    exempt."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            positional = [*args.posonlyargs, *args.args]
+            named = [*zip(positional[len(positional) - len(args.defaults):], args.defaults),
+                     *zip(args.kwonlyargs, args.kw_defaults)]
+            owner = getattr(node, "name", "<lambda>")
+            found += [(node.lineno, f"{owner}({arg.arg})") for arg, default in named
+                      if arg.arg in keys and default is not None and _is_literal(default)]
+        elif isinstance(node, ast.ClassDef) and node.name not in DEFAULT_RECORDS:
+            found += [(stmt.lineno, f"{node.name}({stmt.target.id})") for stmt in node.body
+                      if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                      and stmt.target.id in keys and stmt.value is not None
+                      and _is_literal(stmt.value)]
+    return sorted(found)
+
+
+CONFIG_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_config_defaults_are_written_once(path):
+    assert copied_defaults(path.read_text(encoding="utf-8"), CONFIG_KEYS) == []
+
+
+def test_detects_a_copied_default():
+    source = (
+        "def f(gamma=0.9, vocab=Record.vocab, *, seeds=None, opponent='mixed', other=1):\n"
+        "    pass\n"
+        "class Driver:\n"
+        "    epochs: int = -3\n"
+        "    vocab: int = QuizConfig.vocab\n"
+        "    multitask = 'none'\n"
+        "    def __init__(self, experts=(3,)):\n"
+        "        pass\n"
+        "class AgentSpec:\n"
+        "    experts: int = 3\n"
+        "h = lambda batch_size=64: batch_size\n"
+    )
+    keys = {"gamma", "vocab", "seeds", "opponent", "epochs", "multitask", "experts",
+            "batch_size"}
+    # None and a record's attribute are not literals; an unannotated class
+    # attribute is not a field; a record's own fields are exempt
+    assert copied_defaults(source, keys) == [
+        (1, "f(gamma)"), (1, "f(opponent)"), (4, "Driver(epochs)"),
+        (7, "__init__(experts)"), (11, "<lambda>(batch_size)"),
+    ]
