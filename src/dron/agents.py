@@ -30,12 +30,12 @@ training reads. The gate-weighted expert Q-values, and in the backward pass
 the experts' input gradients, are added from zero in expert order, as
 running one expert at a time would, so the stacked pass gives the same bits.
 
-Gradients: ``backward_train`` returns a new zeroed gradient set, or with
-``out=`` writes into a given one (a training step passes its optimizer's
-``AdaGradState.grads``), zeroing every component the pass does not reach. It
-binds the networks on a gradient set as on the parameters, and keeps that
-binding while it is given the same set (a training step always passes its
-optimizer's); ``nn.mlp_backward`` writes into those views.
+Gradients: an agent owns one gradient set, ``grads``, laid out like its
+parameters. Its first ``backward_train`` allocates it and binds the networks
+on it as on the parameters; every call overwrites it whole, zeroing a head
+the pass does not reach, and returns it, so ``nn.mlp_backward`` writes into
+the same views every step. An agent that never trains, such as the frozen
+target built at each sync, holds none (``grads`` is None).
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import nn, soccer
+from . import quizbowl as qb
 from .errors import ConfigurationError, UsageError
 from .nn import MLPSpec, ParamSet
-from .quizbowl import QuizConfig
 
 KINDS = ("dqn", "dron_concat", "dron_moe")
 MULTITASK_MODES = ("none", "action", "type")
@@ -144,7 +144,7 @@ class Agent:
         self.spec = spec
         self._specs = _component_specs(spec)
         self._layout = param_layout(spec)
-        self._grads: Optional[nn.FlatParams] = None  # the set _grad_nets views
+        self.grads: Optional[nn.FlatParams] = None  # bound by the first backward_train
         self.params = params if params is not None else self._init(seed)
 
     @property
@@ -209,20 +209,16 @@ class Agent:
         return self._forward(phi_s, phi_o, train=True)
 
     def backward_train(
-        self,
-        fwd: "_Forward",
-        dq: np.ndarray,
-        dsupervision: Optional[np.ndarray] = None,
-        out: Optional[nn.FlatParams] = None,
+        self, fwd: "_Forward", dq: np.ndarray, dsupervision: Optional[np.ndarray] = None
     ) -> nn.FlatParams:
         """Route gradients w.r.t. the Q output (and optionally the
-        supervision-head output) back to every parameter; the result is laid
-        out like ``params``. It is a new set, or ``out`` overwritten whole:
-        a head that gets no gradient is zeroed."""
+        supervision-head output) back to every parameter, into the agent's
+        gradient set ``grads``, laid out like ``params``: it is overwritten
+        whole (a head that gets no gradient is zeroed) and returned."""
         spec = self.spec
-        grads = nn.FlatParams(self._layout) if out is None else out
-        if grads is not self._grads:
-            self._grads, self._grad_nets = grads, self._bind(grads)
+        if self.grads is None:
+            self.grads = nn.FlatParams(self._layout)
+            self._grad_nets = self._bind(self.grads)
         nets, grad_nets, caches = self._nets, self._grad_nets, fwd.caches
         if dsupervision is None and spec.multitask != "none":
             for weight, bias, _ in grad_nets["opponent_head"]:
@@ -231,7 +227,7 @@ class Agent:
         if spec.kind == "dqn":
             nn.mlp_backward(nets["q_net"], grad_nets["q_net"], caches["q_net"], dq,
                             input_grad=False)
-            return grads
+            return self.grads
 
         if spec.kind == "dron_concat":
             dx = nn.mlp_backward(nets["q_head"], grad_nets["q_head"], caches["q_head"], dq)
@@ -257,7 +253,7 @@ class Agent:
                         caches["opponent_tower"], dho, input_grad=False)
         nn.mlp_backward(nets["state_tower"], grad_nets["state_tower"],
                         caches["state_tower"], dhs, input_grad=False)
-        return grads
+        return self.grads
 
     # -- internals ----------------------------------------------------------
 
@@ -406,15 +402,16 @@ def soccer_agent_spec(kind: str, multitask: str = AgentSpec.multitask, **variant
     )
 
 
-def quiz_agent_spec(kind: str, vocab: int = QuizConfig.vocab,
+def quiz_agent_spec(kind: str, vocab: int = qb.QuizConfig.vocab,
                     multitask: str = AgentSpec.multitask, **variant) -> AgentSpec:
-    """Standard quiz-bowl sizes: 2V+2 state features, 3 opponent features,
-    2 actions, 128-unit hidden layers, 10-unit opponent embedding."""
-    outputs = {"type": 4}.get(multitask, 1)
+    """Standard quiz-bowl sizes, read from the `quizbowl` module: 2V+2 state
+    features, 3 opponent features, 2 actions, 4 opponent types for the type
+    head, 128-unit hidden layers, 10-unit opponent embedding."""
+    outputs = {"type": qb.OPPONENT_TYPES}.get(multitask, 1)
     loss = "mean_squared" if multitask == "action" else "cross_entropy"
     return AgentSpec(
-        kind=kind, state_dim=2 * vocab + 2, action_count=2,
-        opponent_dim=0 if kind == "dqn" else 3,
+        kind=kind, state_dim=qb.state_dim(vocab), action_count=len(qb.ACTIONS),
+        opponent_dim=0 if kind == "dqn" else qb.OPPONENT_DIM,
         state_hidden=(128,), head_hidden=(128,), opponent_hidden=10,
         multitask=multitask, multitask_outputs=outputs, multitask_loss=loss, **variant,
     )

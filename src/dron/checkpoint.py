@@ -165,8 +165,8 @@ def _parsed(convert, text: str, line: int, what: str):
 
 
 def _size(text: str, line: int, what: str) -> int:
-    """A block size: a non-negative integer, or a CheckpointError naming
-    the line."""
+    """A non-negative integer (a block size or the step count), or a
+    CheckpointError naming the line."""
     n = _parsed(int, text, line, what)
     if n < 0:
         raise CheckpointError(f"line {line}: {what} {text!r} is negative")
@@ -275,8 +275,11 @@ def load_checkpoint(path: str) -> Checkpoint:
         parts = header["rng"].split()
         if len(parts) != 2:
             raise CheckpointError(f"line {header_line['rng']}: malformed rng state in header")
-        rng_state = tuple(_parsed(int, part, header_line["rng"], "rng") for part in parts)
-    steps = _parsed(int, header["steps"], header_line["steps"], "steps")
+        rng_state = tuple(_size(part, header_line["rng"], "rng") for part in parts)
+        if max(rng_state) >= 1 << 128:  # a PCG64 state is two 128-bit words
+            raise CheckpointError(f"line {header_line['rng']}: rng "
+                                  f"'{max(rng_state)}' does not fit in 128 bits")
+    steps = _size(header["steps"], header_line["steps"], "steps")
 
     # every block must be one the header's agent has, in its shape
     layout = dict(param_layout(spec))

@@ -12,11 +12,11 @@ evaluation game draws nothing from its random stream after the game ends.
 Nothing is computed that the agent does not read. A `dqn` agent has no
 opponent tower (`agents.has_opponent_tower`), so it is shown no opponent:
 its drivers' `obs[1]` is the empty `NO_OPPONENT`, and its replay rows hold
-no opponent columns (35 floats per soccer row where a DRON agent's hold
-67). The soccer driver and lockstep evaluation then neither classify nor
-tally the opponent's moves, and the quiz driver builds no opponent
-features but still records every buzz, since the buzz histories are the
-pool's state.
+no opponent columns (33 floats per soccer row where a DRON agent's hold
+65, 66 with a multitask head). The soccer driver and lockstep evaluation
+then do not tally the opponent's moves, and the quiz driver builds no
+opponent features but still records every buzz, since the buzz histories
+are the pool's state.
 Training draws its exploration first (`rl.act_epsilon_greedy`), so an
 exploratory move runs no Q-value forward. None of this changes a draw or an
 output byte.
@@ -153,8 +153,9 @@ class StepInfo:
 class SoccerDriver:
     """The primary agent (player A) against the rule-based opponent (player
     B). `obs[1]` is the one row of B's `soccer.OpponentTallies` for this
-    game; with `sees_opponent` false (a `dqn` agent) B's moves are neither
-    classified nor tallied, and `obs[1]` is `NO_OPPONENT`."""
+    game; with `sees_opponent` false (a `dqn` agent) B's moves are not
+    tallied, and `obs[1]` is `NO_OPPONENT`. The `action` supervision is the
+    category of B's move, which the tally reads."""
 
     bootstrap = True  # TD targets look past non-terminal steps
 
@@ -176,21 +177,17 @@ class SoccerDriver:
         self.obs = (soccer.featurize_state(self.state), phi_o)
 
     def step(self, action: int) -> Tuple[float, bool, StepInfo]:
-        action_b = soccer.rule_agent_act(self.state, self.mode, self.rng)
-        if not self.sees_opponent:
-            self.state, reward, done, _ = soccer.step(self.state, action, action_b)
-            self._observe()
-            return reward, done, StepInfo()
-        category = soccer.classify_move(self.state, action_b)
-        self.state, reward, done, blocked = soccer.step(self.state, action, action_b)
-        lost_ball = blocked and soccer.STATE_FIELDS.item(2, self.state.joint) == 1
-        self.tallies.observe(category, action_b, lost_ball)
+        before = self.state
+        action_b = soccer.rule_agent_act(before, self.mode, self.rng)
+        self.state, reward, done, blocked = soccer.step(before, action, action_b)
+        if self.sees_opponent:
+            self.tallies.observe(before.joint, action_b, self.state.joint, blocked)
         self._observe()
         supervision = None
         if self.multitask == "type":
             supervision = self.mode
         elif self.multitask == "action":
-            supervision = category
+            supervision = self.tallies.last_category
         return reward, done, StepInfo(supervision)
 
 
@@ -352,10 +349,10 @@ def evaluate_soccer(agent: Agent, opponent: str, n_games: int, seed: int,
         observation = (phi_s,) if tallies is None else (phi_s, tallies.features())
         action_a = agent.q_values(*observation).argmax(axis=1)
         action_b = soccer.rule_agent_many(mode, state, draws)
-        category = None if tallies is None else soccer.MOVE_CATEGORY[state, action_b]
+        before = state
         state, blocked, outcome = soccer.step_many(state, action_a, action_b)
         if tallies is not None:
-            tallies.observe(category, action_b, blocked & (soccer.STATE_FIELDS[2, state] == 1))
+            tallies.observe(before, action_b, state, blocked)
         if render:
             for game, joint in zip(games.tolist(), state.tolist()):
                 frames[game].append(soccer.render(soccer.SoccerState(joint)))
@@ -539,11 +536,8 @@ def train_run(config: ExperimentConfig, seed: int,
             action = rl.act_epsilon_greedy(agent, driver.obs, eps, explore_rng)
             reward, done, info = driver.step(action)
             next_s, next_o = driver.obs
-            replay.push(rl.Transition(
-                state=phi_s, opponent=phi_o, action=action, reward=reward,
-                next_state=next_s, next_opponent=next_o,
-                terminal=done or not driver.bootstrap, supervision=info.supervision,
-            ))
+            replay.push(phi_s, phi_o, action, reward, next_s, next_o,
+                        done or not driver.bootstrap, info.supervision)
             if done:
                 driver.reset()
             global_step += 1

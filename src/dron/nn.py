@@ -25,9 +25,10 @@ shapes). AdaGrad then clips, checks and updates the whole model as one
 vector, and takes nothing else. Writing ``params[name] = value`` copies into
 the view, so the views stay bound; an agent's ``params`` setter, the one way
 in for a plain dict, copies it into the agent's layout.
-The gradient of a training step lives in its ``AdaGradState`` (``grads``):
-``mlp_backward`` writes into views of it and ``adagrad_update`` consumes it,
-so one vector serves every step.
+The optimizer state holds only its own statistics: the gradient of a
+training step is the agent's (``Agent.grads``), which ``mlp_backward``
+writes into views of and ``adagrad_update`` uses up, so one vector serves
+every step.
 """
 
 from __future__ import annotations
@@ -96,13 +97,13 @@ def layout_of(arrays: Mapping[str, np.ndarray]) -> Layout:
 
 class FlatParams(dict):
     """Name -> array views into one contiguous float64 vector ``flat``, laid
-    out in ``layout`` order; ``flat`` starts at zero unless given. Assigning
-    a name copies into its view."""
+    out in ``layout`` order; ``flat`` starts at zero. Assigning a name copies
+    into its view."""
 
-    def __init__(self, layout: Layout, flat: Optional[np.ndarray] = None):
+    def __init__(self, layout: Layout):
         super().__init__()
         self.layout = layout
-        self.flat = np.zeros(sum(prod(shape) for _, shape in layout)) if flat is None else flat
+        self.flat = np.zeros(sum(prod(shape) for _, shape in layout))
         offset = 0
         for name, shape in layout:
             n = prod(shape)
@@ -390,19 +391,14 @@ def loss_and_grad_rows(
 
 @dataclass
 class AdaGradState:
-    """Squared-gradient accumulators, laid out like the parameters they serve.
-
-    The state also owns the step's gradient vector ``grads``, laid out like
-    the accumulators: a training step has its backward pass write into it
-    (``Agent.backward_train(..., out=state.grads)``) and ``adagrad_update``
-    then uses it up, so a step allocates nothing parameter-sized.
-    """
+    """Squared-gradient accumulators, laid out like the parameters they
+    serve, and the step's work vector, so a step allocates nothing
+    parameter-sized. The gradient is the caller's (an agent's ``grads``)."""
 
     learning_rate: float
     accumulators: FlatParams
 
     def __post_init__(self) -> None:
-        self.grads = FlatParams(self.accumulators.layout)
         self._work = np.empty(self.accumulators.flat.size)  # the step's denominator
 
     @classmethod

@@ -30,7 +30,8 @@ import numpy as np
 
 from .errors import ConfigurationError, UsageError
 
-WAIT, BUZZ = 0, 1
+ACTIONS = ("wait", "buzz")
+WAIT, BUZZ = range(len(ACTIONS))
 
 POPULATION_PRESETS = ("mixed", "type1", "type2", "type3", "type4")
 
@@ -285,6 +286,11 @@ def finish_locked_out(state: QuizState) -> Tuple[QuizState, float, Optional[bool
     return _ended(state, True, True), 0.0, False
 
 
+def state_dim(vocab: int) -> int:
+    """The width of `featurize`'s features for a `vocab`-answer game."""
+    return 2 * vocab + 2
+
+
 def featurize(state: QuizState) -> np.ndarray:
     """Current and previous belief vectors, the fraction of the question
     revealed, and whether the agent has already buzzed wrong."""
@@ -293,6 +299,9 @@ def featurize(state: QuizState) -> np.ndarray:
         state.prev_belief,
         [state.t / state.length, 1.0 if state.agent_locked else 0.0],
     ])
+
+
+OPPONENT_DIM = 3  # the width of `opponent_features`
 
 
 def opponent_features(profile: OpponentProfile) -> np.ndarray:
@@ -305,11 +314,15 @@ def opponent_features(profile: OpponentProfile) -> np.ndarray:
     ])
 
 
+_TYPE_BOUNDS = (0.25, 0.5, 0.75)  # the buzz fractions between opponent types
+OPPONENT_TYPES = len(_TYPE_BOUNDS) + 1  # the classes `opponent_type` returns
+
+
 def opponent_type(profile: OpponentProfile) -> int:
     """Quartile (1-4) of the historical mean buzz fraction; boundary values
     fall to the lower class."""
     frac = profile.historical_buzz_frac
-    return 1 + sum(frac > b for b in (0.25, 0.5, 0.75))
+    return 1 + sum(frac > b for b in _TYPE_BOUNDS)
 
 
 def action_supervision_target(t: int, buzz_position: int) -> float:

@@ -3,11 +3,15 @@ TD-target computation, and the AdaGrad update step shared by all agents.
 
 Replay is one float64 ring matrix with a row per transition, laid out as
 ``state | opponent | next_state | next_opponent | action | reward | terminal
-| has_supervision | supervision`` (the last five one column each). It is
-allocated uninitialised at the first push, when the widths are known, so
-rows are only touched as they fill. A sample is one gather of rows, returned
-as a ``Batch`` whose fields are column views; ``q_targets`` and ``td_update``
-run over those stacked columns, stacking a plain list of ``Transition``s once.
+[| supervision]`` (the scalars one column each). The rows are the only
+record of a transition: ``ReplayBuffer.push`` writes one from its fields.
+Supervision belongs to the run, not to a row: a run with a multitask head
+has a target on every step and a run without one on none, so the first push
+fixes whether rows have the supervision column, along with the widths, and
+a later push that differs in any of them is refused. The ring is allocated
+uninitialised at the first push, so rows are only touched as they fill. A
+sample is one gather of rows, returned as a ``Batch`` whose fields are
+column views; ``q_targets`` and ``td_update`` take a ``Batch``.
 
 ``td_update(agent, batch, opt_state, target, discount, grad_clip)`` takes
 the run's discount and gradient clip as arguments, as ``q_targets`` and
@@ -15,14 +19,13 @@ the run's discount and gradient clip as arguments, as ``q_targets`` and
 the run's three exploration values; its step size is the optimizer's
 (``AdaGradState.learning_rate``). A TD step does no per-call set-up: the
 target is an ``Agent`` built at each sync (``sync_target``), so its layers
-are bound once per sync, and the gradient is written into the optimizer's
-own vector (``AdaGradState.grads``) rather than a new one.
+are bound once per sync, and the gradient is written into the agent's own
+set (``Agent.grads``) rather than a new one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -31,50 +34,14 @@ from .agents import Agent, combined_loss
 from .errors import ConfigurationError, TrainingError, UsageError
 
 
-@dataclass
-class Transition:
-    """One step of experience as stored in replay memory."""
-
-    state: np.ndarray
-    opponent: np.ndarray
-    action: int
-    reward: float
-    next_state: np.ndarray
-    next_opponent: np.ndarray
-    terminal: bool
-    supervision: Optional[Union[int, float]] = None
-
-
-_SCALARS = 5  # action, reward, terminal, has_supervision, supervision
-
-
-def _empty_rows(count: int, state_dim: int, opponent_dim: int) -> np.ndarray:
-    return np.empty((count, 2 * (state_dim + opponent_dim) + _SCALARS))
-
-
-def _write_row(row: np.ndarray, t: Transition, state_dim: int, opponent_dim: int) -> None:
-    if (t.state.shape != (state_dim,) or t.next_state.shape != (state_dim,)
-            or t.opponent.shape != (opponent_dim,) or t.next_opponent.shape != (opponent_dim,)):
-        raise UsageError(
-            f"transition widths differ from the replay layout "
-            f"(state {state_dim}, opponent {opponent_dim})"
-        )
-    has = t.supervision is not None
-    np.concatenate((t.state, t.opponent, t.next_state, t.next_opponent,
-                    (t.action, t.reward, t.terminal, has, t.supervision if has else 0.0)),
-                   out=row)
-
-
 class Batch:
-    """Transitions stacked as rows of the replay layout. The fields are
-    column views of ``rows`` (``action`` as ints, ``terminal`` and
-    ``has_supervision`` as bools); indexing and iteration give ``Transition``s,
-    whose supervision comes back as a float."""
+    """Rows of the replay layout. The fields are column views of ``rows``
+    (``action`` as ints, ``terminal`` as bools); ``supervision`` is None when
+    the rows have no supervision column."""
 
     def __init__(self, rows: np.ndarray, state_dim: int, opponent_dim: int):
         ds, do = state_dim, opponent_dim
         self.rows = rows
-        self.state_dim, self.opponent_dim = ds, do
         self.state = rows[:, :ds]
         self.opponent = rows[:, ds : ds + do]
         self.next_state = rows[:, ds + do : 2 * ds + do]
@@ -83,33 +50,10 @@ class Batch:
         self.action = scalars[:, 0].astype(np.intp)
         self.reward = scalars[:, 1]
         self.terminal = scalars[:, 2] != 0.0
-        self.has_supervision = scalars[:, 3] != 0.0
-        self.supervision = scalars[:, 4]
-
-    @classmethod
-    def of(cls, transitions: Union["Batch", Sequence[Transition]]) -> "Batch":
-        """Stack a non-empty sequence of transitions; a Batch is returned as is."""
-        if isinstance(transitions, Batch):
-            return transitions
-        ds, do = np.size(transitions[0].state), np.size(transitions[0].opponent)
-        rows = _empty_rows(len(transitions), ds, do)
-        for row, t in zip(rows, transitions):
-            _write_row(row, t, ds, do)
-        return cls(rows, ds, do)
+        self.supervision = scalars[:, 3] if scalars.shape[1] > 3 else None
 
     def __len__(self) -> int:
         return self.rows.shape[0]
-
-    def __getitem__(self, i: int) -> Transition:
-        row = self.rows[i]
-        ds, do = self.state_dim, self.opponent_dim
-        action, reward, terminal, has, supervision = row[2 * (ds + do) :]
-        return Transition(
-            state=row[:ds], opponent=row[ds : ds + do], action=int(action),
-            reward=float(reward), next_state=row[ds + do : 2 * ds + do],
-            next_opponent=row[2 * ds + do : 2 * (ds + do)], terminal=bool(terminal),
-            supervision=float(supervision) if has else None,
-        )
 
 
 class ReplayBuffer:
@@ -121,18 +65,32 @@ class ReplayBuffer:
         self.capacity = capacity
         self._rows: Optional[np.ndarray] = None
         self._dims = (0, 0)  # state and opponent widths, fixed by the first push
+        self._shapes = ()  # what a push must match: field shapes, then supervision
         self._size = 0
         self._next = 0
 
     def __len__(self) -> int:
         return self._size
 
-    def push(self, transition: Transition) -> None:
+    def push(self, state: np.ndarray, opponent: np.ndarray, action: int, reward: float,
+             next_state: np.ndarray, next_opponent: np.ndarray, terminal: bool,
+             supervision: Optional[Union[int, float]]) -> None:
+        """Write one transition as a row; ``supervision`` is the multitask
+        target, or None in a run without a head."""
+        supervised = supervision is not None
         if self._rows is None:
-            self._dims = (np.size(transition.state), np.size(transition.opponent))
+            ds, do = self._dims = np.size(state), np.size(opponent)
+            self._shapes = ((ds,), (do,), (ds,), (do,), supervised)
             # np.empty, never filled: untouched rows cost no memory
-            self._rows = _empty_rows(self.capacity, *self._dims)
-        _write_row(self._rows[self._next], transition, *self._dims)
+            self._rows = np.empty((self.capacity, 2 * (ds + do) + 3 + supervised))
+        shapes = (state.shape, opponent.shape, next_state.shape, next_opponent.shape,
+                  supervised)
+        if shapes != self._shapes:
+            raise UsageError(f"transition (shapes, supervision) {shapes} differs from the "
+                             f"replay layout {self._shapes}")
+        scalars = (action, reward, terminal, supervision)[:3 + supervised]
+        np.concatenate((state, opponent, next_state, next_opponent, scalars),
+                       out=self._rows[self._next])
         self._next = (self._next + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
@@ -142,12 +100,6 @@ class ReplayBuffer:
             raise UsageError("cannot sample from an empty replay buffer")
         idx = rng.integers(0, self._size, size=batch)
         return Batch(self._rows.take(idx, axis=0), *self._dims)
-
-    def items(self) -> List[Transition]:
-        """Copies of the stored transitions, in slot order."""
-        if not self._size:
-            return []
-        return list(Batch(self._rows[: self._size].copy(), *self._dims))
 
 
 def epsilon_at(step: int, start: float, end: float, decay_steps: int) -> float:
@@ -185,12 +137,9 @@ def sync_target(agent: Agent) -> Agent:
     return Agent(agent.spec, params=agent.params)
 
 
-def q_targets(
-    target: Agent, batch: Union[Batch, Sequence[Transition]], discount: float
-) -> np.ndarray:
+def q_targets(target: Agent, batch: Batch, discount: float) -> np.ndarray:
     """Per-transition target: r, plus the discounted best next-state value
     under the frozen target for non-terminal transitions."""
-    batch = Batch.of(batch)
     targets = batch.reward.copy()
     if discount != 0.0 and not batch.terminal.all():
         next_q = target.q_values(batch.next_state, batch.next_opponent)
@@ -201,23 +150,20 @@ def q_targets(
 def supervision_loss(
     kind: str, predictions: np.ndarray, batch: Batch, weight: float
 ) -> Tuple[float, np.ndarray]:
-    """Supervision loss averaged over the whole batch (rows without a target
-    add nothing) and its gradient w.r.t. the head output, scaled by
-    ``weight``. Each row equals what ``nn.loss_and_grad`` gives for it."""
+    """Supervision loss averaged over the batch and its gradient w.r.t. the
+    head output, scaled by ``weight``. Each row equals what
+    ``nn.loss_and_grad`` gives for it."""
+    if batch.supervision is None:
+        raise UsageError("a multitask head needs replay rows with a supervision target")
     n = len(batch)
-    dsup = np.zeros_like(predictions)
-    rows = np.flatnonzero(batch.has_supervision)
-    if not rows.size:
-        return 0.0, dsup
-    losses, grad = nn.loss_and_grad_rows(kind, predictions[rows], batch.supervision[rows])
-    dsup[rows] = weight * grad / n
+    losses, grad = nn.loss_and_grad_rows(kind, predictions, batch.supervision)
     # running sum in row order, as adding row by row would give
-    return float(np.cumsum(losses / n)[-1]), dsup
+    return float(np.cumsum(losses / n)[-1]), weight * grad / n
 
 
 def td_update(
     agent: Agent,
-    batch: Union[Batch, Sequence[Transition]],
+    batch: Batch,
     opt_state: nn.AdaGradState,
     target: Agent,
     discount: float,
@@ -228,13 +174,12 @@ def td_update(
     each gradient coordinate clipped to +-``grad_clip`` when one is given.
 
     Gradient flows only through the Q-value of each taken action. When the
-    agent has a multitask head, transitions carrying a supervision target add
-    the weighted supervision loss to the objective. The gradient is written
-    into ``opt_state.grads`` and used up by the AdaGrad step.
+    agent has a multitask head, the weighted supervision loss over the rows'
+    targets joins the objective. The gradient is the agent's own set
+    (``Agent.grads``), used up by the AdaGrad step.
     """
     if not batch:
         raise UsageError("td_update needs a non-empty batch")
-    batch = Batch.of(batch)
     n = len(batch)
     targets = q_targets(target, batch, discount)
 
@@ -256,6 +201,6 @@ def td_update(
     if not np.isfinite(loss):
         raise TrainingError(f"non-finite training loss {loss}")
 
-    grads = agent.backward_train(fwd, dq, dsup, out=opt_state.grads)
+    grads = agent.backward_train(fwd, dq, dsup)
     nn.adagrad_update(agent.params, grads, opt_state, clip=grad_clip)
     return loss

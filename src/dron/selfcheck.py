@@ -16,22 +16,22 @@ from .config import ExperimentConfig
 from .errors import UsageError
 
 GRADCHECK_TOLERANCE = 1e-4  # worst accepted relative error, backprop vs finite differences
+FD_STEP = 1e-5  # the central difference's step
 
 
-def _finite_difference(loss: Callable[[nn.ParamSet], float], params: nn.ParamSet,
-                       step: float = 1e-5) -> nn.ParamSet:
+def _finite_difference(loss: Callable[[nn.ParamSet], float], params: nn.ParamSet) -> nn.ParamSet:
     grads = {}
     for name, value in params.items():
         g = np.zeros_like(value)
         flat, gflat = value.ravel(), g.ravel()
         for k in range(flat.size):
             orig = flat[k]
-            flat[k] = orig + step
+            flat[k] = orig + FD_STEP
             hi = loss(params)
-            flat[k] = orig - step
+            flat[k] = orig - FD_STEP
             lo = loss(params)
             flat[k] = orig
-            gflat[k] = (hi - lo) / (2.0 * step)
+            gflat[k] = (hi - lo) / (2.0 * FD_STEP)
         grads[name] = g
     return grads
 
@@ -123,7 +123,7 @@ def _check(name: str, fn: Callable[[], bool], lines: List[str]) -> bool:
     return ok
 
 
-def run_selfcheck(verbose: bool = True) -> bool:
+def run_selfcheck() -> bool:
     """Condensed invariant suite; prints one line per check."""
     lines: List[str] = []
     rng = np.random.default_rng(777)
@@ -198,13 +198,11 @@ def run_selfcheck(verbose: bool = True) -> bool:
     def replay_uniform() -> bool:
         buf = rl.ReplayBuffer(10)
         for v in range(10):
-            t = rl.Transition(np.array([float(v)]), np.zeros(1), 0, 0.0,
-                              np.zeros(1), np.zeros(1), True)
-            buf.push(t)
-        counts = np.zeros(10)
+            buf.push(np.array([float(v)]), np.zeros(1), 0, 0.0, np.zeros(1), np.zeros(1),
+                     True, None)
         draws = 50_000
-        for t in buf.sample(draws, np.random.default_rng(3)):
-            counts[int(t.state[0])] += 1
+        sampled = buf.sample(draws, np.random.default_rng(3)).state[:, 0]
+        counts = np.bincount(sampled.astype(np.intp), minlength=10)
         sigma = math.sqrt(draws * 0.1 * 0.9)
         return bool(np.all(np.abs(counts - draws * 0.1) <= 4 * sigma))
 
@@ -219,7 +217,6 @@ def run_selfcheck(verbose: bool = True) -> bool:
         ("replay sampling uniform", replay_uniform),
     ]:
         ok = _check(name, fn, lines) and ok
-    if verbose:
-        print("\n".join(lines))
-        print(f"selfcheck {'PASSED' if ok else 'FAILED'} in {time.time() - started:.1f}s")
+    print("\n".join(lines))
+    print(f"selfcheck {'PASSED' if ok else 'FAILED'} in {time.time() - started:.1f}s")
     return ok

@@ -22,8 +22,8 @@ by mode and state) and `MOVE_CATEGORY` (by state and B's move). Each rule
 is written once, in the builder of its table. Modes and move categories
 are `MODES` and `MOVE_CATEGORIES` indices.
 
-One game against many. `reset`, `step`, `rule_agent_act`, `classify_move`
-and `featurize_state` play one game, as training does; `step_many` and
+One game against many. `reset`, `step`, `rule_agent_act` and
+`featurize_state` play one game, as training does; `step_many` and
 `rule_agent_many` play many, as `harness.evaluate_soccer` does, by the same
 lookups. B breaks a tie among n best moves with ``rng.integers(0, n)`` on
 its game's stream; many games do it in one vectorised step (`TieDraws`).
@@ -31,8 +31,10 @@ Each draws a block of raw 32-bit words, and a tie maps its next word w to
 ``(w * n) >> 32``, skipping a zero word when n is odd: Lemire's rule
 (Lemire, ACM TOMACS 2019) as `Generator.integers(0, n)` applies it to the
 same words. So the draws are one-game play's while nothing else reads the
-stream after `reset` (`TestTieDraws` in `tests/test_soccer.py`). A `dqn`
-game reads none of `classify_move`, `OpponentTallies` or `MOVE_CATEGORY`.
+stream after `reset` (`TestTieDraws` in `tests/test_soccer.py`). Both tally
+B's moves with `OpponentTallies.observe`, the one place that reads a move's
+category and writes the lost-ball rule. A `dqn` game reads neither
+`OpponentTallies` nor `MOVE_CATEGORY`.
 """
 
 from __future__ import annotations
@@ -298,11 +300,6 @@ def featurize_state(state: SoccerState) -> np.ndarray:
     return FEATURES[state.joint]
 
 
-def classify_move(state: SoccerState, action: int) -> int:
-    """The `MOVE_CATEGORIES` index of B's move `action` (`MOVE_CATEGORY`)."""
-    return MOVE_CATEGORY.item(state.joint, action)
-
-
 class OpponentTallies:
     """The opponent's moves so far in each of many games that have all seen
     the same number of them, one row per game; training keeps one row.
@@ -310,7 +307,8 @@ class OpponentTallies:
     move category (0-4), the one-hot most recent category (5-9) and raw
     action (10-14), and the rate of losing the ball to the opponent (15);
     all 0 before the first move. `sums` holds the category counts (columns
-    0-4) and the ball losses (column 15) and is 0 elsewhere."""
+    0-4) and the ball losses (column 15) and is 0 elsewhere; `last_category`
+    is the `MOVE_CATEGORIES` index of each game's last move."""
 
     CATEGORY_ROWS = _read_only(np.eye(len(MOVE_CATEGORIES), OPPONENT_DIM))  # a count, by category
     # the one-hot last category and last action, by (category, action)
@@ -322,9 +320,15 @@ class OpponentTallies:
         self.last_category = self.last_action = np.zeros(games, dtype=np.intp)
         self.steps = 0
 
-    def observe(self, category: np.ndarray, action: np.ndarray, lost_ball: np.ndarray) -> None:
+    def observe(self, before: np.ndarray, action: np.ndarray, after: np.ndarray,
+                blocked: np.ndarray) -> None:
+        """Tally B's move `action` of each game from joint state `before` to
+        `after`, `blocked` its `BLOCKED` entry (ints for one game, arrays for
+        many). Its category is `MOVE_CATEGORY`'s; the move loses the ball to
+        the opponent when it was blocked and B holds the ball after it."""
+        category = MOVE_CATEGORY[before, action]
         self.sums += self.CATEGORY_ROWS[category]
-        self.sums[:, 15] += lost_ball
+        self.sums[:, 15] += blocked & (STATE_FIELDS[2, after] == 1)
         self.last_category, self.last_action = category, action
         self.steps += 1
 

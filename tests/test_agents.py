@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from dron import agents, nn
+from dron import quizbowl as qb
 from dron.agents import Agent, AgentSpec, combined_loss, quiz_agent_spec, soccer_agent_spec
 from dron.errors import ConfigurationError, UsageError
 
@@ -41,6 +44,20 @@ class TestEncode:
         agent = Agent(mini_spec("dron_moe"), seed=0)
         with pytest.raises(ConfigurationError):
             agent.encode(np.zeros(9), np.zeros(5))
+
+
+def test_quiz_sizes_follow_the_quiz_module():
+    rng = np.random.default_rng(0)
+    state, profile = qb.sample_episode(qb.QuizConfig(vocab=7),
+                                       qb.make_population("mixed", rng), rng)
+    spec = quiz_agent_spec("dron_moe", vocab=7, multitask="type")
+    assert spec.state_dim == qb.featurize(state).size == 16
+    assert spec.opponent_dim == qb.opponent_features(profile).size == 3
+    assert spec.action_count == len({qb.WAIT, qb.BUZZ}) == 2
+    # opponent_type gives 1-4, which the quiz driver shifts to the classes 0-3
+    types = {qb.opponent_type(SimpleNamespace(historical_buzz_frac=frac))
+             for frac in np.linspace(0.0, 1.0, 101)}
+    assert types == set(range(1, spec.multitask_outputs + 1)) == {1, 2, 3, 4}
 
 
 class TestDQN:
@@ -202,7 +219,7 @@ class TestMultitask:
         dq = rng.normal(size=(2, 3))
         fwd = agent.forward_train(S, O)
         dsup = rng.normal(size=(2, 2))
-        with_sup = agent.backward_train(fwd, dq, dsup)
+        with_sup = nn.FlatParams.of(agent.backward_train(fwd, dq, dsup))  # a copy
         fwd2 = agent.forward_train(S, O)
         without = agent.backward_train(fwd2, dq)
         for name in with_sup:
@@ -367,9 +384,8 @@ class TestStackedExperts:
         assert fwd.q.tobytes() == q.tobytes()
         assert fwd.gate.tobytes() == gate.tobytes()
         assert fwd.expert_q.tobytes() == np.stack(expert_q).tobytes()
-        buffer = nn.FlatParams(agent.params.layout)
-        for out in (None, buffer, buffer):  # a new set, then a given one twice
-            got = agent.backward_train(fwd, dq, dsup, out=out)
+        for _ in range(2):  # the set is bound on the first call, then kept
+            got = agent.backward_train(fwd, dq, dsup)
             assert got.flat.tobytes() == grads.flat.tobytes()
         one = (lambda a: a[0]) if rows == 1 else (lambda a: a)
         q_act, gate_act = agent.q_and_gate(one(S), one(O))
@@ -380,11 +396,9 @@ class TestStackedExperts:
         agent = Agent(mini_spec("dron_moe", "type", experts=3), seed=62)
         rng = np.random.default_rng(63)
         S, O = rng.normal(size=(8, 4)), rng.normal(size=(8, 5))
-        opt = nn.AdaGradState.for_params(agent.params, 0.01)
-        agent.backward_train(agent.forward_train(S, O), rng.normal(size=(8, 3)),
-                             out=opt.grads)
+        agent.backward_train(agent.forward_train(S, O), rng.normal(size=(8, 3)))
         for layers, named in ((agent._nets["experts"], agent.params),
-                              (agent._grad_nets["experts"], opt.grads)):
+                              (agent._grad_nets["experts"], agent.grads)):
             for i, (weight, bias, _) in enumerate(layers):
                 for k in range(3):
                     for view, name in ((weight[k], f"expert.{k}.{i}.weight"),
@@ -415,6 +429,9 @@ class TestStackedExperts:
 
 
 class TestGradientBuffer:
+    """The agent's own gradient set, ``grads``, which ``backward_train``
+    writes and returns."""
+
     @staticmethod
     def _inputs(kind, rows=6, seed=51):
         rng = np.random.default_rng(seed)
@@ -423,16 +440,19 @@ class TestGradientBuffer:
         return S, O, rng.normal(size=(rows, 3)), rng.normal(size=(rows, 3))
 
     @pytest.mark.parametrize("kind,multitask", VARIANTS)
-    def test_without_out_each_call_returns_a_new_set(self, kind, multitask):
+    def test_each_call_returns_the_agents_one_set(self, kind, multitask):
         agent = Agent(mini_spec(kind, multitask), seed=52)
+        assert agent.grads is None  # bound by the first backward pass
         S, O, dq, _ = self._inputs(kind)
         first = agent.backward_train(agent.forward_train(S, O), dq)
-        kept = first.flat.copy()
+        assert first is agent.grads and first.layout == agent.params.layout
         S2, O2, dq2, _ = self._inputs(kind, seed=53)
         second = agent.backward_train(agent.forward_train(S2, O2), dq2)
-        assert not np.shares_memory(first.flat, second.flat)
-        assert first.flat.tobytes() == kept.tobytes()
-        assert not np.array_equal(first.flat, second.flat)
+        assert second is first
+        # the second result is what an agent that never ran a pass gives
+        fresh = Agent(mini_spec(kind, multitask), seed=52)
+        want = fresh.backward_train(fresh.forward_train(S2, O2), dq2)
+        assert want is not second and second.flat.tobytes() == want.flat.tobytes()
 
     @pytest.mark.parametrize("kind,multitask", VARIANTS)
     def test_out_is_overwritten_whole(self, kind, multitask):
@@ -441,10 +461,9 @@ class TestGradientBuffer:
         fwd = agent.forward_train(S, O)
         dsup = None if multitask == "none" else dsup[:, : agent.spec.multitask_outputs]
         expected = agent.backward_train(fwd, dq, dsup).flat.tobytes()
-        buffer = nn.FlatParams(agent.params.layout)
-        buffer.flat[:] = np.nan  # stale values must not survive anywhere
-        assert agent.backward_train(fwd, dq, dsup, out=buffer) is buffer
-        assert buffer.flat.tobytes() == expected
+        agent.grads.flat[:] = np.nan  # stale values must not survive anywhere
+        assert agent.backward_train(fwd, dq, dsup) is agent.grads
+        assert agent.grads.flat.tobytes() == expected
 
     @pytest.mark.parametrize("kind", ["dron_concat", "dron_moe"])
     def test_out_zeroes_the_head_a_pass_does_not_reach(self, kind):
@@ -452,13 +471,13 @@ class TestGradientBuffer:
         S, O, dq, dsup = self._inputs(kind)
         dsup = dsup[:, :2]
         fwd = agent.forward_train(S, O)
-        buffer = nn.FlatParams(agent.params.layout)
-        agent.backward_train(fwd, dq, dsup, out=buffer)
-        head = [name for name in buffer if name.startswith("opponent_head.")]
-        assert head and all(np.any(buffer[name] != 0.0) for name in head)
-        agent.backward_train(fwd, dq, out=buffer)
-        assert all(np.all(buffer[name] == 0.0) for name in head)
-        assert buffer.flat.tobytes() == agent.backward_train(fwd, dq).flat.tobytes()
+        grads = agent.backward_train(fwd, dq, dsup)
+        head = [name for name in grads if name.startswith("opponent_head.")]
+        assert head and all(np.any(grads[name] != 0.0) for name in head)
+        agent.backward_train(fwd, dq)
+        assert all(np.all(grads[name] == 0.0) for name in head)
+        fresh = Agent(mini_spec(kind, "type"), seed=55)
+        assert grads.flat.tobytes() == fresh.backward_train(fwd, dq).flat.tobytes()
 
 
 class TestCombinedLoss:

@@ -73,6 +73,23 @@ class TestRoundTrip:
         b = rng_from_state(loaded.rng_state)
         assert np.array_equal(a.random(10), b.random(10))
 
+    @pytest.mark.parametrize("words,fits", [((2**128 - 1, 2**128 - 1), True),
+                                            ((0, 2**128), False), ((2**128, 1), False)])
+    def test_rng_words_must_fit_128_bits(self, tmp_path, words, fits):
+        # a PCG64 state is two 128-bit words; a larger one would only fail
+        # later, as an OverflowError where the stream is restored
+        ckpt, _ = make_checkpoint()
+        ckpt.rng_state = words
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, str(path))
+        if fits:
+            rng_from_state(load_checkpoint(str(path)).rng_state).random()
+            return
+        line = 1 + path.read_text().splitlines().index(f"rng {words[0]} {words[1]}")
+        with pytest.raises(CheckpointError,
+                           match=rf"^line {line}: rng '\d+' does not fit in 128 bits$"):
+            load_checkpoint(str(path))
+
     def test_quiz_env_params_survive(self, tmp_path):
         ckpt = make_quiz_checkpoint()
         path = tmp_path / "quiz.ckpt"
@@ -267,6 +284,10 @@ MALFORMED = {
               lambda line: "steps zz"),
     "rng": (lambda lines, i: lines[i].startswith("rng "),
             lambda line: _set_token(line, 2, "1e5")),
+    "rng_negative": (lambda lines, i: lines[i].startswith("rng "),
+                     lambda line: "rng -1 -2"),
+    "steps_negative": (lambda lines, i: lines[i].startswith("steps "),
+                       lambda line: "steps -7"),
     "env_vocab": (lambda lines, i: lines[i].startswith("env.vocab "),
                   lambda line: "env.vocab 5x"),
     "env_belief_alpha": (lambda lines, i: lines[i].startswith("env.belief_alpha "),

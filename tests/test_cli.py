@@ -220,9 +220,11 @@ def test_malformed_checkpoint_exits_2(tmp_path, capsys):
     from dron.checkpoint import save_checkpoint
 
     # a parameter value in a version 1 file, a version 2 hex row of the
-    # wrong length and one with a character that is not a hex digit, and a
-    # quiz env.* number that evaluation would read
-    for field in ("matrix_value", "hex_row_short", "hex_row_digit", "env_vocab"):
+    # wrong length and one with a character that is not a hex digit, a quiz
+    # env.* number that evaluation would read, and a negative step count and
+    # random stream state
+    for field in ("matrix_value", "hex_row_short", "hex_row_digit", "env_vocab",
+                  "steps_negative", "rng_negative"):
         path, line = write_malformed(tmp_path, field)
         assert main(["eval", path, "--games", "1"]) == 2
         err = capsys.readouterr().err

@@ -372,8 +372,8 @@ def watch_opponent_work(monkeypatch, forbidden):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("classify_move", "OpponentTallies"):
-        monkeypatch.setattr(soccer, name, counted(name, getattr(soccer, name)))
+    monkeypatch.setattr(soccer, "OpponentTallies",
+                        counted("OpponentTallies", soccer.OpponentTallies))
     monkeypatch.setattr(soccer, "MOVE_CATEGORY",
                         Watched(soccer.MOVE_CATEGORY, lambda: hit("categories")))
     return used
@@ -390,7 +390,7 @@ class TestOpponentWorkFollowsTheAgentKind:
         used = watch_opponent_work(monkeypatch, forbidden=kind == "dqn")
         train_run(config, seed=1)
         if kind != "dqn":
-            assert used == {"classify_move", "OpponentTallies", "categories"}
+            assert used == {"OpponentTallies", "categories"}
 
     @pytest.mark.parametrize("kind", ["dqn", "dron_concat"])
     def test_soccer_evaluation(self, monkeypatch, kind):
@@ -415,14 +415,19 @@ class TestOpponentWorkFollowsTheAgentKind:
         train_run(config, seed=1)
         assert bool(calls) == (kind != "dqn")
 
-    # (config, opponent columns of each replay row): the state, opponent,
-    # next state and next opponent, then five scalars per row
+    # (config, state and opponent columns of each replay row): the state,
+    # opponent, next state and next opponent, then three scalars per row and
+    # the supervision target in a run with a multitask head
     REPLAY_RUNS = {
         "soccer-dqn": ("environment = soccer\nagent = dqn\n", 15, 0),
         "soccer-concat": ("environment = soccer\nagent = dron_concat\n", 15, 16),
+        "soccer-concat-action": ("environment = soccer\nagent = dron_concat\n"
+                                 "multitask = action\n", 15, 16),
         "quiz-dqn": ("environment = quizbowl\nagent = dqn\n", 102, 0),
         "quiz-self-dqn": ("environment = quizbowl\nagent = dqn\nopponent = self\n", 102, 0),
         "quiz-moe": ("environment = quizbowl\nagent = dron_moe\n", 102, 3),
+        "quiz-moe-type": ("environment = quizbowl\nagent = dron_moe\nmultitask = type\n",
+                          102, 3),
     }
 
     @pytest.mark.parametrize("name", list(REPLAY_RUNS))
@@ -440,10 +445,12 @@ class TestOpponentWorkFollowsTheAgentKind:
                                       "replay_min = 20\n"), seed=1)
         (buffer,) = buffers
         assert len(buffer) == 40
-        assert {t.opponent.shape + t.next_opponent.shape for t in buffer.items()} == {
-            (opponent_dim, opponent_dim)}
-        width = buffer.sample(1, np.random.default_rng(0)).rows.shape[1]
-        assert width == 2 * (state_dim + opponent_dim) + 5  # soccer dqn 35, concat 67
+        batch = buffer.sample(40, np.random.default_rng(0))
+        assert batch.opponent.shape == batch.next_opponent.shape == (40, opponent_dim)
+        supervised = "multitask" in text
+        assert (batch.supervision is None) == (not supervised)
+        # soccer dqn 33, concat 65, concat with a head 66
+        assert batch.rows.shape[1] == 2 * (state_dim + opponent_dim) + 3 + supervised
 
     def test_quiz_driver_records_every_buzz_without_features(self):
         # the same game with and without opponent features: the same steps,
@@ -757,7 +764,8 @@ class TestSelfPlayDriver:
                                "replay_min = 200\n"), seed=1)
         (buffer,) = buffers
         assert len(buffer) == 150
-        assert all(t.terminal for t in buffer.items())
+        # 6000 draws miss a given one of the 150 rows with probability e^-40
+        assert buffer.sample(6000, np.random.default_rng(0)).terminal.all()
 
 
 class TestSweep:

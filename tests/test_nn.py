@@ -485,7 +485,7 @@ class TestFlatAdaGrad:
     def test_non_finite_names_first_bad_parameter(self):
         params = nn.FlatParams.of({"a": np.zeros(3), "b": np.zeros((2, 2)), "c": np.zeros(2)})
         state = nn.AdaGradState.for_params(params, 0.1)
-        grads = nn.FlatParams(params.layout, params.flat.copy())
+        grads = nn.FlatParams.of(params)  # a copy, laid out alike
         grads["b"][1, 0] = np.inf
         grads["c"][0] = np.nan
         with pytest.raises(TrainingError, match="'b'"):

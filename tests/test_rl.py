@@ -14,15 +14,28 @@ from dron.config import ExperimentConfig
 from dron.errors import UsageError
 
 
-def make_transition(value=0.0, action=0, reward=0.0, terminal=True, supervision=None,
-                    state_dim=4, opp_dim=5):
+def push_args(value=0.0, action=0, reward=0.0, terminal=True, supervision=None,
+              state_dim=4, opp_dim=5):
+    """The arguments of one ``ReplayBuffer.push``, every feature ``value``."""
     s = np.full(state_dim, value)
     o = np.full(opp_dim, value)
-    return rl.Transition(
-        state=s, opponent=o, action=action, reward=reward,
-        next_state=s.copy(), next_opponent=o.copy(), terminal=terminal,
-        supervision=supervision,
-    )
+    return s, o, action, reward, s.copy(), o.copy(), terminal, supervision
+
+
+def layout_row(state, opponent, action, reward, next_state, next_opponent, terminal,
+               supervision):
+    """One transition as a row of the replay layout, written out by hand:
+    ``state | opponent | next_state | next_opponent | action | reward |
+    terminal [| supervision]``."""
+    scalars = [action, reward, terminal] + ([] if supervision is None else [supervision])
+    return np.concatenate([state, opponent, next_state, next_opponent,
+                           np.array(scalars, dtype=float)])
+
+
+def batch_of(pushes):
+    """The transitions ``pushes`` (``push`` arguments) as one Batch, in order."""
+    rows = np.array([layout_row(*args) for args in pushes])
+    return rl.Batch(rows, np.size(pushes[0][0]), np.size(pushes[0][1]))
 
 
 def mini_agent(kind="dqn", multitask="none", seed=0):
@@ -39,56 +52,53 @@ def mini_agent(kind="dqn", multitask="none", seed=0):
 class TestReplayBuffer:
     def test_push_grows(self):
         buf = rl.ReplayBuffer(10)
-        buf.push(make_transition(1.0))
+        buf.push(*push_args(1.0))
         assert len(buf) == 1
 
     def test_fifo_eviction(self):
         buf = rl.ReplayBuffer(2)
         for v in (1.0, 2.0, 3.0):
-            buf.push(make_transition(v))
-        values = sorted(t.state[0] for t in buf.items())
-        assert values == [2.0, 3.0]
+            buf.push(*push_args(v))
+        values = set(buf.sample(200, np.random.default_rng(0)).state[:, 0].tolist())
+        assert values == {2.0, 3.0}
 
     def test_sample_returns_pushed_item(self):
         buf = rl.ReplayBuffer(5)
-        buf.push(make_transition(7.0))
+        buf.push(*push_args(7.0))
         out = buf.sample(1, np.random.default_rng(0))
-        assert out[0].state[0] == 7.0
+        assert out.state[0, 0] == 7.0
 
     def test_single_item_batch64(self):
         buf = rl.ReplayBuffer(5)
-        buf.push(make_transition(3.0))
+        buf.push(*push_args(3.0))
         out = buf.sample(64, np.random.default_rng(0))
         assert len(out) == 64
-        assert all(t.state[0] == 3.0 for t in out)
+        assert np.all(out.state[:, 0] == 3.0)
 
     def test_deterministic_given_seed(self):
         buf = rl.ReplayBuffer(100)
         for v in range(50):
-            buf.push(make_transition(float(v)))
-        a = [t.state[0] for t in buf.sample(20, np.random.default_rng(42))]
-        b = [t.state[0] for t in buf.sample(20, np.random.default_rng(42))]
-        assert a == b
+            buf.push(*push_args(float(v)))
+        a = buf.sample(20, np.random.default_rng(42)).rows
+        b = buf.sample(20, np.random.default_rng(42)).rows
+        assert a.tobytes() == b.tobytes()
 
     def test_uniformity_three_sigma(self):
         buf = rl.ReplayBuffer(10)
         for v in range(10):
-            buf.push(make_transition(float(v)))
+            buf.push(*push_args(float(v)))
         rng = np.random.default_rng(7)
         draws = 100_000
-        counts = np.zeros(10)
-        for t in buf.sample(draws, rng):
-            counts[int(t.state[0])] += 1
+        counts = np.bincount(buf.sample(draws, rng).state[:, 0].astype(int), minlength=10)
         sigma = math.sqrt(draws * 0.1 * 0.9)
         assert np.all(np.abs(counts - draws * 0.1) <= 3 * sigma)
 
     def test_sample_only_stored(self):
         buf = rl.ReplayBuffer(3)
         for v in range(7):
-            buf.push(make_transition(float(v)))
-        stored = {t.state[0] for t in buf.items()}
-        sampled = {t.state[0] for t in buf.sample(200, np.random.default_rng(1))}
-        assert sampled <= stored
+            buf.push(*push_args(float(v)))
+        sampled = set(buf.sample(200, np.random.default_rng(1)).state[:, 0].tolist())
+        assert sampled <= {4.0, 5.0, 6.0}
 
     def test_empty_sample_raises(self):
         with pytest.raises(UsageError):
@@ -120,13 +130,13 @@ class TestEpsilonSchedule:
 class TestQTargets:
     def test_terminal_is_reward(self):
         agent = mini_agent()
-        t = make_transition(reward=1.0, terminal=True)
-        targets = rl.q_targets(rl.sync_target(agent), [t], 0.9)
+        batch = batch_of([push_args(reward=1.0, terminal=True)])
+        targets = rl.q_targets(rl.sync_target(agent), batch, 0.9)
         assert targets[0] == 1.0
 
     def test_zero_discount(self):
         agent = mini_agent()
-        batch = [make_transition(reward=r, terminal=False) for r in (-1.0, 0.5, 2.0)]
+        batch = batch_of([push_args(reward=r, terminal=False) for r in (-1.0, 0.5, 2.0)])
         targets = rl.q_targets(rl.sync_target(agent), batch, 0.0)
         assert np.array_equal(targets, [-1.0, 0.5, 2.0])
 
@@ -137,8 +147,8 @@ class TestQTargets:
         for name in agent.params:
             agent.params[name][:] = 0.0
         agent.params["q_net.2.bias"][:] = [0.2, 0.5, -1.0]
-        t = make_transition(reward=0.0, terminal=False)
-        targets = rl.q_targets(rl.sync_target(agent), [t], 0.9)
+        batch = batch_of([push_args(reward=0.0, terminal=False)])
+        targets = rl.q_targets(rl.sync_target(agent), batch, 0.9)
         assert targets[0] == pytest.approx(0.45)
 
 
@@ -242,8 +252,7 @@ class TestSyncTarget:
         agent = mini_agent(seed=3)
         opt = nn.AdaGradState.for_params(agent.params, 0.01)
         frozen = rl.sync_target(agent)
-        batch = [make_transition(value=0.3, reward=1.0, action=1, terminal=False)
-                 for _ in range(4)]
+        batch = batch_of([push_args(value=0.3, reward=1.0, action=1, terminal=False)] * 4)
         before = rl.q_targets(frozen, batch, 0.9)
         for _ in range(5):
             rl.td_update(agent, batch, opt, frozen, 0.9)
@@ -255,8 +264,7 @@ class TestSyncTarget:
     def test_in_place_write_to_a_bound_target_shows(self):
         agent = mini_agent("dron_moe", seed=12)
         frozen = rl.sync_target(agent)
-        batch = [make_transition(value=0.3, reward=1.0, action=1, terminal=False)
-                 for _ in range(4)]
+        batch = batch_of([push_args(value=0.3, reward=1.0, action=1, terminal=False)] * 4)
         before = rl.q_targets(frozen, batch, 0.9)
         for name in ("expert.0.1.bias", "expert.1.1.bias"):
             frozen.params[name] = frozen.params[name] + 2.0
@@ -268,8 +276,7 @@ class TestSyncTarget:
     def test_a_new_target_is_bound_anew(self):
         agent = mini_agent("dron_moe", seed=13)
         opt = nn.AdaGradState.for_params(agent.params, 0.05)
-        batch = [make_transition(value=0.3, reward=1.0, action=1, terminal=False)
-                 for _ in range(4)]
+        batch = batch_of([push_args(value=0.3, reward=1.0, action=1, terminal=False)] * 4)
         frozen = rl.sync_target(agent)
         old = rl.q_targets(frozen, batch, 0.9)
         for _ in range(10):
@@ -282,10 +289,19 @@ class TestSyncTarget:
             assert got.tobytes() == rl.q_targets(agent, batch, 0.9).tobytes()
             old = got
 
+    def test_the_target_holds_no_gradient_set(self):
+        agent = mini_agent("dron_moe", seed=15)
+        opt = nn.AdaGradState.for_params(agent.params, 0.01)
+        batch = batch_of([push_args(value=0.3, reward=1.0, terminal=False)] * 2)
+        frozen = rl.sync_target(agent)
+        rl.td_update(agent, batch, opt, frozen, 0.9)
+        assert agent.grads is not None
+        assert frozen.grads is None and rl.sync_target(agent).grads is None
+
     def test_the_agent_keeps_no_reference_to_its_target(self):
         agent = mini_agent("dron_concat", seed=14)
         opt = nn.AdaGradState.for_params(agent.params, 0.0005)
-        batch = [make_transition(value=0.3, terminal=False) for _ in range(2)]
+        batch = batch_of([push_args(value=0.3, terminal=False)] * 2)
         frozen = rl.sync_target(agent)
         rl.td_update(agent, batch, opt, frozen, 0.9)
         held = weakref.ref(frozen)
@@ -299,7 +315,7 @@ class TestTdUpdate:
         for name in agent.params:
             agent.params[name][:] = 0.0
         opt = nn.AdaGradState.for_params(agent.params, 0.0005)
-        batch = [make_transition(reward=0.0, terminal=True) for _ in range(8)]
+        batch = batch_of([push_args(reward=0.0, terminal=True)] * 8)
         loss = rl.td_update(agent, batch, opt, rl.sync_target(agent), 0.9)
         assert loss == 0.0
         assert all(np.all(v == 0.0) for v in agent.params.values())
@@ -307,20 +323,20 @@ class TestTdUpdate:
     def test_loss_decreases_toward_target(self):
         agent = mini_agent(seed=5)
         opt = nn.AdaGradState.for_params(agent.params, 0.01)
-        t = make_transition(value=0.5, reward=1.0, action=2, terminal=True)
+        batch = batch_of([push_args(value=0.5, reward=1.0, action=2, terminal=True)])
         frozen = rl.sync_target(agent)
 
         def current_loss():
-            q = agent.q_values(t.state)
+            q = agent.q_values(batch.state[0])
             return (q[2] - 1.0) ** 2
 
         before = current_loss()
-        rl.td_update(agent, [t], opt, frozen, 0.9)
+        rl.td_update(agent, batch, opt, frozen, 0.9)
         assert current_loss() < before
 
     def test_gamma_zero_matches_rewards(self):
         agent = mini_agent(seed=6)
-        batch = [make_transition(reward=r, terminal=False) for r in (1.0, -2.0)]
+        batch = batch_of([push_args(reward=r, terminal=False) for r in (1.0, -2.0)])
         targets = rl.q_targets(rl.sync_target(agent), batch, 0.0)
         assert np.array_equal(targets, [1.0, -2.0])
 
@@ -334,7 +350,7 @@ class TestTdUpdate:
         multi = Agent(multi_spec, seed=7)
         opt_a = nn.AdaGradState.for_params(plain.params, 0.01)
         opt_b = nn.AdaGradState.for_params(multi.params, 0.01)
-        batch = [make_transition(value=0.4, reward=1.0, action=1, supervision=1)]
+        batch = batch_of([push_args(value=0.4, reward=1.0, action=1, supervision=1)])
         rl.td_update(plain, batch, opt_a, rl.sync_target(plain), 0.9)
         rl.td_update(multi, batch, opt_b, rl.sync_target(multi), 0.9)
         for name in plain.params:
@@ -343,7 +359,7 @@ class TestTdUpdate:
     def test_grad_clip_applies(self):
         agent = mini_agent(seed=8)
         opt = nn.AdaGradState.for_params(agent.params, 0.1)
-        batch = [make_transition(value=1.0, reward=100.0, action=0, terminal=True)]
+        batch = batch_of([push_args(value=1.0, reward=100.0, action=0, terminal=True)])
         before = {k: v.copy() for k, v in agent.params.items()}
         rl.td_update(agent, batch, opt, rl.sync_target(agent), 0.9, grad_clip=1e-9)
         # with per-coordinate clipping this tiny, accumulators are tiny and
@@ -354,104 +370,119 @@ class TestTdUpdate:
     def test_empty_batch_raises(self):
         agent = mini_agent(seed=9)
         opt = nn.AdaGradState.for_params(agent.params, 0.0005)
+        empty = rl.Batch(np.empty((0, 2 * (4 + 5) + 3)), 4, 5)
         with pytest.raises(UsageError):
-            rl.td_update(agent, [], opt, rl.sync_target(agent), 0.9)
+            rl.td_update(agent, empty, opt, rl.sync_target(agent), 0.9)
+
+    @pytest.mark.parametrize("kind", ["dron_concat", "dron_moe"])
+    def test_multitask_agent_needs_rows_with_supervision(self, kind):
+        agent = mini_agent(kind, "type", seed=10)
+        opt = nn.AdaGradState.for_params(agent.params, 0.01)
+        batch = batch_of([push_args(value=0.2, reward=1.0, terminal=False)] * 3)
+        before = agent.params.flat.copy()
+        with pytest.raises(UsageError, match="supervision"):
+            rl.td_update(agent, batch, opt, rl.sync_target(agent), 0.9)
+        assert agent.params.flat.tobytes() == before.tobytes()
 
 
 # -- replay ring against the list-backed ring it replaced -----------------------
 
-_supervision = st.one_of(st.none(), st.integers(0, 3),
-                         st.floats(-2.0, 2.0, allow_nan=False))
 _pushes = st.lists(
     st.tuples(st.floats(-5.0, 5.0, allow_nan=False), st.integers(0, 2),
-              st.floats(-10.0, 10.0, allow_nan=False), st.booleans(), _supervision),
+              st.floats(-10.0, 10.0, allow_nan=False), st.booleans(),
+              st.one_of(st.integers(0, 3), st.floats(-2.0, 2.0, allow_nan=False))),
     min_size=1, max_size=25,
 )
 
 
-def _transition(k, value, action, reward, terminal, supervision):
-    # every field distinct per push, so a misplaced row shows
-    return rl.Transition(
-        state=value + np.arange(4.0), opponent=-value - np.arange(5.0), action=action,
-        reward=reward, next_state=value + k + np.arange(4.0),
-        next_opponent=value * k - np.arange(5.0), terminal=terminal,
-        supervision=supervision,
-    )
-
-
-def assert_same_transitions(got, expected):
-    got = list(got)
-    assert len(got) == len(expected)
-    for a, b in zip(got, expected):
-        for field in ("state", "opponent", "next_state", "next_opponent"):
-            assert np.array_equal(getattr(a, field), getattr(b, field)), field
-        assert (a.action, a.reward, a.terminal) == (b.action, b.reward, b.terminal)
-        assert a.supervision == b.supervision
-        assert (a.supervision is None) == (b.supervision is None)
+def _transition(k, value, action, reward, terminal, target, supervised=True):
+    """``push`` arguments with every field distinct per push, so a misplaced
+    row shows; ``target`` is the supervision when the run is ``supervised``."""
+    return (value + np.arange(4.0), -value - np.arange(5.0), action, reward,
+            value + k + np.arange(4.0), value * k - np.arange(5.0), terminal,
+            target if supervised else None)
 
 
 class TestReplayRingProperties:
     @settings(max_examples=80, deadline=None)
-    @given(capacity=st.integers(1, 7), pushes=_pushes, batch=st.integers(1, 9),
-           seed=st.integers(0, 2**32 - 1))
-    def test_matches_list_reference(self, capacity, pushes, batch, seed):
+    @given(capacity=st.integers(1, 7), pushes=_pushes, supervised=st.booleans(),
+           batch=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+    def test_matches_list_reference(self, capacity, pushes, supervised, batch, seed):
         buf = rl.ReplayBuffer(capacity)
         reference, slot = [], 0
         for k, args in enumerate(pushes):
-            t = _transition(k, *args)
-            buf.push(t)
+            t = _transition(k, *args, supervised)
+            buf.push(*t)
             if len(reference) < capacity:
                 reference.append(t)
             else:
                 reference[slot] = t
             slot = (slot + 1) % capacity
         assert len(buf) == len(reference)
-        assert_same_transitions(buf.items(), reference)
         idx = np.random.default_rng(seed).integers(0, len(reference), size=batch)
         sampled = buf.sample(batch, np.random.default_rng(seed))
-        assert_same_transitions(sampled, [reference[i] for i in idx])
+        expected = np.array([layout_row(*reference[i]) for i in idx])
+        assert sampled.rows.tobytes() == expected.tobytes()
 
     @settings(max_examples=40, deadline=None)
-    @given(pushes=_pushes)
-    def test_batch_round_trip(self, pushes):
-        transitions = [_transition(k, *args) for k, args in enumerate(pushes)]
-        batch = rl.Batch.of(transitions)
-        assert_same_transitions([batch[i] for i in range(len(batch))], transitions)
-        assert rl.Batch.of(batch) is batch
-
-    def test_items_are_copies(self):
-        buf = rl.ReplayBuffer(1)
-        buf.push(make_transition(1.0))
-        kept = buf.items()
-        buf.push(make_transition(2.0))
-        assert kept[0].state[0] == 1.0
+    @given(pushes=_pushes, supervised=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_batch_round_trip(self, pushes, supervised, seed):
+        # a sampled batch's fields give back the fields that were pushed
+        transitions = [_transition(k, *args, supervised) for k, args in enumerate(pushes)]
+        buf = rl.ReplayBuffer(len(transitions))
+        for t in transitions:
+            buf.push(*t)
+        idx = np.random.default_rng(seed).integers(0, len(transitions), size=8)
+        batch = buf.sample(8, np.random.default_rng(seed))
+        assert len(batch) == 8
+        for row, i in enumerate(idx):
+            state, opponent, action, reward, next_state, next_opponent, terminal, target = (
+                transitions[i])
+            for got, want in ((batch.state, state), (batch.opponent, opponent),
+                              (batch.next_state, next_state),
+                              (batch.next_opponent, next_opponent)):
+                assert np.array_equal(got[row], want)
+            assert batch.action[row] == action and batch.reward[row] == reward
+            assert batch.terminal[row] == terminal
+            if supervised:
+                assert batch.supervision[row] == target
+        assert batch.action.dtype == np.intp and batch.terminal.dtype == bool
+        assert (batch.supervision is None) == (not supervised)
 
     def test_width_change_rejected(self):
         buf = rl.ReplayBuffer(4)
-        buf.push(make_transition(state_dim=4))
+        buf.push(*push_args(state_dim=4))
         with pytest.raises(UsageError):
-            buf.push(make_transition(state_dim=3))
+            buf.push(*push_args(state_dim=3))
 
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), multitask=st.sampled_from(["none", "type"]),
-           grad_clip=st.sampled_from([None, 0.05]))
-    def test_td_update_list_and_batch_identical(self, seed, multitask, grad_clip):
-        rng = np.random.default_rng(seed)
-        kind = "dqn" if multitask == "none" else "dron_moe"
-        buf = rl.ReplayBuffer(16)
-        for k in range(16):
-            sup = None if k % 3 == 0 else int(rng.integers(0, 2))
-            buf.push(_transition(k, float(rng.normal()), int(rng.integers(0, 3)),
-                                 float(rng.normal()), bool(rng.random() < 0.3), sup))
-        batch = buf.sample(8, rng)
-        agents = [mini_agent(kind, multitask, seed=11) for _ in range(2)]
-        opts = [nn.AdaGradState.for_params(a.params, 0.01) for a in agents]
-        frozen = rl.sync_target(agents[0])
-        for _ in range(3):
-            rl.td_update(agents[0], list(batch), opts[0], frozen, 0.9, grad_clip)
-            rl.td_update(agents[1], batch, opts[1], frozen, 0.9, grad_clip)
-        assert agents[0].params.flat.tobytes() == agents[1].params.flat.tobytes()
-        assert opts[0].accumulators.flat.tobytes() == opts[1].accumulators.flat.tobytes()
+    @pytest.mark.parametrize("field", [0, 1, 4, 5],
+                             ids=["state", "opponent", "next_state", "next_opponent"])
+    def test_every_field_width_is_checked(self, field):
+        buf = rl.ReplayBuffer(4)
+        buf.push(*push_args())
+        args = list(push_args())
+        args[field] = np.zeros(args[field].size + 1)
+        with pytest.raises(UsageError, match="replay layout"):
+            buf.push(*args)
+        assert len(buf) == 1
+
+    @pytest.mark.parametrize("first,then", [(None, 1), (2, None)])
+    def test_supervision_change_rejected(self, first, then):
+        # a run has a target on every step or on none, so the first push
+        # fixes whether rows hold one
+        buf = rl.ReplayBuffer(4)
+        buf.push(*push_args(supervision=first))
+        with pytest.raises(UsageError, match="supervision"):
+            buf.push(*push_args(supervision=then))
+        assert len(buf) == 1
+
+    @pytest.mark.parametrize("supervision,width", [(None, 21), (1, 22)])
+    def test_a_supervision_column_only_when_supervised(self, supervision, width):
+        buf = rl.ReplayBuffer(4)
+        buf.push(*push_args(value=0.5, reward=2.0, action=1, supervision=supervision))
+        batch = buf.sample(1, np.random.default_rng(0))
+        assert batch.rows.shape == (1, width)  # 2 * (4 + 5) + 3 scalars [+ supervision]
+        assert (batch.supervision is None) == (supervision is None)
 
 
 class TestSupervisionLoss:
@@ -466,33 +497,31 @@ class TestSupervisionLoss:
         else:
             P = 1.0 / (1.0 + np.exp(-logits))
             targets = rng.random(n).tolist()
-        transitions = [make_transition(supervision=None if b % 3 == 1 else targets[b])
-                       for b in range(n)]
-        loss, dsup = rl.supervision_loss(kind, P, rl.Batch.of(transitions), lam)
+        batch = batch_of([push_args(supervision=target) for target in targets])
+        loss, dsup = rl.supervision_loss(kind, P, batch, lam)
 
         # the per-row loop the vectorised loss replaced
         ref_loss, ref = 0.0, np.zeros_like(P)
-        for b, t in enumerate(transitions):
-            if t.supervision is None:
-                continue
-            loss_b, grad_b = nn.loss_and_grad(kind, P[b], t.supervision)
+        for b, target in enumerate(targets):
+            loss_b, grad_b = nn.loss_and_grad(kind, P[b], target)
             ref_loss += loss_b / n
             ref[b] = lam * grad_b / n
         assert dsup.tobytes() == ref.tobytes()  # bitwise, signed zeros included
         assert loss == ref_loss
 
-    def test_no_targets_gives_zero(self):
-        batch = rl.Batch.of([make_transition(), make_transition()])
-        loss, dsup = rl.supervision_loss("cross_entropy", np.full((2, 2), 0.5), batch, 1.0)
-        assert loss == 0.0 and not dsup.any()
+    def test_rows_without_a_supervision_column_raise(self):
+        batch = batch_of([push_args(), push_args()])
+        assert batch.supervision is None
+        with pytest.raises(UsageError, match="supervision target"):
+            rl.supervision_loss("cross_entropy", np.full((2, 2), 0.5), batch, 1.0)
 
     def test_unnormalised_probabilities_rejected(self):
-        batch = rl.Batch.of([make_transition(supervision=0)])
+        batch = batch_of([push_args(supervision=0)])
         with pytest.raises(UsageError, match="normalized"):
             rl.supervision_loss("cross_entropy", np.array([[0.5, 0.9]]), batch, 1.0)
 
     def test_class_index_out_of_range_rejected(self):
-        batch = rl.Batch.of([make_transition(supervision=2)])
+        batch = batch_of([push_args(supervision=2)])
         with pytest.raises(UsageError, match="out of range"):
             rl.supervision_loss("cross_entropy", np.array([[0.5, 0.5]]), batch, 1.0)
 
@@ -502,9 +531,9 @@ class TestSupervisionLoss:
 
 def per_call_td_update(agent, batch, opt_state, target, discount, grad_clip=None):
     """``td_update`` with the set-up it used to repeat on every call: a new
-    target agent built (and bound) from the target's parameters and a new
-    gradient set from ``backward_train``. Same arithmetic in the same order."""
-    batch = rl.Batch.of(batch)
+    target agent built (and bound) from the target's parameters, and a new
+    gradient set, which ``backward_train`` allocates and binds when the
+    agent holds none. Same arithmetic in the same order."""
     n = len(batch)
     targets = rl.q_targets(Agent(target.spec, params=target.params), batch, discount)
     fwd = agent.forward_train(batch.state, batch.opponent)
@@ -518,6 +547,7 @@ def per_call_td_update(agent, batch, opt_state, target, discount, grad_clip=None
     if agent.spec.multitask != "none":
         sup_loss, dsup = rl.supervision_loss(agent.spec.multitask_loss, fwd.supervision,
                                              batch, lam)
+    agent.grads = None
     grads = agent.backward_train(fwd, dq, dsup)
     nn.adagrad_update(agent.params, grads, opt_state, clip=grad_clip)
     return combined_loss(q_loss, sup_loss, lam)
@@ -532,9 +562,9 @@ class TestNoPerCallSetUp:
         rng = np.random.default_rng(70)
         buf = rl.ReplayBuffer(32)
         for k in range(32):
-            sup = None if k % 3 == 0 else int(rng.integers(0, 2))
-            buf.push(_transition(k, float(rng.normal()), int(rng.integers(0, 3)),
-                                 float(rng.normal()), bool(rng.random() < 0.3), sup))
+            buf.push(*_transition(k, float(rng.normal()), int(rng.integers(0, 3)),
+                                  float(rng.normal()), bool(rng.random() < 0.3),
+                                  int(rng.integers(0, 2)), multitask != "none"))
         agents = [mini_agent(kind, multitask, seed=71) for _ in range(2)]
         opts = [nn.AdaGradState.for_params(a.params, 0.01) for a in agents]
         targets = [rl.sync_target(a) for a in agents]
@@ -559,13 +589,9 @@ class TestNoPerCallSetUp:
         rng = np.random.default_rng(72)
         buf = rl.ReplayBuffer(256)
         for _ in range(256):
-            sup = int(rng.integers(0, 4)) if rng.random() < 0.5 else None
-            buf.push(rl.Transition(
-                state=rng.normal(size=102), opponent=rng.random(3),
-                action=int(rng.integers(0, 2)), reward=float(rng.normal()),
-                next_state=rng.normal(size=102), next_opponent=rng.random(3),
-                terminal=bool(rng.random() < 0.1), supervision=sup,
-            ))
+            buf.push(rng.normal(size=102), rng.random(3), int(rng.integers(0, 2)),
+                     float(rng.normal()), rng.normal(size=102), rng.random(3),
+                     bool(rng.random() < 0.1), int(rng.integers(0, 4)))
         opt = nn.AdaGradState.for_params(agent.params, 0.0005)
         target = rl.sync_target(agent)
         for _ in range(3):

@@ -10,7 +10,6 @@ from dron.soccer import (
     ACTIONS,
     OpponentTallies,
     SoccerState,
-    classify_move,
     featurize_state,
     reset,
     rule_agent_act,
@@ -458,7 +457,7 @@ class TestFeaturize:
 
 
 def category(state, action):
-    return soccer.MOVE_CATEGORIES[classify_move(state, action)]
+    return soccer.MOVE_CATEGORIES[soccer.MOVE_CATEGORY[state.joint, action]]
 
 
 class TestClassifyMove:
@@ -487,8 +486,8 @@ class TestClassifyMove:
         for _ in range(500):
             state = random_position(rng).state()
             for action in range(5):
-                cat = classify_move(state, action)
-                assert type(cat) is int and 0 <= cat < len(soccer.MOVE_CATEGORIES)
+                cat = soccer.MOVE_CATEGORY[state.joint, action]
+                assert 0 <= cat < len(soccer.MOVE_CATEGORIES)
 
 
 class TestOpponentFeatures:
@@ -500,12 +499,25 @@ class TestOpponentFeatures:
 
     def test_single_observation(self):
         tallies = OpponentTallies(1)
-        tallies.observe(soccer.MOVE_CATEGORIES.index("approach_agent"), A_E, lost_ball=False)
+        before = state_at((2, 2), (5, 2), "A")  # B moving W approaches A
+        after, _, _, blocked = step(before, A_STAND, A_W)
+        tallies.observe(before.joint, A_W, after.joint, blocked)
         phi = tallies.features()[0]
         assert np.allclose(phi[0:5], [1, 0, 0, 0, 0])
         assert np.allclose(phi[5:10], [1, 0, 0, 0, 0])
-        assert phi[10 + A_E] == 1.0
+        assert phi[10 + A_W] == 1.0
         assert phi[15] == 0.0
+        assert tallies.last_category == soccer.MOVE_CATEGORIES.index("approach_agent")
+
+    @pytest.mark.parametrize("ball,lost", [("A", 1.0), ("B", 0.0)])
+    def test_a_blocked_move_that_leaves_b_the_ball_loses_it(self, ball, lost):
+        # both players step onto (4, 2): neither moves and the ball changes hands
+        before = state_at((3, 2), (5, 2), ball)
+        after, _, _, blocked = step(before, A_E, A_W)
+        assert blocked and soccer.STATE_FIELDS[2, after.joint] == "AB".index(ball) ^ 1
+        tallies = OpponentTallies(1)
+        tallies.observe(before.joint, A_W, after.joint, blocked)
+        assert tallies.features()[0, 15] == lost
 
     def test_frequencies_sum_to_one(self):
         rng = np.random.default_rng(5)
@@ -513,9 +525,8 @@ class TestOpponentFeatures:
         state, _ = reset(rng)
         for _ in range(60):
             action = int(rng.integers(0, 5))
-            cat = classify_move(state, action)
-            tallies.observe(cat, action, lost_ball=bool(rng.random() < 0.1))
-            nxt, _, done, _ = step(state, int(rng.integers(0, 5)), action)
+            nxt, _, done, blocked = step(state, int(rng.integers(0, 5)), action)
+            tallies.observe(state.joint, action, nxt.joint, blocked)
             state = nxt if not done else reset(rng)[0]
             phi = tallies.features()[0]
             assert abs(phi[0:5].sum() - 1.0) <= 1e-12
