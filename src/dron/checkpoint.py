@@ -279,6 +279,9 @@ def load_checkpoint(path: str) -> Checkpoint:
         if max(rng_state) >= 1 << 128:  # a PCG64 state is two 128-bit words
             raise CheckpointError(f"line {header_line['rng']}: rng "
                                   f"'{max(rng_state)}' does not fit in 128 bits")
+        if rng_state[1] % 2 == 0:  # a PCG64 stream's increment is odd
+            raise CheckpointError(f"line {header_line['rng']}: rng increment "
+                                  f"'{rng_state[1]}' is even; a PCG64 stream's is odd")
     steps = _size(header["steps"], header_line["steps"], "steps")
 
     # every block must be one the header's agent has, in its shape

@@ -30,14 +30,14 @@ evaluation has one path, `_evaluate`, fed that dict: a run's per-epoch
 evaluation and a later `evaluate` of its checkpoint play the same games.
 The quiz game is `qb.QuizConfig(**env_params)`, so a key an in-memory
 `Checkpoint` lacks takes the default a load gives it.
-A soccer game has one state format everywhere: `soccer.SoccerState`'s
-joint state, an index of the `soccer` module's tables, with the opponent
-mode and move category as table indices, so `SoccerDriver` hands the mode
-or category index on as the multitask supervision as it comes. Soccer
-games share nothing, so `evaluate_soccer` plays them in lockstep: the
-games still running are an array of joint states, and each step is one
-batched Q-value call plus lookups into the same tables `SoccerDriver`
-reads one game at a time. Each game keeps its own random stream, and
+A soccer game is a joint state everywhere, an index of the `soccer`
+module's tables, with the opponent mode and move category as table
+indices, so `SoccerDriver` hands the mode or category index on as the
+multitask supervision as it comes. `SoccerDriver` plays one game through
+`soccer.rule_agent` and `soccer.step`; soccer games share nothing, so
+`evaluate_soccer` plays them in lockstep through the same two functions on
+an array of the joint states of the games still running, with one batched
+Q-value call per step. Each game keeps its own random stream, and
 `soccer.TieDraws` breaks the ties of all games in one vectorised step
 from words drawn from those streams, as one-by-one play's draws would
 give them, so the games are those of one-by-one play; a batched forward
@@ -152,10 +152,11 @@ class StepInfo:
 
 class SoccerDriver:
     """The primary agent (player A) against the rule-based opponent (player
-    B). `obs[1]` is the one row of B's `soccer.OpponentTallies` for this
-    game; with `sees_opponent` false (a `dqn` agent) B's moves are not
-    tallied, and `obs[1]` is `NO_OPPONENT`. The `action` supervision is the
-    category of B's move, which the tally reads."""
+    B): joint state `joint`, an int, after `steps` moves, over (`done`) on a
+    goal or at `soccer.HORIZON`. `obs[1]` is the one row of B's
+    `soccer.OpponentTallies`; with `sees_opponent` false (a `dqn` agent) B's
+    moves are not tallied, and `obs[1]` is `NO_OPPONENT`. The `action`
+    supervision is the category of B's move, which the tally reads."""
 
     bootstrap = True  # TD targets look past non-terminal steps
 
@@ -168,27 +169,33 @@ class SoccerDriver:
         self.reset()
 
     def reset(self) -> None:
-        self.state, self.mode = soccer.reset(self.rng, self.mode_policy)
+        self.joint, self.mode = soccer.reset(self.rng, self.mode_policy)
+        self.steps, self.done = 0, False
         self.tallies = soccer.OpponentTallies(1) if self.sees_opponent else None
         self._observe()
 
     def _observe(self) -> None:
         phi_o = self.tallies.features()[0] if self.sees_opponent else NO_OPPONENT
-        self.obs = (soccer.featurize_state(self.state), phi_o)
+        self.obs = (soccer.FEATURES[self.joint], phi_o)
 
     def step(self, action: int) -> Tuple[float, bool, StepInfo]:
-        before = self.state
-        action_b = soccer.rule_agent_act(before, self.mode, self.rng)
-        self.state, reward, done, blocked = soccer.step(before, action, action_b)
+        if self.done:
+            raise UsageError("cannot step a finished episode")
+        before = self.joint
+        action_b = soccer.rule_agent(self.mode, before, self.rng.integers)
+        joint, blocked, outcome = soccer.step(before, action, action_b)
+        self.joint = int(joint)
+        self.steps += 1
+        self.done = bool(outcome) or self.steps >= soccer.HORIZON
         if self.sees_opponent:
-            self.tallies.observe(before.joint, action_b, self.state.joint, blocked)
+            self.tallies.observe(before, action_b, self.joint, blocked)
         self._observe()
         supervision = None
         if self.multitask == "type":
             supervision = self.mode
         elif self.multitask == "action":
             supervision = self.tallies.last_category
-        return reward, done, StepInfo(supervision)
+        return float(outcome), self.done, StepInfo(supervision)
 
 
 class QuizDriver:
@@ -329,16 +336,14 @@ def evaluate_soccer(agent: Agent, opponent: str, n_games: int, seed: int,
     count)` calls would while nothing else reads the stream (`soccer` says
     why; `TestTieDraws` checks it). The games still running are arrays of
     joint states, modes and, for an agent with an opponent tower, rows of
-    `soccer.OpponentTallies`; each step is one batched `agent.q_values` call
-    and lookups into the `soccer` tables; games left after `soccer.HORIZON`
-    steps are ties. The games and draws are those of one-by-one play with
-    `SoccerDriver` (the module docstring says how near a batched forward is
-    to a one-row one). `render` prints each game's boards at the end."""
+    `soccer.OpponentTallies`; each step is one batched `agent.q_values` call;
+    games left after `soccer.HORIZON` steps are ties. The games and draws
+    are those of one-by-one play with `SoccerDriver` (the module docstring
+    says how near a batched forward is to a one-row one). `render` prints
+    each game's boards at the end."""
     _check_games_and_seed(n_games, seed)
     rngs = [np.random.default_rng([seed, game]) for game in range(n_games)]
-    starts = [soccer.reset(rng, opponent) for rng in rngs]
-    state = np.array([start.joint for start, _ in starts])
-    mode = np.array([mode for _, mode in starts])
+    state, mode = np.array([soccer.reset(rng, opponent) for rng in rngs]).T
     draws = soccer.TieDraws(rngs)
     games = np.arange(n_games)  # the games still running
     tallies = soccer.OpponentTallies(n_games) if has_opponent_tower(agent.spec.kind) else None
@@ -348,14 +353,14 @@ def evaluate_soccer(agent: Agent, opponent: str, n_games: int, seed: int,
         phi_s = soccer.FEATURES.take(state, axis=0)
         observation = (phi_s,) if tallies is None else (phi_s, tallies.features())
         action_a = agent.q_values(*observation).argmax(axis=1)
-        action_b = soccer.rule_agent_many(mode, state, draws)
+        action_b = soccer.rule_agent(mode, state, draws.draw)
         before = state
-        state, blocked, outcome = soccer.step_many(state, action_a, action_b)
+        state, blocked, outcome = soccer.step(state, action_a, action_b)
         if tallies is not None:
             tallies.observe(before, action_b, state, blocked)
         if render:
             for game, joint in zip(games.tolist(), state.tolist()):
-                frames[game].append(soccer.render(soccer.SoccerState(joint)))
+                frames[game].append(soccer.render(joint))
         scored = outcome != 0
         if scored.any():
             rewards[games[scored]] = outcome[scored]

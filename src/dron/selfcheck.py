@@ -163,18 +163,16 @@ def run_selfcheck() -> bool:
         return all(a >= b for a, b in zip(values, values[1:]))
 
     def soccer_invariants() -> bool:
+        # B plays by its rules, ties included; A moves at random
         for _ in range(300):
-            state, _ = soccer.reset(rng)
-            while True:
-                state, reward, done, _ = soccer.step(
-                    state, int(rng.integers(0, 5)), int(rng.integers(0, 5))
-                )
-                cell_a, cell_b, holder = soccer.STATE_FIELDS[:, state.joint].tolist()
-                if cell_a == cell_b or holder not in (0, 1):
+            joint, mode = soccer.reset(rng)
+            for _ in range(soccer.HORIZON):
+                action_b = soccer.rule_agent(mode, joint, rng.integers)
+                joint, _, outcome = soccer.step(joint, int(rng.integers(0, 5)), action_b)
+                cell_a, cell_b, holder = soccer.STATE_FIELDS[:, joint].tolist()
+                if cell_a == cell_b or holder not in (0, 1) or outcome not in (-1, 0, 1):
                     return False
-                if done:
-                    if reward not in (-1.0, 0.0, 1.0) or state.step > soccer.HORIZON:
-                        return False
+                if outcome:
                     break
         return True
 

@@ -22,28 +22,28 @@ by mode and state) and `MOVE_CATEGORY` (by state and B's move). Each rule
 is written once, in the builder of its table. Modes and move categories
 are `MODES` and `MOVE_CATEGORIES` indices.
 
-One game against many. `reset`, `step`, `rule_agent_act` and
-`featurize_state` play one game, as training does; `step_many` and
-`rule_agent_many` play many, as `harness.evaluate_soccer` does, by the same
-lookups. B breaks a tie among n best moves with ``rng.integers(0, n)`` on
-its game's stream; many games do it in one vectorised step (`TieDraws`).
-Each draws a block of raw 32-bit words, and a tie maps its next word w to
-``(w * n) >> 32``, skipping a zero word when n is odd: Lemire's rule
-(Lemire, ACM TOMACS 2019) as `Generator.integers(0, n)` applies it to the
-same words. So the draws are one-game play's while nothing else reads the
-stream after `reset` (`TestTieDraws` in `tests/test_soccer.py`). Both tally
-B's moves with `OpponentTallies.observe`, the one place that reads a move's
-category and writes the lost-ball rule. A `dqn` game reads neither
-`OpponentTallies` nor `MOVE_CATEGORY`.
+One game or many, by the same functions: `step` and `rule_agent` take a
+joint state as an int (one game, as training plays) or an array (the games
+`harness.evaluate_soccer` plays in lockstep), and leave the horizon to the
+caller. B breaks a tie among n best moves with ``integers(0, n)`` on its
+game's stream, drawing nothing when n is 1. Many games draw in one
+vectorised step (`TieDraws`): each draws a block of raw 32-bit words, and a
+tie maps its next word w to ``(w * n) >> 32``, skipping a zero word when n
+is odd: Lemire's rule (Lemire, ACM TOMACS 2019) as `Generator.integers(0,
+n)` applies it to the same words. So the draws are one-game play's while
+nothing else reads the stream after `reset` (`TestTieDraws` in
+`tests/test_soccer.py`). Both tally B's moves with `OpponentTallies.observe`,
+the one place that reads a move's category and writes the lost-ball rule.
+A `dqn` game reads neither `OpponentTallies` nor `MOVE_CATEGORY`.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigurationError, UsageError
+from .errors import ConfigurationError
 
 Cell = Tuple[int, int]  # (col, row)
 
@@ -248,14 +248,6 @@ def _tie_sets() -> Tuple[np.ndarray, np.ndarray]:
 TIE_COUNTS, TIE_MOVES = map(_read_only, _tie_sets())
 
 
-class SoccerState(NamedTuple):
-    """One game: its joint state, the steps played, and whether it is over."""
-
-    joint: int
-    step: int = 0
-    done: bool = False
-
-
 def sample_mode(rng: np.random.Generator, policy: str = "mixed") -> int:
     """The `MODES` index of a new game's opponent mode: uniform for ``mixed``, else fixed."""
     if policy == "mixed":
@@ -265,39 +257,22 @@ def sample_mode(rng: np.random.Generator, policy: str = "mixed") -> int:
     raise ConfigurationError(f"unknown mode policy {policy!r}")
 
 
-def reset(rng: np.random.Generator, mode_policy: str = "mixed") -> Tuple[SoccerState, int]:
-    """A new game: A and B uniform over their `START_CELLS`, the ball holder
-    uniform, and the `MODES` index of B's mode."""
+def reset(rng: np.random.Generator, mode_policy: str = "mixed") -> Tuple[int, int]:
+    """A new game: the joint state (A and B uniform over their `START_CELLS`,
+    the ball holder uniform) and the `MODES` index of B's mode."""
     left, right = START_CELLS
     cell_a = left[int(rng.integers(0, len(left)))]
     cell_b = right[int(rng.integers(0, len(right)))]
     holder = 0 if rng.random() < 0.5 else 1
-    return SoccerState(STATE_INDEX.item(cell_a, cell_b, holder)), sample_mode(rng, mode_policy)
+    return STATE_INDEX.item(cell_a, cell_b, holder), sample_mode(rng, mode_policy)
 
 
-def step(state: SoccerState, action_a: int, action_b: int) -> Tuple[SoccerState, float, bool, bool]:
-    """One simultaneous joint move: the next state, A's reward, whether the
-    game is over, and whether the move was blocked."""
-    if state.done:
-        raise UsageError("cannot step a finished episode")
-    key = (state.joint, action_a, action_b)
-    outcome = OUTCOME.item(key)
-    count = state.step + 1
-    done = outcome != 0 or count >= HORIZON
-    return SoccerState(NEXT_STATE.item(key), count, done), float(outcome), done, BLOCKED.item(key)
-
-
-def step_many(states: np.ndarray, action_a: np.ndarray,
-              action_b: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """`step` of many games, on an array of joint states: the next states,
-    `BLOCKED` and `OUTCOME` of each move. The horizon is left to the caller."""
-    key = np.ravel_multi_index((states, action_a, action_b), NEXT_STATE.shape)
+def step(joint, action_a, action_b) -> Tuple:
+    """One simultaneous move of one game (ints) or many (arrays): the next
+    joint state, `BLOCKED` and `OUTCOME`. numpy ravels the key, since ``joint
+    * 25`` overflows an int16 joint state."""
+    key = np.ravel_multi_index((joint, action_a, action_b), NEXT_STATE.shape)
     return NEXT_STATE.take(key), BLOCKED.take(key), OUTCOME.take(key)
-
-
-def featurize_state(state: SoccerState) -> np.ndarray:
-    """A's 15 features, a read-only row of `FEATURES`."""
-    return FEATURES[state.joint]
 
 
 class OpponentTallies:
@@ -341,13 +316,6 @@ class OpponentTallies:
         if not self.steps:
             return np.zeros_like(self.sums)
         return self.sums / self.steps + self.LAST_MOVE_ROWS[self.last_category, self.last_action]
-
-
-def rule_agent_act(state: SoccerState, mode: int, rng: np.random.Generator) -> int:
-    """B's move in the mode of `MODES` index `mode` (`TIE_MOVES`); a tie
-    between best moves is broken by one draw from `rng`."""
-    count = TIE_COUNTS.item(mode, state.joint)
-    return TIE_MOVES.item(mode, state.joint, 0 if count == 1 else int(rng.integers(0, count)))
 
 
 class TieDraws:
@@ -396,16 +364,16 @@ class TieDraws:
         self.at = np.arange(len(self.rngs)) * self.BLOCK + used[games]
 
 
-def rule_agent_many(modes: np.ndarray, states: np.ndarray, draws: TieDraws) -> np.ndarray:
-    """`rule_agent_act` of many games at once, on arrays of the mode indices
-    and joint states: game i breaks a tie by its next draw in ``draws``."""
-    key = np.ravel_multi_index((modes, states), TIE_COUNTS.shape)
-    return TIE_MOVES.take(key * len(ACTIONS) + draws.draw(TIE_COUNTS.take(key)))
+def rule_agent(mode, joint, draw: Callable):
+    """B's move (`TIE_MOVES`) in the mode of `MODES` index `mode`, for one
+    game (ints) or many (arrays). A tie among n best moves takes ``draw(n)``:
+    the game's ``rng.integers``, or `TieDraws.draw` for many."""
+    return TIE_MOVES[mode, joint, draw(TIE_COUNTS[mode, joint])]
 
 
-def render(state: SoccerState) -> str:
+def render(joint: int) -> str:
     """Two characters per cell: A and B (the holder starred), '#' shaded, '=' goal."""
-    cell_a, cell_b, holder = STATE_FIELDS[:, state.joint].tolist()
+    cell_a, cell_b, holder = STATE_FIELDS[:, joint].tolist()
     marks = np.where(GOAL_MASK.any(axis=0), "= ", ". ")
     marks[_mask(SHADED)] = "# "
     marks[cell_b] = "B*" if holder else "B "

@@ -90,6 +90,20 @@ class TestRoundTrip:
                            match=rf"^line {line}: rng '\d+' does not fit in 128 bits$"):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("inc", [4, 0, 2**128 - 2])
+    def test_rng_increment_must_be_odd(self, tmp_path, inc):
+        # rng_state_of never writes an even increment, and numpy would take
+        # one as given: a stream no seed gives
+        ckpt, _ = make_checkpoint()
+        ckpt.rng_state = (5, inc)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, str(path))
+        line = 1 + path.read_text().splitlines().index(f"rng 5 {inc}")
+        with pytest.raises(CheckpointError,
+                           match=rf"^line {line}: rng increment '{inc}' is even; "
+                                 r"a PCG64 stream's is odd$"):
+            load_checkpoint(str(path))
+
     def test_quiz_env_params_survive(self, tmp_path):
         ckpt = make_quiz_checkpoint()
         path = tmp_path / "quiz.ckpt"

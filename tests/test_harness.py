@@ -191,7 +191,7 @@ def per_game_soccer(agent, opponent, n_games, seed, render=False):
         while not done:
             reward, done, _ = driver.step(int(np.argmax(agent.q_values(*driver.obs))))
             if render:
-                print(soccer.render(driver.state))
+                print(soccer.render(driver.joint))
                 print()
         rewards.append(reward)
     n = len(rewards)
@@ -257,23 +257,22 @@ class TestSoccerDriverOpponentFeatures:
     def test_equal_the_reference_bit_for_bit(self, monkeypatch, opponent, multitask):
         moves_b = []
 
-        def recorded(*args, original=soccer.rule_agent_act):
+        def recorded(*args, original=soccer.rule_agent):
             moves_b.append(original(*args))
             return moves_b[-1]
 
-        monkeypatch.setattr(soccer, "rule_agent_act", recorded)
+        monkeypatch.setattr(soccer, "rule_agent", recorded)
         driver = harness.SoccerDriver(np.random.default_rng(3), opponent, multitask)
         seen = []  # (category, action, lost ball) of B's moves this game
         games = 0
         for action in np.random.default_rng(4).integers(0, 5, size=1500).tolist():
-            before = driver.state
+            before, steps = driver.joint, driver.steps
             _, done, info = driver.step(action)
-            cell_a, cell_b, holder = soccer.STATE_FIELDS[:, before.joint].tolist()
+            cell_a, cell_b, holder = soccer.STATE_FIELDS[:, before].tolist()
             pos_a, pos_b = divmod(cell_a, ref.HEIGHT), divmod(cell_b, ref.HEIGHT)
             ball = "AB"[holder]
             category = ref.classify("B", pos_b, moves_b[-1], pos_a)
-            next_ball = ref.reference_step(pos_a, pos_b, ball, before.step, action,
-                                           moves_b[-1])[2]
+            next_ball = ref.reference_step(pos_a, pos_b, ball, steps, action, moves_b[-1])[2]
             seen.append((category, moves_b[-1], ball == "A" and next_ball == "B"))
             assert driver.obs[1].tobytes() == ref.opponent_features(seen).tobytes()
             if multitask == "action":
@@ -285,6 +284,30 @@ class TestSoccerDriverOpponentFeatures:
                 seen, games = [], games + 1
                 assert driver.obs[1].tobytes() == ref.opponent_features(seen).tobytes()
         assert games >= 10
+
+
+class TestSoccerDriver:
+    def test_timeout_tie(self):
+        # A holds the ball and stands; defensive B heads for its guard cell
+        driver = harness.SoccerDriver(np.random.default_rng(0), "defensive")
+        driver.joint = soccer.STATE_INDEX.item(soccer.index((2, 2)), soccer.index((6, 3)), 0)
+        driver.steps = soccer.HORIZON - 1
+        reward, done, _ = driver.step(soccer.STAND)
+        assert reward == 0.0 and done and driver.done
+        assert driver.steps == soccer.HORIZON
+
+    def test_step_after_done_raises(self):
+        driver = harness.SoccerDriver(np.random.default_rng(1), "mixed")
+        done, moves = False, 0
+        while not done:
+            _, done, _ = driver.step(moves % len(soccer.ACTIONS))
+            moves += 1
+        assert moves <= soccer.HORIZON
+        with pytest.raises(UsageError, match="cannot step a finished episode"):
+            driver.step(soccer.STAND)
+        driver.reset()
+        assert driver.steps == 0 and not driver.done
+        driver.step(soccer.STAND)
 
 
 class TestLockstepSoccer:

@@ -5,17 +5,7 @@ import numpy as np
 import pytest
 
 from dron import soccer
-from dron.errors import UsageError
-from dron.soccer import (
-    ACTIONS,
-    OpponentTallies,
-    SoccerState,
-    featurize_state,
-    reset,
-    rule_agent_act,
-    sample_mode,
-    step,
-)
+from dron.soccer import ACTIONS, FEATURES, OpponentTallies, reset, rule_agent, sample_mode, step
 import soccer_reference as ref
 from soccer_reference import reference_move, reference_step
 
@@ -24,15 +14,14 @@ OFFENSIVE, DEFENSIVE = range(2)  # MODES indices
 index = soccer.index
 
 
-def state_at(pos_a, pos_b, ball, step=0, done=False):
-    """The SoccerState of two (col, row) cells and a ball holder "A" or "B"."""
-    joint = soccer.STATE_INDEX.item(index(pos_a), index(pos_b), "AB".index(ball))
-    return SoccerState(joint, step, done)
+def state_at(pos_a, pos_b, ball):
+    """The joint state of two (col, row) cells and a ball holder "A" or "B"."""
+    return soccer.STATE_INDEX.item(index(pos_a), index(pos_b), "AB".index(ball))
 
 
-def fields(state):
-    """A's cell index, B's cell index and the ball holder of a SoccerState."""
-    return tuple(soccer.STATE_FIELDS[:, state.joint].tolist())
+def fields(joint):
+    """A's cell index, B's cell index and the ball holder of a joint state."""
+    return tuple(soccer.STATE_FIELDS[:, joint].tolist())
 
 
 def reference_position(joint):
@@ -49,8 +38,8 @@ class Position(NamedTuple):
     ball: str
     step: int = 0
 
-    def state(self):
-        return state_at(self.pos_a, self.pos_b, self.ball, self.step)
+    def joint(self):
+        return state_at(self.pos_a, self.pos_b, self.ball)
 
 
 def random_position(rng):
@@ -102,57 +91,38 @@ class TestReset:
 
 
 class TestStep:
+    """`step` of one game: the next joint state, whether the move was
+    blocked, and the outcome."""
+
     def test_both_stand(self):
-        state = state_at((2, 2), (6, 3), "A", step=5)
-        nxt, reward, done, blocked = step(state, A_STAND, A_STAND)
-        assert nxt == state_at((2, 2), (6, 3), "A", step=6)
-        assert reward == 0.0 and not done and not blocked
+        joint = state_at((2, 2), (6, 3), "A")
+        assert step(joint, A_STAND, A_STAND) == (joint, False, 0)
 
     def test_collision_transfers_ball(self):
-        state = state_at((3, 2), (5, 2), "A")
-        nxt, _, done, blocked = step(state, A_E, A_W)  # both into (4, 2)
-        assert nxt == state_at((3, 2), (5, 2), "B", step=1)
-        assert blocked and not done
+        # both into (4, 2)
+        assert step(state_at((3, 2), (5, 2), "A"), A_E, A_W) == (
+            state_at((3, 2), (5, 2), "B"), True, 0)
 
     def test_swap_blocked(self):
-        state = state_at((3, 2), (4, 2), "B")
-        nxt, _, _, blocked = step(state, A_E, A_W)
-        assert nxt == state_at((3, 2), (4, 2), "A", step=1)
-        assert blocked
+        assert step(state_at((3, 2), (4, 2), "B"), A_E, A_W) == (
+            state_at((3, 2), (4, 2), "A"), True, 0)
 
     def test_move_onto_standing_player(self):
-        state = state_at((3, 2), (4, 2), "B")
-        nxt, _, _, blocked = step(state, A_E, A_STAND)
-        assert nxt == state_at((3, 2), (4, 2), "A", step=1)
-        assert blocked
+        assert step(state_at((3, 2), (4, 2), "B"), A_E, A_STAND) == (
+            state_at((3, 2), (4, 2), "A"), True, 0)
 
     def test_goal_scores(self):
-        state = state_at((7, 2), (1, 5), "A")
-        nxt, reward, done, blocked = step(state, A_E, A_STAND)
-        assert reward == 1.0 and done and not blocked
-        assert nxt == state_at((8, 2), (1, 5), "A", step=1, done=True)
+        assert step(state_at((7, 2), (1, 5), "A"), A_E, A_STAND) == (
+            state_at((8, 2), (1, 5), "A"), False, 1)
 
     def test_goal_after_a_block(self):
         # B takes the ball by blocking while standing on the goal it attacks
-        state = state_at((1, 2), (0, 2), "A")
-        nxt, reward, done, blocked = step(state, A_W, A_STAND)
-        assert reward == -1.0 and done and blocked
-        assert nxt == state_at((1, 2), (0, 2), "B", step=1, done=True)
-
-    def test_timeout_tie(self):
-        state = state_at((2, 2), (6, 3), "A", step=99)
-        nxt, reward, done, _ = step(state, A_STAND, A_STAND)
-        assert reward == 0.0 and done and nxt.done
+        assert step(state_at((1, 2), (0, 2), "A"), A_W, A_STAND) == (
+            state_at((1, 2), (0, 2), "B"), True, -1)
 
     def test_invalid_move_becomes_stand(self):
-        state = state_at((1, 0), (6, 3), "A")
-        nxt, _, _, _ = step(state, A_N, A_STAND)  # off the top edge
+        nxt, _, _ = step(state_at((1, 0), (6, 3), "A"), A_N, A_STAND)  # off the top edge
         assert fields(nxt)[0] == index((1, 0))
-
-    def test_step_after_done_raises(self):
-        state = state_at((2, 2), (6, 3), "A", step=5, done=True)
-        with pytest.raises(UsageError):
-            step(state, A_STAND, A_STAND)
 
     def test_matches_reference_on_random_states(self):
         rng = np.random.default_rng(7)
@@ -160,19 +130,19 @@ class TestStep:
             position = random_position(rng)
             for aa in range(5):
                 for ab in range(5):
-                    nxt, reward, done, blocked = step(position.state(), aa, ab)
-                    ra, rb, ball, cnt, ref_reward, ref_done = reference_step(*position, aa, ab)
-                    assert nxt == state_at(ra, rb, ball, cnt, ref_done)
-                    assert reward == ref_reward and done == ref_done
+                    nxt, blocked, outcome = step(position.joint(), aa, ab)
+                    ra, rb, ball, _, ref_reward, ref_done = reference_step(*position, aa, ab)
+                    assert nxt == state_at(ra, rb, ball)
+                    assert outcome == ref_reward and bool(outcome) == ref_done
                     assert blocked == (ball != position.ball)
 
     def test_many_matches_reference(self):
         # every joint move from 200 random states, as one batch
         rng = np.random.default_rng(9)
         positions = [random_position(rng) for _ in range(200)]
-        joint = [(p.state().joint, aa, ab) for p in positions
+        joint = [(p.joint(), aa, ab) for p in positions
                  for aa in range(5) for ab in range(5)]
-        states, blocked, outcome = soccer.step_many(*map(np.array, zip(*joint)))
+        states, blocked, outcome = step(*map(np.array, zip(*joint)))
         want = [reference_step(*p, aa, ab) for p in positions
                 for aa in range(5) for ab in range(5)]
         for i, (ra, rb, ball, _, reward, _) in enumerate(want):
@@ -184,22 +154,16 @@ class TestStep:
         rng = np.random.default_rng(8)
         shaded = {index(c) for c in ref.SHADED}
         for _ in range(300):
-            state, _ = reset(rng)
-            steps = 0
-            while True:
-                nxt, reward, done, _ = step(state, int(rng.integers(0, 5)),
-                                            int(rng.integers(0, 5)))
-                steps += 1
-                cell_a, cell_b, holder = fields(nxt)
+            joint, _ = reset(rng)
+            for _ in range(soccer.HORIZON):
+                joint, _, outcome = step(joint, int(rng.integers(0, 5)), int(rng.integers(0, 5)))
+                cell_a, cell_b, holder = fields(joint)
                 assert cell_a != cell_b
                 assert cell_a not in shaded and cell_b not in shaded
                 assert holder in (0, 1)
-                if done:
-                    assert reward in (-1.0, 0.0, 1.0)
-                    assert steps <= 100
+                assert outcome in (-1, 0, 1)
+                if outcome:
                     break
-                assert reward == 0.0
-                state = nxt
 
 
 class TestMoveTable:
@@ -233,7 +197,7 @@ class TestRuleTables:
         # every pair of distinct playable cells with either holder, once
         playable = [index(c) for c in ref.cells() if ref.playable(c)]
         want = {(a, b, h) for a in playable for b in playable if a != b for h in (0, 1)}
-        got = [fields(SoccerState(joint)) for joint in STATES]
+        got = [fields(joint) for joint in STATES]
         assert len(got) == len(want) == 4140 and set(got) == want
         for joint, key in enumerate(got):
             assert soccer.STATE_INDEX[key] == joint
@@ -241,7 +205,7 @@ class TestRuleTables:
 
     def test_joint_moves(self):
         # next cells, holder, reward, done and blocked of every (state, A's
-        # move, B's move), from a state one step before the horizon
+        # move, B's move), in the tables and through `step`
         for joint in STATES:
             pos_a, pos_b, ball = reference_position(joint)
             for aa in range(len(ACTIONS)):
@@ -253,8 +217,8 @@ class TestRuleTables:
                     assert soccer.OUTCOME[key] == reward
                     assert (soccer.OUTCOME[key] != 0) == done
                     assert soccer.BLOCKED[key] == (next_ball != ball)
-                    got = step(SoccerState(joint, ref.HORIZON - 2), aa, ab)
-                    assert got[1:] == (reward, done, next_ball != ball)
+                    got = step(joint, aa, ab)
+                    assert got == (soccer.NEXT_STATE[key], next_ball != ball, reward)
         assert soccer.NEXT_STATE.dtype == np.int16 and soccer.OUTCOME.dtype == np.int8
 
     def test_tie_sets(self):
@@ -278,7 +242,7 @@ class TestRuleTables:
         for joint in STATES:
             pos_a, pos_b, ball = reference_position(joint)
             want = ref.features(pos_a, pos_b, ball == "A", ref.LEFT_GOAL, ref.RIGHT_GOAL)
-            assert featurize_state(SoccerState(joint)).tobytes() == want.tobytes()
+            assert FEATURES[joint].tobytes() == want.tobytes()
 
     def test_start_cells(self):
         half = ref.WIDTH // 2
@@ -299,9 +263,11 @@ class TestRuleTables:
 
 class TestRuleAgentDraws:
     def test_draws_only_on_a_tie(self):
-        # the same move and the same stream position as drawing among the
-        # reference's choices, and nothing drawn when there is one choice
+        # one game's `rule_agent` with its stream's `integers`: the move and
+        # the stream position of drawing among the reference's choices with
+        # `integers(0, count)`, and nothing drawn when there is one choice
         rng = np.random.default_rng(11)
+        counts = set()
         for _ in range(300):
             position = random_position(rng)
             for m, mode in enumerate(soccer.MODES):
@@ -309,26 +275,67 @@ class TestRuleAgentDraws:
                                            position.ball == "B")
                 seed = int(rng.integers(0, 2 ** 31))
                 got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = rule_agent_act(position.state(), m, got_rng)
+                fresh = got_rng.bit_generator.state
+                got = rule_agent(m, position.joint(), got_rng.integers)
                 want = choices[0] if len(choices) == 1 else choices[
                     int(want_rng.integers(0, len(choices)))]
                 assert got == want
-                assert got_rng.random() == want_rng.random()
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+                if len(choices) == 1:
+                    assert got_rng.bit_generator.state == fresh
+                counts.add(len(choices))
+        assert counts == {1, 2, 3}
 
 
 class TestRuleAgentMany:
     def test_equals_one_game_at_a_time(self):
-        # the same moves, and the same draws as one-game play
+        # `rule_agent` on arrays with `TieDraws.draw`: the same moves, and
+        # the same draws, as each game's own with its stream's `integers`
         rng = np.random.default_rng(12)
-        states = [random_position(rng).state() for _ in range(400)]
+        states = [random_position(rng).joint() for _ in range(400)]
         modes = [int(rng.integers(0, 2)) for _ in states]
         draws = soccer.TieDraws([np.random.default_rng([5, i]) for i in range(len(states))])
-        got = soccer.rule_agent_many(np.array(modes), np.array([s.joint for s in states]), draws)
+        got = rule_agent(np.array(modes), np.array(states), draws.draw)
         ones = [np.random.default_rng([5, i]) for i in range(len(states))]
-        assert got.tolist() == [rule_agent_act(state, mode, one)
+        assert got.tolist() == [rule_agent(mode, state, one.integers)
                                 for state, mode, one in zip(states, modes, ones)]
         # each game's next draw is the one one-game play makes next
         assert draws.draw(np.full(len(states), 5)).tolist() == [one.integers(0, 5) for one in ones]
+
+
+class TestOneForm:
+    """`rule_agent` and `step` on arrays of games against the same calls on
+    each entry as ints."""
+
+    def test_rule_agent_on_every_mode_and_state(self):
+        # a scripted draw: entry i breaks a tie among n with words[i] % n
+        modes, joints = np.divmod(np.arange(len(soccer.MODES) * len(STATES)), len(STATES))
+        words = np.random.default_rng(13).integers(0, 120, size=len(joints))  # int8-sized
+        counts = []
+
+        def scripted(n):
+            counts.append(n)
+            return words % n
+
+        got = rule_agent(modes, joints, scripted)
+        assert counts[0].tolist() == soccer.TIE_COUNTS.ravel().tolist()
+        want = [rule_agent(m, j, lambda n, w=w: w % n)
+                for m, j, w in zip(modes.tolist(), joints.tolist(), words.tolist())]
+        assert got.tolist() == want
+        assert want != [soccer.TIE_MOVES[m, j, 0] for m, j in zip(modes, joints)]
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.intp])
+    def test_step_on_every_joint_move_of_sampled_states(self, dtype):
+        # int16 is the dtype of `NEXT_STATE`, so of every state after the
+        # first lockstep step; the last states overflow it when scaled by 25
+        rng = np.random.default_rng(14)
+        sampled = [*rng.choice(len(STATES), size=300, replace=False).tolist(), len(STATES) - 1]
+        joint, action_a, action_b = (a.ravel() for a in np.meshgrid(
+            np.array(sampled, dtype=dtype), np.arange(5), np.arange(5), indexing="ij"))
+        got = step(joint, action_a, action_b)
+        want = [step(j, a, b) for j, a, b in
+                zip(joint.tolist(), action_a.tolist(), action_b.tolist())]
+        assert list(zip(*(column.tolist() for column in got))) == want
 
 
 def lemire(words, n):
@@ -409,15 +416,14 @@ class TestTieDraws:
 
 class TestFeaturize:
     def test_length_and_ball_flag(self):
-        phi = featurize_state(state_at((2, 2), (6, 3), "A"))
+        phi = FEATURES[state_at((2, 2), (6, 3), "A")]
         assert phi.shape == (15,)
         assert phi[14] == 1.0
-        assert featurize_state(state_at((2, 2), (6, 3), "B"))[14] == 0.0
+        assert FEATURES[state_at((2, 2), (6, 3), "B"), 14] == 0.0
 
     def test_golden_vector(self):
         # A at (2,3), B at (6,1), A holds the ball
-        state = state_at((2, 3), (6, 1), "A")
-        phi = featurize_state(state)
+        phi = FEATURES[state_at((2, 3), (6, 1), "A")]
         expected = np.array([
             2 / 8, 3 / 5,          # self
             6 / 8, 1 / 5,          # opponent
@@ -452,12 +458,12 @@ class TestFeaturize:
         for a, b in zip(cells, cells[::-1]):
             for ball in ("A", "B"):
                 position = Position(a, b, ball)
-                got = featurize_state(position.state())
+                got = FEATURES[position.joint()]
                 assert got.tobytes() == per_call(position).tobytes()
 
 
-def category(state, action):
-    return soccer.MOVE_CATEGORIES[soccer.MOVE_CATEGORY[state.joint, action]]
+def category(joint, action):
+    return soccer.MOVE_CATEGORIES[soccer.MOVE_CATEGORY[joint, action]]
 
 
 class TestClassifyMove:
@@ -484,9 +490,9 @@ class TestClassifyMove:
     def test_total_over_random_states(self):
         rng = np.random.default_rng(3)
         for _ in range(500):
-            state = random_position(rng).state()
+            joint = random_position(rng).joint()
             for action in range(5):
-                cat = soccer.MOVE_CATEGORY[state.joint, action]
+                cat = soccer.MOVE_CATEGORY[joint, action]
                 assert 0 <= cat < len(soccer.MOVE_CATEGORIES)
 
 
@@ -500,8 +506,8 @@ class TestOpponentFeatures:
     def test_single_observation(self):
         tallies = OpponentTallies(1)
         before = state_at((2, 2), (5, 2), "A")  # B moving W approaches A
-        after, _, _, blocked = step(before, A_STAND, A_W)
-        tallies.observe(before.joint, A_W, after.joint, blocked)
+        after, blocked, _ = step(before, A_STAND, A_W)
+        tallies.observe(before, A_W, after, blocked)
         phi = tallies.features()[0]
         assert np.allclose(phi[0:5], [1, 0, 0, 0, 0])
         assert np.allclose(phi[5:10], [1, 0, 0, 0, 0])
@@ -513,21 +519,21 @@ class TestOpponentFeatures:
     def test_a_blocked_move_that_leaves_b_the_ball_loses_it(self, ball, lost):
         # both players step onto (4, 2): neither moves and the ball changes hands
         before = state_at((3, 2), (5, 2), ball)
-        after, _, _, blocked = step(before, A_E, A_W)
-        assert blocked and soccer.STATE_FIELDS[2, after.joint] == "AB".index(ball) ^ 1
+        after, blocked, _ = step(before, A_E, A_W)
+        assert blocked and soccer.STATE_FIELDS[2, after] == "AB".index(ball) ^ 1
         tallies = OpponentTallies(1)
-        tallies.observe(before.joint, A_W, after.joint, blocked)
+        tallies.observe(before, A_W, after, blocked)
         assert tallies.features()[0, 15] == lost
 
     def test_frequencies_sum_to_one(self):
         rng = np.random.default_rng(5)
         tallies = OpponentTallies(1)
-        state, _ = reset(rng)
+        joint, _ = reset(rng)
         for _ in range(60):
             action = int(rng.integers(0, 5))
-            nxt, _, done, blocked = step(state, int(rng.integers(0, 5)), action)
-            tallies.observe(state.joint, action, nxt.joint, blocked)
-            state = nxt if not done else reset(rng)[0]
+            nxt, blocked, outcome = step(joint, int(rng.integers(0, 5)), action)
+            tallies.observe(joint, action, nxt, blocked)
+            joint = nxt if not outcome else reset(rng)[0]
             phi = tallies.features()[0]
             assert abs(phi[0:5].sum() - 1.0) <= 1e-12
             assert 0.0 <= phi[15] <= 1.0
@@ -537,23 +543,22 @@ class TestRuleAgent:
     def test_unique_goalward_move(self):
         # offensive B with the ball at (2,2): W is the unique distance-
         # minimizing move toward the left goal
-        state = state_at((7, 5), (2, 2), "B")
-        action = rule_agent_act(state, OFFENSIVE, np.random.default_rng(0))
+        joint = state_at((7, 5), (2, 2), "B")
+        action = rule_agent(OFFENSIVE, joint, np.random.default_rng(0).integers)
         assert action == A_W
 
     def test_defensive_guards_goal(self):
         # defensive B without the ball heads for the guard cell (7, row)
-        state = state_at((3, 2), (5, 5), "A")
-        rng = np.random.default_rng(1)
-        action = rule_agent_act(state, DEFENSIVE, rng)
+        joint = state_at((3, 2), (5, 5), "A")
+        action = rule_agent(DEFENSIVE, joint, np.random.default_rng(1).integers)
         target = reference_move((5, 5), action)
         assert ref.manhattan(target, (7, 2)) < ref.manhattan((5, 5), (7, 2))
 
     def test_defensive_never_enters_own_goal_with_ball(self):
         rng = np.random.default_rng(2)
-        state = state_at((6, 2), (7, 2), "B")
+        joint = state_at((6, 2), (7, 2), "B")
         for _ in range(50):
-            action = rule_agent_act(state, DEFENSIVE, rng)
+            action = rule_agent(DEFENSIVE, joint, rng.integers)
             assert reference_move((7, 2), action) not in ref.RIGHT_GOAL
 
     def test_offensive_beats_random_smoke(self):
@@ -562,15 +567,15 @@ class TestRuleAgent:
         wins = lengths = 0
         games = 300
         for _ in range(games):
-            state, _ = reset(rng)
-            while True:
-                a_b = rule_agent_act(state, OFFENSIVE, rng)
+            joint, _ = reset(rng)
+            for length in range(1, soccer.HORIZON + 1):
+                a_b = rule_agent(OFFENSIVE, joint, rng.integers)
                 a_a = int(rng.integers(0, 5))
-                state, reward, done, _ = step(state, a_a, a_b)
-                if done:
-                    wins += reward == -1.0
-                    lengths += state.step
+                joint, _, outcome = step(joint, a_a, a_b)
+                if outcome:
                     break
+            wins += outcome == -1
+            lengths += length
         assert wins / games >= 0.9
         assert lengths / games <= 30
 
@@ -579,15 +584,15 @@ class TestRuleAgent:
         ties = lengths = 0
         games = 200
         for _ in range(games):
-            state, _ = reset(rng)
-            while True:
-                a_b = rule_agent_act(state, DEFENSIVE, rng)
+            joint, _ = reset(rng)
+            for length in range(1, soccer.HORIZON + 1):
+                a_b = rule_agent(DEFENSIVE, joint, rng.integers)
                 a_a = int(rng.integers(0, 5))
-                state, reward, done, _ = step(state, a_a, a_b)
-                if done:
-                    ties += reward == 0.0
-                    lengths += state.step
+                joint, _, outcome = step(joint, a_a, a_b)
+                if outcome:
                     break
+            ties += outcome == 0
+            lengths += length
         assert ties / games >= 0.35
         assert lengths / games >= 55
 
@@ -613,8 +618,7 @@ class TestSampleMode:
 
 class TestRender:
     def test_marks_players_and_ball(self):
-        state = state_at((2, 2), (6, 3), "A")
-        text = soccer.render(state)
+        text = soccer.render(state_at((2, 2), (6, 3), "A"))
         assert "A*" in text and "B " in text
         assert len(text.splitlines()) == 6
 
