@@ -30,6 +30,14 @@ training reads. The gate-weighted expert Q-values, and in the backward pass
 the experts' input gradients, are added from zero in expert order, as
 running one expert at a time would, so the stacked pass gives the same bits.
 
+One vector or a batch: every pass runs on a batch (``nn.as_batch`` makes one
+vector a one-row batch), and ``q_values``, ``q_and_gate``, ``encode`` and
+``predict_opponent`` each drop the row again for a one-vector call
+(``np.ndim(x) == 1``), so a vector gives a vector with the bits of that
+one-row batch. A training pass (``forward_train``) keeps, per network, the
+activation list of ``nn.run_mlp``, which ``backward_train`` hands back to
+``nn.mlp_backward``.
+
 Gradients: an agent owns one gradient set, ``grads``, laid out like its
 parameters. Its first ``backward_train`` allocates it and binds the networks
 on it as on the parameters; every call overwrites it whole, zeroing a head
@@ -42,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -183,13 +191,14 @@ class Agent:
 
     def q_values(self, phi_s: np.ndarray, phi_o: Optional[np.ndarray] = None) -> np.ndarray:
         """Action values for one observation or a batch of observations."""
-        return self._forward(phi_s, phi_o, train=False).q_squeezed
+        q = self._forward(phi_s, phi_o, train=False).q
+        return q[0] if np.ndim(phi_s) == 1 else q
 
     def q_and_gate(
         self, phi_s: np.ndarray, phi_o: Optional[np.ndarray] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
         out = self._forward(phi_s, phi_o, train=False)
-        return out.q_squeezed, out.gate_squeezed
+        return (out.q[0], out.gate[0]) if np.ndim(phi_s) == 1 else (out.q, out.gate)
 
     def encode(self, phi_s: np.ndarray, phi_o: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """State and opponent embeddings (h_s, h_o)."""
@@ -263,16 +272,16 @@ class Agent:
         neither."""
         nets = self._nets
         spec = self.spec
-        S, squeeze = nn.as_batch(phi_s)
-        caches: Dict[str, Optional[nn.ForwardCache]] = {}
+        S = nn.as_batch(phi_s)
+        caches: Dict[str, Optional[List[np.ndarray]]] = {}
 
         if spec.kind == "dqn":
             q, caches["q_net"] = nn.run_mlp(nets["q_net"], S, train)
-            return _Forward(q, None, None, None, caches, squeeze)
+            return _Forward(q, None, None, None, caches)
 
         if phi_o is None:
             raise ConfigurationError(f"{spec.kind} requires opponent features")
-        O, _ = nn.as_batch(phi_o)
+        O = nn.as_batch(phi_o)
         hs, caches["state_tower"] = nn.run_mlp(nets["state_tower"], S, train)
         ho, caches["opponent_tower"] = nn.run_mlp(nets["opponent_tower"], O, train)
 
@@ -291,7 +300,7 @@ class Agent:
         supervision = None
         if train and spec.multitask != "none":
             supervision, caches["opponent_head"] = nn.run_mlp(nets["opponent_head"], ho, True)
-        return _Forward(q, gate, expert_q, supervision, caches, squeeze)
+        return _Forward(q, gate, expert_q, supervision, caches)
 
 
 @dataclass
@@ -300,23 +309,13 @@ class _Forward:
     gate: Optional[np.ndarray]
     expert_q: Optional[np.ndarray]  # (K, B, actions), one row block per expert
     supervision: Optional[np.ndarray]
-    caches: Dict[str, Optional[nn.ForwardCache]]  # None outside training
-    squeeze: bool
-
-    @property
-    def q_squeezed(self) -> np.ndarray:
-        return self.q[0] if self.squeeze else self.q
-
-    @property
-    def gate_squeezed(self) -> np.ndarray:
-        return self.gate[0] if self.squeeze else self.gate
+    caches: Dict[str, Optional[List[np.ndarray]]]  # each net's activations; None outside training
 
 
 def _run(layers: Tuple[nn.Layer, ...], x: np.ndarray) -> np.ndarray:
     """``nn.run_mlp`` on one vector or a batch, returned in the same form."""
-    a, squeeze = nn.as_batch(x)
-    out, _ = nn.run_mlp(layers, a)
-    return out[0] if squeeze else out
+    out, _ = nn.run_mlp(layers, nn.as_batch(x))
+    return out[0] if np.ndim(x) == 1 else out
 
 
 def param_layout(spec: AgentSpec) -> nn.Layout:

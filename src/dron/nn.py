@@ -13,10 +13,12 @@ layer, the weight an ``(in, out)`` view and the bias a ``(1, out)`` view.
 ``FlatParams`` as one stacked MLP, each weight a ``(K, in, out)`` view and
 each bias a ``(K, 1, out)`` view, so one batched ``np.matmul`` per layer runs
 all K; a stacked pass gives each MLP the bits its own pass would. ``run_mlp``
-runs the chain over bound layers and keeps a ``ForwardCache`` only when
-asked; ``mlp_backward`` runs it back, writing the weight gradients into bound
-gradient views (the same binding made on the gradient set). A caller that
-runs an MLP many times (an agent) binds it once and runs the bound layers.
+runs the chain over bound layers and, only when asked, keeps the pass's
+activations: the list ``[input, out_0, ..., out_{L-1}]``, where layer i reads
+entry i and writes entry i+1. ``mlp_backward`` runs that list back, writing
+the weight gradients into bound gradient views (the same binding made on the
+gradient set). A caller that runs an MLP many times (an agent) binds it once
+and runs the bound layers.
 
 Flat-parameter rule: a model's parameters, its gradients and its AdaGrad
 accumulators are each a ``FlatParams``, a dict whose arrays are views into one
@@ -73,21 +75,13 @@ class MLPSpec:
         return len(self.sizes) - 1
 
 
-@dataclass
-class ForwardCache:
-    """Intermediates from one run_mlp call, consumed by mlp_backward."""
-
-    inputs: List[np.ndarray]  # input to each layer, shape (B, in_l)
-    outputs: List[np.ndarray]  # post-activation output of each layer
-
-
-def as_batch(x: np.ndarray) -> Tuple[np.ndarray, bool]:
-    """``x`` as a float64 batch ``(B, in)``, and whether it was one vector."""
+def as_batch(x: np.ndarray) -> np.ndarray:
+    """``x`` as a float64 batch ``(B, in)``; one vector is a one-row batch."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
-        return x[None, :], True
+        return x[None, :]
     if x.ndim == 2:
-        return x, False
+        return x
     raise ConfigurationError(f"expected a vector or a batch of vectors, got shape {x.shape}")
 
 
@@ -215,20 +209,17 @@ def bind_stacked_mlp(spec: MLPSpec, params: FlatParams, prefixes: Sequence[str])
 
 def run_mlp(
     layers: Tuple[Layer, ...], a: np.ndarray, keep_cache: bool = False
-) -> Tuple[np.ndarray, Optional[ForwardCache]]:
+) -> Tuple[np.ndarray, Optional[List[np.ndarray]]]:
     """Affine + activation chain over bound layers for a float64 batch ``a``
     of shape ``(B, in)``; stacked layers give ``(K, B, out)``. Returns the
-    output and, with ``keep_cache``, the cache ``mlp_backward`` consumes
-    (else None)."""
+    output and, with ``keep_cache``, the activations ``[a, out_0, ...,
+    out_{L-1}]`` that ``mlp_backward`` consumes (else None)."""
     if a.shape[-1] != layers[0][0].shape[-2]:
         raise ConfigurationError(
             f"input width {a.shape[-1]} does not match spec input size {layers[0][0].shape[-2]}"
         )
-    inputs: List[np.ndarray] = []
-    outputs: List[np.ndarray] = []
+    cache = [a] if keep_cache else None
     for w, b, activation in layers:
-        if keep_cache:
-            inputs.append(a)
         z = np.matmul(a, w)
         z += b  # the pass's own array, so the bias and ReLU go in place
         if activation == "relu":
@@ -240,19 +231,20 @@ def run_mlp(
         else:
             a = z
         if keep_cache:
-            outputs.append(a)
-    return a, (ForwardCache(inputs=inputs, outputs=outputs) if keep_cache else None)
+            cache.append(a)
+    return a, cache
 
 
 def mlp_backward(
     layers: Tuple[Layer, ...],
     grads: Tuple[Layer, ...],
-    cache: ForwardCache,
+    cache: List[np.ndarray],
     output_gradient: np.ndarray,
     input_grad: bool = True,
 ) -> Optional[np.ndarray]:
     """Backpropagate d(loss)/d(output), a batch like the forward output,
-    through the cached forward pass of the bound ``layers``.
+    through the forward pass of the bound ``layers`` whose activations
+    ``run_mlp`` kept (``cache``).
 
     ``grads`` are the same MLP bound on a gradient set; each layer's weight
     and bias gradients, summed over the batch rows, overwrite its views.
@@ -262,19 +254,17 @@ def mlp_backward(
     own), so a pass allocates no gradient per hidden layer;
     ``output_gradient`` is left as it was.
     """
-    if len(cache.inputs) != len(layers):
+    if len(cache) != len(layers) + 1:
         raise ConfigurationError("cache does not match the layers (layer count differs)")
     dy = output_gradient
-    if dy.shape != cache.outputs[-1].shape:
+    if dy.shape != cache[-1].shape:
         raise ConfigurationError(
-            f"output_gradient shape {dy.shape} does not match forward output "
-            f"{cache.outputs[-1].shape}"
-        )
+            f"output_gradient shape {dy.shape} does not match forward output {cache[-1].shape}")
     last = len(layers) - 1
     for i in range(last, -1, -1):
         w, _, activation = layers[i]
         weight_grad, bias_grad, _ = grads[i]
-        a = cache.outputs[i]
+        a = cache[i + 1]
         if activation == "relu":
             dz = np.multiply(dy, a > 0.0, out=dy if i < last else None)
         elif activation == "softmax":
@@ -283,7 +273,7 @@ def mlp_backward(
             dz = dy * a * (1.0 - a)
         else:
             dz = dy
-        np.matmul(cache.inputs[i].swapaxes(-1, -2), dz, out=weight_grad)
+        np.matmul(cache[i].swapaxes(-1, -2), dz, out=weight_grad)
         # the reduction np.sum makes, without its Python wrapper
         np.add.reduce(dz, axis=-2, out=bias_grad, keepdims=True)
         if i == 0 and not input_grad:

@@ -97,7 +97,8 @@ def paired_ttest(series_a: Sequence[float], series_b: Sequence[float]) -> TTestR
     with p=0.
     """
     if len(series_a) != len(series_b):
-        raise UsageError("paired series must have equal lengths")
+        raise UsageError(
+            f"paired series must have equal lengths, got {len(series_a)} and {len(series_b)}")
     n = len(series_a)
     if n < 2:
         raise UsageError("need at least two pairs")

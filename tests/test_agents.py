@@ -277,6 +277,24 @@ class TestBoundForward:
             assert q.tobytes() == one(fwd.q).tobytes()
             assert gate.tobytes() == one(fwd.gate).tobytes() == one(ref_gate).tobytes()
 
+    @pytest.mark.parametrize("kind,multitask", VARIANTS)
+    def test_a_vector_gives_a_vector_and_a_batch_a_batch(self, kind, multitask):
+        agent = Agent(mini_spec(kind, multitask), seed=46)
+        rng = np.random.default_rng(47)
+        S, O = rng.normal(size=(1, 4)), rng.normal(size=(1, 5))
+        calls = [lambda s, o: agent.q_values(s, o if kind != "dqn" else None)]
+        if kind == "dron_moe":
+            calls += [lambda s, o: agent.q_and_gate(s, o)[0],
+                      lambda s, o: agent.q_and_gate(s, o)[1]]
+        if kind != "dqn":
+            calls += [lambda s, o: agent.encode(s, o)[0], lambda s, o: agent.encode(s, o)[1]]
+        if multitask != "none":
+            calls.append(lambda s, o: agent.predict_opponent(agent.encode(s, o)[1]))
+        for call in calls:
+            batch, vector = call(S, O), call(S[0], O[0])
+            assert batch.ndim == 2 and batch.shape[0] == 1 and vector.ndim == 1
+            assert vector.tobytes() == batch[0].tobytes()
+
     @pytest.mark.parametrize("kind,multitask", [v for v in VARIANTS if v[1] != "none"])
     @pytest.mark.parametrize("fill", [np.nan, np.inf])
     def test_acting_never_runs_the_opponent_head(self, kind, multitask, fill):

@@ -64,6 +64,15 @@ def test_ttest_on_two_curves(tmp_path, capsys):
     assert out[1].startswith("t 4 df 2 ")
 
 
+def test_ttest_names_both_counts_of_a_mismatch(tmp_path, capsys):
+    header = "epoch,mean_reward\n"
+    (tmp_path / "a.csv").write_text(header + "1,0.5\n2,0.7\n")
+    (tmp_path / "b.csv").write_text(header + "1,0.4\n")
+    assert main(["ttest", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "error: paired series must have equal lengths, got 2 and 1\n")
+
+
 def test_bad_config_names_its_line(tmp_path, capsys):
     config = tmp_path / "bad.cfg"
     config.write_text("epochs = 2\nbatch_size = 0\n")

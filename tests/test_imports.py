@@ -1,4 +1,5 @@
-"""Every name a module under src/dron imports is used in that module; every
+"""Every name a module under src/dron imports is used in that module, and
+names a standard-library module, numpy or the package itself; every
 parameter a function there takes is read in its body; every public
 function or class defined there is used by some module there; every public
 method, property or dataclass field of a class there is read by some module
@@ -12,6 +13,7 @@ Neither pyflakes nor ruff is a dependency, so this walks the syntax tree.
 """
 
 import ast
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -45,6 +47,40 @@ def test_detects_an_unused_import():
     assert unused_imports("import os\nfrom typing import List, Optional\nx: List[int]\n") == [
         (1, "os"), (2, "Optional"),
     ]
+
+
+def foreign_imports(source: str):
+    """(line, module) for each import that names neither a standard-library
+    module, numpy, nor the package itself (a relative import or ``dron``):
+    the package depends on numpy only."""
+    allowed = sys.stdlib_module_names | {"numpy", "dron"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name.partition(".")[0] not in allowed]
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.partition(".")[0] not in allowed):
+            found.append((node.lineno, node.module))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_only_the_standard_library_and_numpy(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_a_foreign_import():
+    source = (
+        "import os.path, numpy.linalg\n"
+        "from . import nn\n"
+        "from dron.errors import UsageError\n"
+        "import scipy.stats\n"
+        "def f():\n"
+        "    from scipy.stats import ttest_rel\n"
+        "    import pandas as pd\n"
+    )
+    assert foreign_imports(source) == [(4, "scipy.stats"), (6, "scipy.stats"), (7, "pandas")]
 
 
 def unused_parameters(source: str):

@@ -143,8 +143,33 @@ class TestBoundLayers:
             assert none is None and out.tobytes() == ref.tobytes()
             out, cache = nn.run_mlp(layers, x, keep_cache=True)
             assert out.tobytes() == ref.tobytes()
-            for got, want in zip(cache.inputs + cache.outputs, ref_inputs + ref_outputs):
+            assert len(cache) == len(ref_inputs) + 1
+            for got, want in zip(cache, ref_inputs + ref_outputs[-1:]):
                 assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_cache_is_the_activation_list(self, stacked):
+        spec = nn.MLPSpec((5, 7, 6, 3))
+        prefixes = TestStackedLayers.PREFIXES
+        params = TestStackedLayers._params(spec, prefixes)
+        bound = (nn.bind_stacked_mlp(spec, params, prefixes) if stacked
+                 else nn.bind_mlp(spec, params, prefixes[0]))
+        read = []  # the array each layer's matmul took as its input, in order
+
+        class Weight(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                assert ufunc is np.matmul and inputs[1] is self
+                read.append(inputs[0])
+                return ufunc(inputs[0], self.view(np.ndarray), **kwargs)
+
+        layers = tuple((w.view(Weight), b, act) for w, b, act in bound)
+        x = np.random.default_rng(3).normal(size=(4, 5))
+        out, cache = nn.run_mlp(layers, x, keep_cache=True)
+        assert out.tobytes() == nn.run_mlp(bound, x)[0].tobytes()
+        assert len(cache) == spec.layer_count + 1 == len(read) + 1
+        assert cache[0] is x and cache[-1] is out
+        assert all(entry is layer_input for entry, layer_input in zip(cache, read))
+        assert nn.run_mlp(layers, x, keep_cache=False)[1] is None
 
     def test_layers_follow_in_place_writes(self):
         spec = nn.MLPSpec((3, 2))
@@ -224,6 +249,17 @@ class TestBackward:
         assert all(np.all(g == 0.0) for g in grads.values())
         assert np.all(dx == 0.0)
 
+    def test_refuses_a_cache_or_gradient_that_does_not_fit(self):
+        spec = nn.MLPSpec((3, 4, 2))
+        params = nn.init_params(spec, 3)
+        out, cache = forward(spec, params, np.ones((5, 3)))
+        for wrong in (cache[:-1], cache + [out]):
+            with pytest.raises(ConfigurationError, match="layer count differs"):
+                backward(spec, params, wrong, np.zeros_like(out))
+        for shape in ((5, 3), (4, 2), (2,)):
+            with pytest.raises(ConfigurationError, match="does not match forward output"):
+                backward(spec, params, cache, np.zeros(shape))
+
     def test_single_linear_layer_analytic(self):
         # y = W x; gradient of 0.5*||y - t||^2 w.r.t. W is (y - t) x^T
         spec = nn.MLPSpec((3, 2))
@@ -298,7 +334,7 @@ def out_of_place_backward(spec, params, cache, output_gradient):
     grads = {}
     last = spec.layer_count - 1
     for i in range(last, -1, -1):
-        a = cache.outputs[i]
+        a = cache[i + 1]
         if i < last or spec.output == "relu":
             dz = dy * (a > 0.0)
         elif spec.output == "softmax":
@@ -307,7 +343,7 @@ def out_of_place_backward(spec, params, cache, output_gradient):
             dz = dy * a * (1.0 - a)
         else:
             dz = dy
-        grads[f"{i}.weight"] = cache.inputs[i].T @ dz
+        grads[f"{i}.weight"] = cache[i].T @ dz
         grads[f"{i}.bias"] = np.sum(dz, axis=0)
         dy = dz @ params[f"{i}.weight"].T
     return grads, dy

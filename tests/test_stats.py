@@ -95,8 +95,10 @@ class TestPairedTTest:
         assert result.t == pytest.approx(-3.4641, abs=1e-4)
 
     def test_length_mismatch(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match=r"equal lengths, got 1 and 2$"):
             paired_ttest([1.0], [1.0, 2.0])
+        with pytest.raises(UsageError, match=r"equal lengths, got 3 and 2$"):
+            paired_ttest([1.0, 2.0, 3.0], [1.0, 2.0])
 
     def test_too_short(self):
         with pytest.raises(UsageError):
