@@ -197,6 +197,9 @@ class Agent:
     def q_and_gate(
         self, phi_s: np.ndarray, phi_o: Optional[np.ndarray] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
+        """Action values and the MoE gate for one observation or a batch."""
+        if self.spec.kind != "dron_moe":
+            raise UsageError(f"{self.spec.kind} has no gate")
         out = self._forward(phi_s, phi_o, train=False)
         return (out.q[0], out.gate[0]) if np.ndim(phi_s) == 1 else (out.q, out.gate)
 

@@ -6,19 +6,22 @@ names ``"{prefix}{i}.weight"`` / ``"{prefix}{i}.bias"`` for each of its layers.
 ``run_mlp`` and ``mlp_backward`` take a batch ``(B, in)``; weight gradients
 are sums over the batch rows.
 
-Bound layers: ``bind_mlp`` resolves an MLP's names in a parameter set once,
-checks their shapes, and returns one ``(weight, bias, activation)`` tuple per
-layer, the weight an ``(in, out)`` view and the bias a ``(1, out)`` view.
-``bind_stacked_mlp`` binds K MLPs of one spec that lie one after another in a
-``FlatParams`` as one stacked MLP, each weight a ``(K, in, out)`` view and
-each bias a ``(K, 1, out)`` view, so one batched ``np.matmul`` per layer runs
-all K; a stacked pass gives each MLP the bits its own pass would. ``run_mlp``
-runs the chain over bound layers and, only when asked, keeps the pass's
-activations: the list ``[input, out_0, ..., out_{L-1}]``, where layer i reads
-entry i and writes entry i+1. ``mlp_backward`` runs that list back, writing
-the weight gradients into bound gradient views (the same binding made on the
-gradient set). A caller that runs an MLP many times (an agent) binds it once
-and runs the bound layers.
+Bound layers: ``bind_stacked_mlp`` resolves K MLPs of one spec that lie one
+after another in a ``FlatParams`` once, checks their names and shapes, and
+binds them as one stacked MLP: one ``(weight, bias, activation)`` tuple per
+layer, each weight a ``(K, in, out)`` view and each bias a ``(K, 1, out)``
+view of ``flat``, so one batched ``np.matmul`` per layer runs all K; a
+stacked pass gives each MLP the bits its own pass would. ``bind_mlp`` is its
+one-MLP case, the ``[0]`` slices: an ``(in, out)`` weight and a ``(1, out)``
+bias view per layer. ``run_mlp`` runs the chain over bound layers and, only
+when asked, keeps the pass's activations: the list ``[input, out_0, ...,
+out_{L-1}]``, where layer i reads entry i and writes entry i+1.
+``mlp_backward`` runs that list back, writing the weight gradients into bound
+gradient views (the same binding made on the gradient set). A caller that
+runs an MLP many times (an agent) binds it once and runs the bound layers.
+
+Losses: ``loss_and_grad`` takes a batch with one scalar target per row; one
+vector with a scalar target is a one-row batch, as in ``Agent.q_values``.
 
 Flat-parameter rule: a model's parameters, its gradients and its AdaGrad
 accumulators are each a ``FlatParams``, a dict whose arrays are views into one
@@ -159,52 +162,43 @@ def init_params(spec: MLPSpec, seed: Union[int, np.random.Generator], prefix: st
 Layer = Tuple[np.ndarray, np.ndarray, str]
 
 
-def _activations(spec: MLPSpec) -> Tuple[str, ...]:
-    return ("relu",) * (spec.layer_count - 1) + (spec.output,)
-
-
-def bind_mlp(spec: MLPSpec, params: Mapping[str, np.ndarray], prefix: str = "") -> Tuple[Layer, ...]:
-    """Resolve an MLP's layers in ``params`` once, checking their shapes.
-
-    The layers hold views of the arrays themselves, so they follow any
-    in-place write to ``params`` (an agent's ``FlatParams`` are only ever
-    written in place).
-    """
-    for name, shape in mlp_layout(spec, prefix):
-        if params[name].shape != shape:
-            raise ConfigurationError(
-                f"parameter {name} has shape {params[name].shape}, spec wants {shape}")
-    return tuple(
-        (params[f"{prefix}{i}.weight"], params[f"{prefix}{i}.bias"][None, :], activation)
-        for i, activation in enumerate(_activations(spec))
-    )
+def bind_mlp(spec: MLPSpec, params: FlatParams, prefix: str = "") -> Tuple[Layer, ...]:
+    """The one-MLP case of ``bind_stacked_mlp``: each layer's ``[0]`` slice,
+    an ``(in, out)`` weight view and a ``(1, out)`` bias view into
+    ``params.flat``."""
+    return tuple((weight[0], bias[0], activation)
+                 for weight, bias, activation in bind_stacked_mlp(spec, params, [prefix]))
 
 
 def bind_stacked_mlp(spec: MLPSpec, params: FlatParams, prefixes: Sequence[str]) -> Tuple[Layer, ...]:
     """Bind the MLPs named by ``prefixes``, all of ``spec`` and laid out one
     after another in ``params`` in that order, as one stacked MLP whose
     layers are views into ``params.flat``: no copy and no change of layout.
-    ``run_mlp`` and ``mlp_backward`` then run all of them at once."""
+    ``run_mlp`` and ``mlp_backward`` then run all of them at once. The
+    check names the first parameter whose name or shape is out of place."""
     layout = params.layout
     want = tuple(entry for prefix in prefixes for entry in mlp_layout(spec, prefix))
-    first = layout.index(want[0]) if want[0] in layout else len(layout)
-    if layout[first:first + len(want)] != want:
+    names = [name for name, _ in layout]
+    first = names.index(want[0][0]) if want[0][0] in names else len(layout)
+    got = layout[first:first + len(want)]
+    if got != want:
+        at = next(i for i, entry in enumerate(want) if i >= len(got) or got[i] != entry)
+        name, shape = want[at]
+        if at < len(got) and got[at][0] == name:
+            raise ConfigurationError(
+                f"parameter {name} has shape {got[at][1]}, spec wants {shape}")
         raise ConfigurationError(
             f"parameters of {', '.join(prefixes)} are not laid out one after another "
-            f"as the spec wants")
+            f"as the spec wants: {name} is {'out of place' if name in names else 'missing'}")
     start = sum(prod(shape) for _, shape in layout[:first])
     block = params.flat[start:start + sum(prod(shape) for _, shape in want)]
     block = block.reshape(len(prefixes), -1)  # one row per MLP, a view
-    layers = []
-    at = 0
-    for i, activation in enumerate(_activations(spec)):
-        n_in, n_out = spec.sizes[i], spec.sizes[i + 1]
-        weight = block[:, at:at + n_in * n_out].reshape(len(prefixes), n_in, n_out)
-        at += n_in * n_out
-        bias = block[:, at:at + n_out].reshape(len(prefixes), 1, n_out)
-        at += n_out
-        layers.append((weight, bias, activation))
-    return tuple(layers)
+    views, at = [], 0  # each weight (K, in, out) and each bias (K, 1, out)
+    for _, shape in mlp_layout(spec):
+        views.append(block[:, at:at + prod(shape)].reshape(len(prefixes), -1, shape[-1]))
+        at += prod(shape)
+    activations = ("relu",) * (spec.layer_count - 1) + (spec.output,)
+    return tuple(zip(views[::2], views[1::2], activations))
 
 
 def run_mlp(
@@ -225,7 +219,7 @@ def run_mlp(
         if activation == "relu":
             a = np.maximum(z, 0.0, out=z)
         elif activation == "softmax":
-            a = _softmax_rows(z)
+            a = softmax(z)
         elif activation == "sigmoid":
             a = 1.0 / (1.0 + np.exp(-z))
         else:
@@ -291,18 +285,13 @@ def mlp_layout(spec: MLPSpec, prefix: str = "") -> Layout:
     return tuple(layout)
 
 
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def softmax(v: np.ndarray) -> np.ndarray:
+def softmax(z: np.ndarray) -> np.ndarray:
     """Numerically stable softmax (max-subtraction) over the last axis."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.size == 0:
+    z = np.asarray(z, dtype=np.float64)
+    if z.size == 0:
         raise UsageError("softmax of an empty vector")
-    return _softmax_rows(v)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_grad(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
@@ -312,58 +301,31 @@ def softmax_grad(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
 
 
 def loss_and_grad(
-    kind: str, prediction: np.ndarray, target: Union[np.ndarray, int, float]
-) -> Tuple[float, np.ndarray]:
-    """Scalar loss and its gradient w.r.t. the prediction vector.
+    kind: str, predictions: np.ndarray, targets: Union[np.ndarray, int, float]
+) -> Tuple[Union[np.ndarray, float], np.ndarray]:
+    """Loss and its gradient w.r.t. the predictions, for a batch ``(B, width)``
+    with one scalar target per row: the per-row losses ``(B,)`` and the
+    gradient ``(B, width)``. One vector with a scalar target is a one-row
+    batch, and gives that row's loss (a float) and gradient (a vector).
 
-    kinds: ``squared`` (sum of squared errors), ``mean_squared``, and
-    ``cross_entropy`` (prediction is a probability vector, target a class
-    index or one-hot vector).
+    kinds: ``mean_squared`` (one output per row, the target its value) and
+    ``cross_entropy`` (each row a probability vector, the target a class
+    index).
     """
-    p = np.asarray(prediction, dtype=np.float64).ravel()
-    if kind in ("squared", "mean_squared"):
-        t = np.asarray(target, dtype=np.float64).ravel()
-        if t.shape != p.shape:
-            raise UsageError(f"prediction/target length mismatch: {p.shape} vs {t.shape}")
-        diff = p - t
-        if kind == "squared":
-            return float(diff @ diff), 2.0 * diff
-        return float(diff @ diff) / p.size, 2.0 * diff / p.size
-    if kind == "cross_entropy":
-        if np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-6:
-            raise UsageError("cross_entropy expects a normalized probability vector")
-        if np.isscalar(target) or np.asarray(target).ndim == 0:
-            idx = int(target)
-            if not 0 <= idx < p.size:
-                raise UsageError(f"class index {idx} out of range for {p.size} classes")
-            onehot = np.zeros_like(p)
-            onehot[idx] = 1.0
-        else:
-            onehot = np.asarray(target, dtype=np.float64).ravel()
-            if onehot.shape != p.shape:
-                raise UsageError("one-hot target length mismatch")
-        loss = -float(onehot @ np.log(p + EPS_NUM))
-        return loss, -onehot / (p + EPS_NUM)
-    raise UsageError(f"unknown loss kind {kind!r}")
-
-
-def loss_and_grad_rows(
-    kind: str, predictions: np.ndarray, targets: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``loss_and_grad`` for each row of a batch with scalar targets
-    (``mean_squared`` on one output, or ``cross_entropy`` with class
-    indices): the per-row losses and the gradient w.r.t. every prediction
-    row. The gradient uses the same elementwise expressions, so it equals
-    the per-row results bit for bit."""
-    P = np.asarray(predictions, dtype=np.float64)
+    one = np.ndim(predictions) == 1
+    P = as_batch(predictions)
     t = np.asarray(targets, dtype=np.float64)
+    if t.shape != (() if one else P.shape[:1]):
+        raise UsageError(f"need one scalar target per prediction row, got targets of "
+                         f"shape {t.shape} for predictions of shape {np.shape(predictions)}")
+    t = t.reshape(P.shape[0])
     width = P.shape[1]
     if kind == "mean_squared":
         if width != 1:
-            raise UsageError(f"prediction/target length mismatch: ({width},) vs (1,)")
+            raise UsageError(f"mean_squared needs one output per row, got {width}")
         diff = P - t[:, None]
-        return diff[:, 0] * diff[:, 0] / width, 2.0 * diff / width
-    if kind == "cross_entropy":
+        losses, grad = diff[:, 0] * diff[:, 0], 2.0 * diff  # the mean of one square
+    elif kind == "cross_entropy":
         if np.any(P < 0.0) or np.any(np.abs(P.sum(axis=1) - 1.0) > 1e-6):
             raise UsageError("cross_entropy expects a normalized probability vector")
         idx = t.astype(np.intp)
@@ -375,8 +337,10 @@ def loss_and_grad_rows(
         onehot = np.zeros_like(P)
         onehot[rows, idx] = 1.0
         denom = P + EPS_NUM
-        return -np.log(denom[rows, idx]), -onehot / denom
-    raise UsageError(f"unknown loss kind {kind!r}")
+        losses, grad = -np.log(denom[rows, idx]), -onehot / denom
+    else:
+        raise UsageError(f"unknown loss kind {kind!r}")
+    return (float(losses[0]), grad[0]) if one else (losses, grad)
 
 
 @dataclass

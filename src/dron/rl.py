@@ -151,12 +151,12 @@ def supervision_loss(
     kind: str, predictions: np.ndarray, batch: Batch, weight: float
 ) -> Tuple[float, np.ndarray]:
     """Supervision loss averaged over the batch and its gradient w.r.t. the
-    head output, scaled by ``weight``. Each row equals what
-    ``nn.loss_and_grad`` gives for it."""
+    head output, scaled by ``weight``, from ``nn.loss_and_grad`` on the
+    whole batch."""
     if batch.supervision is None:
         raise UsageError("a multitask head needs replay rows with a supervision target")
     n = len(batch)
-    losses, grad = nn.loss_and_grad_rows(kind, predictions, batch.supervision)
+    losses, grad = nn.loss_and_grad(kind, predictions, batch.supervision)
     # running sum in row order, as adding row by row would give
     return float(np.cumsum(losses / n)[-1]), weight * grad / n
 

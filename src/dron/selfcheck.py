@@ -84,22 +84,15 @@ def gradient_check_all_kinds(trials: int = 20, verbose: bool = False,
                 fwd = agent.forward_train(S, O)
                 value = float((wq * fwd.q).sum())
                 if sup_target is not None:
-                    for b in range(batch):
-                        loss_b, _ = nn.loss_and_grad(
-                            spec.multitask_loss, fwd.supervision[b], int(sup_target[b])
-                        )
-                        value += lam * loss_b
+                    losses, _ = nn.loss_and_grad(spec.multitask_loss, fwd.supervision, sup_target)
+                    for loss_b in losses:  # in row order
+                        value += lam * float(loss_b)
                 return value
 
             fwd = agent.forward_train(S, O)
             dsup = None
             if sup_target is not None:
-                dsup = np.zeros_like(fwd.supervision)
-                for b in range(batch):
-                    _, g = nn.loss_and_grad(
-                        spec.multitask_loss, fwd.supervision[b], int(sup_target[b])
-                    )
-                    dsup[b] = lam * g
+                dsup = lam * nn.loss_and_grad(spec.multitask_loss, fwd.supervision, sup_target)[1]
             analytic = agent.backward_train(fwd, wq, dsup)
             numeric = _finite_difference(total_loss, agent.params)
             for name in analytic:

@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -141,6 +142,15 @@ class TestMoe:
         q, gate = agent.q_and_gate(np.ones(2), np.ones(2))
         assert np.allclose(gate, [0.25, 0.75])
         assert np.allclose(q, [0.25, 0.75])
+
+    @pytest.mark.parametrize("kind", ["dqn", "dron_concat"])
+    @pytest.mark.parametrize("rows", [None, 3])  # one vector, a batch
+    def test_q_and_gate_refuses_an_agent_without_a_gate(self, kind, rows):
+        agent = Agent(mini_spec(kind), seed=13)
+        shape = () if rows is None else (rows,)
+        phi_o = None if kind == "dqn" else np.ones(shape + (5,))
+        with pytest.raises(UsageError, match=f"{kind} has no gate"):
+            agent.q_and_gate(np.ones(shape + (4,)), phi_o)
 
     def test_gate_simplex(self):
         agent = Agent(mini_spec("dron_moe"), seed=11)
@@ -510,16 +520,20 @@ class TestCombinedLoss:
             combined_loss(1.0, 1.0, -0.5)
 
 
+def scalar_head_spec(kind):
+    """``mini_spec`` with the quiz's ``action`` head: one sigmoid output
+    trained on mean squared error."""
+    return dataclasses.replace(mini_spec(kind, "action"), multitask_outputs=1,
+                               multitask_loss="mean_squared")
+
+
 def full_model_loss(agent, S, O, wq, sup_target, lam):
     """Scalar objective: <wq, Q> plus weighted supervision loss."""
     fwd = agent.forward_train(S, O)
     total = float((wq * fwd.q).sum())
     if sup_target is not None:
-        for b in range(S.shape[0]):
-            loss, _ = nn.loss_and_grad(
-                agent.spec.multitask_loss, fwd.supervision[b], sup_target[b]
-            )
-            total += lam * loss
+        losses, _ = nn.loss_and_grad(agent.spec.multitask_loss, fwd.supervision, sup_target)
+        total += lam * float(losses.sum())
     return total
 
 
@@ -527,11 +541,14 @@ class TestFullModelGradients:
     @pytest.mark.parametrize("kind,multitask", [
         ("dqn", "none"), ("dron_concat", "none"),
         ("dron_moe", "none"), ("dron_moe", "type"),
+        ("dron_concat", "action"), ("dron_moe", "action"),
     ])
     def test_against_finite_differences(self, kind, multitask):
         from test_nn import finite_difference_grads, max_relative_error
 
-        agent = Agent(mini_spec(kind, multitask=multitask), seed=26)
+        # "action" is the scalar (sigmoid, mean squared) head quiz trains
+        spec = scalar_head_spec(kind) if multitask == "action" else mini_spec(kind, multitask)
+        agent = Agent(spec, seed=26)
         rng = np.random.default_rng(27)
         # keep pre-activations away from the ReLU kinks where finite
         # differences are not a valid oracle
@@ -541,15 +558,14 @@ class TestFullModelGradients:
         O = None if kind == "dqn" else rng.normal(size=(3, 5))
         wq = rng.normal(size=(3, 3))
         lam = 0.7
-        sup_target = np.array([0, 1, 0]) if multitask == "type" else None
+        sup_target = {"type": np.array([0, 1, 0]),
+                      "action": np.array([0.0, 1.0, 0.25])}.get(multitask)
 
         fwd = agent.forward_train(S, O)
         dsup = None
         if sup_target is not None:
-            dsup = np.zeros_like(fwd.supervision)
-            for b in range(3):
-                _, g = nn.loss_and_grad("cross_entropy", fwd.supervision[b], sup_target[b])
-                dsup[b] = lam * g
+            _, grad = nn.loss_and_grad(spec.multitask_loss, fwd.supervision, sup_target)
+            dsup = lam * grad
         analytic = agent.backward_train(fwd, wq, dsup)
 
         def loss(_params):  # agent.params, perturbed in place

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -36,17 +37,23 @@ def max_relative_error(analytic, numeric):
     return worst
 
 
+def flat(params):
+    """``params`` in the form binding takes: a ``FlatParams`` as it is, a
+    plain dict copied into one in its own order."""
+    return params if isinstance(params, nn.FlatParams) else nn.FlatParams.of(params)
+
+
 def forward(spec, params, x, prefix=""):
     """``bind_mlp`` then ``run_mlp`` on the batch ``x``: (output, cache)."""
-    return nn.run_mlp(nn.bind_mlp(spec, params, prefix), x, keep_cache=True)
+    return nn.run_mlp(nn.bind_mlp(spec, flat(params), prefix), x, keep_cache=True)
 
 
 def backward(spec, params, cache, output_gradient, prefix=""):
     """``mlp_backward`` over ``spec`` bound on ``params`` and on a new
     gradient set: (the gradient set, the input gradient)."""
     grads = nn.FlatParams(nn.mlp_layout(spec, prefix))
-    dx = nn.mlp_backward(nn.bind_mlp(spec, params, prefix), nn.bind_mlp(spec, grads, prefix),
-                         cache, output_gradient)
+    dx = nn.mlp_backward(nn.bind_mlp(spec, flat(params), prefix),
+                         nn.bind_mlp(spec, grads, prefix), cache, output_gradient)
     return grads, dx
 
 
@@ -133,7 +140,7 @@ class TestBoundLayers:
     @pytest.mark.parametrize("output", ["linear", "relu", "softmax", "sigmoid"])
     def test_run_equals_mlp_forward(self, output):
         spec = nn.MLPSpec((5, 7, 6, 3), output=output)
-        params = nn.init_params(spec, 4, prefix="net.")
+        params = nn.FlatParams.of(nn.init_params(spec, 4, prefix="net."))
         layers = nn.bind_mlp(spec, params, "net.")
         assert [act for _, _, act in layers] == ["relu", "relu", output]
         for x in (np.random.default_rng(1).normal(size=(1, 5)),
@@ -184,12 +191,41 @@ class TestBoundLayers:
         for name, shape in (("0.weight", (4, 3)), ("1.bias", (3,))):
             params = nn.init_params(spec, 0)
             params[name] = np.zeros(shape)
-            with pytest.raises(ConfigurationError, match=name):
-                nn.bind_mlp(spec, params)
+            with pytest.raises(ConfigurationError,
+                               match=re.escape(f"parameter {name} has shape {shape}")):
+                nn.bind_mlp(spec, flat(params))
+
+    @pytest.mark.parametrize("name", ["0.weight", "1.weight", "1.bias"])
+    def test_bind_names_a_missing_parameter(self, name):
+        spec = nn.MLPSpec((3, 4, 2))
+        params = nn.init_params(spec, 0)
+        del params[name]
+        with pytest.raises(ConfigurationError, match=rf"{name} is missing"):
+            nn.bind_mlp(spec, flat(params))
+
+    def test_bind_names_a_parameter_out_of_place(self):
+        spec = nn.MLPSpec((3, 4, 2))
+        params = nn.init_params(spec, 0)
+        params["0.bias"] = params.pop("0.bias")  # now last in the layout
+        with pytest.raises(ConfigurationError, match="0.bias is out of place"):
+            nn.bind_mlp(spec, flat(params))
+
+    def test_one_mlp_is_the_first_of_a_stack(self):
+        spec = nn.MLPSpec((5, 7, 3))
+        params = TestStackedLayers._params(spec, TestStackedLayers.PREFIXES)
+        layers = nn.bind_mlp(spec, params, "m.1.")
+        stacked = nn.bind_stacked_mlp(spec, params, ["m.1."])
+        for i, ((w, b, act), (sw, sb, sact)) in enumerate(zip(layers, stacked)):
+            n_in, n_out = spec.sizes[i], spec.sizes[i + 1]
+            assert act == sact and w.shape == (n_in, n_out) and b.shape == (1, n_out)
+            assert np.array_equal(w, sw[0]) and np.array_equal(b, sb[0])
+            assert np.shares_memory(w, params.flat) and np.shares_memory(b, params.flat)
+            assert np.array_equal(w, params[f"m.1.{i}.weight"])
+            assert np.array_equal(b[0], params[f"m.1.{i}.bias"])
 
     def test_run_checks_input_width(self):
         spec = nn.MLPSpec((3, 2))
-        layers = nn.bind_mlp(spec, nn.init_params(spec, 0))
+        layers = nn.bind_mlp(spec, flat(nn.init_params(spec, 0)))
         with pytest.raises(ConfigurationError, match="input width 4"):
             nn.run_mlp(layers, np.zeros((2, 4)))
 
@@ -403,17 +439,12 @@ class TestSoftmax:
 
 
 class TestLosses:
-    def test_squared_zero_at_target(self):
-        loss, grad = nn.loss_and_grad("squared", np.array([1.0, 2.0]), np.array([1.0, 2.0]))
-        assert loss == 0.0
-        assert np.all(grad == 0.0)
-
     def test_cross_entropy_uniform(self):
         loss, _ = nn.loss_and_grad("cross_entropy", np.full(4, 0.25), 2)
         assert abs(loss - math.log(4)) <= 1e-6
 
     def test_mse_hand_computed(self):
-        loss, grad = nn.loss_and_grad("mean_squared", np.array([0.5]), np.array([1.0]))
+        loss, grad = nn.loss_and_grad("mean_squared", np.array([0.5]), 1.0)
         assert abs(loss - 0.25) <= 1e-12
         assert abs(grad[0] - (-1.0)) <= 1e-12
 
@@ -421,11 +452,38 @@ class TestLosses:
         with pytest.raises(UsageError):
             nn.loss_and_grad("cross_entropy", np.array([0.5, 0.9]), 0)
 
-    def test_cross_entropy_one_hot_target(self):
-        p = np.array([0.2, 0.3, 0.5])
-        a, ga = nn.loss_and_grad("cross_entropy", p, 2)
-        b, gb = nn.loss_and_grad("cross_entropy", p, np.array([0.0, 0.0, 1.0]))
-        assert a == b and np.array_equal(ga, gb)
+    @pytest.mark.parametrize("kind,width", [("cross_entropy", 4), ("mean_squared", 1)])
+    def test_a_vector_gives_the_bits_of_a_one_row_batch(self, kind, width):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            logits = rng.normal(size=width)
+            if kind == "cross_entropy":
+                p, target = nn.softmax(logits), int(rng.integers(width))
+            else:
+                p, target = 1.0 / (1.0 + np.exp(-logits)), float(rng.random())
+            loss, grad = nn.loss_and_grad(kind, p, target)
+            losses, grads = nn.loss_and_grad(kind, p[None, :], np.array([target]))
+            assert isinstance(loss, float) and losses.shape == (1,)
+            assert grad.shape == (width,) and grads.shape == (1, width)
+            assert np.float64(loss).tobytes() == losses[0].tobytes()
+            assert grad.tobytes() == grads[0].tobytes()
+
+    @pytest.mark.parametrize("predictions,targets", [
+        (np.full(2, 0.5), np.array([0.0, 1.0])),  # a vector takes one scalar target
+        (np.full((2, 2), 0.5), 1),  # a batch takes one target per row
+        (np.full((2, 2), 0.5), np.array([0, 1, 1])),
+    ])
+    def test_targets_that_do_not_fit_the_rows_are_refused(self, predictions, targets):
+        with pytest.raises(UsageError, match="one scalar target per prediction row"):
+            nn.loss_and_grad("cross_entropy", predictions, targets)
+
+    def test_mean_squared_takes_one_output(self):
+        with pytest.raises(UsageError, match="one output per row"):
+            nn.loss_and_grad("mean_squared", np.array([0.5, 0.5]), 1.0)
+
+    def test_squared_is_not_a_kind(self):
+        with pytest.raises(UsageError, match="unknown loss kind 'squared'"):
+            nn.loss_and_grad("squared", np.array([0.5]), 1.0)
 
 
 class TestAdaGrad:
