@@ -213,7 +213,8 @@ class QuizDriver:
     bootstrap = True
 
     def __init__(self, rng: np.random.Generator, quiz_cfg: qb.QuizConfig,
-                 population: qb.Population, multitask: str = AgentSpec.multitask,
+                 population: Sequence[qb.OpponentProfile],
+                 multitask: str = AgentSpec.multitask,
                  sees_opponent: bool = True, observed: bool = True):
         self.rng = rng
         self.quiz_cfg = quiz_cfg
@@ -277,15 +278,19 @@ class QuizDriver:
 class SelfPlayDriver:
     """Opponent-free quiz bowl with shaped immediate rewards for buzzing or
     waiting on each word; every step is its own one-step TD episode. Only a
-    `dqn` agent trains here, so `obs[1]` is `NO_OPPONENT`."""
+    `dqn` agent trains here, so `obs[1]` is `NO_OPPONENT`.
+
+    A word is revealed by `qb.step` with the agent waiting. The question
+    source's one opponent buzzes only on the last word, where the driver
+    stops, so no buzz is ever played."""
 
     bootstrap = False
 
     def __init__(self, rng: np.random.Generator, quiz_cfg: qb.QuizConfig):
         self.rng = rng
         self.quiz_cfg = quiz_cfg
-        # a question source only: this opponent never takes part
-        self._questions = qb.Population([qb.OpponentProfile(1.0, 0.0, 0.0)])
+        # a question source only: this opponent buzzes on the last word
+        self._questions = (qb.OpponentProfile(1.0, 0.0, 0.0),)
         self.reset()
 
     def reset(self) -> None:
@@ -296,12 +301,12 @@ class SelfPlayDriver:
         reward = qb.dqnself_reward(action == qb.BUZZ, qb.belief_correct(self.state))
         done = self.state.t >= self.state.length
         if not done:
-            self.state = qb.advance_belief(self.state, self.quiz_cfg, self.rng)
+            self.state = qb.step(self.state, qb.WAIT, self.quiz_cfg, self.rng)[0]
         self.obs = (qb.featurize(self.state), NO_OPPONENT)
         return reward, done, StepInfo()
 
 
-def _population(opponent: str, seed: int, size: int) -> qb.Population:
+def _population(opponent: str, seed: int, size: int) -> Tuple[qb.OpponentProfile, ...]:
     return qb.make_population(opponent, np.random.default_rng([seed, _STREAM_POPULATION]),
                               size=size)
 
@@ -574,18 +579,25 @@ def train(config: ExperimentConfig, output_dir: Optional[str] = None,
           progress: Optional[Callable[[int, int, MetricsSummary], None]] = None
           ) -> List[RunResult]:
     """Train every seed in the config, writing a learning-curve CSV and a
-    checkpoint per seed into the output directory."""
+    checkpoint per seed into the output directory. The CSV's header is
+    written before the run and each epoch's row, flushed, as that epoch's
+    evaluation ends, so a run that raises leaves the rows of the epochs it
+    finished and no checkpoint."""
     out = output_dir if output_dir is not None else config.output_dir
     os.makedirs(out, exist_ok=True)
     results = []
     for seed in config.seeds:
-        hook = (lambda e, m, s=seed: progress(s, e, m)) if progress else None
-        result = train_run(config, seed, progress=hook)
         curve_path = os.path.join(out, f"curve_seed{seed}.csv")
-        with open(curve_path, "w", encoding="utf-8") as fh:
+        # line-buffered: the header and each row reach the file as written
+        with open(curve_path, "w", encoding="utf-8", buffering=1) as fh:
             fh.write(CSV_HEADER + "\n")
-            for epoch, m in enumerate(result.epoch_metrics, start=1):
+
+            def on_epoch(epoch: int, m: MetricsSummary) -> None:
                 fh.write(csv_row(epoch, m) + "\n")
+                if progress is not None:
+                    progress(seed, epoch, m)
+
+            result = train_run(config, seed, progress=on_epoch)
         ckpt_path = os.path.join(out, f"checkpoint_seed{seed}.ckpt")
         save_checkpoint(result.checkpoint, ckpt_path)
         result.curve_path = curve_path
@@ -609,8 +621,11 @@ class SweepPoint:
 def sweep_experts(config: ExperimentConfig, k_values: Sequence[int],
                   output_dir: Optional[str] = None,
                   progress: Optional[Callable[..., None]] = None) -> List[SweepPoint]:
-    """Full train+evaluate per expert count per seed; 90% normal-approximation
-    confidence intervals over seed means."""
+    """`train` of the config as a `dron_moe` agent with each expert count k,
+    into `<output_dir>/experts<k>/` (a learning curve and a checkpoint per
+    seed), then `sweep.csv` in `output_dir`: per count, the mean over seeds of
+    each run's `mean_r` with its 90% normal-approximation confidence
+    interval. `progress(k, seed, epoch, summary)` follows every epoch."""
     if not k_values:
         raise UsageError("at least one expert count is required")
     counts = [int(k) for k in k_values]
@@ -623,15 +638,10 @@ def sweep_experts(config: ExperimentConfig, k_values: Sequence[int],
     configs = [replace(config, agent="dron_moe", experts=k) for k in counts]
     points = []
     out = output_dir if output_dir is not None else config.output_dir
-    os.makedirs(out, exist_ok=True)
     for k, cfg_k in zip(counts, configs):
-        seed_means = []
-        for seed in cfg_k.seeds:
-            hook = None
-            if progress is not None:
-                hook = (lambda e, m, s=seed, kk=k: progress(kk, s, e, m))
-            result = train_run(cfg_k, seed, progress=hook)
-            seed_means.append(result.mean_r)
+        hook = (lambda s, e, m: progress(k, s, e, m)) if progress else None
+        results = train(cfg_k, os.path.join(out, f"experts{k}"), progress=hook)
+        seed_means = [r.mean_r for r in results]
         points.append(SweepPoint(
             experts=k, seed_means=seed_means,
             mean=float(np.mean(seed_means)),

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -101,23 +101,12 @@ class OpponentProfile:
         self.error_sum += 1.0 if wrong else 0.0
 
 
-class Population:
-    """A pool of persistent opponents sampled uniformly per episode."""
-
-    def __init__(self, profiles: List[OpponentProfile]):
-        if not profiles:
-            raise ConfigurationError("population must be non-empty")
-        self.profiles = profiles
-
-    def sample(self, rng: np.random.Generator) -> OpponentProfile:
-        return self.profiles[int(rng.integers(0, len(self.profiles)))]
-
-
 def make_population(preset: str, rng: np.random.Generator,
-                    size: int = QuizConfig.opponent_pool) -> Population:
+                    size: int = QuizConfig.opponent_pool) -> Tuple[OpponentProfile, ...]:
     """Built-in opponent pools of `size` opponents: one per buzz-position
     bucket, plus a mixture that splits `size` over the buckets by the bucket
-    episode counts (largest remainder, ties to the lower bucket)."""
+    episode counts (largest remainder, ties to the lower bucket). An episode
+    draws its opponent from the pool uniformly (`sample_episode`)."""
     if preset not in POPULATION_PRESETS:
         raise ConfigurationError(f"unknown population preset {preset!r}")
     if size < 1:
@@ -132,9 +121,9 @@ def make_population(preset: str, rng: np.random.Generator,
         buckets = np.full(size, int(preset[-1]) - 1)
     # the same doubles as one rng.random() per opponent, in pool order
     mus = np.array(_BUCKET_MU)[buckets] + _MU_JITTER * (2.0 * rng.random(size) - 1.0)
-    return Population([
+    return tuple(
         OpponentProfile(mean_buzz_frac=mu, spread=_BUCKET_SPREAD, accuracy=_BUCKET_RHO[b])
-        for b, mu in zip(buckets.tolist(), np.clip(mus, 0.01, 1.0).tolist())])
+        for b, mu in zip(buckets.tolist(), np.clip(mus, 0.01, 1.0).tolist()))
 
 
 @dataclass
@@ -160,13 +149,14 @@ def _draw_belief(t: int, length: int, answer: int, config: QuizConfig,
 
 
 def sample_episode(
-    config: QuizConfig, population: Population, rng: np.random.Generator
+    config: QuizConfig, pool: Sequence[OpponentProfile], rng: np.random.Generator
 ) -> Tuple[QuizState, OpponentProfile]:
-    """Draw a question, an answer, and an opponent; pre-draw the opponent's
-    buzz position (clamped to [1, L]) and its correctness."""
+    """Draw a question, an answer, and an opponent from `pool`, uniformly;
+    pre-draw the opponent's buzz position (clamped to [1, L]) and its
+    correctness."""
     length = int(rng.integers(config.question_min, config.question_max + 1))
     answer = int(rng.integers(0, config.vocab))
-    profile = population.sample(rng)
+    profile = pool[int(rng.integers(0, len(pool)))]
     z = rng.standard_normal()
     pos = int(round(length * (profile.mean_buzz_frac + profile.spread * z)))
     pos = min(length, max(1, pos))
@@ -179,16 +169,6 @@ def sample_episode(
         opponent_buzz_pos=pos, opponent_correct=correct,
     )
     return state, profile
-
-
-def advance_belief(state: QuizState, config: QuizConfig, rng: np.random.Generator) -> QuizState:
-    """Reveal the next word: the previous belief shifts back and a fresh
-    belief is drawn with a slightly larger bonus on the true answer."""
-    if state.done:
-        raise UsageError("cannot advance a finished episode")
-    if state.t >= state.length:
-        raise UsageError("cannot advance past the end of the question")
-    return _advanced(state, state.agent_locked, state.opponent_locked, config, rng)
 
 
 # The two successors below build QuizState directly rather than through

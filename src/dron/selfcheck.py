@@ -37,7 +37,9 @@ def _finite_difference(loss: Callable[[nn.ParamSet], float], params: nn.ParamSet
 
 
 def _mini_spec(kind: str, multitask: str, rng: np.random.Generator) -> AgentSpec:
-    outputs = {"none": 1, "type": 2, "action": 3}[multitask]
+    # the categorical head of `type`, and the sigmoid head with one output
+    # that `action` trains with a mean-squared loss
+    outputs = {"none": 1, "type": 2, "action": 1}[multitask]
     return AgentSpec(
         kind=kind,
         state_dim=int(rng.integers(2, 6)),
@@ -49,6 +51,7 @@ def _mini_spec(kind: str, multitask: str, rng: np.random.Generator) -> AgentSpec
         experts=int(rng.integers(1, 4)),
         multitask=multitask,
         multitask_outputs=outputs,
+        multitask_loss="mean_squared" if multitask == "action" else "cross_entropy",
     )
 
 
@@ -60,8 +63,9 @@ def gradient_check_all_kinds(trials: int = 20, verbose: bool = False,
         raise UsageError(f"a gradient check needs at least one trial, got {trials}")
     rng = rng if rng is not None else np.random.default_rng(12345)
     worst = 0.0
+    # a new variant goes last, so the draws of those before it stay the same
     variants = [("dqn", "none"), ("dron_concat", "none"),
-                ("dron_moe", "none"), ("dron_moe", "type")]
+                ("dron_moe", "none"), ("dron_moe", "type"), ("dron_concat", "action")]
     for kind, multitask in variants:
         kind_worst = 0.0
         for trial in range(trials):
@@ -77,7 +81,9 @@ def gradient_check_all_kinds(trials: int = 20, verbose: bool = False,
             wq = rng.normal(size=(batch, spec.action_count))
             sup_target = None
             lam = spec.multitask_weight
-            if multitask != "none":
+            if multitask == "action":  # how far the opponent is toward its buzz
+                sup_target = rng.random(batch)
+            elif multitask != "none":
                 sup_target = rng.integers(0, spec.multitask_outputs, size=batch)
 
             def total_loss(_params):  # agent.params, perturbed in place

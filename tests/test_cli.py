@@ -96,15 +96,17 @@ def test_gradcheck_one_trial():
 
 
 def test_gradcheck_text_is_unchanged(capsys):
-    # the text printed before DRON-MoE's experts ran as one stacked network;
-    # the check draws its perturbations in parameter-name order, so a change
-    # of that order or of any gradient bit moves these digits
+    # the text printed before DRON-MoE's experts ran as one stacked network,
+    # and the quiz action head's line after it; the check draws its
+    # perturbations in parameter-name order, so a change of that order or of
+    # any gradient bit moves these digits
     assert main(["gradcheck", "--trials", "2"]) == 0
     assert capsys.readouterr().out == (
         "  dqn          max rel err 1.63e-06\n"
         "  dron_concat          max rel err 1.4e-09\n"
         "  dron_moe          max rel err 6.27e-10\n"
         "  dron_moe+type     max rel err 3.39e-08\n"
+        "  dron_concat+action   max rel err 7.07e-10\n"
         "worst relative error: 1.63e-06\n"
         "OK\n"
     )

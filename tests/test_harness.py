@@ -14,7 +14,7 @@ from dron.agents import Agent, has_opponent_tower, quiz_agent_spec, soccer_agent
 from dron.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from dron.cli import main
 from dron.config import ExperimentConfig, parse_config
-from dron.errors import ConfigurationError, UsageError
+from dron.errors import ConfigurationError, TrainingError, UsageError
 from dron.harness import evaluate, sweep_experts, train, train_run
 import soccer_reference as ref
 from checkpoint_v1 import v1_text
@@ -61,6 +61,29 @@ class TestTrain:
         ck_a = (tmp_path / "a" / "checkpoint_seed1.ckpt").read_bytes()
         ck_b = (tmp_path / "b" / "checkpoint_seed1.ckpt").read_bytes()
         assert ck_a == ck_b
+
+    def test_crashed_run_keeps_the_epochs_it_finished(self, tmp_path, monkeypatch):
+        cfg = parse_config(TINY_SOCCER + "epochs = 2\n")
+        train(cfg, output_dir=str(tmp_path / "whole"))
+        want = (tmp_path / "whole" / "curve_seed1.csv").read_text().splitlines()
+        assert len(want) == 3
+        curve = tmp_path / "crashed" / "curve_seed1.csv"
+        seen = []  # the file as each epoch's row is reported
+
+        def td_update(*args):
+            if seen:  # any update of epoch 2
+                raise TrainingError("crashed")
+            return real_td_update(*args)
+
+        real_td_update = rl.td_update
+        monkeypatch.setattr(rl, "td_update", td_update)
+        with pytest.raises(TrainingError, match="epoch 2: crashed"):
+            train(cfg, output_dir=str(tmp_path / "crashed"),
+                  progress=lambda seed, epoch, m: seen.append(curve.read_text()))
+        # the row is flushed before the epoch is reported, and kept
+        assert seen == ["\n".join(want[:2]) + "\n"]
+        assert curve.read_text().splitlines() == want[:2]
+        assert not (tmp_path / "crashed" / "checkpoint_seed1.ckpt").exists()
 
     def test_quiz_training_smoke(self, tmp_path):
         cfg = parse_config(TINY_QUIZ)
@@ -490,7 +513,7 @@ class TestOpponentWorkFollowsTheAgentKind:
             if seen[1]:
                 for driver in drivers:
                     driver.reset()
-        histories = [[(p.games, p.frac_sum, p.error_sum) for p in driver.population.profiles]
+        histories = [[(p.games, p.frac_sum, p.error_sum) for p in driver.population]
                      for driver in drivers]
         assert histories[0] == histories[1]
         assert sum(games for games, _, _ in histories[0]) > 10
@@ -724,7 +747,7 @@ def test_finish_equals_stepping_to_the_end(length, data, opponent_correct, oppon
     drivers = []
     for _ in range(2):
         profile = qb.OpponentProfile(0.5, 0.1, 0.7, *history)
-        driver = harness.QuizDriver(np.random.default_rng(0), cfg, qb.Population([profile]))
+        driver = harness.QuizDriver(np.random.default_rng(0), cfg, (profile,))
         driver.state = qb.QuizState(
             t=lockout, length=length, answer=0, belief=uniform, prev_belief=uniform,
             agent_locked=True, opponent_locked=opponent_locked,
@@ -809,6 +832,34 @@ class TestSweep:
         mean = sum(p.seed_means) / 2
         sd = math.sqrt(sum((v - mean) ** 2 for v in p.seed_means))  # ddof=1, n=2
         assert p.ci_halfwidth == pytest.approx(1.645 * sd / math.sqrt(2), abs=1e-9)
+
+    def test_every_run_is_kept(self, tmp_path, capsys):
+        cfg = parse_config(
+            "environment = soccer\nagent = dron_moe\nepochs = 2\n"
+            "steps_per_epoch = 60\neval_games = 5\nreplay_min = 30\nseeds = 1,2\n"
+        )
+        reported = []
+        points = sweep_experts(cfg, [2, 3], output_dir=str(tmp_path),
+                               progress=lambda *args: reported.append(args[:3]))
+        assert reported == [(k, s, e) for k in (2, 3) for s in (1, 2) for e in (1, 2)]
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["experts2", "experts3",
+                                                               "sweep.csv"]
+        for p in points:
+            runs = tmp_path / f"experts{p.experts}"
+            assert sorted(f.name for f in runs.iterdir()) == [
+                "checkpoint_seed1.ckpt", "checkpoint_seed2.ckpt",
+                "curve_seed1.csv", "curve_seed2.csv"]
+            for seed, seed_mean in zip(cfg.seeds, p.seed_means):
+                rows = (runs / f"curve_seed{seed}.csv").read_text().splitlines()[1:]
+                rewards = [float(row.split(",")[1]) for row in rows]
+                assert len(rewards) == 2
+                assert seed_mean == pytest.approx(np.mean(rewards), abs=1e-6)
+                ckpt = load_checkpoint(str(runs / f"checkpoint_seed{seed}.ckpt"))
+                assert ckpt.agent_spec.experts == p.experts
+        capsys.readouterr()
+        assert main(["ttest", str(tmp_path / "experts2" / "curve_seed1.csv"),
+                     str(tmp_path / "experts3" / "curve_seed1.csv")]) == 0
+        assert capsys.readouterr().out.startswith("n 2 pairs")
 
     def test_single_seed_degenerate(self, tmp_path):
         cfg = parse_config(

@@ -11,11 +11,9 @@ from dron.quizbowl import (
     WAIT,
     DEFAULT_QUIZ_CONFIG,
     OpponentProfile,
-    Population,
     QuizConfig,
     QuizState,
     action_supervision_target,
-    advance_belief,
     dqnself_reward,
     featurize,
     make_population,
@@ -27,7 +25,7 @@ from dron.quizbowl import (
 
 
 def single_population(mu=0.5, sigma=0.0, rho=1.0):
-    return Population([OpponentProfile(mean_buzz_frac=mu, spread=sigma, accuracy=rho)])
+    return (OpponentProfile(mean_buzz_frac=mu, spread=sigma, accuracy=rho),)
 
 
 def forced_state(t=5, length=100, answer=0, correct_argmax=True, v=50, **kw):
@@ -71,12 +69,27 @@ class TestSampleEpisode:
             assert 60 <= state.length <= 120
 
 
+def revealed_belief(t, length, answer, cfg, rng):
+    """The belief `step` draws for word t when the agent waits on word t - 1
+    (both sides locked out, so nothing else can happen on that word)."""
+    state = forced_state(t=t - 1, length=length, answer=answer, v=cfg.vocab,
+                         agent_locked=True, opponent_locked=True)
+    nxt, reward, done, opponent = step(state, WAIT, cfg, rng)
+    assert (nxt.t, reward, done, opponent) == (t, 0.0, False, None)
+    return nxt.belief
+
+
 class TestAdvanceBelief:
+    """A word that ends nothing (`step` with the agent waiting) draws the
+    next belief."""
+
     def test_normalized(self):
         rng = np.random.default_rng(4)
-        state, _ = sample_episode(DEFAULT_QUIZ_CONFIG, single_population(), rng)
-        for _ in range(30):
-            state = advance_belief(state, DEFAULT_QUIZ_CONFIG, rng)
+        # the opponent buzzes on the last word, which the 30 words never reach
+        state, _ = sample_episode(DEFAULT_QUIZ_CONFIG, single_population(mu=1.0), rng)
+        for t in range(1, 31):
+            state, _, done, _ = step(state, WAIT, DEFAULT_QUIZ_CONFIG, rng)
+            assert state.t == t and not done
             assert abs(np.exp(state.belief).sum() - 1.0) <= 1e-6
 
     def test_chance_accuracy_at_start(self):
@@ -96,27 +109,21 @@ class TestAdvanceBelief:
         hits = 0
         n = 2000
         for _ in range(n):
-            belief = qb._draw_belief(100, 100, 7, cfg, rng)
-            hits += int(np.argmax(belief)) == 7
+            hits += int(np.argmax(revealed_belief(100, 100, 7, cfg, rng))) == 7
         assert hits / n >= 0.9
 
     def test_expected_true_probability_nondecreasing(self):
-        # Monte Carlo over the generator at a grid of positions
+        # Monte Carlo over the revealed words at a grid of positions
         cfg = DEFAULT_QUIZ_CONFIG
         rng = np.random.default_rng(7)
         means = []
-        for t in (0, 25, 50, 75, 100):
+        for t in (1, 25, 50, 75, 100):
             probs = [
-                math.exp(qb._draw_belief(t, 100, 3, cfg, rng)[3]) for _ in range(10_000)
+                math.exp(revealed_belief(t, 100, 3, cfg, rng)[3]) for _ in range(10_000)
             ]
             means.append(float(np.mean(probs)))
         for lo, hi in zip(means, means[1:]):
             assert hi >= lo - 0.02
-
-    def test_advance_past_end_raises(self):
-        state = forced_state(t=100, length=100)
-        with pytest.raises(UsageError):
-            advance_belief(state, DEFAULT_QUIZ_CONFIG, np.random.default_rng(0))
 
 
 class TestStep:
@@ -173,8 +180,6 @@ class TestStep:
         before = {f.name: getattr(state, f.name) for f in fields(state)}
         arrays = (state.belief.copy(), state.prev_belief.copy())
         nxt, _, done, _ = step(state, action, DEFAULT_QUIZ_CONFIG, np.random.default_rng(0))
-        if not done:
-            advance_belief(state, DEFAULT_QUIZ_CONFIG, np.random.default_rng(0))
         assert nxt is not state
         assert all(getattr(state, name) is value for name, value in before.items())
         assert np.array_equal(state.belief, arrays[0])
@@ -324,7 +329,7 @@ class TestDqnSelfReward:
 
 def profile_values(pool):
     return [(p.mean_buzz_frac, type(p.mean_buzz_frac), p.spread, p.accuracy)
-            for p in pool.profiles]
+            for p in pool]
 
 
 def rounded_pool(preset, rng, size):
@@ -350,12 +355,12 @@ class TestPopulations:
         rng = np.random.default_rng(12)
         for preset in qb.POPULATION_PRESETS:
             pop = make_population(preset, rng)
-            assert len(pop.profiles) >= 4
+            assert len(pop) >= 4
 
     def test_mixture_weighted_toward_type2(self):
         pop = make_population("mixed", np.random.default_rng(13), size=40)
-        type2 = sum(1 for p in pop.profiles if 0.25 < p.mean_buzz_frac <= 0.5)
-        assert type2 > len(pop.profiles) / 2
+        type2 = sum(1 for p in pop if 0.25 < p.mean_buzz_frac <= 0.5)
+        assert type2 > len(pop) / 2
 
     @pytest.mark.parametrize("preset", qb.POPULATION_PRESETS)
     def test_pool_has_size_opponents(self, preset):
@@ -373,7 +378,7 @@ class TestPopulations:
         # size 10: quotas 1.94, 7.26, 0.28 and 0.52; the two seats left after
         # the whole parts go to the remainders 0.94 and 0.52
         pool = make_population("mixed", np.random.default_rng(0), size=size)
-        assert [sum(p.accuracy == rho for p in pool.profiles)
+        assert [sum(p.accuracy == rho for p in pool)
                 for rho in qb._BUCKET_RHO] == counts
 
     def test_unknown_preset(self):
