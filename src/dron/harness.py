@@ -78,6 +78,7 @@ game index) so results do not depend on scheduling.
 from __future__ import annotations
 
 import os
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -575,6 +576,14 @@ def train_run(config: ExperimentConfig, seed: int,
     return RunResult(seed=seed, epoch_metrics=metrics, checkpoint=checkpoint)
 
 
+def _remove_if_present(path: str) -> None:
+    """Remove the file at ``path`` if there is one, so that an output is
+    written as a new file and never through a link to an earlier run's. Any
+    error but a missing file propagates, as the open's would."""
+    with suppress(FileNotFoundError):
+        os.remove(path)
+
+
 def train(config: ExperimentConfig, output_dir: Optional[str] = None,
           progress: Optional[Callable[[int, int, MetricsSummary], None]] = None
           ) -> List[RunResult]:
@@ -582,12 +591,19 @@ def train(config: ExperimentConfig, output_dir: Optional[str] = None,
     checkpoint per seed into the output directory. The CSV's header is
     written before the run and each epoch's row, flushed, as that epoch's
     evaluation ends, so a run that raises leaves the rows of the epochs it
-    finished and no checkpoint."""
+    finished and no checkpoint: a seed's run starts by removing the
+    checkpoint an earlier run left. Each output is a new file
+    (`_remove_if_present`): a symlink or hard link at its path is replaced,
+    not written through, and the directory must be writable even where the
+    old file is (`dron` then exits 2 naming the path)."""
     out = output_dir if output_dir is not None else config.output_dir
     os.makedirs(out, exist_ok=True)
     results = []
     for seed in config.seeds:
         curve_path = os.path.join(out, f"curve_seed{seed}.csv")
+        ckpt_path = os.path.join(out, f"checkpoint_seed{seed}.ckpt")
+        _remove_if_present(ckpt_path)
+        _remove_if_present(curve_path)
         # line-buffered: the header and each row reach the file as written
         with open(curve_path, "w", encoding="utf-8", buffering=1) as fh:
             fh.write(CSV_HEADER + "\n")
@@ -598,7 +614,6 @@ def train(config: ExperimentConfig, output_dir: Optional[str] = None,
                     progress(seed, epoch, m)
 
             result = train_run(config, seed, progress=on_epoch)
-        ckpt_path = os.path.join(out, f"checkpoint_seed{seed}.ckpt")
         save_checkpoint(result.checkpoint, ckpt_path)
         result.curve_path = curve_path
         result.checkpoint_path = ckpt_path
@@ -625,7 +640,9 @@ def sweep_experts(config: ExperimentConfig, k_values: Sequence[int],
     into `<output_dir>/experts<k>/` (a learning curve and a checkpoint per
     seed), then `sweep.csv` in `output_dir`: per count, the mean over seeds of
     each run's `mean_r` with its 90% normal-approximation confidence
-    interval. `progress(k, seed, epoch, summary)` follows every epoch."""
+    interval. `progress(k, seed, epoch, summary)` follows every epoch.
+    `sweep.csv` is a new file, as each of `train`'s outputs is: a link at its
+    path is replaced, not written through."""
     if not k_values:
         raise UsageError("at least one expert count is required")
     counts = [int(k) for k in k_values]
@@ -649,6 +666,7 @@ def sweep_experts(config: ExperimentConfig, k_values: Sequence[int],
             degenerate=len(seed_means) < 2,
         ))
     path = os.path.join(out, "sweep.csv")
+    _remove_if_present(path)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("experts,mean_reward,ci_halfwidth,seeds,degenerate\n")
         for p in points:

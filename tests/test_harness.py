@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -84,6 +85,39 @@ class TestTrain:
         assert seen == ["\n".join(want[:2]) + "\n"]
         assert curve.read_text().splitlines() == want[:2]
         assert not (tmp_path / "crashed" / "checkpoint_seed1.ckpt").exists()
+
+    def test_crashed_rerun_leaves_no_old_checkpoint(self, tmp_path, monkeypatch):
+        cfg = parse_config(TINY_SOCCER + "epochs = 2\n")
+        train(cfg, output_dir=str(tmp_path))
+        want = (tmp_path / "curve_seed1.csv").read_text().splitlines()
+        reported = []
+
+        def td_update(*args):
+            if reported:  # any update of epoch 2
+                raise TrainingError("crashed")
+            return real_td_update(*args)
+
+        real_td_update = rl.td_update
+        monkeypatch.setattr(rl, "td_update", td_update)
+        with pytest.raises(TrainingError, match="epoch 2: crashed"):
+            train(cfg, output_dir=str(tmp_path), progress=lambda *args: reported.append(args))
+        assert (tmp_path / "curve_seed1.csv").read_text().splitlines() == want[:2]
+        # the finished run's checkpoint is gone, not left beside the new rows
+        assert not (tmp_path / "checkpoint_seed1.ckpt").exists()
+
+    def test_outputs_are_replaced_not_written_through(self, tmp_path):
+        names = ("curve_seed1.csv", "checkpoint_seed1.ckpt")
+        run, fresh = tmp_path / "run", tmp_path / "fresh"
+        train(parse_config(TINY_SOCCER + "epochs = 2\n"), output_dir=str(run))
+        first = {name: (run / name).read_bytes() for name in names}
+        for name in names:
+            os.link(run / name, tmp_path / f"link_{name}")
+        cfg = parse_config(TINY_SOCCER)
+        train(cfg, output_dir=str(run))
+        train(cfg, output_dir=str(fresh))
+        for name in names:
+            assert (tmp_path / f"link_{name}").read_bytes() == first[name]
+            assert (run / name).read_bytes() == (fresh / name).read_bytes() != first[name]
 
     def test_quiz_training_smoke(self, tmp_path):
         cfg = parse_config(TINY_QUIZ)
@@ -860,6 +894,19 @@ class TestSweep:
         assert main(["ttest", str(tmp_path / "experts2" / "curve_seed1.csv"),
                      str(tmp_path / "experts3" / "curve_seed1.csv")]) == 0
         assert capsys.readouterr().out.startswith("n 2 pairs")
+
+    def test_sweep_csv_is_replaced_not_written_through(self, tmp_path):
+        base = ("environment = soccer\nagent = dron_moe\nepochs = 1\n"
+                "steps_per_epoch = 60\neval_games = 5\nreplay_min = 30\n")
+        run, fresh = tmp_path / "run", tmp_path / "fresh"
+        sweep_experts(parse_config(base + "seeds = 1,2\n"), [2, 3], output_dir=str(run))
+        first = (run / "sweep.csv").read_bytes()
+        os.link(run / "sweep.csv", tmp_path / "link_sweep.csv")
+        cfg = parse_config(base + "seeds = 1\n")
+        sweep_experts(cfg, [2, 3], output_dir=str(run))
+        sweep_experts(cfg, [2, 3], output_dir=str(fresh))
+        assert (tmp_path / "link_sweep.csv").read_bytes() == first
+        assert (run / "sweep.csv").read_bytes() == (fresh / "sweep.csv").read_bytes() != first
 
     def test_single_seed_degenerate(self, tmp_path):
         cfg = parse_config(
